@@ -1,11 +1,25 @@
 """Hot inner loops: convolutional encoding and Viterbi decoding.
 
-Two interchangeable backends live here.  The numba build is the default;
-setting HRCC_DISABLE_NUMBA=1 (or running without numba installed) selects
-the pure-numpy fallback.  Both backends consume the same trellis tables,
-perform their floating-point accumulations in the same order and therefore
-produce bit-identical outputs; ``benchmarks/bench_kernels.py`` compares
-their throughput.
+The Viterbi decoder has two interchangeable kernels.  The fast one is the
+plain C file ``_viterbi.c`` next to this module: on first import the system
+``cc`` compiles it with ``-O2 -ffp-contract=off -fPIC -shared`` into
+``${XDG_CACHE_HOME:-~/.cache}/hrcc/_viterbi-<sha256 of source and flags>.so``
+(written to a temporary file, then renamed into place), and later imports
+load that file through ``ctypes``.  If there is no compiler, or the build or
+the load fails, ``viterbi_batch`` is the numpy kernel ``viterbi_batch_np``.
+``BACKEND`` says which one runs: ``"c"`` or ``"numpy"``.  The numpy encoder
+is the only encoder.
+
+The two decoders give bit-identical outputs.  The C kernel works one
+butterfly at a time: destinations i and i+8 share the predecessors 2i and
+2i+1, and since every generator has its D^0 and D^4 terms, the four branches
+of a butterfly carry the metrics +m, -m, -m and +m of one metric m.  It sums
+m in the same output order as the numpy kernel, and IEEE negation is exact,
+so every candidate path metric equals the numpy one and every comparison,
+ties included, goes the same way.  ``-ffp-contract=off`` stops the compiler
+from fusing a multiply and an add into one FMA, which rounds once where
+numpy rounds twice; with branch outputs of exactly +-1 the products are
+exact anyway, but the equality should not rest on the table's values.
 
 Trellis state packs the last four encoder inputs with the newest bit in
 bit 3: state s at time t is x[t-1]<<3 | x[t-2]<<2 | x[t-3]<<1 | x[t-4],
@@ -16,27 +30,20 @@ possible predecessors are (ns&7)<<1 and ((ns&7)<<1)|1.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import os
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
-
-DISABLE_ENV = "HRCC_DISABLE_NUMBA"
 
 # Stand-in for -inf that survives repeated branch-metric additions without
 # overflow; real metrics stay many orders of magnitude above it.
 NEG_METRIC = -1.0e30
 
-_env_disabled = os.environ.get(DISABLE_ENV, "0").strip().lower() not in ("", "0", "false")
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    njit = None
-    _HAVE_NUMBA = False
-
-BACKEND = "numba" if (_HAVE_NUMBA and not _env_disabled) else "numpy"
+_C_SOURCE = Path(__file__).with_name("_viterbi.c")
+_C_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 
 def conv_encode_batch_np(msgs: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -104,84 +111,81 @@ def viterbi_batch_np(soft: np.ndarray, syms: np.ndarray) -> np.ndarray:
     return bits
 
 
-if _HAVE_NUMBA:
+def _cache_dir() -> Path:
+    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(root) / "hrcc"
 
-    @njit(cache=True)
-    def _conv_encode_batch_nb(msgs, taps):  # pragma: no cover - jitted
-        nframes, nbits = msgs.shape
-        n_out = taps.shape[0]
-        ntaps = taps.shape[1]
-        out = np.zeros((nframes, nbits * n_out), dtype=np.uint8)
-        for f in range(nframes):
-            for t in range(nbits):
-                for j in range(n_out):
-                    acc = np.uint8(0)
-                    for k in range(ntaps):
-                        if taps[j, k] and t - k >= 0:
-                            acc ^= msgs[f, t - k]
-                    out[f, t * n_out + j] = acc
-        return out
 
-    @njit(cache=True)
-    def _viterbi_batch_nb(soft, syms):  # pragma: no cover - jitted
-        nframes = soft.shape[0]
-        n_out = syms.shape[2]
-        nsteps = soft.shape[1] // n_out
-        bits = np.empty((nframes, nsteps), dtype=np.uint8)
-        pm = np.empty(16)
-        pm_next = np.empty(16)
-        back = np.empty((nsteps, 16), dtype=np.uint8)
-        for f in range(nframes):
-            for s in range(16):
-                pm[s] = NEG_METRIC
-            pm[0] = 0.0
-            for t in range(nsteps):
-                base = t * n_out
-                for ns in range(16):
-                    b = ns >> 3
-                    p0 = (ns & 7) << 1
-                    p1 = p0 | 1
-                    m0 = soft[f, base] * syms[p0, b, 0]
-                    m1 = soft[f, base] * syms[p1, b, 0]
-                    for j in range(1, n_out):
-                        m0 = m0 + soft[f, base + j] * syms[p0, b, j]
-                        m1 = m1 + soft[f, base + j] * syms[p1, b, j]
-                    c0 = pm[p0] + m0
-                    c1 = pm[p1] + m1
-                    if c1 > c0:
-                        pm_next[ns] = c1
-                        back[t, ns] = 1
-                    else:
-                        pm_next[ns] = c0
-                        back[t, ns] = 0
-                for s in range(16):
-                    pm[s] = pm_next[s]
-            state = 0
-            for t in range(nsteps - 1, -1, -1):
-                bits[f, t] = state >> 3
-                state = ((state & 7) << 1) | back[t, state]
-        return bits
+def _build(source: bytes, target: Path) -> None:
+    """Compile ``source`` into ``target``, which appears whole or not at all."""
+    import subprocess
+    import tempfile
 
-    def conv_encode_batch_nb(msgs: np.ndarray, taps: np.ndarray) -> np.ndarray:
-        return _conv_encode_batch_nb(
-            np.ascontiguousarray(msgs, dtype=np.uint8),
-            np.ascontiguousarray(taps, dtype=np.uint8),
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=target.stem + "-", suffix=".tmp", dir=target.parent)
+    os.close(fd)
+    try:
+        result = subprocess.run(
+            ["cc", *_C_FLAGS, "-x", "c", "-o", tmp, "-"], input=source, capture_output=True
         )
-
-    def viterbi_batch_nb(soft: np.ndarray, syms: np.ndarray) -> np.ndarray:
-        return _viterbi_batch_nb(
-            np.ascontiguousarray(soft, dtype=np.float64),
-            np.ascontiguousarray(syms, dtype=np.float64),
-        )
-
-else:
-    conv_encode_batch_nb = None
-    viterbi_batch_nb = None
+        if result.returncode:
+            raise OSError(f"cc failed: {result.stderr.decode(errors='replace')}")
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
-if BACKEND == "numba":
-    conv_encode_batch = conv_encode_batch_nb
-    viterbi_batch = viterbi_batch_nb
-else:
-    conv_encode_batch = conv_encode_batch_np
-    viterbi_batch = viterbi_batch_np
+def _load_c_kernel():
+    """The compiled ``hrcc_viterbi_batch``, building it if needed; None on failure."""
+    try:
+        source = _C_SOURCE.read_bytes()
+        digest = hashlib.sha256(source + " ".join(_C_FLAGS).encode()).hexdigest()
+        target = _cache_dir() / f"_viterbi-{digest}.so"
+        if not target.exists():
+            _build(source, target)
+        func = ctypes.CDLL(str(target)).hrcc_viterbi_batch
+    except (OSError, AttributeError):  # no cc, failed build or load, missing symbol
+        return None
+    func.restype = None
+    func.argtypes = (
+        ctypes.c_void_p,  # soft
+        ctypes.c_ssize_t,  # nframes
+        ctypes.c_ssize_t,  # width
+        ctypes.c_int,  # n_out
+        ctypes.c_void_p,  # sym
+        ctypes.c_void_p,  # back
+        ctypes.c_void_p,  # bits
+    )
+    return func
+
+
+@lru_cache(maxsize=8)
+def _butterfly_syms(raw: bytes, n_out: int) -> np.ndarray:
+    """(8, n_out) outputs of the branch from state 2i under input 0."""
+    syms = np.frombuffer(raw, dtype=np.float64).reshape(16, 2, n_out)
+    if not (np.array_equal(syms[1::2], -syms[0::2]) and np.array_equal(syms[:, 1], -syms[:, 0])):
+        raise ValueError("branch outputs lack the butterfly symmetry of D^0 and D^4 taps")
+    table = np.ascontiguousarray(syms[0::2, 0])
+    table.flags.writeable = False
+    return table
+
+
+def viterbi_batch_c(soft: np.ndarray, syms: np.ndarray) -> np.ndarray:
+    """``viterbi_batch_np`` in compiled C; the same bits, far fewer cycles."""
+    soft = np.ascontiguousarray(soft, dtype=np.float64)
+    nframes, width = soft.shape
+    n_out = syms.shape[2]
+    sym = _butterfly_syms(np.ascontiguousarray(syms, dtype=np.float64).tobytes(), n_out)
+    bits = np.empty((nframes, width // n_out), dtype=np.uint8)
+    back = np.empty(width // n_out, dtype=np.uint16)
+    _c_viterbi(soft.ctypes.data, nframes, width, n_out, sym.ctypes.data,
+               back.ctypes.data, bits.ctypes.data)
+    return bits
+
+
+_c_viterbi = _load_c_kernel()
+
+BACKEND = "numpy" if _c_viterbi is None else "c"
+conv_encode_batch = conv_encode_batch_np
+viterbi_batch = viterbi_batch_np if _c_viterbi is None else viterbi_batch_c

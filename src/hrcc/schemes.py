@@ -126,6 +126,8 @@ def decode_blocks(scheme: SchemeId, softs: np.ndarray) -> tuple[np.ndarray, np.n
             f"got shape {softs.shape}"
         )
     arr = np.asarray(softs, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError("soft values must be finite")
     for pattern in reversed(chain.punctures):
         arr = coding.depuncture_batch(pattern, arr)
     decoded = coding.viterbi_decode_batch(chain.code, arr)

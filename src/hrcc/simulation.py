@@ -107,13 +107,15 @@ def run_bler(
         raise ValueError("min_frames must be at least 1")
     if min_errors < 1:
         raise ValueError("min_errors must be at least 1")
+    points = [float(p) for p in ebno_points]
+    if not all(math.isfinite(p) for p in points):
+        raise ValueError(f"Eb/N0 points must be finite, got {points}")
     kbits = schemes.message_bits(scheme)
     nbits = schemes.coded_bits(scheme)
     rate = schemes.info_rate(scheme)
     mode = _interleave_mode(scheme)
     reports = []
-    for ebno_db in ebno_points:
-        ebno_db = float(ebno_db)
+    for ebno_db in points:
         sigma = noise_sigma(ebno_db, rate)
         rng = _point_rng(seed, scheme, ebno_db)
         frames = errors = bit_errors = undetected = 0

@@ -190,6 +190,17 @@ def test_error_paths_exit_nonzero_with_a_diagnostic(capsys):
         assert "Traceback" not in err
 
 
+def test_bler_rejects_nan_ebno_without_writing_a_row(tmp_path, capsys):
+    out_path = tmp_path / "nan.csv"
+    code, out, err = run_cli(
+        capsys, "bler", "--scheme", "m2-reduced", "--ebno", "nan", "--output", str(out_path)
+    )
+    assert code != 0
+    assert err.startswith("error:") and "finite" in err
+    assert out == ""
+    assert not out_path.exists()
+
+
 def test_stdin_block_input(capsys, monkeypatch):
     import io
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from hrcc import kernels
 from hrcc.coding import (
     CONV_RATE_12,
     CONV_RATE_13,
@@ -11,8 +10,6 @@ from hrcc.coding import (
     PUNCTURE_P23,
     ConvCode,
     PuncturePattern,
-    _sym_table,
-    _tap_table,
     add_tail,
     conv_encode,
     depuncture,
@@ -292,23 +289,3 @@ def test_viterbi_matches_bruteforce_ml_sample():
         decoded = viterbi_decode(CONV_RATE_12, soft)
         assert not decoded[-4:].any()
         assert np.array_equal(decoded[:12], ml_decode_bruteforce(soft, msgs, cws))
-
-
-# --- backend agreement -----------------------------------------------------
-
-
-@pytest.mark.skipif(kernels.viterbi_batch_nb is None, reason="numba unavailable")
-@pytest.mark.parametrize("code", [CONV_RATE_12, CONV_RATE_13])
-def test_numba_and_numpy_backends_agree(code):
-    rng = np.random.default_rng(23)
-    taps = _tap_table(code.generators)
-    syms = _sym_table(code.generators)
-    msgs = rng.integers(0, 2, size=(32, 228), dtype=np.uint8)
-    assert np.array_equal(
-        kernels.conv_encode_batch_np(msgs, taps), kernels.conv_encode_batch_nb(msgs, taps)
-    )
-    soft = rng.normal(0.0, 2.0, size=(32, 228 * code.n_out))
-    soft[:, ::5] = 0.0  # include erasures
-    assert np.array_equal(
-        kernels.viterbi_batch_np(soft, syms), kernels.viterbi_batch_nb(soft, syms)
-    )

@@ -1,0 +1,130 @@
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import hrcc
+from hrcc import kernels
+from hrcc.coding import CONV_RATE_12, CONV_RATE_13, _sym_table
+from hrcc.schemes import SchemeId
+from hrcc.simulation import reports_to_csv, sweep
+
+CODES = [CONV_RATE_12, CONV_RATE_13]
+STEPS = 228
+
+
+def _assert_kernels_agree(soft, code):
+    syms = _sym_table(code.generators)
+    active = kernels.viterbi_batch(soft, syms)
+    reference = kernels.viterbi_batch_np(soft, syms)
+    assert active.dtype == reference.dtype == np.uint8
+    assert active.shape == reference.shape == (soft.shape[0], soft.shape[1] // code.n_out)
+    assert np.array_equal(active, reference)
+    return active
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_compiled_kernel_is_active():
+    # Otherwise every comparison below would check numpy against itself.
+    assert kernels.BACKEND == hrcc.BACKEND == "c"
+    assert kernels.viterbi_batch is kernels.viterbi_batch_c
+
+
+@pytest.mark.parametrize("code", CODES)
+def test_random_rows_agree(code):
+    rng = np.random.default_rng(23)
+    _assert_kernels_agree(rng.normal(0.0, 2.0, size=(300, STEPS * code.n_out)), code)
+
+
+@pytest.mark.parametrize("code", CODES)
+def test_erasure_rows_agree_and_decode_to_zeros(code):
+    rng = np.random.default_rng(24)
+    soft = rng.normal(0.0, 2.0, size=(40, STEPS * code.n_out))
+    soft[::4] = 0.0
+    soft[1::4, ::5] = 0.0
+    decoded = _assert_kernels_agree(soft, code)
+    assert not decoded[::4].any()
+
+
+@pytest.mark.parametrize("code", CODES)
+def test_exact_ties_agree(code):
+    # Soft values in {-1, 0, 1} make many candidate metrics exactly equal,
+    # so this pins down the tie rule (odd predecessor only when strictly better).
+    rng = np.random.default_rng(25)
+    soft = rng.integers(-1, 2, size=(200, STEPS * code.n_out)).astype(np.float64)
+    _assert_kernels_agree(soft, code)
+
+
+@pytest.mark.parametrize("code", CODES)
+def test_single_and_zero_frames_agree(code):
+    rng = np.random.default_rng(26)
+    _assert_kernels_agree(rng.normal(0.0, 2.0, size=(1, STEPS * code.n_out)), code)
+    _assert_kernels_agree(np.zeros((0, STEPS * code.n_out)), code)
+
+
+def test_strided_input_agrees():
+    rng = np.random.default_rng(27)
+    wide = rng.normal(0.0, 2.0, size=(16, 2 * STEPS * 2))
+    _assert_kernels_agree(wide[:, ::2], CONV_RATE_12)
+    _assert_kernels_agree(wide[::3, : STEPS * 2].astype(np.float32), CONV_RATE_12)
+
+
+def test_branch_table_without_butterfly_symmetry_is_rejected():
+    syms = _sym_table(CONV_RATE_12.generators).copy()
+    syms[3, 0, 1] = -syms[3, 0, 1]
+    with pytest.raises(ValueError, match="butterfly"):
+        kernels.viterbi_batch_c(np.zeros((1, 20)), syms)
+
+
+_SWEEP_SCRIPT = (
+    "import sys\n"
+    "from hrcc import kernels\n"
+    "from hrcc.schemes import SchemeId\n"
+    "from hrcc.simulation import reports_to_csv, sweep\n"
+    "reports = sweep([SchemeId.STANDARD_456, SchemeId.M2_REDUCED], [3.0],"
+    " min_frames=300, min_errors=60, seed=778)\n"
+    "sys.stdout.write(kernels.BACKEND + '\\n' + reports_to_csv(reports))\n"
+)
+
+
+def _sweep_in_fresh_interpreter(cache: Path, path: str):
+    pkg_root = str(Path(hrcc.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache), PATH=path, PYTHONPATH=pythonpath)
+    result = subprocess.run(
+        [sys.executable, "-c", _SWEEP_SCRIPT], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    backend, csv = result.stdout.split("\n", 1)
+    return backend, csv
+
+
+def _sweep_here():
+    reports = sweep(
+        [SchemeId.STANDARD_456, SchemeId.M2_REDUCED], [3.0], min_frames=300, min_errors=60, seed=778
+    )
+    return reports_to_csv(reports)
+
+
+def test_without_a_compiler_falls_back_to_numpy(tmp_path):
+    cache = tmp_path / "cache"
+    no_cc = tmp_path / "bin"
+    no_cc.mkdir()
+    backend, csv = _sweep_in_fresh_interpreter(cache, str(no_cc))
+    assert backend == "numpy"
+    assert csv == _sweep_here()
+    assert not any(cache.rglob("*.so")) and not any(cache.rglob("*.tmp"))
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_cold_cache_builds_the_kernel_once(tmp_path):
+    cache = tmp_path / "cache"
+    backend, csv = _sweep_in_fresh_interpreter(cache, os.environ["PATH"])
+    assert backend == "c"
+    assert csv == _sweep_here()
+    built = sorted(p.name for p in (cache / "hrcc").iterdir())
+    assert len(built) == 1 and built[0].startswith("_viterbi-") and built[0].endswith(".so")

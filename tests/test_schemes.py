@@ -156,6 +156,14 @@ def test_wrong_lengths_are_rejected():
         decode_blocks(SchemeId.M2_REDUCED, np.zeros((2, 229)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decode_blocks_rejects_non_finite_soft_values(bad):
+    softs = np.ones((3, 228))
+    softs[1, 17] = bad
+    with pytest.raises(ValueError, match="soft values must be finite"):
+        decode_blocks(SchemeId.M2_REDUCED, softs)
+
+
 def test_batch_matches_single_block_api():
     rng = np.random.default_rng(47)
     for scheme in SchemeId:

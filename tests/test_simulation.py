@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -57,6 +54,12 @@ def test_run_bler_validates_limits():
         run_bler(SchemeId.M2_REDUCED, [4.0], min_frames=0)
     with pytest.raises(ValueError):
         run_bler(SchemeId.M2_REDUCED, [4.0], min_errors=0)
+
+
+@pytest.mark.parametrize("ebno", [math.inf, -math.inf, math.nan])
+def test_run_bler_rejects_non_finite_ebno(ebno):
+    with pytest.raises(ValueError, match="finite"):
+        run_bler(SchemeId.M2_REDUCED, [4.0, ebno], min_frames=10)
 
 
 def test_run_bler_noiseless_operating_point():
@@ -121,27 +124,22 @@ def test_sweep_orders_reports_scheme_major():
     ]
 
 
-@pytest.mark.skipif(kernels.viterbi_batch_nb is None, reason="numba unavailable")
-def test_sweep_csv_identical_across_backends():
-    # Both kernel backends accumulate branch metrics in the same order,
+def test_sweep_csv_identical_across_backends(monkeypatch):
+    # The compiled kernel must reproduce the numpy reference bit for bit,
     # so a sweep must not depend on which one is active.
-    script = (
-        "from hrcc.simulation import sweep, reports_to_csv\n"
-        "from hrcc.schemes import SchemeId\n"
-        "import sys\n"
-        "reports = sweep([SchemeId.STANDARD_456, SchemeId.M2_REDUCED], [3.0],"
-        " min_frames=400, min_errors=60, seed=777)\n"
-        "sys.stdout.write(reports_to_csv(reports))\n"
-    )
-    outputs = []
-    for disable in ("0", "1"):
-        env = dict(os.environ, HRCC_DISABLE_NUMBA=disable)
-        result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    def run():
+        reports = sweep(
+            [SchemeId.STANDARD_456, SchemeId.M1_CS13_P23, SchemeId.M2_REDUCED],
+            [3.0],
+            min_frames=400,
+            min_errors=60,
+            seed=777,
         )
-        assert result.returncode == 0, result.stderr
-        outputs.append(result.stdout)
-    assert outputs[0] == outputs[1]
+        return reports_to_csv(reports)
+
+    active = run()
+    monkeypatch.setattr(kernels, "viterbi_batch", kernels.viterbi_batch_np)
+    assert run() == active
 
 
 def test_csv_shape_and_determinism():
