@@ -21,6 +21,18 @@ class HexFormatError(ValueError):
     """Raised when a "LEN:HEX" string cannot be parsed back into bits."""
 
 
+def binary_uint8(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as uint8, itself if it already is; ValueError unless all 0/1.
+
+    A uint8 input costs one pass (its maximum); any other dtype is cast and
+    compared with the original, which catches 2, -1, 0.5 and 256 alike.
+    """
+    out = arr.astype(np.uint8, copy=False)
+    if out.size and (int(out.max()) > 1 or (out is not arr and not np.array_equal(out, arr))):
+        raise ValueError("bit block may only contain 0 and 1")
+    return out
+
+
 def as_bit_array(bits, length: int | None = None) -> np.ndarray:
     """Validate a 0/1 sequence and return it as a fresh uint8 array."""
     arr = np.asarray(bits)
@@ -28,12 +40,10 @@ def as_bit_array(bits, length: int | None = None) -> np.ndarray:
         raise ValueError(f"bit block must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError("bit block must not be empty")
-    out = arr.astype(np.uint8, copy=True)
-    if not np.array_equal(out, arr) or int(out.max()) > 1:
-        raise ValueError("bit block may only contain 0 and 1")
+    out = binary_uint8(arr)
     if length is not None and out.size != length:
         raise ValueError(f"expected a {length}-bit block, got {out.size} bits")
-    return out
+    return out.copy() if out is arr else out
 
 
 def as_soft_array(values, length: int | None = None) -> np.ndarray:

@@ -162,8 +162,11 @@ def _cmd_bler(args) -> int:
     )
     csv_text = simulation.reports_to_csv(reports)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(csv_text)
+        except OSError as exc:
+            raise CliError(f"cannot write CSV: {exc}") from None
     else:
         sys.stdout.write(csv_text)
     return 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,45 +48,55 @@ def poly_remainder(value: int, generator: int) -> int:
 
 
 def _parity_matrix(k: int, generator: int, r: int) -> np.ndarray:
-    """(k, r) GF(2) matrix; row i is the parity of the unit message e_i."""
-    rows = np.zeros((k, r), dtype=np.uint8)
+    """(k, r) GF(2) matrix as read-only float32; row i is the parity of e_i.
+
+    float32 lets the batch product go through BLAS.  Each entry of a
+    product with 0/1 messages is an integer no larger than k, and float32
+    holds every integer below 2**24 exactly, so the product is exact in any
+    summation order.
+    """
+    rows = np.zeros((k, r), dtype=np.float32)
     for i in range(k):
         rem = poly_remainder(1 << (k - 1 - i + r), generator)
         rows[i] = [(rem >> (r - 1 - j)) & 1 for j in range(r)]
+    rows.flags.writeable = False
     return rows
 
 
-_FIRE_MATRIX = _parity_matrix(FULL_MESSAGE_BITS, FIRE_POLY, FIRE_PARITY_BITS)
-_PARITY20_MATRIX = _parity_matrix(REDUCED_MESSAGE_BITS, PARITY20_POLY, PARITY20_BITS)
+FIRE_MATRIX = _parity_matrix(FULL_MESSAGE_BITS, FIRE_POLY, FIRE_PARITY_BITS)
+PARITY20_MATRIX = _parity_matrix(REDUCED_MESSAGE_BITS, PARITY20_POLY, PARITY20_BITS)
 
 
 def _parity_batch(msgs: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    return ((msgs.astype(np.int64) @ matrix.astype(np.int64)) & 1).astype(np.uint8)
+    """(frames, k) 0/1 messages -> (frames, r) uint8 parity under ``matrix``."""
+    counts = msgs.astype(np.float32) @ matrix
+    wide = np.min_scalar_type(matrix.shape[0])
+    return (counts.astype(wide) & 1).astype(np.uint8, copy=False)
 
 
 def fire_encode(msg) -> np.ndarray:
     """184-bit message -> 224-bit systematic codeword (message ++ 40 parity)."""
     msg = as_bit_array(msg, FULL_MESSAGE_BITS)
-    return np.concatenate([msg, _parity_batch(msg[np.newaxis, :], _FIRE_MATRIX)[0]])
+    return np.concatenate([msg, _parity_batch(msg[np.newaxis, :], FIRE_MATRIX)[0]])
 
 
 def fire_check(codeword) -> bool:
     """True iff the 224-bit word has a zero syndrome.  Detection only."""
     cw = as_bit_array(codeword, FIRE_CODEWORD_BITS)
-    expect = _parity_batch(cw[np.newaxis, :FULL_MESSAGE_BITS], _FIRE_MATRIX)[0]
+    expect = _parity_batch(cw[np.newaxis, :FULL_MESSAGE_BITS], FIRE_MATRIX)[0]
     return bool(np.array_equal(expect, cw[FULL_MESSAGE_BITS:]))
 
 
 def parity20_encode(msg) -> np.ndarray:
     """90-bit message -> 110-bit systematic codeword (message ++ 20 parity)."""
     msg = as_bit_array(msg, REDUCED_MESSAGE_BITS)
-    return np.concatenate([msg, _parity_batch(msg[np.newaxis, :], _PARITY20_MATRIX)[0]])
+    return np.concatenate([msg, _parity_batch(msg[np.newaxis, :], PARITY20_MATRIX)[0]])
 
 
 def parity20_check(codeword) -> bool:
     """True iff the 110-bit word has a zero syndrome.  Detection only."""
     cw = as_bit_array(codeword, PARITY20_CODEWORD_BITS)
-    expect = _parity_batch(cw[np.newaxis, :REDUCED_MESSAGE_BITS], _PARITY20_MATRIX)[0]
+    expect = _parity_batch(cw[np.newaxis, :REDUCED_MESSAGE_BITS], PARITY20_MATRIX)[0]
     return bool(np.array_equal(expect, cw[REDUCED_MESSAGE_BITS:]))
 
 
@@ -202,10 +212,27 @@ class PuncturePattern:
     def period(self) -> int:
         return len(self.keep)
 
-    @property
+    @cached_property
     def kept_indices(self) -> np.ndarray:
+        """Read-only positions of the kept input bits, in increasing order."""
         mask = np.resize(np.asarray(self.keep, dtype=bool), self.input_len)
-        return np.flatnonzero(mask)
+        kept = np.flatnonzero(mask)
+        kept.flags.writeable = False
+        return kept
+
+
+def compose_punctures(patterns) -> PuncturePattern:
+    """One full-length pattern equal to applying ``patterns`` in order."""
+    kept = patterns[0].kept_indices
+    for prev, pattern in zip(patterns, patterns[1:]):
+        if pattern.input_len != prev.output_len:
+            raise ValueError(
+                f"cannot puncture {prev.output_len} bits with a pattern for {pattern.input_len}"
+            )
+        kept = kept[pattern.kept_indices]
+    mask = np.zeros(patterns[0].input_len, dtype=np.uint8)
+    mask[kept] = 1
+    return PuncturePattern(tuple(mask.tolist()), patterns[0].input_len, patterns[-1].output_len)
 
 
 # Mother-code puncturing realizing the 2/3 coding scheme, then the three

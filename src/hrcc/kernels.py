@@ -4,9 +4,10 @@ The Viterbi decoder has two interchangeable kernels.  The fast one is the
 plain C file ``_viterbi.c`` next to this module: on first import the system
 ``cc`` compiles it with ``-O2 -ffp-contract=off -fPIC -shared`` into
 ``${XDG_CACHE_HOME:-~/.cache}/hrcc/_viterbi-<sha256 of source and flags>.so``
-(written to a temporary file, then renamed into place), and later imports
-load that file through ``ctypes``.  If there is no compiler, or the build or
-the load fails, ``viterbi_batch`` is the numpy kernel ``viterbi_batch_np``.
+(written to a temporary file, then renamed into place; kernels built from
+other sources or flags are then deleted), and later imports load that file
+through ``ctypes``.  If there is no compiler, or the build or the load
+fails, ``viterbi_batch`` is the numpy kernel ``viterbi_batch_np``.
 ``BACKEND`` says which one runs: ``"c"`` or ``"numpy"``.  The numpy encoder
 is the only encoder.
 
@@ -30,6 +31,7 @@ possible predecessors are (ns&7)<<1 and ((ns&7)<<1)|1.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -134,6 +136,11 @@ def _build(source: bytes, target: Path) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    # Kernels built from earlier sources or flags are never loaded again.
+    for stale in target.parent.glob("_viterbi-*.so"):
+        if stale != target:
+            with contextlib.suppress(OSError):
+                stale.unlink()
 
 
 def _load_c_kernel():

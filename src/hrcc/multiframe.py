@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .bits import SubAllocation
 
@@ -88,6 +89,11 @@ def _group_table(config: ChannelConfig, parity: int) -> list[tuple[int, ChannelK
 
 def build_layout(cfg: MultiframeConfig) -> list[FrameSlot]:
     """All 102 slots of a two-multiframe cycle, idle frames included."""
+    return list(_layout(cfg))
+
+
+@lru_cache(maxsize=None)
+def _layout(cfg: MultiframeConfig) -> tuple[FrameSlot, ...]:
     slots: list[FrameSlot] = []
     for parity in (0, 1):
         owners: dict[int, LogicalChannelId] = {}
@@ -100,7 +106,7 @@ def build_layout(cfg: MultiframeConfig) -> list[FrameSlot]:
                     owners[first + r] = LogicalChannelId(kind, sub)
         for frame in range(FRAMES_PER_MULTIFRAME):
             slots.append(FrameSlot(parity, frame, owners.get(frame)))
-    return slots
+    return tuple(slots)
 
 
 def bursts_for(cfg: MultiframeConfig, chan: LogicalChannelId) -> list[tuple[int, int]]:
@@ -111,13 +117,17 @@ def bursts_for(cfg: MultiframeConfig, chan: LogicalChannelId) -> list[tuple[int,
     EVEN channel sees bursts 0 and 2 and an ODD one sees 1 and 3.
     """
     chan.validate(cfg)
-    out: list[tuple[int, int]] = []
-    for slot in build_layout(cfg):
-        if slot.owner != chan:
-            continue
-        group_burst = slot.frame_number % GROUP_FRAMES
-        out.append((slot.multiframe_parity * FRAMES_PER_MULTIFRAME + slot.frame_number, group_burst))
-    return out
+    return list(_bursts(cfg, chan))
+
+
+@lru_cache(maxsize=None)
+def _bursts(cfg: MultiframeConfig, chan: LogicalChannelId) -> tuple[tuple[int, int], ...]:
+    return tuple(
+        (slot.multiframe_parity * FRAMES_PER_MULTIFRAME + slot.frame_number,
+         slot.frame_number % GROUP_FRAMES)
+        for slot in _layout(cfg)
+        if slot.owner == chan
+    )
 
 
 @dataclass(frozen=True)
@@ -142,7 +152,7 @@ class CapacityReport:
 
 def capacity_report(cfg: MultiframeConfig) -> CapacityReport:
     """Logical channel counts plus idle frames per multiframe."""
-    slots = build_layout(cfg)
+    slots = _layout(cfg)
     sdcch = {s.owner for s in slots if s.owner and s.owner.kind is ChannelKind.SDCCH}
     sacch = {s.owner for s in slots if s.owner and s.owner.kind is ChannelKind.SACCH}
     idle = sum(1 for s in slots if s.multiframe_parity == 0 and s.owner is None)

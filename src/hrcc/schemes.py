@@ -9,17 +9,19 @@ either by puncturing the full 184-bit message or by coding a reduced
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
 from . import coding
-from .bits import as_bit_array, as_soft_array
+from .bits import as_bit_array, as_soft_array, binary_uint8
 from .coding import (
     CONV_RATE_12,
     CONV_RATE_13,
+    FIRE_MATRIX,
+    PARITY20_MATRIX,
     PUNCTURE_CS23,
     PUNCTURE_P12,
     PUNCTURE_P13,
@@ -50,21 +52,31 @@ def scheme_from_name(name: str) -> SchemeId:
         raise ValueError(f"unknown scheme {name!r}; known schemes: {known}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Chain:
+    """Every stage of one chain; ``punctures`` are the paper's steps in order."""
+
     message_bits: int
     coded_bits: int
     code: coding.ConvCode
     punctures: tuple[coding.PuncturePattern, ...]
-    parity_bits: int
+    parity: np.ndarray  # (message_bits, parity_bits) block-code generator matrix
+    # The steps composed into one pattern; None when nothing is punctured.
+    puncture: coding.PuncturePattern | None = field(init=False)
+
+    def __post_init__(self):
+        composed = coding.compose_punctures(self.punctures) if self.punctures else None
+        object.__setattr__(self, "puncture", composed)
 
 
 _CHAINS: dict[SchemeId, _Chain] = {
-    SchemeId.STANDARD_456: _Chain(184, 456, CONV_RATE_12, (), 40),
-    SchemeId.M1_CS23_P13: _Chain(184, 228, CONV_RATE_12, (PUNCTURE_CS23, PUNCTURE_P13), 40),
-    SchemeId.M1_CS12_P12: _Chain(184, 228, CONV_RATE_12, (PUNCTURE_P12,), 40),
-    SchemeId.M1_CS13_P23: _Chain(184, 228, CONV_RATE_13, (PUNCTURE_P23,), 40),
-    SchemeId.M2_REDUCED: _Chain(90, 228, CONV_RATE_12, (), 20),
+    SchemeId.STANDARD_456: _Chain(184, 456, CONV_RATE_12, (), FIRE_MATRIX),
+    SchemeId.M1_CS23_P13: _Chain(
+        184, 228, CONV_RATE_12, (PUNCTURE_CS23, PUNCTURE_P13), FIRE_MATRIX
+    ),
+    SchemeId.M1_CS12_P12: _Chain(184, 228, CONV_RATE_12, (PUNCTURE_P12,), FIRE_MATRIX),
+    SchemeId.M1_CS13_P23: _Chain(184, 228, CONV_RATE_13, (PUNCTURE_P23,), FIRE_MATRIX),
+    SchemeId.M2_REDUCED: _Chain(90, 228, CONV_RATE_12, (), PARITY20_MATRIX),
 }
 
 
@@ -94,47 +106,43 @@ class DecodeOutcome:
     ok: bool
 
 
-def _block_parity_batch(scheme: SchemeId, msgs: np.ndarray) -> np.ndarray:
-    if _CHAINS[scheme].parity_bits == 40:
-        return coding._parity_batch(msgs, coding._FIRE_MATRIX)
-    return coding._parity_batch(msgs, coding._PARITY20_MATRIX)
-
-
 def encode_blocks(scheme: SchemeId, msgs: np.ndarray) -> np.ndarray:
-    """Encode a (frames, message_bits) batch to (frames, coded_bits)."""
+    """Encode a (frames, message_bits) batch of 0/1 values to (frames, coded_bits)."""
     chain = _CHAINS[scheme]
+    msgs = np.asarray(msgs)
     if msgs.ndim != 2 or msgs.shape[1] != chain.message_bits:
         raise ValueError(
             f"{scheme.cli_name} takes {chain.message_bits}-bit messages, "
             f"got shape {msgs.shape}"
         )
-    parity = _block_parity_batch(scheme, msgs)
+    msgs = binary_uint8(msgs)
+    parity = coding._parity_batch(msgs, chain.parity)
     tail = np.zeros((msgs.shape[0], TAIL_BITS), dtype=np.uint8)
     tailed = np.concatenate([msgs, parity, tail], axis=1)
     out = coding.conv_encode_batch(chain.code, tailed)
-    for pattern in chain.punctures:
-        out = coding.puncture_batch(pattern, out)
+    if chain.puncture is not None:
+        out = coding.puncture_batch(chain.puncture, out)
     return out
 
 
 def decode_blocks(scheme: SchemeId, softs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decode a (frames, coded_bits) soft batch to (messages, check_ok)."""
     chain = _CHAINS[scheme]
-    if softs.ndim != 2 or softs.shape[1] != chain.coded_bits:
+    arr = np.asarray(softs, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != chain.coded_bits:
         raise ValueError(
             f"{scheme.cli_name} expects {chain.coded_bits} soft values, "
-            f"got shape {softs.shape}"
+            f"got shape {arr.shape}"
         )
-    arr = np.asarray(softs, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise ValueError("soft values must be finite")
-    for pattern in reversed(chain.punctures):
-        arr = coding.depuncture_batch(pattern, arr)
+    if chain.puncture is not None:
+        arr = coding.depuncture_batch(chain.puncture, arr)
     decoded = coding.viterbi_decode_batch(chain.code, arr)
     inputs = decoded[:, :-TAIL_BITS]
     msgs = inputs[:, : chain.message_bits]
     received_parity = inputs[:, chain.message_bits :]
-    ok = (_block_parity_batch(scheme, msgs) == received_parity).all(axis=1)
+    ok = (coding._parity_batch(msgs, chain.parity) == received_parity).all(axis=1)
     return msgs, ok
 
 

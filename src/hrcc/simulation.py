@@ -44,14 +44,32 @@ def noise_sigma(ebno_db: float, info_rate: Fraction | float) -> float:
     return 1.0 / math.sqrt(2.0 * float(info_rate) * ebno)
 
 
+# Antipodal symbol of each bit value: +1 for 0, -1 for 1.
+_ANTIPODAL = np.array([1.0, -1.0])
+
+
+def _awgn(bits: np.ndarray, sigma: float, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (shape of ``bits``) with 2y/sigma^2 for y = (1-2b) + n; returns it.
+
+    Same values as ``2.0 * ((1 - 2b) + rng.normal(0.0, sigma)) / sigma**2``:
+    ``normal`` draws the same standard normals z and returns 0.0 + sigma*z,
+    which differs from sigma*z only in the sign of a zero, and that sign is
+    lost once +-1 is added.
+    """
+    rng.standard_normal(out=out)
+    out *= sigma
+    out += _ANTIPODAL[bits]
+    out *= 2.0
+    out /= sigma * sigma
+    return out
+
+
 def transmit(bits, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """One block over the channel: y = (1-2b) + n, returned as 2y/sigma^2."""
     if sigma <= 0.0:
         raise ValueError("sigma must be positive; the noiseless case is sigma -> 0")
     arr = as_bit_array(bits)
-    symbols = 1.0 - 2.0 * arr.astype(np.float64)
-    noisy = symbols + rng.normal(0.0, sigma, size=arr.size)
-    return 2.0 * noisy / (sigma * sigma)
+    return _awgn(arr, sigma, rng, np.empty(arr.size))
 
 
 @dataclass(frozen=True)
@@ -114,6 +132,9 @@ def run_bler(
     nbits = schemes.coded_bits(scheme)
     rate = schemes.info_rate(scheme)
     mode = _interleave_mode(scheme)
+    # One channel buffer for every chunk: decode reads the deinterleaved
+    # copy, so the next chunk may overwrite it.
+    channel = np.empty((min(_CHUNK_FRAMES, min_frames), nbits))
     reports = []
     for ebno_db in points:
         sigma = noise_sigma(ebno_db, rate)
@@ -124,9 +145,7 @@ def run_bler(
             msgs = rng.integers(0, 2, size=(chunk, kbits), dtype=np.uint8)
             coded = schemes.encode_blocks(scheme, msgs)
             stream = interleaving.interleave_batch(mode, coded)
-            symbols = 1.0 - 2.0 * stream.astype(np.float64)
-            noisy = symbols + rng.normal(0.0, sigma, size=symbols.shape)
-            soft = 2.0 * noisy / (sigma * sigma)
+            soft = _awgn(stream, sigma, rng, channel[:chunk])
             deint = interleaving.deinterleave_batch(mode, soft)
             decoded, ok = schemes.decode_blocks(scheme, deint)
             wrong = decoded != msgs

@@ -201,6 +201,18 @@ def test_bler_rejects_nan_ebno_without_writing_a_row(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_bler_output_to_an_unwritable_path_is_an_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.csv"
+    code, out, err = run_cli(
+        capsys, "bler", "--scheme", "m2-reduced", "--ebno", "20", "--frames", "10",
+        "--output", str(target),
+    )
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == ""
+    assert not target.exists()
+
+
 def test_stdin_block_input(capsys, monkeypatch):
     import io
 

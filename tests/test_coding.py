@@ -4,13 +4,17 @@ import pytest
 from hrcc.coding import (
     CONV_RATE_12,
     CONV_RATE_13,
+    FIRE_MATRIX,
+    PARITY20_MATRIX,
     PUNCTURE_CS23,
     PUNCTURE_P12,
     PUNCTURE_P13,
     PUNCTURE_P23,
     ConvCode,
     PuncturePattern,
+    _parity_batch,
     add_tail,
+    compose_punctures,
     conv_encode,
     depuncture,
     fire_check,
@@ -38,6 +42,21 @@ def _perfect_soft(bits):
 
 
 # --- block codes -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "matrix,generator", [(FIRE_MATRIX, FIRE_GEN_BITS), (PARITY20_MATRIX, PARITY20_GEN_BITS)]
+)
+def test_parity_batch_matches_long_division(matrix, generator):
+    # All-ones rows give the largest sums the float32 product has to hold.
+    k = matrix.shape[0]
+    rng = np.random.default_rng(k)
+    msgs = np.vstack(
+        [rng.integers(0, 2, size=(32, k), dtype=np.uint8), np.ones((2, k), dtype=np.uint8)]
+    )
+    parity = _parity_batch(msgs, matrix)
+    assert parity.dtype == np.uint8
+    assert parity.tolist() == [cyclic_parity(row.tolist(), generator) for row in msgs]
 
 
 def test_fire_zero_message_gives_zero_codeword():
@@ -216,6 +235,22 @@ def test_scheme_puncture_lengths(pattern, inlen, outlen):
     kept = pattern.kept_indices
     assert np.all(np.diff(kept) > 0)  # order preserved
     assert np.array_equal(out, bits[kept])
+
+
+def test_kept_indices_are_built_once_and_read_only():
+    kept = PUNCTURE_P13.kept_indices
+    assert kept is PUNCTURE_P13.kept_indices
+    with pytest.raises(ValueError):
+        kept[0] = 1
+
+
+def test_composed_puncture_is_one_full_length_mask():
+    composed = compose_punctures((PUNCTURE_CS23, PUNCTURE_P13))
+    assert (composed.input_len, composed.output_len) == (456, 228)
+    assert composed.keep == (1, 1, 0, 0) * 114
+    assert compose_punctures((PUNCTURE_P12,)) == PuncturePattern((1, 0) * 228, 456, 228)
+    with pytest.raises(ValueError):
+        compose_punctures((PUNCTURE_P12, PUNCTURE_P13))
 
 
 def test_puncture_length_mismatch():

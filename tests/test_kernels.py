@@ -128,3 +128,17 @@ def test_cold_cache_builds_the_kernel_once(tmp_path):
     assert csv == _sweep_here()
     built = sorted(p.name for p in (cache / "hrcc").iterdir())
     assert len(built) == 1 and built[0].startswith("_viterbi-") and built[0].endswith(".so")
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_build_deletes_kernels_of_other_sources(tmp_path):
+    cache = tmp_path / "cache"
+    (cache / "hrcc").mkdir(parents=True)
+    stale = cache / "hrcc" / "_viterbi-0000.so"
+    stale.write_bytes(b"built from an older source")
+    partial = cache / "hrcc" / "_viterbi-1111-abcd.tmp"
+    partial.write_bytes(b"")
+    backend, _ = _sweep_in_fresh_interpreter(cache, os.environ["PATH"])
+    assert backend == "c"
+    assert not stale.exists() and partial.exists()
+    assert len(list((cache / "hrcc").glob("_viterbi-*.so"))) == 1

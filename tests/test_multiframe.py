@@ -123,3 +123,14 @@ def test_channel_validation():
     modified = MultiframeConfig(ChannelConfig.SDCCH4, FrameMode.MODIFIED)
     with pytest.raises(ValueError):
         bursts_for(modified, LogicalChannelId(ChannelKind.SDCCH, 0))
+
+
+def test_callers_get_their_own_lists():
+    cfg = MultiframeConfig(ChannelConfig.SDCCH8, FrameMode.MODIFIED)
+    chan = LogicalChannelId(ChannelKind.SDCCH, 3, SubAllocation.ODD)
+    layout, bursts = build_layout(cfg), bursts_for(cfg, chan)
+    expected_layout, expected_bursts = list(layout), list(bursts)
+    layout.clear()
+    bursts.append((0, 0))
+    assert build_layout(cfg) == expected_layout
+    assert bursts_for(cfg, chan) == expected_bursts

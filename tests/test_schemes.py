@@ -3,9 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hrcc.coding import add_tail, conv_encode, fire_encode, parity20_encode, puncture
+from hrcc import coding
+from hrcc.coding import add_tail, conv_encode, depuncture, fire_encode, parity20_encode, puncture
 from hrcc.coding import CONV_RATE_12, PUNCTURE_CS23, PUNCTURE_P13
 from hrcc.schemes import (
+    _CHAINS,
     SchemeId,
     coded_bits,
     decode_block,
@@ -154,6 +156,42 @@ def test_wrong_lengths_are_rejected():
         decode_block(SchemeId.STANDARD_456, np.zeros(228))
     with pytest.raises(ValueError):
         decode_blocks(SchemeId.M2_REDUCED, np.zeros((2, 229)))
+
+
+def test_batch_codecs_take_nested_lists():
+    coded = encode_blocks(SchemeId.M2_REDUCED, [[0] * 90])
+    assert coded.shape == (1, 228) and not coded.any()
+    msgs, ok = decode_blocks(SchemeId.M2_REDUCED, [[0.0] * 228])
+    assert ok.all() and not msgs.any()
+
+
+@pytest.mark.parametrize("bad", [np.uint8(2), 2, -1, 0.5, 256])
+def test_encode_blocks_rejects_non_binary_messages(bad):
+    msgs = np.zeros((3, 184), dtype=np.asarray(bad).dtype)
+    msgs[1, 7] = bad
+    with pytest.raises(ValueError, match="only contain 0 and 1"):
+        encode_blocks(SchemeId.STANDARD_456, msgs)
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_composed_puncture_equals_the_paper_steps(scheme):
+    chain = _CHAINS[scheme]
+    if not chain.punctures:
+        assert chain.puncture is None
+        return
+    rng = np.random.default_rng(len(chain.punctures) * 100 + chain.coded_bits)
+    bits = rng.integers(0, 2, size=(6, chain.punctures[0].input_len), dtype=np.uint8)
+    soft = rng.normal(size=(6, chain.coded_bits))
+    stepped_bits, stepped_soft = [], []
+    for row_bits, row_soft in zip(bits, soft):
+        for pattern in chain.punctures:
+            row_bits = puncture(pattern, row_bits)
+        for pattern in reversed(chain.punctures):
+            row_soft = depuncture(pattern, row_soft)
+        stepped_bits.append(row_bits)
+        stepped_soft.append(row_soft)
+    assert np.array_equal(coding.puncture_batch(chain.puncture, bits), stepped_bits)
+    assert np.array_equal(coding.depuncture_batch(chain.puncture, soft), stepped_soft)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hrcc import kernels
+from hrcc import kernels, schemes, simulation
 from hrcc.schemes import SchemeId
 from hrcc.simulation import (
     BlerReport,
@@ -92,6 +92,44 @@ def test_run_bler_early_stop_on_error_quota():
     (r,) = run_bler(SchemeId.STANDARD_456, [0.0], min_frames=5000, min_errors=25, seed=5)
     assert r.frame_errors == 25  # stops on the frame that reaches the quota
     assert r.frames < 5000
+
+
+def _reference_channel(bits, sigma, rng, out):
+    # The channel as first written: fresh arrays and Generator.normal.
+    symbols = 1.0 - 2.0 * bits.astype(np.float64)
+    noisy = symbols + rng.normal(0.0, sigma, size=symbols.shape)
+    return 2.0 * noisy / (sigma * sigma)
+
+
+def test_in_place_channel_matches_the_reference_expression(monkeypatch):
+    decode = schemes.decode_blocks
+
+    def run():
+        seen = []
+
+        def recording(scheme, softs):
+            seen.append(np.array(softs))
+            return decode(scheme, softs)
+
+        monkeypatch.setattr(schemes, "decode_blocks", recording)
+        reports = run_bler(SchemeId.M2_REDUCED, [3.0, 6.0], min_frames=700, min_errors=110, seed=31)
+        return reports, seen
+
+    reports, softs = run()
+    # 700 frames are a 512-frame chunk and a short one; at 3 dB the quota
+    # is reached inside the short chunk, at 6 dB it is not reached.
+    assert 512 < reports[0].frames < 700 and reports[0].frame_errors == 110
+    assert reports[1].frames == 700 and reports[1].frame_errors < 110
+    monkeypatch.setattr(simulation, "_awgn", _reference_channel)
+    ref_reports, ref_softs = run()
+    assert reports == ref_reports
+    assert len(softs) == len(ref_softs) == 4
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(softs, ref_softs))
+
+    bits = np.random.default_rng(4).integers(0, 2, size=114, dtype=np.uint8)
+    got = transmit(bits, 0.7, np.random.default_rng(5))
+    expect = _reference_channel(bits, 0.7, np.random.default_rng(5), None)
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_run_bler_report_invariants():
