@@ -10,25 +10,40 @@
  * is exact, so each candidate metric equals the numpy one (up to the sign of
  * a zero, which no comparison sees).  Build with -ffp-contract=off: a fused
  * multiply-add rounds once where numpy rounds twice.
+ *
+ * Both entry points read the soft values through a source map, one entry
+ * per column of the mother code: source[c] is the column of the input row
+ * that holds coded bit c, or -1 where puncturing deleted it, which reads as
+ * an erasure (+0.0).  This folds depuncturing into the decoder's own reads.
+ * kernels.py checks the map's bounds before it calls in.
+ *
+ * hrcc_viterbi_avx2 decodes four frames at once, one per lane of an AVX2
+ * vector, with the same operations in the same order per lane as
+ * hrcc_viterbi_scalar.  It is compiled for AVX2 by a function attribute, not
+ * by a compiler flag, so the library loads on any x86-64 CPU;
+ * hrcc_viterbi_lanes says whether this CPU can run it.
  */
 
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
+#ifdef __x86_64__
+#include <immintrin.h>
+#endif
 
 #define NSTATES 16
 #define NEG_METRIC (-1.0e30)
+#define LANES 4
 
-/* The body of the kernel for one code rate; always inlined, so that each
- * call below compiles with a constant n_out and a fully unrolled butterfly
- * loop. */
+/* The scalar body for one code rate; always inlined, so that each call
+ * below compiles with a constant n_out and a fully unrolled butterfly loop.
+ * back: one word of decision bits per step. */
 static inline __attribute__((always_inline)) void
-decode(const double *soft, ptrdiff_t nframes, ptrdiff_t width, const int n_out,
-       const double *sym, uint16_t *back, uint8_t *bits)
+decode1(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t *source,
+        ptrdiff_t nsteps, const int n_out, const double *sym, uint16_t *back, uint8_t *bits)
 {
-    const ptrdiff_t nsteps = width / n_out;
-
     for (ptrdiff_t f = 0; f < nframes; f++) {
-        const double *row = soft + f * width;
+        const double *row = soft + f * in_width;
         double metrics[2][NSTATES];
         double *pm = metrics[0], *next = metrics[1];
 
@@ -37,7 +52,10 @@ decode(const double *soft, ptrdiff_t nframes, ptrdiff_t width, const int n_out,
             pm[s] = NEG_METRIC;
 
         for (ptrdiff_t t = 0; t < nsteps; t++) {
-            const double *seg = row + t * n_out;
+            const int32_t *src = source + t * n_out;
+            double seg[n_out];
+            for (int j = 0; j < n_out; j++)
+                seg[j] = src[j] < 0 ? 0.0 : row[src[j]];
             unsigned decisions = 0;
             _Pragma("GCC unroll 8")
             for (int i = 0; i < NSTATES / 2; i++) {
@@ -69,18 +87,144 @@ decode(const double *soft, ptrdiff_t nframes, ptrdiff_t width, const int n_out,
     }
 }
 
-/* soft:  (nframes, width) row-major soft values, +1 meaning coded bit 0.
- * sym:   (8, n_out) outputs of the branch from state 2i under input 0.
- * back:  width / n_out words of scratch, one decision bit per state.
- * bits:  (nframes, width / n_out) decoded inputs, tail included.
+/* soft:   (nframes, in_width) row-major soft values, +1 meaning coded bit 0.
+ * source: width entries, each -1 or a column of a soft row; see above.
+ * sym:    (8, n_out) outputs of the branch from state 2i under input 0.
+ * bits:   (nframes, width / n_out) decoded inputs, tail included.
+ * Returns 0, or -1 if the scratch buffer cannot be allocated.
  */
-void hrcc_viterbi_batch(const double *soft, ptrdiff_t nframes, ptrdiff_t width,
-                        int n_out, const double *sym, uint16_t *back, uint8_t *bits)
+int hrcc_viterbi_scalar(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width,
+                        const int32_t *source, ptrdiff_t width, int n_out, const double *sym,
+                        uint8_t *bits)
 {
+    const ptrdiff_t nsteps = width / n_out;
+    if (nframes == 0 || nsteps == 0)
+        return 0;
+    uint16_t *back = malloc(nsteps * sizeof *back);
+    if (back == NULL)
+        return -1;
     if (n_out == 2)
-        decode(soft, nframes, width, 2, sym, back, bits);
+        decode1(soft, nframes, in_width, source, nsteps, 2, sym, back, bits);
     else if (n_out == 3)
-        decode(soft, nframes, width, 3, sym, back, bits);
+        decode1(soft, nframes, in_width, source, nsteps, 3, sym, back, bits);
     else
-        decode(soft, nframes, width, n_out, sym, back, bits);
+        decode1(soft, nframes, in_width, source, nsteps, n_out, sym, back, bits);
+    free(back);
+    return 0;
+}
+
+#ifdef __x86_64__
+
+/* The four-lane body.  lanes: 4 * nsteps * n_out doubles of scratch that
+ * hold the group's soft values, column-major with the four frames
+ * interleaved.  back: one byte per (step, state), bit l for lane l. */
+static inline __attribute__((always_inline, target("avx2"))) void
+decode4(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t *source,
+        ptrdiff_t nsteps, const int n_out, const double *sym, double *lanes, uint8_t *back,
+        uint8_t *bits)
+{
+    /* Branch outputs broadcast once; held in locals, they need no reload
+     * after each byte stored to back, which may alias sym. */
+    __m256d out[NSTATES / 2][n_out];
+    for (int i = 0; i < NSTATES / 2; i++)
+        for (int j = 0; j < n_out; j++)
+            out[i][j] = _mm256_set1_pd(sym[i * n_out + j]);
+
+    /* A lone last frame costs less in the scalar body than in a group of
+     * four; it reuses back, which has room for its nsteps words. */
+    const ptrdiff_t grouped = nframes % LANES == 1 ? nframes - 1 : nframes;
+    decode1(soft + grouped * in_width, nframes - grouped, in_width, source, nsteps, n_out, sym,
+            (uint16_t *)back, bits + grouped * nsteps);
+
+    for (ptrdiff_t first = 0; first < grouped; first += LANES) {
+        const int used = grouped - first < LANES ? (int)(grouped - first) : LANES;
+        /* A short last group repeats its last frame in the spare lanes; their
+         * decisions are computed and never traced back. */
+        const double *row[LANES];
+        for (int l = 0; l < LANES; l++)
+            row[l] = soft + (first + (l < used ? l : used - 1)) * in_width;
+        for (ptrdiff_t c = 0; c < nsteps * n_out; c++) {
+            const int32_t s = source[c];
+            const __m256d v = s < 0 ? _mm256_setzero_pd()
+                                    : _mm256_set_pd(row[3][s], row[2][s], row[1][s], row[0][s]);
+            _mm256_storeu_pd(lanes + LANES * c, v);
+        }
+
+        __m256d metrics[2][NSTATES];
+        __m256d *pm = metrics[0], *next = metrics[1];
+        pm[0] = _mm256_setzero_pd();
+        for (int s = 1; s < NSTATES; s++)
+            pm[s] = _mm256_set1_pd(NEG_METRIC);
+
+        for (ptrdiff_t t = 0; t < nsteps; t++) {
+            const double *seg = lanes + LANES * n_out * t;
+            uint8_t *decisions = back + NSTATES * t;
+            _Pragma("GCC unroll 8")
+            for (int i = 0; i < NSTATES / 2; i++) {
+                __m256d m = _mm256_mul_pd(_mm256_loadu_pd(seg), out[i][0]);
+                for (int j = 1; j < n_out; j++)
+                    m = _mm256_add_pd(
+                        m, _mm256_mul_pd(_mm256_loadu_pd(seg + LANES * j), out[i][j]));
+                const __m256d even = pm[2 * i], odd = pm[2 * i + 1];
+                const __m256d c0 = _mm256_add_pd(even, m), c1 = _mm256_sub_pd(odd, m);
+                const __m256d d0 = _mm256_sub_pd(even, m), d1 = _mm256_add_pd(odd, m);
+                /* Ordered greater-than: false on ties, like c1 > c0 above. */
+                const __m256d pick_c = _mm256_cmp_pd(c1, c0, _CMP_GT_OQ);
+                const __m256d pick_d = _mm256_cmp_pd(d1, d0, _CMP_GT_OQ);
+                next[i] = _mm256_blendv_pd(c0, c1, pick_c);
+                next[i + 8] = _mm256_blendv_pd(d0, d1, pick_d);
+                decisions[i] = (uint8_t)_mm256_movemask_pd(pick_c);
+                decisions[i + 8] = (uint8_t)_mm256_movemask_pd(pick_d);
+            }
+            __m256d *swap = pm;
+            pm = next;
+            next = swap;
+        }
+
+        for (int l = 0; l < used; l++) {
+            uint8_t *decoded = bits + (first + l) * nsteps;
+            unsigned state = 0;
+            for (ptrdiff_t t = nsteps - 1; t >= 0; t--) {
+                decoded[t] = (uint8_t)(state >> 3);
+                state = ((state & 7) << 1) | ((back[NSTATES * t + state] >> l) & 1);
+            }
+        }
+    }
+}
+
+/* The same contract as hrcc_viterbi_scalar; call only where
+ * hrcc_viterbi_lanes() returns 4. */
+__attribute__((target("avx2"))) int
+hrcc_viterbi_avx2(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width,
+                  const int32_t *source, ptrdiff_t width, int n_out, const double *sym,
+                  uint8_t *bits)
+{
+    const ptrdiff_t nsteps = width / n_out;
+    if (nframes == 0 || nsteps == 0)
+        return 0;
+    double *lanes = malloc(LANES * nsteps * n_out * sizeof *lanes + NSTATES * nsteps);
+    if (lanes == NULL)
+        return -1;
+    uint8_t *back = (uint8_t *)(lanes + LANES * nsteps * n_out);
+    if (n_out == 2)
+        decode4(soft, nframes, in_width, source, nsteps, 2, sym, lanes, back, bits);
+    else if (n_out == 3)
+        decode4(soft, nframes, in_width, source, nsteps, 3, sym, lanes, back, bits);
+    else
+        decode4(soft, nframes, in_width, source, nsteps, n_out, sym, lanes, back, bits);
+    free(lanes);
+    return 0;
+}
+
+#endif
+
+/* Frames decoded at once by the fastest entry point this CPU runs. */
+int hrcc_viterbi_lanes(void)
+{
+#ifdef __x86_64__
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2"))
+        return LANES;
+#endif
+    return 1;
 }

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Commands: encode, decode, roundtrip, bler, capacity, msg, imsi.  Bit
+Commands: encode, decode, roundtrip, bler, capacity, msg, imsi, info.  Bit
 blocks cross the boundary as "LEN:HEX" strings (pass "-" to read one from
 stdin).  A flat key=value config file can pre-seed any flag; explicit
 flags win.  Failures print the violated precondition on stderr and exit
@@ -10,19 +10,33 @@ nonzero instead of dumping a stack trace.
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 
 import numpy as np
 
-from . import interleaving, messages, multiframe, simulation
+from . import __version__, interleaving, kernels, messages, multiframe, simulation
 from .bits import HexFormatError, SubAllocation, from_hex, to_hex
 from .multiframe import ChannelConfig, FrameMode, MultiframeConfig
-from .schemes import SchemeId, decode_block, encode_block, message_bits, scheme_from_name
+from .schemes import (
+    decode_block,
+    decode_blocks,
+    encode_block,
+    encode_blocks,
+    interleave_mode,
+    message_bits,
+    scheme_from_name,
+)
 from .simulation import DEFAULT_MIN_ERRORS, DEFAULT_MIN_FRAMES, DEFAULT_SEED
 
 
 class CliError(ValueError):
     pass
+
+
+# Most points a start:step:stop range may expand to.
+MAX_EBNO_POINTS = 10_000
 
 
 def parse_ebno_spec(spec: str) -> list[float]:
@@ -33,11 +47,17 @@ def parse_ebno_spec(spec: str) -> list[float]:
         if len(parts) != 3:
             raise CliError(f"range must be start:step:stop, got {spec!r}")
         start, step, stop = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, step, stop)):
+            raise CliError(f"range start, step and stop must be finite, got {spec!r}")
         if step <= 0:
             raise CliError("range step must be positive")
         if stop < start:
             raise CliError("range stop must not precede start")
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1
+        # Checked as a float: the quotient may be huge or overflow to inf.
+        spans = (stop - start) / step + 1e-9
+        if spans >= MAX_EBNO_POINTS:
+            raise CliError(f"range {spec!r} has more than {MAX_EBNO_POINTS} points")
+        count = math.floor(spans) + 1
         return [start + i * step for i in range(count)]
     try:
         return [float(p) for p in spec.split(",") if p.strip()]
@@ -125,21 +145,17 @@ def _cmd_roundtrip(args) -> int:
     if frames < 1:
         raise CliError("--frames must be at least 1")
     rng = np.random.default_rng(seed)
-    mode = (
-        interleaving.InterleaveMode.STD4
-        if scheme is SchemeId.STANDARD_456
-        else interleaving.InterleaveMode.MOD2
-    )
+    mode = interleave_mode(scheme)
     kbits = message_bits(scheme)
     errors = 0
-    for _ in range(frames):
-        msg = rng.integers(0, 2, size=kbits, dtype=np.uint8)
-        subs = interleaving.interleave(mode, encode_block(scheme, msg))
-        bursts = [interleaving.map_to_burst(sub) for sub in subs]
-        soft = interleaving.deinterleave(mode, [interleaving.demap_burst(b) for b in bursts])
-        outcome = decode_block(scheme, soft)
-        if not outcome.ok or not np.array_equal(outcome.message, msg):
-            errors += 1
+    # Batches of at most one simulation chunk bound the memory per batch.
+    for done in range(0, frames, simulation._CHUNK_FRAMES):
+        msgs = rng.integers(0, 2, size=(min(simulation._CHUNK_FRAMES, frames - done), kbits),
+                            dtype=np.uint8)
+        stream = interleaving.interleave_batch(mode, encode_blocks(scheme, msgs))
+        soft = (1.0 - 2.0 * stream) * interleaving.HARD_DECISION_CONFIDENCE
+        decoded, ok = decode_blocks(scheme, interleaving.deinterleave_batch(mode, soft))
+        errors += int((~ok | (decoded != msgs).any(axis=1)).sum())
     print(f"frames={frames}")
     print(f"errors={errors}")
     return 0 if errors == 0 else 1
@@ -264,6 +280,16 @@ def _cmd_imsi(args) -> int:
     return 0
 
 
+def _cmd_info(args) -> int:
+    paths = {4: "avx2 (4 lanes)", 1: "scalar (1 lane)", 0: "none"}
+    print(f"version={__version__}")
+    print(f"backend={kernels.BACKEND}")
+    print(f"c_path={paths[kernels.LANES]}")
+    print(f"numpy={np.__version__}")
+    print(f"cpus={os.cpu_count()}")
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hrcc",
@@ -314,6 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mnc-len", dest="mnc_len", type=int, choices=(2, 3))
     p.add_argument("--m2m-mnc", dest="m2m_mnc", help="comma-separated half-rate capable MNCs")
     p.set_defaults(func=_cmd_imsi)
+
+    p = sub.add_parser("info", help="package version, kernel backend and machine")
+    p.set_defaults(func=_cmd_info)
 
     return parser
 

@@ -173,12 +173,12 @@ def conv_encode(code: ConvCode, msg) -> np.ndarray:
     return conv_encode_batch(code, msg[np.newaxis, :])[0]
 
 
-def viterbi_decode_batch(code: ConvCode, softs: np.ndarray) -> np.ndarray:
-    if softs.shape[1] % code.n_out:
-        raise ValueError(
-            f"soft length {softs.shape[1]} is not a multiple of {code.n_out}"
-        )
-    return kernels.viterbi_batch(softs, _sym_table(code.generators))
+def viterbi_decode_batch(code: ConvCode, softs: np.ndarray, source=None) -> np.ndarray:
+    """Decode a soft batch; ``source`` maps a punctured batch (see ``kernels``)."""
+    width = softs.shape[1] if source is None else len(source)
+    if width % code.n_out:
+        raise ValueError(f"soft length {width} is not a multiple of {code.n_out}")
+    return kernels.viterbi_batch(softs, _sym_table(code.generators), source)
 
 
 def viterbi_decode(code: ConvCode, soft) -> np.ndarray:

@@ -11,16 +11,39 @@ fails, ``viterbi_batch`` is the numpy kernel ``viterbi_batch_np``.
 ``BACKEND`` says which one runs: ``"c"`` or ``"numpy"``.  The numpy encoder
 is the only encoder.
 
-The two decoders give bit-identical outputs.  The C kernel works one
+The library has two entry points, and the CPU picks one at import.
+``hrcc_viterbi_avx2`` (``viterbi_batch_avx2``) decodes frames in lane
+groups: four rows are copied into a small scratch buffer with the frames
+interleaved, and each lane of an AVX2 vector carries one frame through the
+trellis; decisions are stored as one byte per (step, state) with a bit per
+lane, and each frame is traced back on its own.  A lone last frame of a
+batch goes through the scalar body instead, which is cheaper for one frame.
+``hrcc_viterbi_scalar`` (``viterbi_batch_scalar``) decodes one frame at a
+time and is the only path on CPUs without AVX2.  The AVX2 code is compiled
+by a function attribute, not by ``-mavx2``, so the cached library loads on
+any x86-64 CPU.  ``LANES`` says which path runs: 4 (AVX2), 1 (scalar C) or
+0 (numpy).
+
+Every kernel takes an optional source map, which folds depuncturing into
+the decoder: entry c is the column of the soft batch that holds
+mother-code bit c, or -1 where puncturing deleted it, which reads as the
+erasure +0.0.  The map has one entry per mother-code column, so a punctured
+batch is decoded without first being widened with zeros.  Without a map the
+columns are read in order.  Maps are bounds-checked here, before any
+pointer reaches C.
+
+All decoders give bit-identical outputs.  The C kernel works one
 butterfly at a time: destinations i and i+8 share the predecessors 2i and
 2i+1, and since every generator has its D^0 and D^4 terms, the four branches
 of a butterfly carry the metrics +m, -m, -m and +m of one metric m.  It sums
 m in the same output order as the numpy kernel, and IEEE negation is exact,
 so every candidate path metric equals the numpy one and every comparison,
-ties included, goes the same way.  ``-ffp-contract=off`` stops the compiler
-from fusing a multiply and an add into one FMA, which rounds once where
-numpy rounds twice; with branch outputs of exactly +-1 the products are
-exact anyway, but the equality should not rest on the table's values.
+ties included, goes the same way; the AVX2 lanes run the same operations in
+the same order, with an ordered greater-than for the tie rule.
+``-ffp-contract=off`` stops the compiler from fusing a multiply and an add
+into one FMA, which rounds once where numpy rounds twice; with branch
+outputs of exactly +-1 the products are exact anyway, but the equality
+should not rest on the table's values.
 
 Trellis state packs the last four encoder inputs with the newest bit in
 bit 3: state s at time t is x[t-1]<<3 | x[t-2]<<2 | x[t-3]<<1 | x[t-4],
@@ -68,15 +91,27 @@ def conv_encode_batch_np(msgs: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return out
 
 
-def viterbi_batch_np(soft: np.ndarray, syms: np.ndarray) -> np.ndarray:
+def viterbi_batch_np(soft: np.ndarray, syms: np.ndarray, source=None) -> np.ndarray:
     """Max-likelihood decode a (frames, n*steps) batch of soft values.
 
     ``syms[s, b, j]`` is the antipodal (+1 for coded 0) output j emitted on
     the transition from state s under input b.  The trellis is forced to
     start and end in state zero; metric ties keep the branch whose oldest
     register bit is 0 so all-erasure input decodes to the all-zero word.
+
+    ``source``, if given, is the source map of a punctured batch: entry c
+    is the column of ``soft`` holding coded bit c, or -1 for a deleted bit,
+    which is decoded as an erasure (+0.0).  The map's length is then the
+    mother code's width, n*steps.
     """
-    soft = np.ascontiguousarray(soft, dtype=np.float64)
+    soft = np.asarray(soft, dtype=np.float64)
+    if source is not None:
+        source, _ = _checked_map(source, soft.shape[1])
+        # -1 picks the appended column of zeros.
+        padded = np.zeros((soft.shape[0], soft.shape[1] + 1))
+        padded[:, :-1] = soft
+        soft = padded[:, source]
+    soft = np.ascontiguousarray(soft)
     nframes, width = soft.shape
     n_out = syms.shape[2]
     nsteps = width // n_out
@@ -143,56 +178,105 @@ def _build(source: bytes, target: Path) -> None:
                 stale.unlink()
 
 
-def _load_c_kernel():
-    """The compiled ``hrcc_viterbi_batch``, building it if needed; None on failure."""
+def _load_c_library():
+    """(library, lanes) of the compiled kernel, building it if needed; None on failure."""
     try:
         source = _C_SOURCE.read_bytes()
         digest = hashlib.sha256(source + " ".join(_C_FLAGS).encode()).hexdigest()
         target = _cache_dir() / f"_viterbi-{digest}.so"
         if not target.exists():
             _build(source, target)
-        func = ctypes.CDLL(str(target)).hrcc_viterbi_batch
+        lib = ctypes.CDLL(str(target))
+        lib.hrcc_viterbi_lanes.restype = ctypes.c_int
+        lib.hrcc_viterbi_lanes.argtypes = ()
+        lanes = lib.hrcc_viterbi_lanes()
+        entries = [lib.hrcc_viterbi_scalar] + ([lib.hrcc_viterbi_avx2] if lanes == 4 else [])
     except (OSError, AttributeError):  # no cc, failed build or load, missing symbol
         return None
-    func.restype = None
-    func.argtypes = (
-        ctypes.c_void_p,  # soft
-        ctypes.c_ssize_t,  # nframes
-        ctypes.c_ssize_t,  # width
-        ctypes.c_int,  # n_out
-        ctypes.c_void_p,  # sym
-        ctypes.c_void_p,  # back
-        ctypes.c_void_p,  # bits
-    )
-    return func
+    for func in entries:
+        func.restype = ctypes.c_int
+        func.argtypes = (
+            ctypes.c_void_p,  # soft
+            ctypes.c_ssize_t,  # nframes
+            ctypes.c_ssize_t,  # in_width: values per soft row
+            ctypes.c_void_p,  # source: int32 map, one entry per mother-code column
+            ctypes.c_ssize_t,  # width: entries in the map
+            ctypes.c_int,  # n_out
+            ctypes.c_void_p,  # sym
+            ctypes.c_void_p,  # bits
+        )
+    return lib, lanes
+
+
+def _pinned(table: np.ndarray) -> tuple[np.ndarray, int]:
+    """A table cached across calls, made read-only, and its address.
+
+    The address is read once: ``ndarray.ctypes`` costs about a microsecond
+    per access, a tenth of a one-frame decode.
+    """
+    table.flags.writeable = False
+    return table, table.ctypes.data
+
+
+def _checked_map(source, in_width: int) -> tuple[np.ndarray, int]:
+    """``source`` as a pinned int32 map whose entries are -1 or columns of a row."""
+    source = np.asarray(source)
+    if source.ndim != 1 or source.dtype.kind not in "iu":
+        raise ValueError("a source map is a 1-D integer array")
+    return _valid_map(source.tobytes(), source.dtype.str, in_width)
+
+
+@lru_cache(maxsize=16)
+def _valid_map(raw: bytes, dtype: str, in_width: int) -> tuple[np.ndarray, int]:
+    # Cached on the bytes: a chain decodes every batch through the same map.
+    source = np.frombuffer(raw, dtype=dtype)
+    if source.size and (source.min() < -1 or source.max() >= in_width):
+        raise ValueError(f"source map entries must be -1 or columns of the {in_width}-value rows")
+    return _pinned(source.astype(np.int32))
 
 
 @lru_cache(maxsize=8)
-def _butterfly_syms(raw: bytes, n_out: int) -> np.ndarray:
-    """(8, n_out) outputs of the branch from state 2i under input 0."""
+def _identity_map(width: int) -> tuple[np.ndarray, int]:
+    return _pinned(np.arange(width, dtype=np.int32))
+
+
+@lru_cache(maxsize=8)
+def _butterfly_syms(raw: bytes, n_out: int) -> tuple[np.ndarray, int]:
+    """(8, n_out) outputs of the branch from state 2i under input 0, pinned."""
     syms = np.frombuffer(raw, dtype=np.float64).reshape(16, 2, n_out)
     if not (np.array_equal(syms[1::2], -syms[0::2]) and np.array_equal(syms[:, 1], -syms[:, 0])):
         raise ValueError("branch outputs lack the butterfly symmetry of D^0 and D^4 taps")
-    table = np.ascontiguousarray(syms[0::2, 0])
-    table.flags.writeable = False
-    return table
+    return _pinned(np.ascontiguousarray(syms[0::2, 0]))
 
 
-def viterbi_batch_c(soft: np.ndarray, syms: np.ndarray) -> np.ndarray:
-    """``viterbi_batch_np`` in compiled C; the same bits, far fewer cycles."""
-    soft = np.ascontiguousarray(soft, dtype=np.float64)
-    nframes, width = soft.shape
-    n_out = syms.shape[2]
-    sym = _butterfly_syms(np.ascontiguousarray(syms, dtype=np.float64).tobytes(), n_out)
-    bits = np.empty((nframes, width // n_out), dtype=np.uint8)
-    back = np.empty(width // n_out, dtype=np.uint16)
-    _c_viterbi(soft.ctypes.data, nframes, width, n_out, sym.ctypes.data,
-               back.ctypes.data, bits.ctypes.data)
-    return bits
+def _c_decoder(func):
+    """``viterbi_batch_np`` through the compiled entry point ``func``."""
+
+    def decode(soft: np.ndarray, syms: np.ndarray, source=None) -> np.ndarray:
+        soft = np.ascontiguousarray(soft, dtype=np.float64)
+        nframes, in_width = soft.shape
+        source, source_at = (
+            _identity_map(in_width) if source is None else _checked_map(source, in_width)
+        )
+        n_out = syms.shape[2]
+        sym, sym_at = _butterfly_syms(np.ascontiguousarray(syms, dtype=np.float64).tobytes(), n_out)
+        bits = np.empty((nframes, source.size // n_out), dtype=np.uint8)
+        # source and sym stay referenced here, so their addresses stay valid.
+        if func(soft.ctypes.data, nframes, in_width, source_at, source.size, n_out, sym_at,
+                bits.ctypes.data):
+            raise MemoryError("no memory for the Viterbi scratch buffer")
+        return bits
+
+    decode.__doc__ = f"``viterbi_batch_np`` in compiled C ({func.__name__}); the same bits."
+    return decode
 
 
-_c_viterbi = _load_c_kernel()
+_loaded = _load_c_library()
+_lib, LANES = _loaded if _loaded else (None, 0)
+BACKEND = "numpy" if _lib is None else "c"
+viterbi_batch_scalar = None if _lib is None else _c_decoder(_lib.hrcc_viterbi_scalar)
+viterbi_batch_avx2 = _c_decoder(_lib.hrcc_viterbi_avx2) if LANES == 4 else None
 
-BACKEND = "numpy" if _c_viterbi is None else "c"
 conv_encode_batch = conv_encode_batch_np
-viterbi_batch = viterbi_batch_np if _c_viterbi is None else viterbi_batch_c
+viterbi_batch_c = viterbi_batch_avx2 or viterbi_batch_scalar
+viterbi_batch = viterbi_batch_c or viterbi_batch_np

@@ -28,6 +28,7 @@ from .coding import (
     PUNCTURE_P23,
     TAIL_BITS,
 )
+from .interleaving import InterleaveMode
 
 
 class SchemeId(Enum):
@@ -61,12 +62,26 @@ class _Chain:
     code: coding.ConvCode
     punctures: tuple[coding.PuncturePattern, ...]
     parity: np.ndarray  # (message_bits, parity_bits) block-code generator matrix
+    # The burst interleaver whose block is coded_bits long: STD4 or MOD2.
+    interleave: InterleaveMode = field(init=False)
     # The steps composed into one pattern; None when nothing is punctured.
     puncture: coding.PuncturePattern | None = field(init=False)
+    # For each mother-code column, its column in the coded block or -1 where
+    # puncturing deleted it: the decoder reads the block through this map.
+    # None when nothing is punctured: the decoder reads the columns in order.
+    source: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
         composed = coding.compose_punctures(self.punctures) if self.punctures else None
+        source = None
+        if composed is not None:
+            source = np.full(composed.input_len, -1, dtype=np.int32)
+            source[composed.kept_indices] = np.arange(composed.output_len)
+            source.flags.writeable = False
+        mode = next(m for m in InterleaveMode if m.block_bits == self.coded_bits)
+        object.__setattr__(self, "interleave", mode)
         object.__setattr__(self, "puncture", composed)
+        object.__setattr__(self, "source", source)
 
 
 _CHAINS: dict[SchemeId, _Chain] = {
@@ -86,6 +101,11 @@ def message_bits(scheme: SchemeId) -> int:
 
 def coded_bits(scheme: SchemeId) -> int:
     return _CHAINS[scheme].coded_bits
+
+
+def interleave_mode(scheme: SchemeId) -> InterleaveMode:
+    """The burst interleaver of the scheme's coded blocks."""
+    return _CHAINS[scheme].interleave
 
 
 def info_rate(scheme: SchemeId) -> Fraction:
@@ -136,9 +156,7 @@ def decode_blocks(scheme: SchemeId, softs: np.ndarray) -> tuple[np.ndarray, np.n
         )
     if not np.isfinite(arr).all():
         raise ValueError("soft values must be finite")
-    if chain.puncture is not None:
-        arr = coding.depuncture_batch(chain.puncture, arr)
-    decoded = coding.viterbi_decode_batch(chain.code, arr)
+    decoded = coding.viterbi_decode_batch(chain.code, arr, chain.source)
     inputs = decoded[:, :-TAIL_BITS]
     msgs = inputs[:, : chain.message_bits]
     received_parity = inputs[:, chain.message_bits :]

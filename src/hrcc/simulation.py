@@ -22,7 +22,6 @@ import numpy as np
 
 from . import interleaving, schemes
 from .bits import as_bit_array
-from .interleaving import InterleaveMode
 from .schemes import SchemeId
 
 DEFAULT_SEED = 12345
@@ -91,10 +90,6 @@ class BlerReport:
         return 1.96 * math.sqrt(p * (1.0 - p) / self.frames)
 
 
-def _interleave_mode(scheme: SchemeId) -> InterleaveMode:
-    return InterleaveMode.STD4 if scheme is SchemeId.STANDARD_456 else InterleaveMode.MOD2
-
-
 def _point_rng(seed: int, scheme: SchemeId, ebno_db: float) -> np.random.Generator:
     """Private stream per (scheme, operating point).
 
@@ -131,7 +126,7 @@ def run_bler(
     kbits = schemes.message_bits(scheme)
     nbits = schemes.coded_bits(scheme)
     rate = schemes.info_rate(scheme)
-    mode = _interleave_mode(scheme)
+    mode = schemes.interleave_mode(scheme)
     # One channel buffer for every chunk: decode reads the deinterleaved
     # copy, so the next chunk may overwrite it.
     channel = np.empty((min(_CHUNK_FRAMES, min_frames), nbits))

@@ -1,8 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
+import hrcc
+from hrcc import cli, kernels
 from hrcc.bits import from_hex, to_hex
-from hrcc.cli import main, parse_ebno_spec
+from hrcc.cli import MAX_EBNO_POINTS, main, parse_ebno_spec
 from hrcc.schemes import SchemeId, encode_block
 
 
@@ -21,6 +25,40 @@ def test_parse_ebno_spec():
             parse_ebno_spec(bad)
 
 
+@pytest.mark.parametrize("spec", ["0:1:inf", "-inf:1:0", "0:inf:1", "nan:1:2", "0:nan:1", "0:1:nan"])
+def test_bler_rejects_a_non_finite_range(capsys, spec):
+    code, out, err = run_cli(capsys, "bler", "--scheme", "m2-reduced", f"--ebno={spec}")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["0:1e-300:1", "-1e308:1:1e308", f"0:1:{MAX_EBNO_POINTS}"])
+def test_bler_rejects_a_range_over_the_point_limit(capsys, spec):
+    # Each would otherwise build an enormous list (or overflow) before running.
+    code, out, err = run_cli(capsys, "bler", "--scheme", "m2-reduced", f"--ebno={spec}")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(MAX_EBNO_POINTS) in err
+
+
+def test_a_range_at_the_point_limit_is_accepted():
+    points = parse_ebno_spec(f"0:1:{MAX_EBNO_POINTS - 1}")
+    assert len(points) == MAX_EBNO_POINTS and points[-1] == MAX_EBNO_POINTS - 1
+
+
+def test_info_command(capsys):
+    code, out, err = run_cli(capsys, "info")
+    assert code == 0 and not err
+    fields = dict(line.split("=", 1) for line in out.strip().split("\n"))
+    path = {4: "avx2 (4 lanes)", 1: "scalar (1 lane)", 0: "none"}[kernels.LANES]
+    assert fields == {
+        "version": hrcc.__version__,
+        "backend": kernels.BACKEND,
+        "c_path": path,
+        "numpy": np.__version__,
+        "cpus": str(os.cpu_count()),
+    }
+
+
 def test_capacity_command(capsys):
     code, out, err = run_cli(capsys, "capacity", "--config", "sdcch8", "--mode", "modified")
     assert code == 0 and not err
@@ -37,6 +75,31 @@ def test_roundtrip_command(capsys):
     assert code == 0 and not err
     assert "errors=0" in out
     assert "frames=50" in out
+
+
+@pytest.mark.parametrize("scheme", ["standard", "m1-cs23-p13", "m1-cs13-p23"])
+def test_roundtrip_command_over_several_batches(capsys, scheme):
+    code, out, err = run_cli(capsys, "roundtrip", "--scheme", scheme, "--frames", "1030")
+    assert (code, out, err) == (0, "frames=1030\nerrors=0\n", "")
+
+
+def test_roundtrip_command_counts_each_failed_frame(capsys, monkeypatch):
+    decode_blocks = cli.decode_blocks
+
+    def corrupt(scheme, softs):
+        msgs, ok = decode_blocks(scheme, softs)
+        if len(msgs) == 512:  # frames 0-511
+            msgs[88] ^= 1
+        else:  # frames 512-699
+            msgs[0] ^= 1
+            ok[0] = False  # wrong and flagged: still one error
+            ok[5] = False
+        return msgs, ok
+
+    monkeypatch.setattr(cli, "decode_blocks", corrupt)
+    code, out, err = run_cli(capsys, "roundtrip", "--scheme", "m2-reduced", "--frames", "700")
+    assert code == 1 and not err
+    assert out == "frames=700\nerrors=3\n"
 
 
 def test_encode_decode_commands_roundtrip(capsys):

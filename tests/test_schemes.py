@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hrcc import coding
+from hrcc.interleaving import InterleaveMode
 from hrcc.coding import add_tail, conv_encode, depuncture, fire_encode, parity20_encode, puncture
 from hrcc.coding import CONV_RATE_12, PUNCTURE_CS23, PUNCTURE_P13
 from hrcc.schemes import (
@@ -15,6 +16,7 @@ from hrcc.schemes import (
     encode_block,
     encode_blocks,
     info_rate,
+    interleave_mode,
     message_bits,
     scheme_from_name,
 )
@@ -71,6 +73,28 @@ def test_output_lengths_per_scheme():
         assert coded_bits(scheme) == n
         msg = rng.integers(0, 2, size=k, dtype=np.uint8)
         assert encode_block(scheme, msg).size == n
+
+
+def test_interleave_mode_per_scheme():
+    assert interleave_mode(SchemeId.STANDARD_456) is InterleaveMode.STD4
+    for scheme in SchemeId:
+        assert interleave_mode(scheme).block_bits == coded_bits(scheme)
+        if scheme is not SchemeId.STANDARD_456:
+            assert interleave_mode(scheme) is InterleaveMode.MOD2
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_source_map_inverts_the_composed_puncture(scheme):
+    chain = _CHAINS[scheme]
+    if chain.puncture is None:
+        assert chain.source is None
+        return
+    assert not chain.source.flags.writeable and chain.source.dtype == np.int32
+    assert chain.source.size == chain.puncture.input_len
+    kept = chain.source >= 0
+    assert np.array_equal(np.flatnonzero(kept), chain.puncture.kept_indices)
+    assert np.array_equal(chain.source[kept], np.arange(chain.coded_bits))
+    assert (chain.source[~kept] == -1).all()
 
 
 def test_exact_information_rates():
