@@ -11,17 +11,19 @@
  * a zero, which no comparison sees).  Build with -ffp-contract=off: a fused
  * multiply-add rounds once where numpy rounds twice.
  *
- * Both entry points read the soft values through a source map, one entry
- * per column of the mother code: source[c] is the column of the input row
- * that holds coded bit c, or -1 where puncturing deleted it, which reads as
- * an erasure (+0.0).  This folds depuncturing into the decoder's own reads.
+ * The decoder reads the soft values through a source map, one entry per
+ * column of the mother code: source[c] is the column of the input row that
+ * holds coded bit c, or -1 where puncturing deleted it, which reads as an
+ * erasure (+0.0).  This folds depuncturing into the decoder's own reads.
  * kernels.py checks the map's bounds before it calls in.
  *
- * hrcc_viterbi_avx2 decodes four frames at once, one per lane of an AVX2
- * vector, with the same operations in the same order per lane as
- * hrcc_viterbi_scalar.  It is compiled for AVX2 by a function attribute, not
- * by a compiler flag, so the library loads on any x86-64 CPU;
- * hrcc_viterbi_lanes says whether this CPU can run it.
+ * hrcc_viterbi decides which body decodes which frame.  Where the CPU has
+ * AVX2, whole groups of four frames run on the AVX2 body, one frame per lane
+ * of a vector, with the same operations in the same order per lane as the
+ * scalar body.  Every other frame, the one to three left over or every frame
+ * on other CPUs, runs on the scalar body.  The AVX2 body is compiled by a
+ * function attribute, not by a compiler flag, so the library loads on any
+ * x86-64 CPU; hrcc_viterbi_lanes says whether this CPU runs it.
  */
 
 #include <stddef.h>
@@ -87,37 +89,12 @@ decode1(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t
     }
 }
 
-/* soft:   (nframes, in_width) row-major soft values, +1 meaning coded bit 0.
- * source: width entries, each -1 or a column of a soft row; see above.
- * sym:    (8, n_out) outputs of the branch from state 2i under input 0.
- * bits:   (nframes, width / n_out) decoded inputs, tail included.
- * Returns 0, or -1 if the scratch buffer cannot be allocated.
- */
-int hrcc_viterbi_scalar(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width,
-                        const int32_t *source, ptrdiff_t width, int n_out, const double *sym,
-                        uint8_t *bits)
-{
-    const ptrdiff_t nsteps = width / n_out;
-    if (nframes == 0 || nsteps == 0)
-        return 0;
-    uint16_t *back = malloc(nsteps * sizeof *back);
-    if (back == NULL)
-        return -1;
-    if (n_out == 2)
-        decode1(soft, nframes, in_width, source, nsteps, 2, sym, back, bits);
-    else if (n_out == 3)
-        decode1(soft, nframes, in_width, source, nsteps, 3, sym, back, bits);
-    else
-        decode1(soft, nframes, in_width, source, nsteps, n_out, sym, back, bits);
-    free(back);
-    return 0;
-}
-
 #ifdef __x86_64__
 
-/* The four-lane body.  lanes: 4 * nsteps * n_out doubles of scratch that
- * hold the group's soft values, column-major with the four frames
- * interleaved.  back: one byte per (step, state), bit l for lane l. */
+/* The four-lane body for nframes, a multiple of four.  lanes: 4 * nsteps *
+ * n_out doubles of scratch that hold a group's soft values, column-major with
+ * the four frames interleaved.  back: one byte per (step, state), bit l for
+ * lane l. */
 static inline __attribute__((always_inline, target("avx2"))) void
 decode4(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t *source,
         ptrdiff_t nsteps, const int n_out, const double *sym, double *lanes, uint8_t *back,
@@ -130,19 +107,10 @@ decode4(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t
         for (int j = 0; j < n_out; j++)
             out[i][j] = _mm256_set1_pd(sym[i * n_out + j]);
 
-    /* A lone last frame costs less in the scalar body than in a group of
-     * four; it reuses back, which has room for its nsteps words. */
-    const ptrdiff_t grouped = nframes % LANES == 1 ? nframes - 1 : nframes;
-    decode1(soft + grouped * in_width, nframes - grouped, in_width, source, nsteps, n_out, sym,
-            (uint16_t *)back, bits + grouped * nsteps);
-
-    for (ptrdiff_t first = 0; first < grouped; first += LANES) {
-        const int used = grouped - first < LANES ? (int)(grouped - first) : LANES;
-        /* A short last group repeats its last frame in the spare lanes; their
-         * decisions are computed and never traced back. */
+    for (ptrdiff_t first = 0; first < nframes; first += LANES) {
         const double *row[LANES];
         for (int l = 0; l < LANES; l++)
-            row[l] = soft + (first + (l < used ? l : used - 1)) * in_width;
+            row[l] = soft + (first + l) * in_width;
         for (ptrdiff_t c = 0; c < nsteps * n_out; c++) {
             const int32_t s = source[c];
             const __m256d v = s < 0 ? _mm256_setzero_pd()
@@ -181,7 +149,7 @@ decode4(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t
             next = swap;
         }
 
-        for (int l = 0; l < used; l++) {
+        for (int l = 0; l < LANES; l++) {
             uint8_t *decoded = bits + (first + l) * nsteps;
             unsigned state = 0;
             for (ptrdiff_t t = nsteps - 1; t >= 0; t--) {
@@ -192,33 +160,24 @@ decode4(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t
     }
 }
 
-/* The same contract as hrcc_viterbi_scalar; call only where
- * hrcc_viterbi_lanes() returns 4. */
-__attribute__((target("avx2"))) int
-hrcc_viterbi_avx2(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width,
-                  const int32_t *source, ptrdiff_t width, int n_out, const double *sym,
-                  uint8_t *bits)
+/* decode4 with a constant n_out for each code rate; separate from
+ * hrcc_viterbi, which must not be compiled for AVX2. */
+static __attribute__((target("avx2"))) void
+decode_groups(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t *source,
+              ptrdiff_t nsteps, int n_out, const double *sym, double *lanes, uint8_t *back,
+              uint8_t *bits)
 {
-    const ptrdiff_t nsteps = width / n_out;
-    if (nframes == 0 || nsteps == 0)
-        return 0;
-    double *lanes = malloc(LANES * nsteps * n_out * sizeof *lanes + NSTATES * nsteps);
-    if (lanes == NULL)
-        return -1;
-    uint8_t *back = (uint8_t *)(lanes + LANES * nsteps * n_out);
     if (n_out == 2)
         decode4(soft, nframes, in_width, source, nsteps, 2, sym, lanes, back, bits);
     else if (n_out == 3)
         decode4(soft, nframes, in_width, source, nsteps, 3, sym, lanes, back, bits);
     else
         decode4(soft, nframes, in_width, source, nsteps, n_out, sym, lanes, back, bits);
-    free(lanes);
-    return 0;
 }
 
 #endif
 
-/* Frames decoded at once by the fastest entry point this CPU runs. */
+/* Frames decoded at once by the fastest body this CPU runs. */
 int hrcc_viterbi_lanes(void)
 {
 #ifdef __x86_64__
@@ -227,4 +186,43 @@ int hrcc_viterbi_lanes(void)
         return LANES;
 #endif
     return 1;
+}
+
+/* soft:   (nframes, in_width) row-major soft values, +1 meaning coded bit 0.
+ * source: width entries, each -1 or a column of a soft row; see above.
+ * sym:    (8, n_out) outputs of the branch from state 2i under input 0.
+ * bits:   (nframes, width / n_out) decoded inputs, tail included.
+ * Returns 0, or -1 if the scratch buffer cannot be allocated.
+ */
+int hrcc_viterbi(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width,
+                 const int32_t *source, ptrdiff_t width, int n_out, const double *sym,
+                 uint8_t *bits)
+{
+    const ptrdiff_t nsteps = width / n_out;
+    if (nframes == 0 || nsteps == 0)
+        return 0;
+    /* back: NSTATES bytes per step for the AVX2 body, or one word per step
+     * for the scalar body; lanes follows it. */
+    uint8_t *back = malloc(NSTATES * nsteps + LANES * nsteps * n_out * sizeof(double));
+    if (back == NULL)
+        return -1;
+    ptrdiff_t grouped = 0;
+#ifdef __x86_64__
+    if (hrcc_viterbi_lanes() == LANES) {
+        grouped = nframes - nframes % LANES;
+        decode_groups(soft, grouped, in_width, source, nsteps, n_out, sym,
+                      (double *)(back + NSTATES * nsteps), back, bits);
+    }
+#endif
+    soft += grouped * in_width;
+    bits += grouped * nsteps;
+    nframes -= grouped;
+    if (n_out == 2)
+        decode1(soft, nframes, in_width, source, nsteps, 2, sym, (uint16_t *)back, bits);
+    else if (n_out == 3)
+        decode1(soft, nframes, in_width, source, nsteps, 3, sym, (uint16_t *)back, bits);
+    else
+        decode1(soft, nframes, in_width, source, nsteps, n_out, sym, (uint16_t *)back, bits);
+    free(back);
+    return 0;
 }

@@ -14,7 +14,6 @@ message starting with a lone 1 is the remainder of D^(k-1+r) mod g.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -127,10 +126,6 @@ class ConvCode:
     def n_out(self) -> int:
         return len(self.generators)
 
-    @property
-    def rate(self) -> Fraction:
-        return Fraction(1, self.n_out)
-
 
 CONV_RATE_12 = ConvCode((0b11001, 0b11011))  # G0 = 1+D^3+D^4, G1 = 1+D+D^3+D^4
 CONV_RATE_13 = ConvCode((0b11011, 0b10101, 0b11111))  # G1, G2 = 1+D^2+D^4, G3
@@ -208,10 +203,6 @@ class PuncturePattern:
                 f"expected {self.output_len}"
             )
 
-    @property
-    def period(self) -> int:
-        return len(self.keep)
-
     @cached_property
     def kept_indices(self) -> np.ndarray:
         """Read-only positions of the kept input bits, in increasing order."""
@@ -246,15 +237,13 @@ PUNCTURE_P23 = PuncturePattern((1, 0, 0), 684, 228)
 def puncture(pattern: PuncturePattern, bits) -> np.ndarray:
     """Drop the masked positions, preserving the order of kept bits."""
     arr = as_bit_array(bits, pattern.input_len)
-    return arr[pattern.kept_indices]
+    return puncture_batch(pattern, arr[np.newaxis, :])[0]
 
 
 def depuncture(pattern: PuncturePattern, soft) -> np.ndarray:
     """Restore deleted positions as erasures (soft value 0)."""
     arr = as_soft_array(soft, pattern.output_len)
-    out = np.zeros(pattern.input_len, dtype=np.float64)
-    out[pattern.kept_indices] = arr
-    return out
+    return depuncture_batch(pattern, arr[np.newaxis, :])[0]
 
 
 def puncture_batch(pattern: PuncturePattern, bits: np.ndarray) -> np.ndarray:

@@ -56,8 +56,7 @@ def destinations(mode: InterleaveMode) -> np.ndarray:
 def interleave(mode: InterleaveMode, block) -> list[np.ndarray]:
     """Permute a coded block into 2 or 4 sub-blocks of 114 bits."""
     arr = as_bit_array(block, mode.block_bits)
-    stream = np.empty_like(arr)
-    stream[_DEST[mode]] = arr
+    stream = interleave_batch(mode, arr[np.newaxis, :])
     return list(stream.reshape(mode.burst_count, BURST_PAYLOAD_BITS))
 
 
@@ -66,7 +65,7 @@ def deinterleave(mode: InterleaveMode, subs) -> np.ndarray:
     if len(subs) != mode.burst_count:
         raise ValueError(f"{mode.value} needs {mode.burst_count} sub-blocks, got {len(subs)}")
     stream = np.concatenate([as_soft_array(s, BURST_PAYLOAD_BITS) for s in subs])
-    return stream[_DEST[mode]]
+    return deinterleave_batch(mode, stream[np.newaxis, :])[0]
 
 
 def interleave_batch(mode: InterleaveMode, blocks: np.ndarray) -> np.ndarray:
@@ -86,7 +85,7 @@ def map_to_burst(sub) -> Burst:
     Bits 0..56 fill the first data field and 57..113 the second, i.e. bit
     57 is the first one after the (abstracted) midamble boundary.
     """
-    return Burst(payload=as_bit_array(sub, BURST_PAYLOAD_BITS), hl=1, hu=1)
+    return Burst(sub)
 
 
 def demap_burst(burst) -> np.ndarray:

@@ -11,18 +11,17 @@ fails, ``viterbi_batch`` is the numpy kernel ``viterbi_batch_np``.
 ``BACKEND`` says which one runs: ``"c"`` or ``"numpy"``.  The numpy encoder
 is the only encoder.
 
-The library has two entry points, and the CPU picks one at import.
-``hrcc_viterbi_avx2`` (``viterbi_batch_avx2``) decodes frames in lane
-groups: four rows are copied into a small scratch buffer with the frames
-interleaved, and each lane of an AVX2 vector carries one frame through the
-trellis; decisions are stored as one byte per (step, state) with a bit per
-lane, and each frame is traced back on its own.  A lone last frame of a
-batch goes through the scalar body instead, which is cheaper for one frame.
-``hrcc_viterbi_scalar`` (``viterbi_batch_scalar``) decodes one frame at a
-time and is the only path on CPUs without AVX2.  The AVX2 code is compiled
-by a function attribute, not by ``-mavx2``, so the cached library loads on
-any x86-64 CPU.  ``LANES`` says which path runs: 4 (AVX2), 1 (scalar C) or
-0 (numpy).
+The library exports one decoder, ``hrcc_viterbi`` (``viterbi_batch_c``),
+which picks the body for each frame itself: where the CPU has AVX2, whole
+groups of four frames run on the AVX2 body, and every other frame, the one
+to three left over or every frame on other CPUs, runs on the scalar body,
+which decodes one frame at a time.  The AVX2 body copies a group's four rows
+into a small scratch buffer with the frames interleaved, carries one frame
+through the trellis in each lane of an AVX2 vector, stores decisions as one
+byte per (step, state) with a bit per lane, and traces each frame back on
+its own.  It is compiled by a function attribute, not by ``-mavx2``, so the
+cached library loads on any x86-64 CPU.  ``LANES`` says how many frames a
+group holds: 4 (AVX2), 1 (scalar C) or 0 (numpy).
 
 Every kernel takes an optional source map, which folds depuncturing into
 the decoder: entry c is the column of the soft batch that holds
@@ -179,7 +178,7 @@ def _build(source: bytes, target: Path) -> None:
 
 
 def _load_c_library():
-    """(library, lanes) of the compiled kernel, building it if needed; None on failure."""
+    """(decoder, lanes) of the compiled kernel, building it if needed; (None, 0) on failure."""
     try:
         source = _C_SOURCE.read_bytes()
         digest = hashlib.sha256(source + " ".join(_C_FLAGS).encode()).hexdigest()
@@ -187,25 +186,23 @@ def _load_c_library():
         if not target.exists():
             _build(source, target)
         lib = ctypes.CDLL(str(target))
-        lib.hrcc_viterbi_lanes.restype = ctypes.c_int
-        lib.hrcc_viterbi_lanes.argtypes = ()
-        lanes = lib.hrcc_viterbi_lanes()
-        entries = [lib.hrcc_viterbi_scalar] + ([lib.hrcc_viterbi_avx2] if lanes == 4 else [])
+        decoder, lanes = lib.hrcc_viterbi, lib.hrcc_viterbi_lanes
     except (OSError, AttributeError):  # no cc, failed build or load, missing symbol
-        return None
-    for func in entries:
-        func.restype = ctypes.c_int
-        func.argtypes = (
-            ctypes.c_void_p,  # soft
-            ctypes.c_ssize_t,  # nframes
-            ctypes.c_ssize_t,  # in_width: values per soft row
-            ctypes.c_void_p,  # source: int32 map, one entry per mother-code column
-            ctypes.c_ssize_t,  # width: entries in the map
-            ctypes.c_int,  # n_out
-            ctypes.c_void_p,  # sym
-            ctypes.c_void_p,  # bits
-        )
-    return lib, lanes
+        return None, 0
+    lanes.restype = ctypes.c_int
+    lanes.argtypes = ()
+    decoder.restype = ctypes.c_int
+    decoder.argtypes = (
+        ctypes.c_void_p,  # soft
+        ctypes.c_ssize_t,  # nframes
+        ctypes.c_ssize_t,  # in_width: values per soft row
+        ctypes.c_void_p,  # source: int32 map, one entry per mother-code column
+        ctypes.c_ssize_t,  # width: entries in the map
+        ctypes.c_int,  # n_out
+        ctypes.c_void_p,  # sym
+        ctypes.c_void_p,  # bits
+    )
+    return decoder, lanes()
 
 
 def _pinned(table: np.ndarray) -> tuple[np.ndarray, int]:
@@ -249,34 +246,29 @@ def _butterfly_syms(raw: bytes, n_out: int) -> tuple[np.ndarray, int]:
     return _pinned(np.ascontiguousarray(syms[0::2, 0]))
 
 
-def _c_decoder(func):
-    """``viterbi_batch_np`` through the compiled entry point ``func``."""
+_decoder, LANES = _load_c_library()
+BACKEND = "numpy" if _decoder is None else "c"
 
-    def decode(soft: np.ndarray, syms: np.ndarray, source=None) -> np.ndarray:
-        soft = np.ascontiguousarray(soft, dtype=np.float64)
-        nframes, in_width = soft.shape
-        source, source_at = (
-            _identity_map(in_width) if source is None else _checked_map(source, in_width)
-        )
-        n_out = syms.shape[2]
-        sym, sym_at = _butterfly_syms(np.ascontiguousarray(syms, dtype=np.float64).tobytes(), n_out)
-        bits = np.empty((nframes, source.size // n_out), dtype=np.uint8)
-        # source and sym stay referenced here, so their addresses stay valid.
-        if func(soft.ctypes.data, nframes, in_width, source_at, source.size, n_out, sym_at,
+
+def viterbi_batch_c(soft: np.ndarray, syms: np.ndarray, source=None) -> np.ndarray:
+    """``viterbi_batch_np`` in compiled C (``hrcc_viterbi``); the same bits."""
+    soft = np.ascontiguousarray(soft, dtype=np.float64)
+    nframes, in_width = soft.shape
+    source, source_at = (
+        _identity_map(in_width) if source is None else _checked_map(source, in_width)
+    )
+    n_out = syms.shape[2]
+    sym, sym_at = _butterfly_syms(np.ascontiguousarray(syms, dtype=np.float64).tobytes(), n_out)
+    bits = np.empty((nframes, source.size // n_out), dtype=np.uint8)
+    # source and sym stay referenced here, so their addresses stay valid.
+    if _decoder(soft.ctypes.data, nframes, in_width, source_at, source.size, n_out, sym_at,
                 bits.ctypes.data):
-            raise MemoryError("no memory for the Viterbi scratch buffer")
-        return bits
-
-    decode.__doc__ = f"``viterbi_batch_np`` in compiled C ({func.__name__}); the same bits."
-    return decode
+        raise MemoryError("no memory for the Viterbi scratch buffer")
+    return bits
 
 
-_loaded = _load_c_library()
-_lib, LANES = _loaded if _loaded else (None, 0)
-BACKEND = "numpy" if _lib is None else "c"
-viterbi_batch_scalar = None if _lib is None else _c_decoder(_lib.hrcc_viterbi_scalar)
-viterbi_batch_avx2 = _c_decoder(_lib.hrcc_viterbi_avx2) if LANES == 4 else None
+if _decoder is None:
+    viterbi_batch_c = None
 
 conv_encode_batch = conv_encode_batch_np
-viterbi_batch_c = viterbi_batch_avx2 or viterbi_batch_scalar
 viterbi_batch = viterbi_batch_c or viterbi_batch_np

@@ -57,11 +57,12 @@ def scheme_from_name(name: str) -> SchemeId:
 class _Chain:
     """Every stage of one chain; ``punctures`` are the paper's steps in order."""
 
-    message_bits: int
-    coded_bits: int
     code: coding.ConvCode
     punctures: tuple[coding.PuncturePattern, ...]
     parity: np.ndarray  # (message_bits, parity_bits) block-code generator matrix
+    message_bits: int = field(init=False)
+    # The mother code's width, or what the punctures leave of it.
+    coded_bits: int = field(init=False)
     # The burst interleaver whose block is coded_bits long: STD4 or MOD2.
     interleave: InterleaveMode = field(init=False)
     # The steps composed into one pattern; None when nothing is punctured.
@@ -72,26 +73,34 @@ class _Chain:
     source: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
+        message_bits, parity_bits = self.parity.shape
+        mother = (message_bits + parity_bits + TAIL_BITS) * self.code.n_out
+        if self.punctures and self.punctures[0].input_len != mother:
+            raise ValueError(
+                f"the first puncture takes {self.punctures[0].input_len} bits, "
+                f"but the mother code emits {mother}"
+            )
         composed = coding.compose_punctures(self.punctures) if self.punctures else None
+        coded_bits = mother if composed is None else composed.output_len
         source = None
         if composed is not None:
-            source = np.full(composed.input_len, -1, dtype=np.int32)
-            source[composed.kept_indices] = np.arange(composed.output_len)
+            source = np.full(mother, -1, dtype=np.int32)
+            source[composed.kept_indices] = np.arange(coded_bits)
             source.flags.writeable = False
-        mode = next(m for m in InterleaveMode if m.block_bits == self.coded_bits)
+        mode = next(m for m in InterleaveMode if m.block_bits == coded_bits)
+        object.__setattr__(self, "message_bits", message_bits)
+        object.__setattr__(self, "coded_bits", coded_bits)
         object.__setattr__(self, "interleave", mode)
         object.__setattr__(self, "puncture", composed)
         object.__setattr__(self, "source", source)
 
 
 _CHAINS: dict[SchemeId, _Chain] = {
-    SchemeId.STANDARD_456: _Chain(184, 456, CONV_RATE_12, (), FIRE_MATRIX),
-    SchemeId.M1_CS23_P13: _Chain(
-        184, 228, CONV_RATE_12, (PUNCTURE_CS23, PUNCTURE_P13), FIRE_MATRIX
-    ),
-    SchemeId.M1_CS12_P12: _Chain(184, 228, CONV_RATE_12, (PUNCTURE_P12,), FIRE_MATRIX),
-    SchemeId.M1_CS13_P23: _Chain(184, 228, CONV_RATE_13, (PUNCTURE_P23,), FIRE_MATRIX),
-    SchemeId.M2_REDUCED: _Chain(90, 228, CONV_RATE_12, (), PARITY20_MATRIX),
+    SchemeId.STANDARD_456: _Chain(CONV_RATE_12, (), FIRE_MATRIX),
+    SchemeId.M1_CS23_P13: _Chain(CONV_RATE_12, (PUNCTURE_CS23, PUNCTURE_P13), FIRE_MATRIX),
+    SchemeId.M1_CS12_P12: _Chain(CONV_RATE_12, (PUNCTURE_P12,), FIRE_MATRIX),
+    SchemeId.M1_CS13_P23: _Chain(CONV_RATE_13, (PUNCTURE_P23,), FIRE_MATRIX),
+    SchemeId.M2_REDUCED: _Chain(CONV_RATE_12, (), PARITY20_MATRIX),
 }
 
 

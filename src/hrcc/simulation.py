@@ -31,16 +31,24 @@ DEFAULT_MIN_ERRORS = 100
 _CHUNK_FRAMES = 512
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    ebno_db: float
-    seed: int = DEFAULT_SEED
-
-
 def noise_sigma(ebno_db: float, info_rate: Fraction | float) -> float:
     """Noise standard deviation for unit-energy antipodal symbols."""
     ebno = 10.0 ** (ebno_db / 10.0)
     return 1.0 / math.sqrt(2.0 * float(info_rate) * ebno)
+
+
+def _channel_in_range(ebno_db: float, info_rate: Fraction, width: int) -> bool:
+    """Whether sigma and 2/sigma^2 times ``width`` are finite at ``ebno_db``.
+
+    The receiver scales each value by 2/sigma^2 and the decoder sums a
+    block's ``width`` values, so from about 3054 dB the path metrics
+    overflow; further out ``noise_sigma`` overflows or divides by zero.
+    """
+    try:
+        sigma = noise_sigma(ebno_db, info_rate)
+        return math.isfinite(sigma) and math.isfinite(2.0 / (sigma * sigma) * width)
+    except (OverflowError, ZeroDivisionError):
+        return False
 
 
 # Antipodal symbol of each bit value: +1 for 0, -1 for 1.
@@ -121,11 +129,15 @@ def run_bler(
     if min_errors < 1:
         raise ValueError("min_errors must be at least 1")
     points = [float(p) for p in ebno_points]
-    if not all(math.isfinite(p) for p in points):
-        raise ValueError(f"Eb/N0 points must be finite, got {points}")
     kbits = schemes.message_bits(scheme)
     nbits = schemes.coded_bits(scheme)
     rate = schemes.info_rate(scheme)
+    bad = [p for p in points if not _channel_in_range(p, rate, nbits)]
+    if bad:
+        raise ValueError(
+            "Eb/N0 points must be finite and keep the channel's values finite; "
+            f"{bad} dB are out of range for {scheme.cli_name}"
+        )
     mode = schemes.interleave_mode(scheme)
     # One channel buffer for every chunk: decode reads the deinterleaved
     # copy, so the next chunk may overwrite it.

@@ -264,6 +264,19 @@ def test_bler_rejects_nan_ebno_without_writing_a_row(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("ebno", ["3060", "3078", "3085", "-3300"])
+def test_bler_rejects_ebno_outside_the_float_range(tmp_path, capsys, ebno):
+    out_path = tmp_path / "edge.csv"
+    code, out, err = run_cli(
+        capsys, "bler", "--scheme", "m2-reduced", f"--ebno={ebno}", "--frames", "20",
+        "--output", str(out_path),
+    )
+    assert code == 2
+    assert err.startswith("error:") and "out of range" in err and "Traceback" not in err
+    assert out == ""
+    assert not out_path.exists()
+
+
 def test_bler_output_to_an_unwritable_path_is_an_error(tmp_path, capsys):
     target = tmp_path / "missing" / "out.csv"
     code, out, err = run_cli(

@@ -40,12 +40,24 @@ def test_compiled_kernel_is_active():
     # Otherwise every comparison below would check numpy against itself.
     assert kernels.BACKEND == hrcc.BACKEND == "c"
     assert kernels.viterbi_batch is kernels.viterbi_batch_c
-    assert kernels.viterbi_batch_scalar is not None
-    if _cpu_has_avx2():
-        assert kernels.LANES == 4
-        assert kernels.viterbi_batch_c is kernels.viterbi_batch_avx2
-    else:
-        assert kernels.LANES == 1 and kernels.viterbi_batch_avx2 is None
+    assert kernels.LANES == (4 if _cpu_has_avx2() else 1)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_kernel_source_builds_without_warnings_and_exports_one_decoder(tmp_path):
+    library = tmp_path / "viterbi.so"
+    build = subprocess.run(
+        ["cc", *kernels._C_FLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(library),
+         str(kernels._C_SOURCE)],
+        capture_output=True, text=True,
+    )
+    assert build.returncode == 0, build.stderr
+    if shutil.which("nm") is not None:
+        listing = subprocess.run(
+            ["nm", "-D", "--defined-only", str(library)], capture_output=True, text=True, check=True
+        )
+        defined = {line.split()[-1] for line in listing.stdout.splitlines() if line.strip()}
+        assert defined == {"hrcc_viterbi", "hrcc_viterbi_lanes"}
 
 
 @pytest.mark.parametrize("code", CODES)
@@ -87,16 +99,6 @@ def test_strided_input_agrees():
     _assert_kernels_agree(wide[::3, : STEPS * 2].astype(np.float32), CONV_RATE_12)
 
 
-@pytest.fixture(params=["avx2", "scalar"])
-def entry(request):
-    """Each compiled entry point, called directly."""
-    func = getattr(kernels, f"viterbi_batch_{request.param}")
-    if func is None:
-        reason = "CPU lacks AVX2" if kernels.BACKEND == "c" else "no compiled kernel"
-        pytest.skip(reason)
-    return func
-
-
 def _chain_case(scheme, rows):
     """(source map, branch table, reference decode of ``rows``) for the scheme's chain.
 
@@ -111,21 +113,21 @@ def _chain_case(scheme, rows):
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
-@pytest.mark.parametrize("nframes", [1, 2, 3, 4, 5, 513])
-def test_entry_points_read_every_chains_map(entry, scheme, nframes):
-    # Groups of four with a short last group of every size, through the
+@pytest.mark.parametrize("nframes", [1, 2, 3, 4, 5, 6, 7, 513, 515])
+def test_entry_points_read_every_chains_map(scheme, nframes):
+    # Whole groups of four followed by a remainder of every size, through the
     # identity map (standard, m2-reduced) and the three puncturing maps.
     rng = np.random.default_rng([28, nframes])
     rows = rng.normal(0.0, 2.0, size=(nframes, _CHAINS[scheme].coded_bits))
     source, syms, reference = _chain_case(scheme, rows)
-    assert np.array_equal(entry(rows, syms, source), reference)
+    assert np.array_equal(kernels.viterbi_batch(rows, syms, source), reference)
     assert np.array_equal(kernels.viterbi_batch_np(rows, syms, source), reference)
     if _CHAINS[scheme].source is None:
-        assert np.array_equal(entry(rows, syms), reference)
+        assert np.array_equal(kernels.viterbi_batch(rows, syms), reference)
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
-def test_entry_points_on_erasure_and_tie_rows(entry, scheme):
+def test_entry_points_on_erasure_and_tie_rows(scheme):
     rng = np.random.default_rng(29)
     width = _CHAINS[scheme].coded_bits
     rows = rng.integers(-1, 2, size=(23, width)).astype(np.float64)
@@ -133,26 +135,25 @@ def test_entry_points_on_erasure_and_tie_rows(entry, scheme):
     rows[1::5] = rng.normal(0.0, 2.0, size=(5, width))
     rows[1::5, ::3] = 0.0
     source, syms, reference = _chain_case(scheme, rows)
-    decoded = entry(rows, syms, source)
+    decoded = kernels.viterbi_batch(rows, syms, source)
     assert np.array_equal(decoded, reference)
     assert not decoded[::5].any()
 
 
-def test_entry_points_take_strided_and_float32_input(entry):
+def test_entry_points_take_strided_and_float32_input():
     rng = np.random.default_rng(30)
     wide = rng.normal(0.0, 2.0, size=(15, 2 * 228))
     source, syms, reference = _chain_case(SchemeId.M1_CS12_P12, wide[:, ::2].copy())
-    assert np.array_equal(entry(wide[:, ::2], syms, source), reference)
+    assert np.array_equal(kernels.viterbi_batch(wide[:, ::2], syms, source), reference)
     narrow = wide[::2, :228].astype(np.float32)
     _, _, reference = _chain_case(SchemeId.M1_CS12_P12, narrow.astype(np.float64))
-    assert np.array_equal(entry(narrow, syms, source), reference)
+    assert np.array_equal(kernels.viterbi_batch(narrow, syms, source), reference)
 
 
 @pytest.mark.parametrize("bad", [[0, 1, 228, 3], [0, -2, 1, 2], [[0, 1], [2, 3]], [0.0, 1.0]])
 def test_out_of_range_source_maps_are_rejected(bad):
     syms = _sym_table(CONV_RATE_12.generators)
-    decoders = [kernels.viterbi_batch_np, kernels.viterbi_batch_scalar, kernels.viterbi_batch_avx2]
-    for decode in filter(None, decoders):
+    for decode in filter(None, [kernels.viterbi_batch_np, kernels.viterbi_batch_c]):
         with pytest.raises(ValueError, match="source map"):
             decode(np.zeros((2, 228)), syms, np.array(bad))
 

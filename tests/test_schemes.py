@@ -6,9 +6,11 @@ import pytest
 from hrcc import coding
 from hrcc.interleaving import InterleaveMode
 from hrcc.coding import add_tail, conv_encode, depuncture, fire_encode, parity20_encode, puncture
-from hrcc.coding import CONV_RATE_12, PUNCTURE_CS23, PUNCTURE_P13
+from hrcc.coding import CONV_RATE_12, CONV_RATE_13, FIRE_MATRIX, PUNCTURE_CS23, PUNCTURE_P12
+from hrcc.coding import PUNCTURE_P13
 from hrcc.schemes import (
     _CHAINS,
+    _Chain,
     SchemeId,
     coded_bits,
     decode_block,
@@ -95,6 +97,12 @@ def test_source_map_inverts_the_composed_puncture(scheme):
     assert np.array_equal(np.flatnonzero(kept), chain.puncture.kept_indices)
     assert np.array_equal(chain.source[kept], np.arange(chain.coded_bits))
     assert (chain.source[~kept] == -1).all()
+
+
+def test_chain_rejects_a_puncture_that_does_not_fit_the_mother_code():
+    # At rate 1/3 the mother code emits (184 + 40 + 4) * 3 = 684 bits.
+    with pytest.raises(ValueError, match="takes 456 bits, but the mother code emits 684"):
+        _Chain(CONV_RATE_13, (PUNCTURE_P12,), FIRE_MATRIX)
 
 
 def test_exact_information_rates():

@@ -62,6 +62,24 @@ def test_run_bler_rejects_non_finite_ebno(ebno):
         run_bler(SchemeId.M2_REDUCED, [4.0, ebno], min_frames=10)
 
 
+@pytest.mark.parametrize("ebno", [3060.0, 3078.0, 3085.0, -3300.0])
+def test_run_bler_rejects_ebno_outside_the_float_range(monkeypatch, ebno):
+    # Unchecked, 3060 dB overflowed the decoder's path metrics (BLER 1),
+    # 3078 dB the soft values, 3085 dB noise_sigma itself, and -3300 dB
+    # divided by zero in noise_sigma.
+    encoded = []
+    monkeypatch.setattr(schemes, "encode_blocks", lambda *args: encoded.append(args))
+    with pytest.raises(ValueError, match="out of range"):
+        run_bler(SchemeId.M2_REDUCED, [4.0, ebno], min_frames=10)
+    assert not encoded  # rejected before the 4 dB point ran
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_run_bler_decodes_soundly_just_below_the_overflow(scheme):
+    (r,) = run_bler(scheme, [3050.0], min_frames=20, seed=1)
+    assert (r.frames, r.frame_errors, r.bit_errors) == (20, 0, 0)
+
+
 def test_run_bler_noiseless_operating_point():
     reports = run_bler(SchemeId.M2_REDUCED, [40.0], min_frames=1000, min_errors=100, seed=7)
     (r,) = reports
