@@ -99,6 +99,27 @@ def test_strided_input_agrees():
     _assert_kernels_agree(wide[::3, : STEPS * 2].astype(np.float32), CONV_RATE_12)
 
 
+def _decode_in_threes(rows, syms, source=None):
+    """Decode ``rows`` in calls of at most three frames each."""
+    return np.concatenate(
+        [kernels.viterbi_batch(rows[i : i + 3], syms, source) for i in range(0, len(rows), 3)]
+    )
+
+
+@pytest.fixture(params=["avx2", "scalar"])
+def entry(request):
+    """Each body of the compiled decoder, reached through ``kernels.viterbi_batch``.
+
+    ``avx2`` decodes the batch in one call: whole groups of four frames run on
+    the AVX2 body where the CPU has it, and the remainder on the scalar body.
+    ``scalar`` decodes it in calls of at most three frames, which are all
+    remainder, so every frame runs on the scalar body on any CPU.
+    """
+    if kernels.viterbi_batch_c is None:
+        pytest.skip("no compiled kernel")
+    return kernels.viterbi_batch if request.param == "avx2" else _decode_in_threes
+
+
 def _chain_case(scheme, rows):
     """(source map, branch table, reference decode of ``rows``) for the scheme's chain.
 
@@ -114,20 +135,20 @@ def _chain_case(scheme, rows):
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
 @pytest.mark.parametrize("nframes", [1, 2, 3, 4, 5, 6, 7, 513, 515])
-def test_entry_points_read_every_chains_map(scheme, nframes):
+def test_entry_points_read_every_chains_map(entry, scheme, nframes):
     # Whole groups of four followed by a remainder of every size, through the
     # identity map (standard, m2-reduced) and the three puncturing maps.
     rng = np.random.default_rng([28, nframes])
     rows = rng.normal(0.0, 2.0, size=(nframes, _CHAINS[scheme].coded_bits))
     source, syms, reference = _chain_case(scheme, rows)
-    assert np.array_equal(kernels.viterbi_batch(rows, syms, source), reference)
+    assert np.array_equal(entry(rows, syms, source), reference)
     assert np.array_equal(kernels.viterbi_batch_np(rows, syms, source), reference)
     if _CHAINS[scheme].source is None:
-        assert np.array_equal(kernels.viterbi_batch(rows, syms), reference)
+        assert np.array_equal(entry(rows, syms), reference)
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
-def test_entry_points_on_erasure_and_tie_rows(scheme):
+def test_entry_points_on_erasure_and_tie_rows(entry, scheme):
     rng = np.random.default_rng(29)
     width = _CHAINS[scheme].coded_bits
     rows = rng.integers(-1, 2, size=(23, width)).astype(np.float64)
@@ -135,19 +156,19 @@ def test_entry_points_on_erasure_and_tie_rows(scheme):
     rows[1::5] = rng.normal(0.0, 2.0, size=(5, width))
     rows[1::5, ::3] = 0.0
     source, syms, reference = _chain_case(scheme, rows)
-    decoded = kernels.viterbi_batch(rows, syms, source)
+    decoded = entry(rows, syms, source)
     assert np.array_equal(decoded, reference)
     assert not decoded[::5].any()
 
 
-def test_entry_points_take_strided_and_float32_input():
+def test_entry_points_take_strided_and_float32_input(entry):
     rng = np.random.default_rng(30)
     wide = rng.normal(0.0, 2.0, size=(15, 2 * 228))
     source, syms, reference = _chain_case(SchemeId.M1_CS12_P12, wide[:, ::2].copy())
-    assert np.array_equal(kernels.viterbi_batch(wide[:, ::2], syms, source), reference)
+    assert np.array_equal(entry(wide[:, ::2], syms, source), reference)
     narrow = wide[::2, :228].astype(np.float32)
     _, _, reference = _chain_case(SchemeId.M1_CS12_P12, narrow.astype(np.float64))
-    assert np.array_equal(kernels.viterbi_batch(narrow, syms, source), reference)
+    assert np.array_equal(entry(narrow, syms, source), reference)
 
 
 @pytest.mark.parametrize("bad", [[0, 1, 228, 3], [0, -2, 1, 2], [[0, 1], [2, 3]], [0.0, 1.0]])
