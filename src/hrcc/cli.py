@@ -154,7 +154,7 @@ def _cmd_roundtrip(args) -> int:
                             dtype=np.uint8)
         stream = interleaving.interleave_batch(mode, encode_blocks(scheme, msgs))
         soft = (1.0 - 2.0 * stream) * interleaving.HARD_DECISION_CONFIDENCE
-        decoded, ok = decode_blocks(scheme, interleaving.deinterleave_batch(mode, soft))
+        decoded, ok = decode_blocks(scheme, soft, interleaved=True)
         errors += int((~ok | (decoded != msgs).any(axis=1)).sum())
     print(f"frames={frames}")
     print(f"errors={errors}")

@@ -45,8 +45,10 @@ def _destinations(mode: InterleaveMode) -> np.ndarray:
 
 
 _DEST = {mode: _destinations(mode) for mode in InterleaveMode}
-for _d in _DEST.values():
-    _d.flags.writeable = False
+# The inverse permutation: stream column j carries coded bit _SOURCE[mode][j].
+_SOURCE = {mode: np.argsort(dest) for mode, dest in _DEST.items()}
+for _table in (*_DEST.values(), *_SOURCE.values()):
+    _table.flags.writeable = False
 
 
 def destinations(mode: InterleaveMode) -> np.ndarray:
@@ -68,15 +70,23 @@ def deinterleave(mode: InterleaveMode, subs) -> np.ndarray:
     return deinterleave_batch(mode, stream[np.newaxis, :])[0]
 
 
+def _permute_columns(mode: InterleaveMode, batch, index: np.ndarray) -> np.ndarray:
+    batch = np.asarray(batch)
+    if batch.ndim != 2 or batch.shape[1] != mode.block_bits:
+        raise ValueError(
+            f"{mode.value} permutes rows of {mode.block_bits} values, got shape {batch.shape}"
+        )
+    return np.take(batch, index, axis=1)
+
+
 def interleave_batch(mode: InterleaveMode, blocks: np.ndarray) -> np.ndarray:
-    """(frames, block_bits) -> same shape, columns in burst-payload order."""
-    stream = np.empty_like(blocks)
-    stream[:, _DEST[mode]] = blocks
-    return stream
+    """(frames, block_bits) -> same shape, C-ordered, columns in burst-payload order."""
+    return _permute_columns(mode, blocks, _SOURCE[mode])
 
 
 def deinterleave_batch(mode: InterleaveMode, streams: np.ndarray) -> np.ndarray:
-    return streams[:, _DEST[mode]]
+    """Exact inverse of :func:`interleave_batch`; the result is C-ordered."""
+    return _permute_columns(mode, streams, _DEST[mode])
 
 
 def map_to_burst(sub) -> Burst:

@@ -27,7 +27,9 @@ Every kernel takes an optional source map, which folds depuncturing into
 the decoder: entry c is the column of the soft batch that holds
 mother-code bit c, or -1 where puncturing deleted it, which reads as the
 erasure +0.0.  The map has one entry per mother-code column, so a punctured
-batch is decoded without first being widened with zeros.  Without a map the
+batch is decoded without first being widened with zeros.  A map may also
+read the columns in any order: a chain's stream map reads a block in burst
+order, so the decoder deinterleaves as it reads.  Without a map the
 columns are read in order.  Maps are bounds-checked here, before any
 pointer reaches C.
 

@@ -111,6 +111,19 @@ def _point_rng(seed: int, scheme: SchemeId, ebno_db: float) -> np.random.Generat
     )
 
 
+def _checked_points(scheme: SchemeId, ebno_points) -> list[float]:
+    """``ebno_points`` as floats; ValueError naming the scheme if any is out of range."""
+    points = [float(p) for p in ebno_points]
+    rate, width = schemes.info_rate(scheme), schemes.coded_bits(scheme)
+    bad = [p for p in points if not _channel_in_range(p, rate, width)]
+    if bad:
+        raise ValueError(
+            "Eb/N0 points must be finite and keep the channel's values finite; "
+            f"{bad} dB are out of range for {scheme.cli_name}"
+        )
+    return points
+
+
 def run_bler(
     scheme: SchemeId,
     ebno_points,
@@ -128,19 +141,13 @@ def run_bler(
         raise ValueError("min_frames must be at least 1")
     if min_errors < 1:
         raise ValueError("min_errors must be at least 1")
-    points = [float(p) for p in ebno_points]
+    points = _checked_points(scheme, ebno_points)
     kbits = schemes.message_bits(scheme)
     nbits = schemes.coded_bits(scheme)
     rate = schemes.info_rate(scheme)
-    bad = [p for p in points if not _channel_in_range(p, rate, nbits)]
-    if bad:
-        raise ValueError(
-            "Eb/N0 points must be finite and keep the channel's values finite; "
-            f"{bad} dB are out of range for {scheme.cli_name}"
-        )
     mode = schemes.interleave_mode(scheme)
-    # One channel buffer for every chunk: decode reads the deinterleaved
-    # copy, so the next chunk may overwrite it.
+    # One channel buffer for every chunk: decode reads it in burst order and
+    # is done with it before the next chunk overwrites it.
     channel = np.empty((min(_CHUNK_FRAMES, min_frames), nbits))
     reports = []
     for ebno_db in points:
@@ -153,8 +160,7 @@ def run_bler(
             coded = schemes.encode_blocks(scheme, msgs)
             stream = interleaving.interleave_batch(mode, coded)
             soft = _awgn(stream, sigma, rng, channel[:chunk])
-            deint = interleaving.deinterleave_batch(mode, soft)
-            decoded, ok = schemes.decode_blocks(scheme, deint)
+            decoded, ok = schemes.decode_blocks(scheme, soft, interleaved=True)
             wrong = decoded != msgs
             err_flags = wrong.any(axis=1)
             # Honor the per-frame stopping rule even though frames are
@@ -180,10 +186,16 @@ def sweep(
     min_errors: int = DEFAULT_MIN_ERRORS,
     seed: int = DEFAULT_SEED,
 ) -> list[BlerReport]:
-    """run_bler over several schemes, reports grouped scheme-major."""
+    """run_bler over several schemes, reports grouped scheme-major.
+
+    Every (scheme, point) pair is checked before the first point runs.
+    """
+    scheme_list, points = list(scheme_list), list(ebno_points)
+    for scheme in scheme_list:
+        _checked_points(scheme, points)
     reports: list[BlerReport] = []
     for scheme in scheme_list:
-        reports.extend(run_bler(scheme, ebno_points, min_frames, min_errors, seed))
+        reports.extend(run_bler(scheme, points, min_frames, min_errors, seed))
     return reports
 
 

@@ -89,6 +89,28 @@ def test_batch_helpers_match_single_block(mode):
     assert np.array_equal(back.astype(np.uint8), blocks)
 
 
+@pytest.mark.parametrize("mode", list(InterleaveMode))
+def test_batch_permutations_are_c_ordered_and_follow_the_definition(mode):
+    rng = np.random.default_rng(33)
+    dest = destinations(mode)
+    blocks = rng.integers(0, 2, size=(9, mode.block_bits), dtype=np.uint8)
+    streams = np.asfortranarray(rng.normal(size=(9, mode.block_bits)))
+    expect_stream = np.empty_like(blocks)
+    expect_back = np.empty_like(streams)
+    for k in range(mode.block_bits):  # coded bit k travels in stream column dest[k]
+        expect_stream[:, dest[k]] = blocks[:, k]
+        expect_back[:, k] = streams[:, dest[k]]
+    for got, expect in ((interleave_batch(mode, blocks), expect_stream),
+                        (deinterleave_batch(mode, streams), expect_back)):
+        assert got.flags.c_contiguous and got.dtype == expect.dtype
+        assert np.array_equal(got, expect)
+    for permute in (interleave_batch, deinterleave_batch):
+        with pytest.raises(ValueError, match="permutes rows"):
+            permute(mode, np.zeros((2, mode.block_bits + 1)))
+        with pytest.raises(ValueError, match="permutes rows"):
+            permute(mode, np.zeros(mode.block_bits))
+
+
 def test_map_to_burst_and_demap():
     rng = np.random.default_rng(33)
     sub = rng.integers(0, 2, size=114, dtype=np.uint8)

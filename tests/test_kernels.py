@@ -10,6 +10,7 @@ import pytest
 import hrcc
 from hrcc import kernels
 from hrcc.coding import CONV_RATE_12, CONV_RATE_13, _sym_table, depuncture_batch
+from hrcc.interleaving import interleave_batch
 from hrcc.schemes import _CHAINS, SchemeId
 from hrcc.simulation import reports_to_csv, sweep
 
@@ -133,11 +134,20 @@ def _chain_case(scheme, rows):
     return chain.source, syms, reference
 
 
+def _assert_stream_map_decodes(entry, scheme, rows, syms, reference):
+    """The burst-order ``rows`` through the chain's stream map give ``reference``."""
+    chain = _CHAINS[scheme]
+    stream = interleave_batch(chain.interleave, rows)
+    assert np.array_equal(entry(stream, syms, chain.stream), reference)
+    assert np.array_equal(kernels.viterbi_batch_np(stream, syms, chain.stream), reference)
+
+
 @pytest.mark.parametrize("scheme", list(SchemeId))
 @pytest.mark.parametrize("nframes", [1, 2, 3, 4, 5, 6, 7, 513, 515])
 def test_entry_points_read_every_chains_map(entry, scheme, nframes):
     # Whole groups of four followed by a remainder of every size, through the
-    # identity map (standard, m2-reduced) and the three puncturing maps.
+    # identity map (standard, m2-reduced), the three puncturing maps and the
+    # five stream maps.
     rng = np.random.default_rng([28, nframes])
     rows = rng.normal(0.0, 2.0, size=(nframes, _CHAINS[scheme].coded_bits))
     source, syms, reference = _chain_case(scheme, rows)
@@ -145,6 +155,7 @@ def test_entry_points_read_every_chains_map(entry, scheme, nframes):
     assert np.array_equal(kernels.viterbi_batch_np(rows, syms, source), reference)
     if _CHAINS[scheme].source is None:
         assert np.array_equal(entry(rows, syms), reference)
+    _assert_stream_map_decodes(entry, scheme, rows, syms, reference)
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
@@ -159,6 +170,7 @@ def test_entry_points_on_erasure_and_tie_rows(entry, scheme):
     decoded = entry(rows, syms, source)
     assert np.array_equal(decoded, reference)
     assert not decoded[::5].any()
+    _assert_stream_map_decodes(entry, scheme, rows, syms, reference)
 
 
 def test_entry_points_take_strided_and_float32_input(entry):
@@ -179,6 +191,7 @@ def test_out_of_range_source_maps_are_rejected(bad):
             decode(np.zeros((2, 228)), syms, np.array(bad))
 
 
+@pytest.mark.skipif(kernels.viterbi_batch_c is None, reason="no compiled kernel")
 def test_branch_table_without_butterfly_symmetry_is_rejected():
     syms = _sym_table(CONV_RATE_12.generators).copy()
     syms[3, 0, 1] = -syms[3, 0, 1]

@@ -125,9 +125,9 @@ def test_in_place_channel_matches_the_reference_expression(monkeypatch):
     def run():
         seen = []
 
-        def recording(scheme, softs):
+        def recording(scheme, softs, *, interleaved=False):
             seen.append(np.array(softs))
-            return decode(scheme, softs)
+            return decode(scheme, softs, interleaved=interleaved)
 
         monkeypatch.setattr(schemes, "decode_blocks", recording)
         reports = run_bler(SchemeId.M2_REDUCED, [3.0, 6.0], min_frames=700, min_errors=110, seed=31)
@@ -178,6 +178,15 @@ def test_sweep_orders_reports_scheme_major():
         (SchemeId.STANDARD_456, 30.0),
         (SchemeId.STANDARD_456, 40.0),
     ]
+
+
+def test_sweep_checks_every_point_before_any_runs(monkeypatch):
+    # 3055 dB is in range for m2-reduced's 228 values but not standard's 456.
+    decoded = []
+    monkeypatch.setattr(schemes, "decode_blocks", lambda *args, **kwargs: decoded.append(args))
+    with pytest.raises(ValueError, match="out of range for standard"):
+        sweep([SchemeId.M2_REDUCED, SchemeId.STANDARD_456], [4.0, 3055.0], min_frames=10)
+    assert not decoded
 
 
 def test_sweep_csv_identical_across_backends(monkeypatch):
