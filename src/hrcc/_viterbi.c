@@ -169,10 +169,8 @@ decode_groups(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const i
 {
     if (n_out == 2)
         decode4(soft, nframes, in_width, source, nsteps, 2, sym, lanes, back, bits);
-    else if (n_out == 3)
-        decode4(soft, nframes, in_width, source, nsteps, 3, sym, lanes, back, bits);
     else
-        decode4(soft, nframes, in_width, source, nsteps, n_out, sym, lanes, back, bits);
+        decode4(soft, nframes, in_width, source, nsteps, 3, sym, lanes, back, bits);
 }
 
 #endif
@@ -190,6 +188,7 @@ int hrcc_viterbi_lanes(void)
 
 /* soft:   (nframes, in_width) row-major soft values, +1 meaning coded bit 0.
  * source: width entries, each -1 or a column of a soft row; see above.
+ * n_out:  2 or 3, the code rate's denominator; kernels.py rejects any other.
  * sym:    (8, n_out) outputs of the branch from state 2i under input 0.
  * bits:   (nframes, width / n_out) decoded inputs, tail included.
  * Returns 0, or -1 if the scratch buffer cannot be allocated.
@@ -219,10 +218,8 @@ int hrcc_viterbi(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width,
     nframes -= grouped;
     if (n_out == 2)
         decode1(soft, nframes, in_width, source, nsteps, 2, sym, (uint16_t *)back, bits);
-    else if (n_out == 3)
-        decode1(soft, nframes, in_width, source, nsteps, 3, sym, (uint16_t *)back, bits);
     else
-        decode1(soft, nframes, in_width, source, nsteps, n_out, sym, (uint16_t *)back, bits);
+        decode1(soft, nframes, in_width, source, nsteps, 3, sym, (uint16_t *)back, bits);
     free(back);
     return 0;
 }

@@ -3,8 +3,9 @@
 Hard bits travel as one-dimensional numpy uint8 arrays of 0/1 values in
 transmission order (index 0 is transmitted first).  Soft values are
 float64 arrays with the convention positive == bit 0 more likely and
-0.0 == erasure.  All helpers return fresh arrays; nothing here mutates
-its inputs, so values can be shared freely between threads.
+0.0 == erasure; :func:`antipodal` is the one map from bits to soft values.
+All helpers return fresh arrays; nothing here mutates its inputs, so
+values can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ from enum import Enum
 import numpy as np
 
 BURST_PAYLOAD_BITS = 114
+
+# The soft value of each bit value: +1 for 0, -1 for 1.
+_ANTIPODAL = np.array([1.0, -1.0])
+_ANTIPODAL.flags.writeable = False
 
 
 class HexFormatError(ValueError):
@@ -31,6 +36,11 @@ def binary_uint8(arr: np.ndarray) -> np.ndarray:
     if out.size and (int(out.max()) > 1 or (out is not arr and not np.array_equal(out, arr))):
         raise ValueError("bit block may only contain 0 and 1")
     return out
+
+
+def antipodal(bits) -> np.ndarray:
+    """uint8 0/1 bits as noiseless soft values: +1.0 for bit 0, -1.0 for bit 1."""
+    return _ANTIPODAL[bits]
 
 
 def as_bit_array(bits, length: int | None = None) -> np.ndarray:

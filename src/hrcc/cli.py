@@ -10,6 +10,7 @@ nonzero instead of dumping a stack trace.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__, interleaving, kernels, messages, multiframe, simulation
-from .bits import HexFormatError, SubAllocation, from_hex, to_hex
+from .bits import HexFormatError, SubAllocation, antipodal, from_hex, to_hex
 from .multiframe import ChannelConfig, FrameMode, MultiframeConfig
 from .schemes import (
     decode_block,
@@ -129,9 +130,7 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     _require(args, "scheme", "block")
     scheme = scheme_from_name(args.scheme)
-    hard = _read_block_arg(args.block)
-    soft = (1.0 - 2.0 * hard.astype(np.float64)) * interleaving.HARD_DECISION_CONFIDENCE
-    outcome = decode_block(scheme, soft)
+    outcome = decode_block(scheme, antipodal(_read_block_arg(args.block)))
     print(f"message={to_hex(outcome.message)}")
     print(f"integrity={'ok' if outcome.ok else 'corrupted'}")
     return 0
@@ -153,8 +152,7 @@ def _cmd_roundtrip(args) -> int:
         msgs = rng.integers(0, 2, size=(min(simulation._CHUNK_FRAMES, frames - done), kbits),
                             dtype=np.uint8)
         stream = interleaving.interleave_batch(mode, encode_blocks(scheme, msgs))
-        soft = (1.0 - 2.0 * stream) * interleaving.HARD_DECISION_CONFIDENCE
-        decoded, ok = decode_blocks(scheme, soft, interleaved=True)
+        decoded, ok = decode_blocks(scheme, antipodal(stream), interleaved=True)
         errors += int((~ok | (decoded != msgs).any(axis=1)).sum())
     print(f"frames={frames}")
     print(f"errors={errors}")
@@ -229,11 +227,9 @@ def _cmd_msg(args) -> int:
                 alloc = SubAllocation(suballoc)
             except ValueError:
                 raise CliError("field suballoc must be 'even' or 'odd'") from None
+            names = [f.name for f in dataclasses.fields(messages.ChannelAssignment)]
             assignment = messages.ChannelAssignment(
-                channel_type=_field_int(fields, "channel_type"),
-                timeslot=_field_int(fields, "timeslot"),
-                training_seq=_field_int(fields, "training_seq"),
-                arfcn=_field_int(fields, "arfcn"),
+                **{name: _field_int(fields, name) for name in names if name != "suballoc"},
                 suballoc=alloc,
             )
             print(to_hex(messages.encode_immediate_assignment(assignment)))
@@ -254,11 +250,9 @@ def _cmd_msg(args) -> int:
     block = _read_block_arg(args.block)
     if args.type == "assignment":
         a = messages.decode_immediate_assignment(block)
-        print(f"channel_type={a.channel_type}")
-        print(f"timeslot={a.timeslot}")
-        print(f"training_seq={a.training_seq}")
-        print(f"arfcn={a.arfcn}")
-        print(f"suballoc={a.suballoc.value}")
+        for f in dataclasses.fields(a):
+            value = getattr(a, f.name)
+            print(f"{f.name}={value.value if isinstance(value, SubAllocation) else value}")
     else:
         payload, address, control = messages.decode_lapdm_tailored(block)
         print(f"address={address}")

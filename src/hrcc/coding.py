@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import kernels
-from .bits import as_bit_array, as_soft_array
+from .bits import antipodal, as_bit_array, as_soft_array, binary_uint8
 
 CONSTRAINT_LENGTH = 5
 TAIL_BITS = 4
@@ -144,22 +144,16 @@ def _tap_table(generators: tuple[int, ...]) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _sym_table(generators: tuple[int, ...]) -> np.ndarray:
     """(16, 2, n) antipodal branch outputs: +1 for coded bit 0, -1 for 1."""
-    taps = _tap_table(generators)
-    syms = np.empty((16, 2, len(generators)), dtype=np.float64)
-    for s in range(16):
-        for b in (0, 1):
-            window = (b, (s >> 3) & 1, (s >> 2) & 1, (s >> 1) & 1, s & 1)
-            for j in range(len(generators)):
-                bit = 0
-                for k in range(CONSTRAINT_LENGTH):
-                    bit ^= taps[j, k] & window[k]
-                syms[s, b, j] = 1.0 - 2.0 * bit
+    state, b = np.meshgrid(np.arange(16), (0, 1), indexing="ij")
+    # The register window x[t], x[t-1], ..., x[t-4] of each (state, input).
+    window = np.stack([b, state >> 3, state >> 2, state >> 1, state], axis=-1) & 1
+    syms = antipodal((window @ _tap_table(generators).T) & 1)
     syms.flags.writeable = False
     return syms
 
 
 def conv_encode_batch(code: ConvCode, msgs: np.ndarray) -> np.ndarray:
-    return kernels.conv_encode_batch(msgs, _tap_table(code.generators))
+    return kernels.conv_encode_batch(binary_uint8(np.asarray(msgs)), _tap_table(code.generators))
 
 
 def conv_encode(code: ConvCode, msg) -> np.ndarray:
@@ -170,6 +164,11 @@ def conv_encode(code: ConvCode, msg) -> np.ndarray:
 
 def viterbi_decode_batch(code: ConvCode, softs: np.ndarray, source=None) -> np.ndarray:
     """Decode a soft batch; ``source`` maps a punctured batch (see ``kernels``)."""
+    softs = np.asarray(softs, dtype=np.float64)
+    if softs.ndim != 2:
+        raise ValueError(f"a soft batch has one row per frame, got shape {softs.shape}")
+    if not np.isfinite(softs).all():
+        raise ValueError("soft values must be finite")
     width = softs.shape[1] if source is None else len(source)
     if width % code.n_out:
         raise ValueError(f"soft length {width} is not a multiple of {code.n_out}")
@@ -247,7 +246,13 @@ def depuncture(pattern: PuncturePattern, soft) -> np.ndarray:
 
 
 def puncture_batch(pattern: PuncturePattern, bits: np.ndarray) -> np.ndarray:
-    return bits[:, pattern.kept_indices]
+    """(frames, input_len) -> (frames, output_len), C-ordered."""
+    bits = np.asarray(bits)
+    if bits.ndim != 2 or bits.shape[1] != pattern.input_len:
+        raise ValueError(
+            f"the pattern punctures rows of {pattern.input_len} bits, got shape {bits.shape}"
+        )
+    return np.take(bits, pattern.kept_indices, axis=1)
 
 
 def depuncture_batch(pattern: PuncturePattern, softs: np.ndarray) -> np.ndarray:

@@ -12,10 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bits import BURST_PAYLOAD_BITS, Burst, SubAllocation, as_bit_array, as_soft_array
-
-# Soft magnitude assigned to hard bits when no channel observation exists.
-HARD_DECISION_CONFIDENCE = 1.0
+from .bits import BURST_PAYLOAD_BITS, Burst, antipodal, as_bit_array, as_soft_array
 
 
 class InterleaveMode(Enum):
@@ -101,16 +98,10 @@ def map_to_burst(sub) -> Burst:
 def demap_burst(burst) -> np.ndarray:
     """Recover the 114 payload values of a burst as soft values.
 
-    A :class:`Burst` has its hard bits lifted to +-HARD_DECISION_CONFIDENCE;
+    A :class:`Burst` has its hard bits lifted to +-1 by :func:`antipodal`;
     a sequence of received soft values passes through unchanged.
     """
     if isinstance(burst, Burst):
-        return (1.0 - 2.0 * burst.payload) * HARD_DECISION_CONFIDENCE
+        return antipodal(burst.payload)
     return as_soft_array(burst, BURST_PAYLOAD_BITS)
 
-
-def physical_burst_index(sub_index: int, suballoc: SubAllocation) -> int:
-    """Group-relative burst carrying sub-block ``sub_index`` of a MOD2 pair."""
-    if sub_index not in (0, 1):
-        raise ValueError("a MOD2 pair has sub-blocks 0 and 1")
-    return 2 * sub_index + (0 if suballoc is SubAllocation.EVEN else 1)

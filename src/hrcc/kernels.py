@@ -242,6 +242,8 @@ def _identity_map(width: int) -> tuple[np.ndarray, int]:
 @lru_cache(maxsize=8)
 def _butterfly_syms(raw: bytes, n_out: int) -> tuple[np.ndarray, int]:
     """(8, n_out) outputs of the branch from state 2i under input 0, pinned."""
+    if n_out not in (2, 3):
+        raise ValueError(f"the compiled kernel decodes rates 1/2 and 1/3, not 1/{n_out}")
     syms = np.frombuffer(raw, dtype=np.float64).reshape(16, 2, n_out)
     if not (np.array_equal(syms[1::2], -syms[0::2]) and np.array_equal(syms[:, 1], -syms[:, 0])):
         raise ValueError("branch outputs lack the butterfly symmetry of D^0 and D^4 taps")
@@ -253,7 +255,7 @@ BACKEND = "numpy" if _decoder is None else "c"
 
 
 def viterbi_batch_c(soft: np.ndarray, syms: np.ndarray, source=None) -> np.ndarray:
-    """``viterbi_batch_np`` in compiled C (``hrcc_viterbi``); the same bits."""
+    """Rates 1/2 and 1/3 of ``viterbi_batch_np`` in compiled C (``hrcc_viterbi``); the same bits."""
     soft = np.ascontiguousarray(soft, dtype=np.float64)
     nframes, in_width = soft.shape
     source, source_at = (

@@ -7,9 +7,9 @@ multiframes, and the remainder of each multiframe is idle (for SDCCH/4
 the idle span stands in for the unmodelled broadcast/common channels).
 
 Modified mode keeps the same frame numbers and shares every 4-frame
-group between two users: group-relative bursts 0 and 2 belong to the
-EVEN sub-allocation, bursts 1 and 3 to the ODD one, which doubles the
-number of logical channels.
+group between two users, each owning the group-relative bursts of its
+``SubAllocation.burst_positions``, which doubles the number of logical
+channels.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def _layout(cfg: MultiframeConfig) -> tuple[FrameSlot, ...]:
         for first, kind, sub in _group_table(cfg.config, parity):
             for r in range(GROUP_FRAMES):
                 if cfg.mode is FrameMode.MODIFIED:
-                    alloc = SubAllocation.EVEN if r % 2 == 0 else SubAllocation.ODD
+                    alloc = next(a for a in SubAllocation if r in a.burst_positions)
                     owners[first + r] = LogicalChannelId(kind, sub, alloc)
                 else:
                     owners[first + r] = LogicalChannelId(kind, sub)
@@ -114,7 +114,7 @@ def bursts_for(cfg: MultiframeConfig, chan: LogicalChannelId) -> list[tuple[int,
 
     Cycle frames count 0..101 across the two multiframes; the group burst
     index is the frame's position within its 4-frame group, so a modified
-    EVEN channel sees bursts 0 and 2 and an ODD one sees 1 and 3.
+    channel sees the ``burst_positions`` of its sub-allocation.
     """
     chan.validate(cfg)
     return list(_bursts(cfg, chan))

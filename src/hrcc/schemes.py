@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import coding
-from .bits import as_bit_array, as_soft_array, binary_uint8
+from .bits import as_bit_array, as_soft_array
 from .coding import (
     CONV_RATE_12,
     CONV_RATE_13,
@@ -152,10 +152,11 @@ def encode_blocks(scheme: SchemeId, msgs: np.ndarray) -> np.ndarray:
             f"{scheme.cli_name} takes {chain.message_bits}-bit messages, "
             f"got shape {msgs.shape}"
         )
-    msgs = binary_uint8(msgs)
     parity = coding._parity_batch(msgs, chain.parity)
     tail = np.zeros((msgs.shape[0], TAIL_BITS), dtype=np.uint8)
     tailed = np.concatenate([msgs, parity, tail], axis=1)
+    # The encoder rejects a block that is not all 0 and 1, so the messages
+    # are checked once, with their parity and tail.
     out = coding.conv_encode_batch(chain.code, tailed)
     if chain.puncture is not None:
         out = coding.puncture_batch(chain.puncture, out)
@@ -177,8 +178,6 @@ def decode_blocks(
             f"{scheme.cli_name} expects {chain.coded_bits} soft values, "
             f"got shape {arr.shape}"
         )
-    if not np.isfinite(arr).all():
-        raise ValueError("soft values must be finite")
     source = chain.stream if interleaved else chain.source
     decoded = coding.viterbi_decode_batch(chain.code, arr, source)
     inputs = decoded[:, :-TAIL_BITS]

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import interleaving, schemes
-from .bits import as_bit_array
+from .bits import antipodal, as_bit_array
 from .schemes import SchemeId
 
 DEFAULT_SEED = 12345
@@ -37,22 +37,27 @@ def noise_sigma(ebno_db: float, info_rate: Fraction | float) -> float:
     return 1.0 / math.sqrt(2.0 * float(info_rate) * ebno)
 
 
-def _channel_in_range(ebno_db: float, info_rate: Fraction, width: int) -> bool:
-    """Whether sigma and 2/sigma^2 times ``width`` are finite at ``ebno_db``.
+def _sigma_in_range(sigma: float, width: int) -> bool:
+    """Whether sigma is finite and positive and 2/sigma^2 times ``width`` is finite.
 
     The receiver scales each value by 2/sigma^2 and the decoder sums a
-    block's ``width`` values, so from about 3054 dB the path metrics
-    overflow; further out ``noise_sigma`` overflows or divides by zero.
+    block's ``width`` values, so a smaller sigma overflows the path metrics.
+    """
+    sigma = float(sigma)
+    power = sigma * sigma  # 0.0 if it underflows, so it is tested before the division
+    return 0.0 < sigma < math.inf and power > 0.0 and math.isfinite(2.0 / power * width)
+
+
+def _channel_in_range(ebno_db: float, info_rate: Fraction, width: int) -> bool:
+    """Whether :func:`_sigma_in_range` holds at ``ebno_db``.
+
+    From about 3054 dB the path metrics overflow; further out
+    ``noise_sigma`` overflows or divides by zero.
     """
     try:
-        sigma = noise_sigma(ebno_db, info_rate)
-        return math.isfinite(sigma) and math.isfinite(2.0 / (sigma * sigma) * width)
+        return _sigma_in_range(noise_sigma(ebno_db, info_rate), width)
     except (OverflowError, ZeroDivisionError):
         return False
-
-
-# Antipodal symbol of each bit value: +1 for 0, -1 for 1.
-_ANTIPODAL = np.array([1.0, -1.0])
 
 
 def _awgn(bits: np.ndarray, sigma: float, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -65,17 +70,21 @@ def _awgn(bits: np.ndarray, sigma: float, rng: np.random.Generator, out: np.ndar
     """
     rng.standard_normal(out=out)
     out *= sigma
-    out += _ANTIPODAL[bits]
+    out += antipodal(bits)
     out *= 2.0
     out /= sigma * sigma
     return out
 
 
 def transmit(bits, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """One block over the channel: y = (1-2b) + n, returned as 2y/sigma^2."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive; the noiseless case is sigma -> 0")
+    """One block over the channel: y = (1-2b) + n, returned as 2y/sigma^2.
+
+    Like :func:`run_bler`, it takes only a sigma that is finite and positive
+    and leaves 2/sigma^2 times the block's length finite.
+    """
     arr = as_bit_array(bits)
+    if not _sigma_in_range(sigma, arr.size):
+        raise ValueError(f"sigma must be finite and positive with 2/sigma^2 finite, got {sigma}")
     return _awgn(arr, sigma, rng, np.empty(arr.size))
 
 

@@ -16,13 +16,16 @@ from hrcc.coding import (
     add_tail,
     compose_punctures,
     conv_encode,
+    conv_encode_batch,
     depuncture,
     fire_check,
     fire_encode,
     parity20_check,
     parity20_encode,
     puncture,
+    puncture_batch,
     viterbi_decode,
+    viterbi_decode_batch,
 )
 
 from oracles import (
@@ -260,6 +263,12 @@ def test_puncture_length_mismatch():
         depuncture(PUNCTURE_P12, np.zeros(227))
 
 
+@pytest.mark.parametrize("shape", [(2, 500), (2, 455), (456,)])
+def test_puncture_batch_rejects_rows_of_the_wrong_width(shape):
+    with pytest.raises(ValueError, match="punctures rows of 456 bits"):
+        puncture_batch(PUNCTURE_P12, np.zeros(shape, dtype=np.uint8))
+
+
 def test_depuncture_restores_kept_positions_as_erasures():
     rng = np.random.default_rng(19)
     for pattern in (PUNCTURE_CS23, PUNCTURE_P12, PUNCTURE_P13, PUNCTURE_P23):
@@ -291,8 +300,6 @@ def test_viterbi_noiseless_roundtrip(code):
     rng = np.random.default_rng(21)
     msgs = rng.integers(0, 2, size=(1000, 224), dtype=np.uint8)
     tailed = np.concatenate([msgs, np.zeros((1000, 4), dtype=np.uint8)], axis=1)
-    from hrcc.coding import conv_encode_batch, viterbi_decode_batch
-
     coded = conv_encode_batch(code, tailed)
     decoded = viterbi_decode_batch(code, _perfect_soft(coded))
     assert np.array_equal(decoded, tailed)
@@ -310,6 +317,26 @@ def test_viterbi_rejects_inconsistent_length():
         viterbi_decode(CONV_RATE_12, np.zeros(457))
     with pytest.raises(ValueError):
         viterbi_decode(CONV_RATE_13, np.zeros(685))
+
+
+def test_conv_encode_batch_rejects_non_binary_input():
+    msgs = np.zeros((2, 20), dtype=np.uint8)
+    msgs[1, 3] = 2
+    with pytest.raises(ValueError, match="only contain 0 and 1"):
+        conv_encode_batch(CONV_RATE_12, msgs)
+
+
+def test_viterbi_decode_batch_rejects_a_single_row():
+    with pytest.raises(ValueError, match="one row per frame"):
+        viterbi_decode_batch(CONV_RATE_12, np.zeros(456))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_viterbi_decode_batch_rejects_non_finite_rows(bad):
+    soft = np.ones((3, 456))
+    soft[2] = bad
+    with pytest.raises(ValueError, match="soft values must be finite"):
+        viterbi_decode_batch(CONV_RATE_12, soft)
 
 
 def test_viterbi_matches_bruteforce_ml_sample():

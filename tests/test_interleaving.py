@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hrcc.bits import Burst, SubAllocation
+from hrcc.bits import Burst
 from hrcc.interleaving import (
     InterleaveMode,
     deinterleave,
@@ -11,7 +11,6 @@ from hrcc.interleaving import (
     interleave,
     interleave_batch,
     map_to_burst,
-    physical_burst_index,
 )
 
 
@@ -131,11 +130,3 @@ def test_demap_passes_received_soft_values_through():
     zero_burst = Burst(payload=np.zeros(114, dtype=np.uint8))
     assert (demap_burst(zero_burst) > 0).all()
 
-
-def test_physical_burst_index_realizes_the_suballoc_split():
-    assert physical_burst_index(0, SubAllocation.EVEN) == 0
-    assert physical_burst_index(1, SubAllocation.EVEN) == 2
-    assert physical_burst_index(0, SubAllocation.ODD) == 1
-    assert physical_burst_index(1, SubAllocation.ODD) == 3
-    with pytest.raises(ValueError):
-        physical_burst_index(2, SubAllocation.EVEN)

@@ -199,6 +199,15 @@ def test_branch_table_without_butterfly_symmetry_is_rejected():
         kernels.viterbi_batch_c(np.zeros((1, 20)), syms)
 
 
+@pytest.mark.skipif(kernels.viterbi_batch_c is None, reason="no compiled kernel")
+def test_compiled_kernel_rejects_rates_other_than_one_half_and_one_third():
+    # Four generators with D^0 and D^4 terms: butterfly-symmetric, but rate 1/4.
+    syms = _sym_table((0b11001, 0b11011, 0b10101, 0b11111))
+    assert syms.shape == (16, 2, 4)
+    with pytest.raises(ValueError, match="rates 1/2 and 1/3"):
+        kernels.viterbi_batch_c(np.zeros((1, 20)), syms)
+
+
 _SWEEP_SCRIPT = (
     "import sys\n"
     "from hrcc import kernels\n"

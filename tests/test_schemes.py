@@ -249,7 +249,9 @@ def test_composed_puncture_equals_the_paper_steps(scheme):
             row_soft = depuncture(pattern, row_soft)
         stepped_bits.append(row_bits)
         stepped_soft.append(row_soft)
-    assert np.array_equal(coding.puncture_batch(chain.puncture, bits), stepped_bits)
+    punctured = coding.puncture_batch(chain.puncture, bits)
+    assert np.array_equal(punctured, stepped_bits)
+    assert punctured.flags.c_contiguous  # the interleaver's gather reads it row by row
     assert np.array_equal(coding.depuncture_batch(chain.puncture, soft), stepped_soft)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,15 @@ def test_noise_sigma_normalizes_per_information_bit():
 def test_transmit_rejects_nonpositive_sigma():
     with pytest.raises(ValueError):
         transmit([0, 1], 0.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, 1e-200])
+def test_transmit_rejects_sigma_outside_the_channel_range(sigma):
+    # Unchecked, these gave all-NaN, NaN and +-inf soft values with a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            transmit([0, 1], sigma, np.random.default_rng(0))
 
 
 def test_transmit_sign_recovers_bits_in_the_low_noise_limit():
