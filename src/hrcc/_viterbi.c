@@ -223,3 +223,18 @@ int hrcc_viterbi(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width,
     free(back);
     return 0;
 }
+
+/* kernels.channel_np's numpy passes, in their order, in one loop: out holds
+ * (nframes, width) standard normals and column j carries bit columns[j] of a
+ * row of bits, which kernels.py checked.  No branch on b: random bits mispredict. */
+void hrcc_channel(double *out, ptrdiff_t nframes, ptrdiff_t width, const uint8_t *bits,
+                  ptrdiff_t in_width, const int32_t *columns, double sigma, double power)
+{
+    for (ptrdiff_t f = 0; f < nframes; f++, out += width, bits += in_width)
+        for (ptrdiff_t j = 0; j < width; j++) {
+            double v = out[j] * sigma;
+            v += 1.0 - 2.0 * bits[columns[j]];
+            v *= 2.0;
+            out[j] = v / power;
+        }
+}

@@ -256,6 +256,12 @@ def puncture_batch(pattern: PuncturePattern, bits: np.ndarray) -> np.ndarray:
 
 
 def depuncture_batch(pattern: PuncturePattern, softs: np.ndarray) -> np.ndarray:
+    """(frames, output_len) -> (frames, input_len), deleted bits as erasures (0.0)."""
+    softs = np.asarray(softs)
+    if softs.ndim != 2 or softs.shape[1] != pattern.output_len:
+        raise ValueError(
+            f"the pattern depunctures rows of {pattern.output_len} values, got shape {softs.shape}"
+        )
     out = np.zeros((softs.shape[0], pattern.input_len), dtype=np.float64)
     out[:, pattern.kept_indices] = softs
     return out

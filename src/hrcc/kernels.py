@@ -1,4 +1,4 @@
-"""Hot inner loops: convolutional encoding and Viterbi decoding.
+"""Hot inner loops: convolutional encoding, the channel and Viterbi decoding.
 
 The Viterbi decoder has two interchangeable kernels.  The fast one is the
 plain C file ``_viterbi.c`` next to this module: on first import the system
@@ -10,6 +10,11 @@ through ``ctypes``.  If there is no compiler, or the build or the load
 fails, ``viterbi_batch`` is the numpy kernel ``viterbi_batch_np``.
 ``BACKEND`` says which one runs: ``"c"`` or ``"numpy"``.  The numpy encoder
 is the only encoder.
+
+The library also holds the channel, ``hrcc_channel`` (``channel_c``): one
+loop that turns standard normals into soft values, each bit read through a
+column map, with the operations of ``channel_np``, its numpy reference and
+fallback, in their order.  ``channel`` is the one that runs.
 
 The library exports one decoder, ``hrcc_viterbi`` (``viterbi_batch_c``),
 which picks the body for each frame itself: where the CPU has AVX2, whole
@@ -63,6 +68,8 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+
+from .bits import antipodal
 
 # Stand-in for -inf that survives repeated branch-metric additions without
 # overflow; real metrics stay many orders of magnitude above it.
@@ -180,7 +187,7 @@ def _build(source: bytes, target: Path) -> None:
 
 
 def _load_c_library():
-    """(decoder, lanes) of the compiled kernel, building it if needed; (None, 0) on failure."""
+    """(decoder, channel, lanes) of the library, built if needed; (None, None, 0) on failure."""
     try:
         source = _C_SOURCE.read_bytes()
         digest = hashlib.sha256(source + " ".join(_C_FLAGS).encode()).hexdigest()
@@ -188,9 +195,9 @@ def _load_c_library():
         if not target.exists():
             _build(source, target)
         lib = ctypes.CDLL(str(target))
-        decoder, lanes = lib.hrcc_viterbi, lib.hrcc_viterbi_lanes
+        decoder, channel, lanes = lib.hrcc_viterbi, lib.hrcc_channel, lib.hrcc_viterbi_lanes
     except (OSError, AttributeError):  # no cc, failed build or load, missing symbol
-        return None, 0
+        return None, None, 0
     lanes.restype = ctypes.c_int
     lanes.argtypes = ()
     decoder.restype = ctypes.c_int
@@ -204,7 +211,12 @@ def _load_c_library():
         ctypes.c_void_p,  # sym
         ctypes.c_void_p,  # bits
     )
-    return decoder, lanes()
+    channel.restype = None
+    channel.argtypes = (  # out, nframes, width, bits, in_width, columns, sigma, power
+        ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_void_p,
+        ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
+    )
+    return decoder, channel, lanes()
 
 
 def _pinned(table: np.ndarray) -> tuple[np.ndarray, int]:
@@ -217,20 +229,27 @@ def _pinned(table: np.ndarray) -> tuple[np.ndarray, int]:
     return table, table.ctypes.data
 
 
-def _checked_map(source, in_width: int) -> tuple[np.ndarray, int]:
-    """``source`` as a pinned int32 map whose entries are -1 or columns of a row."""
+def _address(arr: np.ndarray) -> int:
+    """A C-ordered array's address; the buffer protocol costs a third of ``ndarray.ctypes``."""
+    if arr.flags.writeable and arr.size:  # the buffer protocol needs both
+        return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+    return arr.ctypes.data
+
+
+def _checked_map(source, in_width: int, lowest: int = -1) -> tuple[np.ndarray, int]:
+    """``source`` as a pinned int32 map whose entries are columns of a row, or ``lowest``."""
     source = np.asarray(source)
     if source.ndim != 1 or source.dtype.kind not in "iu":
         raise ValueError("a source map is a 1-D integer array")
-    return _valid_map(source.tobytes(), source.dtype.str, in_width)
+    return _valid_map(source.tobytes(), source.dtype.str, in_width, lowest)
 
 
 @lru_cache(maxsize=16)
-def _valid_map(raw: bytes, dtype: str, in_width: int) -> tuple[np.ndarray, int]:
+def _valid_map(raw: bytes, dtype: str, in_width: int, lowest: int) -> tuple[np.ndarray, int]:
     # Cached on the bytes: a chain decodes every batch through the same map.
     source = np.frombuffer(raw, dtype=dtype)
-    if source.size and (source.min() < -1 or source.max() >= in_width):
-        raise ValueError(f"source map entries must be -1 or columns of the {in_width}-value rows")
+    if source.size and (source.min() < lowest or source.max() >= in_width):
+        raise ValueError(f"source map entries must lie in [{lowest}, {in_width})")
     return _pinned(source.astype(np.int32))
 
 
@@ -250,7 +269,33 @@ def _butterfly_syms(raw: bytes, n_out: int) -> tuple[np.ndarray, int]:
     return _pinned(np.ascontiguousarray(syms[0::2, 0]))
 
 
-_decoder, LANES = _load_c_library()
+def _channel_operands(out: np.ndarray, bits, columns) -> tuple[np.ndarray, np.ndarray, int]:
+    """(bits as C-ordered uint8, pinned column map, its address), checked against ``out``."""
+    bits = np.ascontiguousarray(bits, dtype=np.uint8)  # at least 1-D
+    width = bits.shape[-1]
+    columns, at = _identity_map(width) if columns is None else _checked_map(columns, width, 0)
+    if not (bits.ndim == 2 and out.shape == (len(bits), columns.size) and out.dtype == np.float64
+            and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError(f"the channel fills a writable C-ordered float64 (frames, {columns.size}) "
+                         f"buffer from (frames, {width}) bits, not {out.shape} {out.dtype}")
+    return bits, columns, at
+
+
+def channel_np(out: np.ndarray, bits, sigma: float, columns=None) -> np.ndarray:
+    """Turn the standard normals z in ``out`` into 2y/sigma^2 for y = sigma*z + 1-2b; returns it.
+
+    Column j of ``out`` carries bit ``columns[j]`` of its row of ``bits``
+    (0/1 values), or bit j without a map; every entry must be a column.
+    """
+    bits, columns, _ = _channel_operands(out, bits, columns)
+    out *= sigma
+    out += antipodal(np.take(bits, columns, axis=1))
+    out *= 2.0
+    out /= sigma * sigma
+    return out
+
+
+_decoder, _channel, LANES = _load_c_library()
 BACKEND = "numpy" if _decoder is None else "c"
 
 
@@ -265,14 +310,24 @@ def viterbi_batch_c(soft: np.ndarray, syms: np.ndarray, source=None) -> np.ndarr
     sym, sym_at = _butterfly_syms(np.ascontiguousarray(syms, dtype=np.float64).tobytes(), n_out)
     bits = np.empty((nframes, source.size // n_out), dtype=np.uint8)
     # source and sym stay referenced here, so their addresses stay valid.
-    if _decoder(soft.ctypes.data, nframes, in_width, source_at, source.size, n_out, sym_at,
-                bits.ctypes.data):
+    if _decoder(_address(soft), nframes, in_width, source_at, source.size, n_out, sym_at,
+                _address(bits)):
         raise MemoryError("no memory for the Viterbi scratch buffer")
     return bits
 
 
+def channel_c(out: np.ndarray, bits, sigma: float, columns=None) -> np.ndarray:
+    """``channel_np`` in one compiled loop (``hrcc_channel``); the same doubles."""
+    bits, columns, columns_at = _channel_operands(out, bits, columns)
+    # columns stays referenced here, so its address stays valid.
+    _channel(_address(out), out.shape[0], out.shape[1], _address(bits), bits.shape[1],
+             columns_at, sigma, sigma * sigma)
+    return out
+
+
 if _decoder is None:
-    viterbi_batch_c = None
+    viterbi_batch_c = channel_c = None
 
 conv_encode_batch = conv_encode_batch_np
 viterbi_batch = viterbi_batch_c or viterbi_batch_np
+channel = channel_c or channel_np

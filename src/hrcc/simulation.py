@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import interleaving, schemes
-from .bits import antipodal, as_bit_array
+from . import interleaving, kernels, schemes
+from .bits import as_bit_array
 from .schemes import SchemeId
 
 DEFAULT_SEED = 12345
@@ -38,21 +38,22 @@ def noise_sigma(ebno_db: float, info_rate: Fraction | float) -> float:
 
 
 def _sigma_in_range(sigma: float, width: int) -> bool:
-    """Whether sigma is finite and positive and 2/sigma^2 times ``width`` is finite.
+    """Whether sigma is positive, sigma^2 a finite nonzero float and 2/sigma^2 x ``width`` finite.
 
     The receiver scales each value by 2/sigma^2 and the decoder sums a
-    block's ``width`` values, so a smaller sigma overflows the path metrics.
+    block's ``width`` values, so a smaller sigma overflows the path metrics;
+    a larger one overflows sigma^2, which erases every value, or sigma*z.
     """
     sigma = float(sigma)
     power = sigma * sigma  # 0.0 if it underflows, so it is tested before the division
-    return 0.0 < sigma < math.inf and power > 0.0 and math.isfinite(2.0 / power * width)
+    return sigma > 0.0 and 0.0 < power < math.inf and math.isfinite(2.0 / power * width)
 
 
 def _channel_in_range(ebno_db: float, info_rate: Fraction, width: int) -> bool:
     """Whether :func:`_sigma_in_range` holds at ``ebno_db``.
 
-    From about 3054 dB the path metrics overflow; further out
-    ``noise_sigma`` overflows or divides by zero.
+    From about 3054 dB the path metrics overflow, and below about -3082 dB
+    sigma^2 does; further out ``noise_sigma`` overflows or divides by zero.
     """
     try:
         return _sigma_in_range(noise_sigma(ebno_db, info_rate), width)
@@ -60,8 +61,12 @@ def _channel_in_range(ebno_db: float, info_rate: Fraction, width: int) -> bool:
         return False
 
 
-def _awgn(bits: np.ndarray, sigma: float, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` (shape of ``bits``) with 2y/sigma^2 for y = (1-2b) + n; returns it.
+def _awgn(bits: np.ndarray, sigma: float, rng: np.random.Generator, out: np.ndarray,
+          columns=None) -> np.ndarray:
+    """Fill ``out`` with 2y/sigma^2 for y = (1-2b) + n; returns it.
+
+    ``bits`` and ``out`` hold a row per frame.  Column j of ``out`` carries
+    bit ``columns[j]`` of its row, or bit j without a map.
 
     Same values as ``2.0 * ((1 - 2b) + rng.normal(0.0, sigma)) / sigma**2``:
     ``normal`` draws the same standard normals z and returns 0.0 + sigma*z,
@@ -69,23 +74,19 @@ def _awgn(bits: np.ndarray, sigma: float, rng: np.random.Generator, out: np.ndar
     lost once +-1 is added.
     """
     rng.standard_normal(out=out)
-    out *= sigma
-    out += antipodal(bits)
-    out *= 2.0
-    out /= sigma * sigma
-    return out
+    return kernels.channel(out, bits, sigma, columns)
 
 
 def transmit(bits, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """One block over the channel: y = (1-2b) + n, returned as 2y/sigma^2.
 
     Like :func:`run_bler`, it takes only a sigma that is finite and positive
-    and leaves 2/sigma^2 times the block's length finite.
+    and leaves sigma^2 and 2/sigma^2 times the block's length finite.
     """
     arr = as_bit_array(bits)
     if not _sigma_in_range(sigma, arr.size):
-        raise ValueError(f"sigma must be finite and positive with 2/sigma^2 finite, got {sigma}")
-    return _awgn(arr, sigma, rng, np.empty(arr.size))
+        raise ValueError(f"sigma must be finite and positive, sigma^2, 2/sigma^2 finite: {sigma}")
+    return _awgn(arr[np.newaxis], sigma, rng, np.empty((1, arr.size)))[0]
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,8 @@ def run_bler(
     kbits = schemes.message_bits(scheme)
     nbits = schemes.coded_bits(scheme)
     rate = schemes.info_rate(scheme)
-    mode = schemes.interleave_mode(scheme)
+    # The channel sends the encoder's blocks in burst order through this map.
+    columns = interleaving.sources(schemes.interleave_mode(scheme))
     # One channel buffer for every chunk: decode reads it in burst order and
     # is done with it before the next chunk overwrites it.
     channel = np.empty((min(_CHUNK_FRAMES, min_frames), nbits))
@@ -167,8 +169,7 @@ def run_bler(
             chunk = min(_CHUNK_FRAMES, min_frames - frames)
             msgs = rng.integers(0, 2, size=(chunk, kbits), dtype=np.uint8)
             coded = schemes.encode_blocks(scheme, msgs)
-            stream = interleaving.interleave_batch(mode, coded)
-            soft = _awgn(stream, sigma, rng, channel[:chunk])
+            soft = _awgn(coded, sigma, rng, channel[:chunk], columns)
             decoded, ok = schemes.decode_blocks(scheme, soft, interleaved=True)
             wrong = decoded != msgs
             err_flags = wrong.any(axis=1)

@@ -264,7 +264,7 @@ def test_bler_rejects_nan_ebno_without_writing_a_row(tmp_path, capsys):
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("ebno", ["3060", "3078", "3085", "-3300"])
+@pytest.mark.parametrize("ebno", ["3060", "3078", "3085", "-3200", "-3300"])
 def test_bler_rejects_ebno_outside_the_float_range(tmp_path, capsys, ebno):
     out_path = tmp_path / "edge.csv"
     code, out, err = run_cli(

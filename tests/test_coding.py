@@ -18,6 +18,7 @@ from hrcc.coding import (
     conv_encode,
     conv_encode_batch,
     depuncture,
+    depuncture_batch,
     fire_check,
     fire_encode,
     parity20_check,
@@ -267,6 +268,14 @@ def test_puncture_length_mismatch():
 def test_puncture_batch_rejects_rows_of_the_wrong_width(shape):
     with pytest.raises(ValueError, match="punctures rows of 456 bits"):
         puncture_batch(PUNCTURE_P12, np.zeros(shape, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (228,), (2, 229)])
+def test_depuncture_batch_rejects_rows_of_the_wrong_width(shape):
+    # Unchecked, numpy broadcast the first two into plausible (2, 456) and
+    # (228, 456) matrices.
+    with pytest.raises(ValueError, match="depunctures rows of 228 values"):
+        depuncture_batch(PUNCTURE_P12, np.ones(shape))
 
 
 def test_depuncture_restores_kept_positions_as_erasures():

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import hrcc
-from hrcc import kernels
+from hrcc import kernels, simulation
 from hrcc.coding import CONV_RATE_12, CONV_RATE_13, _sym_table, depuncture_batch
-from hrcc.interleaving import interleave_batch
+from hrcc.interleaving import interleave_batch, sources
 from hrcc.schemes import _CHAINS, SchemeId
 from hrcc.simulation import reports_to_csv, sweep
 
@@ -58,7 +58,7 @@ def test_kernel_source_builds_without_warnings_and_exports_one_decoder(tmp_path)
             ["nm", "-D", "--defined-only", str(library)], capture_output=True, text=True, check=True
         )
         defined = {line.split()[-1] for line in listing.stdout.splitlines() if line.strip()}
-        assert defined == {"hrcc_viterbi", "hrcc_viterbi_lanes"}
+        assert defined == {"hrcc_viterbi", "hrcc_viterbi_lanes", "hrcc_channel"}
 
 
 @pytest.mark.parametrize("code", CODES)
@@ -189,6 +189,66 @@ def test_out_of_range_source_maps_are_rejected(bad):
     for decode in filter(None, [kernels.viterbi_batch_np, kernels.viterbi_batch_c]):
         with pytest.raises(ValueError, match="source map"):
             decode(np.zeros((2, 228)), syms, np.array(bad))
+
+
+def _old_channel(z, bits, sigma, columns):
+    # The channel before the compiled loop: the interleaved stream's
+    # antipodal values added to sigma * z, doubled, divided by sigma^2.
+    stream = bits if columns is None else bits[:, columns]
+    return 2.0 * ((1.0 - 2.0 * stream) + sigma * z) / (sigma * sigma)
+
+
+@pytest.mark.parametrize("scheme", [None, *SchemeId])
+@pytest.mark.parametrize("nframes", [0, 1, 4, 513])
+@pytest.mark.parametrize("sigma", [2e-152, 0.8, 1.3e154])
+def test_channel_backends_give_the_old_channels_doubles(scheme, nframes, sigma):
+    # No scheme: 456-bit rows in order.  The sigmas sit near both ends of
+    # the range the simulation accepts for 456-value blocks.
+    assert simulation._sigma_in_range(sigma, 456)
+    columns = None if scheme is None else sources(_CHAINS[scheme].interleave)
+    width = 456 if columns is None else columns.size
+    rng = np.random.default_rng(nframes)
+    bits = rng.integers(0, 2, size=(nframes, width), dtype=np.uint8)
+    z = rng.standard_normal((nframes, width))
+    expect = _old_channel(z, bits, sigma, columns)
+    for channel in filter(None, [kernels.channel_np, kernels.channel_c]):
+        out = z.copy()
+        assert channel(out, bits, sigma, columns) is out
+        assert out.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("bad", [[0, 1, -1, 3], [0, 1, 4, 2], [[0, 1], [2, 3]], [0.0, 1.0, 2, 3]])
+def test_channel_rejects_maps_that_are_not_columns_of_the_bits(monkeypatch, bad):
+    calls = []
+    monkeypatch.setattr(kernels, "_channel", lambda *args: calls.append(args))
+    for channel in filter(None, [kernels.channel_np, kernels.channel_c]):
+        out = np.zeros((2, 4))
+        with pytest.raises(ValueError, match="source map"):
+            channel(out, np.ones((2, 4), dtype=np.uint8), 0.8, np.array(bad))
+        assert not out.any()
+    assert not calls  # rejected before C was called
+
+
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+@pytest.mark.parametrize("out, bits", [
+    (np.zeros((2, 5)), np.ones((2, 4), dtype=np.uint8)),  # wider than the map
+    (np.zeros((3, 4)), np.ones((2, 4), dtype=np.uint8)),  # more rows than bits
+    (np.zeros((2, 4), dtype=np.float32), np.ones((2, 4), dtype=np.uint8)),
+    (np.zeros((4, 2)).T, np.ones((2, 4), dtype=np.uint8)),  # not C-ordered
+    (_read_only(np.zeros((2, 4))), np.ones((2, 4), dtype=np.uint8)),
+    (np.zeros(4), np.ones(4, dtype=np.uint8)),  # not a batch
+])
+def test_channel_rejects_buffers_that_do_not_fit_the_bits(monkeypatch, out, bits):
+    calls = []
+    monkeypatch.setattr(kernels, "_channel", lambda *args: calls.append(args))
+    for channel in filter(None, [kernels.channel_np, kernels.channel_c]):
+        with pytest.raises(ValueError, match="the channel fills"):
+            channel(out, bits, 0.8)
+    assert not calls
 
 
 @pytest.mark.skipif(kernels.viterbi_batch_c is None, reason="no compiled kernel")

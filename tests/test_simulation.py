@@ -29,9 +29,11 @@ def test_transmit_rejects_nonpositive_sigma():
         transmit([0, 1], 0.0, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("sigma", [math.nan, math.inf, 1e-200])
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, 1e-200, 1e155, 1e308])
 def test_transmit_rejects_sigma_outside_the_channel_range(sigma):
-    # Unchecked, these gave all-NaN, NaN and +-inf soft values with a warning.
+    # Unchecked, these gave all-NaN, NaN and +-inf soft values with a warning;
+    # 1e155 overflowed sigma^2 into all +-0 values without one, and 1e308
+    # overflowed sigma*z into NaN.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="sigma must be finite and positive"):
@@ -72,11 +74,11 @@ def test_run_bler_rejects_non_finite_ebno(ebno):
         run_bler(SchemeId.M2_REDUCED, [4.0, ebno], min_frames=10)
 
 
-@pytest.mark.parametrize("ebno", [3060.0, 3078.0, 3085.0, -3300.0])
+@pytest.mark.parametrize("ebno", [3060.0, 3078.0, 3085.0, -3200.0, -3300.0])
 def test_run_bler_rejects_ebno_outside_the_float_range(monkeypatch, ebno):
     # Unchecked, 3060 dB overflowed the decoder's path metrics (BLER 1),
-    # 3078 dB the soft values, 3085 dB noise_sigma itself, and -3300 dB
-    # divided by zero in noise_sigma.
+    # 3078 dB the soft values, 3085 dB noise_sigma itself, -3200 dB sigma^2
+    # (every soft value +-0), and -3300 dB divided by zero in noise_sigma.
     encoded = []
     monkeypatch.setattr(schemes, "encode_blocks", lambda *args: encoded.append(args))
     with pytest.raises(ValueError, match="out of range"):
@@ -122,8 +124,10 @@ def test_run_bler_early_stop_on_error_quota():
     assert r.frames < 5000
 
 
-def _reference_channel(bits, sigma, rng, out):
+def _reference_channel(bits, sigma, rng, out, columns=None):
     # The channel as first written: fresh arrays and Generator.normal.
+    if columns is not None:
+        bits = bits[:, columns]
     symbols = 1.0 - 2.0 * bits.astype(np.float64)
     noisy = symbols + rng.normal(0.0, sigma, size=symbols.shape)
     return 2.0 * noisy / (sigma * sigma)
