@@ -72,6 +72,11 @@ def _read_block_arg(value: str) -> np.ndarray:
     return from_hex(value)
 
 
+# Options a config file may set, by destination; other commands' keys are ignored.
+_CONFIG_KEYS = frozenset(("scheme", "ebno", "frames", "errors", "seed", "output", "msg", "block",
+                         "config", "mode", "value", "mnc_len", "m2m_mnc"))
+
+
 def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
@@ -87,30 +92,6 @@ def _load_config_file(path: str) -> dict[str, str]:
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}") from None
     return values
-
-
-def _merge_config(args: argparse.Namespace, file_values: dict[str, str]) -> None:
-    """Fill unset flags from the config file (flags always win)."""
-    converters = {
-        "scheme": str,
-        "ebno": str,
-        "frames": int,
-        "errors": int,
-        "seed": int,
-        "output": str,
-        "msg": str,
-        "block": str,
-        "config": str,
-        "mode": str,
-        "value": str,
-        "mnc_len": int,
-        "m2m_mnc": str,
-    }
-    for key, raw in file_values.items():
-        if key not in converters:
-            raise CliError(f"unknown config key {key!r}")
-        if getattr(args, key, None) is None and hasattr(args, key):
-            setattr(args, key, converters[key](raw))
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -139,22 +120,20 @@ def _cmd_decode(args) -> int:
 def _cmd_roundtrip(args) -> int:
     _require(args, "scheme")
     scheme = scheme_from_name(args.scheme)
-    frames = args.frames if args.frames is not None else 1000
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    if frames < 1:
+    if args.frames < 1:
         raise CliError("--frames must be at least 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     mode = interleave_mode(scheme)
     kbits = message_bits(scheme)
     errors = 0
     # Batches of at most one simulation chunk bound the memory per batch.
-    for done in range(0, frames, simulation._CHUNK_FRAMES):
-        msgs = rng.integers(0, 2, size=(min(simulation._CHUNK_FRAMES, frames - done), kbits),
+    for done in range(0, args.frames, simulation._CHUNK_FRAMES):
+        msgs = rng.integers(0, 2, size=(min(simulation._CHUNK_FRAMES, args.frames - done), kbits),
                             dtype=np.uint8)
         stream = interleaving.interleave_batch(mode, encode_blocks(scheme, msgs))
         decoded, ok = decode_blocks(scheme, antipodal(stream), interleaved=True)
         errors += int((~ok | (decoded != msgs).any(axis=1)).sum())
-    print(f"frames={frames}")
+    print(f"frames={args.frames}")
     print(f"errors={errors}")
     return 0 if errors == 0 else 1
 
@@ -170,9 +149,9 @@ def _cmd_bler(args) -> int:
     reports = simulation.sweep(
         scheme_list,
         points,
-        min_frames=args.frames if args.frames is not None else DEFAULT_MIN_FRAMES,
-        min_errors=args.errors if args.errors is not None else DEFAULT_MIN_ERRORS,
-        seed=args.seed if args.seed is not None else DEFAULT_SEED,
+        min_frames=args.frames,
+        min_errors=args.errors,
+        seed=args.seed,
     )
     csv_text = simulation.reports_to_csv(reports)
     if args.output:
@@ -263,8 +242,7 @@ def _cmd_msg(args) -> int:
 
 def _cmd_imsi(args) -> int:
     _require(args, "value")
-    mnc_len = args.mnc_len if args.mnc_len is not None else 3
-    imsi = messages.parse_imsi(args.value, mnc_len)
+    imsi = messages.parse_imsi(args.value, args.mnc_len)
     m2m = {m.strip() for m in (args.m2m_mnc or "").split(",") if m.strip()}
     capable = messages.is_halfrate_capable(imsi, m2m)
     print(f"mcc={imsi.mcc}")
@@ -284,7 +262,8 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and each command's subparser, which states its options' types and defaults."""
     parser = argparse.ArgumentParser(
         prog="hrcc",
         description="Half-rate control-channel codecs, capacity reports and AWGN sweeps.",
@@ -304,16 +283,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roundtrip", help="zero-noise encode/interleave/decode identity check")
     p.add_argument("--scheme")
-    p.add_argument("--frames", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--frames", type=int, default=1000, help="frames (default %(default)s)")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed (default %(default)s)")
     p.set_defaults(func=_cmd_roundtrip)
 
     p = sub.add_parser("bler", help="Monte Carlo AWGN sweep, CSV output")
     p.add_argument("--scheme", help="comma-separated scheme names")
     p.add_argument("--ebno", help="Eb/N0 points: start:step:stop or comma list")
-    p.add_argument("--frames", type=int, help=f"frame floor per point (default {DEFAULT_MIN_FRAMES})")
-    p.add_argument("--errors", type=int, help=f"early-stop error count (default {DEFAULT_MIN_ERRORS})")
-    p.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
+    p.add_argument("--frames", type=int, default=DEFAULT_MIN_FRAMES,
+                   help="frame floor per point (default %(default)s)")
+    p.add_argument("--errors", type=int, default=DEFAULT_MIN_ERRORS,
+                   help="early-stop error count (default %(default)s)")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="master seed (default %(default)s)")
     p.add_argument("--output", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_bler)
 
@@ -331,22 +313,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("imsi", help="split an IMSI and classify the terminal")
     p.add_argument("--value", help="15-digit IMSI")
-    p.add_argument("--mnc-len", dest="mnc_len", type=int, choices=(2, 3))
+    p.add_argument("--mnc-len", dest="mnc_len", type=int, choices=(2, 3), default=3,
+                   help="MNC digits (default %(default)s)")
     p.add_argument("--m2m-mnc", dest="m2m_mnc", help="comma-separated half-rate capable MNCs")
     p.set_defaults(func=_cmd_imsi)
 
     p = sub.add_parser("info", help="package version, kernel backend and machine")
     p.set_defaults(func=_cmd_info)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.config_file:
-            _merge_config(args, _load_config_file(args.config_file))
+            values = _load_config_file(args.config_file)
+            for key in values:
+                if key not in _CONFIG_KEYS:
+                    raise CliError(f"unknown config key {key!r}")
+            # Each value becomes its flag's default, parsed by the flag's type; flags still win.
+            commands[args.command].set_defaults(
+                **{k: v for k, v in values.items() if hasattr(args, k)})
+            args = parser.parse_args(argv)
         return args.func(args)
     except (CliError, HexFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -169,9 +169,6 @@ def viterbi_decode_batch(code: ConvCode, softs: np.ndarray, source=None) -> np.n
         raise ValueError(f"a soft batch has one row per frame, got shape {softs.shape}")
     if not np.isfinite(softs).all():
         raise ValueError("soft values must be finite")
-    width = softs.shape[1] if source is None else len(source)
-    if width % code.n_out:
-        raise ValueError(f"soft length {width} is not a multiple of {code.n_out}")
     return kernels.viterbi_batch(softs, _sym_table(code.generators), source)
 
 

@@ -69,7 +69,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bits import antipodal
+from .bits import antipodal, binary_uint8
 
 # Stand-in for -inf that survives repeated branch-metric additions without
 # overflow; real metrics stay many orders of magnitude above it.
@@ -122,7 +122,7 @@ def viterbi_batch_np(soft: np.ndarray, syms: np.ndarray, source=None) -> np.ndar
     soft = np.ascontiguousarray(soft)
     nframes, width = soft.shape
     n_out = syms.shape[2]
-    nsteps = width // n_out
+    nsteps = _steps(width, n_out)
 
     dest = np.arange(16)
     b_in = dest >> 3
@@ -154,6 +154,12 @@ def viterbi_batch_np(soft: np.ndarray, syms: np.ndarray, source=None) -> np.ndar
         bits[:, t] = state >> 3
         state = ((state & 7) << 1) | back[t, rows, state]
     return bits
+
+
+def _steps(width: int, n_out: int) -> int:
+    if width % n_out:
+        raise ValueError(f"soft length {width} is not a multiple of {n_out}")
+    return width // n_out
 
 
 def _cache_dir() -> Path:
@@ -211,7 +217,7 @@ def _load_c_library():
         ctypes.c_void_p,  # sym
         ctypes.c_void_p,  # bits
     )
-    channel.restype = None
+    channel.restype = ctypes.c_int
     channel.argtypes = (  # out, nframes, width, bits, in_width, columns, sigma, power
         ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_void_p,
         ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
@@ -271,7 +277,8 @@ def _butterfly_syms(raw: bytes, n_out: int) -> tuple[np.ndarray, int]:
 
 def _channel_operands(out: np.ndarray, bits, columns) -> tuple[np.ndarray, np.ndarray, int]:
     """(bits as C-ordered uint8, pinned column map, its address), checked against ``out``."""
-    bits = np.ascontiguousarray(bits, dtype=np.uint8)  # at least 1-D
+    bits = np.asarray(bits)  # uint8 bits are checked by each backend as it reads them
+    bits = np.ascontiguousarray(bits if bits.dtype == np.uint8 else binary_uint8(bits))  # >= 1-D
     width = bits.shape[-1]
     columns, at = _identity_map(width) if columns is None else _checked_map(columns, width, 0)
     if not (bits.ndim == 2 and out.shape == (len(bits), columns.size) and out.dtype == np.float64
@@ -285,11 +292,11 @@ def channel_np(out: np.ndarray, bits, sigma: float, columns=None) -> np.ndarray:
     """Turn the standard normals z in ``out`` into 2y/sigma^2 for y = sigma*z + 1-2b; returns it.
 
     Column j of ``out`` carries bit ``columns[j]`` of its row of ``bits``
-    (0/1 values), or bit j without a map; every entry must be a column.
+    (0/1 values, else ValueError), or bit j without a map; every entry must be a column.
     """
     bits, columns, _ = _channel_operands(out, bits, columns)
     out *= sigma
-    out += antipodal(np.take(bits, columns, axis=1))
+    out += antipodal(binary_uint8(np.take(bits, columns, axis=1)))
     out *= 2.0
     out /= sigma * sigma
     return out
@@ -308,7 +315,7 @@ def viterbi_batch_c(soft: np.ndarray, syms: np.ndarray, source=None) -> np.ndarr
     )
     n_out = syms.shape[2]
     sym, sym_at = _butterfly_syms(np.ascontiguousarray(syms, dtype=np.float64).tobytes(), n_out)
-    bits = np.empty((nframes, source.size // n_out), dtype=np.uint8)
+    bits = np.empty((nframes, _steps(source.size, n_out)), dtype=np.uint8)
     # source and sym stay referenced here, so their addresses stay valid.
     if _decoder(_address(soft), nframes, in_width, source_at, source.size, n_out, sym_at,
                 _address(bits)):
@@ -320,8 +327,9 @@ def channel_c(out: np.ndarray, bits, sigma: float, columns=None) -> np.ndarray:
     """``channel_np`` in one compiled loop (``hrcc_channel``); the same doubles."""
     bits, columns, columns_at = _channel_operands(out, bits, columns)
     # columns stays referenced here, so its address stays valid.
-    _channel(_address(out), out.shape[0], out.shape[1], _address(bits), bits.shape[1],
-             columns_at, sigma, sigma * sigma)
+    if _channel(_address(out), out.shape[0], out.shape[1], _address(bits), bits.shape[1],
+                columns_at, sigma, sigma * sigma):
+        raise ValueError("bit block may only contain 0 and 1")
     return out
 
 

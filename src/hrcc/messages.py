@@ -43,7 +43,7 @@ def parse_imsi(digits: str, mnc_len: int) -> Imsi:
     """
     if mnc_len not in (2, 3):
         raise ValueError("mnc_len must be 2 or 3")
-    if len(digits) != IMSI_DIGITS or not digits.isdigit():
+    if len(digits) != IMSI_DIGITS or not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"IMSI must be exactly {IMSI_DIGITS} decimal digits")
     msin = digits[MCC_DIGITS + mnc_len :]
     if not MSIN_MIN_DIGITS <= len(msin) <= MSIN_MAX_DIGITS:

@@ -14,6 +14,7 @@ channels.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -56,7 +57,7 @@ class LogicalChannelId:
     suballoc: SubAllocation | None = None
 
     def validate(self, cfg: MultiframeConfig) -> None:
-        if not 0 <= self.subchannel < cfg.config.subchannels:
+        if not 0 <= operator.index(self.subchannel) < cfg.config.subchannels:
             raise ValueError(
                 f"{cfg.config.value} has sub-channels 0..{cfg.config.subchannels - 1}"
             )

@@ -234,6 +234,66 @@ def test_config_file_provides_defaults_and_flags_win(tmp_path, capsys):
     assert "frames=10" in out  # explicit flag overrides the file
 
 
+def test_config_values_go_through_each_flags_type(tmp_path, capsys):
+    cfg = tmp_path / "bler.cfg"
+    cfg.write_text("scheme=m2-reduced\nebno=30,40\nframes=5\nerrors=3\nseed=7\n")
+    code, from_file, _ = run_cli(capsys, "--config-file", str(cfg), "bler")
+    assert code == 0
+    code, from_flags, _ = run_cli(
+        capsys, "bler", "--scheme", "m2-reduced", "--ebno", "30,40", "--frames", "5",
+        "--errors", "3", "--seed", "7",
+    )
+    assert code == 0 and from_file == from_flags
+
+
+def test_config_value_of_the_wrong_type_exits_2_without_a_traceback(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scheme=m2-reduced\nframes=abc\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--config-file", str(cfg), "roundtrip"])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert "argument --frames: invalid int value: 'abc'" in captured.err
+    assert "Traceback" not in captured.err
+    # An explicit flag wins, so the file's value is never parsed.
+    code, out, _ = run_cli(capsys, "--config-file", str(cfg), "roundtrip", "--frames", "10")
+    assert (code, out) == (0, "frames=10\nerrors=0\n")
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scheme=m2-reduced\nframe=20\n")
+    code, out, err = run_cli(capsys, "--config-file", str(cfg), "roundtrip")
+    assert (code, out, err) == (2, "", "error: unknown config key 'frame'\n")
+
+
+def test_config_keys_of_other_commands_are_ignored(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    # errors and mnc_len belong to bler and imsi; not even their types are checked here.
+    cfg.write_text("scheme=m2-reduced\nframes=20\nmode=modified\nerrors=abc\nmnc_len=x\n")
+    code, out, err = run_cli(capsys, "--config-file", str(cfg), "roundtrip")
+    assert (code, out, err) == (0, "frames=20\nerrors=0\n", "")
+
+
+@pytest.mark.parametrize("command, defaults", [
+    ("bler", ["5000", "100", "12345"]),
+    ("roundtrip", ["1000", "12345"]),
+])
+def test_help_shows_the_defaults(capsys, command, defaults):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert exit_info.value.code == 0
+    for value in defaults:
+        assert f"(default {value})" in out
+
+
+def test_imsi_command_rejects_digits_outside_ascii(capsys):
+    code, out, err = run_cli(capsys, "imsi", "--value", "\u00b2" * 15)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_error_paths_exit_nonzero_with_a_diagnostic(capsys):
     cases = [
         ("roundtrip", "--scheme", "bogus"),

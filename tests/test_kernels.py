@@ -229,6 +229,29 @@ def test_channel_rejects_maps_that_are_not_columns_of_the_bits(monkeypatch, bad)
     assert not calls  # rejected before C was called
 
 
+@pytest.mark.parametrize("bad", [np.uint8(2), np.uint8(255), 0.5, 3.0])
+@pytest.mark.parametrize("scheme", [None, SchemeId.M2_REDUCED])
+def test_channel_backends_reject_bits_that_are_not_zero_or_one(scheme, bad):
+    columns = None if scheme is None else sources(_CHAINS[scheme].interleave)
+    width = 456 if columns is None else columns.size
+    bits = np.zeros((3, width), dtype=np.asarray(bad).dtype)
+    bits[2, width - 1] = bad
+    for channel in filter(None, [kernels.channel_np, kernels.channel_c]):
+        with pytest.raises(ValueError, match="only contain 0 and 1"):
+            channel(np.zeros((3, width)), bits, 0.8, columns)
+
+
+@pytest.mark.parametrize("code, width", [(CONV_RATE_12, 9), (CONV_RATE_13, 10), (CONV_RATE_13, 8)])
+def test_kernels_reject_a_partial_trellis_step(code, width):
+    syms = _sym_table(code.generators)
+    message = f"soft length {width} is not a multiple of {code.n_out}"
+    for decode in filter(None, [kernels.viterbi_batch_np, kernels.viterbi_batch_c]):
+        with pytest.raises(ValueError, match=message):
+            decode(np.zeros((1, width)), syms)
+        with pytest.raises(ValueError, match=message):  # a source map of `width` entries
+            decode(np.zeros((1, 12)), syms, np.arange(width) % 12)
+
+
 def _read_only(arr):
     arr.flags.writeable = False
     return arr

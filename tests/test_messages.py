@@ -39,6 +39,10 @@ def test_parse_imsi_rejects_bad_input():
         parse_imsi("2620112345678901", mnc_len=3)  # 16 digits
     with pytest.raises(ValueError):
         parse_imsi("26201123456789x", mnc_len=3)
+    # str.isdigit accepts superscripts and other scripts' digits.
+    for digits in ("\u00b2" * 15, "262" + "\u0661" * 12, "262011234567\uff1890"):
+        with pytest.raises(ValueError, match="decimal digits"):
+            parse_imsi(digits, mnc_len=3)
     with pytest.raises(ValueError):
         parse_imsi("262011234567890", mnc_len=4)
 

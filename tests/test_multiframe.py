@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from hrcc.bits import SubAllocation
@@ -123,6 +124,10 @@ def test_channel_validation():
     modified = MultiframeConfig(ChannelConfig.SDCCH4, FrameMode.MODIFIED)
     with pytest.raises(ValueError):
         bursts_for(modified, LogicalChannelId(ChannelKind.SDCCH, 0))
+    with pytest.raises(TypeError):
+        bursts_for(cfg, LogicalChannelId(ChannelKind.SDCCH, 1.5))
+    one = LogicalChannelId(ChannelKind.SDCCH, np.int64(1))  # numpy integers still pass
+    assert bursts_for(cfg, one) == bursts_for(cfg, LogicalChannelId(ChannelKind.SDCCH, 1)) != []
 
 
 def test_callers_get_their_own_lists():
