@@ -38,6 +38,15 @@ def binary_uint8(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def rows(values, width: int | None, what: str, dtype=None) -> np.ndarray:
+    """``values`` as one row per frame, ``width`` (None: any) values each; else ValueError."""
+    arr = np.asarray(values, dtype)
+    if arr.ndim != 2 or (width is not None and arr.shape[1] != width):
+        size = "any number of" if width is None else width
+        raise ValueError(f"{what} rows of {size} values, one row per frame; got shape {arr.shape}")
+    return arr
+
+
 def antipodal(bits) -> np.ndarray:
     """uint8 0/1 bits as noiseless soft values: +1.0 for bit 0, -1.0 for bit 1."""
     return _ANTIPODAL[bits]
@@ -82,7 +91,11 @@ def to_hex(bits) -> str:
 
 
 def from_hex(text: str) -> np.ndarray:
-    """Parse a "LEN:HEX" string produced by :func:`to_hex`."""
+    """Parse a "LEN:HEX" string produced by :func:`to_hex`.
+
+    LEN is ASCII decimal digits and HEX two ASCII hex digits per octet, in
+    either case; only whitespace around the whole string is ignored.
+    """
     head, sep, body = text.strip().partition(":")
     if not sep:
         raise HexFormatError("missing ':' between bit count and hex payload")
@@ -90,12 +103,15 @@ def from_hex(text: str) -> np.ndarray:
         nbits = int(head, 10)
     except ValueError:
         raise HexFormatError(f"bad bit count {head!r}") from None
-    if nbits <= 0:
-        raise HexFormatError("bit count must be positive")
+    # int() also takes a sign, underscores, spaces and non-ASCII digits.
+    if nbits <= 0 or not (head.isascii() and head.isdigit()):
+        raise HexFormatError(f"bit count must be a positive decimal number, got {head!r}")
     try:
         data = bytes.fromhex(body)
     except ValueError:
         raise HexFormatError(f"bad hex payload {body!r}") from None
+    if not body.isalnum():  # bytes.fromhex also skips spaces between octets
+        raise HexFormatError(f"bad hex payload {body!r}")
     if len(data) != (nbits + 7) // 8:
         raise HexFormatError(
             f"{nbits} bits need {(nbits + 7) // 8} octets, got {len(data)}"

@@ -66,6 +66,15 @@ def parse_ebno_spec(spec: str) -> list[float]:
         raise CliError(f"bad Eb/N0 list {spec!r}") from None
 
 
+def seed(text: str) -> int:
+    """The argparse type of every --seed: an integer in [0, 2**64)."""
+    value = int(text)  # argparse reports a ValueError here as "invalid seed value"
+    try:
+        return simulation.check_seed(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _read_block_arg(value: str) -> np.ndarray:
     if value == "-":
         value = sys.stdin.readline()
@@ -284,7 +293,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("roundtrip", help="zero-noise encode/interleave/decode identity check")
     p.add_argument("--scheme")
     p.add_argument("--frames", type=int, default=1000, help="frames (default %(default)s)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed (default %(default)s)")
+    p.add_argument("--seed", type=seed, default=DEFAULT_SEED, help="seed (default %(default)s)")
     p.set_defaults(func=_cmd_roundtrip)
 
     p = sub.add_parser("bler", help="Monte Carlo AWGN sweep, CSV output")
@@ -294,7 +303,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="frame floor per point (default %(default)s)")
     p.add_argument("--errors", type=int, default=DEFAULT_MIN_ERRORS,
                    help="early-stop error count (default %(default)s)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p.add_argument("--seed", type=seed, default=DEFAULT_SEED,
                    help="master seed (default %(default)s)")
     p.add_argument("--output", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_bler)

@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import kernels
-from .bits import antipodal, as_bit_array, as_soft_array, binary_uint8
+from .bits import antipodal, as_bit_array, as_soft_array, binary_uint8, rows
 
 CONSTRAINT_LENGTH = 5
 TAIL_BITS = 4
@@ -54,12 +54,12 @@ def _parity_matrix(k: int, generator: int, r: int) -> np.ndarray:
     holds every integer below 2**24 exactly, so the product is exact in any
     summation order.
     """
-    rows = np.zeros((k, r), dtype=np.float32)
+    matrix = np.zeros((k, r), dtype=np.float32)
     for i in range(k):
         rem = poly_remainder(1 << (k - 1 - i + r), generator)
-        rows[i] = [(rem >> (r - 1 - j)) & 1 for j in range(r)]
-    rows.flags.writeable = False
-    return rows
+        matrix[i] = [(rem >> (r - 1 - j)) & 1 for j in range(r)]
+    matrix.flags.writeable = False
+    return matrix
 
 
 FIRE_MATRIX = _parity_matrix(FULL_MESSAGE_BITS, FIRE_POLY, FIRE_PARITY_BITS)
@@ -164,11 +164,6 @@ def conv_encode(code: ConvCode, msg) -> np.ndarray:
 
 def viterbi_decode_batch(code: ConvCode, softs: np.ndarray, source=None) -> np.ndarray:
     """Decode a soft batch; ``source`` maps a punctured batch (see ``kernels``)."""
-    softs = np.asarray(softs, dtype=np.float64)
-    if softs.ndim != 2:
-        raise ValueError(f"a soft batch has one row per frame, got shape {softs.shape}")
-    if not np.isfinite(softs).all():
-        raise ValueError("soft values must be finite")
     return kernels.viterbi_batch(softs, _sym_table(code.generators), source)
 
 
@@ -244,21 +239,13 @@ def depuncture(pattern: PuncturePattern, soft) -> np.ndarray:
 
 def puncture_batch(pattern: PuncturePattern, bits: np.ndarray) -> np.ndarray:
     """(frames, input_len) -> (frames, output_len), C-ordered."""
-    bits = np.asarray(bits)
-    if bits.ndim != 2 or bits.shape[1] != pattern.input_len:
-        raise ValueError(
-            f"the pattern punctures rows of {pattern.input_len} bits, got shape {bits.shape}"
-        )
+    bits = rows(bits, pattern.input_len, "the pattern punctures")
     return np.take(bits, pattern.kept_indices, axis=1)
 
 
 def depuncture_batch(pattern: PuncturePattern, softs: np.ndarray) -> np.ndarray:
     """(frames, output_len) -> (frames, input_len), deleted bits as erasures (0.0)."""
-    softs = np.asarray(softs)
-    if softs.ndim != 2 or softs.shape[1] != pattern.output_len:
-        raise ValueError(
-            f"the pattern depunctures rows of {pattern.output_len} values, got shape {softs.shape}"
-        )
+    softs = rows(softs, pattern.output_len, "the pattern depunctures")
     out = np.zeros((softs.shape[0], pattern.input_len), dtype=np.float64)
     out[:, pattern.kept_indices] = softs
     return out

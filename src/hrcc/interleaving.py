@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bits import BURST_PAYLOAD_BITS, Burst, antipodal, as_bit_array, as_soft_array
+from .bits import BURST_PAYLOAD_BITS, Burst, antipodal, as_bit_array, as_soft_array, rows
 
 
 class InterleaveMode(Enum):
@@ -72,23 +72,14 @@ def deinterleave(mode: InterleaveMode, subs) -> np.ndarray:
     return deinterleave_batch(mode, stream[np.newaxis, :])[0]
 
 
-def _permute_columns(mode: InterleaveMode, batch, index: np.ndarray) -> np.ndarray:
-    batch = np.asarray(batch)
-    if batch.ndim != 2 or batch.shape[1] != mode.block_bits:
-        raise ValueError(
-            f"{mode.value} permutes rows of {mode.block_bits} values, got shape {batch.shape}"
-        )
-    return np.take(batch, index, axis=1)
-
-
 def interleave_batch(mode: InterleaveMode, blocks: np.ndarray) -> np.ndarray:
     """(frames, block_bits) -> same shape, C-ordered, columns in burst-payload order."""
-    return _permute_columns(mode, blocks, _SOURCE[mode])
+    return np.take(rows(blocks, mode.block_bits, f"{mode.value} permutes"), _SOURCE[mode], axis=1)
 
 
 def deinterleave_batch(mode: InterleaveMode, streams: np.ndarray) -> np.ndarray:
     """Exact inverse of :func:`interleave_batch`; the result is C-ordered."""
-    return _permute_columns(mode, streams, _DEST[mode])
+    return np.take(rows(streams, mode.block_bits, f"{mode.value} permutes"), _DEST[mode], axis=1)
 
 
 def map_to_burst(sub) -> Burst:

@@ -36,7 +36,8 @@ batch is decoded without first being widened with zeros.  A map may also
 read the columns in any order: a chain's stream map reads a block in burst
 order, so the decoder deinterleaves as it reads.  Without a map the
 columns are read in order.  Maps are bounds-checked here, before any
-pointer reaches C.
+pointer reaches C, and both decoders reject a soft batch that is not one
+row per frame or holds a NaN or infinite value, with a ValueError.
 
 All decoders give bit-identical outputs.  The C kernel works one
 butterfly at a time: destinations i and i+8 share the predecessors 2i and
@@ -69,7 +70,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bits import antipodal, binary_uint8
+from .bits import antipodal, binary_uint8, rows
 
 # Stand-in for -inf that survives repeated branch-metric additions without
 # overflow; real metrics stay many orders of magnitude above it.
@@ -86,7 +87,7 @@ def conv_encode_batch_np(msgs: np.ndarray, taps: np.ndarray) -> np.ndarray:
     shift register starts all-zero.  Output columns interleave the n
     streams: y0[0], y1[0], ..., y0[1], ...
     """
-    msgs = np.ascontiguousarray(msgs, dtype=np.uint8)
+    msgs = np.ascontiguousarray(rows(msgs, None, "the convolutional encoder takes", np.uint8))
     nframes, nbits = msgs.shape
     n_out = taps.shape[0]
     out = np.zeros((nframes, nbits * n_out), dtype=np.uint8)
@@ -112,14 +113,11 @@ def viterbi_batch_np(soft: np.ndarray, syms: np.ndarray, source=None) -> np.ndar
     which is decoded as an erasure (+0.0).  The map's length is then the
     mother code's width, n*steps.
     """
-    soft = np.asarray(soft, dtype=np.float64)
+    soft = _soft_rows(soft)
     if source is not None:
         source, _ = _checked_map(source, soft.shape[1])
         # -1 picks the appended column of zeros.
-        padded = np.zeros((soft.shape[0], soft.shape[1] + 1))
-        padded[:, :-1] = soft
-        soft = padded[:, source]
-    soft = np.ascontiguousarray(soft)
+        soft = np.pad(soft, ((0, 0), (0, 1)))[:, source]
     nframes, width = soft.shape
     n_out = syms.shape[2]
     nsteps = _steps(width, n_out)
@@ -149,11 +147,19 @@ def viterbi_batch_np(soft: np.ndarray, syms: np.ndarray, source=None) -> np.ndar
 
     bits = np.empty((nframes, nsteps), dtype=np.uint8)
     state = np.zeros(nframes, dtype=np.int64)
-    rows = np.arange(nframes)
+    frames = np.arange(nframes)
     for t in range(nsteps - 1, -1, -1):
         bits[:, t] = state >> 3
-        state = ((state & 7) << 1) | back[t, rows, state]
+        state = ((state & 7) << 1) | back[t, frames, state]
     return bits
+
+
+def _soft_rows(soft) -> np.ndarray:
+    """A decoder's soft batch as C-ordered float64 rows; ValueError unless all finite."""
+    soft = np.ascontiguousarray(rows(soft, None, "the Viterbi decoder reads", np.float64))
+    if not np.isfinite(soft).all():
+        raise ValueError("soft values must be finite")
+    return soft
 
 
 def _steps(width: int, n_out: int) -> int:
@@ -308,7 +314,7 @@ BACKEND = "numpy" if _decoder is None else "c"
 
 def viterbi_batch_c(soft: np.ndarray, syms: np.ndarray, source=None) -> np.ndarray:
     """Rates 1/2 and 1/3 of ``viterbi_batch_np`` in compiled C (``hrcc_viterbi``); the same bits."""
-    soft = np.ascontiguousarray(soft, dtype=np.float64)
+    soft = _soft_rows(soft)
     nframes, in_width = soft.shape
     source, source_at = (
         _identity_map(in_width) if source is None else _checked_map(source, in_width)

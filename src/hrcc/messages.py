@@ -7,6 +7,7 @@ with the "LEN:HEX" notation used everywhere else.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,13 +76,14 @@ class ChannelAssignment:
     suballoc: SubAllocation
 
     def __post_init__(self):
-        if not 0 <= self.channel_type < 32:
+        # operator.index: a TypeError here, not in the encoder's shifts, for a float.
+        if not 0 <= operator.index(self.channel_type) < 32:
             raise ValueError("channel_type is a 5-bit field")
-        if not 0 <= self.timeslot < 8:
+        if not 0 <= operator.index(self.timeslot) < 8:
             raise ValueError("timeslot must be 0..7")
-        if not 0 <= self.training_seq < 8:
+        if not 0 <= operator.index(self.training_seq) < 8:
             raise ValueError("training_seq must be 0..7")
-        if not 0 <= self.arfcn < 1024:
+        if not 0 <= operator.index(self.arfcn) < 1024:
             raise ValueError("arfcn must be 0..1023")
 
 

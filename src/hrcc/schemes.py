@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import coding
-from .bits import as_bit_array, as_soft_array
+from .bits import as_bit_array, as_soft_array, rows
 from .coding import (
     CONV_RATE_12,
     CONV_RATE_13,
@@ -146,12 +146,7 @@ class DecodeOutcome:
 def encode_blocks(scheme: SchemeId, msgs: np.ndarray) -> np.ndarray:
     """Encode a (frames, message_bits) batch of 0/1 values to (frames, coded_bits)."""
     chain = _CHAINS[scheme]
-    msgs = np.asarray(msgs)
-    if msgs.ndim != 2 or msgs.shape[1] != chain.message_bits:
-        raise ValueError(
-            f"{scheme.cli_name} takes {chain.message_bits}-bit messages, "
-            f"got shape {msgs.shape}"
-        )
+    msgs = rows(msgs, chain.message_bits, f"{scheme.cli_name} encodes")
     parity = coding._parity_batch(msgs, chain.parity)
     tail = np.zeros((msgs.shape[0], TAIL_BITS), dtype=np.uint8)
     tailed = np.concatenate([msgs, parity, tail], axis=1)
@@ -172,14 +167,9 @@ def decode_blocks(
     delivered them, and are deinterleaved as the decoder reads them.
     """
     chain = _CHAINS[scheme]
-    arr = np.asarray(softs, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != chain.coded_bits:
-        raise ValueError(
-            f"{scheme.cli_name} expects {chain.coded_bits} soft values, "
-            f"got shape {arr.shape}"
-        )
+    softs = rows(softs, chain.coded_bits, f"{scheme.cli_name} decodes")
     source = chain.stream if interleaved else chain.source
-    decoded = coding.viterbi_decode_batch(chain.code, arr, source)
+    decoded = coding.viterbi_decode_batch(chain.code, softs, source)
     inputs = decoded[:, :-TAIL_BITS]
     msgs = inputs[:, : chain.message_bits]
     received_parity = inputs[:, chain.message_bits :]

@@ -15,6 +15,7 @@ stop is evaluated as if frames were processed one at a time.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,6 +30,13 @@ DEFAULT_MIN_FRAMES = 5000
 DEFAULT_MIN_ERRORS = 100
 
 _CHUNK_FRAMES = 512
+
+
+def check_seed(seed: int) -> int:
+    """``seed`` if it is an integer in [0, 2**64), the one domain of master seeds."""
+    if not 0 <= operator.index(seed) < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 def noise_sigma(ebno_db: float, info_rate: Fraction | float) -> float:
@@ -117,7 +125,7 @@ def _point_rng(seed: int, scheme: SchemeId, ebno_db: float) -> np.random.Generat
     scheme_index = list(SchemeId).index(scheme)
     ebno_bits = int(np.float64(ebno_db).view(np.uint64))
     return np.random.default_rng(
-        np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, scheme_index, ebno_bits))
+        np.random.SeedSequence((seed, scheme_index, ebno_bits))
     )
 
 
@@ -151,6 +159,7 @@ def run_bler(
         raise ValueError("min_frames must be at least 1")
     if min_errors < 1:
         raise ValueError("min_errors must be at least 1")
+    check_seed(seed)
     points = _checked_points(scheme, ebno_points)
     kbits = schemes.message_bits(scheme)
     nbits = schemes.coded_bits(scheme)
@@ -198,8 +207,9 @@ def sweep(
 ) -> list[BlerReport]:
     """run_bler over several schemes, reports grouped scheme-major.
 
-    Every (scheme, point) pair is checked before the first point runs.
+    The seed and every (scheme, point) pair are checked before the first point runs.
     """
+    check_seed(seed)
     scheme_list, points = list(scheme_list), list(ebno_points)
     for scheme in scheme_list:
         _checked_points(scheme, points)

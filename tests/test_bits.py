@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from hrcc import coding, interleaving, kernels, schemes
 from hrcc.bits import (
     Burst,
     HexFormatError,
@@ -10,6 +13,9 @@ from hrcc.bits import (
     from_hex,
     to_hex,
 )
+from hrcc.coding import CONV_RATE_12, PUNCTURE_P12, _sym_table, _tap_table
+from hrcc.interleaving import InterleaveMode
+from hrcc.schemes import SchemeId
 
 from oracles import from_hex_ref, to_hex_ref
 
@@ -33,11 +39,16 @@ def test_from_hex_rejects_nonzero_padding():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "8", ":00", "x:00", "-4:00", "0:", "8:0", "8:zz", "8:0000", "16:00"],
+    ["", "8", ":00", "x:00", "-4:00", "0:", "8:0", "8:zz", "8:0000", "16:00",
+     "+8:FF", "1_6:FFFF", "\u0668:FF", "8 :FF", "8: FF", "16:FF FF", "16:FF\tFF"],
 )
 def test_from_hex_rejects_malformed(bad):
     with pytest.raises(HexFormatError):
         from_hex(bad)
+
+
+def test_from_hex_accepts_lowercase_and_surrounding_whitespace():
+    assert np.array_equal(from_hex(" 12:abc0\n"), [1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 0, 0])
 
 
 @pytest.mark.parametrize("length", [90, 114, 184, 228, 456])
@@ -74,6 +85,40 @@ def test_as_soft_array_validation():
     with pytest.raises(ValueError):
         as_soft_array([1.0, 2.0], length=3)
     assert as_soft_array([1.5, -2.0]).dtype == np.float64
+
+
+_TAPS, _SYMS = _tap_table(CONV_RATE_12.generators), _sym_table(CONV_RATE_12.generators)
+
+# Every batch entry point and the row width it takes; None takes any width.
+BATCH_ENTRY_POINTS = {
+    "schemes.encode_blocks": (lambda a: schemes.encode_blocks(SchemeId.M2_REDUCED, a), 90),
+    "schemes.decode_blocks": (lambda a: schemes.decode_blocks(SchemeId.M2_REDUCED, a), 228),
+    "coding.conv_encode_batch": (lambda a: coding.conv_encode_batch(CONV_RATE_12, a), None),
+    "coding.viterbi_decode_batch": (lambda a: coding.viterbi_decode_batch(CONV_RATE_12, a), None),
+    "coding.puncture_batch": (lambda a: coding.puncture_batch(PUNCTURE_P12, a), 456),
+    "coding.depuncture_batch": (lambda a: coding.depuncture_batch(PUNCTURE_P12, a), 228),
+    "interleaving.interleave_batch": (
+        lambda a: interleaving.interleave_batch(InterleaveMode.STD4, a), 456),
+    "interleaving.deinterleave_batch": (
+        lambda a: interleaving.deinterleave_batch(InterleaveMode.MOD2, a), 228),
+    "kernels.conv_encode_batch_np": (lambda a: kernels.conv_encode_batch_np(a, _TAPS), None),
+    "kernels.viterbi_batch_np": (lambda a: kernels.viterbi_batch_np(a, _SYMS), None),
+    "kernels.viterbi_batch_c": (lambda a: kernels.viterbi_batch_c(a, _SYMS), None),
+}
+
+
+@pytest.mark.parametrize("name", BATCH_ENTRY_POINTS)
+def test_batch_entry_points_take_one_row_per_frame(name):
+    entry, width = BATCH_ENTRY_POINTS[name]
+    if name == "kernels.viterbi_batch_c" and kernels.viterbi_batch_c is None:
+        pytest.skip("no compiled kernel")
+    row = width or 228
+    shapes = [(row,), (2, 1, row)] + ([] if width is None else [(2, width + 1), (2, width - 2)])
+    for shape in shapes:
+        message = f"one row per frame; got shape {re.escape(str(shape))}"
+        with pytest.raises(ValueError, match=message):
+            entry(np.zeros(shape))
+    entry(np.zeros((2, row)))  # a well-formed batch passes
 
 
 def test_burst_requires_114_bits():

@@ -313,6 +313,13 @@ def test_error_paths_exit_nonzero_with_a_diagnostic(capsys):
         assert "Traceback" not in err
 
 
+def test_decode_rejects_a_bit_count_that_is_not_plain_digits(capsys):
+    block = to_hex(np.zeros(228, dtype=np.uint8))
+    code, out, err = run_cli(capsys, "decode", "--scheme", "m2-reduced", "--block", "+" + block)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "bit count" in err and "Traceback" not in err
+
+
 def test_bler_rejects_nan_ebno_without_writing_a_row(tmp_path, capsys):
     out_path = tmp_path / "nan.csv"
     code, out, err = run_cli(
@@ -335,6 +342,26 @@ def test_bler_rejects_ebno_outside_the_float_range(tmp_path, capsys, ebno):
     assert err.startswith("error:") and "out of range" in err and "Traceback" not in err
     assert out == ""
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_seeds_outside_0_to_2_pow_64_exit_2_without_writing(tmp_path, capsys, seed):
+    out_path = tmp_path / "seed.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"scheme=m2-reduced\nebno=30\nframes=5\nseed={seed}\n")
+    for argv in (
+        ["bler", "--scheme", "m2-reduced", "--ebno", "30", "--frames", "5", "--seed", seed,
+         "--output", str(out_path)],
+        ["--config-file", str(cfg), "bler", "--output", str(out_path)],
+        ["roundtrip", "--scheme", "m2-reduced", "--frames", "5", "--seed", seed],
+        ["--config-file", str(cfg), "roundtrip"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and captured.out == "", argv
+        assert f"argument --seed: seed must lie in [0, 2**64), got {seed}" in captured.err
+        assert not out_path.exists()
 
 
 def test_bler_output_to_an_unwritable_path_is_an_error(tmp_path, capsys):

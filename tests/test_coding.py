@@ -266,7 +266,7 @@ def test_puncture_length_mismatch():
 
 @pytest.mark.parametrize("shape", [(2, 500), (2, 455), (456,)])
 def test_puncture_batch_rejects_rows_of_the_wrong_width(shape):
-    with pytest.raises(ValueError, match="punctures rows of 456 bits"):
+    with pytest.raises(ValueError, match="punctures rows of 456 values"):
         puncture_batch(PUNCTURE_P12, np.zeros(shape, dtype=np.uint8))
 
 

@@ -252,6 +252,17 @@ def test_kernels_reject_a_partial_trellis_step(code, width):
             decode(np.zeros((1, 12)), syms, np.arange(width) % 12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kernels_reject_soft_values_that_are_not_finite(bad):
+    syms = _sym_table(CONV_RATE_12.generators)
+    soft = np.ones((3, 228))
+    soft[2, 17] = bad
+    for decode in filter(None, [kernels.viterbi_batch_np, kernels.viterbi_batch_c]):
+        for source in (None, _CHAINS[SchemeId.M1_CS12_P12].source):
+            with pytest.raises(ValueError, match="soft values must be finite"):
+                decode(soft, syms, source)
+
+
 def _read_only(arr):
     arr.flags.writeable = False
     return arr

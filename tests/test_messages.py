@@ -123,6 +123,14 @@ def test_assignment_field_validation():
     ]:
         with pytest.raises(ValueError):
             ChannelAssignment(**{**good, field: bad})
+    for field in ("channel_type", "timeslot", "training_seq", "arfcn"):
+        for bad in (1.5, 3.0, np.float64(1.0), "3"):
+            with pytest.raises(TypeError):
+                ChannelAssignment(**{**good, field: bad})
+    numpy_ints = dict(good, channel_type=np.int64(1), timeslot=np.uint8(3),
+                      training_seq=np.int32(5), arfcn=np.uint16(42))
+    assert np.array_equal(encode_immediate_assignment(ChannelAssignment(**numpy_ints)),
+                          encode_immediate_assignment(ChannelAssignment(**good)))
 
 
 def test_assignment_decode_errors():

@@ -4,6 +4,11 @@ Example counts are capped so the tier-1 suite stays fast, and no examples
 are stored between runs.
 """
 
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,3 +164,29 @@ def test_sym_table_equals_the_loop_definition(generators):
     table = _sym_table(generators)
     assert table.dtype == np.float64 and not table.flags.writeable
     assert np.array_equal(table, _sym_table_loop(generators))
+
+
+def test_a_failing_property_reports_its_example_under_the_suites_warning_filters(tmp_path):
+    # Printing a falsifying example imports libcst, which warns on import; the
+    # suite's "error" filter must not turn that into an INTERNALERROR.
+    (tmp_path / "test_one_property.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(database=None)
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 10
+
+        def test_passes():
+            pass
+    """))
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(pyproject), "-p", "no:cacheprovider",
+         "test_one_property.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    out = result.stdout + result.stderr
+    assert result.returncode == 1, out
+    assert "Falsifying example" in out
+    assert "1 failed, 1 passed" in out

@@ -203,6 +203,23 @@ def test_sweep_checks_every_point_before_any_runs(monkeypatch):
     assert not decoded
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_seeds_outside_0_to_2_pow_64_are_rejected_before_any_point_runs(monkeypatch, seed):
+    # Masked to 64 bits, -1 ran as 2**64 - 1 and 2**64 as 0.
+    decoded = []
+    monkeypatch.setattr(schemes, "decode_blocks", lambda *args, **kwargs: decoded.append(args))
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        run_bler(SchemeId.M2_REDUCED, [4.0], min_frames=10, seed=seed)
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        sweep([SchemeId.M2_REDUCED, SchemeId.STANDARD_456], [4.0], min_frames=10, seed=seed)
+    assert not decoded
+
+
+def test_the_largest_seed_runs():
+    (report,) = run_bler(SchemeId.M2_REDUCED, [40.0], min_frames=10, seed=2**64 - 1)
+    assert report.frames == 10
+
+
 def test_sweep_csv_identical_across_backends(monkeypatch):
     # The compiled kernel must reproduce the numpy reference bit for bit,
     # so a sweep must not depend on which one is active.
