@@ -38,9 +38,9 @@ def binary_uint8(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def rows(values, width: int | None, what: str, dtype=None) -> np.ndarray:
+def rows(values, width: int | None, what: str) -> np.ndarray:
     """``values`` as one row per frame, ``width`` (None: any) values each; else ValueError."""
-    arr = np.asarray(values, dtype)
+    arr = np.asarray(values)
     if arr.ndim != 2 or (width is not None and arr.shape[1] != width):
         size = "any number of" if width is None else width
         raise ValueError(f"{what} rows of {size} values, one row per frame; got shape {arr.shape}")
@@ -93,8 +93,9 @@ def to_hex(bits) -> str:
 def from_hex(text: str) -> np.ndarray:
     """Parse a "LEN:HEX" string produced by :func:`to_hex`.
 
-    LEN is ASCII decimal digits and HEX two ASCII hex digits per octet, in
-    either case; only whitespace around the whole string is ignored.
+    LEN is ASCII decimal digits without leading zeros and HEX two ASCII hex
+    digits per octet, in either case; only whitespace around the whole
+    string is ignored.
     """
     head, sep, body = text.strip().partition(":")
     if not sep:
@@ -103,8 +104,9 @@ def from_hex(text: str) -> np.ndarray:
         nbits = int(head, 10)
     except ValueError:
         raise HexFormatError(f"bad bit count {head!r}") from None
-    # int() also takes a sign, underscores, spaces and non-ASCII digits.
-    if nbits <= 0 or not (head.isascii() and head.isdigit()):
+    # int() also takes a sign, underscores, spaces, non-ASCII digits and
+    # leading zeros; only the form to_hex writes is canonical.
+    if nbits <= 0 or head != str(nbits):
         raise HexFormatError(f"bit count must be a positive decimal number, got {head!r}")
     try:
         data = bytes.fromhex(body)

@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import kernels
-from .bits import antipodal, as_bit_array, as_soft_array, binary_uint8, rows
+from .bits import antipodal, as_bit_array, as_soft_array, rows
 
 CONSTRAINT_LENGTH = 5
 TAIL_BITS = 4
@@ -153,7 +153,7 @@ def _sym_table(generators: tuple[int, ...]) -> np.ndarray:
 
 
 def conv_encode_batch(code: ConvCode, msgs: np.ndarray) -> np.ndarray:
-    return kernels.conv_encode_batch(binary_uint8(np.asarray(msgs)), _tap_table(code.generators))
+    return kernels.conv_encode_batch(msgs, _tap_table(code.generators))
 
 
 def conv_encode(code: ConvCode, msg) -> np.ndarray:
@@ -229,12 +229,6 @@ def puncture(pattern: PuncturePattern, bits) -> np.ndarray:
     """Drop the masked positions, preserving the order of kept bits."""
     arr = as_bit_array(bits, pattern.input_len)
     return puncture_batch(pattern, arr[np.newaxis, :])[0]
-
-
-def depuncture(pattern: PuncturePattern, soft) -> np.ndarray:
-    """Restore deleted positions as erasures (soft value 0)."""
-    arr = as_soft_array(soft, pattern.output_len)
-    return depuncture_batch(pattern, arr[np.newaxis, :])[0]
 
 
 def puncture_batch(pattern: PuncturePattern, bits: np.ndarray) -> np.ndarray:

@@ -30,15 +30,8 @@ class InterleaveMode(Enum):
 
 def _destinations(mode: InterleaveMode) -> np.ndarray:
     """dest[k] = index of coded bit k in the concatenated burst payloads."""
-    n = mode.block_bits
-    k = np.arange(n)
-    if mode is InterleaveMode.MOD2:
-        burst = k % 2
-        pos = 2 * ((49 * k) % 57) + ((k % 4) // 2)
-    else:
-        burst = k % 4
-        pos = 2 * ((49 * k) % 57) + ((k % 8) // 4)
-    return burst * BURST_PAYLOAD_BITS + pos
+    k, b = np.arange(mode.block_bits), mode.burst_count
+    return (k % b) * BURST_PAYLOAD_BITS + 2 * ((49 * k) % 57) + (k % (2 * b)) // b
 
 
 _DEST = {mode: _destinations(mode) for mode in InterleaveMode}

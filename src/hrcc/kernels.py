@@ -85,9 +85,10 @@ def conv_encode_batch_np(msgs: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
     ``taps[j, k]`` is the coefficient multiplying x[t-k] in output j; the
     shift register starts all-zero.  Output columns interleave the n
-    streams: y0[0], y1[0], ..., y0[1], ...
+    streams: y0[0], y1[0], ..., y0[1], ...  Values other than 0 and 1 raise
+    ValueError.
     """
-    msgs = np.ascontiguousarray(rows(msgs, None, "the convolutional encoder takes", np.uint8))
+    msgs = np.ascontiguousarray(binary_uint8(rows(msgs, None, "the convolutional encoder takes")))
     nframes, nbits = msgs.shape
     n_out = taps.shape[0]
     out = np.zeros((nframes, nbits * n_out), dtype=np.uint8)
@@ -156,7 +157,7 @@ def viterbi_batch_np(soft: np.ndarray, syms: np.ndarray, source=None) -> np.ndar
 
 def _soft_rows(soft) -> np.ndarray:
     """A decoder's soft batch as C-ordered float64 rows; ValueError unless all finite."""
-    soft = np.ascontiguousarray(rows(soft, None, "the Viterbi decoder reads", np.float64))
+    soft = np.ascontiguousarray(rows(soft, None, "the Viterbi decoder reads"), np.float64)
     if not np.isfinite(soft).all():
         raise ValueError("soft values must be finite")
     return soft

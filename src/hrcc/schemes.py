@@ -40,10 +40,6 @@ class SchemeId(Enum):
     M1_CS13_P23 = "m1-cs13-p23"
     M2_REDUCED = "m2-reduced"
 
-    @property
-    def cli_name(self) -> str:
-        return self.value
-
 
 def scheme_from_name(name: str) -> SchemeId:
     try:
@@ -146,7 +142,7 @@ class DecodeOutcome:
 def encode_blocks(scheme: SchemeId, msgs: np.ndarray) -> np.ndarray:
     """Encode a (frames, message_bits) batch of 0/1 values to (frames, coded_bits)."""
     chain = _CHAINS[scheme]
-    msgs = rows(msgs, chain.message_bits, f"{scheme.cli_name} encodes")
+    msgs = rows(msgs, chain.message_bits, f"{scheme.value} encodes")
     parity = coding._parity_batch(msgs, chain.parity)
     tail = np.zeros((msgs.shape[0], TAIL_BITS), dtype=np.uint8)
     tailed = np.concatenate([msgs, parity, tail], axis=1)
@@ -167,7 +163,7 @@ def decode_blocks(
     delivered them, and are deinterleaved as the decoder reads them.
     """
     chain = _CHAINS[scheme]
-    softs = rows(softs, chain.coded_bits, f"{scheme.cli_name} decodes")
+    softs = rows(softs, chain.coded_bits, f"{scheme.value} decodes")
     source = chain.stream if interleaved else chain.source
     decoded = coding.viterbi_decode_batch(chain.code, softs, source)
     inputs = decoded[:, :-TAIL_BITS]

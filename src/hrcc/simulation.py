@@ -137,7 +137,7 @@ def _checked_points(scheme: SchemeId, ebno_points) -> list[float]:
     if bad:
         raise ValueError(
             "Eb/N0 points must be finite and keep the channel's values finite; "
-            f"{bad} dB are out of range for {scheme.cli_name}"
+            f"{bad} dB are out of range for {scheme.value}"
         )
     return points
 
@@ -226,7 +226,7 @@ def reports_to_csv(reports) -> str:
     lines = [CSV_HEADER]
     for r in reports:
         lines.append(
-            f"{r.scheme.cli_name},{r.ebno_db:.6g},{r.frames},{r.frame_errors},"
+            f"{r.scheme.value},{r.ebno_db:.6g},{r.frames},{r.frame_errors},"
             f"{r.bit_errors},{r.undetected_errors},{r.bler:.8g},{r.ci95_halfwidth:.8g}"
         )
     return "\n".join(lines) + "\n"

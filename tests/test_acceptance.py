@@ -220,7 +220,7 @@ def test_criterion_6a_bler_monotone_within_ci(bler_grid):
             slack = lo.ci95_halfwidth + hi.ci95_halfwidth
             if hi.bler > lo.bler + slack:
                 ok = False
-                worst = f"{scheme.cli_name} {lo.ebno_db}->{hi.ebno_db} dB"
+                worst = f"{scheme.value} {lo.ebno_db}->{hi.ebno_db} dB"
     _verdict("criterion 6a: BLER monotone non-increasing within 95% CI", ok, worst)
 
 
@@ -234,7 +234,7 @@ def test_criterion_6b_method1_needs_good_channel(bler_grid):
             slack = r.ci95_halfwidth + ref.ci95_halfwidth
             if r.bler < ref.bler - slack:
                 ok = False
-                worst = f"{scheme.cli_name} at {r.ebno_db} dB"
+                worst = f"{scheme.value} at {r.ebno_db} dB"
     _verdict("criterion 6b: every M1 scheme at or above the standard BLER", ok, worst)
 
 

@@ -40,7 +40,8 @@ def test_from_hex_rejects_nonzero_padding():
 @pytest.mark.parametrize(
     "bad",
     ["", "8", ":00", "x:00", "-4:00", "0:", "8:0", "8:zz", "8:0000", "16:00",
-     "+8:FF", "1_6:FFFF", "\u0668:FF", "8 :FF", "8: FF", "16:FF FF", "16:FF\tFF"],
+     "+8:FF", "1_6:FFFF", "\u0668:FF", "8 :FF", "8: FF", "16:FF FF", "16:FF\tFF",
+     "008:FF", "08:FF", "00:"],
 )
 def test_from_hex_rejects_malformed(bad):
     with pytest.raises(HexFormatError):
@@ -119,6 +120,15 @@ def test_batch_entry_points_take_one_row_per_frame(name):
         with pytest.raises(ValueError, match=message):
             entry(np.zeros(shape))
     entry(np.zeros((2, row)))  # a well-formed batch passes
+
+
+@pytest.mark.parametrize("bad", [[[2, 0, 0, 0, 0]], [[0.7, 1.2, 0, 0, 0]], [[-1, 0, 0, 0, 0]]])
+@pytest.mark.parametrize("name", ["coding.conv_encode_batch", "kernels.conv_encode_batch_np"])
+def test_encoders_take_only_0_and_1(name, bad):
+    # Unchecked, the kernel encoded 2s as 2s and truncated 0.7 and 1.2 to bits.
+    entry, _ = BATCH_ENTRY_POINTS[name]
+    with pytest.raises(ValueError, match="only contain 0 and 1"):
+        entry(bad)
 
 
 def test_burst_requires_114_bits():

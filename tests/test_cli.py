@@ -320,6 +320,13 @@ def test_decode_rejects_a_bit_count_that_is_not_plain_digits(capsys):
     assert err.startswith("error:") and "bit count" in err and "Traceback" not in err
 
 
+def test_decode_rejects_a_bit_count_with_leading_zeros(capsys):
+    block = to_hex(np.zeros(456, dtype=np.uint8))
+    code, out, err = run_cli(capsys, "decode", "--scheme", "standard", "--block", "0" + block)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "bit count" in err and "Traceback" not in err
+
+
 def test_bler_rejects_nan_ebno_without_writing_a_row(tmp_path, capsys):
     out_path = tmp_path / "nan.csv"
     code, out, err = run_cli(

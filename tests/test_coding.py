@@ -17,7 +17,6 @@ from hrcc.coding import (
     compose_punctures,
     conv_encode,
     conv_encode_batch,
-    depuncture,
     depuncture_batch,
     fire_check,
     fire_encode,
@@ -260,8 +259,6 @@ def test_composed_puncture_is_one_full_length_mask():
 def test_puncture_length_mismatch():
     with pytest.raises(ValueError):
         puncture(PUNCTURE_P12, np.zeros(455, dtype=np.uint8))
-    with pytest.raises(ValueError):
-        depuncture(PUNCTURE_P12, np.zeros(227))
 
 
 @pytest.mark.parametrize("shape", [(2, 500), (2, 455), (456,)])
@@ -283,21 +280,21 @@ def test_depuncture_restores_kept_positions_as_erasures():
     for pattern in (PUNCTURE_CS23, PUNCTURE_P12, PUNCTURE_P13, PUNCTURE_P23):
         soft = rng.normal(size=pattern.output_len)
         soft[soft == 0.0] = 1.0
-        restored = depuncture(pattern, soft)
+        restored = depuncture_batch(pattern, soft[np.newaxis, :])[0]
         assert restored.size == pattern.input_len
         assert np.array_equal(restored[pattern.kept_indices], soft)
         erased = np.setdiff1d(np.arange(pattern.input_len), pattern.kept_indices)
         assert not restored[erased].any()
         assert erased.size == pattern.input_len - pattern.output_len
         # all-erasure input stays all-erasure
-        assert not depuncture(pattern, np.zeros(pattern.output_len)).any()
+        assert not depuncture_batch(pattern, np.zeros((1, pattern.output_len))).any()
 
 
 def test_puncture_then_depuncture_is_identity_on_kept_values():
     rng = np.random.default_rng(20)
     bits = rng.integers(0, 2, size=456, dtype=np.uint8)
     soft = _perfect_soft(bits)
-    back = depuncture(PUNCTURE_P12, soft[PUNCTURE_P12.kept_indices])
+    back = depuncture_batch(PUNCTURE_P12, soft[np.newaxis, PUNCTURE_P12.kept_indices])[0]
     assert np.array_equal(back[PUNCTURE_P12.kept_indices], soft[PUNCTURE_P12.kept_indices])
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from hrcc import coding
 from hrcc.interleaving import InterleaveMode, destinations, interleave_batch
-from hrcc.coding import add_tail, conv_encode, depuncture, fire_encode, parity20_encode, puncture
+from hrcc.coding import add_tail, conv_encode, fire_encode, parity20_encode, puncture
 from hrcc.coding import CONV_RATE_12, CONV_RATE_13, FIRE_MATRIX, PUNCTURE_CS23, PUNCTURE_P12
 from hrcc.coding import PUNCTURE_P13
 from hrcc.schemes import (
@@ -38,7 +38,7 @@ def _perfect_soft(bits):
 
 def test_scheme_names_roundtrip():
     for scheme in SchemeId:
-        assert scheme_from_name(scheme.cli_name) is scheme
+        assert scheme_from_name(scheme.value) is scheme
     with pytest.raises(ValueError):
         scheme_from_name("m1-cs11-p11")
 
@@ -197,10 +197,16 @@ def test_heavy_corruption_is_flagged(scheme):
     assert flagged == 50  # chance of one undetected pass is <= 2^-20 per trial
 
 
-def test_all_erasure_modified_block_is_the_zero_codeword():
-    outcome = decode_block(SchemeId.M1_CS12_P12, np.zeros(228))
-    assert outcome.ok
-    assert not outcome.message.any()
+@pytest.mark.parametrize("interleaved", [False, True])
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_all_erasure_block_is_the_zero_codeword(scheme, interleaved):
+    # A block that carried nothing passes the check: ties decode to the zero
+    # message, whose parity is zero, because no chain inverts its parity.
+    msgs, ok = decode_blocks(scheme, np.zeros((2, coded_bits(scheme))), interleaved=interleaved)
+    assert ok.all()
+    assert not msgs.any()
+    outcome = decode_block(scheme, np.zeros(coded_bits(scheme)))
+    assert outcome.ok and not outcome.message.any()
 
 
 def test_wrong_lengths_are_rejected():
@@ -246,7 +252,7 @@ def test_composed_puncture_equals_the_paper_steps(scheme):
         for pattern in chain.punctures:
             row_bits = puncture(pattern, row_bits)
         for pattern in reversed(chain.punctures):
-            row_soft = depuncture(pattern, row_soft)
+            row_soft = coding.depuncture_batch(pattern, row_soft[np.newaxis, :])[0]
         stepped_bits.append(row_bits)
         stepped_soft.append(row_soft)
     punctured = coding.puncture_batch(chain.puncture, bits)
