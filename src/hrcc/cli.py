@@ -14,6 +14,7 @@ import dataclasses
 import math
 import os
 import sys
+from decimal import Decimal
 
 import numpy as np
 
@@ -54,12 +55,12 @@ def parse_ebno_spec(spec: str) -> list[float]:
             raise CliError("range step must be positive")
         if stop < start:
             raise CliError("range stop must not precede start")
-        # Checked as a float: the quotient may be huge or overflow to inf.
-        spans = (stop - start) / step + 1e-9
-        if spans >= MAX_EBNO_POINTS:
+        # In the texts' own decimals, so 0:0.1:0.3 ends at the float of "0.3".
+        start, step, stop = (Decimal(p) for p in parts)
+        count = int((stop - start) / step) + 1
+        if count > MAX_EBNO_POINTS:
             raise CliError(f"range {spec!r} has more than {MAX_EBNO_POINTS} points")
-        count = math.floor(spans) + 1
-        return [start + i * step for i in range(count)]
+        return [float(start + i * step) for i in range(count)]
     try:
         return [float(p) for p in spec.split(",") if p.strip()]
     except ValueError:

@@ -1,9 +1,10 @@
 """Primitive coding stages for the control-channel chains.
 
-Covers the systematic Fire block code (40 parity bits over a 184-bit
-message), the shorter 20-bit cyclic parity code used by the reduced
-90-bit message format, the constraint-length-5 convolutional codes at
-rates 1/2 and 1/3, cyclic puncturing, and soft-decision Viterbi decoding.
+Covers the systematic cyclic block codes, each one ``BlockCode`` value:
+the Fire code (40 parity bits over a 184-bit message, ``FIRE_CODE``) and
+the shorter 20-bit parity code of the reduced 90-bit message format
+(``PARITY20_CODE``); the constraint-length-5 convolutional codes at rates
+1/2 and 1/3, cyclic puncturing, and soft-decision Viterbi decoding.
 
 Generator polynomials are plain ints with bit k holding the coefficient
 of D^k.  Block contents are MSB-first in the polynomial sense: the first
@@ -19,18 +20,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import kernels
-from .bits import antipodal, as_bit_array, as_soft_array, rows
+from .bits import antipodal, as_bit_array, as_soft_array, binary_uint8, rows
 
 CONSTRAINT_LENGTH = 5
 TAIL_BITS = 4
-
-FULL_MESSAGE_BITS = 184
-FIRE_PARITY_BITS = 40
-FIRE_CODEWORD_BITS = FULL_MESSAGE_BITS + FIRE_PARITY_BITS  # 224
-
-REDUCED_MESSAGE_BITS = 90
-PARITY20_BITS = 20
-PARITY20_CODEWORD_BITS = REDUCED_MESSAGE_BITS + PARITY20_BITS  # 110
 
 # (D^23 + 1)(D^17 + D^3 + 1): degree-40 burst-detection generator.
 FIRE_POLY = (1 << 40) | (1 << 26) | (1 << 23) | (1 << 17) | (1 << 3) | 1
@@ -46,57 +39,66 @@ def poly_remainder(value: int, generator: int) -> int:
     return value
 
 
-def _parity_matrix(k: int, generator: int, r: int) -> np.ndarray:
-    """(k, r) GF(2) matrix as read-only float32; row i is the parity of e_i.
+@dataclass(frozen=True)
+class BlockCode:
+    """Systematic cyclic code: ``k`` message bits, then ``r`` parity bits.
 
-    float32 lets the batch product go through BLAS.  Each entry of a
-    product with 0/1 messages is an integer no larger than k, and float32
-    holds every integer below 2**24 exactly, so the product is exact in any
-    summation order.
+    The parity is the remainder of the message polynomial times D^r modulo
+    ``generator``, whose degree is r.  Detection only.
     """
-    matrix = np.zeros((k, r), dtype=np.float32)
-    for i in range(k):
-        rem = poly_remainder(1 << (k - 1 - i + r), generator)
-        matrix[i] = [(rem >> (r - 1 - j)) & 1 for j in range(r)]
-    matrix.flags.writeable = False
-    return matrix
+
+    k: int
+    generator: int
+
+    @property
+    def r(self) -> int:
+        return self.generator.bit_length() - 1
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """(k, r) GF(2) matrix as read-only float32; row i is the parity of e_i.
+
+        float32 lets the batch product go through BLAS.  Each entry of a
+        product with 0/1 messages is an integer no larger than k, and float32
+        holds every integer below 2**24 exactly, so the product is exact in any
+        summation order.
+        """
+        k, r = self.k, self.r
+        matrix = np.zeros((k, r), dtype=np.float32)
+        for i in range(k):
+            rem = poly_remainder(1 << (k - 1 - i + r), self.generator)
+            matrix[i] = [(rem >> (r - 1 - j)) & 1 for j in range(r)]
+        matrix.flags.writeable = False
+        return matrix
+
+    def _parity(self, msgs: np.ndarray) -> np.ndarray:
+        counts = msgs.astype(np.float32) @ self.matrix
+        return (counts.astype(np.min_scalar_type(self.k)) & 1).astype(np.uint8, copy=False)
+
+    def parity_batch(self, msgs) -> np.ndarray:
+        """(frames, k) 0/1 messages -> (frames, r) uint8 parity."""
+        return self._parity(binary_uint8(rows(msgs, self.k, "the block code encodes")))
+
+    def check_batch(self, words) -> np.ndarray:
+        """(frames, k + r) 0/1 words -> one bool per row, True iff its syndrome is zero."""
+        words = binary_uint8(rows(words, self.k + self.r, "the block code checks"))
+        return (self._parity(words[:, : self.k]) == words[:, self.k :]).all(axis=1)
+
+    def encode(self, msg) -> np.ndarray:
+        """k-bit message -> (k + r)-bit systematic codeword (message ++ parity)."""
+        msg = as_bit_array(msg, self.k)
+        return np.concatenate([msg, self.parity_batch(msg[np.newaxis, :])[0]])
+
+    def check(self, codeword) -> bool:
+        """True iff the (k + r)-bit word has a zero syndrome."""
+        cw = as_bit_array(codeword, self.k + self.r)
+        return bool(self.check_batch(cw[np.newaxis, :])[0])
 
 
-FIRE_MATRIX = _parity_matrix(FULL_MESSAGE_BITS, FIRE_POLY, FIRE_PARITY_BITS)
-PARITY20_MATRIX = _parity_matrix(REDUCED_MESSAGE_BITS, PARITY20_POLY, PARITY20_BITS)
-
-
-def _parity_batch(msgs: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """(frames, k) 0/1 messages -> (frames, r) uint8 parity under ``matrix``."""
-    counts = msgs.astype(np.float32) @ matrix
-    wide = np.min_scalar_type(matrix.shape[0])
-    return (counts.astype(wide) & 1).astype(np.uint8, copy=False)
-
-
-def fire_encode(msg) -> np.ndarray:
-    """184-bit message -> 224-bit systematic codeword (message ++ 40 parity)."""
-    msg = as_bit_array(msg, FULL_MESSAGE_BITS)
-    return np.concatenate([msg, _parity_batch(msg[np.newaxis, :], FIRE_MATRIX)[0]])
-
-
-def fire_check(codeword) -> bool:
-    """True iff the 224-bit word has a zero syndrome.  Detection only."""
-    cw = as_bit_array(codeword, FIRE_CODEWORD_BITS)
-    expect = _parity_batch(cw[np.newaxis, :FULL_MESSAGE_BITS], FIRE_MATRIX)[0]
-    return bool(np.array_equal(expect, cw[FULL_MESSAGE_BITS:]))
-
-
-def parity20_encode(msg) -> np.ndarray:
-    """90-bit message -> 110-bit systematic codeword (message ++ 20 parity)."""
-    msg = as_bit_array(msg, REDUCED_MESSAGE_BITS)
-    return np.concatenate([msg, _parity_batch(msg[np.newaxis, :], PARITY20_MATRIX)[0]])
-
-
-def parity20_check(codeword) -> bool:
-    """True iff the 110-bit word has a zero syndrome.  Detection only."""
-    cw = as_bit_array(codeword, PARITY20_CODEWORD_BITS)
-    expect = _parity_batch(cw[np.newaxis, :REDUCED_MESSAGE_BITS], PARITY20_MATRIX)[0]
-    return bool(np.array_equal(expect, cw[REDUCED_MESSAGE_BITS:]))
+FIRE_CODE = BlockCode(184, FIRE_POLY)  # 224-bit codewords
+PARITY20_CODE = BlockCode(90, PARITY20_POLY)  # 110-bit codewords
+fire_encode, fire_check = FIRE_CODE.encode, FIRE_CODE.check
+parity20_encode, parity20_check = PARITY20_CODE.encode, PARITY20_CODE.check
 
 
 def add_tail(msg) -> np.ndarray:

@@ -57,6 +57,10 @@ class LogicalChannelId:
     suballoc: SubAllocation | None = None
 
     def validate(self, cfg: MultiframeConfig) -> None:
+        if not isinstance(self.kind, ChannelKind):
+            raise TypeError(f"kind must be a ChannelKind, got {self.kind!r}")
+        if not (self.suballoc is None or isinstance(self.suballoc, SubAllocation)):
+            raise TypeError(f"suballoc must be None or a SubAllocation, got {self.suballoc!r}")
         if not 0 <= operator.index(self.subchannel) < cfg.config.subchannels:
             raise ValueError(
                 f"{cfg.config.value} has sub-channels 0..{cfg.config.subchannels - 1}"

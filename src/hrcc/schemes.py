@@ -20,8 +20,8 @@ from .bits import as_bit_array, as_soft_array, rows
 from .coding import (
     CONV_RATE_12,
     CONV_RATE_13,
-    FIRE_MATRIX,
-    PARITY20_MATRIX,
+    FIRE_CODE,
+    PARITY20_CODE,
     PUNCTURE_CS23,
     PUNCTURE_P12,
     PUNCTURE_P13,
@@ -55,8 +55,7 @@ class _Chain:
 
     code: coding.ConvCode
     punctures: tuple[coding.PuncturePattern, ...]
-    parity: np.ndarray  # (message_bits, parity_bits) block-code generator matrix
-    message_bits: int = field(init=False)
+    block: coding.BlockCode
     # The mother code's width, or what the punctures leave of it.
     coded_bits: int = field(init=False)
     # The burst interleaver whose block is coded_bits long: STD4 or MOD2.
@@ -72,8 +71,7 @@ class _Chain:
     stream: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        message_bits, parity_bits = self.parity.shape
-        mother = (message_bits + parity_bits + TAIL_BITS) * self.code.n_out
+        mother = (self.block.k + self.block.r + TAIL_BITS) * self.code.n_out
         if self.punctures and self.punctures[0].input_len != mother:
             raise ValueError(
                 f"the first puncture takes {self.punctures[0].input_len} bits, "
@@ -91,7 +89,6 @@ class _Chain:
         stream = np.full(mother, -1, dtype=np.int32)
         stream[kept] = destinations(mode)
         stream.flags.writeable = False
-        object.__setattr__(self, "message_bits", message_bits)
         object.__setattr__(self, "coded_bits", coded_bits)
         object.__setattr__(self, "interleave", mode)
         object.__setattr__(self, "puncture", composed)
@@ -100,16 +97,16 @@ class _Chain:
 
 
 _CHAINS: dict[SchemeId, _Chain] = {
-    SchemeId.STANDARD_456: _Chain(CONV_RATE_12, (), FIRE_MATRIX),
-    SchemeId.M1_CS23_P13: _Chain(CONV_RATE_12, (PUNCTURE_CS23, PUNCTURE_P13), FIRE_MATRIX),
-    SchemeId.M1_CS12_P12: _Chain(CONV_RATE_12, (PUNCTURE_P12,), FIRE_MATRIX),
-    SchemeId.M1_CS13_P23: _Chain(CONV_RATE_13, (PUNCTURE_P23,), FIRE_MATRIX),
-    SchemeId.M2_REDUCED: _Chain(CONV_RATE_12, (), PARITY20_MATRIX),
+    SchemeId.STANDARD_456: _Chain(CONV_RATE_12, (), FIRE_CODE),
+    SchemeId.M1_CS23_P13: _Chain(CONV_RATE_12, (PUNCTURE_CS23, PUNCTURE_P13), FIRE_CODE),
+    SchemeId.M1_CS12_P12: _Chain(CONV_RATE_12, (PUNCTURE_P12,), FIRE_CODE),
+    SchemeId.M1_CS13_P23: _Chain(CONV_RATE_13, (PUNCTURE_P23,), FIRE_CODE),
+    SchemeId.M2_REDUCED: _Chain(CONV_RATE_12, (), PARITY20_CODE),
 }
 
 
 def message_bits(scheme: SchemeId) -> int:
-    return _CHAINS[scheme].message_bits
+    return _CHAINS[scheme].block.k
 
 
 def coded_bits(scheme: SchemeId) -> int:
@@ -124,7 +121,7 @@ def interleave_mode(scheme: SchemeId) -> InterleaveMode:
 def info_rate(scheme: SchemeId) -> Fraction:
     """Information bits per transmitted coded bit, as an exact rational."""
     chain = _CHAINS[scheme]
-    return Fraction(chain.message_bits, chain.coded_bits)
+    return Fraction(chain.block.k, chain.coded_bits)
 
 
 @dataclass(frozen=True)
@@ -142,13 +139,10 @@ class DecodeOutcome:
 def encode_blocks(scheme: SchemeId, msgs: np.ndarray) -> np.ndarray:
     """Encode a (frames, message_bits) batch of 0/1 values to (frames, coded_bits)."""
     chain = _CHAINS[scheme]
-    msgs = rows(msgs, chain.message_bits, f"{scheme.value} encodes")
-    parity = coding._parity_batch(msgs, chain.parity)
+    msgs = rows(msgs, chain.block.k, f"{scheme.value} encodes")
+    parity = chain.block.parity_batch(msgs)
     tail = np.zeros((msgs.shape[0], TAIL_BITS), dtype=np.uint8)
-    tailed = np.concatenate([msgs, parity, tail], axis=1)
-    # The encoder rejects a block that is not all 0 and 1, so the messages
-    # are checked once, with their parity and tail.
-    out = coding.conv_encode_batch(chain.code, tailed)
+    out = coding.conv_encode_batch(chain.code, np.concatenate([msgs, parity, tail], axis=1))
     if chain.puncture is not None:
         out = coding.puncture_batch(chain.puncture, out)
     return out
@@ -167,15 +161,12 @@ def decode_blocks(
     source = chain.stream if interleaved else chain.source
     decoded = coding.viterbi_decode_batch(chain.code, softs, source)
     inputs = decoded[:, :-TAIL_BITS]
-    msgs = inputs[:, : chain.message_bits]
-    received_parity = inputs[:, chain.message_bits :]
-    ok = (coding._parity_batch(msgs, chain.parity) == received_parity).all(axis=1)
-    return msgs, ok
+    return inputs[:, : chain.block.k], chain.block.check_batch(inputs)
 
 
 def encode_block(scheme: SchemeId, msg) -> np.ndarray:
     """Encode one message; output is 456 bits (standard) or 228 (modified)."""
-    msg = as_bit_array(msg, _CHAINS[scheme].message_bits)
+    msg = as_bit_array(msg, _CHAINS[scheme].block.k)
     return encode_blocks(scheme, msg[np.newaxis, :])[0]
 
 

@@ -130,8 +130,8 @@ def _point_rng(seed: int, scheme: SchemeId, ebno_db: float) -> np.random.Generat
 
 
 def _checked_points(scheme: SchemeId, ebno_points) -> list[float]:
-    """``ebno_points`` as floats; ValueError naming the scheme if any is out of range."""
-    points = [float(p) for p in ebno_points]
+    """``ebno_points`` as floats, -0.0 as 0.0; ValueError naming the scheme if any is out of range."""
+    points = [float(p) + 0.0 for p in ebno_points]  # so equal points share one stream and one row
     rate, width = schemes.info_rate(scheme), schemes.coded_bits(scheme)
     bad = [p for p in points if not _channel_in_range(p, rate, width)]
     if bad:
@@ -152,12 +152,13 @@ def run_bler(
     """Measure block error rate at each operating point.
 
     Frames run until ``min_frames`` are processed or ``min_errors`` frame
-    errors are seen, whichever comes first.  A frame error is any decoded
-    message differing from the one sent, independent of the block check.
+    errors are seen, whichever comes first; both limits must be integers.
+    A frame error is any decoded message differing from the one sent,
+    independent of the block check.
     """
-    if min_frames < 1:
+    if operator.index(min_frames) < 1:
         raise ValueError("min_frames must be at least 1")
-    if min_errors < 1:
+    if operator.index(min_errors) < 1:
         raise ValueError("min_errors must be at least 1")
     check_seed(seed)
     points = _checked_points(scheme, ebno_points)

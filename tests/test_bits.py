@@ -94,6 +94,8 @@ _TAPS, _SYMS = _tap_table(CONV_RATE_12.generators), _sym_table(CONV_RATE_12.gene
 BATCH_ENTRY_POINTS = {
     "schemes.encode_blocks": (lambda a: schemes.encode_blocks(SchemeId.M2_REDUCED, a), 90),
     "schemes.decode_blocks": (lambda a: schemes.decode_blocks(SchemeId.M2_REDUCED, a), 228),
+    "coding.FIRE_CODE.parity_batch": (coding.FIRE_CODE.parity_batch, 184),
+    "coding.PARITY20_CODE.check_batch": (coding.PARITY20_CODE.check_batch, 110),
     "coding.conv_encode_batch": (lambda a: coding.conv_encode_batch(CONV_RATE_12, a), None),
     "coding.viterbi_decode_batch": (lambda a: coding.viterbi_decode_batch(CONV_RATE_12, a), None),
     "coding.puncture_batch": (lambda a: coding.puncture_batch(PUNCTURE_P12, a), 456),
@@ -123,12 +125,13 @@ def test_batch_entry_points_take_one_row_per_frame(name):
 
 
 @pytest.mark.parametrize("bad", [[[2, 0, 0, 0, 0]], [[0.7, 1.2, 0, 0, 0]], [[-1, 0, 0, 0, 0]]])
-@pytest.mark.parametrize("name", ["coding.conv_encode_batch", "kernels.conv_encode_batch_np"])
+@pytest.mark.parametrize("name", ["coding.conv_encode_batch", "kernels.conv_encode_batch_np",
+                                  "coding.FIRE_CODE.parity_batch", "coding.PARITY20_CODE.check_batch"])
 def test_encoders_take_only_0_and_1(name, bad):
     # Unchecked, the kernel encoded 2s as 2s and truncated 0.7 and 1.2 to bits.
-    entry, _ = BATCH_ENTRY_POINTS[name]
+    entry, width = BATCH_ENTRY_POINTS[name]
     with pytest.raises(ValueError, match="only contain 0 and 1"):
-        entry(bad)
+        entry(np.pad(bad, ((0, 0), (0, (width or 5) - 5))))
 
 
 def test_burst_requires_114_bits():

@@ -40,6 +40,20 @@ def test_bler_rejects_a_range_over_the_point_limit(capsys, spec):
     assert err.startswith("error:") and str(MAX_EBNO_POINTS) in err
 
 
+def test_equal_ebno_values_give_equal_rows(capsys):
+    def rows(scheme, spec):
+        code, out, err = run_cli(capsys, "bler", "--scheme", scheme, f"--ebno={spec}",
+                                 "--frames", "300", "--seed", "7")
+        assert code == 0 and not err
+        return out.splitlines()[1:]
+
+    # Summed as floats, the range ended at 0.30000000000000004, printed as 0.3.
+    assert parse_ebno_spec("0:0.1:0.3") == [0.0, 0.1, 0.2, 0.3]
+    assert rows("m1-cs12-p12", "0:0.1:0.3")[-1] == rows("m1-cs12-p12", "0.3")[0]
+    # -0 drew its own stream and printed -0.
+    assert rows("m2-reduced", "-0") == rows("m2-reduced", "0") == rows("m2-reduced", "-0:1:0")
+
+
 def test_a_range_at_the_point_limit_is_accepted():
     points = parse_ebno_spec(f"0:1:{MAX_EBNO_POINTS - 1}")
     assert len(points) == MAX_EBNO_POINTS and points[-1] == MAX_EBNO_POINTS - 1

@@ -4,15 +4,14 @@ import pytest
 from hrcc.coding import (
     CONV_RATE_12,
     CONV_RATE_13,
-    FIRE_MATRIX,
-    PARITY20_MATRIX,
+    FIRE_CODE,
+    PARITY20_CODE,
     PUNCTURE_CS23,
     PUNCTURE_P12,
     PUNCTURE_P13,
     PUNCTURE_P23,
     ConvCode,
     PuncturePattern,
-    _parity_batch,
     add_tail,
     compose_punctures,
     conv_encode,
@@ -48,18 +47,32 @@ def _perfect_soft(bits):
 
 
 @pytest.mark.parametrize(
-    "matrix,generator", [(FIRE_MATRIX, FIRE_GEN_BITS), (PARITY20_MATRIX, PARITY20_GEN_BITS)]
+    "code,generator", [(FIRE_CODE, FIRE_GEN_BITS), (PARITY20_CODE, PARITY20_GEN_BITS)]
 )
-def test_parity_batch_matches_long_division(matrix, generator):
+def test_parity_batch_matches_long_division(code, generator):
     # All-ones rows give the largest sums the float32 product has to hold.
-    k = matrix.shape[0]
+    k = code.k
     rng = np.random.default_rng(k)
     msgs = np.vstack(
         [rng.integers(0, 2, size=(32, k), dtype=np.uint8), np.ones((2, k), dtype=np.uint8)]
     )
-    parity = _parity_batch(msgs, matrix)
+    parity = code.parity_batch(msgs)
     assert parity.dtype == np.uint8
     assert parity.tolist() == [cyclic_parity(row.tolist(), generator) for row in msgs]
+
+
+@pytest.mark.parametrize("code", [FIRE_CODE, PARITY20_CODE], ids=["fire", "parity20"])
+def test_block_code_batch_methods_match_the_single_block_ones(code):
+    rng = np.random.default_rng(code.k + 1)
+    msgs = rng.integers(0, 2, size=(8, code.k), dtype=np.uint8)
+    words = np.array([code.encode(msg) for msg in msgs])
+    assert np.array_equal(code.parity_batch(msgs), words[:, code.k :])
+    # Every single-bit flip of every word, in the message and in the parity.
+    n = code.k + code.r
+    flips = (words[:, np.newaxis, :] ^ np.eye(n, dtype=np.uint8)).reshape(-1, n)
+    assert code.check_batch(words).all() and not code.check_batch(flips).any()
+    batch = np.vstack([words, flips])
+    assert code.check_batch(batch).tolist() == [code.check(word) for word in batch]
 
 
 def test_fire_zero_message_gives_zero_codeword():

@@ -126,6 +126,11 @@ def test_channel_validation():
         bursts_for(modified, LogicalChannelId(ChannelKind.SDCCH, 0))
     with pytest.raises(TypeError):
         bursts_for(cfg, LogicalChannelId(ChannelKind.SDCCH, 1.5))
+    # Unchecked, both owned no burst and bursts_for returned [].
+    with pytest.raises(TypeError, match="suballoc must be"):
+        bursts_for(modified, LogicalChannelId(ChannelKind.SDCCH, 1, "even"))
+    with pytest.raises(TypeError, match="kind must be"):
+        bursts_for(cfg, LogicalChannelId("sdcch", 1))
     one = LogicalChannelId(ChannelKind.SDCCH, np.int64(1))  # numpy integers still pass
     assert bursts_for(cfg, one) == bursts_for(cfg, LogicalChannelId(ChannelKind.SDCCH, 1)) != []
 

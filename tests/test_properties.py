@@ -40,7 +40,7 @@ SOFT = TIES | st.floats(-8.0, 8.0)
 
 def _message_batch(data, scheme, max_frames=5):
     frames = data.draw(st.integers(1, max_frames), label="frames")
-    shape = (frames, _CHAINS[scheme].message_bits)
+    shape = (frames, _CHAINS[scheme].block.k)
     return data.draw(hnp.arrays(np.uint8, shape, elements=BITS), label="messages")
 
 

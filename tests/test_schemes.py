@@ -6,7 +6,7 @@ import pytest
 from hrcc import coding
 from hrcc.interleaving import InterleaveMode, destinations, interleave_batch
 from hrcc.coding import add_tail, conv_encode, fire_encode, parity20_encode, puncture
-from hrcc.coding import CONV_RATE_12, CONV_RATE_13, FIRE_MATRIX, PUNCTURE_CS23, PUNCTURE_P12
+from hrcc.coding import CONV_RATE_12, CONV_RATE_13, FIRE_CODE, PUNCTURE_CS23, PUNCTURE_P12
 from hrcc.coding import PUNCTURE_P13
 from hrcc.schemes import (
     _CHAINS,
@@ -126,7 +126,7 @@ def test_decode_blocks_reads_burst_order_through_the_stream_map(scheme):
 def test_chain_rejects_a_puncture_that_does_not_fit_the_mother_code():
     # At rate 1/3 the mother code emits (184 + 40 + 4) * 3 = 684 bits.
     with pytest.raises(ValueError, match="takes 456 bits, but the mother code emits 684"):
-        _Chain(CONV_RATE_13, (PUNCTURE_P12,), FIRE_MATRIX)
+        _Chain(CONV_RATE_13, (PUNCTURE_P12,), FIRE_CODE)
 
 
 def test_exact_information_rates():

@@ -68,6 +68,23 @@ def test_run_bler_validates_limits():
         run_bler(SchemeId.M2_REDUCED, [4.0], min_errors=0)
 
 
+@pytest.mark.parametrize(
+    "limits",
+    [{"min_errors": math.nan}, {"min_frames": math.nan}, {"min_frames": 600.0}, {"min_errors": 2.5}],
+    ids=["errors-nan", "frames-nan", "frames-600.0", "errors-2.5"],
+)
+def test_run_bler_takes_only_integer_limits(monkeypatch, limits):
+    # Unchecked, min_errors=nan gave a 0-frame report whose bler divided by
+    # zero, and min_frames=600.0 failed only on the second chunk.
+    (report,) = run_bler(SchemeId.M2_REDUCED, [40.0], min_frames=np.int64(3), min_errors=np.int64(1))
+    assert report.frames == 3  # numpy integers still pass
+    encoded = []
+    monkeypatch.setattr(schemes, "encode_blocks", lambda *args: encoded.append(args))
+    with pytest.raises(TypeError):
+        run_bler(SchemeId.M2_REDUCED, [4.0], **limits)
+    assert not encoded
+
+
 @pytest.mark.parametrize("ebno", [math.inf, -math.inf, math.nan])
 def test_run_bler_rejects_non_finite_ebno(ebno):
     with pytest.raises(ValueError, match="finite"):
