@@ -19,7 +19,7 @@ from decimal import Decimal
 import numpy as np
 
 from . import __version__, interleaving, kernels, messages, multiframe, simulation
-from .bits import HexFormatError, SubAllocation, antipodal, from_hex, to_hex
+from .bits import SubAllocation, antipodal, from_hex, to_hex
 from .multiframe import ChannelConfig, FrameMode, MultiframeConfig
 from .schemes import (
     decode_block,
@@ -156,6 +156,9 @@ def _cmd_bler(args) -> int:
     points = parse_ebno_spec(args.ebno)
     if not points:
         raise CliError("no Eb/N0 points given")
+    # Checked before the sweep, written after it, so a failed run leaves no file.
+    if args.output and not os.path.isdir(os.path.dirname(args.output) or "."):
+        raise CliError(f"cannot write CSV: no directory for {args.output!r}")
     reports = simulation.sweep(
         scheme_list,
         points,
@@ -348,7 +351,7 @@ def main(argv=None) -> int:
                 **{k: v for k, v in values.items() if hasattr(args, k)})
             args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, HexFormatError, ValueError) as exc:
+    except ValueError as exc:  # CliError and bits.HexFormatError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,7 @@ from . import kernels
 from .bits import antipodal, as_bit_array, as_soft_array, binary_uint8, rows
 
 CONSTRAINT_LENGTH = 5
-TAIL_BITS = 4
+TAIL_BITS = 4  # zero flushing bits that return the encoder to state 0
 
 # (D^23 + 1)(D^17 + D^3 + 1): degree-40 burst-detection generator.
 FIRE_POLY = (1 << 40) | (1 << 26) | (1 << 23) | (1 << 17) | (1 << 3) | 1
@@ -101,12 +101,6 @@ fire_encode, fire_check = FIRE_CODE.encode, FIRE_CODE.check
 parity20_encode, parity20_check = PARITY20_CODE.encode, PARITY20_CODE.check
 
 
-def add_tail(msg) -> np.ndarray:
-    """Append the four zero flushing bits that return the encoder to state 0."""
-    msg = as_bit_array(msg)
-    return np.concatenate([msg, np.zeros(TAIL_BITS, dtype=np.uint8)])
-
-
 @dataclass(frozen=True)
 class ConvCode:
     """Tail-flushed feedforward convolutional code with 16 trellis states."""
@@ -156,12 +150,6 @@ def _sym_table(generators: tuple[int, ...]) -> np.ndarray:
 
 def conv_encode_batch(code: ConvCode, msgs: np.ndarray) -> np.ndarray:
     return kernels.conv_encode_batch(msgs, _tap_table(code.generators))
-
-
-def conv_encode(code: ConvCode, msg) -> np.ndarray:
-    """Encode one tailed block; output length is input length over the rate."""
-    msg = as_bit_array(msg)
-    return conv_encode_batch(code, msg[np.newaxis, :])[0]
 
 
 def viterbi_decode_batch(code: ConvCode, softs: np.ndarray, source=None) -> np.ndarray:
@@ -227,14 +215,8 @@ PUNCTURE_P13 = PuncturePattern((1, 1, 0), 342, 228)
 PUNCTURE_P23 = PuncturePattern((1, 0, 0), 684, 228)
 
 
-def puncture(pattern: PuncturePattern, bits) -> np.ndarray:
-    """Drop the masked positions, preserving the order of kept bits."""
-    arr = as_bit_array(bits, pattern.input_len)
-    return puncture_batch(pattern, arr[np.newaxis, :])[0]
-
-
 def puncture_batch(pattern: PuncturePattern, bits: np.ndarray) -> np.ndarray:
-    """(frames, input_len) -> (frames, output_len), C-ordered."""
+    """(frames, input_len) -> (frames, output_len): the kept bits in order, C-ordered."""
     bits = rows(bits, pattern.input_len, "the pattern punctures")
     return np.take(bits, pattern.kept_indices, axis=1)
 

@@ -61,7 +61,9 @@ def parse_imsi(digits: str, mnc_len: int) -> Imsi:
 
 
 def is_halfrate_capable(imsi: Imsi, m2m_mncs) -> bool:
-    """Classify a terminal by network code membership."""
+    """Classify a terminal by network code membership; ``m2m_mncs`` is a collection of codes."""
+    if isinstance(m2m_mncs, str):  # set("901") would be the digits {"9", "0", "1"}
+        raise TypeError("m2m_mncs must be a collection of network codes, not one string")
     return imsi.mnc in set(m2m_mncs)
 
 
@@ -85,6 +87,8 @@ class ChannelAssignment:
             raise ValueError("training_seq must be 0..7")
         if not 0 <= operator.index(self.arfcn) < 1024:
             raise ValueError("arfcn must be 0..1023")
+        if not isinstance(self.suballoc, SubAllocation):
+            raise TypeError(f"suballoc must be a SubAllocation, got {self.suballoc!r}")
 
 
 def _octets_to_bits(octets: bytes) -> np.ndarray:

@@ -129,16 +129,19 @@ def _point_rng(seed: int, scheme: SchemeId, ebno_db: float) -> np.random.Generat
     )
 
 
-def _checked_points(scheme: SchemeId, ebno_points) -> list[float]:
-    """``ebno_points`` as floats, -0.0 as 0.0; ValueError naming the scheme if any is out of range."""
+def _checked_points(scheme_list, ebno_points) -> list[float]:
+    """``ebno_points`` as floats, -0.0 as 0.0; ValueError naming the first scheme a point fails."""
+    if isinstance(ebno_points, (str, bytes)):  # "24" would be the points 2 and 4
+        raise TypeError(f"Eb/N0 points must be a collection of numbers, got {ebno_points!r}")
     points = [float(p) + 0.0 for p in ebno_points]  # so equal points share one stream and one row
-    rate, width = schemes.info_rate(scheme), schemes.coded_bits(scheme)
-    bad = [p for p in points if not _channel_in_range(p, rate, width)]
-    if bad:
-        raise ValueError(
-            "Eb/N0 points must be finite and keep the channel's values finite; "
-            f"{bad} dB are out of range for {scheme.value}"
-        )
+    for scheme in scheme_list:
+        rate, width = schemes.info_rate(scheme), schemes.coded_bits(scheme)
+        bad = [p for p in points if not _channel_in_range(p, rate, width)]
+        if bad:
+            raise ValueError(
+                "Eb/N0 points must be finite and keep the channel's values finite; "
+                f"{bad} dB are out of range for {scheme.value}"
+            )
     return points
 
 
@@ -161,7 +164,7 @@ def run_bler(
     if operator.index(min_errors) < 1:
         raise ValueError("min_errors must be at least 1")
     check_seed(seed)
-    points = _checked_points(scheme, ebno_points)
+    points = _checked_points([scheme], ebno_points)
     kbits = schemes.message_bits(scheme)
     nbits = schemes.coded_bits(scheme)
     rate = schemes.info_rate(scheme)
@@ -211,9 +214,8 @@ def sweep(
     The seed and every (scheme, point) pair are checked before the first point runs.
     """
     check_seed(seed)
-    scheme_list, points = list(scheme_list), list(ebno_points)
-    for scheme in scheme_list:
-        _checked_points(scheme, points)
+    scheme_list = list(scheme_list)
+    points = _checked_points(scheme_list, ebno_points)
     reports: list[BlerReport] = []
     for scheme in scheme_list:
         reports.extend(run_bler(scheme, points, min_frames, min_errors, seed))

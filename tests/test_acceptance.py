@@ -17,12 +17,12 @@ from hrcc.coding import (
     PUNCTURE_P12,
     PUNCTURE_P13,
     PUNCTURE_P23,
-    add_tail,
-    conv_encode,
+    TAIL_BITS,
+    conv_encode_batch,
     fire_encode,
     parity20_check,
     parity20_encode,
-    puncture,
+    puncture_batch,
     viterbi_decode,
 )
 from hrcc.coding import fire_check
@@ -78,26 +78,27 @@ def test_criterion_1_stage_size_ledger():
     msg184 = rng.integers(0, 2, size=184, dtype=np.uint8)
     msg90 = rng.integers(0, 2, size=90, dtype=np.uint8)
 
+    # One-row batches: each stage's output is its second dimension.
     cw = fire_encode(msg184)
-    tailed = add_tail(cw)
-    mother12 = conv_encode(CONV_RATE_12, tailed)
-    mother13 = conv_encode(CONV_RATE_13, tailed)
-    stage342 = puncture(PUNCTURE_CS23, mother12)
+    tailed = np.concatenate([cw, np.zeros(TAIL_BITS, np.uint8)])[np.newaxis]
+    mother12 = conv_encode_batch(CONV_RATE_12, tailed)
+    mother13 = conv_encode_batch(CONV_RATE_13, tailed)
+    stage342 = puncture_batch(PUNCTURE_CS23, mother12)
     sizes_ok = (
         cw.size == 224
         and tailed.size == 228
         and mother12.size == 456
         and mother13.size == 684
         and stage342.size == 342
-        and puncture(PUNCTURE_P13, stage342).size == 228
-        and puncture(PUNCTURE_P12, mother12).size == 228
-        and puncture(PUNCTURE_P23, mother13).size == 228
+        and puncture_batch(PUNCTURE_P13, stage342).size == 228
+        and puncture_batch(PUNCTURE_P12, mother12).size == 228
+        and puncture_batch(PUNCTURE_P23, mother13).size == 228
     )
 
     cw90 = parity20_encode(msg90)
-    tailed90 = add_tail(cw90)
+    tailed90 = np.concatenate([cw90, np.zeros(TAIL_BITS, np.uint8)])[np.newaxis]
     sizes_ok = sizes_ok and cw90.size == 110 and tailed90.size == 114
-    sizes_ok = sizes_ok and conv_encode(CONV_RATE_12, tailed90).size == 228
+    sizes_ok = sizes_ok and conv_encode_batch(CONV_RATE_12, tailed90).size == 228
 
     outputs = {
         SchemeId.STANDARD_456: 456,

@@ -385,7 +385,7 @@ def test_seeds_outside_0_to_2_pow_64_exit_2_without_writing(tmp_path, capsys, se
         assert not out_path.exists()
 
 
-def test_bler_output_to_an_unwritable_path_is_an_error(tmp_path, capsys):
+def test_bler_output_to_an_unwritable_path_is_an_error(tmp_path, capsys, monkeypatch):
     target = tmp_path / "missing" / "out.csv"
     code, out, err = run_cli(
         capsys, "bler", "--scheme", "m2-reduced", "--ebno", "20", "--frames", "10",
@@ -395,6 +395,15 @@ def test_bler_output_to_an_unwritable_path_is_an_error(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
     assert out == ""
     assert not target.exists()
+    # The missing directory is found before any point runs, not after the sweep.
+    swept = []
+    monkeypatch.setattr(cli.simulation, "sweep", lambda *args, **kwargs: swept.append(args))
+    code, _, err = run_cli(
+        capsys, "bler", "--scheme", "standard", "--ebno", "0:1:3", "--frames", "4000",
+        "--errors", "100000", "--output", str(target),
+    )
+    assert code == 2 and err.startswith("error: cannot write CSV")
+    assert not swept and not target.exists()
 
 
 def test_stdin_block_input(capsys, monkeypatch):

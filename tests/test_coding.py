@@ -12,16 +12,13 @@ from hrcc.coding import (
     PUNCTURE_P23,
     ConvCode,
     PuncturePattern,
-    add_tail,
     compose_punctures,
-    conv_encode,
     conv_encode_batch,
     depuncture_batch,
     fire_check,
     fire_encode,
     parity20_check,
     parity20_encode,
-    puncture,
     puncture_batch,
     viterbi_decode,
     viterbi_decode_batch,
@@ -163,13 +160,6 @@ def test_block_code_length_validation():
         parity20_check(np.zeros(111, dtype=np.uint8))
 
 
-def test_add_tail():
-    out = add_tail(np.ones(224, dtype=np.uint8))
-    assert out.size == 228
-    assert not out[-4:].any()
-    assert add_tail(np.ones(110, dtype=np.uint8)).size == 114
-
-
 # --- convolutional codes ---------------------------------------------------
 
 
@@ -185,15 +175,15 @@ def test_conv_code_validation():
 
 
 def test_conv_encode_zero_input_and_lengths():
-    zeros = np.zeros(228, dtype=np.uint8)
-    assert np.array_equal(conv_encode(CONV_RATE_12, zeros), np.zeros(456, dtype=np.uint8))
-    assert conv_encode(CONV_RATE_13, zeros).size == 684
+    zeros = np.zeros((1, 228), dtype=np.uint8)
+    assert np.array_equal(conv_encode_batch(CONV_RATE_12, zeros)[0], np.zeros(456, dtype=np.uint8))
+    assert conv_encode_batch(CONV_RATE_13, zeros)[0].size == 684
 
 
 def test_conv_encode_impulse_response():
     msg = np.zeros(228, dtype=np.uint8)
     msg[0] = 1
-    out = conv_encode(CONV_RATE_12, msg)
+    out = conv_encode_batch(CONV_RATE_12, msg[np.newaxis])[0]
     # first five output pairs replay the generator coefficients
     expect = []
     for k in range(5):
@@ -209,17 +199,16 @@ def test_conv_encode_matches_shift_register(code, gens):
     rng = np.random.default_rng(17)
     for _ in range(20):
         msg = rng.integers(0, 2, size=228, dtype=np.uint8)
-        assert conv_encode(code, msg).tolist() == conv_encode_ref(msg.tolist(), gens)
+        out = conv_encode_batch(code, msg[np.newaxis])[0]
+        assert out.tolist() == conv_encode_ref(msg.tolist(), gens)
 
 
 def test_conv_encode_linearity():
     rng = np.random.default_rng(18)
     a = rng.integers(0, 2, size=228, dtype=np.uint8)
     b = rng.integers(0, 2, size=228, dtype=np.uint8)
-    assert np.array_equal(
-        conv_encode(CONV_RATE_12, a ^ b),
-        conv_encode(CONV_RATE_12, a) ^ conv_encode(CONV_RATE_12, b),
-    )
+    coded_sum, coded_a, coded_b = conv_encode_batch(CONV_RATE_12, np.stack([a ^ b, a, b]))
+    assert np.array_equal(coded_sum, coded_a ^ coded_b)
 
 
 # --- puncturing ------------------------------------------------------------
@@ -246,7 +235,7 @@ def test_puncture_pattern_invariant():
 def test_scheme_puncture_lengths(pattern, inlen, outlen):
     rng = np.random.default_rng(inlen)
     bits = rng.integers(0, 2, size=inlen, dtype=np.uint8)
-    out = puncture(pattern, bits)
+    out = puncture_batch(pattern, bits[np.newaxis])[0]
     assert out.size == outlen
     kept = pattern.kept_indices
     assert np.all(np.diff(kept) > 0)  # order preserved
@@ -271,7 +260,7 @@ def test_composed_puncture_is_one_full_length_mask():
 
 def test_puncture_length_mismatch():
     with pytest.raises(ValueError):
-        puncture(PUNCTURE_P12, np.zeros(455, dtype=np.uint8))
+        puncture_batch(PUNCTURE_P12, np.zeros((1, 455), dtype=np.uint8))
 
 
 @pytest.mark.parametrize("shape", [(2, 500), (2, 455), (456,)])

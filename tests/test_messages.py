@@ -52,6 +52,11 @@ def test_classification_by_mnc_membership():
     assert is_halfrate_capable(imsi, {"201"})
     assert not is_halfrate_capable(imsi, set())
     assert not is_halfrate_capable(imsi, {"202", "999"})
+    # One code as a string is not a collection of codes: set("901") holds its digits.
+    imsi = parse_imsi("269011234567890", 3)
+    assert is_halfrate_capable(imsi, ["901"])
+    with pytest.raises(TypeError, match="not one string"):
+        is_halfrate_capable(imsi, "901")
 
 
 def test_classification_matches_membership_oracle():
@@ -127,6 +132,10 @@ def test_assignment_field_validation():
         for bad in (1.5, 3.0, np.float64(1.0), "3"):
             with pytest.raises(TypeError):
                 ChannelAssignment(**{**good, field: bad})
+    # Only a SubAllocation: "even" and None would both encode as ODD.
+    for bad in ("even", "odd", None, 0):
+        with pytest.raises(TypeError, match="suballoc must be a SubAllocation"):
+            ChannelAssignment(9, 3, 5, 600, bad)
     numpy_ints = dict(good, channel_type=np.int64(1), timeslot=np.uint8(3),
                       training_seq=np.int32(5), arfcn=np.uint16(42))
     assert np.array_equal(encode_immediate_assignment(ChannelAssignment(**numpy_ints)),

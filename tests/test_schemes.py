@@ -5,9 +5,9 @@ import pytest
 
 from hrcc import coding
 from hrcc.interleaving import InterleaveMode, destinations, interleave_batch
-from hrcc.coding import add_tail, conv_encode, fire_encode, parity20_encode, puncture
+from hrcc.coding import conv_encode_batch, fire_encode, parity20_encode, puncture_batch
 from hrcc.coding import CONV_RATE_12, CONV_RATE_13, FIRE_CODE, PUNCTURE_CS23, PUNCTURE_P12
-from hrcc.coding import PUNCTURE_P13
+from hrcc.coding import PUNCTURE_P13, TAIL_BITS
 from hrcc.schemes import (
     _CHAINS,
     _Chain,
@@ -47,18 +47,22 @@ def test_stage_sizes_standard_chain():
     msg = np.zeros(184, dtype=np.uint8)
     cw = fire_encode(msg)
     assert cw.size == 224
-    tailed = add_tail(cw)
+    tailed = np.concatenate([cw, np.zeros(TAIL_BITS, np.uint8)])
     assert tailed.size == 228
-    assert conv_encode(CONV_RATE_12, tailed).size == 456
+    coded = conv_encode_batch(CONV_RATE_12, tailed[np.newaxis])[0]
+    assert coded.size == 456
+    assert np.array_equal(coded, encode_block(SchemeId.STANDARD_456, msg))
 
 
 def test_stage_sizes_reduced_chain():
     msg = np.zeros(90, dtype=np.uint8)
     cw = parity20_encode(msg)
     assert cw.size == 110
-    tailed = add_tail(cw)
+    tailed = np.concatenate([cw, np.zeros(TAIL_BITS, np.uint8)])
     assert tailed.size == 114
-    assert conv_encode(CONV_RATE_12, tailed).size == 228
+    coded = conv_encode_batch(CONV_RATE_12, tailed[np.newaxis])[0]
+    assert coded.size == 228
+    assert np.array_equal(coded, encode_block(SchemeId.M2_REDUCED, msg))
 
 
 def test_output_lengths_per_scheme():
@@ -150,11 +154,12 @@ def test_standard_encode_matches_stage_composition():
 def test_m1_encode_applies_puncturing_last():
     rng = np.random.default_rng(43)
     msg = rng.integers(0, 2, size=184, dtype=np.uint8)
-    mother = conv_encode(CONV_RATE_12, add_tail(fire_encode(msg)))
-    stage342 = puncture(PUNCTURE_CS23, mother)
+    tailed = np.concatenate([fire_encode(msg), np.zeros(TAIL_BITS, np.uint8)])
+    mother = conv_encode_batch(CONV_RATE_12, tailed[np.newaxis])
+    stage342 = puncture_batch(PUNCTURE_CS23, mother)
     assert stage342.size == 342
     assert np.array_equal(
-        encode_block(SchemeId.M1_CS23_P13, msg), puncture(PUNCTURE_P13, stage342)
+        encode_block(SchemeId.M1_CS23_P13, msg), puncture_batch(PUNCTURE_P13, stage342)[0]
     )
 
 
@@ -250,7 +255,7 @@ def test_composed_puncture_equals_the_paper_steps(scheme):
     stepped_bits, stepped_soft = [], []
     for row_bits, row_soft in zip(bits, soft):
         for pattern in chain.punctures:
-            row_bits = puncture(pattern, row_bits)
+            row_bits = puncture_batch(pattern, row_bits[np.newaxis])[0]
         for pattern in reversed(chain.punctures):
             row_soft = coding.depuncture_batch(pattern, row_soft[np.newaxis, :])[0]
         stepped_bits.append(row_bits)

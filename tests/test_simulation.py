@@ -217,6 +217,12 @@ def test_sweep_checks_every_point_before_any_runs(monkeypatch):
     monkeypatch.setattr(schemes, "decode_blocks", lambda *args, **kwargs: decoded.append(args))
     with pytest.raises(ValueError, match="out of range for standard"):
         sweep([SchemeId.M2_REDUCED, SchemeId.STANDARD_456], [4.0, 3055.0], min_frames=10)
+    # A string is not a list of points: "24" ran as the points 2 and 4 dB.
+    for points in ("24", b"24"):
+        with pytest.raises(TypeError, match="collection of numbers"):
+            run_bler(SchemeId.M2_REDUCED, points, 10)
+        with pytest.raises(TypeError, match="collection of numbers"):
+            sweep([SchemeId.M2_REDUCED], points, min_frames=10)
     assert not decoded
 
 
