@@ -157,6 +157,8 @@ def _cmd_bler(args) -> int:
     if not points:
         raise CliError("no Eb/N0 points given")
     # Checked before the sweep, written after it, so a failed run leaves no file.
+    if args.output and os.path.isdir(args.output):
+        raise CliError(f"cannot write CSV: {args.output!r} is a directory")
     if args.output and not os.path.isdir(os.path.dirname(args.output) or "."):
         raise CliError(f"cannot write CSV: no directory for {args.output!r}")
     reports = simulation.sweep(

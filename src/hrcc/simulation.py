@@ -10,6 +10,13 @@ Every measurement is a pure function of (scheme, points, limits, seed):
 each (scheme, Eb/N0 point) owns a private generator derived from the
 master seed, frames are consumed in a fixed chunked order, and the early
 stop is evaluated as if frames were processed one at a time.
+
+A point draws the messages of a chunk of up to 512 frames in one call,
+then sends and decodes the chunk in row pieces, drawing each piece's
+noise as it goes.  A chunk's messages precede all of its noise in the
+stream and piecewise normal draws continue one sequence, so the
+reports do not depend on the piece sizes; the pieces only keep a point
+from decoding frames past the one that meets its error quota.
 """
 
 from __future__ import annotations
@@ -181,21 +188,36 @@ def run_bler(
         while frames < min_frames and errors < min_errors:
             chunk = min(_CHUNK_FRAMES, min_frames - frames)
             msgs = rng.integers(0, 2, size=(chunk, kbits), dtype=np.uint8)
-            coded = schemes.encode_blocks(scheme, msgs)
-            soft = _awgn(coded, sigma, rng, channel[:chunk], columns)
-            decoded, ok = schemes.decode_blocks(scheme, soft, interleaved=True)
-            wrong = decoded != msgs
-            err_flags = wrong.any(axis=1)
-            # Honor the per-frame stopping rule even though frames are
-            # processed in chunks: truncate at the first triggering frame.
-            take = chunk
-            cum_err = np.cumsum(err_flags)
-            if errors + int(cum_err[-1]) >= min_errors:
-                take = int(np.searchsorted(cum_err, min_errors - errors)) + 1
-            frames += take
-            errors += int(cum_err[take - 1])
-            bit_errors += int(wrong[:take].sum())
-            undetected += int((err_flags[:take] & ok[:take]).sum())
+            start = 0
+            while start < chunk and errors < min_errors:
+                # Decode no further than the quota can need: at least the
+                # errors still missing, else the rest of the chunk until an
+                # error is seen, else the frames they take at the rate so far.
+                need = min_errors - errors
+                if not frames:
+                    piece = need
+                elif not errors:
+                    piece = chunk
+                else:
+                    piece = max(need, -(-need * frames // errors))
+                stop = min(chunk, start + piece)
+                sent = msgs[start:stop]
+                coded = schemes.encode_blocks(scheme, sent)
+                soft = _awgn(coded, sigma, rng, channel[start:stop], columns)
+                decoded, ok = schemes.decode_blocks(scheme, soft, interleaved=True)
+                wrong = decoded != sent
+                err_flags = wrong.any(axis=1)
+                # Honor the per-frame stopping rule even though frames are
+                # processed in pieces: truncate at the first triggering frame.
+                take = stop - start
+                cum_err = np.cumsum(err_flags)
+                if errors + int(cum_err[-1]) >= min_errors:
+                    take = int(np.searchsorted(cum_err, need)) + 1
+                frames += take
+                errors += int(cum_err[take - 1])
+                bit_errors += int(wrong[:take].sum())
+                undetected += int((err_flags[:take] & ok[:take]).sum())
+                start = stop
         reports.append(
             BlerReport(scheme, ebno_db, frames, errors, bit_errors, undetected)
         )

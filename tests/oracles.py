@@ -7,6 +7,10 @@ numpy arrays) so the two sides cannot share a bug.
 
 import numpy as np
 
+from hrcc import interleaving, schemes
+from hrcc.schemes import SchemeId
+from hrcc.simulation import BlerReport, noise_sigma
+
 
 def _poly_bits(degrees, degree):
     bits = [0] * (degree + 1)
@@ -97,3 +101,38 @@ def ml_decode_bruteforce(soft, msgs, cws):
     """Exhaustive maximum-likelihood search over a codeword table."""
     metrics = (1.0 - 2.0 * cws.astype(np.float64)) @ np.asarray(soft, dtype=np.float64)
     return msgs[int(np.argmax(metrics))]
+
+
+def run_bler_whole_chunks(scheme, ebno_points, min_frames, min_errors, seed):
+    """``simulation.run_bler`` as first written: decode whole chunks, then count frame by frame.
+
+    Uses the package's encoder and decoder but its own point seeding, the
+    table interleaver and ``Generator.normal`` in place of the compiled
+    channel, one decode per chunk, and a per-frame loop for the stop rule.
+    """
+    reports = []
+    for ebno_db in ebno_points:
+        ebno_db = float(ebno_db) + 0.0
+        sigma = noise_sigma(ebno_db, schemes.info_rate(scheme))
+        ebno_bits = int(np.float64(ebno_db).view(np.uint64))
+        rng = np.random.default_rng(
+            np.random.SeedSequence((seed, list(SchemeId).index(scheme), ebno_bits)))
+        frames = errors = bit_errors = undetected = 0
+        while frames < min_frames and errors < min_errors:
+            chunk = min(512, min_frames - frames)
+            msgs = rng.integers(0, 2, size=(chunk, schemes.message_bits(scheme)), dtype=np.uint8)
+            bursts = interleaving.interleave_batch(
+                schemes.interleave_mode(scheme), schemes.encode_blocks(scheme, msgs))
+            symbols = 1.0 - 2.0 * bursts.astype(np.float64)
+            soft = 2.0 * (symbols + rng.normal(0.0, sigma, size=symbols.shape)) / (sigma * sigma)
+            decoded, ok = schemes.decode_blocks(scheme, soft, interleaved=True)
+            for sent, got, checked in zip(msgs, decoded, ok):
+                if errors == min_errors:
+                    break
+                wrong = int(np.count_nonzero(sent != got))
+                frames += 1
+                errors += wrong > 0
+                bit_errors += wrong
+                undetected += wrong > 0 and bool(checked)
+        reports.append(BlerReport(scheme, ebno_db, frames, errors, bit_errors, undetected))
+    return reports

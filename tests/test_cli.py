@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hrcc
-from hrcc import cli, kernels
+from hrcc import cli, kernels, schemes
 from hrcc.bits import from_hex, to_hex
 from hrcc.cli import MAX_EBNO_POINTS, main, parse_ebno_spec
 from hrcc.schemes import SchemeId, encode_block
@@ -404,6 +404,19 @@ def test_bler_output_to_an_unwritable_path_is_an_error(tmp_path, capsys, monkeyp
     )
     assert code == 2 and err.startswith("error: cannot write CSV")
     assert not swept and not target.exists()
+
+
+def test_bler_output_naming_a_directory_is_refused_before_any_point_runs(tmp_path, capsys, monkeypatch):
+    # Unchecked, the whole sweep ran before open() failed with "Is a directory".
+    decoded = []
+    monkeypatch.setattr(schemes, "decode_blocks", lambda *args, **kwargs: decoded.append(args))
+    code, out, err = run_cli(
+        capsys, "bler", "--scheme", "standard", "--ebno", "0:1:3", "--frames", "4000",
+        "--errors", "100000", "--output", str(tmp_path),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write CSV") and "is a directory" in err
+    assert not decoded and not os.listdir(tmp_path)
 
 
 def test_stdin_block_input(capsys, monkeypatch):

@@ -15,6 +15,7 @@ from hrcc.simulation import (
     sweep,
     transmit,
 )
+from oracles import run_bler_whole_chunks
 
 
 def test_noise_sigma_normalizes_per_information_bit():
@@ -141,6 +142,42 @@ def test_run_bler_early_stop_on_error_quota():
     assert r.frames < 5000
 
 
+def test_run_bler_decodes_no_frame_past_the_quota(monkeypatch):
+    decode, rows = schemes.decode_blocks, []
+
+    def recording(scheme, softs, *, interleaved=False):
+        rows.append(len(softs))
+        return decode(scheme, softs, interleaved=interleaved)
+
+    monkeypatch.setattr(schemes, "decode_blocks", recording)
+    # Every frame fails at 0 dB, so the first piece, sized to the quota, meets it.
+    (r,) = run_bler(SchemeId.M1_CS12_P12, [0.0], min_frames=4096, min_errors=100)
+    assert (r.frames, r.frame_errors) == (100, 100)
+    assert rows == [100]
+    # A quota above the floor cannot be met early: the chunks stay whole.
+    rows.clear()
+    (r,) = run_bler(SchemeId.M1_CS12_P12, [0.0], min_frames=1024, min_errors=1025)
+    assert r.frames == 1024
+    assert rows == [512, 512]
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+def test_run_bler_matches_the_whole_chunk_oracle(scheme):
+    cases = [
+        ([0.0, 2.0, 4.0, 6.0], 700, 40, 1),  # floor- and quota-stopped points
+        ([1.0, 4.0], 513, 60, 2),
+        ([1.0, 4.0], 1537, 60, 3),
+        ([0.0, 3.0], 600, 1, 4),
+        ([1.0, 3.0], 300, 500, 5),  # a quota above the floor
+    ]
+    stops = set()
+    for points, min_frames, min_errors, seed in cases:
+        got = run_bler(scheme, points, min_frames, min_errors, seed)
+        assert got == run_bler_whole_chunks(scheme, points, min_frames, min_errors, seed)
+        stops |= {"quota" if r.frame_errors == min_errors else "floor" for r in got}
+    assert stops == {"quota", "floor"}
+
+
 def _reference_channel(bits, sigma, rng, out, columns=None):
     # The channel as first written: fresh arrays and Generator.normal.
     if columns is not None:
@@ -172,7 +209,9 @@ def test_in_place_channel_matches_the_reference_expression(monkeypatch):
     monkeypatch.setattr(simulation, "_awgn", _reference_channel)
     ref_reports, ref_softs = run()
     assert reports == ref_reports
-    assert len(softs) == len(ref_softs) == 4
+    # 3 dB: pieces of 110, 395 and 7 rows fill the first chunk and 46, 6
+    # and 6 meet the quota in the second; 6 dB: 110, then the rest of each chunk.
+    assert len(softs) == len(ref_softs) == 9
     assert all(a.tobytes() == b.tobytes() for a, b in zip(softs, ref_softs))
 
     bits = np.random.default_rng(4).integers(0, 2, size=114, dtype=np.uint8)
