@@ -29,6 +29,7 @@
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 #ifdef __x86_64__
 #include <immintrin.h>
 #endif
@@ -224,21 +225,27 @@ int hrcc_viterbi(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width,
     return 0;
 }
 
-/* kernels.channel_np's numpy passes, in their order, in one loop: out holds
- * (nframes, width) standard normals and column j carries bit columns[j] of a row
- * of bits, which kernels.py checked; returns -1 if a bit read is not 0 or 1, else
- * 0.  No branch on a bit's value: random bits mispredict. */
+/* kernels.channel_np's numpy passes, in their order, in one loop: column j of out,
+ * (nframes, width) standard normals, gets bit j of its row and the normal drawn at
+ * column columns[j], read from a copy of the row.  Returns -1 if a bit is not 0 or
+ * 1, -2 without memory, else 0.  No branch on a bit: random bits mispredict. */
 int hrcc_channel(double *out, ptrdiff_t nframes, ptrdiff_t width, const uint8_t *bits,
-                 ptrdiff_t in_width, const int32_t *columns, double sigma, double power)
+                 const int32_t *columns, double sigma, double power)
 {
+    double *normals = malloc(width * sizeof(double));
+    if (normals == NULL)
+        return nframes && width ? -2 : 0;
     unsigned seen = 0;
-    for (ptrdiff_t f = 0; f < nframes; f++, out += width, bits += in_width)
+    for (ptrdiff_t f = 0; f < nframes; f++, out += width, bits += width) {
+        memcpy(normals, out, width * sizeof(double));
         for (ptrdiff_t j = 0; j < width; j++) {
-            double v = out[j] * sigma;
-            seen |= bits[columns[j]];
-            v += 1.0 - 2.0 * bits[columns[j]];
+            double v = normals[columns[j]] * sigma;
+            seen |= bits[j];
+            v += 1.0 - 2.0 * bits[j];
             v *= 2.0;
             out[j] = v / power;
         }
+    }
+    free(normals);
     return seen > 1 ? -1 : 0;
 }

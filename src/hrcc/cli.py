@@ -140,8 +140,8 @@ def _cmd_roundtrip(args) -> int:
     for done in range(0, args.frames, simulation._CHUNK_FRAMES):
         msgs = rng.integers(0, 2, size=(min(simulation._CHUNK_FRAMES, args.frames - done), kbits),
                             dtype=np.uint8)
-        stream = interleaving.interleave_batch(mode, encode_blocks(scheme, msgs))
-        decoded, ok = decode_blocks(scheme, antipodal(stream), interleaved=True)
+        stream = antipodal(interleaving.interleave_batch(mode, encode_blocks(scheme, msgs)))
+        decoded, ok = decode_blocks(scheme, interleaving.deinterleave_batch(mode, stream))
         errors += int((~ok | (decoded != msgs).any(axis=1)).sum())
     print(f"frames={args.frames}")
     print(f"errors={errors}")

@@ -45,11 +45,6 @@ def destinations(mode: InterleaveMode) -> np.ndarray:
     return _DEST[mode]
 
 
-def sources(mode: InterleaveMode) -> np.ndarray:
-    """The inverse of :func:`destinations`, read by the channel to send blocks in burst order."""
-    return _SOURCE[mode]
-
-
 def interleave(mode: InterleaveMode, block) -> list[np.ndarray]:
     """Permute a coded block into 2 or 4 sub-blocks of 114 bits."""
     arr = as_bit_array(block, mode.block_bits)

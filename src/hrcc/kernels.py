@@ -12,8 +12,8 @@ fails, ``viterbi_batch`` is the numpy kernel ``viterbi_batch_np``.
 is the only encoder.
 
 The library also holds the channel, ``hrcc_channel`` (``channel_c``): one
-loop that turns standard normals into soft values, each bit read through a
-column map, with the operations of ``channel_np``, its numpy reference and
+loop that adds each bit, in coded order, to a normal read through a noise
+map, with the operations of ``channel_np``, its numpy reference and
 fallback, in their order.  ``channel`` is the one that runs.
 
 The library exports one decoder, ``hrcc_viterbi`` (``viterbi_batch_c``),
@@ -32,9 +32,7 @@ Every kernel takes an optional source map, which folds depuncturing into
 the decoder: entry c is the column of the soft batch that holds
 mother-code bit c, or -1 where puncturing deleted it, which reads as the
 erasure +0.0.  The map has one entry per mother-code column, so a punctured
-batch is decoded without first being widened with zeros.  A map may also
-read the columns in any order: a chain's stream map reads a block in burst
-order, so the decoder deinterleaves as it reads.  Without a map the
+batch is decoded without first being widened with zeros.  Without a map the
 columns are read in order.  Maps are bounds-checked here, before any
 pointer reaches C, and both decoders reject a soft batch that is not one
 row per frame or holds a NaN or infinite value, with a ValueError.
@@ -211,24 +209,15 @@ def _load_c_library():
         decoder, channel, lanes = lib.hrcc_viterbi, lib.hrcc_channel, lib.hrcc_viterbi_lanes
     except (OSError, AttributeError):  # no cc, failed build or load, missing symbol
         return None, None, 0
-    lanes.restype = ctypes.c_int
-    lanes.argtypes = ()
-    decoder.restype = ctypes.c_int
-    decoder.argtypes = (
-        ctypes.c_void_p,  # soft
-        ctypes.c_ssize_t,  # nframes
-        ctypes.c_ssize_t,  # in_width: values per soft row
-        ctypes.c_void_p,  # source: int32 map, one entry per mother-code column
-        ctypes.c_ssize_t,  # width: entries in the map
-        ctypes.c_int,  # n_out
-        ctypes.c_void_p,  # sym
-        ctypes.c_void_p,  # bits
-    )
-    channel.restype = ctypes.c_int
-    channel.argtypes = (  # out, nframes, width, bits, in_width, columns, sigma, power
-        ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_void_p,
-        ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
-    )
+    ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
+    for function, argtypes in (
+        (lanes, ()),
+        # soft, nframes, in_width (values per row), source, width (map entries), n_out, sym, bits
+        (decoder, (ptr, size, size, ptr, size, ctypes.c_int, ptr, ptr)),
+        # out, nframes, width, bits, columns, sigma, power
+        (channel, (ptr, size, size, ptr, ptr, ctypes.c_double, ctypes.c_double)),
+    ):
+        function.restype, function.argtypes = ctypes.c_int, argtypes
     return decoder, channel, lanes()
 
 
@@ -283,27 +272,28 @@ def _butterfly_syms(raw: bytes, n_out: int) -> tuple[np.ndarray, int]:
 
 
 def _channel_operands(out: np.ndarray, bits, columns) -> tuple[np.ndarray, np.ndarray, int]:
-    """(bits as C-ordered uint8, pinned column map, its address), checked against ``out``."""
+    """(bits as C-ordered uint8, pinned noise map, its address), checked against ``out``."""
     bits = np.asarray(bits)  # uint8 bits are checked by each backend as it reads them
     bits = np.ascontiguousarray(bits if bits.dtype == np.uint8 else binary_uint8(bits))  # >= 1-D
     width = bits.shape[-1]
     columns, at = _identity_map(width) if columns is None else _checked_map(columns, width, 0)
-    if not (bits.ndim == 2 and out.shape == (len(bits), columns.size) and out.dtype == np.float64
-            and out.flags.c_contiguous and out.flags.writeable):
-        raise ValueError(f"the channel fills a writable C-ordered float64 (frames, {columns.size}) "
-                         f"buffer from (frames, {width}) bits, not {out.shape} {out.dtype}")
+    if not (bits.ndim == 2 and out.shape == bits.shape and columns.size == width
+            and out.dtype == np.float64 and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError(f"the channel fills a writable C-ordered float64 (frames, {width}) buffer "
+                         f"from (frames, {width}) bits, not {out.shape} {out.dtype}")
     return bits, columns, at
 
 
 def channel_np(out: np.ndarray, bits, sigma: float, columns=None) -> np.ndarray:
     """Turn the standard normals z in ``out`` into 2y/sigma^2 for y = sigma*z + 1-2b; returns it.
 
-    Column j of ``out`` carries bit ``columns[j]`` of its row of ``bits``
-    (0/1 values, else ValueError), or bit j without a map; every entry must be a column.
+    Column j of ``out`` gets bit j of its row of ``bits`` (0/1, else ValueError) and
+    the normal drawn at column ``columns[j]``, a column of ``out``, or at j without a map.
     """
     bits, columns, _ = _channel_operands(out, bits, columns)
+    out[...] = np.take(out, columns, axis=1)
     out *= sigma
-    out += antipodal(binary_uint8(np.take(bits, columns, axis=1)))
+    out += antipodal(binary_uint8(bits))
     out *= 2.0
     out /= sigma * sigma
     return out
@@ -334,9 +324,10 @@ def channel_c(out: np.ndarray, bits, sigma: float, columns=None) -> np.ndarray:
     """``channel_np`` in one compiled loop (``hrcc_channel``); the same doubles."""
     bits, columns, columns_at = _channel_operands(out, bits, columns)
     # columns stays referenced here, so its address stays valid.
-    if _channel(_address(out), out.shape[0], out.shape[1], _address(bits), bits.shape[1],
-                columns_at, sigma, sigma * sigma):
-        raise ValueError("bit block may only contain 0 and 1")
+    status = _channel(_address(out), *out.shape, _address(bits), columns_at, sigma, sigma * sigma)
+    if status:
+        raise (MemoryError("no memory for the channel's row copy") if status == -2
+               else ValueError("bit block may only contain 0 and 1"))
     return out
 
 

@@ -42,7 +42,9 @@ def parse_imsi(digits: str, mnc_len: int) -> Imsi:
     be 9 or 10 digits, so a 15-digit identity only splits cleanly with a
     3-digit network code; a 2-digit one would leave an 11-digit MSIN.
     """
-    if mnc_len not in (2, 3):
+    if not isinstance(digits, str):  # bytes would give bytes fields that match no code
+        raise TypeError(f"IMSI digits must be a str, got {digits!r}")
+    if operator.index(mnc_len) not in (2, 3):  # TypeError for 2.0
         raise ValueError("mnc_len must be 2 or 3")
     if len(digits) != IMSI_DIGITS or not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"IMSI must be exactly {IMSI_DIGITS} decimal digits")
@@ -64,7 +66,10 @@ def is_halfrate_capable(imsi: Imsi, m2m_mncs) -> bool:
     """Classify a terminal by network code membership; ``m2m_mncs`` is a collection of codes."""
     if isinstance(m2m_mncs, str):  # set("901") would be the digits {"9", "0", "1"}
         raise TypeError("m2m_mncs must be a collection of network codes, not one string")
-    return imsi.mnc in set(m2m_mncs)
+    codes = set(m2m_mncs)
+    if not all(isinstance(code, str) for code in codes):  # 170 would never match "170"
+        raise TypeError(f"network codes must be strings, got {sorted(codes, key=repr)}")
+    return imsi.mnc in codes
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,10 @@ class MultiframeConfig:
     config: ChannelConfig
     mode: FrameMode
 
+    def __post_init__(self):
+        if not (isinstance(self.config, ChannelConfig) and isinstance(self.mode, FrameMode)):
+            raise TypeError(f"a ChannelConfig and a FrameMode, not {self.config!r}, {self.mode!r}")
+
 
 @dataclass(frozen=True)
 class LogicalChannelId:

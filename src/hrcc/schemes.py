@@ -28,7 +28,7 @@ from .coding import (
     PUNCTURE_P23,
     TAIL_BITS,
 )
-from .interleaving import InterleaveMode, destinations
+from .interleaving import InterleaveMode
 
 
 class SchemeId(Enum):
@@ -66,9 +66,6 @@ class _Chain:
     # puncturing deleted it: the decoder reads the block through this map.
     # None when nothing is punctured: the decoder reads the columns in order.
     source: np.ndarray | None = field(init=False)
-    # The same for the burst-order stream: each mother-code column's column
-    # in the interleaved block, or -1.  Decoding through it deinterleaves.
-    stream: np.ndarray = field(init=False)
 
     def __post_init__(self):
         mother = (self.block.k + self.block.r + TAIL_BITS) * self.code.n_out
@@ -80,20 +77,15 @@ class _Chain:
         composed = coding.compose_punctures(self.punctures) if self.punctures else None
         coded_bits = mother if composed is None else composed.output_len
         mode = next(m for m in InterleaveMode if m.block_bits == coded_bits)
-        kept = slice(None) if composed is None else composed.kept_indices
         source = None
         if composed is not None:
             source = np.full(mother, -1, dtype=np.int32)
-            source[kept] = np.arange(coded_bits)
+            source[composed.kept_indices] = np.arange(coded_bits)
             source.flags.writeable = False
-        stream = np.full(mother, -1, dtype=np.int32)
-        stream[kept] = destinations(mode)
-        stream.flags.writeable = False
         object.__setattr__(self, "coded_bits", coded_bits)
         object.__setattr__(self, "interleave", mode)
         object.__setattr__(self, "puncture", composed)
         object.__setattr__(self, "source", source)
-        object.__setattr__(self, "stream", stream)
 
 
 _CHAINS: dict[SchemeId, _Chain] = {
@@ -148,18 +140,11 @@ def encode_blocks(scheme: SchemeId, msgs: np.ndarray) -> np.ndarray:
     return out
 
 
-def decode_blocks(
-    scheme: SchemeId, softs: np.ndarray, *, interleaved: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a (frames, coded_bits) soft batch to (messages, check_ok).
-
-    With ``interleaved`` the rows are in burst order, as the channel
-    delivered them, and are deinterleaved as the decoder reads them.
-    """
+def decode_blocks(scheme: SchemeId, softs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a (frames, coded_bits) soft batch in coded order to (messages, check_ok)."""
     chain = _CHAINS[scheme]
     softs = rows(softs, chain.coded_bits, f"{scheme.value} decodes")
-    source = chain.stream if interleaved else chain.source
-    decoded = coding.viterbi_decode_batch(chain.code, softs, source)
+    decoded = coding.viterbi_decode_batch(chain.code, softs, chain.source)
     inputs = decoded[:, :-TAIL_BITS]
     return inputs[:, : chain.block.k], chain.block.check_batch(inputs)
 

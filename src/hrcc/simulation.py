@@ -80,8 +80,8 @@ def _awgn(bits: np.ndarray, sigma: float, rng: np.random.Generator, out: np.ndar
           columns=None) -> np.ndarray:
     """Fill ``out`` with 2y/sigma^2 for y = (1-2b) + n; returns it.
 
-    ``bits`` and ``out`` hold a row per frame.  Column j of ``out`` carries
-    bit ``columns[j]`` of its row, or bit j without a map.
+    ``bits`` and ``out`` hold a row per frame.  Column j of ``out`` carries bit
+    j and the normal drawn at column ``columns[j]`` of its row, or at j without a map.
 
     Same values as ``2.0 * ((1 - 2b) + rng.normal(0.0, sigma)) / sigma**2``:
     ``normal`` draws the same standard normals z and returns 0.0 + sigma*z,
@@ -142,6 +142,8 @@ def _checked_points(scheme_list, ebno_points) -> list[float]:
         raise TypeError(f"Eb/N0 points must be a collection of numbers, got {ebno_points!r}")
     points = [float(p) + 0.0 for p in ebno_points]  # so equal points share one stream and one row
     for scheme in scheme_list:
+        if not isinstance(scheme, SchemeId):
+            raise TypeError(f"schemes must be SchemeId values, got {scheme!r}")
         rate, width = schemes.info_rate(scheme), schemes.coded_bits(scheme)
         bad = [p for p in points if not _channel_in_range(p, rate, width)]
         if bad:
@@ -175,10 +177,9 @@ def run_bler(
     kbits = schemes.message_bits(scheme)
     nbits = schemes.coded_bits(scheme)
     rate = schemes.info_rate(scheme)
-    # The channel sends the encoder's blocks in burst order through this map.
-    columns = interleaving.sources(schemes.interleave_mode(scheme))
-    # One channel buffer for every chunk: decode reads it in burst order and
-    # is done with it before the next chunk overwrites it.
+    # Coded bit k meets the normal drawn at its burst position.
+    columns = interleaving.destinations(schemes.interleave_mode(scheme))
+    # One channel buffer for every chunk: each is decoded before the next overwrites it.
     channel = np.empty((min(_CHUNK_FRAMES, min_frames), nbits))
     reports = []
     for ebno_db in points:
@@ -204,7 +205,7 @@ def run_bler(
                 sent = msgs[start:stop]
                 coded = schemes.encode_blocks(scheme, sent)
                 soft = _awgn(coded, sigma, rng, channel[start:stop], columns)
-                decoded, ok = schemes.decode_blocks(scheme, soft, interleaved=True)
+                decoded, ok = schemes.decode_blocks(scheme, soft)
                 wrong = decoded != sent
                 err_flags = wrong.any(axis=1)
                 # Honor the per-frame stopping rule even though frames are
@@ -236,6 +237,8 @@ def sweep(
     The seed and every (scheme, point) pair are checked before the first point runs.
     """
     check_seed(seed)
+    if isinstance(scheme_list, (str, bytes)):  # "standard" would be the schemes "s", "t", ...
+        raise TypeError(f"schemes must be a collection of SchemeId values, got {scheme_list!r}")
     scheme_list = list(scheme_list)
     points = _checked_points(scheme_list, ebno_points)
     reports: list[BlerReport] = []

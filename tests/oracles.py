@@ -121,11 +121,11 @@ def run_bler_whole_chunks(scheme, ebno_points, min_frames, min_errors, seed):
         while frames < min_frames and errors < min_errors:
             chunk = min(512, min_frames - frames)
             msgs = rng.integers(0, 2, size=(chunk, schemes.message_bits(scheme)), dtype=np.uint8)
-            bursts = interleaving.interleave_batch(
-                schemes.interleave_mode(scheme), schemes.encode_blocks(scheme, msgs))
+            mode = schemes.interleave_mode(scheme)
+            bursts = interleaving.interleave_batch(mode, schemes.encode_blocks(scheme, msgs))
             symbols = 1.0 - 2.0 * bursts.astype(np.float64)
             soft = 2.0 * (symbols + rng.normal(0.0, sigma, size=symbols.shape)) / (sigma * sigma)
-            decoded, ok = schemes.decode_blocks(scheme, soft, interleaved=True)
+            decoded, ok = schemes.decode_blocks(scheme, interleaving.deinterleave_batch(mode, soft))
             for sent, got, checked in zip(msgs, decoded, ok):
                 if errors == min_errors:
                     break

@@ -100,8 +100,8 @@ def test_roundtrip_command_over_several_batches(capsys, scheme):
 def test_roundtrip_command_counts_each_failed_frame(capsys, monkeypatch):
     decode_blocks = cli.decode_blocks
 
-    def corrupt(scheme, softs, *, interleaved=False):
-        msgs, ok = decode_blocks(scheme, softs, interleaved=interleaved)
+    def corrupt(scheme, softs):
+        msgs, ok = decode_blocks(scheme, softs)
         if len(msgs) == 512:  # frames 0-511
             msgs[88] ^= 1
         else:  # frames 512-699

@@ -11,7 +11,6 @@ from hrcc.interleaving import (
     interleave,
     interleave_batch,
     map_to_burst,
-    sources,
 )
 
 
@@ -104,7 +103,6 @@ def test_batch_permutations_are_c_ordered_and_follow_the_definition(mode):
                         (deinterleave_batch(mode, streams), expect_back)):
         assert got.flags.c_contiguous and got.dtype == expect.dtype
         assert np.array_equal(got, expect)
-    assert np.array_equal(blocks[:, sources(mode)], expect_stream)
     for permute in (interleave_batch, deinterleave_batch):
         with pytest.raises(ValueError, match="permutes rows"):
             permute(mode, np.zeros((2, mode.block_bits + 1)))

@@ -10,7 +10,7 @@ import pytest
 import hrcc
 from hrcc import kernels, simulation
 from hrcc.coding import CONV_RATE_12, CONV_RATE_13, _sym_table, depuncture_batch
-from hrcc.interleaving import interleave_batch, sources
+from hrcc.interleaving import destinations
 from hrcc.schemes import _CHAINS, SchemeId
 from hrcc.simulation import reports_to_csv, sweep
 
@@ -134,20 +134,11 @@ def _chain_case(scheme, rows):
     return chain.source, syms, reference
 
 
-def _assert_stream_map_decodes(entry, scheme, rows, syms, reference):
-    """The burst-order ``rows`` through the chain's stream map give ``reference``."""
-    chain = _CHAINS[scheme]
-    stream = interleave_batch(chain.interleave, rows)
-    assert np.array_equal(entry(stream, syms, chain.stream), reference)
-    assert np.array_equal(kernels.viterbi_batch_np(stream, syms, chain.stream), reference)
-
-
 @pytest.mark.parametrize("scheme", list(SchemeId))
 @pytest.mark.parametrize("nframes", [1, 2, 3, 4, 5, 6, 7, 513, 515])
 def test_entry_points_read_every_chains_map(entry, scheme, nframes):
     # Whole groups of four followed by a remainder of every size, through the
-    # identity map (standard, m2-reduced), the three puncturing maps and the
-    # five stream maps.
+    # identity map (standard, m2-reduced) and the three puncturing maps.
     rng = np.random.default_rng([28, nframes])
     rows = rng.normal(0.0, 2.0, size=(nframes, _CHAINS[scheme].coded_bits))
     source, syms, reference = _chain_case(scheme, rows)
@@ -155,7 +146,6 @@ def test_entry_points_read_every_chains_map(entry, scheme, nframes):
     assert np.array_equal(kernels.viterbi_batch_np(rows, syms, source), reference)
     if _CHAINS[scheme].source is None:
         assert np.array_equal(entry(rows, syms), reference)
-    _assert_stream_map_decodes(entry, scheme, rows, syms, reference)
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
@@ -170,7 +160,6 @@ def test_entry_points_on_erasure_and_tie_rows(entry, scheme):
     decoded = entry(rows, syms, source)
     assert np.array_equal(decoded, reference)
     assert not decoded[::5].any()
-    _assert_stream_map_decodes(entry, scheme, rows, syms, reference)
 
 
 def test_entry_points_take_strided_and_float32_input(entry):
@@ -205,16 +194,31 @@ def test_channel_backends_give_the_old_channels_doubles(scheme, nframes, sigma):
     # No scheme: 456-bit rows in order.  The sigmas sit near both ends of
     # the range the simulation accepts for 456-value blocks.
     assert simulation._sigma_in_range(sigma, 456)
-    columns = None if scheme is None else sources(_CHAINS[scheme].interleave)
-    width = 456 if columns is None else columns.size
+    dest = None if scheme is None else destinations(_CHAINS[scheme].interleave)
+    width = 456 if dest is None else dest.size
     rng = np.random.default_rng(nframes)
     bits = rng.integers(0, 2, size=(nframes, width), dtype=np.uint8)
     z = rng.standard_normal((nframes, width))
-    expect = _old_channel(z, bits, sigma, columns)
+    # The old channel sent coded bit k in burst column dest[k], through the
+    # inverse map; its burst-order output read through dest is coded order.
+    expect = _old_channel(z, bits, sigma, None if dest is None else np.argsort(dest))
+    if dest is not None:
+        expect = expect[:, dest]
     for channel in filter(None, [kernels.channel_np, kernels.channel_c]):
         out = z.copy()
-        assert channel(out, bits, sigma, columns) is out
+        assert channel(out, bits, sigma, dest) is out
         assert out.tobytes() == expect.tobytes()
+
+
+def test_channel_backends_read_the_noise_through_any_map():
+    # Entries may repeat or stay put: column j gets bit j and the normal at columns[j].
+    rng = np.random.default_rng(9)
+    columns = rng.integers(0, 12, size=12)
+    bits = rng.integers(0, 2, size=(5, 12), dtype=np.uint8)
+    z = rng.standard_normal((5, 12))
+    expect = _old_channel(z[:, columns], bits, 0.8, None)
+    for channel in filter(None, [kernels.channel_np, kernels.channel_c]):
+        assert channel(z.copy(), bits, 0.8, columns).tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("bad", [[0, 1, -1, 3], [0, 1, 4, 2], [[0, 1], [2, 3]], [0.0, 1.0, 2, 3]])
@@ -225,14 +229,23 @@ def test_channel_rejects_maps_that_are_not_columns_of_the_bits(monkeypatch, bad)
         out = np.zeros((2, 4))
         with pytest.raises(ValueError, match="source map"):
             channel(out, np.ones((2, 4), dtype=np.uint8), 0.8, np.array(bad))
+        with pytest.raises(ValueError, match="the channel fills"):  # one entry per column
+            channel(out, np.ones((2, 4), dtype=np.uint8), 0.8, np.arange(3))
         assert not out.any()
     assert not calls  # rejected before C was called
+
+
+@pytest.mark.skipif(kernels.channel_c is None, reason="no compiled kernel")
+def test_compiled_channel_reports_a_failed_allocation(monkeypatch):
+    monkeypatch.setattr(kernels, "_channel", lambda *args: -2)
+    with pytest.raises(MemoryError, match="no memory"):
+        kernels.channel_c(np.zeros((2, 4)), np.ones((2, 4), dtype=np.uint8), 0.8)
 
 
 @pytest.mark.parametrize("bad", [np.uint8(2), np.uint8(255), 0.5, 3.0])
 @pytest.mark.parametrize("scheme", [None, SchemeId.M2_REDUCED])
 def test_channel_backends_reject_bits_that_are_not_zero_or_one(scheme, bad):
-    columns = None if scheme is None else sources(_CHAINS[scheme].interleave)
+    columns = None if scheme is None else destinations(_CHAINS[scheme].interleave)
     width = 456 if columns is None else columns.size
     bits = np.zeros((3, width), dtype=np.asarray(bad).dtype)
     bits[2, width - 1] = bad
@@ -269,7 +282,7 @@ def _read_only(arr):
 
 
 @pytest.mark.parametrize("out, bits", [
-    (np.zeros((2, 5)), np.ones((2, 4), dtype=np.uint8)),  # wider than the map
+    (np.zeros((2, 5)), np.ones((2, 4), dtype=np.uint8)),  # wider than the bits
     (np.zeros((3, 4)), np.ones((2, 4), dtype=np.uint8)),  # more rows than bits
     (np.zeros((2, 4), dtype=np.float32), np.ones((2, 4), dtype=np.uint8)),
     (np.zeros((4, 2)).T, np.ones((2, 4), dtype=np.uint8)),  # not C-ordered

@@ -59,6 +59,21 @@ def test_classification_by_mnc_membership():
         is_halfrate_capable(imsi, "901")
 
 
+def test_imsi_inputs_of_the_wrong_type_are_rejected():
+    # Bytes digits gave bytes fields that matched no code; 170 never matched "170".
+    with pytest.raises(TypeError, match="IMSI digits must be a str"):
+        parse_imsi(b"901700000000001", 3)
+    with pytest.raises(TypeError):
+        parse_imsi("901700000000001", 3.0)
+    with pytest.raises(TypeError):
+        parse_imsi("901700000000001", 2.0)  # a slice TypeError before
+    imsi = parse_imsi("901700000000001", np.int64(3))  # numpy integers still pass
+    assert is_halfrate_capable(imsi, {"170"})
+    for codes in ([170], {"170", 170}, (b"170",)):
+        with pytest.raises(TypeError, match="network codes must be strings"):
+            is_halfrate_capable(imsi, codes)
+
+
 def test_classification_matches_membership_oracle():
     rng = np.random.default_rng(51)
     for _ in range(1000):

@@ -135,6 +135,16 @@ def test_channel_validation():
     assert bursts_for(cfg, one) == bursts_for(cfg, LogicalChannelId(ChannelKind.SDCCH, 1)) != []
 
 
+def test_config_fields_must_be_their_enums():
+    # Unchecked, "sdcch8" and "standard" failed later with an AttributeError.
+    with pytest.raises(TypeError, match="ChannelConfig and a FrameMode"):
+        MultiframeConfig("sdcch8", "standard")
+    with pytest.raises(TypeError, match="ChannelConfig and a FrameMode"):
+        MultiframeConfig(ChannelConfig.SDCCH8, "modified")
+    with pytest.raises(TypeError, match="ChannelConfig and a FrameMode"):
+        MultiframeConfig(FrameMode.STANDARD, ChannelConfig.SDCCH8)
+
+
 def test_callers_get_their_own_lists():
     cfg = MultiframeConfig(ChannelConfig.SDCCH8, FrameMode.MODIFIED)
     chan = LogicalChannelId(ChannelKind.SDCCH, 3, SubAllocation.ODD)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hrcc import coding
-from hrcc.interleaving import InterleaveMode, destinations, interleave_batch
+from hrcc.interleaving import InterleaveMode, deinterleave, demap_burst
 from hrcc.coding import conv_encode_batch, fire_encode, parity20_encode, puncture_batch
 from hrcc.coding import CONV_RATE_12, CONV_RATE_13, FIRE_CODE, PUNCTURE_CS23, PUNCTURE_P12
 from hrcc.coding import PUNCTURE_P13, TAIL_BITS
@@ -103,30 +103,6 @@ def test_source_map_inverts_the_composed_puncture(scheme):
     assert (chain.source[~kept] == -1).all()
 
 
-@pytest.mark.parametrize("scheme", list(SchemeId))
-def test_stream_map_composes_the_interleaver_with_the_source_map(scheme):
-    chain = _CHAINS[scheme]
-    source = np.arange(chain.coded_bits) if chain.source is None else chain.source
-    expect = np.where(source >= 0, destinations(chain.interleave)[source], -1)
-    assert not chain.stream.flags.writeable and chain.stream.dtype == np.int32
-    assert np.array_equal(chain.stream, expect)
-
-
-@pytest.mark.parametrize("scheme", list(SchemeId))
-def test_decode_blocks_reads_burst_order_through_the_stream_map(scheme):
-    rng = np.random.default_rng(48)
-    width = coded_bits(scheme)
-    msgs = rng.integers(0, 2, size=(30, message_bits(scheme)), dtype=np.uint8)
-    soft = _perfect_soft(encode_blocks(scheme, msgs)) + rng.normal(0.0, 0.8, size=(30, width))
-    soft[::6] = 0.0  # all-erasure rows
-    soft[1::6] = rng.integers(-1, 2, size=(5, width))  # exact ties
-    expect_msgs, expect_ok = decode_blocks(scheme, soft)
-    stream = interleave_batch(interleave_mode(scheme), soft)
-    got_msgs, got_ok = decode_blocks(scheme, stream, interleaved=True)
-    assert np.array_equal(got_msgs, expect_msgs) and np.array_equal(got_ok, expect_ok)
-    assert not got_msgs[::6].any()
-
-
 def test_chain_rejects_a_puncture_that_does_not_fit_the_mother_code():
     # At rate 1/3 the mother code emits (184 + 40 + 4) * 3 = 684 bits.
     with pytest.raises(ValueError, match="takes 456 bits, but the mother code emits 684"):
@@ -202,15 +178,20 @@ def test_heavy_corruption_is_flagged(scheme):
     assert flagged == 50  # chance of one undetected pass is <= 2^-20 per trial
 
 
-@pytest.mark.parametrize("interleaved", [False, True])
+@pytest.mark.parametrize("as_bursts", [False, True])
 @pytest.mark.parametrize("scheme", list(SchemeId))
-def test_all_erasure_block_is_the_zero_codeword(scheme, interleaved):
+def test_all_erasure_block_is_the_zero_codeword(scheme, as_bursts):
     # A block that carried nothing passes the check: ties decode to the zero
     # message, whose parity is zero, because no chain inverts its parity.
-    msgs, ok = decode_blocks(scheme, np.zeros((2, coded_bits(scheme))), interleaved=interleaved)
+    # With as_bursts it arrives as erased bursts through the deinterleaver.
+    soft = np.zeros(coded_bits(scheme))
+    if as_bursts:
+        mode = interleave_mode(scheme)
+        soft = deinterleave(mode, [demap_burst(np.zeros(114))] * mode.burst_count)
+    msgs, ok = decode_blocks(scheme, np.stack([soft, soft]))
     assert ok.all()
     assert not msgs.any()
-    outcome = decode_block(scheme, np.zeros(coded_bits(scheme)))
+    outcome = decode_block(scheme, soft)
     assert outcome.ok and not outcome.message.any()
 
 
@@ -221,11 +202,10 @@ def test_wrong_lengths_are_rejected():
         encode_block(SchemeId.STANDARD_456, np.zeros(90, dtype=np.uint8))
     with pytest.raises(ValueError):
         decode_block(SchemeId.STANDARD_456, np.zeros(228))
-    for interleaved in (False, True):
-        with pytest.raises(ValueError):
-            decode_blocks(SchemeId.M2_REDUCED, np.zeros((2, 229)), interleaved=interleaved)
-        with pytest.raises(ValueError):
-            decode_blocks(SchemeId.STANDARD_456, np.zeros(456), interleaved=interleaved)
+    with pytest.raises(ValueError):
+        decode_blocks(SchemeId.M2_REDUCED, np.zeros((2, 229)))
+    with pytest.raises(ValueError):
+        decode_blocks(SchemeId.STANDARD_456, np.zeros(456))
 
 
 def test_batch_codecs_take_nested_lists():
@@ -270,9 +250,8 @@ def test_composed_puncture_equals_the_paper_steps(scheme):
 def test_decode_blocks_rejects_non_finite_soft_values(bad):
     softs = np.ones((3, 228))
     softs[1, 17] = bad
-    for interleaved in (False, True):
-        with pytest.raises(ValueError, match="soft values must be finite"):
-            decode_blocks(SchemeId.M2_REDUCED, softs, interleaved=interleaved)
+    with pytest.raises(ValueError, match="soft values must be finite"):
+        decode_blocks(SchemeId.M2_REDUCED, softs)
 
 
 def test_batch_matches_single_block_api():

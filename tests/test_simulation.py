@@ -145,9 +145,9 @@ def test_run_bler_early_stop_on_error_quota():
 def test_run_bler_decodes_no_frame_past_the_quota(monkeypatch):
     decode, rows = schemes.decode_blocks, []
 
-    def recording(scheme, softs, *, interleaved=False):
+    def recording(scheme, softs):
         rows.append(len(softs))
-        return decode(scheme, softs, interleaved=interleaved)
+        return decode(scheme, softs)
 
     monkeypatch.setattr(schemes, "decode_blocks", recording)
     # Every frame fails at 0 dB, so the first piece, sized to the quota, meets it.
@@ -179,12 +179,13 @@ def test_run_bler_matches_the_whole_chunk_oracle(scheme):
 
 
 def _reference_channel(bits, sigma, rng, out, columns=None):
-    # The channel as first written: fresh arrays and Generator.normal.
+    # The channel as first written: fresh arrays and Generator.normal, the
+    # noise drawn in burst order and read back through the map in coded order.
+    noise = rng.normal(0.0, sigma, size=bits.shape)
     if columns is not None:
-        bits = bits[:, columns]
+        noise = noise[:, columns]
     symbols = 1.0 - 2.0 * bits.astype(np.float64)
-    noisy = symbols + rng.normal(0.0, sigma, size=symbols.shape)
-    return 2.0 * noisy / (sigma * sigma)
+    return 2.0 * (symbols + noise) / (sigma * sigma)
 
 
 def test_in_place_channel_matches_the_reference_expression(monkeypatch):
@@ -193,9 +194,9 @@ def test_in_place_channel_matches_the_reference_expression(monkeypatch):
     def run():
         seen = []
 
-        def recording(scheme, softs, *, interleaved=False):
+        def recording(scheme, softs):
             seen.append(np.array(softs))
-            return decode(scheme, softs, interleaved=interleaved)
+            return decode(scheme, softs)
 
         monkeypatch.setattr(schemes, "decode_blocks", recording)
         reports = run_bler(SchemeId.M2_REDUCED, [3.0, 6.0], min_frames=700, min_errors=110, seed=31)
@@ -262,6 +263,20 @@ def test_sweep_checks_every_point_before_any_runs(monkeypatch):
             run_bler(SchemeId.M2_REDUCED, points, 10)
         with pytest.raises(TypeError, match="collection of numbers"):
             sweep([SchemeId.M2_REDUCED], points, min_frames=10)
+    assert not decoded
+
+
+def test_schemes_that_are_not_scheme_ids_are_rejected_before_any_point_runs(monkeypatch):
+    # A name iterated as its letters raised KeyError: 'm'; a name alone, KeyError.
+    decoded = []
+    monkeypatch.setattr(schemes, "decode_blocks", lambda *args: decoded.append(args))
+    for scheme_list in ("m2-reduced", b"m2-reduced"):
+        with pytest.raises(TypeError, match="collection of SchemeId values"):
+            sweep(scheme_list, [5.0], 10)
+    with pytest.raises(TypeError, match="SchemeId values, got 'standard'"):
+        sweep([SchemeId.M2_REDUCED, "standard"], [5.0], 10)
+    with pytest.raises(TypeError, match="SchemeId values, got 'm2-reduced'"):
+        run_bler("m2-reduced", [5.0], 10)
     assert not decoded
 
 
