@@ -24,6 +24,10 @@
  * on other CPUs, runs on the scalar body.  The AVX2 body is compiled by a
  * function attribute, not by a compiler flag, so the library loads on any
  * x86-64 CPU; hrcc_viterbi_lanes says whether this CPU runs it.
+ *
+ * The library also holds a chain's encoder, hrcc_encode, its block check,
+ * hrcc_check, and the channel, hrcc_channel, each bit-identical to the numpy
+ * stages it replaces.
  */
 
 #include <stddef.h>
@@ -37,6 +41,7 @@
 #define NSTATES 16
 #define NEG_METRIC (-1.0e30)
 #define LANES 4
+#define TAIL_BITS 4
 
 /* The scalar body for one code rate; always inlined, so that each call
  * below compiles with a constant n_out and a fully unrolled butterfly loop.
@@ -247,5 +252,92 @@ int hrcc_channel(double *out, ptrdiff_t nframes, ptrdiff_t width, const uint8_t 
         }
     }
     free(normals);
+    return seen > 1 ? -1 : 0;
+}
+
+/* The remainder of row(D) * D^r modulo the block code's generator, for n bits
+ * read first bit highest, at the top of a uint64: one lookup per byte of bits in
+ * table[v], the remainder of v(D) * D^r stored the same way.  The n % 8 leading
+ * bits make a first byte as if led by zeros, which change no remainder.  Every
+ * value read is ORed into *seen. */
+static inline uint64_t lfsr(const uint8_t *restrict row, ptrdiff_t n,
+                            const uint64_t *restrict table, unsigned *seen)
+{
+    unsigned all = 0, byte = 0;
+    ptrdiff_t i = 0;
+    for (; i < n % 8; i++) {
+        all |= row[i];
+        byte = byte << 1 | row[i];
+    }
+    uint64_t rem = table[byte & 255];
+    for (; i < n; i += 8) {
+        byte = 0;
+        _Pragma("GCC unroll 8")
+        for (int j = 0; j < 8; j++) {
+            all |= row[i + j];
+            byte |= (unsigned)row[i + j] << (7 - j);
+        }
+        rem = rem << 8 ^ table[(rem >> 56 ^ byte) & 255];
+    }
+    *seen |= all;
+    return rem;
+}
+
+/* hrcc_encode with a constant n_out: the message, then its parity first bit
+ * highest and the zero tail, shift through the register window, and each step
+ * writes its outputs through the source map, a deleted one into a dummy byte. */
+static inline __attribute__((always_inline)) unsigned
+encode1(const uint8_t *restrict msgs, ptrdiff_t nframes, ptrdiff_t k, int r,
+        const uint64_t *restrict table, const uint8_t *restrict outputs, const int n_out,
+        const int32_t *restrict source, ptrdiff_t width, uint8_t *restrict out)
+{
+    unsigned seen = 0;
+    uint8_t deleted;
+    for (ptrdiff_t f = 0; f < nframes; f++, msgs += k, out += width) {
+        uint64_t parity = lfsr(msgs, k, table, &seen);
+        unsigned window = 0;
+        for (ptrdiff_t t = 0; t < k + r + TAIL_BITS; t++) {
+            unsigned bit = (unsigned)(parity >> 63);
+            if (t < k)
+                bit = msgs[t] & 1;
+            else
+                parity <<= 1;
+            window = (window << 1 | bit) & 31;
+            const int32_t *src = source + t * n_out;
+            _Pragma("GCC unroll 3")
+            for (int j = 0; j < n_out; j++)
+                *(src[j] < 0 ? &deleted : out + src[j]) = outputs[window] >> j & 1;
+        }
+    }
+    return seen;
+}
+
+/* msgs:    (nframes, k) row-major message bits.
+ * table:   the block code's 256 remainders, see lfsr(); r: its degree.
+ * outputs: 32 entries, bit j of entry w is output j of the conv code when the
+ *          register window is w, bit i of w holding the input i steps back.
+ * source:  (k + r + TAIL_BITS) * n_out entries, -1 or a column of out, as in
+ *          hrcc_viterbi; out: (nframes, width) coded bits.
+ * Returns -1 if a message value is not 0 or 1, else 0. */
+int hrcc_encode(const uint8_t *msgs, ptrdiff_t nframes, ptrdiff_t k, int r,
+                const uint64_t *table, const uint8_t *outputs, int n_out,
+                const int32_t *source, ptrdiff_t width, uint8_t *out)
+{
+    unsigned seen = n_out == 2
+        ? encode1(msgs, nframes, k, r, table, outputs, 2, source, width, out)
+        : encode1(msgs, nframes, k, r, table, outputs, 3, source, width, out);
+    return seen > 1 ? -1 : 0;
+}
+
+/* ok[f] = 1 if row f of words, n bits every stride bytes, is a multiple of the
+ * generator, whose constant term makes that lfsr(...) == 0: for a
+ * systematic word, exactly when its parity matches.  Returns -1 if a value is
+ * not 0 or 1, else 0. */
+int hrcc_check(const uint8_t *words, ptrdiff_t nframes, ptrdiff_t stride, ptrdiff_t n,
+               const uint64_t *table, uint8_t *ok)
+{
+    unsigned seen = 0;
+    for (ptrdiff_t f = 0; f < nframes; f++)
+        ok[f] = lfsr(words + f * stride, n, table, &seen) == 0;
     return seen > 1 ? -1 : 0;
 }

@@ -14,6 +14,7 @@ message starting with a lone 1 is the remainder of D^(k-1+r) mod g.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -31,9 +32,19 @@ FIRE_POLY = (1 << 40) | (1 << 26) | (1 << 23) | (1 << 17) | (1 << 3) | 1
 PARITY20_POLY = (1 << 20) | (1 << 18) | (1 << 17) | (1 << 6) | (1 << 4) | (1 << 1) | 1
 
 
+def _degree(generator: int) -> int:
+    """TypeError unless ``generator`` is an int, ValueError unless of degree >= 1 with D^0."""
+    generator = operator.index(generator)
+    if generator < 2 or not generator & 1:
+        raise ValueError(f"a generator needs degree >= 1 and a constant term, got {generator}")
+    return generator.bit_length() - 1
+
+
 def poly_remainder(value: int, generator: int) -> int:
     """Remainder of a GF(2) polynomial division, both args as bitmask ints."""
-    gdeg = generator.bit_length() - 1
+    gdeg = _degree(generator)
+    if operator.index(value) < 0:
+        raise ValueError(f"a polynomial is a non-negative int, got {value}")
     while value.bit_length() > gdeg:
         value ^= generator << (value.bit_length() - 1 - gdeg)
     return value
@@ -44,15 +55,26 @@ class BlockCode:
     """Systematic cyclic code: ``k`` message bits, then ``r`` parity bits.
 
     The parity is the remainder of the message polynomial times D^r modulo
-    ``generator``, whose degree is r.  Detection only.
+    ``generator``, whose degree r lies in [1, 64] (the compiled LFSR's register)
+    and which has a constant term.  Detection only.
     """
 
     k: int
     generator: int
 
+    def __post_init__(self):
+        if operator.index(self.k) < 1 or _degree(self.generator) > 64:
+            raise ValueError(f"a block code takes k >= 1 and degree <= 64, got {self}")
+
     @property
     def r(self) -> int:
         return self.generator.bit_length() - 1
+
+    @cached_property
+    def remainders(self) -> np.ndarray:
+        """The compiled LFSR's table: entry v is v(D) * D^r mod g at the top of a uint64."""
+        return kernels.frozen([poly_remainder(v << self.r, self.generator) << 64 - self.r
+                               for v in range(256)], np.uint64)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -122,6 +144,13 @@ class ConvCode:
     def n_out(self) -> int:
         return len(self.generators)
 
+    @cached_property
+    def outputs(self) -> np.ndarray:
+        """32 uint8: bit j of entry w is output j for the register window w (bit i: x[t-i])."""
+        return kernels.frozen([sum((bin(w & g).count("1") & 1) << j
+                                   for j, g in enumerate(self.generators)) for w in range(32)],
+                              np.uint8)
+
 
 CONV_RATE_12 = ConvCode((0b11001, 0b11011))  # G0 = 1+D^3+D^4, G1 = 1+D+D^3+D^4
 CONV_RATE_13 = ConvCode((0b11011, 0b10101, 0b11111))  # G1, G2 = 1+D^2+D^4, G3
@@ -143,9 +172,7 @@ def _sym_table(generators: tuple[int, ...]) -> np.ndarray:
     state, b = np.meshgrid(np.arange(16), (0, 1), indexing="ij")
     # The register window x[t], x[t-1], ..., x[t-4] of each (state, input).
     window = np.stack([b, state >> 3, state >> 2, state >> 1, state], axis=-1) & 1
-    syms = antipodal((window @ _tap_table(generators).T) & 1)
-    syms.flags.writeable = False
-    return syms
+    return kernels.frozen(antipodal((window @ _tap_table(generators).T) & 1))
 
 
 def conv_encode_batch(code: ConvCode, msgs: np.ndarray) -> np.ndarray:

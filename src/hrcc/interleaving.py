@@ -12,6 +12,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import kernels
 from .bits import BURST_PAYLOAD_BITS, Burst, antipodal, as_bit_array, as_soft_array, rows
 
 
@@ -34,11 +35,10 @@ def _destinations(mode: InterleaveMode) -> np.ndarray:
     return (k % b) * BURST_PAYLOAD_BITS + 2 * ((49 * k) % 57) + (k % (2 * b)) // b
 
 
-_DEST = {mode: _destinations(mode) for mode in InterleaveMode}
+# Frozen, so the channel finds each map's check in its cache without hashing it.
+_DEST = {mode: kernels.frozen(_destinations(mode)) for mode in InterleaveMode}
 # The inverse permutation: stream column j carries coded bit _SOURCE[mode][j].
-_SOURCE = {mode: np.argsort(dest) for mode, dest in _DEST.items()}
-for _table in (*_DEST.values(), *_SOURCE.values()):
-    _table.flags.writeable = False
+_SOURCE = {mode: kernels.frozen(np.argsort(dest)) for mode, dest in _DEST.items()}
 
 
 def destinations(mode: InterleaveMode) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Hot inner loops: convolutional encoding, the channel and Viterbi decoding.
+"""Hot inner loops: a chain's encoder and block check, the channel and Viterbi decoding.
 
 The Viterbi decoder has two interchangeable kernels.  The fast one is the
 plain C file ``_viterbi.c`` next to this module: on first import the system
@@ -8,13 +8,21 @@ plain C file ``_viterbi.c`` next to this module: on first import the system
 other sources or flags are then deleted), and later imports load that file
 through ``ctypes``.  If there is no compiler, or the build or the load
 fails, ``viterbi_batch`` is the numpy kernel ``viterbi_batch_np``.
-``BACKEND`` says which one runs: ``"c"`` or ``"numpy"``.  The numpy encoder
-is the only encoder.
+``BACKEND`` says which one runs: ``"c"`` or ``"numpy"``.
 
 The library also holds the channel, ``hrcc_channel`` (``channel_c``): one
 loop that adds each bit, in coded order, to a normal read through a noise
 map, with the operations of ``channel_np``, its numpy reference and
-fallback, in their order.  ``channel`` is the one that runs.
+fallback, in their order.  ``channel`` is the one that runs.  And it holds
+a chain's encoder, ``hrcc_encode``, and block check, ``hrcc_check``, which
+``ChainKernel`` calls with one chain's tables: the block parity by a
+byte-table LFSR, the tail, the conv code by a 32-entry table of register
+windows and the puncture through the chain's source map, in one pass; the
+check runs the LFSR over each word, whose remainder is zero exactly when its
+parity matches.  Their numpy references and fallbacks are ``BlockCode``'s
+parity and check, ``conv_encode_batch_np`` and ``coding.puncture_batch``.
+Constant tables are ``frozen`` over ``bytes``, so a map's check is cached on
+them without hashing the map again.
 
 The library exports one decoder, ``hrcc_viterbi`` (``viterbi_batch_c``),
 which picks the body for each frame itself: where the CPU has AVX2, whole
@@ -198,7 +206,10 @@ def _build(source: bytes, target: Path) -> None:
 
 
 def _load_c_library():
-    """(decoder, channel, lanes) of the library, built if needed; (None, None, 0) on failure."""
+    """(decoder, channel, encoder, check, lanes) of the library, built if needed.
+
+    On failure, four Nones and 0 lanes.
+    """
     try:
         source = _C_SOURCE.read_bytes()
         digest = hashlib.sha256(source + " ".join(_C_FLAGS).encode()).hexdigest()
@@ -206,19 +217,24 @@ def _load_c_library():
         if not target.exists():
             _build(source, target)
         lib = ctypes.CDLL(str(target))
-        decoder, channel, lanes = lib.hrcc_viterbi, lib.hrcc_channel, lib.hrcc_viterbi_lanes
+        functions = (lib.hrcc_viterbi, lib.hrcc_channel, lib.hrcc_encode, lib.hrcc_check,
+                     lib.hrcc_viterbi_lanes)
     except (OSError, AttributeError):  # no cc, failed build or load, missing symbol
-        return None, None, 0
-    ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
-    for function, argtypes in (
-        (lanes, ()),
+        return None, None, None, None, 0
+    ptr, size, c_int = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int
+    for function, argtypes in zip(functions, (
         # soft, nframes, in_width (values per row), source, width (map entries), n_out, sym, bits
-        (decoder, (ptr, size, size, ptr, size, ctypes.c_int, ptr, ptr)),
+        (ptr, size, size, ptr, size, c_int, ptr, ptr),
         # out, nframes, width, bits, columns, sigma, power
-        (channel, (ptr, size, size, ptr, ptr, ctypes.c_double, ctypes.c_double)),
-    ):
-        function.restype, function.argtypes = ctypes.c_int, argtypes
-    return decoder, channel, lanes()
+        (ptr, size, size, ptr, ptr, ctypes.c_double, ctypes.c_double),
+        # msgs, nframes, k, r, table, outputs, n_out, source, width, out
+        (ptr, size, size, c_int, ptr, ptr, c_int, ptr, size, ptr),
+        # words, nframes, stride (bytes per row), n, table, ok
+        (ptr, size, size, size, ptr, ptr),
+        (),
+    )):
+        function.restype, function.argtypes = c_int, argtypes
+    return *functions[:-1], functions[-1]()
 
 
 def _pinned(table: np.ndarray) -> tuple[np.ndarray, int]:
@@ -232,10 +248,28 @@ def _pinned(table: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _address(arr: np.ndarray) -> int:
-    """A C-ordered array's address; the buffer protocol costs a third of ``ndarray.ctypes``."""
-    if arr.flags.writeable and arr.size:  # the buffer protocol needs both
+    """An array's address; the buffer protocol costs a third of ``ndarray.ctypes``."""
+    if arr.flags.writeable and arr.flags.c_contiguous and arr.size:  # as the protocol needs
         return ctypes.addressof(ctypes.c_char.from_buffer(arr))
     return arr.ctypes.data
+
+
+def frozen(values, dtype=None) -> np.ndarray:
+    """A read-only copy of ``values`` over a ``bytes`` object, which nothing can write to."""
+    arr = np.ascontiguousarray(values, dtype)
+    return np.frombuffer(arr.tobytes(), arr.dtype).reshape(arr.shape)
+
+
+def _raw(arr: np.ndarray) -> bytes:
+    """``arr``'s bytes: the ``bytes`` of a ``frozen`` table itself, else a copy.
+
+    Python keeps a bytes object's hash, so a cache keyed on a frozen table's
+    bytes finds it without reading them again.
+    """
+    base = arr.base.base if isinstance(arr.base, np.ndarray) else arr.base
+    if isinstance(base, bytes) and arr.flags.c_contiguous and arr.nbytes == len(base):
+        return base
+    return arr.tobytes()
 
 
 def _checked_map(source, in_width: int, lowest: int = -1) -> tuple[np.ndarray, int]:
@@ -243,7 +277,7 @@ def _checked_map(source, in_width: int, lowest: int = -1) -> tuple[np.ndarray, i
     source = np.asarray(source)
     if source.ndim != 1 or source.dtype.kind not in "iu":
         raise ValueError("a source map is a 1-D integer array")
-    return _valid_map(source.tobytes(), source.dtype.str, in_width, lowest)
+    return _valid_map(_raw(source), source.dtype.str, in_width, lowest)
 
 
 @lru_cache(maxsize=16)
@@ -271,10 +305,15 @@ def _butterfly_syms(raw: bytes, n_out: int) -> tuple[np.ndarray, int]:
     return _pinned(np.ascontiguousarray(syms[0::2, 0]))
 
 
+def _bit_rows(bits) -> np.ndarray:
+    """``bits`` as C-ordered uint8; the kernels check uint8 values as they read them."""
+    bits = np.asarray(bits)
+    return np.ascontiguousarray(bits if bits.dtype == np.uint8 else binary_uint8(bits))  # >= 1-D
+
+
 def _channel_operands(out: np.ndarray, bits, columns) -> tuple[np.ndarray, np.ndarray, int]:
     """(bits as C-ordered uint8, pinned noise map, its address), checked against ``out``."""
-    bits = np.asarray(bits)  # uint8 bits are checked by each backend as it reads them
-    bits = np.ascontiguousarray(bits if bits.dtype == np.uint8 else binary_uint8(bits))  # >= 1-D
+    bits = _bit_rows(bits)
     width = bits.shape[-1]
     columns, at = _identity_map(width) if columns is None else _checked_map(columns, width, 0)
     if not (bits.ndim == 2 and out.shape == bits.shape and columns.size == width
@@ -299,7 +338,7 @@ def channel_np(out: np.ndarray, bits, sigma: float, columns=None) -> np.ndarray:
     return out
 
 
-_decoder, _channel, LANES = _load_c_library()
+_decoder, _channel, _encoder, _check, LANES = _load_c_library()
 BACKEND = "numpy" if _decoder is None else "c"
 
 
@@ -311,7 +350,7 @@ def viterbi_batch_c(soft: np.ndarray, syms: np.ndarray, source=None) -> np.ndarr
         _identity_map(in_width) if source is None else _checked_map(source, in_width)
     )
     n_out = syms.shape[2]
-    sym, sym_at = _butterfly_syms(np.ascontiguousarray(syms, dtype=np.float64).tobytes(), n_out)
+    sym, sym_at = _butterfly_syms(_raw(np.ascontiguousarray(syms, dtype=np.float64)), n_out)
     bits = np.empty((nframes, _steps(source.size, n_out)), dtype=np.uint8)
     # source and sym stay referenced here, so their addresses stay valid.
     if _decoder(_address(soft), nframes, in_width, source_at, source.size, n_out, sym_at,
@@ -331,8 +370,52 @@ def channel_c(out: np.ndarray, bits, sigma: float, columns=None) -> np.ndarray:
     return out
 
 
+class ChainKernel:
+    """One chain's compiled encoder and block check, its operands pinned once.
+
+    ``block`` and ``code`` are the chain's ``BlockCode`` and ``ConvCode``, whose
+    ``remainders`` and ``outputs`` tables the C reads; ``source`` maps each
+    mother-code column to its column of the ``width``-bit coded block, or -1.
+    Both calls read each value once and raise ValueError on any but 0 and 1.
+    """
+
+    def __init__(self, block, code, source, width: int):
+        self.k, self.r, self.n_out, self.width = block.k, block.r, code.n_out, width
+        remainders, outputs, source = (frozen(table, dtype) for table, dtype in (
+            (block.remainders, np.uint64), (code.outputs, np.uint8), (source, np.int32)))
+        sizes = (256, 32, (self.k + self.r + 4) * self.n_out)  # 4 tail bits, as hrcc_encode adds
+        # hrcc_encode writes each column of its uncleared output through the map, so once each.
+        if (self.n_out not in (2, 3) or (remainders.size, outputs.size, source.size) != sizes
+                or not np.array_equal(np.sort(source[source >= 0]), np.arange(width))):
+            raise ValueError("a chain kernel takes rate 1/2 or 1/3, 256 remainders, 32 outputs "
+                             "and a source map that holds each coded column once")
+        # Kept referenced here, so that their addresses stay valid.
+        self._tables = [_pinned(table) for table in (remainders, outputs, source)]
+        self._table_at, self._outputs_at, self._source_at = (at for _, at in self._tables)
+
+    def encode(self, msgs) -> np.ndarray:
+        """(frames, k) messages -> (frames, width) coded blocks, in one ``hrcc_encode`` call."""
+        msgs = _bit_rows(rows(msgs, self.k, "the chain encodes"))
+        out = np.empty((msgs.shape[0], self.width), np.uint8)
+        if _encoder(_address(msgs), msgs.shape[0], self.k, self.r, self._table_at,
+                    self._outputs_at, self.n_out, self._source_at, self.width, _address(out)):
+            raise ValueError("bit block may only contain 0 and 1")
+        return out
+
+    def check(self, words) -> np.ndarray:
+        """``BlockCode.check_batch`` of (frames, k + r) words, in one ``hrcc_check`` call."""
+        words = rows(words, self.k + self.r, "the block code checks")
+        if words.dtype != np.uint8 or words.strides[1] != 1:  # rows may lie apart, bits not
+            words = _bit_rows(words)
+        ok = np.empty(words.shape[0], np.bool_)
+        if _check(_address(words), words.shape[0], words.strides[0], words.shape[1],
+                  self._table_at, _address(ok)):
+            raise ValueError("bit block may only contain 0 and 1")
+        return ok
+
+
 if _decoder is None:
-    viterbi_batch_c = channel_c = None
+    viterbi_batch_c = channel_c = ChainKernel = None
 
 conv_encode_batch = conv_encode_batch_np
 viterbi_batch = viterbi_batch_c or viterbi_batch_np

@@ -4,7 +4,9 @@ Five chains share the same stage order: block parity, four tail bits,
 convolutional encoding, then any scheme puncturing.  The standard chain
 emits the classic 456-bit block; the four modified chains emit 228 bits,
 either by puncturing the full 184-bit message or by coding a reduced
-90-bit message at rate 1/2.
+90-bit message at rate 1/2.  With the C backend each chain runs all four
+stages, and its block check, in one compiled call (``kernels.ChainKernel``);
+without it, the numpy stages and ``BlockCode``'s check give the same bits.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import coding
-from .bits import as_bit_array, as_soft_array, rows
+from . import coding, kernels
+from .bits import rows
 from .coding import (
     CONV_RATE_12,
     CONV_RATE_13,
@@ -66,6 +68,9 @@ class _Chain:
     # puncturing deleted it: the decoder reads the block through this map.
     # None when nothing is punctured: the decoder reads the columns in order.
     source: np.ndarray | None = field(init=False)
+    # The compiled encoder and block check, or None without the C backend:
+    # then the numpy stages, BlockCode's parity and check, run instead.
+    kernel: kernels.ChainKernel | None = field(init=False)
 
     def __post_init__(self):
         mother = (self.block.k + self.block.r + TAIL_BITS) * self.code.n_out
@@ -81,11 +86,16 @@ class _Chain:
         if composed is not None:
             source = np.full(mother, -1, dtype=np.int32)
             source[composed.kept_indices] = np.arange(coded_bits)
-            source.flags.writeable = False
+            source = kernels.frozen(source)
+        kernel = None
+        if kernels.BACKEND == "c":
+            chain_source = np.arange(mother) if source is None else source
+            kernel = kernels.ChainKernel(self.block, self.code, chain_source, coded_bits)
         object.__setattr__(self, "coded_bits", coded_bits)
         object.__setattr__(self, "interleave", mode)
         object.__setattr__(self, "puncture", composed)
         object.__setattr__(self, "source", source)
+        object.__setattr__(self, "kernel", kernel)
 
 
 _CHAINS: dict[SchemeId, _Chain] = {
@@ -132,6 +142,8 @@ def encode_blocks(scheme: SchemeId, msgs: np.ndarray) -> np.ndarray:
     """Encode a (frames, message_bits) batch of 0/1 values to (frames, coded_bits)."""
     chain = _CHAINS[scheme]
     msgs = rows(msgs, chain.block.k, f"{scheme.value} encodes")
+    if chain.kernel is not None:
+        return chain.kernel.encode(msgs)
     parity = chain.block.parity_batch(msgs)
     tail = np.zeros((msgs.shape[0], TAIL_BITS), dtype=np.uint8)
     out = coding.conv_encode_batch(chain.code, np.concatenate([msgs, parity, tail], axis=1))
@@ -146,17 +158,24 @@ def decode_blocks(scheme: SchemeId, softs: np.ndarray) -> tuple[np.ndarray, np.n
     softs = rows(softs, chain.coded_bits, f"{scheme.value} decodes")
     decoded = coding.viterbi_decode_batch(chain.code, softs, chain.source)
     inputs = decoded[:, :-TAIL_BITS]
-    return inputs[:, : chain.block.k], chain.block.check_batch(inputs)
+    check = chain.block.check_batch if chain.kernel is None else chain.kernel.check
+    return inputs[:, : chain.block.k], check(inputs)
+
+
+def _one_row(block, width: int, what: str) -> np.ndarray:
+    """One block as a batch of one row; the batch call checks its values, once."""
+    block = np.asarray(block)
+    if block.shape != (width,):
+        raise ValueError(f"expected a {width}-{what} block, got shape {block.shape}")
+    return block[np.newaxis, :]
 
 
 def encode_block(scheme: SchemeId, msg) -> np.ndarray:
     """Encode one message; output is 456 bits (standard) or 228 (modified)."""
-    msg = as_bit_array(msg, _CHAINS[scheme].block.k)
-    return encode_blocks(scheme, msg[np.newaxis, :])[0]
+    return encode_blocks(scheme, _one_row(msg, _CHAINS[scheme].block.k, "bit"))[0]
 
 
 def decode_block(scheme: SchemeId, soft) -> DecodeOutcome:
     """Decode one soft block, reversing the scheme's stage composition."""
-    soft = as_soft_array(soft, _CHAINS[scheme].coded_bits)
-    msgs, ok = decode_blocks(scheme, soft[np.newaxis, :])
+    msgs, ok = decode_blocks(scheme, _one_row(soft, _CHAINS[scheme].coded_bits, "value soft"))
     return DecodeOutcome(message=msgs[0], ok=bool(ok[0]))

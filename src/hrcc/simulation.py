@@ -47,9 +47,18 @@ def check_seed(seed: int) -> int:
 
 
 def noise_sigma(ebno_db: float, info_rate: Fraction | float) -> float:
-    """Noise standard deviation for unit-energy antipodal symbols."""
-    ebno = 10.0 ** (ebno_db / 10.0)
-    return 1.0 / math.sqrt(2.0 * float(info_rate) * ebno)
+    """Noise standard deviation for unit-energy antipodal symbols.
+
+    ValueError unless Eb/N0 is finite, the rate in (0, 1] and sigma a positive float.
+    """
+    rate = float(info_rate)
+    if math.isfinite(ebno_db) and 0.0 < rate <= 1.0:
+        try:
+            return 1.0 / math.sqrt(2.0 * rate * 10.0 ** (ebno_db / 10.0))
+        except (OverflowError, ZeroDivisionError):
+            pass
+    raise ValueError(f"no noise level at {ebno_db} dB and rate {info_rate}: Eb/N0 must be "
+                     "finite, the rate in (0, 1] and sigma a positive float")
 
 
 def _sigma_in_range(sigma: float, width: int) -> bool:
@@ -68,11 +77,11 @@ def _channel_in_range(ebno_db: float, info_rate: Fraction, width: int) -> bool:
     """Whether :func:`_sigma_in_range` holds at ``ebno_db``.
 
     From about 3054 dB the path metrics overflow, and below about -3082 dB
-    sigma^2 does; further out ``noise_sigma`` overflows or divides by zero.
+    sigma^2 does; further out, or at an infinite or NaN point, ``noise_sigma`` fails.
     """
     try:
         return _sigma_in_range(noise_sigma(ebno_db, info_rate), width)
-    except (OverflowError, ZeroDivisionError):
+    except ValueError:
         return False
 
 

@@ -126,7 +126,8 @@ def test_batch_entry_points_take_one_row_per_frame(name):
 
 @pytest.mark.parametrize("bad", [[[2, 0, 0, 0, 0]], [[0.7, 1.2, 0, 0, 0]], [[-1, 0, 0, 0, 0]]])
 @pytest.mark.parametrize("name", ["coding.conv_encode_batch", "kernels.conv_encode_batch_np",
-                                  "coding.FIRE_CODE.parity_batch", "coding.PARITY20_CODE.check_batch"])
+                                  "coding.FIRE_CODE.parity_batch",
+                                  "coding.PARITY20_CODE.check_batch", "schemes.encode_blocks"])
 def test_encoders_take_only_0_and_1(name, bad):
     # Unchecked, the kernel encoded 2s as 2s and truncated 0.7 and 1.2 to bits.
     entry, width = BATCH_ENTRY_POINTS[name]

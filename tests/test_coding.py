@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from hrcc.coding import (
     PUNCTURE_P12,
     PUNCTURE_P13,
     PUNCTURE_P23,
+    BlockCode,
     ConvCode,
     PuncturePattern,
     compose_punctures,
@@ -19,6 +22,7 @@ from hrcc.coding import (
     fire_encode,
     parity20_check,
     parity20_encode,
+    poly_remainder,
     puncture_batch,
     viterbi_decode,
     viterbi_decode_batch,
@@ -158,6 +162,65 @@ def test_block_code_length_validation():
         parity20_encode(np.zeros(91, dtype=np.uint8))
     with pytest.raises(ValueError):
         parity20_check(np.zeros(111, dtype=np.uint8))
+
+
+@pytest.fixture
+def alarm():
+    """Fail a call that never returns: SIGALRM after 5 s, on this (the main) thread."""
+
+    def hung(*args):
+        raise TimeoutError("the call did not return within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+# Generator 0 looped forever, and a negative generator or value gave a wrong
+# remainder; degree 0 (1) and no constant term (even) are refused as in BlockCode.
+@pytest.mark.parametrize("value, generator", [(5, 0), (5, 1), (5, -3), (5, 0b110), (-5, 11)])
+def test_poly_remainder_rejects_bad_generators_and_values(alarm, value, generator):
+    with pytest.raises(ValueError):
+        poly_remainder(value, generator)
+
+
+@pytest.mark.parametrize("value, generator", [(5.0, 11), (5, 11.0), ("5", 11)])
+def test_poly_remainder_rejects_non_integers(value, generator):
+    with pytest.raises(TypeError):
+        poly_remainder(value, generator)
+
+
+def test_poly_remainder_of_good_generators():
+    assert poly_remainder(0b1000, 0b1011) == 0b011
+    assert poly_remainder(0b10, 0b1011) == 0b10
+    assert poly_remainder(0, 0b11) == 0
+
+
+# BlockCode(10, 0) had r == -1; degree 65 no longer fits the compiled LFSR.
+@pytest.mark.parametrize("k, generator", [(10, 0), (10, 1), (10, -11), (10, 0b1010),
+                                          (10, (1 << 65) | 1), (0, 0b1011), (-1, 0b1011)])
+def test_block_code_rejects_bad_generators_and_lengths(k, generator):
+    with pytest.raises(ValueError):
+        BlockCode(k, generator)
+
+
+@pytest.mark.parametrize("k, generator", [(10.0, 0b1011), (10, 11.0), (10, None)])
+def test_block_code_rejects_non_integers(k, generator):
+    with pytest.raises(TypeError):
+        BlockCode(k, generator)
+
+
+@pytest.mark.parametrize("generator", [0b11, 0b1011, (1 << 64) | 0b11011])
+def test_block_codes_of_degree_1_to_64_give_the_long_division_parity(generator):
+    code = BlockCode(13, generator)
+    msgs = np.random.default_rng(generator % 1000).integers(0, 2, size=(9, 13), dtype=np.uint8)
+    bits = [int(b) for b in bin(generator)[2:]]
+    assert code.parity_batch(msgs).tolist() == [cyclic_parity(row.tolist(), bits) for row in msgs]
+    assert code.remainders.dtype == np.uint64 and not code.remainders.flags.writeable
+    # Entry v is v(D) * D^r mod g, at the top of 64 bits.
+    assert int(code.remainders[1]) == poly_remainder(1 << code.r, generator) << 64 - code.r
 
 
 # --- convolutional codes ---------------------------------------------------

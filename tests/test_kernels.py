@@ -58,7 +58,8 @@ def test_kernel_source_builds_without_warnings_and_exports_one_decoder(tmp_path)
             ["nm", "-D", "--defined-only", str(library)], capture_output=True, text=True, check=True
         )
         defined = {line.split()[-1] for line in listing.stdout.splitlines() if line.strip()}
-        assert defined == {"hrcc_viterbi", "hrcc_viterbi_lanes", "hrcc_channel"}
+        assert defined == {"hrcc_viterbi", "hrcc_viterbi_lanes", "hrcc_channel", "hrcc_encode",
+                           "hrcc_check"}
 
 
 @pytest.mark.parametrize("code", CODES)
@@ -178,6 +179,30 @@ def test_out_of_range_source_maps_are_rejected(bad):
     for decode in filter(None, [kernels.viterbi_batch_np, kernels.viterbi_batch_c]):
         with pytest.raises(ValueError, match="source map"):
             decode(np.zeros((2, 228)), syms, np.array(bad))
+
+
+def test_frozen_tables_cannot_be_written_and_views_of_them_are_read_as_views():
+    table = kernels.frozen(np.arange(228))
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table.flags.writeable = True
+    # A map cached on a frozen table's bytes must not stand in for a view of it.
+    syms = _sym_table(CONV_RATE_12.generators)
+    soft = np.random.default_rng(31).normal(0.0, 2.0, size=(3, 228))
+    for decode in filter(None, [kernels.viterbi_batch_np, kernels.viterbi_batch_c]):
+        for view in (table, table[::-1], kernels.frozen(np.arange(456))[:228]):
+            assert np.array_equal(decode(soft, syms, view), decode(soft, syms, view.copy()))
+
+
+@pytest.mark.parametrize("bad", [[0, 1, 228, 3], [0, -2, 1, 2]])
+def test_frozen_maps_are_checked_like_any_other(bad):
+    syms = _sym_table(CONV_RATE_12.generators)
+    for decode in filter(None, [kernels.viterbi_batch_np, kernels.viterbi_batch_c]):
+        with pytest.raises(ValueError, match="source map"):
+            decode(np.zeros((2, 228)), syms, kernels.frozen(bad))
+    for channel in filter(None, [kernels.channel_np, kernels.channel_c]):
+        with pytest.raises(ValueError, match="source map"):
+            channel(np.zeros((2, 4)), np.ones((2, 4), dtype=np.uint8), 0.8, kernels.frozen(bad))
 
 
 def _old_channel(z, bits, sigma, columns):

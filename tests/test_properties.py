@@ -17,7 +17,15 @@ from hypothesis.extra import numpy as hnp
 
 from hrcc import kernels, messages
 from hrcc.bits import SubAllocation, antipodal, from_hex, to_hex
-from hrcc.coding import CONSTRAINT_LENGTH, CONV_RATE_12, CONV_RATE_13, _sym_table, _tap_table
+from hrcc.coding import (
+    CONSTRAINT_LENGTH,
+    CONV_RATE_12,
+    CONV_RATE_13,
+    TAIL_BITS,
+    _sym_table,
+    _tap_table,
+    puncture_batch,
+)
 from hrcc.interleaving import InterleaveMode, deinterleave_batch, interleave_batch
 from hrcc.schemes import (
     _CHAINS,
@@ -126,6 +134,27 @@ def test_compiled_kernel_equals_the_numpy_kernel(code, data):
     soft = data.draw(hnp.arrays(np.float64, shape, elements=SOFT), label="soft")
     expect = kernels.viterbi_batch_np(soft, syms, source)
     assert np.array_equal(kernels.viterbi_batch_c(soft, syms, source), expect)
+
+
+@pytest.mark.skipif(kernels.BACKEND != "c", reason="no compiled kernel")
+@SOME
+@given(scheme=SCHEMES, data=st.data())
+def test_compiled_chain_equals_the_numpy_chain(scheme, data):
+    # Up to nine frames through the compiled encoder and block check, against
+    # BlockCode's BLAS parity and check, conv_encode_batch_np and the puncture.
+    chain = _CHAINS[scheme]
+    frames = data.draw(st.integers(0, 9), label="frames")
+    msgs = data.draw(hnp.arrays(np.uint8, (frames, chain.block.k), elements=BITS), label="msgs")
+    words = np.concatenate([msgs, chain.block.parity_batch(msgs)], axis=1)
+    flips = data.draw(hnp.arrays(np.uint8, words.shape, elements=st.sampled_from([0, 0, 0, 1])),
+                      label="flips")
+    tailed = np.pad(words, ((0, 0), (0, TAIL_BITS)))
+    expect = kernels.conv_encode_batch_np(tailed, _tap_table(chain.code.generators))
+    if chain.puncture is not None:
+        expect = puncture_batch(chain.puncture, expect)
+    assert np.array_equal(encode_blocks(scheme, msgs), expect)
+    for batch in (words, words ^ flips):
+        assert np.array_equal(chain.kernel.check(batch), chain.block.check_batch(batch))
 
 
 def _sym_table_loop(generators):

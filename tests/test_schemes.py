@@ -3,11 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hrcc import coding
+from hrcc import coding, kernels
 from hrcc.interleaving import InterleaveMode, deinterleave, demap_burst
 from hrcc.coding import conv_encode_batch, fire_encode, parity20_encode, puncture_batch
 from hrcc.coding import CONV_RATE_12, CONV_RATE_13, FIRE_CODE, PUNCTURE_CS23, PUNCTURE_P12
-from hrcc.coding import PUNCTURE_P13, TAIL_BITS
+from hrcc.coding import PARITY20_CODE, PUNCTURE_P13, TAIL_BITS
 from hrcc.schemes import (
     _CHAINS,
     _Chain,
@@ -22,10 +22,12 @@ from hrcc.schemes import (
     message_bits,
     scheme_from_name,
 )
+from hrcc.simulation import sweep
 
 from oracles import (
     FIRE_GEN_BITS,
     GEN_RATE_12,
+    GEN_RATE_13,
     PARITY20_GEN_BITS,
     conv_encode_ref,
     cyclic_parity,
@@ -265,3 +267,138 @@ def test_batch_matches_single_block_api():
         decoded, ok = decode_blocks(scheme, _perfect_soft(batch))
         assert ok.all()
         assert np.array_equal(decoded, msgs)
+
+
+def _numpy_chain(scheme, msgs):
+    """The numpy stages of a chain: BLAS parity, tail, conv_encode_batch_np, puncture."""
+    chain = _CHAINS[scheme]
+    words = np.concatenate([msgs, chain.block.parity_batch(msgs)], axis=1)
+    tailed = np.pad(words, ((0, 0), (0, TAIL_BITS)))
+    out = kernels.conv_encode_batch_np(tailed, coding._tap_table(chain.code.generators))
+    return out if chain.puncture is None else puncture_batch(chain.puncture, out)
+
+
+def _oracle_chain(scheme, msg):
+    """One block through oracles.py's long division and shift register."""
+    chain = _CHAINS[scheme]
+    generator = FIRE_GEN_BITS if chain.block is FIRE_CODE else PARITY20_GEN_BITS
+    taps = GEN_RATE_12 if chain.code is CONV_RATE_12 else GEN_RATE_13
+    coded = conv_encode_ref(list(msg) + cyclic_parity(msg, generator) + [0] * TAIL_BITS, taps)
+    return coded if chain.puncture is None else [coded[i] for i in chain.puncture.kept_indices]
+
+
+def _message_rows(scheme, nframes, kind, seed):
+    k = message_bits(scheme)
+    msgs = np.random.default_rng(seed).integers(0, 2, size=(nframes, 2 * k), dtype=np.uint8)
+    if kind == "strided":
+        return msgs[:, ::2]
+    return msgs[:, :k].astype(np.bool_ if kind == "bool" else np.int64)
+
+
+@pytest.mark.parametrize("kind", ["bool", "int64", "strided"])
+@pytest.mark.parametrize("nframes", [0, 1, 4, 5, 513])
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_encoder_equals_the_numpy_chain_and_the_oracles(scheme, nframes, kind):
+    msgs = _message_rows(scheme, nframes, kind, nframes)
+    coded = encode_blocks(scheme, msgs)
+    assert coded.dtype == np.uint8 and coded.flags.c_contiguous
+    assert np.array_equal(coded, _numpy_chain(scheme, msgs.astype(np.uint8)))
+    for i in sorted({0, nframes - 1}) if nframes else []:
+        assert coded[i].tolist() == _oracle_chain(scheme, msgs[i].astype(int).tolist())
+
+
+@pytest.mark.parametrize("row", [0, -1])
+@pytest.mark.parametrize("bad", [2, 255])
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_encoder_rejects_message_bytes_other_than_0_and_1(scheme, bad, row):
+    msgs = np.zeros((5, message_bits(scheme)), dtype=np.uint8)
+    msgs[row, 3 if row else -1] = bad
+    with pytest.raises(ValueError, match="only contain 0 and 1"):
+        encode_blocks(scheme, msgs)
+
+
+def _check_cases(block, seed):
+    """Clean words, each single flip of the first, in the message and the parity, and zeros."""
+    msgs = np.random.default_rng(seed).integers(0, 2, size=(6, block.k), dtype=np.uint8)
+    words = np.concatenate([msgs, block.parity_batch(msgs)], axis=1)
+    n = block.k + block.r
+    flips = words[0] ^ np.eye(n, dtype=np.uint8)
+    return np.vstack([words, flips, np.zeros((2, n), dtype=np.uint8)])
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.STANDARD_456, SchemeId.M2_REDUCED])
+def test_compiled_check_equals_the_blas_check(scheme):
+    chain = _CHAINS[scheme]
+    if chain.kernel is None:
+        pytest.skip("no compiled kernel")
+    words = _check_cases(chain.block, chain.block.k)
+    expect = chain.block.check_batch(words)
+    assert expect[:6].all() and not expect[6:-2].any() and expect[-2:].all()
+    wide = np.pad(words, ((0, 0), (0, TAIL_BITS)))  # strided rows, as decode_blocks passes them
+    for batch in (words, words.astype(np.bool_), wide[:, :-TAIL_BITS], np.asfortranarray(words),
+                  words[:0], words[7:8]):
+        ok = chain.kernel.check(batch)
+        assert ok.dtype == np.bool_ and np.array_equal(ok, chain.block.check_batch(batch))
+    words[-1, 5] = 2
+    with pytest.raises(ValueError, match="only contain 0 and 1"):
+        chain.kernel.check(words)
+
+
+def test_c_backend_makes_one_compiled_call_per_batch_and_no_blas_call(monkeypatch):
+    if kernels.BACKEND != "c":
+        pytest.skip("no compiled kernel")
+    calls = []
+    for name in ("_encoder", "_check"):
+        original = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name,
+                            lambda *args, name=name, f=original: calls.append(name) or f(*args))
+
+    def blas(*args):
+        raise AssertionError("the BLAS parity ran")
+
+    monkeypatch.setattr(coding.BlockCode, "_parity", blas)
+    for scheme in SchemeId:
+        calls.clear()
+        msgs = _message_rows(scheme, 7, "int64", 3)
+        decoded, ok = decode_blocks(scheme, _perfect_soft(encode_blocks(scheme, msgs)))
+        assert calls == ["_encoder", "_check"]
+        assert ok.all() and np.array_equal(decoded, msgs)
+    reports = sweep(list(SchemeId), [0.0, 2.0], min_frames=600, min_errors=20, seed=4)
+    assert sum(r.frames for r in reports) > 0
+
+
+def test_numpy_chains_give_the_compiled_chains_bits(monkeypatch):
+    # Without a compiler every chain runs the numpy stages and the BLAS check.
+    rng = np.random.default_rng(5)
+    for scheme, chain in list(_CHAINS.items()):
+        monkeypatch.setattr(kernels, "BACKEND", "numpy")
+        numpy_chain = _Chain(chain.code, chain.punctures, chain.block)
+        monkeypatch.undo()
+        assert numpy_chain.kernel is None
+        msgs = rng.integers(0, 2, size=(9, chain.block.k), dtype=np.uint8)
+        soft = rng.normal(0.0, 1.5, size=(9, chain.coded_bits))
+        soft[0] = 0.0
+        coded, outcome = encode_blocks(scheme, msgs), decode_blocks(scheme, soft)
+        monkeypatch.setitem(_CHAINS, scheme, numpy_chain)
+        assert np.array_equal(encode_blocks(scheme, msgs), coded)
+        for got, expect in zip(decode_blocks(scheme, soft), outcome):
+            assert np.array_equal(got, expect)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.STANDARD_456, SchemeId.M1_CS12_P12])
+def test_chain_kernel_takes_only_a_map_onto_every_coded_column(scheme):
+    # hrcc_encode writes through the map into (frames, width) rows it does not clear.
+    if kernels.ChainKernel is None:
+        pytest.skip("no compiled kernel")
+    chain = _CHAINS[scheme]
+    good = chain.source if chain.source is not None else np.arange(2 * 228)
+    missing, repeated = good.copy(), good.copy()
+    missing[np.flatnonzero(good >= 0)[7]] = -1
+    repeated[np.flatnonzero(good >= 0)[7]] = good[np.flatnonzero(good >= 0)[8]]
+    for bad in (missing, repeated, good[:-2], np.append(good, -1)):
+        with pytest.raises(ValueError, match="each coded column once"):
+            kernels.ChainKernel(chain.block, chain.code, bad, chain.coded_bits)
+    with pytest.raises(ValueError, match="each coded column once"):
+        kernels.ChainKernel(chain.block, chain.code, good, chain.coded_bits + 1)
+    kernels.ChainKernel(chain.block, chain.code, good, chain.coded_bits)

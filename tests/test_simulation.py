@@ -86,6 +86,20 @@ def test_run_bler_takes_only_integer_limits(monkeypatch, limits):
     assert not encoded
 
 
+@pytest.mark.parametrize("ebno, rate", [(math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5),
+                                         (3.0, 0), (3.0, -0.5), (3.0, 1.5), (3.0, math.nan),
+                                         (3085.0, 0.5), (-3300.0, 0.5)])
+def test_noise_sigma_rejects_points_without_a_positive_float_sigma(ebno, rate):
+    # nan gave nan, rate 0 ZeroDivisionError, 3085 dB OverflowError.
+    with pytest.raises(ValueError):
+        noise_sigma(ebno, rate)
+    assert not simulation._channel_in_range(ebno, rate, 228)
+
+
+def test_noise_sigma_takes_rate_one():
+    assert noise_sigma(0.0, 1) == pytest.approx(math.sqrt(0.5))
+
+
 @pytest.mark.parametrize("ebno", [math.inf, -math.inf, math.nan])
 def test_run_bler_rejects_non_finite_ebno(ebno):
     with pytest.raises(ValueError, match="finite"):
