@@ -25,9 +25,9 @@
  * function attribute, not by a compiler flag, so the library loads on any
  * x86-64 CPU; hrcc_viterbi_lanes says whether this CPU runs it.
  *
- * The library also holds a chain's encoder, hrcc_encode, its block check,
- * hrcc_check, and the channel, hrcc_channel, each bit-identical to the numpy
- * stages it replaces.
+ * The library also holds a chain's encoder, hrcc_encode, and the channel,
+ * hrcc_channel, each bit-identical to the numpy stages it replaces; given a
+ * block code's table, hrcc_viterbi also checks each decoded word.
  */
 
 #include <stddef.h>
@@ -181,80 +181,6 @@ decode_groups(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const i
 
 #endif
 
-/* Frames decoded at once by the fastest body this CPU runs. */
-int hrcc_viterbi_lanes(void)
-{
-#ifdef __x86_64__
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx2"))
-        return LANES;
-#endif
-    return 1;
-}
-
-/* soft:   (nframes, in_width) row-major soft values, +1 meaning coded bit 0.
- * source: width entries, each -1 or a column of a soft row; see above.
- * n_out:  2 or 3, the code rate's denominator; kernels.py rejects any other.
- * sym:    (8, n_out) outputs of the branch from state 2i under input 0.
- * bits:   (nframes, width / n_out) decoded inputs, tail included.
- * Returns 0, or -1 if the scratch buffer cannot be allocated.
- */
-int hrcc_viterbi(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width,
-                 const int32_t *source, ptrdiff_t width, int n_out, const double *sym,
-                 uint8_t *bits)
-{
-    const ptrdiff_t nsteps = width / n_out;
-    if (nframes == 0 || nsteps == 0)
-        return 0;
-    /* back: NSTATES bytes per step for the AVX2 body, or one word per step
-     * for the scalar body; lanes follows it. */
-    uint8_t *back = malloc(NSTATES * nsteps + LANES * nsteps * n_out * sizeof(double));
-    if (back == NULL)
-        return -1;
-    ptrdiff_t grouped = 0;
-#ifdef __x86_64__
-    if (hrcc_viterbi_lanes() == LANES) {
-        grouped = nframes - nframes % LANES;
-        decode_groups(soft, grouped, in_width, source, nsteps, n_out, sym,
-                      (double *)(back + NSTATES * nsteps), back, bits);
-    }
-#endif
-    soft += grouped * in_width;
-    bits += grouped * nsteps;
-    nframes -= grouped;
-    if (n_out == 2)
-        decode1(soft, nframes, in_width, source, nsteps, 2, sym, (uint16_t *)back, bits);
-    else
-        decode1(soft, nframes, in_width, source, nsteps, 3, sym, (uint16_t *)back, bits);
-    free(back);
-    return 0;
-}
-
-/* kernels.channel_np's numpy passes, in their order, in one loop: column j of out,
- * (nframes, width) standard normals, gets bit j of its row and the normal drawn at
- * column columns[j], read from a copy of the row.  Returns -1 if a bit is not 0 or
- * 1, -2 without memory, else 0.  No branch on a bit: random bits mispredict. */
-int hrcc_channel(double *out, ptrdiff_t nframes, ptrdiff_t width, const uint8_t *bits,
-                 const int32_t *columns, double sigma, double power)
-{
-    double *normals = malloc(width * sizeof(double));
-    if (normals == NULL)
-        return nframes && width ? -2 : 0;
-    unsigned seen = 0;
-    for (ptrdiff_t f = 0; f < nframes; f++, out += width, bits += width) {
-        memcpy(normals, out, width * sizeof(double));
-        for (ptrdiff_t j = 0; j < width; j++) {
-            double v = normals[columns[j]] * sigma;
-            seen |= bits[j];
-            v += 1.0 - 2.0 * bits[j];
-            v *= 2.0;
-            out[j] = v / power;
-        }
-    }
-    free(normals);
-    return seen > 1 ? -1 : 0;
-}
-
 /* The remainder of row(D) * D^r modulo the block code's generator, for n bits
  * read first bit highest, at the top of a uint64: one lookup per byte of bits in
  * table[v], the remainder of v(D) * D^r stored the same way.  The n % 8 leading
@@ -281,6 +207,87 @@ static inline uint64_t lfsr(const uint8_t *restrict row, ptrdiff_t n,
     }
     *seen |= all;
     return rem;
+}
+
+/* Frames decoded at once by the fastest body this CPU runs. */
+int hrcc_viterbi_lanes(void)
+{
+#ifdef __x86_64__
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2"))
+        return LANES;
+#endif
+    return 1;
+}
+
+/* soft:   (nframes, in_width) row-major soft values, +1 meaning coded bit 0.
+ * source: width entries, each -1 or a column of a soft row; see above.
+ * n_out:  2 or 3, the code rate's denominator; kernels.py rejects any other.
+ * sym:    (8, n_out) outputs of the branch from state 2i under input 0.
+ * bits:   (nframes, width / n_out) decoded inputs, tail included.
+ * table:  NULL, or the block code's 256 remainders, see lfsr(); then ok[f] = 1 if
+ *         lfsr() of the first n bits of row f is 0, which, as every generator has
+ *         a constant term, holds exactly when that word's parity matches.
+ * Returns 0, or -1 if the scratch buffer cannot be allocated.
+ */
+int hrcc_viterbi(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width,
+                 const int32_t *source, ptrdiff_t width, int n_out, const double *sym,
+                 uint8_t *bits, const uint64_t *table, ptrdiff_t n, uint8_t *ok)
+{
+    const ptrdiff_t nsteps = width / n_out;
+    if (nframes == 0 || nsteps == 0)
+        return 0;
+    /* back: NSTATES bytes per step for the AVX2 body, or one word per step
+     * for the scalar body; lanes follows it. */
+    uint8_t *back = malloc(NSTATES * nsteps + LANES * nsteps * n_out * sizeof(double));
+    if (back == NULL)
+        return -1;
+    ptrdiff_t grouped = 0;
+#ifdef __x86_64__
+    if (hrcc_viterbi_lanes() == LANES) {
+        grouped = nframes - nframes % LANES;
+        decode_groups(soft, grouped, in_width, source, nsteps, n_out, sym,
+                      (double *)(back + NSTATES * nsteps), back, bits);
+    }
+#endif
+    const double *rest = soft + grouped * in_width;
+    if (n_out == 2)
+        decode1(rest, nframes - grouped, in_width, source, nsteps, 2, sym, (uint16_t *)back,
+                bits + grouped * nsteps);
+    else
+        decode1(rest, nframes - grouped, in_width, source, nsteps, 3, sym, (uint16_t *)back,
+                bits + grouped * nsteps);
+    free(back);
+    unsigned seen = 0; /* unread: decoded bits are 0 or 1 by construction */
+    if (table != NULL)
+        for (ptrdiff_t f = 0; f < nframes; f++)
+            ok[f] = lfsr(bits + f * nsteps, n, table, &seen) == 0;
+    return 0;
+}
+
+/* kernels.channel_np's numpy passes, in their order, in one loop: column j of out,
+ * (nframes, width) standard normals, gets bit j of its row and the normal drawn at
+ * column columns[j], read from a copy of the row.  Returns -1 if a bit is not 0 or
+ * 1, -2 without memory, else 0.  No branch on a bit: random bits mispredict. */
+int hrcc_channel(double *out, ptrdiff_t nframes, ptrdiff_t width, const uint8_t *bits,
+                 const int32_t *columns, double sigma, double power)
+{
+    double *normals = malloc(width * sizeof(double));
+    if (normals == NULL)
+        return nframes && width ? -2 : 0;
+    unsigned seen = 0;
+    for (ptrdiff_t f = 0; f < nframes; f++, out += width, bits += width) {
+        memcpy(normals, out, width * sizeof(double));
+        for (ptrdiff_t j = 0; j < width; j++) {
+            double v = normals[columns[j]] * sigma;
+            seen |= bits[j];
+            v += 1.0 - 2.0 * bits[j];
+            v *= 2.0;
+            out[j] = v / power;
+        }
+    }
+    free(normals);
+    return seen > 1 ? -1 : 0;
 }
 
 /* hrcc_encode with a constant n_out: the message, then its parity first bit
@@ -326,18 +333,5 @@ int hrcc_encode(const uint8_t *msgs, ptrdiff_t nframes, ptrdiff_t k, int r,
     unsigned seen = n_out == 2
         ? encode1(msgs, nframes, k, r, table, outputs, 2, source, width, out)
         : encode1(msgs, nframes, k, r, table, outputs, 3, source, width, out);
-    return seen > 1 ? -1 : 0;
-}
-
-/* ok[f] = 1 if row f of words, n bits every stride bytes, is a multiple of the
- * generator, whose constant term makes that lfsr(...) == 0: for a
- * systematic word, exactly when its parity matches.  Returns -1 if a value is
- * not 0 or 1, else 0. */
-int hrcc_check(const uint8_t *words, ptrdiff_t nframes, ptrdiff_t stride, ptrdiff_t n,
-               const uint64_t *table, uint8_t *ok)
-{
-    unsigned seen = 0;
-    for (ptrdiff_t f = 0; f < nframes; f++)
-        ok[f] = lfsr(words + f * stride, n, table, &seen) == 0;
     return seen > 1 ? -1 : 0;
 }

@@ -151,6 +151,11 @@ class ConvCode:
                                    for j, g in enumerate(self.generators)) for w in range(32)],
                               np.uint8)
 
+    @property
+    def branches(self) -> np.ndarray:
+        """The decoders' read-only (16, 2, n_out) branch table, ``_sym_table`` of the generators."""
+        return _sym_table(self.generators)
+
 
 CONV_RATE_12 = ConvCode((0b11001, 0b11011))  # G0 = 1+D^3+D^4, G1 = 1+D+D^3+D^4
 CONV_RATE_13 = ConvCode((0b11011, 0b10101, 0b11111))  # G1, G2 = 1+D^2+D^4, G3
@@ -181,7 +186,7 @@ def conv_encode_batch(code: ConvCode, msgs: np.ndarray) -> np.ndarray:
 
 def viterbi_decode_batch(code: ConvCode, softs: np.ndarray, source=None) -> np.ndarray:
     """Decode a soft batch; ``source`` maps a punctured batch (see ``kernels``)."""
-    return kernels.viterbi_batch(softs, _sym_table(code.generators), source)
+    return kernels.viterbi_batch(softs, code.branches, source)
 
 
 def viterbi_decode(code: ConvCode, soft) -> np.ndarray:

@@ -35,7 +35,6 @@ def _destinations(mode: InterleaveMode) -> np.ndarray:
     return (k % b) * BURST_PAYLOAD_BITS + 2 * ((49 * k) % 57) + (k % (2 * b)) // b
 
 
-# Frozen, so the channel finds each map's check in its cache without hashing it.
 _DEST = {mode: kernels.frozen(_destinations(mode)) for mode in InterleaveMode}
 # The inverse permutation: stream column j carries coded bit _SOURCE[mode][j].
 _SOURCE = {mode: kernels.frozen(np.argsort(dest)) for mode, dest in _DEST.items()}
@@ -45,16 +44,22 @@ def destinations(mode: InterleaveMode) -> np.ndarray:
     return _DEST[mode]
 
 
+def _checked(mode: InterleaveMode) -> InterleaveMode:
+    if not isinstance(mode, InterleaveMode):  # "std4" is a mode's value, not the mode
+        raise TypeError(f"mode must be an InterleaveMode, got {mode!r}")
+    return mode
+
+
 def interleave(mode: InterleaveMode, block) -> list[np.ndarray]:
     """Permute a coded block into 2 or 4 sub-blocks of 114 bits."""
-    arr = as_bit_array(block, mode.block_bits)
+    arr = as_bit_array(block, _checked(mode).block_bits)
     stream = interleave_batch(mode, arr[np.newaxis, :])
     return list(stream.reshape(mode.burst_count, BURST_PAYLOAD_BITS))
 
 
 def deinterleave(mode: InterleaveMode, subs) -> np.ndarray:
     """Exact inverse of :func:`interleave`, acting on soft values."""
-    if len(subs) != mode.burst_count:
+    if len(subs) != _checked(mode).burst_count:
         raise ValueError(f"{mode.value} needs {mode.burst_count} sub-blocks, got {len(subs)}")
     stream = np.concatenate([as_soft_array(s, BURST_PAYLOAD_BITS) for s in subs])
     return deinterleave_batch(mode, stream[np.newaxis, :])[0]
@@ -62,12 +67,14 @@ def deinterleave(mode: InterleaveMode, subs) -> np.ndarray:
 
 def interleave_batch(mode: InterleaveMode, blocks: np.ndarray) -> np.ndarray:
     """(frames, block_bits) -> same shape, C-ordered, columns in burst-payload order."""
-    return np.take(rows(blocks, mode.block_bits, f"{mode.value} permutes"), _SOURCE[mode], axis=1)
+    blocks = rows(blocks, _checked(mode).block_bits, f"{mode.value} permutes")
+    return np.take(blocks, _SOURCE[mode], axis=1)
 
 
 def deinterleave_batch(mode: InterleaveMode, streams: np.ndarray) -> np.ndarray:
     """Exact inverse of :func:`interleave_batch`; the result is C-ordered."""
-    return np.take(rows(streams, mode.block_bits, f"{mode.value} permutes"), _DEST[mode], axis=1)
+    streams = rows(streams, _checked(mode).block_bits, f"{mode.value} permutes")
+    return np.take(streams, _DEST[mode], axis=1)
 
 
 def map_to_burst(sub) -> Burst:

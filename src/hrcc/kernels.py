@@ -1,4 +1,4 @@
-"""Hot inner loops: a chain's encoder and block check, the channel and Viterbi decoding.
+"""Hot inner loops: a chain's encoder and decoder, the channel and Viterbi decoding.
 
 The Viterbi decoder has two interchangeable kernels.  The fast one is the
 plain C file ``_viterbi.c`` next to this module: on first import the system
@@ -14,15 +14,15 @@ The library also holds the channel, ``hrcc_channel`` (``channel_c``): one
 loop that adds each bit, in coded order, to a normal read through a noise
 map, with the operations of ``channel_np``, its numpy reference and
 fallback, in their order.  ``channel`` is the one that runs.  And it holds
-a chain's encoder, ``hrcc_encode``, and block check, ``hrcc_check``, which
-``ChainKernel`` calls with one chain's tables: the block parity by a
-byte-table LFSR, the tail, the conv code by a 32-entry table of register
-windows and the puncture through the chain's source map, in one pass; the
-check runs the LFSR over each word, whose remainder is zero exactly when its
-parity matches.  Their numpy references and fallbacks are ``BlockCode``'s
-parity and check, ``conv_encode_batch_np`` and ``coding.puncture_batch``.
-Constant tables are ``frozen`` over ``bytes``, so a map's check is cached on
-them without hashing the map again.
+a chain's encoder, ``hrcc_encode``, which ``ChainKernel`` calls with one
+chain's tables: the block parity by a byte-table LFSR, the tail, the conv
+code by a 32-entry table of register windows and the puncture through the
+chain's source map, in one pass.  ``ChainKernel`` decodes through the same
+map in one ``hrcc_viterbi`` call, which also runs the LFSR over each decoded
+word: its remainder is zero exactly when its parity matches.  Their numpy
+references and fallbacks are ``BlockCode``'s parity and check,
+``conv_encode_batch_np``, ``coding.puncture_batch`` and ``viterbi_batch_np``.
+Constant tables are ``frozen``: read-only copies nothing can write to.
 
 The library exports one decoder, ``hrcc_viterbi`` (``viterbi_batch_c``),
 which picks the body for each frame itself: where the CPU has AVX2, whole
@@ -161,9 +161,9 @@ def viterbi_batch_np(soft: np.ndarray, syms: np.ndarray, source=None) -> np.ndar
     return bits
 
 
-def _soft_rows(soft) -> np.ndarray:
+def _soft_rows(soft, width: int | None = None) -> np.ndarray:
     """A decoder's soft batch as C-ordered float64 rows; ValueError unless all finite."""
-    soft = np.ascontiguousarray(rows(soft, None, "the Viterbi decoder reads"), np.float64)
+    soft = np.ascontiguousarray(rows(soft, width, "the Viterbi decoder reads"), np.float64)
     if not np.isfinite(soft).all():
         raise ValueError("soft values must be finite")
     return soft
@@ -206,9 +206,9 @@ def _build(source: bytes, target: Path) -> None:
 
 
 def _load_c_library():
-    """(decoder, channel, encoder, check, lanes) of the library, built if needed.
+    """(decoder, channel, encoder, lanes): the library's functions, bound, built if needed.
 
-    On failure, four Nones and 0 lanes.
+    On failure, four Nones.
     """
     try:
         source = _C_SOURCE.read_bytes()
@@ -217,31 +217,28 @@ def _load_c_library():
         if not target.exists():
             _build(source, target)
         lib = ctypes.CDLL(str(target))
-        functions = (lib.hrcc_viterbi, lib.hrcc_channel, lib.hrcc_encode, lib.hrcc_check,
-                     lib.hrcc_viterbi_lanes)
+        functions = (lib.hrcc_viterbi, lib.hrcc_channel, lib.hrcc_encode, lib.hrcc_viterbi_lanes)
     except (OSError, AttributeError):  # no cc, failed build or load, missing symbol
-        return None, None, None, None, 0
+        return None, None, None, None
     ptr, size, c_int = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int
     for function, argtypes in zip(functions, (
-        # soft, nframes, in_width (values per row), source, width (map entries), n_out, sym, bits
-        (ptr, size, size, ptr, size, c_int, ptr, ptr),
+        # soft, nframes, in_width, source, width (map entries), n_out, sym, bits, table, n, ok
+        (ptr, size, size, ptr, size, c_int, ptr, ptr, ptr, size, ptr),
         # out, nframes, width, bits, columns, sigma, power
         (ptr, size, size, ptr, ptr, ctypes.c_double, ctypes.c_double),
         # msgs, nframes, k, r, table, outputs, n_out, source, width, out
         (ptr, size, size, c_int, ptr, ptr, c_int, ptr, size, ptr),
-        # words, nframes, stride (bytes per row), n, table, ok
-        (ptr, size, size, size, ptr, ptr),
         (),
     )):
         function.restype, function.argtypes = c_int, argtypes
-    return *functions[:-1], functions[-1]()
+    return functions
 
 
 def _pinned(table: np.ndarray) -> tuple[np.ndarray, int]:
-    """A table cached across calls, made read-only, and its address.
+    """A table made read-only, and its address.
 
-    The address is read once: ``ndarray.ctypes`` costs about a microsecond
-    per access, a tenth of a one-frame decode.
+    A table kept across calls has its address read once: ``ndarray.ctypes``
+    costs about a microsecond per access, a tenth of a one-frame decode.
     """
     table.flags.writeable = False
     return table, table.ctypes.data
@@ -260,30 +257,11 @@ def frozen(values, dtype=None) -> np.ndarray:
     return np.frombuffer(arr.tobytes(), arr.dtype).reshape(arr.shape)
 
 
-def _raw(arr: np.ndarray) -> bytes:
-    """``arr``'s bytes: the ``bytes`` of a ``frozen`` table itself, else a copy.
-
-    Python keeps a bytes object's hash, so a cache keyed on a frozen table's
-    bytes finds it without reading them again.
-    """
-    base = arr.base.base if isinstance(arr.base, np.ndarray) else arr.base
-    if isinstance(base, bytes) and arr.flags.c_contiguous and arr.nbytes == len(base):
-        return base
-    return arr.tobytes()
-
-
 def _checked_map(source, in_width: int, lowest: int = -1) -> tuple[np.ndarray, int]:
     """``source`` as a pinned int32 map whose entries are columns of a row, or ``lowest``."""
     source = np.asarray(source)
     if source.ndim != 1 or source.dtype.kind not in "iu":
         raise ValueError("a source map is a 1-D integer array")
-    return _valid_map(_raw(source), source.dtype.str, in_width, lowest)
-
-
-@lru_cache(maxsize=16)
-def _valid_map(raw: bytes, dtype: str, in_width: int, lowest: int) -> tuple[np.ndarray, int]:
-    # Cached on the bytes: a chain decodes every batch through the same map.
-    source = np.frombuffer(raw, dtype=dtype)
     if source.size and (source.min() < lowest or source.max() >= in_width):
         raise ValueError(f"source map entries must lie in [{lowest}, {in_width})")
     return _pinned(source.astype(np.int32))
@@ -294,12 +272,12 @@ def _identity_map(width: int) -> tuple[np.ndarray, int]:
     return _pinned(np.arange(width, dtype=np.int32))
 
 
-@lru_cache(maxsize=8)
-def _butterfly_syms(raw: bytes, n_out: int) -> tuple[np.ndarray, int]:
-    """(8, n_out) outputs of the branch from state 2i under input 0, pinned."""
-    if n_out not in (2, 3):
-        raise ValueError(f"the compiled kernel decodes rates 1/2 and 1/3, not 1/{n_out}")
-    syms = np.frombuffer(raw, dtype=np.float64).reshape(16, 2, n_out)
+def _butterfly_syms(syms) -> tuple[np.ndarray, int]:
+    """The (8, n_out) outputs of a branch table's branches from state 2i under input 0, pinned."""
+    syms = np.asarray(syms, np.float64)
+    if syms.shape[-1] not in (2, 3):
+        raise ValueError(f"the compiled kernel decodes rates 1/2 and 1/3, not 1/{syms.shape[-1]}")
+    syms = syms.reshape(16, 2, -1)
     if not (np.array_equal(syms[1::2], -syms[0::2]) and np.array_equal(syms[:, 1], -syms[:, 0])):
         raise ValueError("branch outputs lack the butterfly symmetry of D^0 and D^4 taps")
     return _pinned(np.ascontiguousarray(syms[0::2, 0]))
@@ -338,8 +316,9 @@ def channel_np(out: np.ndarray, bits, sigma: float, columns=None) -> np.ndarray:
     return out
 
 
-_decoder, _channel, _encoder, _check, LANES = _load_c_library()
+_decoder, _channel, _encoder, _lanes = _load_c_library()
 BACKEND = "numpy" if _decoder is None else "c"
+LANES = _lanes() if _lanes else 0
 
 
 def viterbi_batch_c(soft: np.ndarray, syms: np.ndarray, source=None) -> np.ndarray:
@@ -349,12 +328,12 @@ def viterbi_batch_c(soft: np.ndarray, syms: np.ndarray, source=None) -> np.ndarr
     source, source_at = (
         _identity_map(in_width) if source is None else _checked_map(source, in_width)
     )
-    n_out = syms.shape[2]
-    sym, sym_at = _butterfly_syms(_raw(np.ascontiguousarray(syms, dtype=np.float64)), n_out)
+    sym, sym_at = _butterfly_syms(syms)
+    n_out = sym.shape[1]
     bits = np.empty((nframes, _steps(source.size, n_out)), dtype=np.uint8)
     # source and sym stay referenced here, so their addresses stay valid.
     if _decoder(_address(soft), nframes, in_width, source_at, source.size, n_out, sym_at,
-                _address(bits)):
+                _address(bits), None, 0, None):
         raise MemoryError("no memory for the Viterbi scratch buffer")
     return bits
 
@@ -371,27 +350,31 @@ def channel_c(out: np.ndarray, bits, sigma: float, columns=None) -> np.ndarray:
 
 
 class ChainKernel:
-    """One chain's compiled encoder and block check, its operands pinned once.
+    """One chain's compiled encoder and decoder, their operands pinned and checked once.
 
     ``block`` and ``code`` are the chain's ``BlockCode`` and ``ConvCode``, whose
-    ``remainders`` and ``outputs`` tables the C reads; ``source`` maps each
-    mother-code column to its column of the ``width``-bit coded block, or -1.
-    Both calls read each value once and raise ValueError on any but 0 and 1.
+    ``remainders``, ``outputs`` and ``branches`` tables the C reads; ``source``
+    maps each mother-code column to its column of the ``width``-bit coded
+    block, or -1, for the encoder to write and the decoder to read through.
+    The encoder reads each value once and raises ValueError on any but 0 and 1.
     """
 
     def __init__(self, block, code, source, width: int):
         self.k, self.r, self.n_out, self.width = block.k, block.r, code.n_out, width
         remainders, outputs, source = (frozen(table, dtype) for table, dtype in (
             (block.remainders, np.uint64), (code.outputs, np.uint8), (source, np.int32)))
-        sizes = (256, 32, (self.k + self.r + 4) * self.n_out)  # 4 tail bits, as hrcc_encode adds
+        self._mother = (self.k + self.r + 4) * self.n_out  # 4 tail bits, as hrcc_encode adds
         # hrcc_encode writes each column of its uncleared output through the map, so once each.
-        if (self.n_out not in (2, 3) or (remainders.size, outputs.size, source.size) != sizes
+        if (self.n_out not in (2, 3)
+                or (remainders.size, outputs.size, source.size) != (256, 32, self._mother)
                 or not np.array_equal(np.sort(source[source >= 0]), np.arange(width))):
             raise ValueError("a chain kernel takes rate 1/2 or 1/3, 256 remainders, 32 outputs "
                              "and a source map that holds each coded column once")
         # Kept referenced here, so that their addresses stay valid.
-        self._tables = [_pinned(table) for table in (remainders, outputs, source)]
-        self._table_at, self._outputs_at, self._source_at = (at for _, at in self._tables)
+        self._tables = [*map(_pinned, (remainders, outputs, source)),
+                        _butterfly_syms(code.branches)]
+        self._table_at, self._outputs_at, self._source_at, self._branches_at = (
+            at for _, at in self._tables)
 
     def encode(self, msgs) -> np.ndarray:
         """(frames, k) messages -> (frames, width) coded blocks, in one ``hrcc_encode`` call."""
@@ -402,16 +385,17 @@ class ChainKernel:
             raise ValueError("bit block may only contain 0 and 1")
         return out
 
-    def check(self, words) -> np.ndarray:
-        """``BlockCode.check_batch`` of (frames, k + r) words, in one ``hrcc_check`` call."""
-        words = rows(words, self.k + self.r, "the block code checks")
-        if words.dtype != np.uint8 or words.strides[1] != 1:  # rows may lie apart, bits not
-            words = _bit_rows(words)
-        ok = np.empty(words.shape[0], np.bool_)
-        if _check(_address(words), words.shape[0], words.strides[0], words.shape[1],
-                  self._table_at, _address(ok)):
-            raise ValueError("bit block may only contain 0 and 1")
-        return ok
+    def decode(self, softs) -> tuple[np.ndarray, np.ndarray]:
+        """(frames, width) soft values -> ((frames, k) messages, ``BlockCode.check_batch`` of
+        each decoded k + r bits), in one ``hrcc_viterbi`` call."""
+        soft = _soft_rows(softs, self.width)
+        bits = np.empty((soft.shape[0], self._mother // self.n_out), np.uint8)
+        ok = np.empty(soft.shape[0], np.bool_)
+        if _decoder(_address(soft), soft.shape[0], self.width, self._source_at, self._mother,
+                    self.n_out, self._branches_at, _address(bits), self._table_at,
+                    self.k + self.r, _address(ok)):
+            raise MemoryError("no memory for the Viterbi scratch buffer")
+        return bits[:, : self.k], ok
 
 
 if _decoder is None:

@@ -4,9 +4,9 @@ Five chains share the same stage order: block parity, four tail bits,
 convolutional encoding, then any scheme puncturing.  The standard chain
 emits the classic 456-bit block; the four modified chains emit 228 bits,
 either by puncturing the full 184-bit message or by coding a reduced
-90-bit message at rate 1/2.  With the C backend each chain runs all four
-stages, and its block check, in one compiled call (``kernels.ChainKernel``);
-without it, the numpy stages and ``BlockCode``'s check give the same bits.
+90-bit message at rate 1/2.  With the C backend a chain encodes in one
+compiled call and decodes and checks in another (``kernels.ChainKernel``);
+without it, the numpy stages, Viterbi kernel and ``BlockCode``'s check agree.
 """
 
 from __future__ import annotations
@@ -65,11 +65,11 @@ class _Chain:
     # The steps composed into one pattern; None when nothing is punctured.
     puncture: coding.PuncturePattern | None = field(init=False)
     # For each mother-code column, its column in the coded block or -1 where
-    # puncturing deleted it: the decoder reads the block through this map.
-    # None when nothing is punctured: the decoder reads the columns in order.
-    source: np.ndarray | None = field(init=False)
-    # The compiled encoder and block check, or None without the C backend:
-    # then the numpy stages, BlockCode's parity and check, run instead.
+    # puncturing deleted it, the identity when nothing is punctured: the
+    # encoder writes and the decoder reads the block through this map.
+    source: np.ndarray = field(init=False)
+    # The compiled encoder and decoder, or None without the C backend: then
+    # the numpy stages, the numpy Viterbi kernel and BlockCode's check run.
     kernel: kernels.ChainKernel | None = field(init=False)
 
     def __post_init__(self):
@@ -82,15 +82,12 @@ class _Chain:
         composed = coding.compose_punctures(self.punctures) if self.punctures else None
         coded_bits = mother if composed is None else composed.output_len
         mode = next(m for m in InterleaveMode if m.block_bits == coded_bits)
-        source = None
-        if composed is not None:
-            source = np.full(mother, -1, dtype=np.int32)
-            source[composed.kept_indices] = np.arange(coded_bits)
-            source = kernels.frozen(source)
-        kernel = None
-        if kernels.BACKEND == "c":
-            chain_source = np.arange(mother) if source is None else source
-            kernel = kernels.ChainKernel(self.block, self.code, chain_source, coded_bits)
+        kept = np.arange(mother) if composed is None else composed.kept_indices
+        source = np.full(mother, -1, dtype=np.int32)
+        source[kept] = np.arange(coded_bits)
+        source = kernels.frozen(source)
+        kernel = (kernels.ChainKernel(self.block, self.code, source, coded_bits)
+                  if kernels.BACKEND == "c" else None)
         object.__setattr__(self, "coded_bits", coded_bits)
         object.__setattr__(self, "interleave", mode)
         object.__setattr__(self, "puncture", composed)
@@ -107,22 +104,29 @@ _CHAINS: dict[SchemeId, _Chain] = {
 }
 
 
+def _chain(scheme: SchemeId) -> _Chain:
+    """The scheme's chain; TypeError for anything but a ``SchemeId``, its name included."""
+    if not isinstance(scheme, SchemeId):
+        raise TypeError(f"scheme must be a SchemeId, got {scheme!r}")
+    return _CHAINS[scheme]
+
+
 def message_bits(scheme: SchemeId) -> int:
-    return _CHAINS[scheme].block.k
+    return _chain(scheme).block.k
 
 
 def coded_bits(scheme: SchemeId) -> int:
-    return _CHAINS[scheme].coded_bits
+    return _chain(scheme).coded_bits
 
 
 def interleave_mode(scheme: SchemeId) -> InterleaveMode:
     """The burst interleaver of the scheme's coded blocks."""
-    return _CHAINS[scheme].interleave
+    return _chain(scheme).interleave
 
 
 def info_rate(scheme: SchemeId) -> Fraction:
     """Information bits per transmitted coded bit, as an exact rational."""
-    chain = _CHAINS[scheme]
+    chain = _chain(scheme)
     return Fraction(chain.block.k, chain.coded_bits)
 
 
@@ -140,7 +144,7 @@ class DecodeOutcome:
 
 def encode_blocks(scheme: SchemeId, msgs: np.ndarray) -> np.ndarray:
     """Encode a (frames, message_bits) batch of 0/1 values to (frames, coded_bits)."""
-    chain = _CHAINS[scheme]
+    chain = _chain(scheme)
     msgs = rows(msgs, chain.block.k, f"{scheme.value} encodes")
     if chain.kernel is not None:
         return chain.kernel.encode(msgs)
@@ -154,12 +158,12 @@ def encode_blocks(scheme: SchemeId, msgs: np.ndarray) -> np.ndarray:
 
 def decode_blocks(scheme: SchemeId, softs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decode a (frames, coded_bits) soft batch in coded order to (messages, check_ok)."""
-    chain = _CHAINS[scheme]
+    chain = _chain(scheme)
     softs = rows(softs, chain.coded_bits, f"{scheme.value} decodes")
-    decoded = coding.viterbi_decode_batch(chain.code, softs, chain.source)
-    inputs = decoded[:, :-TAIL_BITS]
-    check = chain.block.check_batch if chain.kernel is None else chain.kernel.check
-    return inputs[:, : chain.block.k], check(inputs)
+    if chain.kernel is not None:
+        return chain.kernel.decode(softs)
+    inputs = coding.viterbi_decode_batch(chain.code, softs, chain.source)[:, :-TAIL_BITS]
+    return inputs[:, : chain.block.k], chain.block.check_batch(inputs)
 
 
 def _one_row(block, width: int, what: str) -> np.ndarray:
@@ -172,10 +176,10 @@ def _one_row(block, width: int, what: str) -> np.ndarray:
 
 def encode_block(scheme: SchemeId, msg) -> np.ndarray:
     """Encode one message; output is 456 bits (standard) or 228 (modified)."""
-    return encode_blocks(scheme, _one_row(msg, _CHAINS[scheme].block.k, "bit"))[0]
+    return encode_blocks(scheme, _one_row(msg, _chain(scheme).block.k, "bit"))[0]
 
 
 def decode_block(scheme: SchemeId, soft) -> DecodeOutcome:
     """Decode one soft block, reversing the scheme's stage composition."""
-    msgs, ok = decode_blocks(scheme, _one_row(soft, _CHAINS[scheme].coded_bits, "value soft"))
+    msgs, ok = decode_blocks(scheme, _one_row(soft, _chain(scheme).coded_bits, "value soft"))
     return DecodeOutcome(message=msgs[0], ok=bool(ok[0]))

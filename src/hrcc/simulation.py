@@ -107,6 +107,8 @@ def transmit(bits, sigma: float, rng: np.random.Generator) -> np.ndarray:
     Like :func:`run_bler`, it takes only a sigma that is finite and positive
     and leaves sigma^2 and 2/sigma^2 times the block's length finite.
     """
+    if not isinstance(rng, np.random.Generator):  # a seed would fail deep in the draw
+        raise TypeError(f"rng must be a numpy Generator, got {rng!r}")
     arr = as_bit_array(bits)
     if not _sigma_in_range(sigma, arr.size):
         raise ValueError(f"sigma must be finite and positive, sigma^2, 2/sigma^2 finite: {sigma}")

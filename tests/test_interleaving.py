@@ -14,6 +14,19 @@ from hrcc.interleaving import (
 )
 
 
+@pytest.mark.parametrize("call", [
+    lambda mode: interleave(mode, np.zeros(456, dtype=np.uint8)),
+    lambda mode: deinterleave(mode, [np.zeros(114)] * 4),
+    lambda mode: interleave_batch(mode, np.zeros((1, 456), dtype=np.uint8)),
+    lambda mode: deinterleave_batch(mode, np.zeros((1, 456))),
+], ids=["interleave", "deinterleave", "interleave_batch", "deinterleave_batch"])
+@pytest.mark.parametrize("bad", ["std4", "mod2", None])
+def test_interleavers_take_only_an_interleave_mode(call, bad):
+    # A mode's value in place of the mode raised AttributeError.
+    with pytest.raises(TypeError, match=f"mode must be an InterleaveMode, got {bad!r}"):
+        call(bad)
+
+
 @pytest.mark.parametrize("mode", list(InterleaveMode))
 def test_interleaver_is_a_bijection(mode):
     dest = destinations(mode)

@@ -140,21 +140,27 @@ def test_compiled_kernel_equals_the_numpy_kernel(code, data):
 @SOME
 @given(scheme=SCHEMES, data=st.data())
 def test_compiled_chain_equals_the_numpy_chain(scheme, data):
-    # Up to nine frames through the compiled encoder and block check, against
-    # BlockCode's BLAS parity and check, conv_encode_batch_np and the puncture.
+    # Up to nine frames through the compiled encoder, against BlockCode's BLAS
+    # parity, conv_encode_batch_np and the puncture; then the noiseless
+    # encodings of the same words, with and without flipped bits, through the
+    # compiled decoder and its check, against BlockCode's BLAS check.
     chain = _CHAINS[scheme]
     frames = data.draw(st.integers(0, 9), label="frames")
     msgs = data.draw(hnp.arrays(np.uint8, (frames, chain.block.k), elements=BITS), label="msgs")
     words = np.concatenate([msgs, chain.block.parity_batch(msgs)], axis=1)
     flips = data.draw(hnp.arrays(np.uint8, words.shape, elements=st.sampled_from([0, 0, 0, 1])),
                       label="flips")
-    tailed = np.pad(words, ((0, 0), (0, TAIL_BITS)))
-    expect = kernels.conv_encode_batch_np(tailed, _tap_table(chain.code.generators))
-    if chain.puncture is not None:
-        expect = puncture_batch(chain.puncture, expect)
-    assert np.array_equal(encode_blocks(scheme, msgs), expect)
+
+    def mother_coded(words):
+        tailed = np.pad(words, ((0, 0), (0, TAIL_BITS)))
+        coded = kernels.conv_encode_batch_np(tailed, _tap_table(chain.code.generators))
+        return coded if chain.puncture is None else puncture_batch(chain.puncture, coded)
+
+    assert np.array_equal(encode_blocks(scheme, msgs), mother_coded(words))
     for batch in (words, words ^ flips):
-        assert np.array_equal(chain.kernel.check(batch), chain.block.check_batch(batch))
+        decoded, ok = decode_blocks(scheme, antipodal(mother_coded(batch)))
+        assert np.array_equal(decoded, batch[:, : chain.block.k])
+        assert np.array_equal(ok, chain.block.check_batch(batch))
 
 
 def _sym_table_loop(generators):

@@ -94,15 +94,29 @@ def test_interleave_mode_per_scheme():
 @pytest.mark.parametrize("scheme", list(SchemeId))
 def test_source_map_inverts_the_composed_puncture(scheme):
     chain = _CHAINS[scheme]
-    if chain.puncture is None:
-        assert chain.source is None
-        return
     assert not chain.source.flags.writeable and chain.source.dtype == np.int32
+    if chain.puncture is None:
+        assert np.array_equal(chain.source, np.arange(chain.coded_bits))
+        return
     assert chain.source.size == chain.puncture.input_len
     kept = chain.source >= 0
     assert np.array_equal(np.flatnonzero(kept), chain.puncture.kept_indices)
     assert np.array_equal(chain.source[kept], np.arange(chain.coded_bits))
     assert (chain.source[~kept] == -1).all()
+
+
+@pytest.mark.parametrize("bad", ["standard", "m2-reduced", None, 0])
+def test_every_scheme_function_takes_only_a_scheme_id(bad):
+    # A scheme's name raised KeyError: 'standard'.
+    calls = [
+        lambda: message_bits(bad), lambda: coded_bits(bad), lambda: interleave_mode(bad),
+        lambda: info_rate(bad), lambda: encode_block(bad, np.zeros(184, dtype=np.uint8)),
+        lambda: encode_blocks(bad, np.zeros((1, 184), dtype=np.uint8)),
+        lambda: decode_block(bad, np.zeros(456)), lambda: decode_blocks(bad, np.zeros((1, 456))),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match=f"scheme must be a SchemeId, got {bad!r}"):
+            call()
 
 
 def test_chain_rejects_a_puncture_that_does_not_fit_the_mother_code():
@@ -269,13 +283,19 @@ def test_batch_matches_single_block_api():
         assert np.array_equal(decoded, msgs)
 
 
-def _numpy_chain(scheme, msgs):
-    """The numpy stages of a chain: BLAS parity, tail, conv_encode_batch_np, puncture."""
+def _coded_words(scheme, words):
+    """(k + r)-bit words, whatever their parity, through the tail, conv_encode_batch_np and
+    the puncture."""
     chain = _CHAINS[scheme]
-    words = np.concatenate([msgs, chain.block.parity_batch(msgs)], axis=1)
     tailed = np.pad(words, ((0, 0), (0, TAIL_BITS)))
     out = kernels.conv_encode_batch_np(tailed, coding._tap_table(chain.code.generators))
     return out if chain.puncture is None else puncture_batch(chain.puncture, out)
+
+
+def _numpy_chain(scheme, msgs):
+    """The numpy stages of a chain: BLAS parity, tail, conv_encode_batch_np, puncture."""
+    block = _CHAINS[scheme].block
+    return _coded_words(scheme, np.concatenate([msgs, block.parity_batch(msgs)], axis=1))
 
 
 def _oracle_chain(scheme, msg):
@@ -326,29 +346,38 @@ def _check_cases(block, seed):
     return np.vstack([words, flips, np.zeros((2, n), dtype=np.uint8)])
 
 
-@pytest.mark.parametrize("scheme", [SchemeId.STANDARD_456, SchemeId.M2_REDUCED])
+@pytest.mark.parametrize("scheme", list(SchemeId))
 def test_compiled_check_equals_the_blas_check(scheme):
+    # Noiseless soft values of every case decode to the case itself, so the
+    # decoder's check sees each flip; batches of 1 to 7 frames check their
+    # leftover frames on the scalar body, 513 frames mostly in AVX2 groups.
     chain = _CHAINS[scheme]
     if chain.kernel is None:
         pytest.skip("no compiled kernel")
     words = _check_cases(chain.block, chain.block.k)
     expect = chain.block.check_batch(words)
     assert expect[:6].all() and not expect[6:-2].any() and expect[-2:].all()
-    wide = np.pad(words, ((0, 0), (0, TAIL_BITS)))  # strided rows, as decode_blocks passes them
-    for batch in (words, words.astype(np.bool_), wide[:, :-TAIL_BITS], np.asfortranarray(words),
-                  words[:0], words[7:8]):
-        ok = chain.kernel.check(batch)
-        assert ok.dtype == np.bool_ and np.array_equal(ok, chain.block.check_batch(batch))
-    words[-1, 5] = 2
-    with pytest.raises(ValueError, match="only contain 0 and 1"):
-        chain.kernel.check(words)
+    soft = _perfect_soft(_coded_words(scheme, words))
+    for n in range(1, 8):
+        pieces = [decode_blocks(scheme, soft[i : i + n]) for i in range(0, len(soft), n)]
+        assert np.array_equal(np.concatenate([msgs for msgs, _ in pieces]),
+                              words[:, : chain.block.k])
+        ok = np.concatenate([piece_ok for _, piece_ok in pieces])
+        assert ok.dtype == np.bool_ and np.array_equal(ok, expect)
+    many = np.resize(np.arange(len(words)), 513)
+    msgs, ok = decode_blocks(scheme, soft[many])
+    assert np.array_equal(msgs, words[many, : chain.block.k]) and np.array_equal(ok, expect[many])
+    msgs, ok = decode_blocks(scheme, np.asfortranarray(soft[many]).astype(np.float32))
+    assert np.array_equal(msgs, words[many, : chain.block.k]) and np.array_equal(ok, expect[many])
+    msgs, ok = decode_blocks(scheme, soft[:0])
+    assert msgs.shape == (0, chain.block.k) and ok.shape == (0,)
 
 
 def test_c_backend_makes_one_compiled_call_per_batch_and_no_blas_call(monkeypatch):
     if kernels.BACKEND != "c":
         pytest.skip("no compiled kernel")
     calls = []
-    for name in ("_encoder", "_check"):
+    for name in ("_encoder", "_decoder", "_channel"):
         original = getattr(kernels, name)
         monkeypatch.setattr(kernels, name,
                             lambda *args, name=name, f=original: calls.append(name) or f(*args))
@@ -361,8 +390,12 @@ def test_c_backend_makes_one_compiled_call_per_batch_and_no_blas_call(monkeypatc
         calls.clear()
         msgs = _message_rows(scheme, 7, "int64", 3)
         decoded, ok = decode_blocks(scheme, _perfect_soft(encode_blocks(scheme, msgs)))
-        assert calls == ["_encoder", "_check"]
+        assert calls == ["_encoder", "_decoder"]
         assert ok.all() and np.array_equal(decoded, msgs)
+        calls.clear()
+        outcome = decode_block(scheme, _perfect_soft(encode_blocks(scheme, msgs[:1])[0]))
+        assert calls == ["_encoder", "_decoder"]
+        assert outcome.ok and np.array_equal(outcome.message, msgs[0])
     reports = sweep(list(SchemeId), [0.0, 2.0], min_frames=600, min_errors=20, seed=4)
     assert sum(r.frames for r in reports) > 0
 
@@ -392,7 +425,7 @@ def test_chain_kernel_takes_only_a_map_onto_every_coded_column(scheme):
     if kernels.ChainKernel is None:
         pytest.skip("no compiled kernel")
     chain = _CHAINS[scheme]
-    good = chain.source if chain.source is not None else np.arange(2 * 228)
+    good = chain.source
     missing, repeated = good.copy(), good.copy()
     missing[np.flatnonzero(good >= 0)[7]] = -1
     repeated[np.flatnonzero(good >= 0)[7]] = good[np.flatnonzero(good >= 0)[8]]

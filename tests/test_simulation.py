@@ -25,6 +25,13 @@ def test_noise_sigma_normalizes_per_information_bit():
     assert noise_sigma(0.0, 184 / 456) == pytest.approx(math.sqrt(456 / 368))
 
 
+@pytest.mark.parametrize("bad", [3, None, np.random.RandomState(3)])
+def test_transmit_takes_only_a_generator(bad):
+    # A seed where the Generator belongs raised AttributeError in the draw.
+    with pytest.raises(TypeError, match="rng must be a numpy Generator"):
+        transmit([0, 1], 0.8, bad)
+
+
 def test_transmit_rejects_nonpositive_sigma():
     with pytest.raises(ValueError):
         transmit([0, 1], 0.0, np.random.default_rng(0))
@@ -312,8 +319,8 @@ def test_the_largest_seed_runs():
 
 
 def test_sweep_csv_identical_across_backends(monkeypatch):
-    # The compiled kernel must reproduce the numpy reference bit for bit,
-    # so a sweep must not depend on which one is active.
+    # The compiled chains must reproduce the numpy stages bit for bit, so a
+    # sweep must not depend on which one is active.
     def run():
         reports = sweep(
             [SchemeId.STANDARD_456, SchemeId.M1_CS13_P23, SchemeId.M2_REDUCED],
@@ -325,7 +332,14 @@ def test_sweep_csv_identical_across_backends(monkeypatch):
         return reports_to_csv(reports)
 
     active = run()
+    monkeypatch.setattr(kernels, "BACKEND", "numpy")  # so the chains get no compiled kernel
+    numpy_chains = {scheme: schemes._Chain(chain.code, chain.punctures, chain.block)
+                    for scheme, chain in schemes._CHAINS.items()}
+    monkeypatch.undo()
+    assert all(chain.kernel is None for chain in numpy_chains.values())
+    monkeypatch.setattr(schemes, "_CHAINS", numpy_chains)
     monkeypatch.setattr(kernels, "viterbi_batch", kernels.viterbi_batch_np)
+    monkeypatch.setattr(kernels, "channel", kernels.channel_np)
     assert run() == active
 
 
