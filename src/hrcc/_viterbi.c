@@ -184,28 +184,22 @@ decode_groups(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const i
 /* The remainder of row(D) * D^r modulo the block code's generator, for n bits
  * read first bit highest, at the top of a uint64: one lookup per byte of bits in
  * table[v], the remainder of v(D) * D^r stored the same way.  The n % 8 leading
- * bits make a first byte as if led by zeros, which change no remainder.  Every
- * value read is ORed into *seen. */
+ * bits make a first byte as if led by zeros, which change no remainder. */
 static inline uint64_t lfsr(const uint8_t *restrict row, ptrdiff_t n,
-                            const uint64_t *restrict table, unsigned *seen)
+                            const uint64_t *restrict table)
 {
-    unsigned all = 0, byte = 0;
+    unsigned byte = 0;
     ptrdiff_t i = 0;
-    for (; i < n % 8; i++) {
-        all |= row[i];
+    for (; i < n % 8; i++)
         byte = byte << 1 | row[i];
-    }
     uint64_t rem = table[byte & 255];
     for (; i < n; i += 8) {
         byte = 0;
         _Pragma("GCC unroll 8")
-        for (int j = 0; j < 8; j++) {
-            all |= row[i + j];
+        for (int j = 0; j < 8; j++)
             byte |= (unsigned)row[i + j] << (7 - j);
-        }
         rem = rem << 8 ^ table[(rem >> 56 ^ byte) & 255];
     }
-    *seen |= all;
     return rem;
 }
 
@@ -258,10 +252,9 @@ int hrcc_viterbi(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width,
         decode1(rest, nframes - grouped, in_width, source, nsteps, 3, sym, (uint16_t *)back,
                 bits + grouped * nsteps);
     free(back);
-    unsigned seen = 0; /* unread: decoded bits are 0 or 1 by construction */
     if (table != NULL)
         for (ptrdiff_t f = 0; f < nframes; f++)
-            ok[f] = lfsr(bits + f * nsteps, n, table, &seen) == 0;
+            ok[f] = lfsr(bits + f * nsteps, n, table) == 0;
     return 0;
 }
 
@@ -301,12 +294,12 @@ encode1(const uint8_t *restrict msgs, ptrdiff_t nframes, ptrdiff_t k, int r,
     unsigned seen = 0;
     uint8_t deleted;
     for (ptrdiff_t f = 0; f < nframes; f++, msgs += k, out += width) {
-        uint64_t parity = lfsr(msgs, k, table, &seen);
+        uint64_t parity = lfsr(msgs, k, table);
         unsigned window = 0;
         for (ptrdiff_t t = 0; t < k + r + TAIL_BITS; t++) {
             unsigned bit = (unsigned)(parity >> 63);
             if (t < k)
-                bit = msgs[t] & 1;
+                seen |= bit = msgs[t]; /* a value above 1 fails the call */
             else
                 parity <<= 1;
             window = (window << 1 | bit) & 31;

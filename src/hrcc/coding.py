@@ -151,7 +151,7 @@ class ConvCode:
                                    for j, g in enumerate(self.generators)) for w in range(32)],
                               np.uint8)
 
-    @property
+    @cached_property
     def branches(self) -> np.ndarray:
         """The decoders' read-only (16, 2, n_out) branch table, ``_sym_table`` of the generators."""
         return _sym_table(self.generators)

@@ -19,9 +19,10 @@ chain's tables: the block parity by a byte-table LFSR, the tail, the conv
 code by a 32-entry table of register windows and the puncture through the
 chain's source map, in one pass.  ``ChainKernel`` decodes through the same
 map in one ``hrcc_viterbi`` call, which also runs the LFSR over each decoded
-word: its remainder is zero exactly when its parity matches.  Their numpy
-references and fallbacks are ``BlockCode``'s parity and check,
-``conv_encode_batch_np``, ``coding.puncture_batch`` and ``viterbi_batch_np``.
+word: its remainder is zero exactly when its parity matches; the chains reach
+it through ``viterbi_batch``, the one decoder entry.  Their numpy references
+and fallbacks are ``BlockCode``'s parity and check, ``conv_encode_batch_np``,
+``coding.puncture_batch`` and ``viterbi_batch_np``.
 Constant tables are ``frozen``: read-only copies nothing can write to.
 
 The library exports one decoder, ``hrcc_viterbi`` (``viterbi_batch_c``),
@@ -118,13 +119,14 @@ def viterbi_batch_np(soft: np.ndarray, syms: np.ndarray, source=None) -> np.ndar
     ``source``, if given, is the source map of a punctured batch: entry c
     is the column of ``soft`` holding coded bit c, or -1 for a deleted bit,
     which is decoded as an erasure (+0.0).  The map's length is then the
-    mother code's width, n*steps.
+    mother code's width, n*steps.  The identity map reads the columns in place.
     """
     soft = _soft_rows(soft)
     if source is not None:
         source, _ = _checked_map(source, soft.shape[1])
-        # -1 picks the appended column of zeros.
-        soft = np.pad(soft, ((0, 0), (0, 1)))[:, source]
+        if not np.array_equal(source, _identity_map(soft.shape[1])[0]):  # columns in order
+            # -1 picks the appended column of zeros.
+            soft = np.pad(soft, ((0, 0), (0, 1)))[:, source]
     nframes, width = soft.shape
     n_out = syms.shape[2]
     nsteps = _steps(width, n_out)
@@ -321,8 +323,14 @@ BACKEND = "numpy" if _decoder is None else "c"
 LANES = _lanes() if _lanes else 0
 
 
-def viterbi_batch_c(soft: np.ndarray, syms: np.ndarray, source=None) -> np.ndarray:
-    """Rates 1/2 and 1/3 of ``viterbi_batch_np`` in compiled C (``hrcc_viterbi``); the same bits."""
+def viterbi_batch_c(soft: np.ndarray, syms: np.ndarray, source=None, chain=None):
+    """Rates 1/2 and 1/3 of ``viterbi_batch_np`` in compiled C (``hrcc_viterbi``); the same bits.
+
+    With ``chain``, a ``ChainKernel`` of the code of ``syms``, returns ``chain.decode(soft)``."""
+    if chain is not None:
+        if syms is not chain.branches or source is not None:
+            raise ValueError("a chain kernel decodes with its code's branch table and its own map")
+        return chain.decode(soft)
     soft = _soft_rows(soft)
     nframes, in_width = soft.shape
     source, source_at = (
@@ -361,6 +369,7 @@ class ChainKernel:
 
     def __init__(self, block, code, source, width: int):
         self.k, self.r, self.n_out, self.width = block.k, block.r, code.n_out, width
+        self.branches = code.branches
         remainders, outputs, source = (frozen(table, dtype) for table, dtype in (
             (block.remainders, np.uint64), (code.outputs, np.uint8), (source, np.int32)))
         self._mother = (self.k + self.r + 4) * self.n_out  # 4 tail bits, as hrcc_encode adds
@@ -372,7 +381,7 @@ class ChainKernel:
                              "and a source map that holds each coded column once")
         # Kept referenced here, so that their addresses stay valid.
         self._tables = [*map(_pinned, (remainders, outputs, source)),
-                        _butterfly_syms(code.branches)]
+                        _butterfly_syms(self.branches)]
         self._table_at, self._outputs_at, self._source_at, self._branches_at = (
             at for _, at in self._tables)
 

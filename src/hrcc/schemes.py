@@ -161,7 +161,7 @@ def decode_blocks(scheme: SchemeId, softs: np.ndarray) -> tuple[np.ndarray, np.n
     chain = _chain(scheme)
     softs = rows(softs, chain.coded_bits, f"{scheme.value} decodes")
     if chain.kernel is not None:
-        return chain.kernel.decode(softs)
+        return kernels.viterbi_batch(softs, chain.code.branches, chain=chain.kernel)
     inputs = coding.viterbi_decode_batch(chain.code, softs, chain.source)[:, :-TAIL_BITS]
     return inputs[:, : chain.block.k], chain.block.check_batch(inputs)
 

@@ -350,6 +350,19 @@ def test_compiled_kernel_rejects_rates_other_than_one_half_and_one_third():
         kernels.viterbi_batch_c(np.zeros((1, 20)), syms)
 
 
+@pytest.mark.skipif(kernels.viterbi_batch_c is None, reason="no compiled kernel")
+def test_compiled_decoder_hands_a_chain_batch_to_its_kernel():
+    chain = _CHAINS[SchemeId.M1_CS13_P23]
+    soft = np.random.default_rng(8).normal(0.0, 1.5, size=(5, chain.coded_bits))
+    msgs, ok = kernels.viterbi_batch_c(soft, chain.code.branches, chain=chain.kernel)
+    expect = chain.kernel.decode(soft)
+    assert np.array_equal(msgs, expect[0]) and np.array_equal(ok, expect[1])
+    for syms, source in [(CONV_RATE_12.branches, None), (chain.code.branches.copy(), None),
+                         (chain.code.branches, chain.source)]:
+        with pytest.raises(ValueError, match="its own map"):
+            kernels.viterbi_batch_c(soft, syms, source, chain=chain.kernel)
+
+
 _SWEEP_SCRIPT = (
     "import sys\n"
     "from hrcc import kernels\n"
