@@ -41,7 +41,6 @@
 #define NSTATES 16
 #define NEG_METRIC (-1.0e30)
 #define LANES 4
-#define TAIL_BITS 4
 
 /* The scalar body for one code rate; always inlined, so that each call
  * below compiles with a constant n_out and a fully unrolled butterfly loop.
@@ -283,11 +282,11 @@ int hrcc_channel(double *out, ptrdiff_t nframes, ptrdiff_t width, const uint8_t 
     return seen > 1 ? -1 : 0;
 }
 
-/* hrcc_encode with a constant n_out: the message, then its parity first bit
- * highest and the zero tail, shift through the register window, and each step
- * writes its outputs through the source map, a deleted one into a dummy byte. */
+/* hrcc_encode with a constant n_out: nsteps inputs (the message, its parity first
+ * bit highest, then zeros: the tail) shift through the register window, and each
+ * step writes its outputs through the source map, a deleted one into a dummy byte. */
 static inline __attribute__((always_inline)) unsigned
-encode1(const uint8_t *restrict msgs, ptrdiff_t nframes, ptrdiff_t k, int r,
+encode1(const uint8_t *restrict msgs, ptrdiff_t nframes, ptrdiff_t k, ptrdiff_t nsteps,
         const uint64_t *restrict table, const uint8_t *restrict outputs, const int n_out,
         const int32_t *restrict source, ptrdiff_t width, uint8_t *restrict out)
 {
@@ -296,7 +295,7 @@ encode1(const uint8_t *restrict msgs, ptrdiff_t nframes, ptrdiff_t k, int r,
     for (ptrdiff_t f = 0; f < nframes; f++, msgs += k, out += width) {
         uint64_t parity = lfsr(msgs, k, table);
         unsigned window = 0;
-        for (ptrdiff_t t = 0; t < k + r + TAIL_BITS; t++) {
+        for (ptrdiff_t t = 0; t < nsteps; t++) {
             unsigned bit = (unsigned)(parity >> 63);
             if (t < k)
                 seen |= bit = msgs[t]; /* a value above 1 fails the call */
@@ -313,18 +312,18 @@ encode1(const uint8_t *restrict msgs, ptrdiff_t nframes, ptrdiff_t k, int r,
 }
 
 /* msgs:    (nframes, k) row-major message bits.
- * table:   the block code's 256 remainders, see lfsr(); r: its degree.
+ * table:   the block code's 256 remainders, see lfsr().
  * outputs: 32 entries, bit j of entry w is output j of the conv code when the
  *          register window is w, bit i of w holding the input i steps back.
- * source:  (k + r + TAIL_BITS) * n_out entries, -1 or a column of out, as in
- *          hrcc_viterbi; out: (nframes, width) coded bits.
+ * source:  entries (n_out per step, message, parity and tail) each -1 or a
+ *          column of out, as in hrcc_viterbi; out: (nframes, width) coded bits.
  * Returns -1 if a message value is not 0 or 1, else 0. */
-int hrcc_encode(const uint8_t *msgs, ptrdiff_t nframes, ptrdiff_t k, int r,
+int hrcc_encode(const uint8_t *msgs, ptrdiff_t nframes, ptrdiff_t k,
                 const uint64_t *table, const uint8_t *outputs, int n_out,
-                const int32_t *source, ptrdiff_t width, uint8_t *out)
+                const int32_t *source, ptrdiff_t entries, ptrdiff_t width, uint8_t *out)
 {
     unsigned seen = n_out == 2
-        ? encode1(msgs, nframes, k, r, table, outputs, 2, source, width, out)
-        : encode1(msgs, nframes, k, r, table, outputs, 3, source, width, out);
+        ? encode1(msgs, nframes, k, entries / 2, table, outputs, 2, source, width, out)
+        : encode1(msgs, nframes, k, entries / 3, table, outputs, 3, source, width, out);
     return seen > 1 ? -1 : 0;
 }

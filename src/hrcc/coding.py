@@ -225,20 +225,6 @@ class PuncturePattern:
         return kept
 
 
-def compose_punctures(patterns) -> PuncturePattern:
-    """One full-length pattern equal to applying ``patterns`` in order."""
-    kept = patterns[0].kept_indices
-    for prev, pattern in zip(patterns, patterns[1:]):
-        if pattern.input_len != prev.output_len:
-            raise ValueError(
-                f"cannot puncture {prev.output_len} bits with a pattern for {pattern.input_len}"
-            )
-        kept = kept[pattern.kept_indices]
-    mask = np.zeros(patterns[0].input_len, dtype=np.uint8)
-    mask[kept] = 1
-    return PuncturePattern(tuple(mask.tolist()), patterns[0].input_len, patterns[-1].output_len)
-
-
 # Mother-code puncturing realizing the 2/3 coding scheme, then the three
 # scheme-rate masks; all evenly spread and period-aligned to the streams.
 PUNCTURE_CS23 = PuncturePattern((1, 1, 1, 0), 456, 342)

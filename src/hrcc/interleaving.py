@@ -41,7 +41,7 @@ _SOURCE = {mode: kernels.frozen(np.argsort(dest)) for mode, dest in _DEST.items(
 
 
 def destinations(mode: InterleaveMode) -> np.ndarray:
-    return _DEST[mode]
+    return _DEST[_checked(mode)]
 
 
 def _checked(mode: InterleaveMode) -> InterleaveMode:

@@ -22,7 +22,7 @@ map in one ``hrcc_viterbi`` call, which also runs the LFSR over each decoded
 word: its remainder is zero exactly when its parity matches; the chains reach
 it through ``viterbi_batch``, the one decoder entry.  Their numpy references
 and fallbacks are ``BlockCode``'s parity and check, ``conv_encode_batch_np``,
-``coding.puncture_batch`` and ``viterbi_batch_np``.
+then the map's kept columns, and ``viterbi_batch_np``.
 Constant tables are ``frozen``: read-only copies nothing can write to.
 
 The library exports one decoder, ``hrcc_viterbi`` (``viterbi_batch_c``),
@@ -228,8 +228,8 @@ def _load_c_library():
         (ptr, size, size, ptr, size, c_int, ptr, ptr, ptr, size, ptr),
         # out, nframes, width, bits, columns, sigma, power
         (ptr, size, size, ptr, ptr, ctypes.c_double, ctypes.c_double),
-        # msgs, nframes, k, r, table, outputs, n_out, source, width, out
-        (ptr, size, size, c_int, ptr, ptr, c_int, ptr, size, ptr),
+        # msgs, nframes, k, table, outputs, n_out, source, map entries, width, out
+        (ptr, size, size, ptr, ptr, c_int, ptr, size, size, ptr),
         (),
     )):
         function.restype, function.argtypes = c_int, argtypes
@@ -291,8 +291,11 @@ def _bit_rows(bits) -> np.ndarray:
     return np.ascontiguousarray(bits if bits.dtype == np.uint8 else binary_uint8(bits))  # >= 1-D
 
 
-def _channel_operands(out: np.ndarray, bits, columns) -> tuple[np.ndarray, np.ndarray, int]:
-    """(bits as C-ordered uint8, pinned noise map, its address), checked against ``out``."""
+def _channel_operands(out, bits, sigma, columns) -> tuple[np.ndarray, np.ndarray, int]:
+    """(bits as C-ordered uint8, pinned noise map, its address), checked against ``out``;
+    ValueError also unless sigma and sigma^2 are finite and positive."""
+    if not (0.0 < sigma and 0.0 < sigma * sigma < np.inf):  # NaN fails every comparison
+        raise ValueError(f"sigma and sigma^2 must be finite and positive, got sigma {sigma}")
     bits = _bit_rows(bits)
     width = bits.shape[-1]
     columns, at = _identity_map(width) if columns is None else _checked_map(columns, width, 0)
@@ -309,7 +312,7 @@ def channel_np(out: np.ndarray, bits, sigma: float, columns=None) -> np.ndarray:
     Column j of ``out`` gets bit j of its row of ``bits`` (0/1, else ValueError) and
     the normal drawn at column ``columns[j]``, a column of ``out``, or at j without a map.
     """
-    bits, columns, _ = _channel_operands(out, bits, columns)
+    bits, columns, _ = _channel_operands(out, bits, sigma, columns)
     out[...] = np.take(out, columns, axis=1)
     out *= sigma
     out += antipodal(binary_uint8(bits))
@@ -348,7 +351,7 @@ def viterbi_batch_c(soft: np.ndarray, syms: np.ndarray, source=None, chain=None)
 
 def channel_c(out: np.ndarray, bits, sigma: float, columns=None) -> np.ndarray:
     """``channel_np`` in one compiled loop (``hrcc_channel``); the same doubles."""
-    bits, columns, columns_at = _channel_operands(out, bits, columns)
+    bits, columns, columns_at = _channel_operands(out, bits, sigma, columns)
     # columns stays referenced here, so its address stays valid.
     status = _channel(_address(out), *out.shape, _address(bits), columns_at, sigma, sigma * sigma)
     if status:
@@ -362,21 +365,23 @@ class ChainKernel:
 
     ``block`` and ``code`` are the chain's ``BlockCode`` and ``ConvCode``, whose
     ``remainders``, ``outputs`` and ``branches`` tables the C reads; ``source``
-    maps each mother-code column to its column of the ``width``-bit coded
-    block, or -1, for the encoder to write and the decoder to read through.
+    maps each mother-code column, the 4 tail bits' included, to its column of
+    the coded block, or -1, for the encoder to write and the decoder to read
+    through; ``width``, the coded block's, is the number of columns it keeps.
     The encoder reads each value once and raises ValueError on any but 0 and 1.
     """
 
-    def __init__(self, block, code, source, width: int):
-        self.k, self.r, self.n_out, self.width = block.k, block.r, code.n_out, width
+    def __init__(self, block, code, source):
+        self.k, self.r, self.n_out = block.k, block.r, code.n_out
         self.branches = code.branches
         remainders, outputs, source = (frozen(table, dtype) for table, dtype in (
             (block.remainders, np.uint64), (code.outputs, np.uint8), (source, np.int32)))
-        self._mother = (self.k + self.r + 4) * self.n_out  # 4 tail bits, as hrcc_encode adds
+        self.width = int(np.count_nonzero(source >= 0))
+        self._mother = (self.k + self.r + 4) * self.n_out  # the 4 zero tail bits included
         # hrcc_encode writes each column of its uncleared output through the map, so once each.
         if (self.n_out not in (2, 3)
                 or (remainders.size, outputs.size, source.size) != (256, 32, self._mother)
-                or not np.array_equal(np.sort(source[source >= 0]), np.arange(width))):
+                or not np.array_equal(np.sort(source[source >= 0]), np.arange(self.width))):
             raise ValueError("a chain kernel takes rate 1/2 or 1/3, 256 remainders, 32 outputs "
                              "and a source map that holds each coded column once")
         # Kept referenced here, so that their addresses stay valid.
@@ -389,8 +394,8 @@ class ChainKernel:
         """(frames, k) messages -> (frames, width) coded blocks, in one ``hrcc_encode`` call."""
         msgs = _bit_rows(rows(msgs, self.k, "the chain encodes"))
         out = np.empty((msgs.shape[0], self.width), np.uint8)
-        if _encoder(_address(msgs), msgs.shape[0], self.k, self.r, self._table_at,
-                    self._outputs_at, self.n_out, self._source_at, self.width, _address(out)):
+        if _encoder(_address(msgs), msgs.shape[0], self.k, self._table_at, self._outputs_at,
+                    self.n_out, self._source_at, self._mother, self.width, _address(out)):
             raise ValueError("bit block may only contain 0 and 1")
         return out
 

@@ -54,6 +54,12 @@ class MultiframeConfig:
             raise TypeError(f"a ChannelConfig and a FrameMode, not {self.config!r}, {self.mode!r}")
 
 
+def _checked(cfg: MultiframeConfig) -> MultiframeConfig:
+    if not isinstance(cfg, MultiframeConfig):  # a ChannelConfig or "sdcch8" names no mode
+        raise TypeError(f"cfg must be a MultiframeConfig, got {cfg!r}")
+    return cfg
+
+
 @dataclass(frozen=True)
 class LogicalChannelId:
     kind: ChannelKind
@@ -65,7 +71,7 @@ class LogicalChannelId:
             raise TypeError(f"kind must be a ChannelKind, got {self.kind!r}")
         if not (self.suballoc is None or isinstance(self.suballoc, SubAllocation)):
             raise TypeError(f"suballoc must be None or a SubAllocation, got {self.suballoc!r}")
-        if not 0 <= operator.index(self.subchannel) < cfg.config.subchannels:
+        if not 0 <= operator.index(self.subchannel) < _checked(cfg).config.subchannels:
             raise ValueError(
                 f"{cfg.config.value} has sub-channels 0..{cfg.config.subchannels - 1}"
             )
@@ -98,7 +104,7 @@ def _group_table(config: ChannelConfig, parity: int) -> list[tuple[int, ChannelK
 
 def build_layout(cfg: MultiframeConfig) -> list[FrameSlot]:
     """All 102 slots of a two-multiframe cycle, idle frames included."""
-    return list(_layout(cfg))
+    return list(_layout(_checked(cfg)))
 
 
 @lru_cache(maxsize=None)
@@ -125,6 +131,8 @@ def bursts_for(cfg: MultiframeConfig, chan: LogicalChannelId) -> list[tuple[int,
     index is the frame's position within its 4-frame group, so a modified
     channel sees the ``burst_positions`` of its sub-allocation.
     """
+    if not isinstance(chan, LogicalChannelId):
+        raise TypeError(f"chan must be a LogicalChannelId, got {chan!r}")
     chan.validate(cfg)
     return list(_bursts(cfg, chan))
 
@@ -161,7 +169,7 @@ class CapacityReport:
 
 def capacity_report(cfg: MultiframeConfig) -> CapacityReport:
     """Logical channel counts plus idle frames per multiframe."""
-    slots = _layout(cfg)
+    slots = _layout(_checked(cfg))
     sdcch = {s.owner for s in slots if s.owner and s.owner.kind is ChannelKind.SDCCH}
     sacch = {s.owner for s in slots if s.owner and s.owner.kind is ChannelKind.SACCH}
     idle = sum(1 for s in slots if s.multiframe_parity == 0 and s.owner is None)

@@ -53,7 +53,8 @@ def scheme_from_name(name: str) -> SchemeId:
 
 @dataclass(frozen=True, eq=False)
 class _Chain:
-    """Every stage of one chain; ``punctures`` are the paper's steps in order."""
+    """Every stage of one chain; ``punctures`` are the paper's steps in order, from which
+    ``source``, the one description of the coded block, is built."""
 
     code: coding.ConvCode
     punctures: tuple[coding.PuncturePattern, ...]
@@ -62,11 +63,9 @@ class _Chain:
     coded_bits: int = field(init=False)
     # The burst interleaver whose block is coded_bits long: STD4 or MOD2.
     interleave: InterleaveMode = field(init=False)
-    # The steps composed into one pattern; None when nothing is punctured.
-    puncture: coding.PuncturePattern | None = field(init=False)
     # For each mother-code column, its column in the coded block or -1 where
-    # puncturing deleted it, the identity when nothing is punctured: the
-    # encoder writes and the decoder reads the block through this map.
+    # a step deleted it, the identity when nothing is punctured: both
+    # encoders write and both decoders read the block through this map.
     source: np.ndarray = field(init=False)
     # The compiled encoder and decoder, or None without the C backend: then
     # the numpy stages, the numpy Viterbi kernel and BlockCode's check run.
@@ -74,23 +73,21 @@ class _Chain:
 
     def __post_init__(self):
         mother = (self.block.k + self.block.r + TAIL_BITS) * self.code.n_out
-        if self.punctures and self.punctures[0].input_len != mother:
-            raise ValueError(
-                f"the first puncture takes {self.punctures[0].input_len} bits, "
-                f"but the mother code emits {mother}"
-            )
-        composed = coding.compose_punctures(self.punctures) if self.punctures else None
-        coded_bits = mother if composed is None else composed.output_len
-        mode = next(m for m in InterleaveMode if m.block_bits == coded_bits)
-        kept = np.arange(mother) if composed is None else composed.kept_indices
+        # The mother-code columns that each step in turn keeps, in order.
+        kept, names = np.arange(mother), ("the first puncture", "the mother code")
+        for n, step in enumerate(self.punctures, 1):
+            if step.input_len != kept.size:
+                raise ValueError(f"{names[0]} takes {step.input_len} bits, "
+                                 f"but {names[1]} emits {kept.size}")
+            kept, names = kept[step.kept_indices], (f"puncture {n + 1}", f"puncture {n}")
+        mode = next(m for m in InterleaveMode if m.block_bits == kept.size)
         source = np.full(mother, -1, dtype=np.int32)
-        source[kept] = np.arange(coded_bits)
+        source[kept] = np.arange(kept.size)
         source = kernels.frozen(source)
-        kernel = (kernels.ChainKernel(self.block, self.code, source, coded_bits)
+        kernel = (kernels.ChainKernel(self.block, self.code, source)
                   if kernels.BACKEND == "c" else None)
-        object.__setattr__(self, "coded_bits", coded_bits)
+        object.__setattr__(self, "coded_bits", kept.size)
         object.__setattr__(self, "interleave", mode)
-        object.__setattr__(self, "puncture", composed)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "kernel", kernel)
 
@@ -151,9 +148,7 @@ def encode_blocks(scheme: SchemeId, msgs: np.ndarray) -> np.ndarray:
     parity = chain.block.parity_batch(msgs)
     tail = np.zeros((msgs.shape[0], TAIL_BITS), dtype=np.uint8)
     out = coding.conv_encode_batch(chain.code, np.concatenate([msgs, parity, tail], axis=1))
-    if chain.puncture is not None:
-        out = coding.puncture_batch(chain.puncture, out)
-    return out
+    return np.compress(chain.source >= 0, out, axis=1)  # the map keeps columns in order
 
 
 def decode_blocks(scheme: SchemeId, softs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,7 @@ numpy arrays) so the two sides cannot share a bug.
 
 import numpy as np
 
-from hrcc import interleaving, schemes
+from hrcc import coding, interleaving, schemes
 from hrcc.schemes import SchemeId
 from hrcc.simulation import BlerReport, noise_sigma
 
@@ -56,6 +56,18 @@ def conv_encode_ref(bits, generators):
             out.append(sum(a & b for a, b in zip(g, window)) % 2)
         reg = [int(x)] + reg[:3]
     return out
+
+
+def paper_punctures(chain, rows, undo=False):
+    """``rows`` through a chain's puncture steps, applied one at a time as the paper states them.
+
+    Mother-code rows are punctured down to the coded block with ``puncture_batch``; with
+    ``undo``, coded soft rows are widened back, step by step in reverse, with
+    ``depuncture_batch``, each deleted bit an erasure (0.0).  Without steps, ``rows``.
+    """
+    for step in reversed(chain.punctures) if undo else chain.punctures:
+        rows = (coding.depuncture_batch if undo else coding.puncture_batch)(step, rows)
+    return rows
 
 
 def to_hex_ref(bits):

@@ -15,7 +15,6 @@ from hrcc.coding import (
     BlockCode,
     ConvCode,
     PuncturePattern,
-    compose_punctures,
     conv_encode_batch,
     depuncture_batch,
     fire_check,
@@ -310,15 +309,6 @@ def test_kept_indices_are_built_once_and_read_only():
     assert kept is PUNCTURE_P13.kept_indices
     with pytest.raises(ValueError):
         kept[0] = 1
-
-
-def test_composed_puncture_is_one_full_length_mask():
-    composed = compose_punctures((PUNCTURE_CS23, PUNCTURE_P13))
-    assert (composed.input_len, composed.output_len) == (456, 228)
-    assert composed.keep == (1, 1, 0, 0) * 114
-    assert compose_punctures((PUNCTURE_P12,)) == PuncturePattern((1, 0) * 228, 456, 228)
-    with pytest.raises(ValueError):
-        compose_punctures((PUNCTURE_P12, PUNCTURE_P13))
 
 
 def test_puncture_length_mismatch():

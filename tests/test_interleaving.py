@@ -19,10 +19,11 @@ from hrcc.interleaving import (
     lambda mode: deinterleave(mode, [np.zeros(114)] * 4),
     lambda mode: interleave_batch(mode, np.zeros((1, 456), dtype=np.uint8)),
     lambda mode: deinterleave_batch(mode, np.zeros((1, 456))),
-], ids=["interleave", "deinterleave", "interleave_batch", "deinterleave_batch"])
+    destinations,
+], ids=["interleave", "deinterleave", "interleave_batch", "deinterleave_batch", "destinations"])
 @pytest.mark.parametrize("bad", ["std4", "mod2", None])
 def test_interleavers_take_only_an_interleave_mode(call, bad):
-    # A mode's value in place of the mode raised AttributeError.
+    # A mode's value in place of the mode raised AttributeError (KeyError in destinations).
     with pytest.raises(TypeError, match=f"mode must be an InterleaveMode, got {bad!r}"):
         call(bad)
 

@@ -1,3 +1,4 @@
+import ctypes
 import os
 import re
 import shutil
@@ -10,10 +11,12 @@ import pytest
 
 import hrcc
 from hrcc import kernels, simulation
-from hrcc.coding import CONV_RATE_12, CONV_RATE_13, _sym_table, depuncture_batch
+from hrcc.coding import CONV_RATE_12, CONV_RATE_13, _sym_table
 from hrcc.interleaving import destinations
 from hrcc.schemes import _CHAINS, SchemeId
 from hrcc.simulation import reports_to_csv, sweep
+
+from oracles import paper_punctures
 
 CODES = [CONV_RATE_12, CONV_RATE_13]
 STEPS = 228
@@ -62,16 +65,25 @@ def test_kernel_source_builds_without_warnings_and_exports_one_decoder(tmp_path)
         assert defined == {"hrcc_viterbi", "hrcc_viterbi_lanes", "hrcc_channel", "hrcc_encode"}
 
 
+def _argtype(param: str):
+    """The ctypes type that passes one C parameter, such as ``const int32_t *source``."""
+    if "*" in param:
+        return ctypes.c_void_p
+    kinds = {"ptrdiff_t": ctypes.c_ssize_t, "int": ctypes.c_int, "double": ctypes.c_double}
+    return kinds[param.split()[-2]]
+
+
 def test_bound_argument_lists_match_the_c_definitions():
-    # ctypes calls a function with as many arguments as its argtypes list,
-    # whatever the C takes: a mismatch is undefined behaviour, not an error.
+    # ctypes calls a function with the argtypes it is given, whatever the C
+    # takes: a missing, extra or misordered argument is undefined behaviour,
+    # not an error, so each parameter's kind is compared, position by position.
     functions = kernels._load_c_library()
     if functions[0] is None:
         pytest.skip("no compiled kernel")
     definitions = re.findall(r"^int (hrcc_\w+)\(([^)]*)\)", kernels._C_SOURCE.read_text(), re.M)
-    params = {name: 0 if args.strip() == "void" else args.count(",") + 1
+    params = {name: [] if args.strip() == "void" else [_argtype(a) for a in args.split(",")]
               for name, args in definitions}
-    assert params == {f.__name__: len(f.argtypes) for f in functions}
+    assert params == {f.__name__: list(f.argtypes) for f in functions}
 
 
 @pytest.mark.parametrize("code", CODES)
@@ -137,11 +149,12 @@ def entry(request):
 def _chain_case(scheme, rows):
     """(source map, branch table, reference decode of ``rows``) for the scheme's chain.
 
-    A chain without puncturing has the identity map.
+    The reference undoes the paper's puncture steps one at a time, then runs the
+    numpy kernel.  A chain without puncturing has the identity map.
     """
     chain = _CHAINS[scheme]
     syms = _sym_table(chain.code.generators)
-    mother = rows if chain.puncture is None else depuncture_batch(chain.puncture, rows)
+    mother = paper_punctures(chain, rows, undo=True)
     return chain.source, syms, kernels.viterbi_batch_np(mother, syms)
 
 
@@ -155,7 +168,7 @@ def test_entry_points_read_every_chains_map(entry, scheme, nframes):
     source, syms, reference = _chain_case(scheme, rows)
     assert np.array_equal(entry(rows, syms, source), reference)
     assert np.array_equal(kernels.viterbi_batch_np(rows, syms, source), reference)
-    if _CHAINS[scheme].puncture is None:
+    if not _CHAINS[scheme].punctures:
         assert np.array_equal(entry(rows, syms), reference)
 
 
@@ -330,6 +343,19 @@ def test_channel_rejects_buffers_that_do_not_fit_the_bits(monkeypatch, out, bits
     for channel in filter(None, [kernels.channel_np, kernels.channel_c]):
         with pytest.raises(ValueError, match="the channel fills"):
             channel(out, bits, 0.8)
+    assert not calls
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, 0.0, -0.8, 1e-200, 1e200])
+def test_channel_rejects_a_sigma_that_is_not_finite_and_positive(monkeypatch, sigma):
+    # A NaN sigma gave all-NaN soft values; at 1e-200 and 1e200 sigma^2 is 0 or infinite.
+    calls = []
+    monkeypatch.setattr(kernels, "_channel", lambda *args: calls.append(args))
+    for channel in filter(None, [kernels.channel_np, kernels.channel_c]):
+        out = np.ones((2, 4))
+        with pytest.raises(ValueError, match=r"sigma and sigma\^2 must be finite and positive"):
+            channel(out, np.ones((2, 4), dtype=np.uint8), sigma)
+        assert (out == 1.0).all()
     assert not calls
 
 

@@ -11,6 +11,14 @@ from hrcc.messages import (
     is_halfrate_capable,
     parse_imsi,
 )
+from hrcc.multiframe import (
+    ChannelConfig,
+    ChannelKind,
+    FrameMode,
+    LogicalChannelId,
+    MultiframeConfig,
+    bursts_for,
+)
 
 # Bit index of the sub-allocation spare bit: octet 3 of the channel
 # description (block octet index 2), bit 4 in MSB-is-bit-8 numbering.
@@ -155,6 +163,17 @@ def test_assignment_field_validation():
                       training_seq=np.int32(5), arfcn=np.uint16(42))
     assert np.array_equal(encode_immediate_assignment(ChannelAssignment(**numpy_ints)),
                           encode_immediate_assignment(ChannelAssignment(**good)))
+
+
+def test_integer_fields_take_a_bool_as_its_integer():
+    # Python's rule, kept on purpose: True and False are the integers 1 and 0.
+    fields = dict(channel_type=1, training_seq=5, arfcn=42, suballoc=SubAllocation.EVEN)
+    assert np.array_equal(encode_immediate_assignment(ChannelAssignment(timeslot=True, **fields)),
+                          encode_immediate_assignment(ChannelAssignment(timeslot=1, **fields)))
+    assert np.array_equal(encode_lapdm_tailored(b"hi", True, 3), encode_lapdm_tailored(b"hi", 1, 3))
+    cfg = MultiframeConfig(ChannelConfig.SDCCH8, FrameMode.STANDARD)
+    assert (bursts_for(cfg, LogicalChannelId(ChannelKind.SDCCH, True))
+            == bursts_for(cfg, LogicalChannelId(ChannelKind.SDCCH, 1)) != [])
 
 
 def test_assignment_decode_errors():

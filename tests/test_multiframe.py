@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -143,6 +144,24 @@ def test_config_fields_must_be_their_enums():
         MultiframeConfig(ChannelConfig.SDCCH8, "modified")
     with pytest.raises(TypeError, match="ChannelConfig and a FrameMode"):
         MultiframeConfig(FrameMode.STANDARD, ChannelConfig.SDCCH8)
+
+
+@pytest.mark.parametrize("bad", ["sdcch8", ChannelConfig.SDCCH8, None])
+def test_layout_functions_take_only_a_multiframe_config(bad):
+    # Each raised AttributeError: 'str' object has no attribute 'config'.
+    calls = [build_layout, capacity_report, LogicalChannelId(ChannelKind.SDCCH, 1).validate,
+             lambda cfg: bursts_for(cfg, LogicalChannelId(ChannelKind.SDCCH, 1))]
+    for call in calls:
+        with pytest.raises(TypeError, match=f"cfg must be a MultiframeConfig, got {bad!r}"):
+            call(bad)
+
+
+@pytest.mark.parametrize("bad", [(ChannelKind.SDCCH, 1), "sdcch", None])
+def test_bursts_for_takes_only_a_logical_channel_id(bad):
+    # Each raised AttributeError: ... has no attribute 'validate'.
+    cfg = MultiframeConfig(ChannelConfig.SDCCH8, FrameMode.STANDARD)
+    with pytest.raises(TypeError, match=re.escape(f"chan must be a LogicalChannelId, got {bad!r}")):
+        bursts_for(cfg, bad)
 
 
 def test_callers_get_their_own_lists():

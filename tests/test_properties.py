@@ -24,7 +24,6 @@ from hrcc.coding import (
     TAIL_BITS,
     _sym_table,
     _tap_table,
-    puncture_batch,
 )
 from hrcc.interleaving import InterleaveMode, deinterleave_batch, interleave_batch
 from hrcc.schemes import (
@@ -35,6 +34,8 @@ from hrcc.schemes import (
     encode_block,
     encode_blocks,
 )
+
+from oracles import paper_punctures
 
 FEW = settings(max_examples=20, deadline=None, database=None)
 SOME = settings(max_examples=60, deadline=None, database=None)
@@ -141,9 +142,9 @@ def test_compiled_kernel_equals_the_numpy_kernel(code, data):
 @given(scheme=SCHEMES, data=st.data())
 def test_compiled_chain_equals_the_numpy_chain(scheme, data):
     # Up to nine frames through the compiled encoder, against BlockCode's BLAS
-    # parity, conv_encode_batch_np and the puncture; then the noiseless
-    # encodings of the same words, with and without flipped bits, through the
-    # compiled decoder and its check, against BlockCode's BLAS check.
+    # parity, conv_encode_batch_np and the paper's puncture steps; then the
+    # noiseless encodings of the same words, with and without flipped bits,
+    # through the compiled decoder and its check, against BlockCode's BLAS check.
     chain = _CHAINS[scheme]
     frames = data.draw(st.integers(0, 9), label="frames")
     msgs = data.draw(hnp.arrays(np.uint8, (frames, chain.block.k), elements=BITS), label="msgs")
@@ -154,7 +155,7 @@ def test_compiled_chain_equals_the_numpy_chain(scheme, data):
     def mother_coded(words):
         tailed = np.pad(words, ((0, 0), (0, TAIL_BITS)))
         coded = kernels.conv_encode_batch_np(tailed, _tap_table(chain.code.generators))
-        return coded if chain.puncture is None else puncture_batch(chain.puncture, coded)
+        return paper_punctures(chain, coded)
 
     assert np.array_equal(encode_blocks(scheme, msgs), mother_coded(words))
     for batch in (words, words ^ flips):

@@ -31,6 +31,7 @@ from oracles import (
     PARITY20_GEN_BITS,
     conv_encode_ref,
     cyclic_parity,
+    paper_punctures,
 )
 
 
@@ -93,16 +94,25 @@ def test_interleave_mode_per_scheme():
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
 def test_source_map_inverts_the_composed_puncture(scheme):
+    # The mother-code columns that the paper's steps keep, in order, hold the
+    # coded columns 0, 1, ...; every other one holds -1.  No step: the identity.
     chain = _CHAINS[scheme]
     assert not chain.source.flags.writeable and chain.source.dtype == np.int32
-    if chain.puncture is None:
-        assert np.array_equal(chain.source, np.arange(chain.coded_bits))
-        return
-    assert chain.source.size == chain.puncture.input_len
+    mother = (chain.block.k + chain.block.r + TAIL_BITS) * chain.code.n_out
+    assert chain.source.size == mother
     kept = chain.source >= 0
-    assert np.array_equal(np.flatnonzero(kept), chain.puncture.kept_indices)
+    assert np.array_equal(np.flatnonzero(kept), paper_punctures(chain, [np.arange(mother)])[0])
     assert np.array_equal(chain.source[kept], np.arange(chain.coded_bits))
     assert (chain.source[~kept] == -1).all()
+
+
+def test_the_paper_steps_compose_into_one_full_length_map():
+    # 456 -> 342 -> 228 keeps the first two of every four mother-code columns.
+    for scheme, keep in [(SchemeId.M1_CS23_P13, (1, 1, 0, 0) * 114),
+                         (SchemeId.M1_CS12_P12, (1, 0) * 228)]:
+        assert tuple((_CHAINS[scheme].source >= 0).tolist()) == keep
+    with pytest.raises(ValueError, match="puncture 2 takes 342 bits, but puncture 1 emits 228"):
+        _Chain(CONV_RATE_12, (PUNCTURE_P12, PUNCTURE_P13), FIRE_CODE)
 
 
 @pytest.mark.parametrize("bad", ["standard", "m2-reduced", None, 0])
@@ -240,26 +250,24 @@ def test_encode_blocks_rejects_non_binary_messages(bad):
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
-def test_composed_puncture_equals_the_paper_steps(scheme):
+def test_composed_puncture_equals_the_paper_steps(scheme, monkeypatch):
+    # Bits written through the map, as both encoders write them, and soft values
+    # read through it, as both decoders read them, against the steps one at a time.
     chain = _CHAINS[scheme]
-    if not chain.punctures:
-        assert chain.puncture is None
-        return
     rng = np.random.default_rng(len(chain.punctures) * 100 + chain.coded_bits)
-    bits = rng.integers(0, 2, size=(6, chain.punctures[0].input_len), dtype=np.uint8)
+    bits = rng.integers(0, 2, size=(6, chain.source.size), dtype=np.uint8)
     soft = rng.normal(size=(6, chain.coded_bits))
-    stepped_bits, stepped_soft = [], []
-    for row_bits, row_soft in zip(bits, soft):
-        for pattern in chain.punctures:
-            row_bits = puncture_batch(pattern, row_bits[np.newaxis])[0]
-        for pattern in reversed(chain.punctures):
-            row_soft = coding.depuncture_batch(pattern, row_soft[np.newaxis, :])[0]
-        stepped_bits.append(row_bits)
-        stepped_soft.append(row_soft)
-    punctured = coding.puncture_batch(chain.puncture, bits)
-    assert np.array_equal(punctured, stepped_bits)
-    assert punctured.flags.c_contiguous  # the interleaver's gather reads it row by row
-    assert np.array_equal(coding.depuncture_batch(chain.puncture, soft), stepped_soft)
+    kept = chain.source >= 0
+    written = np.empty((6, chain.coded_bits), np.uint8)
+    written[:, chain.source[kept]] = bits[:, kept]
+    assert np.array_equal(written, paper_punctures(chain, bits))
+    read = np.pad(soft, ((0, 0), (0, 1)))[:, chain.source]  # -1 reads the column of zeros
+    assert np.array_equal(read, paper_punctures(chain, soft, undo=True))
+    monkeypatch.setattr(kernels, "BACKEND", "numpy")
+    monkeypatch.setitem(_CHAINS, scheme, _Chain(chain.code, chain.punctures, chain.block))
+    msgs = rng.integers(0, 2, size=(6, chain.block.k), dtype=np.uint8)
+    # The numpy encoder keeps the map's columns; the interleaver's gather reads them row by row.
+    assert encode_blocks(scheme, msgs).flags.c_contiguous
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -285,15 +293,15 @@ def test_batch_matches_single_block_api():
 
 def _coded_words(scheme, words):
     """(k + r)-bit words, whatever their parity, through the tail, conv_encode_batch_np and
-    the puncture."""
+    the paper's puncture steps."""
     chain = _CHAINS[scheme]
     tailed = np.pad(words, ((0, 0), (0, TAIL_BITS)))
     out = kernels.conv_encode_batch_np(tailed, coding._tap_table(chain.code.generators))
-    return out if chain.puncture is None else puncture_batch(chain.puncture, out)
+    return paper_punctures(chain, out)
 
 
 def _numpy_chain(scheme, msgs):
-    """The numpy stages of a chain: BLAS parity, tail, conv_encode_batch_np, puncture."""
+    """The numpy stages of a chain: BLAS parity, tail, conv_encode_batch_np, puncture steps."""
     block = _CHAINS[scheme].block
     return _coded_words(scheme, np.concatenate([msgs, block.parity_batch(msgs)], axis=1))
 
@@ -304,7 +312,7 @@ def _oracle_chain(scheme, msg):
     generator = FIRE_GEN_BITS if chain.block is FIRE_CODE else PARITY20_GEN_BITS
     taps = GEN_RATE_12 if chain.code is CONV_RATE_12 else GEN_RATE_13
     coded = conv_encode_ref(list(msg) + cyclic_parity(msg, generator) + [0] * TAIL_BITS, taps)
-    return coded if chain.puncture is None else [coded[i] for i in chain.puncture.kept_indices]
+    return paper_punctures(chain, np.array([coded]))[0].tolist()
 
 
 def _message_rows(scheme, nframes, kind, seed):
@@ -432,7 +440,5 @@ def test_chain_kernel_takes_only_a_map_onto_every_coded_column(scheme):
     repeated[np.flatnonzero(good >= 0)[7]] = good[np.flatnonzero(good >= 0)[8]]
     for bad in (missing, repeated, good[:-2], np.append(good, -1)):
         with pytest.raises(ValueError, match="each coded column once"):
-            kernels.ChainKernel(chain.block, chain.code, bad, chain.coded_bits)
-    with pytest.raises(ValueError, match="each coded column once"):
-        kernels.ChainKernel(chain.block, chain.code, good, chain.coded_bits + 1)
-    kernels.ChainKernel(chain.block, chain.code, good, chain.coded_bits)
+            kernels.ChainKernel(chain.block, chain.code, bad)
+    assert kernels.ChainKernel(chain.block, chain.code, good).width == chain.coded_bits
