@@ -272,6 +272,7 @@ def _cmd_info(args) -> int:
     print(f"version={__version__}")
     print(f"backend={kernels.BACKEND}")
     print(f"c_path={paths[kernels.LANES]}")
+    print(f"normals={kernels.NORMALS}")
     print(f"numpy={np.__version__}")
     print(f"cpus={os.cpu_count()}")
     return 0

@@ -130,6 +130,10 @@ class ConvCode:
     generators: tuple[int, ...]
 
     def __post_init__(self):
+        # A list would construct, then fail to hash in the cached branch table.
+        if not (isinstance(self.generators, tuple)
+                and all(isinstance(g, int) for g in self.generators)):
+            raise TypeError(f"generators must be a tuple of ints, got {self.generators!r}")
         if len(self.generators) not in (2, 3):
             raise ValueError("supported rates are 1/2 and 1/3")
         for g in self.generators:

@@ -1,8 +1,9 @@
-"""Hot inner loops: a chain's encoder and decoder, the channel and Viterbi decoding.
+"""Hot inner loops: a chain's encoder and decoder, the channel and its noise, Viterbi decoding.
 
 The Viterbi decoder has two interchangeable kernels.  The fast one is the
 plain C file ``_viterbi.c`` next to this module: on first import the system
-``cc`` compiles it with ``-O2 -ffp-contract=off -fPIC -shared`` into
+``cc`` compiles it with ``-O2 -ffp-contract=off -fPIC -shared``, linked
+with ``-lm``, into
 ``${XDG_CACHE_HOME:-~/.cache}/hrcc/_viterbi-<sha256 of source and flags>.so``
 (written to a temporary file, then renamed into place; kernels built from
 other sources or flags are then deleted), and later imports load that file
@@ -13,7 +14,15 @@ fails, ``viterbi_batch`` is the numpy kernel ``viterbi_batch_np``.
 The library also holds the channel, ``hrcc_channel`` (``channel_c``): one
 loop that adds each bit, in coded order, to a normal read through a noise
 map, with the operations of ``channel_np``, its numpy reference and
-fallback, in their order.  ``channel`` is the one that runs.  And it holds
+fallback, in their order.  ``channel`` is the one that runs.  The normals
+it reads come from ``hrcc_normals`` (``normals_c``), numpy's own ziggurat
+and tables drawing through the generator's ``bitgen_t``, with a branch-free
+sign: the same doubles as ``Generator.standard_normal`` (``normals_np``),
+and the generator left in the same state.  ``normals`` draws through
+``normals_c`` only if it equals ``normals_np`` on a fixed seed at import
+(``NORMALS`` says which passed), so the random stream never depends on the
+backend, and hands fills of fewer than 256 values to ``normals_np``, which
+draws them faster.  And the library holds
 a chain's encoder, ``hrcc_encode``, which ``ChainKernel`` calls with one
 chain's tables: the block parity by a byte-table LFSR, the tail, the conv
 code by a 32-entry table of register windows and the puncture through the
@@ -85,6 +94,7 @@ NEG_METRIC = -1.0e30
 
 _C_SOURCE = Path(__file__).with_name("_viterbi.c")
 _C_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_C_LIBS = ("-lm",)  # after the source, which calls exp and log1p
 
 
 def conv_encode_batch_np(msgs: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -192,7 +202,8 @@ def _build(source: bytes, target: Path) -> None:
     os.close(fd)
     try:
         result = subprocess.run(
-            ["cc", *_C_FLAGS, "-x", "c", "-o", tmp, "-"], input=source, capture_output=True
+            ["cc", *_C_FLAGS, "-x", "c", "-o", tmp, "-", *_C_LIBS], input=source,
+            capture_output=True,
         )
         if result.returncode:
             raise OSError(f"cc failed: {result.stderr.decode(errors='replace')}")
@@ -208,20 +219,22 @@ def _build(source: bytes, target: Path) -> None:
 
 
 def _load_c_library():
-    """(decoder, channel, encoder, lanes): the library's functions, bound, built if needed.
+    """(decoder, channel, encoder, normals, lanes): the library's functions, bound, built if
+    needed.
 
-    On failure, four Nones.
+    On failure, five Nones.
     """
     try:
         source = _C_SOURCE.read_bytes()
-        digest = hashlib.sha256(source + " ".join(_C_FLAGS).encode()).hexdigest()
+        digest = hashlib.sha256(source + " ".join(_C_FLAGS + _C_LIBS).encode()).hexdigest()
         target = _cache_dir() / f"_viterbi-{digest}.so"
         if not target.exists():
             _build(source, target)
         lib = ctypes.CDLL(str(target))
-        functions = (lib.hrcc_viterbi, lib.hrcc_channel, lib.hrcc_encode, lib.hrcc_viterbi_lanes)
+        functions = (lib.hrcc_viterbi, lib.hrcc_channel, lib.hrcc_encode, lib.hrcc_normals,
+                     lib.hrcc_viterbi_lanes)
     except (OSError, AttributeError):  # no cc, failed build or load, missing symbol
-        return None, None, None, None
+        return None, None, None, None, None
     ptr, size, c_int = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int
     for function, argtypes in zip(functions, (
         # soft, nframes, in_width, source, width (map entries), n_out, sym, bits, table, n, ok
@@ -230,9 +243,12 @@ def _load_c_library():
         (ptr, size, size, ptr, ptr, ctypes.c_double, ctypes.c_double),
         # msgs, nframes, k, table, outputs, n_out, source, map entries, width, out
         (ptr, size, size, ptr, ptr, c_int, ptr, size, size, ptr),
+        # bitgen, n, out
+        (ptr, size, ptr),
         (),
     )):
         function.restype, function.argtypes = c_int, argtypes
+    functions[3].restype = None  # hrcc_normals returns nothing
     return functions
 
 
@@ -321,7 +337,12 @@ def channel_np(out: np.ndarray, bits, sigma: float, columns=None) -> np.ndarray:
     return out
 
 
-_decoder, _channel, _encoder, _lanes = _load_c_library()
+def normals_np(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with ``rng``'s next standard normals, by numpy's own fill; returns it."""
+    return rng.standard_normal(out=out)
+
+
+_decoder, _channel, _encoder, _normals, _lanes = _load_c_library()
 BACKEND = "numpy" if _decoder is None else "c"
 LANES = _lanes() if _lanes else 0
 
@@ -347,6 +368,46 @@ def viterbi_batch_c(soft: np.ndarray, syms: np.ndarray, source=None, chain=None)
                 _address(bits), None, 0, None):
         raise MemoryError("no memory for the Viterbi scratch buffer")
     return bits
+
+
+def normals_c(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """``normals_np`` in compiled C (``hrcc_normals``): the same doubles, and ``rng`` left in
+    the same state, for any numpy BitGenerator.
+
+    ``out`` must be a writable C-ordered float64 array, else ValueError."""
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+            and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError("the normal fill writes a writable C-ordered float64 array")
+    bitgen = rng.bit_generator
+    with bitgen.lock:  # as numpy's own fill holds it
+        _normals(bitgen.ctypes.bit_generator.value, out.size, _address(out))
+    return out
+
+
+def _checked_fill(fill):
+    """``fill`` if it draws ``normals_np``'s doubles and leaves the same generator state
+    on a fixed seed, else ``normals_np``.
+
+    2**16 normals reach the tail beyond the ziggurat's last strip about 20 times.  They
+    are drawn in pieces of 64 KB: a 512 KB buffer, once freed, raised the process's peak
+    RSS by about 0.4 MB."""
+    ours, numpys = np.random.default_rng(2000), np.random.default_rng(2000)
+    drawn, expect = np.empty(1 << 13), np.empty(1 << 13)
+    for _ in range(8):
+        if fill(ours, drawn).tobytes() != normals_np(numpys, expect).tobytes():
+            return normals_np
+    return fill if ours.bit_generator.state == numpys.bit_generator.state else normals_np
+
+
+def normals(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the array ``out`` with ``rng``'s next standard normals; returns it.
+
+    Through the fill that passed the import check, ``normals_c`` where ``NORMALS`` is
+    ``"c"``, but below 256 values through ``normals_np``: there the ctypes call costs
+    more than the C saves (3.9 against 3.1 µs for a 114-value burst on the machine of
+    ``BENCH_13.json``).  Both give the
+    same doubles and leave the same state, so the stream does not depend on the choice."""
+    return (_fill if out.size >= 256 else normals_np)(rng, out)
 
 
 def channel_c(out: np.ndarray, bits, sigma: float, columns=None) -> np.ndarray:
@@ -413,8 +474,10 @@ class ChainKernel:
 
 
 if _decoder is None:
-    viterbi_batch_c = channel_c = ChainKernel = None
+    viterbi_batch_c = channel_c = normals_c = ChainKernel = None
 
 conv_encode_batch = conv_encode_batch_np
 viterbi_batch = viterbi_batch_c or viterbi_batch_np
 channel = channel_c or channel_np
+_fill = _checked_fill(normals_c) if normals_c else normals_np
+NORMALS = "c" if _fill is normals_c else "numpy"

@@ -158,8 +158,11 @@ def encode_lapdm_tailored(payload: bytes, address: int, control: int) -> np.ndar
     """Pack up to 8 payload octets into the tailored 90-bit frame.
 
     Layout: address, control, length indicator, 8 info octets (unused ones
-    filled with 0x2B), then two zero filler bits.
+    filled with 0x2B), then two zero filler bits.  ``payload`` is ``bytes`` or
+    ``bytearray``, else TypeError.
     """
+    if not isinstance(payload, (bytes, bytearray)):
+        raise TypeError(f"payload must be bytes or bytearray, got {type(payload).__name__}")
     if len(payload) > LAPDM_INFO_OCTETS:
         raise ValueError(f"payload is limited to {LAPDM_INFO_OCTETS} octets")
     if not 0 <= address < 256 or not 0 <= control < 256:

@@ -97,7 +97,7 @@ def _awgn(bits: np.ndarray, sigma: float, rng: np.random.Generator, out: np.ndar
     which differs from sigma*z only in the sign of a zero, and that sign is
     lost once +-1 is added.
     """
-    rng.standard_normal(out=out)
+    kernels.normals(rng, out)
     return kernels.channel(out, bits, sigma, columns)
 
 

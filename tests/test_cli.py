@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,9 +71,19 @@ def test_info_command(capsys):
         "version": hrcc.__version__,
         "backend": kernels.BACKEND,
         "c_path": path,
+        "normals": kernels.NORMALS,
         "numpy": np.__version__,
         "cpus": str(os.cpu_count()),
     }
+
+
+def test_info_says_numpy_fills_the_normals_without_a_compiler(tmp_path):
+    pkg_root = str(Path(hrcc.__file__).resolve().parents[1])
+    env = dict(os.environ, PATH=str(tmp_path), XDG_CACHE_HOME=str(tmp_path / "cache"),
+               PYTHONPATH=os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", "from hrcc.cli import main; main(['info'])"],
+                            capture_output=True, text=True, env=env, check=True)
+    assert "backend=numpy\nc_path=none\nnormals=numpy\n" in result.stdout
 
 
 def test_capacity_command(capsys):

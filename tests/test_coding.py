@@ -236,6 +236,13 @@ def test_conv_code_validation():
         ConvCode((0b11001, 0b111011))  # degree 5
 
 
+@pytest.mark.parametrize("generators", [[0b11001, 0b11011], (0b11001, 27.0), "ab", 25])
+def test_conv_code_takes_its_generators_as_a_tuple_of_ints(generators):
+    # A list constructed and only failed later, unhashable in the branch table's cache.
+    with pytest.raises(TypeError, match="generators must be a tuple of ints"):
+        ConvCode(generators)
+
+
 def test_conv_encode_zero_input_and_lengths():
     zeros = np.zeros((1, 228), dtype=np.uint8)
     assert np.array_equal(conv_encode_batch(CONV_RATE_12, zeros)[0], np.zeros(456, dtype=np.uint8))

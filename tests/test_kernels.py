@@ -45,6 +45,7 @@ def test_compiled_kernel_is_active():
     # Otherwise every comparison below would check numpy against itself.
     assert kernels.BACKEND == hrcc.BACKEND == "c"
     assert kernels.viterbi_batch is kernels.viterbi_batch_c
+    assert kernels.NORMALS == "c"
     assert kernels.LANES == (4 if _cpu_has_avx2() else 1)
 
 
@@ -53,7 +54,7 @@ def test_kernel_source_builds_without_warnings_and_exports_one_decoder(tmp_path)
     library = tmp_path / "viterbi.so"
     build = subprocess.run(
         ["cc", *kernels._C_FLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(library),
-         str(kernels._C_SOURCE)],
+         str(kernels._C_SOURCE), *kernels._C_LIBS],
         capture_output=True, text=True,
     )
     assert build.returncode == 0, build.stderr
@@ -62,7 +63,8 @@ def test_kernel_source_builds_without_warnings_and_exports_one_decoder(tmp_path)
             ["nm", "-D", "--defined-only", str(library)], capture_output=True, text=True, check=True
         )
         defined = {line.split()[-1] for line in listing.stdout.splitlines() if line.strip()}
-        assert defined == {"hrcc_viterbi", "hrcc_viterbi_lanes", "hrcc_channel", "hrcc_encode"}
+        assert defined == {"hrcc_viterbi", "hrcc_viterbi_lanes", "hrcc_channel", "hrcc_encode",
+                           "hrcc_normals"}
 
 
 def _argtype(param: str):
@@ -76,14 +78,17 @@ def _argtype(param: str):
 def test_bound_argument_lists_match_the_c_definitions():
     # ctypes calls a function with the argtypes it is given, whatever the C
     # takes: a missing, extra or misordered argument is undefined behaviour,
-    # not an error, so each parameter's kind is compared, position by position.
+    # not an error, so each parameter's kind is compared, position by position,
+    # and the result's kind too.
     functions = kernels._load_c_library()
     if functions[0] is None:
         pytest.skip("no compiled kernel")
-    definitions = re.findall(r"^int (hrcc_\w+)\(([^)]*)\)", kernels._C_SOURCE.read_text(), re.M)
-    params = {name: [] if args.strip() == "void" else [_argtype(a) for a in args.split(",")]
-              for name, args in definitions}
-    assert params == {f.__name__: list(f.argtypes) for f in functions}
+    definitions = re.findall(r"^(int|void) (hrcc_\w+)\(([^)]*)\)",
+                             kernels._C_SOURCE.read_text(), re.M)
+    params = {name: ({"int": ctypes.c_int, "void": None}[result],
+                     [] if args.strip() == "void" else [_argtype(a) for a in args.split(",")])
+              for result, name, args in definitions}
+    assert params == {f.__name__: (f.restype, list(f.argtypes)) for f in functions}
 
 
 @pytest.mark.parametrize("code", CODES)
@@ -260,13 +265,15 @@ def test_channel_backends_give_the_old_channels_doubles(scheme, nframes, sigma):
 
 def test_channel_backends_read_the_noise_through_any_map():
     # Entries may repeat or stay put: column j gets bit j and the normal at columns[j].
+    # An odd width leaves the compiled loop one column after its pairs.
     rng = np.random.default_rng(9)
-    columns = rng.integers(0, 12, size=12)
-    bits = rng.integers(0, 2, size=(5, 12), dtype=np.uint8)
-    z = rng.standard_normal((5, 12))
-    expect = _old_channel(z[:, columns], bits, 0.8, None)
-    for channel in filter(None, [kernels.channel_np, kernels.channel_c]):
-        assert channel(z.copy(), bits, 0.8, columns).tobytes() == expect.tobytes()
+    for width in (12, 13):
+        columns = rng.integers(0, width, size=width)
+        bits = rng.integers(0, 2, size=(5, width), dtype=np.uint8)
+        z = rng.standard_normal((5, width))
+        expect = _old_channel(z[:, columns], bits, 0.8, None)
+        for channel in filter(None, [kernels.channel_np, kernels.channel_c]):
+            assert channel(z.copy(), bits, 0.8, columns).tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("bad", [[0, 1, -1, 3], [0, 1, 4, 2], [[0, 1], [2, 3]], [0.0, 1.0, 2, 3]])
@@ -387,6 +394,79 @@ def test_compiled_decoder_hands_a_chain_batch_to_its_kernel():
                          (chain.code.branches, chain.source)]:
         with pytest.raises(ValueError, match="its own map"):
             kernels.viterbi_batch_c(soft, syms, source, chain=chain.kernel)
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
+needs_normals_c = pytest.mark.skipif(kernels.normals_c is None, reason="no compiled kernel")
+
+
+@needs_normals_c
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+@pytest.mark.parametrize("shape", [0, 1, 114, 1_000_003, (512, 456)])
+def test_compiled_normals_are_numpys_and_leave_the_generator_in_step(bit_generator, shape):
+    ours, numpys = (np.random.Generator(bit_generator(61)) for _ in range(2))
+    out = np.empty(shape)
+    assert kernels.normals_c(ours, out) is out
+    assert out.tobytes() == kernels.normals_np(numpys, np.empty(shape)).tobytes()
+    assert ours.integers(0, 2**62, 3).tolist() == numpys.integers(0, 2**62, 3).tolist()
+    assert ours.random() == numpys.random()
+    assert ours.standard_normal(5).tobytes() == numpys.standard_normal(5).tobytes()
+
+
+@needs_normals_c
+def test_compiled_normals_run_the_slow_paths():
+    # The fast path takes one 64-bit draw per value; the tail beyond r and the
+    # wedge test take more, so the state runs ahead of n raw draws.
+    rng, raw = np.random.Generator(np.random.PCG64(62)), np.random.PCG64(62)
+    out = kernels.normals_c(rng, np.empty(1_000_003))
+    raw.random_raw(out.size)
+    assert np.abs(out).max() > 3.6541528853610087963519472518  # the tail's start, r
+    assert rng.bit_generator.state != raw.state
+
+
+@needs_normals_c
+@pytest.mark.parametrize("out", [
+    _read_only(np.zeros(8)), np.zeros(16)[::2], np.zeros(8, dtype=np.float32),
+    np.zeros((4, 2)).T, [0.0] * 8,
+])
+def test_compiled_normals_reject_buffers_they_cannot_fill(out):
+    rng = np.random.default_rng(63)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="writable C-ordered float64"):
+        kernels.normals_c(rng, out)
+    assert rng.bit_generator.state == state
+
+
+def test_import_check_picks_numpys_fill_unless_the_fill_matches_it(monkeypatch):
+    def flipped(rng, out):  # one value off
+        kernels.normals_np(rng, out)[-1] *= -1.0
+        return out
+
+    def ahead(rng, out):  # the right values, the generator one draw ahead
+        kernels.normals_np(rng, out)
+        rng.bit_generator.random_raw()
+        return out
+
+    for fill in (flipped, ahead):
+        assert kernels._checked_fill(fill) is kernels.normals_np
+    if kernels.normals_c is not None:
+        assert kernels._checked_fill(kernels.normals_c) is kernels.normals_c
+        monkeypatch.setattr(kernels, "_normals", lambda *args: None)  # a fill that draws nothing
+        assert kernels._checked_fill(kernels.normals_c) is kernels.normals_np
+
+
+@pytest.mark.skipif(kernels.NORMALS != "c", reason="the compiled fill is not in use")
+def test_normals_hands_fills_below_256_values_to_numpy(monkeypatch):
+    for size in (1, 114, 255, 256, 457):
+        ours, numpys = np.random.default_rng(64), np.random.default_rng(64)
+        drawn = kernels.normals(ours, np.empty(size)).tobytes()
+        assert drawn == kernels.normals_np(numpys, np.empty(size)).tobytes()
+        assert ours.bit_generator.state == numpys.bit_generator.state
+    sizes = []
+    monkeypatch.setattr(kernels, "_normals", lambda bitgen, n, out: sizes.append(n))
+    for size in (1, 114, 255, 256, 457):
+        kernels.normals(np.random.default_rng(64), np.empty(size))
+    assert sizes == [256, 457]
 
 
 _SWEEP_SCRIPT = (

@@ -253,3 +253,11 @@ def test_lapdm_errors():
     oversize[2 * 8 : 3 * 8] = [0, 0, 0, 0, 1, 0, 0, 1]  # length indicator 9
     with pytest.raises(ValueError):
         decode_lapdm_tailored(oversize)
+
+
+@pytest.mark.parametrize("payload", ["hi", [104, 105], memoryview(b"hi"), None])
+def test_lapdm_payload_must_be_bytes_or_bytearray(payload):
+    with pytest.raises(TypeError, match="payload must be bytes or bytearray"):
+        encode_lapdm_tailored(payload, 1, 3)
+    assert np.array_equal(encode_lapdm_tailored(bytearray(b"hi"), 1, 3),
+                          encode_lapdm_tailored(b"hi", 1, 3))
