@@ -10,6 +10,7 @@ values can be shared freely between threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,6 +25,38 @@ _ANTIPODAL.flags.writeable = False
 
 class HexFormatError(ValueError):
     """Raised when a "LEN:HEX" string cannot be parsed back into bits."""
+
+
+def check_type(value, kinds, name: str):
+    """``value`` if it is an instance of ``kinds``, a type or a tuple of types; else a
+    TypeError that names ``name`` and the types it accepts."""
+    if isinstance(value, kinds):
+        return value
+    names = [kind.__name__ for kind in (kinds if isinstance(kinds, tuple) else (kinds,))]
+    accepted = " or ".join("None" if n == "NoneType" else ("an " if n[0] in "AEIOUaeiou" else "a ")
+                           + n for n in names)
+    raise TypeError(f"{name} must be {accepted}, got {value!r}")
+
+
+def check_int(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int (``operator.index``, so a ``bool`` is its integer) in [low, high),
+    or at least ``low`` for ``high`` None; else a TypeError or ValueError that names ``name``."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if number < low or (high is not None and number >= high):
+        bound = f"be at least {low}" if high is None else f"lie in [{low}, {high})"
+        raise ValueError(f"{name} must {bound}, got {value!r}")
+    return number
+
+
+def check_collection(value, name: str):
+    """``value`` unless it is one ``str`` or ``bytes``, which iterates as its characters;
+    then a TypeError that names ``name``."""
+    if isinstance(value, (str, bytes)):
+        raise TypeError(f"{name} must be a collection, not one {type(value).__name__}: {value!r}")
+    return value
 
 
 def binary_uint8(arr: np.ndarray) -> np.ndarray:
@@ -147,8 +180,8 @@ class Burst:
         payload = as_bit_array(self.payload, BURST_PAYLOAD_BITS)
         payload.flags.writeable = False
         object.__setattr__(self, "payload", payload)
-        if self.hl not in (0, 1) or self.hu not in (0, 1):
-            raise ValueError("stealing flags must be 0 or 1")
+        check_int(self.hl, "hl", 0, 2)
+        check_int(self.hu, "hu", 0, 2)
 
     def __eq__(self, other):
         if not isinstance(other, Burst):

@@ -14,14 +14,13 @@ message starting with a lone 1 is the remainder of D^(k-1+r) mod g.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import kernels
-from .bits import antipodal, as_bit_array, as_soft_array, binary_uint8, rows
+from .bits import antipodal, as_bit_array, as_soft_array, binary_uint8, check_int, check_type, rows
 
 CONSTRAINT_LENGTH = 5
 TAIL_BITS = 4  # zero flushing bits that return the encoder to state 0
@@ -33,9 +32,9 @@ PARITY20_POLY = (1 << 20) | (1 << 18) | (1 << 17) | (1 << 6) | (1 << 4) | (1 << 
 
 
 def _degree(generator: int) -> int:
-    """TypeError unless ``generator`` is an int, ValueError unless of degree >= 1 with D^0."""
-    generator = operator.index(generator)
-    if generator < 2 or not generator & 1:
+    """TypeError unless ``generator`` is an integer, ValueError unless of degree >= 1 with D^0."""
+    generator = check_int(generator, "generator", 3)  # 3 = D + 1, the least of degree 1
+    if not generator & 1:
         raise ValueError(f"a generator needs degree >= 1 and a constant term, got {generator}")
     return generator.bit_length() - 1
 
@@ -43,8 +42,7 @@ def _degree(generator: int) -> int:
 def poly_remainder(value: int, generator: int) -> int:
     """Remainder of a GF(2) polynomial division, both args as bitmask ints."""
     gdeg = _degree(generator)
-    if operator.index(value) < 0:
-        raise ValueError(f"a polynomial is a non-negative int, got {value}")
+    value = check_int(value, "value", 0)
     while value.bit_length() > gdeg:
         value ^= generator << (value.bit_length() - 1 - gdeg)
     return value
@@ -63,8 +61,8 @@ class BlockCode:
     generator: int
 
     def __post_init__(self):
-        if operator.index(self.k) < 1 or _degree(self.generator) > 64:
-            raise ValueError(f"a block code takes k >= 1 and degree <= 64, got {self}")
+        check_int(self.k, "k", 1)
+        check_int(_degree(self.generator), "the generator's degree", 1, 65)
 
     @property
     def r(self) -> int:
@@ -131,14 +129,11 @@ class ConvCode:
 
     def __post_init__(self):
         # A list would construct, then fail to hash in the cached branch table.
-        if not (isinstance(self.generators, tuple)
-                and all(isinstance(g, int) for g in self.generators)):
-            raise TypeError(f"generators must be a tuple of ints, got {self.generators!r}")
+        check_type(self.generators, tuple, "generators")
         if len(self.generators) not in (2, 3):
             raise ValueError("supported rates are 1/2 and 1/3")
         for g in self.generators:
-            if not 0 < g < 32:
-                raise ValueError(f"generator 0b{g:b} must have degree <= 4")
+            check_int(check_type(g, int, "each generator"), "each generator", 1, 32)  # degree <= 4
             if not (g & 1 and g & 16):
                 raise ValueError(
                     f"generator 0b{g:b} needs nonzero constant and degree-4 terms"

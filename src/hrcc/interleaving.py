@@ -13,7 +13,8 @@ from enum import Enum
 import numpy as np
 
 from . import kernels
-from .bits import BURST_PAYLOAD_BITS, Burst, antipodal, as_bit_array, as_soft_array, rows
+from .bits import (BURST_PAYLOAD_BITS, Burst, antipodal, as_bit_array, as_soft_array, check_type,
+                   rows)
 
 
 class InterleaveMode(Enum):
@@ -41,25 +42,20 @@ _SOURCE = {mode: kernels.frozen(np.argsort(dest)) for mode, dest in _DEST.items(
 
 
 def destinations(mode: InterleaveMode) -> np.ndarray:
-    return _DEST[_checked(mode)]
-
-
-def _checked(mode: InterleaveMode) -> InterleaveMode:
-    if not isinstance(mode, InterleaveMode):  # "std4" is a mode's value, not the mode
-        raise TypeError(f"mode must be an InterleaveMode, got {mode!r}")
-    return mode
+    # Each function here takes a mode: "std4" is a mode's value, not the mode.
+    return _DEST[check_type(mode, InterleaveMode, "mode")]
 
 
 def interleave(mode: InterleaveMode, block) -> list[np.ndarray]:
     """Permute a coded block into 2 or 4 sub-blocks of 114 bits."""
-    arr = as_bit_array(block, _checked(mode).block_bits)
+    arr = as_bit_array(block, check_type(mode, InterleaveMode, "mode").block_bits)
     stream = interleave_batch(mode, arr[np.newaxis, :])
     return list(stream.reshape(mode.burst_count, BURST_PAYLOAD_BITS))
 
 
 def deinterleave(mode: InterleaveMode, subs) -> np.ndarray:
     """Exact inverse of :func:`interleave`, acting on soft values."""
-    if len(subs) != _checked(mode).burst_count:
+    if len(subs) != check_type(mode, InterleaveMode, "mode").burst_count:
         raise ValueError(f"{mode.value} needs {mode.burst_count} sub-blocks, got {len(subs)}")
     stream = np.concatenate([as_soft_array(s, BURST_PAYLOAD_BITS) for s in subs])
     return deinterleave_batch(mode, stream[np.newaxis, :])[0]
@@ -67,13 +63,15 @@ def deinterleave(mode: InterleaveMode, subs) -> np.ndarray:
 
 def interleave_batch(mode: InterleaveMode, blocks: np.ndarray) -> np.ndarray:
     """(frames, block_bits) -> same shape, C-ordered, columns in burst-payload order."""
-    blocks = rows(blocks, _checked(mode).block_bits, f"{mode.value} permutes")
+    width = check_type(mode, InterleaveMode, "mode").block_bits
+    blocks = rows(blocks, width, f"{mode.value} permutes")
     return np.take(blocks, _SOURCE[mode], axis=1)
 
 
 def deinterleave_batch(mode: InterleaveMode, streams: np.ndarray) -> np.ndarray:
     """Exact inverse of :func:`interleave_batch`; the result is C-ordered."""
-    streams = rows(streams, _checked(mode).block_bits, f"{mode.value} permutes")
+    width = check_type(mode, InterleaveMode, "mode").block_bits
+    streams = rows(streams, width, f"{mode.value} permutes")
     return np.take(streams, _DEST[mode], axis=1)
 
 

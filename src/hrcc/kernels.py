@@ -80,13 +80,15 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import hashlib
+import math
+import numbers
 import os
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .bits import antipodal, binary_uint8, rows
+from .bits import antipodal, binary_uint8, check_type, rows
 
 # Stand-in for -inf that survives repeated branch-metric additions without
 # overflow; real metrics stay many orders of magnitude above it.
@@ -307,13 +309,27 @@ def _bit_rows(bits) -> np.ndarray:
     return np.ascontiguousarray(bits if bits.dtype == np.uint8 else binary_uint8(bits))  # >= 1-D
 
 
+def check_sigma(sigma, width: int):
+    """``sigma`` if it is a real number > 0 with sigma^2 finite and nonzero and 2/sigma^2 x
+    ``width`` finite, the one noise-level rule; else a TypeError or ValueError naming sigma.
+
+    The receiver scales each value by 2/sigma^2 and the decoder sums a block's ``width`` values:
+    a smaller sigma overflows the path metrics, a larger one sigma^2 (erasing every value)."""
+    if not isinstance(sigma, float):  # isinstance on numbers.Real alone takes about 1 us
+        check_type(sigma, numbers.Real, "sigma")
+    power = sigma * sigma  # 0.0 if it underflows, so it is tested before the division
+    if not (sigma > 0.0 and 0.0 < power < math.inf and math.isfinite(2.0 / power * width)):
+        raise ValueError(f"sigma must be finite and positive, sigma^2 finite and nonzero and "
+                         f"2/sigma^2 x {width} finite; got {sigma!r}")
+    return sigma
+
+
 def _channel_operands(out, bits, sigma, columns) -> tuple[np.ndarray, np.ndarray, int]:
-    """(bits as C-ordered uint8, pinned noise map, its address), checked against ``out``;
-    ValueError also unless sigma and sigma^2 are finite and positive."""
-    if not (0.0 < sigma and 0.0 < sigma * sigma < np.inf):  # NaN fails every comparison
-        raise ValueError(f"sigma and sigma^2 must be finite and positive, got sigma {sigma}")
+    """(bits as C-ordered uint8, pinned noise map, its address), checked against ``out``,
+    and ``sigma`` by :func:`check_sigma` at their width."""
     bits = _bit_rows(bits)
     width = bits.shape[-1]
+    check_sigma(sigma, width)
     columns, at = _identity_map(width) if columns is None else _checked_map(columns, width, 0)
     if not (bits.ndim == 2 and out.shape == bits.shape and columns.size == width
             and out.dtype == np.float64 and out.flags.c_contiguous and out.flags.writeable):

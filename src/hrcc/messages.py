@@ -7,12 +7,11 @@ with the "LEN:HEX" notation used everywhere else.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import SubAllocation, as_bit_array
+from .bits import SubAllocation, as_bit_array, check_collection, check_int, check_type
 
 IMSI_DIGITS = 15
 MCC_DIGITS = 2
@@ -42,10 +41,8 @@ def parse_imsi(digits: str, mnc_len: int) -> Imsi:
     be 9 or 10 digits, so a 15-digit identity only splits cleanly with a
     3-digit network code; a 2-digit one would leave an 11-digit MSIN.
     """
-    if not isinstance(digits, str):  # bytes would give bytes fields that match no code
-        raise TypeError(f"IMSI digits must be a str, got {digits!r}")
-    if operator.index(mnc_len) not in (2, 3):  # TypeError for 2.0
-        raise ValueError("mnc_len must be 2 or 3")
+    check_type(digits, str, "digits")  # bytes would give bytes fields that match no code
+    mnc_len = check_int(mnc_len, "mnc_len", 2, 4)
     if len(digits) != IMSI_DIGITS or not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"IMSI must be exactly {IMSI_DIGITS} decimal digits")
     msin = digits[MCC_DIGITS + mnc_len :]
@@ -64,11 +61,10 @@ def parse_imsi(digits: str, mnc_len: int) -> Imsi:
 
 def is_halfrate_capable(imsi: Imsi, m2m_mncs) -> bool:
     """Classify a terminal by network code membership; ``m2m_mncs`` is a collection of codes."""
-    if isinstance(m2m_mncs, str):  # set("901") would be the digits {"9", "0", "1"}
-        raise TypeError("m2m_mncs must be a collection of network codes, not one string")
-    codes = set(m2m_mncs)
-    if not all(isinstance(code, str) for code in codes):  # 170 would never match "170"
-        raise TypeError(f"network codes must be strings, got {sorted(codes, key=repr)}")
+    check_type(imsi, Imsi, "imsi")
+    codes = set(check_collection(m2m_mncs, "m2m_mncs"))  # not "901", the digits {"9", "0", "1"}
+    for code in codes:
+        check_type(code, str, "each network code in m2m_mncs")  # 170 would never match "170"
     return imsi.mnc in codes
 
 
@@ -83,17 +79,12 @@ class ChannelAssignment:
     suballoc: SubAllocation
 
     def __post_init__(self):
-        # operator.index: a TypeError here, not in the encoder's shifts, for a float.
-        if not 0 <= operator.index(self.channel_type) < 32:
-            raise ValueError("channel_type is a 5-bit field")
-        if not 0 <= operator.index(self.timeslot) < 8:
-            raise ValueError("timeslot must be 0..7")
-        if not 0 <= operator.index(self.training_seq) < 8:
-            raise ValueError("training_seq must be 0..7")
-        if not 0 <= operator.index(self.arfcn) < 1024:
-            raise ValueError("arfcn must be 0..1023")
-        if not isinstance(self.suballoc, SubAllocation):
-            raise TypeError(f"suballoc must be a SubAllocation, got {self.suballoc!r}")
+        # A TypeError here, not in the encoder's shifts, for a float.
+        check_int(self.channel_type, "channel_type", 0, 32)  # a 5-bit field
+        check_int(self.timeslot, "timeslot", 0, 8)
+        check_int(self.training_seq, "training_seq", 0, 8)
+        check_int(self.arfcn, "arfcn", 0, 1024)
+        check_type(self.suballoc, SubAllocation, "suballoc")
 
 
 def _octets_to_bits(octets: bytes) -> np.ndarray:
@@ -113,6 +104,7 @@ def encode_immediate_assignment(a: ChannelAssignment) -> np.ndarray:
     1 selects ODD), a zero spare in bit 3 and the two high ARFCN bits in
     bits 2..1.
     """
+    check_type(a, ChannelAssignment, "a")
     suballoc_bit = 0 if a.suballoc is SubAllocation.EVEN else 1
     octet3 = (
         (a.training_seq << 5)
@@ -159,14 +151,12 @@ def encode_lapdm_tailored(payload: bytes, address: int, control: int) -> np.ndar
 
     Layout: address, control, length indicator, 8 info octets (unused ones
     filled with 0x2B), then two zero filler bits.  ``payload`` is ``bytes`` or
-    ``bytearray``, else TypeError.
+    ``bytearray`` and ``address`` and ``control`` are octets, integers in [0, 256).
     """
-    if not isinstance(payload, (bytes, bytearray)):
-        raise TypeError(f"payload must be bytes or bytearray, got {type(payload).__name__}")
+    check_type(payload, (bytes, bytearray), "payload")
     if len(payload) > LAPDM_INFO_OCTETS:
         raise ValueError(f"payload is limited to {LAPDM_INFO_OCTETS} octets")
-    if not 0 <= address < 256 or not 0 <= control < 256:
-        raise ValueError("address and control are single octets")
+    address, control = check_int(address, "address", 0, 256), check_int(control, "control", 0, 256)
     info = payload + bytes([LAPDM_FILL_OCTET]) * (LAPDM_INFO_OCTETS - len(payload))
     octets = bytes([address, control, len(payload)]) + info
     return np.concatenate([_octets_to_bits(octets), np.zeros(2, dtype=np.uint8)])

@@ -14,12 +14,11 @@ channels.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .bits import SubAllocation
+from .bits import SubAllocation, check_int, check_type
 
 FRAMES_PER_MULTIFRAME = 51
 GROUP_FRAMES = 4
@@ -50,14 +49,8 @@ class MultiframeConfig:
     mode: FrameMode
 
     def __post_init__(self):
-        if not (isinstance(self.config, ChannelConfig) and isinstance(self.mode, FrameMode)):
-            raise TypeError(f"a ChannelConfig and a FrameMode, not {self.config!r}, {self.mode!r}")
-
-
-def _checked(cfg: MultiframeConfig) -> MultiframeConfig:
-    if not isinstance(cfg, MultiframeConfig):  # a ChannelConfig or "sdcch8" names no mode
-        raise TypeError(f"cfg must be a MultiframeConfig, got {cfg!r}")
-    return cfg
+        check_type(self.config, ChannelConfig, "config")
+        check_type(self.mode, FrameMode, "mode")
 
 
 @dataclass(frozen=True)
@@ -67,14 +60,10 @@ class LogicalChannelId:
     suballoc: SubAllocation | None = None
 
     def validate(self, cfg: MultiframeConfig) -> None:
-        if not isinstance(self.kind, ChannelKind):
-            raise TypeError(f"kind must be a ChannelKind, got {self.kind!r}")
-        if not (self.suballoc is None or isinstance(self.suballoc, SubAllocation)):
-            raise TypeError(f"suballoc must be None or a SubAllocation, got {self.suballoc!r}")
-        if not 0 <= operator.index(self.subchannel) < _checked(cfg).config.subchannels:
-            raise ValueError(
-                f"{cfg.config.value} has sub-channels 0..{cfg.config.subchannels - 1}"
-            )
+        check_type(self.kind, ChannelKind, "kind")
+        check_type(self.suballoc, (type(None), SubAllocation), "suballoc")
+        config = check_type(cfg, MultiframeConfig, "cfg").config  # "sdcch8" names no mode
+        check_int(self.subchannel, "subchannel", 0, config.subchannels)
         if cfg.mode is FrameMode.MODIFIED and self.suballoc is None:
             raise ValueError("modified mode requires a sub-allocation")
         if cfg.mode is FrameMode.STANDARD and self.suballoc is not None:
@@ -104,7 +93,7 @@ def _group_table(config: ChannelConfig, parity: int) -> list[tuple[int, ChannelK
 
 def build_layout(cfg: MultiframeConfig) -> list[FrameSlot]:
     """All 102 slots of a two-multiframe cycle, idle frames included."""
-    return list(_layout(_checked(cfg)))
+    return list(_layout(check_type(cfg, MultiframeConfig, "cfg")))
 
 
 @lru_cache(maxsize=None)
@@ -131,9 +120,7 @@ def bursts_for(cfg: MultiframeConfig, chan: LogicalChannelId) -> list[tuple[int,
     index is the frame's position within its 4-frame group, so a modified
     channel sees the ``burst_positions`` of its sub-allocation.
     """
-    if not isinstance(chan, LogicalChannelId):
-        raise TypeError(f"chan must be a LogicalChannelId, got {chan!r}")
-    chan.validate(cfg)
+    check_type(chan, LogicalChannelId, "chan").validate(cfg)
     return list(_bursts(cfg, chan))
 
 
@@ -169,7 +156,7 @@ class CapacityReport:
 
 def capacity_report(cfg: MultiframeConfig) -> CapacityReport:
     """Logical channel counts plus idle frames per multiframe."""
-    slots = _layout(_checked(cfg))
+    slots = _layout(check_type(cfg, MultiframeConfig, "cfg"))
     sdcch = {s.owner for s in slots if s.owner and s.owner.kind is ChannelKind.SDCCH}
     sacch = {s.owner for s in slots if s.owner and s.owner.kind is ChannelKind.SACCH}
     idle = sum(1 for s in slots if s.multiframe_parity == 0 and s.owner is None)

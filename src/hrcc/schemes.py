@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import coding, kernels
-from .bits import rows
+from .bits import check_type, rows
 from .coding import (
     CONV_RATE_12,
     CONV_RATE_13,
@@ -103,9 +103,7 @@ _CHAINS: dict[SchemeId, _Chain] = {
 
 def _chain(scheme: SchemeId) -> _Chain:
     """The scheme's chain; TypeError for anything but a ``SchemeId``, its name included."""
-    if not isinstance(scheme, SchemeId):
-        raise TypeError(f"scheme must be a SchemeId, got {scheme!r}")
-    return _CHAINS[scheme]
+    return _CHAINS[check_type(scheme, SchemeId, "scheme")]
 
 
 def message_bits(scheme: SchemeId) -> int:

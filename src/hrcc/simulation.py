@@ -22,14 +22,13 @@ from decoding frames past the one that meets its error quota.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import interleaving, kernels, schemes
-from .bits import as_bit_array
+from .bits import as_bit_array, check_collection, check_int, check_type
 from .schemes import SchemeId
 
 DEFAULT_SEED = 12345
@@ -40,10 +39,8 @@ _CHUNK_FRAMES = 512
 
 
 def check_seed(seed: int) -> int:
-    """``seed`` if it is an integer in [0, 2**64), the one domain of master seeds."""
-    if not 0 <= operator.index(seed) < 2**64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    return seed
+    """``seed`` as an int if it is an integer in [0, 2**64), the one domain of master seeds."""
+    return check_int(seed, "seed", 0, 2**64)
 
 
 def noise_sigma(ebno_db: float, info_rate: Fraction | float) -> float:
@@ -61,28 +58,17 @@ def noise_sigma(ebno_db: float, info_rate: Fraction | float) -> float:
                      "finite, the rate in (0, 1] and sigma a positive float")
 
 
-def _sigma_in_range(sigma: float, width: int) -> bool:
-    """Whether sigma is positive, sigma^2 a finite nonzero float and 2/sigma^2 x ``width`` finite.
-
-    The receiver scales each value by 2/sigma^2 and the decoder sums a
-    block's ``width`` values, so a smaller sigma overflows the path metrics;
-    a larger one overflows sigma^2, which erases every value, or sigma*z.
-    """
-    sigma = float(sigma)
-    power = sigma * sigma  # 0.0 if it underflows, so it is tested before the division
-    return sigma > 0.0 and 0.0 < power < math.inf and math.isfinite(2.0 / power * width)
-
-
 def _channel_in_range(ebno_db: float, info_rate: Fraction, width: int) -> bool:
-    """Whether :func:`_sigma_in_range` holds at ``ebno_db``.
+    """Whether ``kernels.check_sigma`` takes the noise level at ``ebno_db``.
 
     From about 3054 dB the path metrics overflow, and below about -3082 dB
     sigma^2 does; further out, or at an infinite or NaN point, ``noise_sigma`` fails.
     """
     try:
-        return _sigma_in_range(noise_sigma(ebno_db, info_rate), width)
+        kernels.check_sigma(noise_sigma(ebno_db, info_rate), width)
     except ValueError:
         return False
+    return True
 
 
 def _awgn(bits: np.ndarray, sigma: float, rng: np.random.Generator, out: np.ndarray,
@@ -104,14 +90,12 @@ def _awgn(bits: np.ndarray, sigma: float, rng: np.random.Generator, out: np.ndar
 def transmit(bits, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """One block over the channel: y = (1-2b) + n, returned as 2y/sigma^2.
 
-    Like :func:`run_bler`, it takes only a sigma that is finite and positive
-    and leaves sigma^2 and 2/sigma^2 times the block's length finite.
+    Like :func:`run_bler`, it takes only a sigma that ``kernels.check_sigma`` takes at
+    the block's length, and checks it before ``rng`` draws.
     """
-    if not isinstance(rng, np.random.Generator):  # a seed would fail deep in the draw
-        raise TypeError(f"rng must be a numpy Generator, got {rng!r}")
+    check_type(rng, np.random.Generator, "rng")  # a seed would fail deep in the draw
     arr = as_bit_array(bits)
-    if not _sigma_in_range(sigma, arr.size):
-        raise ValueError(f"sigma must be finite and positive, sigma^2, 2/sigma^2 finite: {sigma}")
+    kernels.check_sigma(sigma, arr.size)
     return _awgn(arr[np.newaxis], sigma, rng, np.empty((1, arr.size)))[0]
 
 
@@ -149,12 +133,10 @@ def _point_rng(seed: int, scheme: SchemeId, ebno_db: float) -> np.random.Generat
 
 def _checked_points(scheme_list, ebno_points) -> list[float]:
     """``ebno_points`` as floats, -0.0 as 0.0; ValueError naming the first scheme a point fails."""
-    if isinstance(ebno_points, (str, bytes)):  # "24" would be the points 2 and 4
-        raise TypeError(f"Eb/N0 points must be a collection of numbers, got {ebno_points!r}")
+    check_collection(ebno_points, "ebno_points")  # "24" would be the points 2 and 4
     points = [float(p) + 0.0 for p in ebno_points]  # so equal points share one stream and one row
     for scheme in scheme_list:
-        if not isinstance(scheme, SchemeId):
-            raise TypeError(f"schemes must be SchemeId values, got {scheme!r}")
+        check_type(scheme, SchemeId, "scheme")
         rate, width = schemes.info_rate(scheme), schemes.coded_bits(scheme)
         bad = [p for p in points if not _channel_in_range(p, rate, width)]
         if bad:
@@ -179,10 +161,8 @@ def run_bler(
     A frame error is any decoded message differing from the one sent,
     independent of the block check.
     """
-    if operator.index(min_frames) < 1:
-        raise ValueError("min_frames must be at least 1")
-    if operator.index(min_errors) < 1:
-        raise ValueError("min_errors must be at least 1")
+    check_int(min_frames, "min_frames", 1)
+    check_int(min_errors, "min_errors", 1)
     check_seed(seed)
     points = _checked_points([scheme], ebno_points)
     kbits = schemes.message_bits(scheme)
@@ -248,9 +228,7 @@ def sweep(
     The seed and every (scheme, point) pair are checked before the first point runs.
     """
     check_seed(seed)
-    if isinstance(scheme_list, (str, bytes)):  # "standard" would be the schemes "s", "t", ...
-        raise TypeError(f"schemes must be a collection of SchemeId values, got {scheme_list!r}")
-    scheme_list = list(scheme_list)
+    scheme_list = list(check_collection(scheme_list, "scheme_list"))  # not "s", "t", ...
     points = _checked_points(scheme_list, ebno_points)
     reports: list[BlerReport] = []
     for scheme in scheme_list:

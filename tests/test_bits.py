@@ -10,6 +10,9 @@ from hrcc.bits import (
     SubAllocation,
     as_bit_array,
     as_soft_array,
+    check_collection,
+    check_int,
+    check_type,
     from_hex,
     to_hex,
 )
@@ -144,6 +147,73 @@ def test_burst_requires_114_bits():
     assert burst.hl == 1 and burst.hu == 1
     with pytest.raises(ValueError):
         Burst(payload=np.zeros(114, dtype=np.uint8), hl=2)
+
+
+@pytest.mark.parametrize("flag", ["hl", "hu"])
+@pytest.mark.parametrize("bad", [1.0, np.float64(0.0), "1", None])
+def test_burst_stealing_flags_are_integers(flag, bad):
+    # 1.0 constructed a burst with a float flag.
+    with pytest.raises(TypeError, match=re.escape(f"{flag} must be an integer, got {bad!r}")):
+        Burst(np.zeros(114, dtype=np.uint8), **{flag: bad})
+    assert Burst(np.zeros(114, dtype=np.uint8), **{flag: np.uint8(0)}) == Burst(
+        np.zeros(114, dtype=np.uint8), **{flag: 0})
+
+
+# --- the input checks -------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [True, False, np.int64(5), np.uint8(5), 5, 2**70])
+def test_check_int_takes_any_integer_as_its_int(value):
+    number = check_int(value, "field", 0)
+    assert type(number) is int and number == value  # a bool is its integer
+
+
+@pytest.mark.parametrize("value", [2.0, np.float64(2.0), "2", None, [2], np.array([2])])
+def test_check_int_names_the_argument_of_a_non_integer(value):
+    with pytest.raises(TypeError, match=re.escape(f"field must be an integer, got {value!r}")):
+        check_int(value, "field", 0, 8)
+
+
+@pytest.mark.parametrize("value, low, high, error", [
+    (0, 0, 8, None), (7, 0, 8, None), (8, 0, 8, "field must lie in [0, 8), got 8"),
+    (-1, 0, 8, "field must lie in [0, 8), got -1"), (3, 3, 4, None),
+    (4, 3, 4, "field must lie in [3, 4), got 4"), (2**64, 0, None, None),
+    (-1, 0, None, "field must be at least 0, got -1"),
+])
+def test_check_int_bounds_are_low_inclusive_high_exclusive_none_unbounded(value, low, high, error):
+    if error is None:
+        assert check_int(value, "field", low, high) == value
+        return
+    with pytest.raises(ValueError, match=re.escape(error)):
+        check_int(value, "field", low, high)
+
+
+@pytest.mark.parametrize("value, kinds, message", [
+    ("std4", InterleaveMode, "mode must be an InterleaveMode, got 'std4'"),
+    (3, (bytes, bytearray), "mode must be a bytes or a bytearray, got 3"),
+    ("even", (type(None), SubAllocation), "mode must be None or a SubAllocation, got 'even'"),
+])
+def test_check_type_names_the_argument_and_what_it_accepts(value, kinds, message):
+    with pytest.raises(TypeError, match=re.escape(message)):
+        check_type(value, kinds, "mode")
+
+
+def test_check_type_returns_its_value():
+    assert check_type(InterleaveMode.STD4, InterleaveMode, "mode") is InterleaveMode.STD4
+    assert check_type(None, (type(None), SubAllocation), "suballoc") is None
+    assert check_type(True, int, "flag") is True  # a bool is an int
+
+
+@pytest.mark.parametrize("value", ["901", b"901", ""])
+def test_check_collection_refuses_one_string(value):
+    kind = type(value).__name__
+    with pytest.raises(TypeError, match=re.escape(f"codes must be a collection, not one {kind}")):
+        check_collection(value, "codes")
+
+
+@pytest.mark.parametrize("value", [["901"], ("901",), {"901"}, [], iter(["901"]), bytearray(b"9")])
+def test_check_collection_returns_any_other_value(value):
+    assert check_collection(value, "codes") is value
 
 
 def test_burst_payload_immutable_and_equality():

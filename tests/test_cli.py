@@ -394,7 +394,7 @@ def test_seeds_outside_0_to_2_pow_64_exit_2_without_writing(tmp_path, capsys, se
             main(argv)
         captured = capsys.readouterr()
         assert exit_info.value.code == 2 and captured.out == "", argv
-        assert f"argument --seed: seed must lie in [0, 2**64), got {seed}" in captured.err
+        assert f"argument --seed: seed must lie in [0, {2**64}), got {seed}" in captured.err
         assert not out_path.exists()
 
 

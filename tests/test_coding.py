@@ -236,10 +236,15 @@ def test_conv_code_validation():
         ConvCode((0b11001, 0b111011))  # degree 5
 
 
-@pytest.mark.parametrize("generators", [[0b11001, 0b11011], (0b11001, 27.0), "ab", 25])
-def test_conv_code_takes_its_generators_as_a_tuple_of_ints(generators):
+@pytest.mark.parametrize("generators, message", [
+    ([0b11001, 0b11011], "generators must be a tuple, got"),
+    ((0b11001, 27.0), "each generator must be an int, got 27.0"),
+    ("ab", "generators must be a tuple, got"),
+    (25, "generators must be a tuple, got"),
+], ids=["generators0", "generators1", "ab", "25"])
+def test_conv_code_takes_its_generators_as_a_tuple_of_ints(generators, message):
     # A list constructed and only failed later, unhashable in the branch table's cache.
-    with pytest.raises(TypeError, match="generators must be a tuple of ints"):
+    with pytest.raises(TypeError, match=message):
         ConvCode(generators)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hrcc
-from hrcc import kernels, simulation
+from hrcc import kernels
 from hrcc.coding import CONV_RATE_12, CONV_RATE_13, _sym_table
 from hrcc.interleaving import destinations
 from hrcc.schemes import _CHAINS, SchemeId
@@ -246,7 +246,7 @@ def _old_channel(z, bits, sigma, columns):
 def test_channel_backends_give_the_old_channels_doubles(scheme, nframes, sigma):
     # No scheme: 456-bit rows in order.  The sigmas sit near both ends of
     # the range the simulation accepts for 456-value blocks.
-    assert simulation._sigma_in_range(sigma, 456)
+    assert kernels.check_sigma(sigma, 456) == sigma
     dest = None if scheme is None else destinations(_CHAINS[scheme].interleave)
     width = 456 if dest is None else dest.size
     rng = np.random.default_rng(nframes)
@@ -353,15 +353,17 @@ def test_channel_rejects_buffers_that_do_not_fit_the_bits(monkeypatch, out, bits
     assert not calls
 
 
-@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, 0.0, -0.8, 1e-200, 1e200])
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, 0.0, -0.8, 1e-200, 1e200, 1e-154])
 def test_channel_rejects_a_sigma_that_is_not_finite_and_positive(monkeypatch, sigma):
-    # A NaN sigma gave all-NaN soft values; at 1e-200 and 1e200 sigma^2 is 0 or infinite.
+    # A NaN sigma gave all-NaN soft values; at 1e-200 and 1e200 sigma^2 is 0 or infinite;
+    # at 1e-154 sigma^2 is subnormal and 2/sigma^2 overflows: the soft values were +-inf.
     calls = []
     monkeypatch.setattr(kernels, "_channel", lambda *args: calls.append(args))
     for channel in filter(None, [kernels.channel_np, kernels.channel_c]):
-        out = np.ones((2, 4))
-        with pytest.raises(ValueError, match=r"sigma and sigma\^2 must be finite and positive"):
-            channel(out, np.ones((2, 4), dtype=np.uint8), sigma)
+        out = np.ones((2, 456))
+        with pytest.raises(ValueError, match=r"sigma must be finite and positive, sigma\^2 finite "
+                                             r"and nonzero and 2/sigma\^2 x 456 finite"):
+            channel(out, np.ones((2, 456), dtype=np.uint8), sigma)
         assert (out == 1.0).all()
     assert not calls
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -63,13 +65,13 @@ def test_classification_by_mnc_membership():
     # One code as a string is not a collection of codes: set("901") holds its digits.
     imsi = parse_imsi("269011234567890", 3)
     assert is_halfrate_capable(imsi, ["901"])
-    with pytest.raises(TypeError, match="not one string"):
+    with pytest.raises(TypeError, match="m2m_mncs must be a collection, not one str"):
         is_halfrate_capable(imsi, "901")
 
 
 def test_imsi_inputs_of_the_wrong_type_are_rejected():
     # Bytes digits gave bytes fields that matched no code; 170 never matched "170".
-    with pytest.raises(TypeError, match="IMSI digits must be a str"):
+    with pytest.raises(TypeError, match="digits must be a str"):
         parse_imsi(b"901700000000001", 3)
     with pytest.raises(TypeError):
         parse_imsi("901700000000001", 3.0)
@@ -78,7 +80,7 @@ def test_imsi_inputs_of_the_wrong_type_are_rejected():
     imsi = parse_imsi("901700000000001", np.int64(3))  # numpy integers still pass
     assert is_halfrate_capable(imsi, {"170"})
     for codes in ([170], {"170", 170}, (b"170",)):
-        with pytest.raises(TypeError, match="network codes must be strings"):
+        with pytest.raises(TypeError, match="each network code in m2m_mncs must be a str"):
             is_halfrate_capable(imsi, codes)
 
 
@@ -255,9 +257,33 @@ def test_lapdm_errors():
         decode_lapdm_tailored(oversize)
 
 
+@pytest.mark.parametrize("address, control, message", [
+    (3.5, 0, "address must be an integer, got 3.5"),
+    (1, "1", "control must be an integer, got '1'"),
+    (np.float64(1.0), 0, "address must be an integer, got np.float64(1.0)"),
+    (None, 0, "address must be an integer, got None"),
+])
+def test_lapdm_address_and_control_are_integers(address, control, message):
+    # 3.5 and "1" raised TypeErrors from bytes() and from a comparison that named neither.
+    with pytest.raises(TypeError, match=re.escape(message)):
+        encode_lapdm_tailored(b"", address, control)
+    with pytest.raises(ValueError, match=re.escape("control must lie in [0, 256), got 256")):
+        encode_lapdm_tailored(b"", 1, 256)
+    assert np.array_equal(encode_lapdm_tailored(b"", np.uint8(1), np.int64(3)),
+                          encode_lapdm_tailored(b"", 1, 3))
+
+
+def test_classification_and_assignment_encoding_take_only_their_types():
+    # Each raised AttributeError: 'str' object has no attribute 'mnc' or 'suballoc'.
+    with pytest.raises(TypeError, match="imsi must be an Imsi, got '001010123456789'"):
+        is_halfrate_capable("001010123456789", ["010"])
+    with pytest.raises(TypeError, match="a must be a ChannelAssignment, got 'x'"):
+        encode_immediate_assignment("x")
+
+
 @pytest.mark.parametrize("payload", ["hi", [104, 105], memoryview(b"hi"), None])
 def test_lapdm_payload_must_be_bytes_or_bytearray(payload):
-    with pytest.raises(TypeError, match="payload must be bytes or bytearray"):
+    with pytest.raises(TypeError, match="payload must be a bytes or a bytearray"):
         encode_lapdm_tailored(payload, 1, 3)
     assert np.array_equal(encode_lapdm_tailored(bytearray(b"hi"), 1, 3),
                           encode_lapdm_tailored(b"hi", 1, 3))

@@ -138,11 +138,11 @@ def test_channel_validation():
 
 def test_config_fields_must_be_their_enums():
     # Unchecked, "sdcch8" and "standard" failed later with an AttributeError.
-    with pytest.raises(TypeError, match="ChannelConfig and a FrameMode"):
+    with pytest.raises(TypeError, match="config must be a ChannelConfig, got 'sdcch8'"):
         MultiframeConfig("sdcch8", "standard")
-    with pytest.raises(TypeError, match="ChannelConfig and a FrameMode"):
+    with pytest.raises(TypeError, match="mode must be a FrameMode, got 'modified'"):
         MultiframeConfig(ChannelConfig.SDCCH8, "modified")
-    with pytest.raises(TypeError, match="ChannelConfig and a FrameMode"):
+    with pytest.raises(TypeError, match="config must be a ChannelConfig, got <FrameMode"):
         MultiframeConfig(FrameMode.STANDARD, ChannelConfig.SDCCH8)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -28,8 +29,20 @@ def test_noise_sigma_normalizes_per_information_bit():
 @pytest.mark.parametrize("bad", [3, None, np.random.RandomState(3)])
 def test_transmit_takes_only_a_generator(bad):
     # A seed where the Generator belongs raised AttributeError in the draw.
-    with pytest.raises(TypeError, match="rng must be a numpy Generator"):
+    with pytest.raises(TypeError, match="rng must be a Generator, got"):
         transmit([0, 1], 0.8, bad)
+
+
+@pytest.mark.parametrize("sigma", ["1.0", None, np.array(1.0), [1.0]])
+def test_transmit_takes_only_a_real_sigma_before_the_generator_draws(sigma):
+    # "1.0" passed float(sigma), then failed in the channel with "'<' not supported".
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(TypeError, match=re.escape(f"sigma must be a Real, got {sigma!r}")):
+        transmit([0, 1], sigma, rng)
+    assert rng.bit_generator.state == state
+    assert np.array_equal(transmit([0, 1], np.float32(0.5), np.random.default_rng(0)),
+                          transmit([0, 1], float(np.float32(0.5)), np.random.default_rng(0)))
 
 
 def test_transmit_rejects_nonpositive_sigma():
@@ -280,9 +293,9 @@ def test_sweep_checks_every_point_before_any_runs(monkeypatch):
         sweep([SchemeId.M2_REDUCED, SchemeId.STANDARD_456], [4.0, 3055.0], min_frames=10)
     # A string is not a list of points: "24" ran as the points 2 and 4 dB.
     for points in ("24", b"24"):
-        with pytest.raises(TypeError, match="collection of numbers"):
+        with pytest.raises(TypeError, match="ebno_points must be a collection, not one (str|bytes)"):
             run_bler(SchemeId.M2_REDUCED, points, 10)
-        with pytest.raises(TypeError, match="collection of numbers"):
+        with pytest.raises(TypeError, match="ebno_points must be a collection, not one (str|bytes)"):
             sweep([SchemeId.M2_REDUCED], points, min_frames=10)
     assert not decoded
 
@@ -292,11 +305,11 @@ def test_schemes_that_are_not_scheme_ids_are_rejected_before_any_point_runs(monk
     decoded = []
     monkeypatch.setattr(schemes, "decode_blocks", lambda *args: decoded.append(args))
     for scheme_list in ("m2-reduced", b"m2-reduced"):
-        with pytest.raises(TypeError, match="collection of SchemeId values"):
+        with pytest.raises(TypeError, match="scheme_list must be a collection, not one (str|bytes)"):
             sweep(scheme_list, [5.0], 10)
-    with pytest.raises(TypeError, match="SchemeId values, got 'standard'"):
+    with pytest.raises(TypeError, match="scheme must be a SchemeId, got 'standard'"):
         sweep([SchemeId.M2_REDUCED, "standard"], [5.0], 10)
-    with pytest.raises(TypeError, match="SchemeId values, got 'm2-reduced'"):
+    with pytest.raises(TypeError, match="scheme must be a SchemeId, got 'm2-reduced'"):
         run_bler("m2-reduced", [5.0], 10)
     assert not decoded
 
@@ -306,9 +319,9 @@ def test_seeds_outside_0_to_2_pow_64_are_rejected_before_any_point_runs(monkeypa
     # Masked to 64 bits, -1 ran as 2**64 - 1 and 2**64 as 0.
     decoded = []
     monkeypatch.setattr(schemes, "decode_blocks", lambda *args, **kwargs: decoded.append(args))
-    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+    with pytest.raises(ValueError, match=rf"seed must lie in \[0, {2**64}\)"):
         run_bler(SchemeId.M2_REDUCED, [4.0], min_frames=10, seed=seed)
-    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+    with pytest.raises(ValueError, match=rf"seed must lie in \[0, {2**64}\)"):
         sweep([SchemeId.M2_REDUCED, SchemeId.STANDARD_456], [4.0], min_frames=10, seed=seed)
     assert not decoded
 
