@@ -4,8 +4,9 @@ Hard bits travel as one-dimensional numpy uint8 arrays of 0/1 values in
 transmission order (index 0 is transmitted first).  Soft values are
 float64 arrays with the convention positive == bit 0 more likely and
 0.0 == erasure; :func:`antipodal` is the one map from bits to soft values.
-All helpers return fresh arrays; nothing here mutates its inputs, so
-values can be shared freely between threads.
+The array rules are stated here, once each: :func:`rows` for the shape of a
+batch or of one block (see :func:`one_row`), :func:`binary_uint8` for bits
+and :func:`finite` for soft values.  Nothing here mutates its inputs.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from enum import Enum
 import numpy as np
 
 BURST_PAYLOAD_BITS = 114
+NOT_BINARY = "bit block may only contain 0 and 1"  # the compiled kernels' status code too
 
 # The soft value of each bit value: +1 for 0, -1 for 1.
 _ANTIPODAL = np.array([1.0, -1.0])
@@ -52,9 +54,9 @@ def check_int(value, name: str, low: int, high: int | None = None) -> int:
 
 
 def check_collection(value, name: str):
-    """``value`` unless it is one ``str`` or ``bytes``, which iterates as its characters;
-    then a TypeError that names ``name``."""
-    if isinstance(value, (str, bytes)):
+    """``value`` if it is iterable and not one ``str`` or ``bytes``, which iterates as its
+    characters; else a TypeError that names ``name``."""
+    if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
         raise TypeError(f"{name} must be a collection, not one {type(value).__name__}: {value!r}")
     return value
 
@@ -67,14 +69,40 @@ def binary_uint8(arr: np.ndarray) -> np.ndarray:
     """
     out = arr.astype(np.uint8, copy=False)
     if out.size and (int(out.max()) > 1 or (out is not arr and not np.array_equal(out, arr))):
-        raise ValueError("bit block may only contain 0 and 1")
+        raise ValueError(NOT_BINARY)
     return out
+
+
+def finite(values: np.ndarray) -> np.ndarray:
+    """``values`` itself; ValueError unless every soft value is finite."""
+    if not np.isfinite(values).all():
+        raise ValueError("soft values must be finite")
+    return values
+
+
+def _one_block(arr: np.ndarray, width: int | None, what: str) -> np.ndarray:
+    """``arr`` if it is one non-empty 1-D block of ``width`` values (None: any); else ValueError."""
+    if arr.ndim != 1 or not arr.size or (width is not None and arr.size != width):
+        count = "one or more" if width is None else width
+        raise ValueError(f"{what} one 1-D block of {count} values; got shape {arr.shape}")
+    return arr
+
+
+class _Block(np.ndarray):
+    """A block that :func:`one_row` lifted, which :func:`rows` checks as the block."""
+
+
+def one_row(block) -> np.ndarray:
+    """``block`` as a batch of one row, which :func:`rows` checks as one 1-D block."""
+    return np.asarray(block)[np.newaxis].view(_Block)
 
 
 def rows(values, width: int | None, what: str) -> np.ndarray:
     """``values`` as one row per frame, ``width`` (None: any) values each; else ValueError."""
     arr = np.asarray(values)
-    if arr.ndim != 2 or (width is not None and arr.shape[1] != width):
+    if type(values) is _Block:
+        _one_block(arr[0], width, what)
+    elif arr.ndim != 2 or (width is not None and arr.shape[1] != width):
         size = "any number of" if width is None else width
         raise ValueError(f"{what} rows of {size} values, one row per frame; got shape {arr.shape}")
     return arr
@@ -86,30 +114,13 @@ def antipodal(bits) -> np.ndarray:
 
 
 def as_bit_array(bits, length: int | None = None) -> np.ndarray:
-    """Validate a 0/1 sequence and return it as a fresh uint8 array."""
-    arr = np.asarray(bits)
-    if arr.ndim != 1:
-        raise ValueError(f"bit block must be one-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError("bit block must not be empty")
-    out = binary_uint8(arr)
-    if length is not None and out.size != length:
-        raise ValueError(f"expected a {length}-bit block, got {out.size} bits")
-    return out.copy() if out is arr else out
+    """One block of 0/1 values, ``length`` of them (None: any), as a fresh uint8 array."""
+    return binary_uint8(_one_block(np.asarray(bits), length, "expected")).copy()
 
 
 def as_soft_array(values, length: int | None = None) -> np.ndarray:
-    """Validate a soft-value sequence and return it as a fresh float64 array."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"soft block must be one-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError("soft block must not be empty")
-    if not np.isfinite(arr).all():
-        raise ValueError("soft values must be finite")
-    if length is not None and arr.size != length:
-        raise ValueError(f"expected a {length}-value soft block, got {arr.size}")
-    return arr.copy()
+    """One block of finite soft values, ``length`` of them (None: any), as a fresh float64 array."""
+    return finite(_one_block(np.array(values, np.float64), length, "expected"))
 
 
 def to_hex(bits) -> str:

@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import kernels
-from .bits import antipodal, as_bit_array, as_soft_array, binary_uint8, check_int, check_type, rows
+from .bits import antipodal, binary_uint8, check_int, check_type, one_row, rows
 
 CONSTRAINT_LENGTH = 5
 TAIL_BITS = 4  # zero flushing bits that return the encoder to state 0
@@ -31,17 +31,17 @@ FIRE_POLY = (1 << 40) | (1 << 26) | (1 << 23) | (1 << 17) | (1 << 3) | 1
 PARITY20_POLY = (1 << 20) | (1 << 18) | (1 << 17) | (1 << 6) | (1 << 4) | (1 << 1) | 1
 
 
-def _degree(generator: int) -> int:
-    """TypeError unless ``generator`` is an integer, ValueError unless of degree >= 1 with D^0."""
+def _generator(generator: int) -> tuple[int, int]:
+    """``generator`` as an int, and its degree; TypeError or ValueError unless >= 1 with D^0."""
     generator = check_int(generator, "generator", 3)  # 3 = D + 1, the least of degree 1
     if not generator & 1:
         raise ValueError(f"a generator needs degree >= 1 and a constant term, got {generator}")
-    return generator.bit_length() - 1
+    return generator, generator.bit_length() - 1
 
 
 def poly_remainder(value: int, generator: int) -> int:
     """Remainder of a GF(2) polynomial division, both args as bitmask ints."""
-    gdeg = _degree(generator)
+    generator, gdeg = _generator(generator)
     value = check_int(value, "value", 0)
     while value.bit_length() > gdeg:
         value ^= generator << (value.bit_length() - 1 - gdeg)
@@ -62,7 +62,8 @@ class BlockCode:
 
     def __post_init__(self):
         check_int(self.k, "k", 1)
-        check_int(_degree(self.generator), "the generator's degree", 1, 65)
+        object.__setattr__(self, "generator", _generator(self.generator)[0])
+        check_int(self.r, "the generator's degree", 1, 65)
 
     @property
     def r(self) -> int:
@@ -106,13 +107,12 @@ class BlockCode:
 
     def encode(self, msg) -> np.ndarray:
         """k-bit message -> (k + r)-bit systematic codeword (message ++ parity)."""
-        msg = as_bit_array(msg, self.k)
-        return np.concatenate([msg, self.parity_batch(msg[np.newaxis, :])[0]])
+        parity = self.parity_batch(one_row(msg))[0]  # the one check of msg
+        return np.concatenate([np.asarray(msg, np.uint8), parity])
 
     def check(self, codeword) -> bool:
-        """True iff the (k + r)-bit word has a zero syndrome."""
-        cw = as_bit_array(codeword, self.k + self.r)
-        return bool(self.check_batch(cw[np.newaxis, :])[0])
+        """True iff the (k + r)-bit word has a zero syndrome: ``check_batch`` on it as one row."""
+        return bool(self.check_batch(one_row(codeword))[0])
 
 
 FIRE_CODE = BlockCode(184, FIRE_POLY)  # 224-bit codewords
@@ -194,8 +194,7 @@ def viterbi_decode(code: ConvCode, soft) -> np.ndarray:
     The trellis starts and ends in state zero; metric ties prefer the
     0-valued register bit so an all-erasure input decodes to all zeros.
     """
-    soft = as_soft_array(soft)
-    return viterbi_decode_batch(code, soft[np.newaxis, :])[0]
+    return viterbi_decode_batch(code, one_row(soft))[0]
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ from enum import Enum
 import numpy as np
 
 from . import kernels
-from .bits import (BURST_PAYLOAD_BITS, Burst, antipodal, as_bit_array, as_soft_array, check_type,
-                   rows)
+from .bits import (BURST_PAYLOAD_BITS, Burst, antipodal, as_soft_array, binary_uint8, check_type,
+                   finite, one_row, rows)
 
 
 class InterleaveMode(Enum):
@@ -47,18 +47,16 @@ def destinations(mode: InterleaveMode) -> np.ndarray:
 
 
 def interleave(mode: InterleaveMode, block) -> list[np.ndarray]:
-    """Permute a coded block into 2 or 4 sub-blocks of 114 bits."""
-    arr = as_bit_array(block, check_type(mode, InterleaveMode, "mode").block_bits)
-    stream = interleave_batch(mode, arr[np.newaxis, :])
+    """Permute a coded block into 2 or 4 sub-blocks of 114 bits: ``interleave_batch`` on one row."""
+    stream = binary_uint8(interleave_batch(mode, one_row(block)))
     return list(stream.reshape(mode.burst_count, BURST_PAYLOAD_BITS))
 
 
 def deinterleave(mode: InterleaveMode, subs) -> np.ndarray:
-    """Exact inverse of :func:`interleave`, acting on soft values."""
-    if len(subs) != check_type(mode, InterleaveMode, "mode").burst_count:
-        raise ValueError(f"{mode.value} needs {mode.burst_count} sub-blocks, got {len(subs)}")
-    stream = np.concatenate([as_soft_array(s, BURST_PAYLOAD_BITS) for s in subs])
-    return deinterleave_batch(mode, stream[np.newaxis, :])[0]
+    """Exact inverse of :func:`interleave` on soft values: ``deinterleave_batch`` on one row."""
+    stream = np.concatenate([rows(one_row(sub), BURST_PAYLOAD_BITS, "each sub-block is")[0]
+                             for sub in subs], dtype=np.float64)
+    return deinterleave_batch(mode, one_row(finite(stream)))[0]
 
 
 def interleave_batch(mode: InterleaveMode, blocks: np.ndarray) -> np.ndarray:

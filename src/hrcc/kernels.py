@@ -88,7 +88,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bits import antipodal, binary_uint8, check_type, rows
+from .bits import NOT_BINARY, antipodal, binary_uint8, check_type, finite, rows
 
 # Stand-in for -inf that survives repeated branch-metric additions without
 # overflow; real metrics stay many orders of magnitude above it.
@@ -177,10 +177,7 @@ def viterbi_batch_np(soft: np.ndarray, syms: np.ndarray, source=None) -> np.ndar
 
 def _soft_rows(soft, width: int | None = None) -> np.ndarray:
     """A decoder's soft batch as C-ordered float64 rows; ValueError unless all finite."""
-    soft = np.ascontiguousarray(rows(soft, width, "the Viterbi decoder reads"), np.float64)
-    if not np.isfinite(soft).all():
-        raise ValueError("soft values must be finite")
-    return soft
+    return finite(np.ascontiguousarray(rows(soft, width, "the Viterbi decoder reads"), np.float64))
 
 
 def _steps(width: int, n_out: int) -> int:
@@ -433,7 +430,7 @@ def channel_c(out: np.ndarray, bits, sigma: float, columns=None) -> np.ndarray:
     status = _channel(_address(out), *out.shape, _address(bits), columns_at, sigma, sigma * sigma)
     if status:
         raise (MemoryError("no memory for the channel's row copy") if status == -2
-               else ValueError("bit block may only contain 0 and 1"))
+               else ValueError(NOT_BINARY))
     return out
 
 
@@ -473,7 +470,7 @@ class ChainKernel:
         out = np.empty((msgs.shape[0], self.width), np.uint8)
         if _encoder(_address(msgs), msgs.shape[0], self.k, self._table_at, self._outputs_at,
                     self.n_out, self._source_at, self._mother, self.width, _address(out)):
-            raise ValueError("bit block may only contain 0 and 1")
+            raise ValueError(NOT_BINARY)
         return out
 
     def decode(self, softs) -> tuple[np.ndarray, np.ndarray]:

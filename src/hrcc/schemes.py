@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import coding, kernels
-from .bits import check_type, rows
+from .bits import check_type, one_row, rows
 from .coding import (
     CONV_RATE_12,
     CONV_RATE_13,
@@ -159,20 +159,12 @@ def decode_blocks(scheme: SchemeId, softs: np.ndarray) -> tuple[np.ndarray, np.n
     return inputs[:, : chain.block.k], chain.block.check_batch(inputs)
 
 
-def _one_row(block, width: int, what: str) -> np.ndarray:
-    """One block as a batch of one row; the batch call checks its values, once."""
-    block = np.asarray(block)
-    if block.shape != (width,):
-        raise ValueError(f"expected a {width}-{what} block, got shape {block.shape}")
-    return block[np.newaxis, :]
-
-
 def encode_block(scheme: SchemeId, msg) -> np.ndarray:
-    """Encode one message; output is 456 bits (standard) or 228 (modified)."""
-    return encode_blocks(scheme, _one_row(msg, _chain(scheme).block.k, "bit"))[0]
+    """Encode one message, ``encode_blocks`` on it as one row: 456 bits (standard) or 228."""
+    return encode_blocks(scheme, one_row(msg))[0]
 
 
 def decode_block(scheme: SchemeId, soft) -> DecodeOutcome:
-    """Decode one soft block, reversing the scheme's stage composition."""
-    msgs, ok = decode_blocks(scheme, _one_row(soft, _chain(scheme).coded_bits, "value soft"))
+    """Decode one soft block in coded order, ``decode_blocks`` on it as one row."""
+    msgs, ok = decode_blocks(scheme, one_row(soft))
     return DecodeOutcome(message=msgs[0], ok=bool(ok[0]))

@@ -91,6 +91,15 @@ def test_as_soft_array_validation():
     assert as_soft_array([1.5, -2.0]).dtype == np.float64
 
 
+def test_single_block_helpers_return_fresh_arrays():
+    # Burst freezes the array as_bit_array returns; the caller's must stay writable.
+    bits, soft = np.zeros(114, np.uint8), np.ones(114)
+    assert not np.shares_memory(as_bit_array(bits), bits)
+    assert not np.shares_memory(as_soft_array(soft), soft)
+    Burst(bits)
+    assert bits.flags.writeable
+
+
 _TAPS, _SYMS = _tap_table(CONV_RATE_12.generators), _sym_table(CONV_RATE_12.generators)
 
 # Every batch entry point and the row width it takes; None takes any width.
@@ -214,6 +223,18 @@ def test_check_collection_refuses_one_string(value):
 @pytest.mark.parametrize("value", [["901"], ("901",), {"901"}, [], iter(["901"]), bytearray(b"9")])
 def test_check_collection_returns_any_other_value(value):
     assert check_collection(value, "codes") is value
+
+
+@pytest.mark.parametrize("value", [5, 2.5, None, np.float64(1.0)])
+def test_check_collection_refuses_a_value_that_does_not_iterate(value):
+    kind = type(value).__name__
+    with pytest.raises(TypeError, match=re.escape(f"codes must be a collection, not one {kind}: ")):
+        check_collection(value, "codes")
+
+
+def test_check_collection_leaves_an_iterator_unread():
+    codes = (code for code in ["901", "902"])
+    assert list(check_collection(codes, "codes")) == ["901", "902"]
 
 
 def test_burst_payload_immutable_and_equality():

@@ -211,6 +211,16 @@ def test_block_code_rejects_non_integers(k, generator):
         BlockCode(k, generator)
 
 
+def test_numpy_integer_generators_are_kept_as_ints():
+    # A numpy integer passed the check but stayed raw: .r raised AttributeError on bit_length.
+    code, plain = BlockCode(10, np.int64(11)), BlockCode(10, 11)
+    assert type(code.generator) is int and code.r == plain.r == 3
+    msg = np.random.default_rng(10).integers(0, 2, 10, dtype=np.uint8)
+    assert np.array_equal(code.encode(msg), plain.encode(msg))
+    assert np.array_equal(code.remainders, plain.remainders)
+    assert poly_remainder(1 << 40, np.int64(11)) == poly_remainder(1 << 40, 11)
+
+
 @pytest.mark.parametrize("generator", [0b11, 0b1011, (1 << 64) | 0b11011])
 def test_block_codes_of_degree_1_to_64_give_the_long_division_parity(generator):
     code = BlockCode(13, generator)

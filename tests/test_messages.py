@@ -67,6 +67,10 @@ def test_classification_by_mnc_membership():
     assert is_halfrate_capable(imsi, ["901"])
     with pytest.raises(TypeError, match="m2m_mncs must be a collection, not one str"):
         is_halfrate_capable(imsi, "901")
+    # A number raised "'int' object is not iterable", which names no argument.
+    with pytest.raises(TypeError, match="m2m_mncs must be a collection, not one int: 5"):
+        is_halfrate_capable(imsi, 5)
+    assert is_halfrate_capable(imsi, (code for code in ["902", "901"]))
 
 
 def test_imsi_inputs_of_the_wrong_type_are_rejected():

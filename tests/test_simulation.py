@@ -297,7 +297,17 @@ def test_sweep_checks_every_point_before_any_runs(monkeypatch):
             run_bler(SchemeId.M2_REDUCED, points, 10)
         with pytest.raises(TypeError, match="ebno_points must be a collection, not one (str|bytes)"):
             sweep([SchemeId.M2_REDUCED], points, min_frames=10)
+    # A number raised "'int' object is not iterable", which names no argument.
+    with pytest.raises(TypeError, match="ebno_points must be a collection, not one int: 5"):
+        run_bler(SchemeId.M2_REDUCED, 5, 10)
     assert not decoded
+
+
+def test_points_and_schemes_may_come_from_an_iterator_read_once():
+    points, scheme_list = [4.0, 6.0], [SchemeId.M2_REDUCED, SchemeId.STANDARD_456]
+    want = sweep(scheme_list, points, 10)
+    assert sweep(iter(scheme_list), (p for p in points), 10) == want
+    assert run_bler(SchemeId.M2_REDUCED, iter(points), 10) == want[:2]
 
 
 def test_schemes_that_are_not_scheme_ids_are_rejected_before_any_point_runs(monkeypatch):
@@ -307,6 +317,8 @@ def test_schemes_that_are_not_scheme_ids_are_rejected_before_any_point_runs(monk
     for scheme_list in ("m2-reduced", b"m2-reduced"):
         with pytest.raises(TypeError, match="scheme_list must be a collection, not one (str|bytes)"):
             sweep(scheme_list, [5.0], 10)
+    with pytest.raises(TypeError, match="scheme_list must be a collection, not one int: 5"):
+        sweep(5, [1.0], 10)
     with pytest.raises(TypeError, match="scheme must be a SchemeId, got 'standard'"):
         sweep([SchemeId.M2_REDUCED, "standard"], [5.0], 10)
     with pytest.raises(TypeError, match="scheme must be a SchemeId, got 'm2-reduced'"):
