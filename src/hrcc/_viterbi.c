@@ -21,9 +21,11 @@
  * hrcc_viterbi decides which body decodes which frame.  Where the CPU has
  * AVX2, whole groups of four frames run on the AVX2 body, one frame per lane
  * of a vector, with the same operations in the same order per lane as the
- * scalar body.  Every other frame, the one to three left over or every frame
- * on other CPUs, runs on the scalar body.  The AVX2 body is compiled by a
- * function attribute, not by a compiler flag, so the library loads on any
+ * scalar body: its select, MAXPD with the odd candidate first, picks what the
+ * scalar > picks, ties and signed zeros included.  The four lanes are traced
+ * back side by side.  Every other frame, the one to three left over or every
+ * frame on other CPUs, runs on the scalar body.  The AVX2 body is compiled by
+ * a function attribute, not by a compiler flag, so the library loads on any
  * x86-64 CPU; hrcc_viterbi_lanes says whether this CPU runs it.
  *
  * The library also holds a chain's encoder, hrcc_encode, the channel,
@@ -102,7 +104,7 @@ decode1(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t
 /* The four-lane body for nframes, a multiple of four.  lanes: 4 * nsteps *
  * n_out doubles of scratch that hold a group's soft values, column-major with
  * the four frames interleaved.  back: one byte per (step, state), bit l for
- * lane l. */
+ * lane l, which the traceback reads for all four lanes at each step. */
 static inline __attribute__((always_inline, target("avx2"))) void
 decode4(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t *source,
         ptrdiff_t nsteps, const int n_out, const double *sym, double *lanes, uint8_t *back,
@@ -144,11 +146,14 @@ decode4(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t
                 const __m256d even = pm[2 * i], odd = pm[2 * i + 1];
                 const __m256d c0 = _mm256_add_pd(even, m), c1 = _mm256_sub_pd(odd, m);
                 const __m256d d0 = _mm256_sub_pd(even, m), d1 = _mm256_add_pd(odd, m);
-                /* Ordered greater-than: false on ties, like c1 > c0 above. */
+                /* Ordered greater-than: false on ties, like c1 > c0 above.
+                 * MAXPD returns its first operand only when it is strictly
+                 * greater, else its second, ties and +-0 alike, so it keeps
+                 * what the scalar body keeps.  No NaN reaches it. */
                 const __m256d pick_c = _mm256_cmp_pd(c1, c0, _CMP_GT_OQ);
                 const __m256d pick_d = _mm256_cmp_pd(d1, d0, _CMP_GT_OQ);
-                next[i] = _mm256_blendv_pd(c0, c1, pick_c);
-                next[i + 8] = _mm256_blendv_pd(d0, d1, pick_d);
+                next[i] = _mm256_max_pd(c1, c0);
+                next[i + 8] = _mm256_max_pd(d1, d0);
                 decisions[i] = (uint8_t)_mm256_movemask_pd(pick_c);
                 decisions[i + 8] = (uint8_t)_mm256_movemask_pd(pick_d);
             }
@@ -157,12 +162,16 @@ decode4(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t
             next = swap;
         }
 
-        for (int l = 0; l < LANES; l++) {
-            uint8_t *decoded = bits + (first + l) * nsteps;
-            unsigned state = 0;
-            for (ptrdiff_t t = nsteps - 1; t >= 0; t--) {
-                decoded[t] = (uint8_t)(state >> 3);
-                state = ((state & 7) << 1) | ((back[NSTATES * t + state] >> l) & 1);
+        /* The four lanes step back together, so that their chains of
+         * dependent loads overlap. */
+        uint8_t *decoded = bits + first * nsteps;
+        unsigned state[LANES] = {0};
+        for (ptrdiff_t t = nsteps - 1; t >= 0; t--) {
+            const uint8_t *decisions = back + NSTATES * t;
+            _Pragma("GCC unroll 4")
+            for (int l = 0; l < LANES; l++) {
+                decoded[l * nsteps + t] = (uint8_t)(state[l] >> 3);
+                state[l] = ((state[l] & 7) << 1) | ((decisions[state[l]] >> l) & 1);
             }
         }
     }

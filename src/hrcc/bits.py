@@ -65,9 +65,13 @@ def binary_uint8(arr: np.ndarray) -> np.ndarray:
     """``arr`` as uint8, itself if it already is; ValueError unless all 0/1.
 
     A uint8 input costs one pass (its maximum); any other dtype is cast and
-    compared with the original, which catches 2, -1, 0.5 and 256 alike.
+    compared with the original, which catches 2, -1, 0.5 and 256 alike, and NaN
+    and infinities without the warning that their cast raises.
     """
-    out = arr.astype(np.uint8, copy=False)
+    out = arr
+    if arr.dtype != np.uint8:
+        with np.errstate(invalid="ignore"):
+            out = arr.astype(np.uint8)
     if out.size and (int(out.max()) > 1 or (out is not arr and not np.array_equal(out, arr))):
         raise ValueError(NOT_BINARY)
     return out

@@ -41,10 +41,10 @@ to three left over or every frame on other CPUs, runs on the scalar body,
 which decodes one frame at a time.  The AVX2 body copies a group's four rows
 into a small scratch buffer with the frames interleaved, carries one frame
 through the trellis in each lane of an AVX2 vector, stores decisions as one
-byte per (step, state) with a bit per lane, and traces each frame back on
-its own.  It is compiled by a function attribute, not by ``-mavx2``, so the
-cached library loads on any x86-64 CPU.  ``LANES`` says how many frames a
-group holds: 4 (AVX2), 1 (scalar C) or 0 (numpy).
+byte per (step, state) with a bit per lane, and traces the four frames back
+side by side.  It is compiled by a function attribute, not by ``-mavx2``, so
+the cached library loads on any x86-64 CPU.  ``LANES`` says how many frames
+a group holds: 4 (AVX2), 1 (scalar C) or 0 (numpy).
 
 Every kernel takes an optional source map, which folds depuncturing into
 the decoder: entry c is the column of the soft batch that holds
@@ -62,7 +62,8 @@ of a butterfly carry the metrics +m, -m, -m and +m of one metric m.  It sums
 m in the same output order as the numpy kernel, and IEEE negation is exact,
 so every candidate path metric equals the numpy one and every comparison,
 ties included, goes the same way; the AVX2 lanes run the same operations in
-the same order, with an ordered greater-than for the tie rule.
+the same order, with an ordered greater-than for the tie rule and MAXPD,
+whose operand order picks what the scalar ``>`` picks, for the survivor.
 ``-ffp-contract=off`` stops the compiler from fusing a multiply and an add
 into one FMA, which rounds once where numpy rounds twice; with branch
 outputs of exactly +-1 the products are exact anyway, but the equality

@@ -191,6 +191,43 @@ def test_entry_points_on_erasure_and_tie_rows(entry, scheme):
     assert not decoded[::5].any()
 
 
+LANE_COUNTS = [*range(1, 10), 512]  # whole groups of four plus every leftover count
+
+
+def _lane_rows(width, nframes, seed):
+    """``nframes`` soft rows, each group of four holding one row of each kind below, the
+    kinds turned by one lane per group, so that each lane meets every kind."""
+    rng = np.random.default_rng(seed)
+
+    def signed_zeros():  # ties between +0.0 and -0.0, then a path of its own
+        row = rng.normal(0.0, 2.0, width)
+        row[: width // 2] = np.copysign(0.0, rng.normal(size=width // 2))
+        return row
+
+    kinds = [
+        lambda: np.zeros(width),  # all erasures
+        lambda: rng.integers(-1, 2, width).astype(np.float64),  # ties at every step
+        signed_zeros,
+        lambda: rng.normal(0.0, 2.0, width),
+    ]
+    return np.array([kinds[(f + f // 4) % 4]() for f in range(nframes)])
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_entry_points_trace_every_lane_back_on_its_own(entry, scheme):
+    # The rows of a group decode to different words, so a traceback that
+    # shared one lane's state, or read another lane's decision bits, fails.
+    chain = _CHAINS[scheme]
+    syms = _sym_table(chain.code.generators)
+    for nframes in LANE_COUNTS:
+        rows = _lane_rows(chain.coded_bits, nframes, [32, nframes])
+        decoded = entry(rows, syms, chain.source)
+        assert np.array_equal(decoded, kernels.viterbi_batch_np(rows, syms, chain.source))
+        for first in range(0, nframes, 4):
+            group = decoded[first : first + 4]
+            assert len({row.tobytes() for row in group}) == len(group)
+
+
 def test_entry_points_take_strided_and_float32_input(entry):
     rng = np.random.default_rng(30)
     wide = rng.normal(0.0, 2.0, size=(15, 2 * 228))
@@ -482,13 +519,18 @@ _SWEEP_SCRIPT = (
 )
 
 
-def _sweep_in_fresh_interpreter(cache: Path, path: str):
+def _fresh_interpreter(script: str, cache: Path, path: str, *args: str):
+    """``script`` run by a new interpreter with its own kernel cache and ``PATH``."""
     pkg_root = str(Path(hrcc.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, XDG_CACHE_HOME=str(cache), PATH=path, PYTHONPATH=pythonpath)
-    result = subprocess.run(
-        [sys.executable, "-c", _SWEEP_SCRIPT], capture_output=True, text=True, env=env
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env
     )
+
+
+def _sweep_in_fresh_interpreter(cache: Path, path: str):
+    result = _fresh_interpreter(_SWEEP_SCRIPT, cache, path)
     assert result.returncode == 0, result.stderr
     backend, csv = result.stdout.split("\n", 1)
     return backend, csv
@@ -533,3 +575,57 @@ def test_build_deletes_kernels_of_other_sources(tmp_path):
     assert backend == "c"
     assert not stale.exists() and partial.exists()
     assert len(list((cache / "hrcc").glob("_viterbi-*.so"))) == 1
+
+
+def _ubsan_runtime() -> bool:
+    if shutil.which("cc") is None:
+        return False
+    found = subprocess.run(["cc", "-print-file-name=libubsan.so"], capture_output=True, text=True)
+    return os.path.isabs(found.stdout.strip())  # else cc echoes the bare name
+
+
+# Decodes the rows saved in argv[2] through the library at argv[1], into argv[3].
+_SANITIZED_DECODE_SCRIPT = (
+    "import ctypes, sys\n"
+    "import numpy as np\n"
+    "from hrcc import kernels\n"
+    "from hrcc.schemes import _CHAINS, SchemeId\n"
+    "decoder = ctypes.CDLL(sys.argv[1]).hrcc_viterbi\n"
+    "decoder.restype, decoder.argtypes = kernels._decoder.restype, kernels._decoder.argtypes\n"
+    "kernels._decoder = decoder\n"
+    "inputs, out = np.load(sys.argv[2]), {}\n"
+    "for name in inputs.files:\n"
+    "    chain = _CHAINS[SchemeId(name.split(':')[0])]\n"
+    "    out[name + ':bits'] = kernels.viterbi_batch_c(inputs[name], chain.code.branches,\n"
+    "                                                  chain.source)\n"
+    "    out[name + ':msgs'], out[name + ':ok'] = chain.kernel.decode(inputs[name])\n"
+    "np.savez(sys.argv[3], **out)\n"
+)
+
+
+@pytest.mark.skipif(not _ubsan_runtime(), reason="no C compiler with a UBSan runtime")
+def test_kernel_built_with_ubsan_decodes_every_chain_cleanly(tmp_path):
+    # Undefined behaviour in the decoder, such as a lane's state indexed out
+    # of bounds in the AVX2 traceback, stops the sanitized build's process.
+    library = tmp_path / "viterbi-ubsan.so"
+    build = subprocess.run(
+        ["cc", *kernels._C_FLAGS, "-fsanitize=undefined,bounds", "-fno-sanitize-recover=all",
+         "-o", str(library), str(kernels._C_SOURCE), *kernels._C_LIBS],
+        capture_output=True, text=True,
+    )
+    assert build.returncode == 0, build.stderr
+    assert b"__ubsan_handle_" in library.read_bytes()
+    inputs = {f"{scheme.value}:{n}": _lane_rows(_CHAINS[scheme].coded_bits, n, [33, n])
+              for scheme in SchemeId for n in LANE_COUNTS}
+    np.savez(tmp_path / "in.npz", **inputs)
+    result = _fresh_interpreter(_SANITIZED_DECODE_SCRIPT, tmp_path / "cache", os.environ["PATH"],
+                                str(library), str(tmp_path / "in.npz"), str(tmp_path / "out.npz"))
+    assert result.returncode == 0, result.stderr
+    decoded = np.load(tmp_path / "out.npz")
+    for name, rows in inputs.items():
+        chain = _CHAINS[SchemeId(name.split(":")[0])]
+        k, r = chain.block.k, chain.block.r
+        reference = kernels.viterbi_batch_np(rows, chain.code.branches, chain.source)
+        assert np.array_equal(decoded[name + ":bits"], reference)
+        assert np.array_equal(decoded[name + ":msgs"], reference[:, :k])
+        assert np.array_equal(decoded[name + ":ok"], chain.block.check_batch(reference[:, : k + r]))

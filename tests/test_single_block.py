@@ -4,8 +4,8 @@ Each function takes one block: a 1-D, non-empty sequence of bits (0/1) or
 of finite soft values, of a fixed length where the function has one.  Each
 malformed input below raises a ValueError, unless the function takes it
 (a soft value of 2, 0.5 or -1; a bit block of any length for ``transmit``
-and ``to_hex``).  NaN and infinite bits are cast before the 0/1 check
-refuses them, and the cast warns first; the warning is not what is tested.
+and ``to_hex``).  NaN and infinite bits raise it too, with no warning first,
+which the suite's ``-W error`` setting would turn into the failure.
 A shape error names the block's own shape, and a function with a batch
 twin checks its scheme or mode once, in the twin.
 """
@@ -65,7 +65,6 @@ INPUTS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 @pytest.mark.parametrize("bad", INPUTS)
 @pytest.mark.parametrize("name", FUNCTIONS)
 def test_single_block_functions_refuse_malformed_blocks(name, bad):
