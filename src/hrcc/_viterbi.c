@@ -49,11 +49,12 @@
 
 /* The scalar body for one code rate; always inlined, so that each call
  * below compiles with a constant n_out and a fully unrolled butterfly loop.
- * back: one word of decision bits per step. */
-static inline __attribute__((always_inline)) void
+ * back: one word of decision bits per step.  Returns 1 if a final metric is not finite. */
+static inline __attribute__((always_inline)) int
 decode1(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t *source,
         ptrdiff_t nsteps, const int n_out, const double *sym, uint16_t *back, uint8_t *bits)
 {
+    int flagged = 0;
     for (ptrdiff_t f = 0; f < nframes; f++) {
         const double *row = soft + f * in_width;
         double metrics[2][NSTATES];
@@ -89,6 +90,7 @@ decode1(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t
             pm = next;
             next = swap;
         }
+        flagged |= !isfinite(pm[0]);
 
         uint8_t *decoded = bits + f * nsteps;
         unsigned state = 0;
@@ -97,15 +99,16 @@ decode1(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t
             state = ((state & 7) << 1) | ((back[t] >> state) & 1);
         }
     }
+    return flagged;
 }
 
 #ifdef __x86_64__
 
-/* The four-lane body for nframes, a multiple of four.  lanes: 4 * nsteps *
- * n_out doubles of scratch that hold a group's soft values, column-major with
- * the four frames interleaved.  back: one byte per (step, state), bit l for
- * lane l, which the traceback reads for all four lanes at each step. */
-static inline __attribute__((always_inline, target("avx2"))) void
+/* The four-lane body for nframes, a multiple of four.  lanes: 4 * nsteps * n_out doubles of
+ * scratch that hold a group's soft values, column-major with the four frames interleaved.
+ * back: one byte per (step, state), bit l for lane l, which the traceback reads for all four
+ * lanes at each step.  Returns 1 if a final metric is not finite. */
+static inline __attribute__((always_inline, target("avx2"))) int
 decode4(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t *source,
         ptrdiff_t nsteps, const int n_out, const double *sym, double *lanes, uint8_t *back,
         uint8_t *bits)
@@ -117,6 +120,7 @@ decode4(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t
         for (int j = 0; j < n_out; j++)
             out[i][j] = _mm256_set1_pd(sym[i * n_out + j]);
 
+    int flagged = 0;
     for (ptrdiff_t first = 0; first < nframes; first += LANES) {
         const double *row[LANES];
         for (int l = 0; l < LANES; l++)
@@ -146,10 +150,10 @@ decode4(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t
                 const __m256d even = pm[2 * i], odd = pm[2 * i + 1];
                 const __m256d c0 = _mm256_add_pd(even, m), c1 = _mm256_sub_pd(odd, m);
                 const __m256d d0 = _mm256_sub_pd(even, m), d1 = _mm256_add_pd(odd, m);
-                /* Ordered greater-than: false on ties, like c1 > c0 above.
-                 * MAXPD returns its first operand only when it is strictly
-                 * greater, else its second, ties and +-0 alike, so it keeps
-                 * what the scalar body keeps.  No NaN reaches it. */
+                /* Ordered greater-than: false on ties, like c1 > c0 above.  MAXPD
+                 * returns its first operand only when it is strictly greater, else its
+                 * second, ties and +-0 alike, so it keeps what the scalar body keeps.
+                 * A NaN reaches it only from a value that is not finite: a flagged frame. */
                 const __m256d pick_c = _mm256_cmp_pd(c1, c0, _CMP_GT_OQ);
                 const __m256d pick_d = _mm256_cmp_pd(d1, d0, _CMP_GT_OQ);
                 next[i] = _mm256_max_pd(c1, c0);
@@ -161,6 +165,8 @@ decode4(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t
             pm = next;
             next = swap;
         }
+        const __m256d zero = _mm256_sub_pd(pm[0], pm[0]); /* NaN where pm[0] is not finite */
+        flagged |= _mm256_movemask_pd(_mm256_cmp_pd(zero, zero, _CMP_UNORD_Q)) != 0;
 
         /* The four lanes step back together, so that their chains of
          * dependent loads overlap. */
@@ -175,19 +181,19 @@ decode4(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t
             }
         }
     }
+    return flagged;
 }
 
 /* decode4 with a constant n_out for each code rate; separate from
  * hrcc_viterbi, which must not be compiled for AVX2. */
-static __attribute__((target("avx2"))) void
+static __attribute__((target("avx2"))) int
 decode_groups(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t *source,
               ptrdiff_t nsteps, int n_out, const double *sym, double *lanes, uint8_t *back,
               uint8_t *bits)
 {
-    if (n_out == 2)
-        decode4(soft, nframes, in_width, source, nsteps, 2, sym, lanes, back, bits);
-    else
-        decode4(soft, nframes, in_width, source, nsteps, 3, sym, lanes, back, bits);
+    return n_out == 2
+        ? decode4(soft, nframes, in_width, source, nsteps, 2, sym, lanes, back, bits)
+        : decode4(soft, nframes, in_width, source, nsteps, 3, sym, lanes, back, bits);
 }
 
 #endif
@@ -233,7 +239,8 @@ int hrcc_viterbi_lanes(void)
  * table:  NULL, or the block code's 256 remainders, see lfsr(); then ok[f] = 1 if
  *         lfsr() of the first n bits of row f is 0, which, as every generator has
  *         a constant term, holds exactly when that word's parity matches.
- * Returns 0, or -1 if the scratch buffer cannot be allocated.
+ * Returns -1 if the scratch buffer cannot be allocated, else 1 if a frame's final path
+ * metric is not finite (a value that the map reads is not, or the sums overflowed), else 0.
  */
 int hrcc_viterbi(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width,
                  const int32_t *source, ptrdiff_t width, int n_out, const double *sym,
@@ -248,25 +255,25 @@ int hrcc_viterbi(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width,
     if (back == NULL)
         return -1;
     ptrdiff_t grouped = 0;
+    int flagged = 0;
 #ifdef __x86_64__
     if (hrcc_viterbi_lanes() == LANES) {
         grouped = nframes - nframes % LANES;
-        decode_groups(soft, grouped, in_width, source, nsteps, n_out, sym,
-                      (double *)(back + NSTATES * nsteps), back, bits);
+        flagged = decode_groups(soft, grouped, in_width, source, nsteps, n_out, sym,
+                                (double *)(back + NSTATES * nsteps), back, bits);
     }
 #endif
     const double *rest = soft + grouped * in_width;
-    if (n_out == 2)
-        decode1(rest, nframes - grouped, in_width, source, nsteps, 2, sym, (uint16_t *)back,
-                bits + grouped * nsteps);
-    else
-        decode1(rest, nframes - grouped, in_width, source, nsteps, 3, sym, (uint16_t *)back,
-                bits + grouped * nsteps);
+    const ptrdiff_t left = nframes - grouped;
+    uint8_t *rest_bits = bits + grouped * nsteps;
+    flagged |= n_out == 2
+        ? decode1(rest, left, in_width, source, nsteps, 2, sym, (uint16_t *)back, rest_bits)
+        : decode1(rest, left, in_width, source, nsteps, 3, sym, (uint16_t *)back, rest_bits);
     free(back);
     if (table != NULL)
         for (ptrdiff_t f = 0; f < nframes; f++)
             ok[f] = lfsr(bits + f * nsteps, n, table) == 0;
-    return 0;
+    return flagged;
 }
 
 /* Two doubles, one SSE2 register on any x86-64 CPU; each lane runs the scalar

@@ -4,9 +4,10 @@ Hard bits travel as one-dimensional numpy uint8 arrays of 0/1 values in
 transmission order (index 0 is transmitted first).  Soft values are
 float64 arrays with the convention positive == bit 0 more likely and
 0.0 == erasure; :func:`antipodal` is the one map from bits to soft values.
-The array rules are stated here, once each: :func:`rows` for the shape of a
-batch or of one block (see :func:`one_row`), :func:`binary_uint8` for bits
-and :func:`finite` for soft values.  Nothing here mutates its inputs.
+The array rules are stated here, once each: :func:`rows` for the shape of a batch,
+:func:`one_row` for one block's, :func:`binary_uint8` for bits and :func:`finite` for soft
+values.  A public function applies each once, at its boundary, and hands what it returns to
+bodies that do not check again.  Nothing here mutates its inputs.
 """
 
 from __future__ import annotations
@@ -64,15 +65,17 @@ def check_collection(value, name: str):
 def binary_uint8(arr: np.ndarray) -> np.ndarray:
     """``arr`` as uint8, itself if it already is; ValueError unless all 0/1.
 
-    A uint8 input costs one pass (its maximum); any other dtype is cast and
-    compared with the original, which catches 2, -1, 0.5 and 256 alike, and NaN
-    and infinities without the warning that their cast raises.
+    A uint8 input costs one pass (its maximum, or below 2048 values its bytes less the 0s and
+    1s); any other dtype is cast and compared with the original, which catches 2, -1, 0.5 and
+    256 alike, and NaN and infinities without the warning that their cast raises.
     """
-    out = arr
-    if arr.dtype != np.uint8:
-        with np.errstate(invalid="ignore"):
-            out = arr.astype(np.uint8)
-    if out.size and (int(out.max()) > 1 or (out is not arr and not np.array_equal(out, arr))):
+    if arr.dtype == np.uint8:
+        if arr.tobytes().translate(None, b"\0\1") if arr.size < 2048 else int(arr.max()) > 1:
+            raise ValueError(NOT_BINARY)
+        return arr
+    with np.errstate(invalid="ignore"):
+        out = arr.astype(np.uint8)
+    if out.size and (int(out.max()) > 1 or not np.array_equal(out, arr)):
         raise ValueError(NOT_BINARY)
     return out
 
@@ -92,21 +95,16 @@ def _one_block(arr: np.ndarray, width: int | None, what: str) -> np.ndarray:
     return arr
 
 
-class _Block(np.ndarray):
-    """A block that :func:`one_row` lifted, which :func:`rows` checks as the block."""
-
-
-def one_row(block) -> np.ndarray:
-    """``block`` as a batch of one row, which :func:`rows` checks as one 1-D block."""
-    return np.asarray(block)[np.newaxis].view(_Block)
+def one_row(block, width: int | None, what: str) -> np.ndarray:
+    """One block of ``width`` values (None: any) as a batch of one row, for its batch twin's
+    body; else ValueError naming the block's own shape."""
+    return _one_block(np.asarray(block), width, what)[np.newaxis]
 
 
 def rows(values, width: int | None, what: str) -> np.ndarray:
     """``values`` as one row per frame, ``width`` (None: any) values each; else ValueError."""
     arr = np.asarray(values)
-    if type(values) is _Block:
-        _one_block(arr[0], width, what)
-    elif arr.ndim != 2 or (width is not None and arr.shape[1] != width):
+    if arr.ndim != 2 or (width is not None and arr.shape[1] != width):
         size = "any number of" if width is None else width
         raise ValueError(f"{what} rows of {size} values, one row per frame; got shape {arr.shape}")
     return arr
@@ -117,9 +115,14 @@ def antipodal(bits) -> np.ndarray:
     return _ANTIPODAL[bits]
 
 
+def bit_block(bits, length: int | None = None) -> np.ndarray:
+    """One block of 0/1 values, ``length`` of them (None: any), as uint8: itself if it is."""
+    return binary_uint8(_one_block(np.asarray(bits), length, "expected"))
+
+
 def as_bit_array(bits, length: int | None = None) -> np.ndarray:
-    """One block of 0/1 values, ``length`` of them (None: any), as a fresh uint8 array."""
-    return binary_uint8(_one_block(np.asarray(bits), length, "expected")).copy()
+    """:func:`bit_block` as a fresh array, which the caller may keep."""
+    return bit_block(bits, length).copy()
 
 
 def as_soft_array(values, length: int | None = None) -> np.ndarray:
@@ -134,7 +137,7 @@ def to_hex(bits) -> str:
     multiple of 8 (90-bit frames, 114-bit bursts, ...) from their padded
     octet image.
     """
-    arr = as_bit_array(bits)
+    arr = bit_block(bits)
     return f"{arr.size}:{bytes(np.packbits(arr)).hex().upper()}"
 
 

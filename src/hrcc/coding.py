@@ -107,12 +107,13 @@ class BlockCode:
 
     def encode(self, msg) -> np.ndarray:
         """k-bit message -> (k + r)-bit systematic codeword (message ++ parity)."""
-        parity = self.parity_batch(one_row(msg))[0]  # the one check of msg
+        parity = self.parity_batch(one_row(msg, self.k, "the block code encodes"))[0]
         return np.concatenate([np.asarray(msg, np.uint8), parity])
 
     def check(self, codeword) -> bool:
         """True iff the (k + r)-bit word has a zero syndrome: ``check_batch`` on it as one row."""
-        return bool(self.check_batch(one_row(codeword))[0])
+        word = one_row(codeword, self.k + self.r, "the block code checks")
+        return bool(self.check_batch(word)[0])
 
 
 FIRE_CODE = BlockCode(184, FIRE_POLY)  # 224-bit codewords
@@ -194,7 +195,7 @@ def viterbi_decode(code: ConvCode, soft) -> np.ndarray:
     The trellis starts and ends in state zero; metric ties prefer the
     0-valued register bit so an all-erasure input decodes to all zeros.
     """
-    return viterbi_decode_batch(code, one_row(soft))[0]
+    return viterbi_decode_batch(code, one_row(soft, None, "the Viterbi decoder reads"))[0]
 
 
 @dataclass(frozen=True)

@@ -48,29 +48,30 @@ def destinations(mode: InterleaveMode) -> np.ndarray:
 
 def interleave(mode: InterleaveMode, block) -> list[np.ndarray]:
     """Permute a coded block into 2 or 4 sub-blocks of 114 bits: ``interleave_batch`` on one row."""
-    stream = binary_uint8(interleave_batch(mode, one_row(block)))
-    return list(stream.reshape(mode.burst_count, BURST_PAYLOAD_BITS))
+    width = check_type(mode, InterleaveMode, "mode").block_bits
+    block = binary_uint8(one_row(block, width, f"{mode.value} permutes"))
+    return list(block.take(_SOURCE[mode], axis=1).reshape(mode.burst_count, BURST_PAYLOAD_BITS))
 
 
 def deinterleave(mode: InterleaveMode, subs) -> np.ndarray:
     """Exact inverse of :func:`interleave` on soft values: ``deinterleave_batch`` on one row."""
-    stream = np.concatenate([rows(one_row(sub), BURST_PAYLOAD_BITS, "each sub-block is")[0]
-                             for sub in subs], dtype=np.float64)
-    return deinterleave_batch(mode, one_row(finite(stream)))[0]
+    width = check_type(mode, InterleaveMode, "mode").block_bits
+    stream = np.concatenate([one_row(sub, BURST_PAYLOAD_BITS, "each sub-block is") for sub in subs],
+                            axis=1, dtype=np.float64)
+    stream = finite(one_row(stream[0], width, f"{mode.value} permutes"))
+    return stream.take(_DEST[mode], axis=1)[0]
 
 
 def interleave_batch(mode: InterleaveMode, blocks: np.ndarray) -> np.ndarray:
     """(frames, block_bits) -> same shape, C-ordered, columns in burst-payload order."""
     width = check_type(mode, InterleaveMode, "mode").block_bits
-    blocks = rows(blocks, width, f"{mode.value} permutes")
-    return np.take(blocks, _SOURCE[mode], axis=1)
+    return rows(blocks, width, f"{mode.value} permutes").take(_SOURCE[mode], axis=1)
 
 
 def deinterleave_batch(mode: InterleaveMode, streams: np.ndarray) -> np.ndarray:
     """Exact inverse of :func:`interleave_batch`; the result is C-ordered."""
     width = check_type(mode, InterleaveMode, "mode").block_bits
-    streams = rows(streams, width, f"{mode.value} permutes")
-    return np.take(streams, _DEST[mode], axis=1)
+    return rows(streams, width, f"{mode.value} permutes").take(_DEST[mode], axis=1)
 
 
 def map_to_burst(sub) -> Burst:

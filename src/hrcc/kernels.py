@@ -1,73 +1,43 @@
 """Hot inner loops: a chain's encoder and decoder, the channel and its noise, Viterbi decoding.
 
-The Viterbi decoder has two interchangeable kernels.  The fast one is the
-plain C file ``_viterbi.c`` next to this module: on first import the system
-``cc`` compiles it with ``-O2 -ffp-contract=off -fPIC -shared``, linked
-with ``-lm``, into
-``${XDG_CACHE_HOME:-~/.cache}/hrcc/_viterbi-<sha256 of source and flags>.so``
-(written to a temporary file, then renamed into place; kernels built from
-other sources or flags are then deleted), and later imports load that file
-through ``ctypes``.  If there is no compiler, or the build or the load
-fails, ``viterbi_batch`` is the numpy kernel ``viterbi_batch_np``.
-``BACKEND`` says which one runs: ``"c"`` or ``"numpy"``.
+Each loop has a numpy kernel, the reference and the fallback, and a compiled one in the plain
+C file ``_viterbi.c`` next to this module.  On first import the system ``cc`` compiles it with
+``-O2 -ffp-contract=off -fPIC -shared``, linked with ``-lm``, into
+``${XDG_CACHE_HOME:-~/.cache}/hrcc/_viterbi-<sha256 of source and flags>.so`` (written to a
+temporary file, then renamed into place; kernels built from other sources or flags are then
+deleted), and later imports load it through ``ctypes``.  If there is no compiler, or the build
+or the load fails, the numpy kernels run.  ``BACKEND`` says which: ``"c"`` or ``"numpy"``.
 
-The library also holds the channel, ``hrcc_channel`` (``channel_c``): one
-loop that adds each bit, in coded order, to a normal read through a noise
-map, with the operations of ``channel_np``, its numpy reference and
-fallback, in their order.  ``channel`` is the one that runs.  The normals
-it reads come from ``hrcc_normals`` (``normals_c``), numpy's own ziggurat
-and tables drawing through the generator's ``bitgen_t``, with a branch-free
-sign: the same doubles as ``Generator.standard_normal`` (``normals_np``),
-and the generator left in the same state.  ``normals`` draws through
-``normals_c`` only if it equals ``normals_np`` on a fixed seed at import
-(``NORMALS`` says which passed), so the random stream never depends on the
-backend, and hands fills of fewer than 256 values to ``normals_np``, which
-draws them faster.  And the library holds
-a chain's encoder, ``hrcc_encode``, which ``ChainKernel`` calls with one
-chain's tables: the block parity by a byte-table LFSR, the tail, the conv
-code by a 32-entry table of register windows and the puncture through the
-chain's source map, in one pass.  ``ChainKernel`` decodes through the same
-map in one ``hrcc_viterbi`` call, which also runs the LFSR over each decoded
-word: its remainder is zero exactly when its parity matches; the chains reach
-it through ``viterbi_batch``, the one decoder entry.  Their numpy references
-and fallbacks are ``BlockCode``'s parity and check, ``conv_encode_batch_np``,
-then the map's kept columns, and ``viterbi_batch_np``.
-Constant tables are ``frozen``: read-only copies nothing can write to.
+* ``hrcc_viterbi`` (``viterbi_batch_c``; ``viterbi_batch_np``) is the one decoder.  Where the
+  CPU has AVX2 it decodes whole groups of four frames one per lane, and every other frame on
+  its scalar body; ``LANES`` is 4, 1 (scalar C) or 0 (numpy).  ``_viterbi.c`` sets out how
+  every decoder gives numpy's bits, ties included.
+* ``hrcc_encode``, with one chain's tables from ``ChainKernel``, encodes a batch in one pass:
+  the block parity by a byte-table LFSR, the tail, the conv code by a 32-entry table of
+  register windows and the puncture through the chain's source map.  ``ChainKernel`` decodes
+  through the same map in one ``hrcc_viterbi`` call, which runs the LFSR over each decoded
+  word too: its remainder is zero exactly when its parity matches.  The numpy references are
+  ``BlockCode``'s parity and check, ``conv_encode_batch_np`` and ``viterbi_batch_np``.
+* ``hrcc_channel`` (``channel_c``; ``channel_np``; ``channel`` is the one that runs) adds
+  each bit, in coded order, to a normal read through a noise map, with ``channel_np``'s
+  operations in their order.  ``hrcc_normals`` (``normals_c``) draws the normals by numpy's
+  own ziggurat through the generator's ``bitgen_t``, with a branch-free sign: the doubles of
+  ``Generator.standard_normal`` (``normals_np``), and the same state after.  ``normals`` uses
+  it only if that held on a fixed seed at import (``NORMALS`` says which fill passed).
 
-The library exports one decoder, ``hrcc_viterbi`` (``viterbi_batch_c``),
-which picks the body for each frame itself: where the CPU has AVX2, whole
-groups of four frames run on the AVX2 body, and every other frame, the one
-to three left over or every frame on other CPUs, runs on the scalar body,
-which decodes one frame at a time.  The AVX2 body copies a group's four rows
-into a small scratch buffer with the frames interleaved, carries one frame
-through the trellis in each lane of an AVX2 vector, stores decisions as one
-byte per (step, state) with a bit per lane, and traces the four frames back
-side by side.  It is compiled by a function attribute, not by ``-mavx2``, so
-the cached library loads on any x86-64 CPU.  ``LANES`` says how many frames
-a group holds: 4 (AVX2), 1 (scalar C) or 0 (numpy).
+A source map folds depuncturing into the decoder: entry c is the column of the soft batch
+that holds mother-code bit c, or -1 where puncturing deleted it, which reads as the erasure
++0.0; without a map the columns are read in order.  Constant tables are ``frozen``.
 
-Every kernel takes an optional source map, which folds depuncturing into
-the decoder: entry c is the column of the soft batch that holds
-mother-code bit c, or -1 where puncturing deleted it, which reads as the
-erasure +0.0.  The map has one entry per mother-code column, so a punctured
-batch is decoded without first being widened with zeros.  Without a map the
-columns are read in order.  Maps are bounds-checked here, before any
-pointer reaches C, and both decoders reject a soft batch that is not one
-row per frame or holds a NaN or infinite value, with a ValueError.
-
-All decoders give bit-identical outputs.  The C kernel works one
-butterfly at a time: destinations i and i+8 share the predecessors 2i and
-2i+1, and since every generator has its D^0 and D^4 terms, the four branches
-of a butterfly carry the metrics +m, -m, -m and +m of one metric m.  It sums
-m in the same output order as the numpy kernel, and IEEE negation is exact,
-so every candidate path metric equals the numpy one and every comparison,
-ties included, goes the same way; the AVX2 lanes run the same operations in
-the same order, with an ordered greater-than for the tie rule and MAXPD,
-whose operand order picks what the scalar ``>`` picks, for the survivor.
-``-ffp-contract=off`` stops the compiler from fusing a multiply and an add
-into one FMA, which rounds once where numpy rounds twice; with branch
-outputs of exactly +-1 the products are exact anyway, but the equality
-should not rest on the table's values.
+Each check runs once.  The public kernels check what they are handed before any pointer
+reaches C: the batch shape (``bits.rows``), map bounds, buffer shape, dtype and layout, sigma
+(``check_sigma``) and soft values (``bits.finite``).  ``ChainKernel.encode`` and ``decode``
+take rows whose shape ``schemes`` checked, as a batch or as one block, and leave the values
+to C: ``hrcc_encode`` and ``hrcc_channel`` fail on a bit above 1 as they read it (other dtypes
+are cast and checked by ``bits.binary_uint8``), and ``hrcc_viterbi`` flags a frame whose final
+path metric is not finite.  Branch outputs are +-1 and a chain's map reads every coded column,
+so a NaN or infinity flags its frame; only then is the batch scanned (``bits.finite``), which
+passes finite values whose metrics overflowed.  The numpy backend scans first.
 
 Trellis state packs the last four encoder inputs with the newest bit in
 bit 3: state s at time t is x[t-1]<<3 | x[t-2]<<2 | x[t-3]<<1 | x[t-4],
@@ -176,9 +146,9 @@ def viterbi_batch_np(soft: np.ndarray, syms: np.ndarray, source=None) -> np.ndar
     return bits
 
 
-def _soft_rows(soft, width: int | None = None) -> np.ndarray:
+def _soft_rows(soft) -> np.ndarray:
     """A decoder's soft batch as C-ordered float64 rows; ValueError unless all finite."""
-    return finite(np.ascontiguousarray(rows(soft, width, "the Viterbi decoder reads"), np.float64))
+    return finite(np.ascontiguousarray(rows(soft, None, "the Viterbi decoder reads"), np.float64))
 
 
 def _steps(width: int, n_out: int) -> int:
@@ -220,10 +190,7 @@ def _build(source: bytes, target: Path) -> None:
 
 def _load_c_library():
     """(decoder, channel, encoder, normals, lanes): the library's functions, bound, built if
-    needed.
-
-    On failure, five Nones.
-    """
+    needed; on failure, five Nones."""
     try:
         source = _C_SOURCE.read_bytes()
         digest = hashlib.sha256(source + " ".join(_C_FLAGS + _C_LIBS).encode()).hexdigest()
@@ -253,20 +220,18 @@ def _load_c_library():
 
 
 def _pinned(table: np.ndarray) -> tuple[np.ndarray, int]:
-    """A table made read-only, and its address.
-
-    A table kept across calls has its address read once: ``ndarray.ctypes``
-    costs about a microsecond per access, a tenth of a one-frame decode.
-    """
+    """A table made read-only, and its address, read once: ``ndarray.ctypes`` costs about a
+    microsecond per access."""
     table.flags.writeable = False
     return table, table.ctypes.data
 
 
 def _address(arr: np.ndarray) -> int:
-    """An array's address; the buffer protocol costs a third of ``ndarray.ctypes``."""
-    if arr.flags.writeable and arr.flags.c_contiguous and arr.size:  # as the protocol needs
+    """An array's address; the buffer protocol costs a quarter of ``ndarray.ctypes``."""
+    try:
         return ctypes.addressof(ctypes.c_char.from_buffer(arr))
-    return arr.ctypes.data
+    except (TypeError, ValueError):  # read-only, empty or not C-ordered: the protocol refuses
+        return arr.ctypes.data
 
 
 def frozen(values, dtype=None) -> np.ndarray:
@@ -364,7 +329,8 @@ LANES = _lanes() if _lanes else 0
 def viterbi_batch_c(soft: np.ndarray, syms: np.ndarray, source=None, chain=None):
     """Rates 1/2 and 1/3 of ``viterbi_batch_np`` in compiled C (``hrcc_viterbi``); the same bits.
 
-    With ``chain``, a ``ChainKernel`` of the code of ``syms``, returns ``chain.decode(soft)``."""
+    With ``chain``, a ``ChainKernel`` of the code of ``syms``, returns ``chain.decode(soft)``,
+    on rows whose shape the caller checked."""
     if chain is not None:
         if syms is not chain.branches or source is not None:
             raise ValueError("a chain kernel decodes with its code's branch table and its own map")
@@ -379,7 +345,7 @@ def viterbi_batch_c(soft: np.ndarray, syms: np.ndarray, source=None, chain=None)
     bits = np.empty((nframes, _steps(source.size, n_out)), dtype=np.uint8)
     # source and sym stay referenced here, so their addresses stay valid.
     if _decoder(_address(soft), nframes, in_width, source_at, source.size, n_out, sym_at,
-                _address(bits), None, 0, None):
+                _address(bits), None, 0, None) < 0:
         raise MemoryError("no memory for the Viterbi scratch buffer")
     return bits
 
@@ -416,11 +382,9 @@ def _checked_fill(fill):
 def normals(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """Fill the array ``out`` with ``rng``'s next standard normals; returns it.
 
-    Through the fill that passed the import check, ``normals_c`` where ``NORMALS`` is
-    ``"c"``, but below 256 values through ``normals_np``: there the ctypes call costs
-    more than the C saves (3.9 against 3.1 µs for a 114-value burst on the machine of
-    ``BENCH_13.json``).  Both give the
-    same doubles and leave the same state, so the stream does not depend on the choice."""
+    Through the fill that passed the import check, ``normals_c`` where ``NORMALS`` is ``"c"``,
+    but below 256 values through ``normals_np``, whose call costs less (3.1 against 3.9 µs for
+    a 114-value burst, ``BENCH_13.json``).  Both give the same doubles and leave the same state."""
     return (_fill if out.size >= 256 else normals_np)(rng, out)
 
 
@@ -436,14 +400,13 @@ def channel_c(out: np.ndarray, bits, sigma: float, columns=None) -> np.ndarray:
 
 
 class ChainKernel:
-    """One chain's compiled encoder and decoder, their operands pinned and checked once.
+    """One chain's compiled encoder and decoder, their tables pinned and checked once.
 
-    ``block`` and ``code`` are the chain's ``BlockCode`` and ``ConvCode``, whose
-    ``remainders``, ``outputs`` and ``branches`` tables the C reads; ``source``
-    maps each mother-code column, the 4 tail bits' included, to its column of
-    the coded block, or -1, for the encoder to write and the decoder to read
-    through; ``width``, the coded block's, is the number of columns it keeps.
-    The encoder reads each value once and raises ValueError on any but 0 and 1.
+    ``block`` and ``code`` are the chain's ``BlockCode`` and ``ConvCode``, whose ``remainders``,
+    ``outputs`` and ``branches`` tables the C reads; ``source`` maps each mother-code column,
+    the 4 tail bits' included, to its column of the coded block, or -1, for the encoder to
+    write and the decoder to read through; ``width``, the coded block's, is the number of
+    columns it keeps.  Both take rows whose shape the caller checked; C checks the values.
     """
 
     def __init__(self, block, code, source):
@@ -465,26 +428,35 @@ class ChainKernel:
         self._table_at, self._outputs_at, self._source_at, self._branches_at = (
             at for _, at in self._tables)
 
-    def encode(self, msgs) -> np.ndarray:
-        """(frames, k) messages -> (frames, width) coded blocks, in one ``hrcc_encode`` call."""
-        msgs = _bit_rows(rows(msgs, self.k, "the chain encodes"))
+    def encode(self, msgs: np.ndarray) -> np.ndarray:
+        """(frames, k) message rows -> (frames, width) coded blocks, in one ``hrcc_encode`` call."""
+        msgs = _bit_rows(msgs)
+        if msgs.shape[1:] != (self.k,):  # what C reads must be there
+            raise ValueError(f"a chain kernel encodes rows of {self.k}, not {msgs.shape}")
         out = np.empty((msgs.shape[0], self.width), np.uint8)
         if _encoder(_address(msgs), msgs.shape[0], self.k, self._table_at, self._outputs_at,
                     self.n_out, self._source_at, self._mother, self.width, _address(out)):
             raise ValueError(NOT_BINARY)
         return out
 
-    def decode(self, softs) -> tuple[np.ndarray, np.ndarray]:
-        """(frames, width) soft values -> ((frames, k) messages, ``BlockCode.check_batch`` of
-        each decoded k + r bits), in one ``hrcc_viterbi`` call."""
-        soft = _soft_rows(softs, self.width)
-        bits = np.empty((soft.shape[0], self._mother // self.n_out), np.uint8)
-        ok = np.empty(soft.shape[0], np.bool_)
-        if _decoder(_address(soft), soft.shape[0], self.width, self._source_at, self._mother,
-                    self.n_out, self._branches_at, _address(bits), self._table_at,
-                    self.k + self.r, _address(ok)):
-            raise MemoryError("no memory for the Viterbi scratch buffer")
-        return bits[:, : self.k], ok
+    def decode(self, softs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(frames, width) soft rows -> ((frames, k) messages, ``BlockCode.check_batch`` of each
+        decoded k + r bits), in one ``hrcc_viterbi`` call; ValueError for a flagged NaN or inf."""
+        soft = np.ascontiguousarray(softs, np.float64)
+        if soft.shape[1:] != (self.width,):  # what C reads must be there
+            raise ValueError(f"a chain kernel decodes rows of {self.width}, not {soft.shape}")
+        nframes, nsteps = soft.shape[0], self._mother // self.n_out
+        out = np.empty(nframes * (nsteps + 1), np.uint8)  # the bits, then each frame's ok
+        at = _address(out)
+        status = _decoder(_address(soft), nframes, self.width, self._source_at, self._mother,
+                          self.n_out, self._branches_at, at, self._table_at, self.k + self.r,
+                          at + nframes * nsteps)
+        if status:
+            if status < 0:
+                raise MemoryError("no memory for the Viterbi scratch buffer")
+            finite(soft)  # else the metrics of finite values overflowed: the bits stand
+        bits = out[: nframes * nsteps].reshape(nframes, nsteps)
+        return bits[:, : self.k], out[nframes * nsteps :].view(np.bool_)
 
 
 if _decoder is None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import SubAllocation, as_bit_array, check_collection, check_int, check_type
+from .bits import SubAllocation, bit_block, check_collection, check_int, check_type
 
 IMSI_DIGITS = 15
 MCC_DIGITS = 2
@@ -126,7 +126,7 @@ def encode_immediate_assignment(a: ChannelAssignment) -> np.ndarray:
 
 def decode_immediate_assignment(block) -> ChannelAssignment:
     """Exact inverse of :func:`encode_immediate_assignment`."""
-    bits = as_bit_array(block, ASSIGNMENT_BITS)
+    bits = bit_block(block, ASSIGNMENT_BITS)
     octets = _bits_to_octets(bits)
     if octets[0] != ASSIGNMENT_MESSAGE_TYPE:
         raise ValueError(
@@ -164,14 +164,13 @@ def encode_lapdm_tailored(payload: bytes, address: int, control: int) -> np.ndar
 
 def decode_lapdm_tailored(block) -> tuple[bytes, int, int]:
     """Inverse of :func:`encode_lapdm_tailored`: (payload, address, control)."""
-    bits = as_bit_array(block, LAPDM_FRAME_BITS)
-    if bits[-2:].any():
+    octets = _bits_to_octets(bit_block(block, LAPDM_FRAME_BITS))  # the filler bits zero-padded
+    if octets[-1]:
         raise ValueError("filler bits must be zero")
-    octets = _bits_to_octets(bits[:-2])
     address, control, length = octets[0], octets[1], octets[2]
     if length > LAPDM_INFO_OCTETS:
         raise ValueError(f"length indicator {length} exceeds {LAPDM_INFO_OCTETS}")
-    info = octets[3:]
-    if any(b != LAPDM_FILL_OCTET for b in info[length:]):
+    info = octets[3:-1]
+    if info[length:] != bytes([LAPDM_FILL_OCTET]) * (LAPDM_INFO_OCTETS - length):
         raise ValueError("unused info octets must carry the 0x2B fill pattern")
     return bytes(info[:length]), address, control

@@ -140,7 +140,30 @@ class DecodeOutcome:
 def encode_blocks(scheme: SchemeId, msgs: np.ndarray) -> np.ndarray:
     """Encode a (frames, message_bits) batch of 0/1 values to (frames, coded_bits)."""
     chain = _chain(scheme)
-    msgs = rows(msgs, chain.block.k, f"{scheme.value} encodes")
+    return _encode(chain, rows(msgs, chain.block.k, f"{scheme.value} encodes"))
+
+
+def decode_blocks(scheme: SchemeId, softs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a (frames, coded_bits) soft batch in coded order to (messages, check_ok)."""
+    chain = _chain(scheme)
+    return _decode(chain, rows(softs, chain.coded_bits, f"{scheme.value} decodes"))
+
+
+def encode_block(scheme: SchemeId, msg) -> np.ndarray:
+    """Encode one message, ``encode_blocks`` on it as one row: 456 bits (standard) or 228."""
+    chain = _chain(scheme)
+    return _encode(chain, one_row(msg, chain.block.k, f"{scheme.value} encodes"))[0]
+
+
+def decode_block(scheme: SchemeId, soft) -> DecodeOutcome:
+    """Decode one soft block in coded order, ``decode_blocks`` on it as one row."""
+    chain = _chain(scheme)
+    msgs, ok = _decode(chain, one_row(soft, chain.coded_bits, f"{scheme.value} decodes"))
+    return DecodeOutcome(message=msgs[0], ok=bool(ok[0]))
+
+
+def _encode(chain: _Chain, msgs: np.ndarray) -> np.ndarray:
+    """``encode_blocks``' body, on checked rows; the compiled encoder checks each value it reads."""
     if chain.kernel is not None:
         return chain.kernel.encode(msgs)
     parity = chain.block.parity_batch(msgs)
@@ -149,22 +172,9 @@ def encode_blocks(scheme: SchemeId, msgs: np.ndarray) -> np.ndarray:
     return np.compress(chain.source >= 0, out, axis=1)  # the map keeps columns in order
 
 
-def decode_blocks(scheme: SchemeId, softs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a (frames, coded_bits) soft batch in coded order to (messages, check_ok)."""
-    chain = _chain(scheme)
-    softs = rows(softs, chain.coded_bits, f"{scheme.value} decodes")
+def _decode(chain: _Chain, softs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``decode_blocks``' body, on checked rows; the compiled decoder flags non-finite values."""
     if chain.kernel is not None:
         return kernels.viterbi_batch(softs, chain.code.branches, chain=chain.kernel)
     inputs = coding.viterbi_decode_batch(chain.code, softs, chain.source)[:, :-TAIL_BITS]
     return inputs[:, : chain.block.k], chain.block.check_batch(inputs)
-
-
-def encode_block(scheme: SchemeId, msg) -> np.ndarray:
-    """Encode one message, ``encode_blocks`` on it as one row: 456 bits (standard) or 228."""
-    return encode_blocks(scheme, one_row(msg))[0]
-
-
-def decode_block(scheme: SchemeId, soft) -> DecodeOutcome:
-    """Decode one soft block in coded order, ``decode_blocks`` on it as one row."""
-    msgs, ok = decode_blocks(scheme, one_row(soft))
-    return DecodeOutcome(message=msgs[0], ok=bool(ok[0]))

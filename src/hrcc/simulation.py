@@ -108,6 +108,13 @@ class BlerReport:
     bit_errors: int
     undetected_errors: int
 
+    def __post_init__(self):
+        check_type(self.scheme, SchemeId, "scheme")
+        frames = check_int(self.frames, "frames", 1)
+        errors = check_int(self.frame_errors, "frame_errors", 0, frames + 1)
+        check_int(self.bit_errors, "bit_errors", 0)
+        check_int(self.undetected_errors, "undetected_errors", 0, errors + 1)
+
     @property
     def bler(self) -> float:
         return self.frame_errors / self.frames

@@ -1,4 +1,5 @@
 import ctypes
+import json
 import os
 import re
 import shutil
@@ -13,10 +14,11 @@ import hrcc
 from hrcc import kernels
 from hrcc.coding import CONV_RATE_12, CONV_RATE_13, _sym_table
 from hrcc.interleaving import destinations
-from hrcc.schemes import _CHAINS, SchemeId
+from hrcc.schemes import _CHAINS, SchemeId, decode_block, decode_blocks
 from hrcc.simulation import reports_to_csv, sweep
 
 from oracles import paper_punctures
+import test_single_block
 
 CODES = [CONV_RATE_12, CONV_RATE_13]
 STEPS = 228
@@ -368,6 +370,40 @@ def test_kernels_reject_soft_values_that_are_not_finite(bad):
                 decode(soft, syms, source)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("scheme", [SchemeId.M2_REDUCED, SchemeId.M1_CS12_P12,
+                                    SchemeId.M1_CS13_P23])
+def test_chain_decoder_flags_a_value_that_is_not_finite_in_any_frame(scheme, bad):
+    # hrcc_viterbi flags a frame whose final path metric is not finite, and only then is
+    # the batch scanned: each lane of a group of four and each of the three frames left
+    # over meets the bad value, at a column the map reads early, late or in between.
+    chain = _CHAINS[scheme]
+    soft = np.random.default_rng(41).normal(1.0, 1.0, size=(7, chain.coded_bits))
+    for frame in range(7):
+        for column in (0, frame * 31, chain.coded_bits - 1):
+            rows = soft.copy()
+            rows[frame, column] = bad
+            with pytest.raises(ValueError, match="soft values must be finite"):
+                decode_blocks(scheme, rows)
+            with pytest.raises(ValueError, match="soft values must be finite"):
+                decode_block(scheme, rows[frame])
+
+
+@pytest.mark.skipif(kernels.ChainKernel is None, reason="no compiled kernel")
+@pytest.mark.parametrize("scheme", [SchemeId.STANDARD_456, SchemeId.M1_CS23_P13])
+def test_chain_decoder_keeps_the_bits_of_finite_values_whose_metrics_overflow(scheme):
+    # The path metrics of values near the float maximum overflow to infinity: the flag
+    # sends the batch to the scan, which passes it, and the bits are the numpy kernel's.
+    chain = _CHAINS[scheme]
+    soft = 1e308 * np.random.default_rng(42).choice([-1.0, 1.0], size=(6, chain.coded_bits))
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = kernels.viterbi_batch_np(soft, chain.code.branches, chain.source)
+    msgs, ok = decode_blocks(scheme, soft)
+    k, r = chain.block.k, chain.block.r
+    assert np.array_equal(msgs, reference[:, :k])
+    assert np.array_equal(ok, chain.block.check_batch(reference[:, : k + r]))
+
+
 def _read_only(arr):
     arr.flags.writeable = False
     return arr
@@ -508,14 +544,22 @@ def test_normals_hands_fills_below_256_values_to_numpy(monkeypatch):
     assert sizes == [256, 457]
 
 
+# Prints the backend, test_single_block.backend_results() (argv[1] is the tests' directory)
+# as JSON, then a sweep's CSV.
 _SWEEP_SCRIPT = (
-    "import sys\n"
+    "import json, sys, warnings\n"
     "from hrcc import kernels\n"
     "from hrcc.schemes import SchemeId\n"
     "from hrcc.simulation import reports_to_csv, sweep\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "import test_single_block\n"
+    "with warnings.catch_warnings():\n"
+    "    warnings.simplefilter('error')\n"
+    "    blocks = test_single_block.backend_results()\n"
     "reports = sweep([SchemeId.STANDARD_456, SchemeId.M2_REDUCED], [3.0],"
     " min_frames=300, min_errors=60, seed=778)\n"
-    "sys.stdout.write(kernels.BACKEND + '\\n' + reports_to_csv(reports))\n"
+    "sys.stdout.write(kernels.BACKEND + '\\n' + json.dumps(blocks) + '\\n'"
+    " + reports_to_csv(reports))\n"
 )
 
 
@@ -530,10 +574,10 @@ def _fresh_interpreter(script: str, cache: Path, path: str, *args: str):
 
 
 def _sweep_in_fresh_interpreter(cache: Path, path: str):
-    result = _fresh_interpreter(_SWEEP_SCRIPT, cache, path)
+    result = _fresh_interpreter(_SWEEP_SCRIPT, cache, path, str(Path(__file__).parent))
     assert result.returncode == 0, result.stderr
-    backend, csv = result.stdout.split("\n", 1)
-    return backend, csv
+    backend, blocks, csv = result.stdout.split("\n", 2)
+    return backend, json.loads(blocks), csv
 
 
 def _sweep_here():
@@ -547,18 +591,23 @@ def test_without_a_compiler_falls_back_to_numpy(tmp_path):
     cache = tmp_path / "cache"
     no_cc = tmp_path / "bin"
     no_cc.mkdir()
-    backend, csv = _sweep_in_fresh_interpreter(cache, str(no_cc))
+    backend, blocks, csv = _sweep_in_fresh_interpreter(cache, str(no_cc))
     assert backend == "numpy"
     assert csv == _sweep_here()
+    # The single-block path too: a 20-exchange transcript, the exception type of each
+    # malformed block, and no rejected transmit that drew from its generator.
+    assert blocks == test_single_block.backend_results()
+    assert blocks["transmits that drew"] == []
     assert not any(cache.rglob("*.so")) and not any(cache.rglob("*.tmp"))
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 def test_cold_cache_builds_the_kernel_once(tmp_path):
     cache = tmp_path / "cache"
-    backend, csv = _sweep_in_fresh_interpreter(cache, os.environ["PATH"])
+    backend, blocks, csv = _sweep_in_fresh_interpreter(cache, os.environ["PATH"])
     assert backend == "c"
     assert csv == _sweep_here()
+    assert blocks == test_single_block.backend_results()
     built = sorted(p.name for p in (cache / "hrcc").iterdir())
     assert len(built) == 1 and built[0].startswith("_viterbi-") and built[0].endswith(".so")
 
@@ -571,7 +620,7 @@ def test_build_deletes_kernels_of_other_sources(tmp_path):
     stale.write_bytes(b"built from an older source")
     partial = cache / "hrcc" / "_viterbi-1111-abcd.tmp"
     partial.write_bytes(b"")
-    backend, _ = _sweep_in_fresh_interpreter(cache, os.environ["PATH"])
+    backend, _, _ = _sweep_in_fresh_interpreter(cache, os.environ["PATH"])
     assert backend == "c"
     assert not stale.exists() and partial.exists()
     assert len(list((cache / "hrcc").glob("_viterbi-*.so"))) == 1

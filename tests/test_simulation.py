@@ -269,6 +269,33 @@ def test_run_bler_report_invariants():
         assert r.ci95_halfwidth == pytest.approx(1.96 * math.sqrt(p * (1 - p) / r.frames))
 
 
+_REPORT = dict(scheme=SchemeId.STANDARD_456, ebno_db=2.0, frames=10, frame_errors=4,
+               bit_errors=9, undetected_errors=1)
+
+
+@pytest.mark.parametrize("field, bad, error, message", [
+    ("frames", 0, ValueError, "frames must be at least 1, got 0"),
+    ("frame_errors", 11, ValueError, "frame_errors must lie in [0, 11), got 11"),
+    ("frame_errors", -1, ValueError, "frame_errors must lie in [0, 11), got -1"),
+    ("undetected_errors", 5, ValueError, "undetected_errors must lie in [0, 5), got 5"),
+    ("bit_errors", -1, ValueError, "bit_errors must be at least 0, got -1"),
+    ("frames", 10.0, TypeError, "frames must be an integer, got 10.0"),
+    ("scheme", "standard", TypeError, "scheme must be a SchemeId, got 'standard'"),
+])
+def test_bler_report_checks_its_fields(field, bad, error, message):
+    # frames=0 constructed, then .bler, .ci95_halfwidth and the CSV divided by zero;
+    # 11 errors in 10 frames reported a BLER of 1.1; "standard" failed in the CSV.
+    with pytest.raises(error, match=re.escape(message)):
+        BlerReport(**{**_REPORT, field: bad})
+
+
+def test_bler_report_takes_its_bounds():
+    edge = BlerReport(**{**_REPORT, "frames": 1, "frame_errors": 1, "undetected_errors": 1})
+    assert edge.bler == 1.0 and edge.ci95_halfwidth == 0.0
+    assert reports_to_csv([BlerReport(**_REPORT)]).splitlines()[1] == (
+        "standard,2,10,4,9,1,0.4,0.30364189")
+
+
 def test_sweep_orders_reports_scheme_major():
     reports = sweep(
         [SchemeId.M2_REDUCED, SchemeId.STANDARD_456],

@@ -10,15 +10,16 @@ A shape error names the block's own shape, and a function with a batch
 twin checks its scheme or mode once, in the twin.
 """
 
+import hashlib
 import sys
 
 import numpy as np
 import pytest
 
-from hrcc import bits, coding, interleaving, simulation
+from hrcc import bits, coding, interleaving, kernels, messages, simulation
 from hrcc.bits import Burst, to_hex
 from hrcc.interleaving import InterleaveMode
-from hrcc.schemes import SchemeId, decode_block, encode_block
+from hrcc.schemes import SchemeId, decode_block, encode_block, interleave_mode, message_bits
 
 SOFT_VALUES = {"a 2", "a 0.5", "a -1"}
 ANY_LENGTH = {"short", "long"}
@@ -133,3 +134,130 @@ def test_single_block_functions_check_their_scheme_or_mode_once(call):
     finally:
         sys.setprofile(None)
     assert len(checks) == 1 and checks[0] in ("scheme", "mode")
+
+
+# Each array rule, by the code it runs; _one_block and rows state the one shape rule.
+ARRAY_RULES = {bits.binary_uint8.__code__: "binary_uint8", bits.finite.__code__: "finite",
+               bits._one_block.__code__: "shape", bits.rows.__code__: "shape"}
+
+
+def _address(arr) -> int:
+    return arr.__array_interface__["data"][0]
+
+
+def _rules_run(call) -> list[tuple[str, int]]:
+    """(rule, address of the values it checked) for each array rule that ``call()`` runs."""
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in ARRAY_RULES:
+            checked = np.asarray(frame.f_locals[frame.f_code.co_varnames[0]])
+            seen.append((ARRAY_RULES[frame.f_code], _address(checked)))
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+_CODED = encode_block(SchemeId.M2_REDUCED, np.zeros(90, np.uint8))
+_SUBS = [np.ones(114), -np.ones(114)]
+_BURST = Burst(np.zeros(114, np.uint8))
+
+# name: (call, the blocks it takes); every block is handed in as an array of its own.
+ONE_SCAN_CALLS = {
+    "encode_block": (lambda b: encode_block(SchemeId.STANDARD_456, b), [np.zeros(184, np.uint8)]),
+    "encode_block of int64": (lambda b: encode_block(SchemeId.M2_REDUCED, b), [np.zeros(90, int)]),
+    "decode_block": (lambda b: decode_block(SchemeId.M2_REDUCED, b), [np.ones(228)]),
+    "interleave": (lambda b: interleaving.interleave(InterleaveMode.MOD2, b), [_CODED]),
+    "deinterleave": (lambda *subs: interleaving.deinterleave(InterleaveMode.MOD2, subs), _SUBS),
+    "map_to_burst": (interleaving.map_to_burst, [np.zeros(114, np.uint8)]),
+    "Burst": (Burst, [_BURST.payload]),
+    "demap_burst": (interleaving.demap_burst, [np.ones(114)]),
+    "transmit": (lambda b: simulation.transmit(b, 0.8, np.random.default_rng(1)), [_BURST.payload]),
+    "decode_immediate_assignment": (messages.decode_immediate_assignment, [
+        messages.encode_immediate_assignment(messages.ChannelAssignment(
+            1, 2, 3, 4, bits.SubAllocation.ODD))]),
+    "decode_lapdm_tailored": (messages.decode_lapdm_tailored,
+                              [messages.encode_lapdm_tailored(b"m2m", 1, 3)]),
+    "to_hex": (to_hex, [np.zeros(8, np.uint8)]),
+}
+NUMPY_STAGES = {"encode_block", "encode_block of int64", "decode_block"}
+
+
+@pytest.mark.parametrize("name", ONE_SCAN_CALLS)
+def test_single_block_functions_run_each_array_rule_once_on_their_block(name):
+    # Each block was checked as a block, then again as its batch twin's row, and again
+    # by the kernel's own operand check.
+    if name in NUMPY_STAGES and kernels.BACKEND == "numpy":
+        pytest.skip("the numpy stages are public functions that check their own operands")
+    call, blocks = ONE_SCAN_CALLS[name]
+    seen = _rules_run(lambda: call(*blocks))
+    assert len(seen) == len(set(seen)), seen
+    assert ("shape", _address(blocks[0])) in seen or name == "demap_burst"  # which checks its copy
+
+
+def _exchange_transcript(exchanges: int = 20) -> list[str]:
+    """Each decoded message and check, and a digest of its soft values, of ``exchanges`` blocks
+    sent through every single-block function in turn, 3 reduced to 1 standard."""
+    rng = np.random.default_rng(2024)
+    lines = []
+    for n in range(exchanges):
+        scheme = SchemeId.STANDARD_456 if n % 4 == 0 else SchemeId.M2_REDUCED
+        mode = interleave_mode(scheme)
+        msg = rng.integers(0, 2, message_bits(scheme), dtype=np.uint8)
+        received = [simulation.transmit(interleaving.map_to_burst(sub).payload, 0.8, rng)
+                    for sub in interleaving.interleave(mode, encode_block(scheme, msg))]
+        soft = interleaving.deinterleave(mode, [interleaving.demap_burst(r) for r in received])
+        outcome = decode_block(scheme, soft)
+        lines.append(f"{to_hex(outcome.message)} {outcome.ok} "
+                     f"{hashlib.sha256(soft.tobytes()).hexdigest()}")
+    return lines
+
+
+def _malformed_outcomes() -> dict[str, str]:
+    """The exception type, or "ok", of each function above on each malformed input."""
+    outcomes = {}
+    for name, (function, n, soft, _) in FUNCTIONS.items():
+        for bad, make in INPUTS.items():
+            try:
+                function(make(n, soft))
+                outcomes[f"{name}: {bad}"] = "ok"
+            except (TypeError, ValueError) as exc:
+                outcomes[f"{name}: {bad}"] = type(exc).__name__
+    return outcomes
+
+
+def _transmits_that_drew() -> list[str]:
+    """Each transmit of a malformed block or sigma that did not raise, or that moved its
+    generator before it raised."""
+    cases = [(f"block {bad}", INPUTS[bad](114, False), 0.8) for bad in INPUTS
+             if bad not in ANY_LENGTH]
+    cases += [(f"sigma {sigma!r}", np.zeros(114, np.uint8), sigma)
+              for sigma in (np.nan, np.inf, 0.0, -0.8, 1e-200, 1e200, 1e-154, "0.8", None)]
+    drew = []
+    for case, block, sigma in cases:
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        try:
+            simulation.transmit(block, sigma, rng)
+            drew.append(f"{case}: accepted")
+        except (TypeError, ValueError):
+            if rng.bit_generator.state != state:
+                drew.append(case)
+    return drew
+
+
+def backend_results() -> dict:
+    """What the single-block functions give on this interpreter's backend, as JSON values;
+    ``tests/test_kernels.py`` compares it with a run without a compiler."""
+    return {"transcript": _exchange_transcript(), "malformed": _malformed_outcomes(),
+            "transmits that drew": _transmits_that_drew()}
+
+
+def test_a_rejected_transmit_leaves_its_generator_untouched():
+    # The bits and sigma are checked before the draw; the numpy backend runs this too,
+    # through backend_results in a fresh interpreter without a compiler.
+    assert _transmits_that_drew() == []
