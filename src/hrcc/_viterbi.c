@@ -47,6 +47,9 @@
 #define NEG_METRIC (-1.0e30)
 #define LANES 4
 
+/* The statuses of hrcc_viterbi, hrcc_channel and hrcc_encode; kernels.py mirrors them. */
+enum { HRCC_OK = 0, HRCC_NOT_BINARY = 1, HRCC_NOT_FINITE = 2, HRCC_NO_MEMORY = 3 };
+
 /* The scalar body for one code rate; always inlined, so that each call
  * below compiles with a constant n_out and a fully unrolled butterfly loop.
  * back: one word of decision bits per step.  Returns 1 if a final metric is not finite. */
@@ -239,8 +242,8 @@ int hrcc_viterbi_lanes(void)
  * table:  NULL, or the block code's 256 remainders, see lfsr(); then ok[f] = 1 if
  *         lfsr() of the first n bits of row f is 0, which, as every generator has
  *         a constant term, holds exactly when that word's parity matches.
- * Returns -1 if the scratch buffer cannot be allocated, else 1 if a frame's final path
- * metric is not finite (a value that the map reads is not, or the sums overflowed), else 0.
+ * Returns HRCC_NO_MEMORY, else HRCC_NOT_FINITE if a frame's final path metric is not
+ * finite (a value that the map reads is not, or the sums overflowed), else HRCC_OK.
  */
 int hrcc_viterbi(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width,
                  const int32_t *source, ptrdiff_t width, int n_out, const double *sym,
@@ -248,12 +251,12 @@ int hrcc_viterbi(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width,
 {
     const ptrdiff_t nsteps = width / n_out;
     if (nframes == 0 || nsteps == 0)
-        return 0;
+        return HRCC_OK;
     /* back: NSTATES bytes per step for the AVX2 body, or one word per step
      * for the scalar body; lanes follows it. */
     uint8_t *back = malloc(NSTATES * nsteps + LANES * nsteps * n_out * sizeof(double));
     if (back == NULL)
-        return -1;
+        return HRCC_NO_MEMORY;
     ptrdiff_t grouped = 0;
     int flagged = 0;
 #ifdef __x86_64__
@@ -273,7 +276,7 @@ int hrcc_viterbi(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width,
     if (table != NULL)
         for (ptrdiff_t f = 0; f < nframes; f++)
             ok[f] = lfsr(bits + f * nsteps, n, table) == 0;
-    return flagged;
+    return flagged ? HRCC_NOT_FINITE : HRCC_OK;
 }
 
 /* Two doubles, one SSE2 register on any x86-64 CPU; each lane runs the scalar
@@ -293,14 +296,14 @@ static inline double2 channel2(double2 z, double2 b, double sigma, double power)
 /* kernels.channel_np's numpy passes, in their order, in one loop: column j of out,
  * (nframes, width) standard normals, gets bit j of its row and the normal drawn at
  * column columns[j], read from a copy of the row; two columns per division, and the
- * last one of an odd width alone.  Returns -1 if a bit is not 0 or 1, -2 without
- * memory, else 0.  No branch on a bit: random bits mispredict. */
+ * last one of an odd width alone.  Returns HRCC_NOT_BINARY, HRCC_NO_MEMORY or
+ * HRCC_OK.  No branch on a bit: random bits mispredict. */
 int hrcc_channel(double *out, ptrdiff_t nframes, ptrdiff_t width, const uint8_t *bits,
                  const int32_t *columns, double sigma, double power)
 {
     double *normals = malloc(width * sizeof(double));
     if (normals == NULL)
-        return nframes && width ? -2 : 0;
+        return nframes && width ? HRCC_NO_MEMORY : HRCC_OK;
     unsigned seen = 0;
     for (ptrdiff_t f = 0; f < nframes; f++, out += width, bits += width) {
         memcpy(normals, out, width * sizeof(double));
@@ -317,7 +320,7 @@ int hrcc_channel(double *out, ptrdiff_t nframes, ptrdiff_t width, const uint8_t 
         }
     }
     free(normals);
-    return seen > 1 ? -1 : 0;
+    return seen > 1 ? HRCC_NOT_BINARY : HRCC_OK;
 }
 
 /* hrcc_encode with a constant n_out: nsteps inputs (the message, its parity first
@@ -355,7 +358,7 @@ encode1(const uint8_t *restrict msgs, ptrdiff_t nframes, ptrdiff_t k, ptrdiff_t 
  *          register window is w, bit i of w holding the input i steps back.
  * source:  entries (n_out per step, message, parity and tail) each -1 or a
  *          column of out, as in hrcc_viterbi; out: (nframes, width) coded bits.
- * Returns -1 if a message value is not 0 or 1, else 0. */
+ * Returns HRCC_NOT_BINARY if a message value is not 0 or 1, else HRCC_OK. */
 int hrcc_encode(const uint8_t *msgs, ptrdiff_t nframes, ptrdiff_t k,
                 const uint64_t *table, const uint8_t *outputs, int n_out,
                 const int32_t *source, ptrdiff_t entries, ptrdiff_t width, uint8_t *out)
@@ -363,7 +366,7 @@ int hrcc_encode(const uint8_t *msgs, ptrdiff_t nframes, ptrdiff_t k,
     unsigned seen = n_out == 2
         ? encode1(msgs, nframes, k, entries / 2, table, outputs, 2, source, width, out)
         : encode1(msgs, nframes, k, entries / 3, table, outputs, 3, source, width, out);
-    return seen > 1 ? -1 : 0;
+    return seen > 1 ? HRCC_NOT_BINARY : HRCC_OK;
 }
 
 /* hrcc_normals is numpy's standard normal fill (random_standard_normal in

@@ -23,7 +23,7 @@ or the load fails, the numpy kernels run.  ``BACKEND`` says which: ``"c"`` or ``
   operations in their order.  ``hrcc_normals`` (``normals_c``) draws the normals by numpy's
   own ziggurat through the generator's ``bitgen_t``, with a branch-free sign: the doubles of
   ``Generator.standard_normal`` (``normals_np``), and the same state after.  ``normals`` uses
-  it only if that held on a fixed seed at import (``NORMALS`` says which fill passed).
+  it from 192 values up, only if that held on a fixed seed at import (``NORMALS`` says which).
 
 A source map folds depuncturing into the decoder: entry c is the column of the soft batch
 that holds mother-code bit c, or -1 where puncturing deleted it, which reads as the erasure
@@ -33,11 +33,13 @@ Each check runs once.  The public kernels check what they are handed before any 
 reaches C: the batch shape (``bits.rows``), map bounds, buffer shape, dtype and layout, sigma
 (``check_sigma``) and soft values (``bits.finite``).  ``ChainKernel.encode`` and ``decode``
 take rows whose shape ``schemes`` checked, as a batch or as one block, and leave the values
-to C: ``hrcc_encode`` and ``hrcc_channel`` fail on a bit above 1 as they read it (other dtypes
-are cast and checked by ``bits.binary_uint8``), and ``hrcc_viterbi`` flags a frame whose final
-path metric is not finite.  Branch outputs are +-1 and a chain's map reads every coded column,
-so a NaN or infinity flags its frame; only then is the batch scanned (``bits.finite``), which
-passes finite values whose metrics overflowed.  The numpy backend scans first.
+to C: ``hrcc_encode`` and ``hrcc_channel`` return ``HRCC_NOT_BINARY`` for a bit above 1 (other
+dtypes are cast and checked by ``bits.binary_uint8``), and ``hrcc_viterbi`` ``HRCC_NOT_FINITE``
+for a frame whose final path metric is not finite.  Branch outputs are +-1 and a chain's map
+reads every coded column, so a NaN or infinity flags its frame; only then is the batch scanned
+(``bits.finite``), which passes finite values whose metrics overflowed.  The numpy backend
+scans first.  These statuses, with ``HRCC_OK`` and ``HRCC_NO_MEMORY``, are ``_viterbi.c``'s,
+mirrored here; only a nonzero one costs a Python call, ``_raise_status``.
 
 Trellis state packs the last four encoder inputs with the newest bit in
 bit 3: state s at time t is x[t-1]<<3 | x[t-2]<<2 | x[t-3]<<1 | x[t-4],
@@ -99,17 +101,13 @@ def viterbi_batch_np(soft: np.ndarray, syms: np.ndarray, source=None) -> np.ndar
     start and end in state zero; metric ties keep the branch whose oldest
     register bit is 0 so all-erasure input decodes to the all-zero word.
 
-    ``source``, if given, is the source map of a punctured batch: entry c
-    is the column of ``soft`` holding coded bit c, or -1 for a deleted bit,
-    which is decoded as an erasure (+0.0).  The map's length is then the
-    mother code's width, n*steps.  The identity map reads the columns in place.
+    ``source``, if given, is a source map, as the module describes, of the
+    mother code's width, n*steps: a -1 entry is decoded as an erasure (+0.0).
     """
     soft = _soft_rows(soft)
-    if source is not None:
-        source, _ = _checked_map(source, soft.shape[1])
-        if not np.array_equal(source, _identity_map(soft.shape[1])[0]):  # columns in order
-            # -1 picks the appended column of zeros.
-            soft = np.pad(soft, ((0, 0), (0, 1)))[:, source]
+    source, _ = _checked_map(source, soft.shape[1])
+    if not np.array_equal(source, _identity_map(soft.shape[1])[0]):  # else read in place
+        soft = np.pad(soft, ((0, 0), (0, 1)))[:, source]  # -1 picks the appended column of zeros
     nframes, width = soft.shape
     n_out = syms.shape[2]
     nsteps = _steps(width, n_out)
@@ -124,18 +122,19 @@ def viterbi_batch_np(soft: np.ndarray, syms: np.ndarray, source=None) -> np.ndar
     pm = np.full((nframes, 16), NEG_METRIC)
     pm[:, 0] = 0.0
     back = np.empty((nsteps, nframes, 16), dtype=np.uint8)
-    for t in range(nsteps):
-        seg = soft[:, t * n_out : (t + 1) * n_out]
-        m0 = seg[:, 0:1] * sym0[np.newaxis, :, 0]
-        m1 = seg[:, 0:1] * sym1[np.newaxis, :, 0]
-        for j in range(1, n_out):
-            m0 = m0 + seg[:, j : j + 1] * sym0[np.newaxis, :, j]
-            m1 = m1 + seg[:, j : j + 1] * sym1[np.newaxis, :, j]
-        c0 = pm[:, pred0] + m0
-        c1 = pm[:, pred1] + m1
-        pick1 = c1 > c0
-        pm = np.where(pick1, c1, c0)
-        back[t] = pick1
+    with np.errstate(over="ignore", invalid="ignore"):  # as C, finite values may overflow
+        for t in range(nsteps):
+            seg = soft[:, t * n_out : (t + 1) * n_out]
+            m0 = seg[:, 0:1] * sym0[np.newaxis, :, 0]
+            m1 = seg[:, 0:1] * sym1[np.newaxis, :, 0]
+            for j in range(1, n_out):
+                m0 = m0 + seg[:, j : j + 1] * sym0[np.newaxis, :, j]
+                m1 = m1 + seg[:, j : j + 1] * sym1[np.newaxis, :, j]
+            c0 = pm[:, pred0] + m0
+            c1 = pm[:, pred1] + m1
+            pick1 = c1 > c0
+            pm = np.where(pick1, c1, c0)
+            back[t] = pick1
 
     bits = np.empty((nframes, nsteps), dtype=np.uint8)
     state = np.zeros(nframes, dtype=np.int64)
@@ -203,19 +202,18 @@ def _load_c_library():
     except (OSError, AttributeError):  # no cc, failed build or load, missing symbol
         return None, None, None, None, None
     ptr, size, c_int = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int
-    for function, argtypes in zip(functions, (
+    for function, (restype, *argtypes) in zip(functions, (  # each: the result, the arguments
         # soft, nframes, in_width, source, width (map entries), n_out, sym, bits, table, n, ok
-        (ptr, size, size, ptr, size, c_int, ptr, ptr, ptr, size, ptr),
+        (c_int, ptr, size, size, ptr, size, c_int, ptr, ptr, ptr, size, ptr),
         # out, nframes, width, bits, columns, sigma, power
-        (ptr, size, size, ptr, ptr, ctypes.c_double, ctypes.c_double),
+        (c_int, ptr, size, size, ptr, ptr, ctypes.c_double, ctypes.c_double),
         # msgs, nframes, k, table, outputs, n_out, source, map entries, width, out
-        (ptr, size, size, ptr, ptr, c_int, ptr, size, size, ptr),
+        (c_int, ptr, size, size, ptr, ptr, c_int, ptr, size, size, ptr),
         # bitgen, n, out
-        (ptr, size, ptr),
-        (),
+        (None, ptr, size, ptr),
+        (c_int,),
     )):
-        function.restype, function.argtypes = c_int, argtypes
-    functions[3].restype = None  # hrcc_normals returns nothing
+        function.restype, function.argtypes = restype, argtypes
     return functions
 
 
@@ -241,7 +239,10 @@ def frozen(values, dtype=None) -> np.ndarray:
 
 
 def _checked_map(source, in_width: int, lowest: int = -1) -> tuple[np.ndarray, int]:
-    """``source`` as a pinned int32 map whose entries are columns of a row, or ``lowest``."""
+    """``source`` as a pinned int32 map whose entries are columns of a row, or ``lowest``;
+    ``None`` is the pinned identity."""
+    if source is None:
+        return _identity_map(in_width)
     source = np.asarray(source)
     if source.ndim != 1 or source.dtype.kind not in "iu":
         raise ValueError("a source map is a 1-D integer array")
@@ -293,7 +294,7 @@ def _channel_operands(out, bits, sigma, columns) -> tuple[np.ndarray, np.ndarray
     bits = _bit_rows(bits)
     width = bits.shape[-1]
     check_sigma(sigma, width)
-    columns, at = _identity_map(width) if columns is None else _checked_map(columns, width, 0)
+    columns, at = _checked_map(columns, width, 0)
     if not (bits.ndim == 2 and out.shape == bits.shape and columns.size == width
             and out.dtype == np.float64 and out.flags.c_contiguous and out.flags.writeable):
         raise ValueError(f"the channel fills a writable C-ordered float64 (frames, {width}) buffer "
@@ -325,6 +326,19 @@ _decoder, _channel, _encoder, _normals, _lanes = _load_c_library()
 BACKEND = "numpy" if _decoder is None else "c"
 LANES = _lanes() if _lanes else 0
 
+HRCC_OK, HRCC_NOT_BINARY, HRCC_NOT_FINITE, HRCC_NO_MEMORY = 0, 1, 2, 3  # as _viterbi.c has them
+
+
+def _raise_status(status: int, soft=None) -> None:
+    """Raise what a compiled call's nonzero ``status`` reports.  ``HRCC_NOT_FINITE`` scans
+    ``soft`` (``bits.finite``), which passes finite values whose metrics overflowed."""
+    if status == HRCC_NOT_FINITE:
+        finite(soft)
+    elif status == HRCC_NO_MEMORY:
+        raise MemoryError("no memory for a compiled kernel's scratch buffer")
+    else:
+        raise ValueError(NOT_BINARY)
+
 
 def viterbi_batch_c(soft: np.ndarray, syms: np.ndarray, source=None, chain=None):
     """Rates 1/2 and 1/3 of ``viterbi_batch_np`` in compiled C (``hrcc_viterbi``); the same bits.
@@ -337,16 +351,14 @@ def viterbi_batch_c(soft: np.ndarray, syms: np.ndarray, source=None, chain=None)
         return chain.decode(soft)
     soft = _soft_rows(soft)
     nframes, in_width = soft.shape
-    source, source_at = (
-        _identity_map(in_width) if source is None else _checked_map(source, in_width)
-    )
+    source, source_at = _checked_map(source, in_width)
     sym, sym_at = _butterfly_syms(syms)
     n_out = sym.shape[1]
     bits = np.empty((nframes, _steps(source.size, n_out)), dtype=np.uint8)
     # source and sym stay referenced here, so their addresses stay valid.
-    if _decoder(_address(soft), nframes, in_width, source_at, source.size, n_out, sym_at,
-                _address(bits), None, 0, None) < 0:
-        raise MemoryError("no memory for the Viterbi scratch buffer")
+    if status := _decoder(_address(soft), nframes, in_width, source_at, source.size, n_out,
+                          sym_at, _address(bits), None, 0, None):
+        _raise_status(status, soft)
     return bits
 
 
@@ -383,19 +395,18 @@ def normals(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """Fill the array ``out`` with ``rng``'s next standard normals; returns it.
 
     Through the fill that passed the import check, ``normals_c`` where ``NORMALS`` is ``"c"``,
-    but below 256 values through ``normals_np``, whose call costs less (3.1 against 3.9 µs for
-    a 114-value burst, ``BENCH_13.json``).  Both give the same doubles and leave the same state."""
-    return (_fill if out.size >= 256 else normals_np)(rng, out)
+    but below 192 values through ``normals_np``, whose call costs less (1.63 against 1.72 µs
+    for 114 values, 2.40 against 2.00 µs for 192).  Both give the same doubles and state."""
+    return (_fill if out.size >= 192 else normals_np)(rng, out)
 
 
 def channel_c(out: np.ndarray, bits, sigma: float, columns=None) -> np.ndarray:
     """``channel_np`` in one compiled loop (``hrcc_channel``); the same doubles."""
     bits, columns, columns_at = _channel_operands(out, bits, sigma, columns)
     # columns stays referenced here, so its address stays valid.
-    status = _channel(_address(out), *out.shape, _address(bits), columns_at, sigma, sigma * sigma)
-    if status:
-        raise (MemoryError("no memory for the channel's row copy") if status == -2
-               else ValueError(NOT_BINARY))
+    if status := _channel(_address(out), *out.shape, _address(bits), columns_at, sigma,
+                          sigma * sigma):
+        _raise_status(status)
     return out
 
 
@@ -434,9 +445,10 @@ class ChainKernel:
         if msgs.shape[1:] != (self.k,):  # what C reads must be there
             raise ValueError(f"a chain kernel encodes rows of {self.k}, not {msgs.shape}")
         out = np.empty((msgs.shape[0], self.width), np.uint8)
-        if _encoder(_address(msgs), msgs.shape[0], self.k, self._table_at, self._outputs_at,
-                    self.n_out, self._source_at, self._mother, self.width, _address(out)):
-            raise ValueError(NOT_BINARY)
+        if status := _encoder(_address(msgs), msgs.shape[0], self.k, self._table_at,
+                              self._outputs_at, self.n_out, self._source_at, self._mother,
+                              self.width, _address(out)):
+            _raise_status(status)
         return out
 
     def decode(self, softs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -448,13 +460,10 @@ class ChainKernel:
         nframes, nsteps = soft.shape[0], self._mother // self.n_out
         out = np.empty(nframes * (nsteps + 1), np.uint8)  # the bits, then each frame's ok
         at = _address(out)
-        status = _decoder(_address(soft), nframes, self.width, self._source_at, self._mother,
-                          self.n_out, self._branches_at, at, self._table_at, self.k + self.r,
-                          at + nframes * nsteps)
-        if status:
-            if status < 0:
-                raise MemoryError("no memory for the Viterbi scratch buffer")
-            finite(soft)  # else the metrics of finite values overflowed: the bits stand
+        if status := _decoder(_address(soft), nframes, self.width, self._source_at, self._mother,
+                              self.n_out, self._branches_at, at, self._table_at, self.k + self.r,
+                              at + nframes * nsteps):
+            _raise_status(status, soft)
         bits = out[: nframes * nsteps].reshape(nframes, nsteps)
         return bits[:, : self.k], out[nframes * nsteps :].view(np.bool_)
 

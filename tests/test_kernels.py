@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,18 @@ def test_bound_argument_lists_match_the_c_definitions():
                      [] if args.strip() == "void" else [_argtype(a) for a in args.split(",")])
               for result, name, args in definitions}
     assert params == {f.__name__: (f.restype, list(f.argtypes)) for f in functions}
+
+
+def test_status_constants_match_the_c_definitions():
+    # kernels turns each status of hrcc_viterbi, hrcc_channel and hrcc_encode into its
+    # exception by name, so a renumbered or added status in C must fail here, not raise
+    # the wrong exception.
+    statuses = re.findall(r"\b(HRCC_\w+) = (-?\d+)\b", kernels._C_SOURCE.read_text())
+    assert {name: int(value) for name, value in statuses} == {
+        name: value for name, value in vars(kernels).items() if name.startswith("HRCC_")}
+    assert sorted(name for name, _ in statuses) == [
+        "HRCC_NOT_BINARY", "HRCC_NOT_FINITE", "HRCC_NO_MEMORY", "HRCC_OK"]
+    assert len({value for _, value in statuses}) == len(statuses)  # one meaning per value
 
 
 @pytest.mark.parametrize("code", CODES)
@@ -331,7 +344,7 @@ def test_channel_rejects_maps_that_are_not_columns_of_the_bits(monkeypatch, bad)
 
 @pytest.mark.skipif(kernels.channel_c is None, reason="no compiled kernel")
 def test_compiled_channel_reports_a_failed_allocation(monkeypatch):
-    monkeypatch.setattr(kernels, "_channel", lambda *args: -2)
+    monkeypatch.setattr(kernels, "_channel", lambda *args: kernels.HRCC_NO_MEMORY)
     with pytest.raises(MemoryError, match="no memory"):
         kernels.channel_c(np.zeros((2, 4)), np.ones((2, 4), dtype=np.uint8), 0.8)
 
@@ -389,16 +402,17 @@ def test_chain_decoder_flags_a_value_that_is_not_finite_in_any_frame(scheme, bad
                 decode_block(scheme, rows[frame])
 
 
-@pytest.mark.skipif(kernels.ChainKernel is None, reason="no compiled kernel")
 @pytest.mark.parametrize("scheme", [SchemeId.STANDARD_456, SchemeId.M1_CS23_P13])
 def test_chain_decoder_keeps_the_bits_of_finite_values_whose_metrics_overflow(scheme):
     # The path metrics of values near the float maximum overflow to infinity: the flag
     # sends the batch to the scan, which passes it, and the bits are the numpy kernel's.
+    # Neither backend warns: the numpy kernel lets such sums overflow, as C does.
     chain = _CHAINS[scheme]
     soft = 1e308 * np.random.default_rng(42).choice([-1.0, 1.0], size=(6, chain.coded_bits))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         reference = kernels.viterbi_batch_np(soft, chain.code.branches, chain.source)
-    msgs, ok = decode_blocks(scheme, soft)
+        msgs, ok = decode_blocks(scheme, soft)
     k, r = chain.block.k, chain.block.r
     assert np.array_equal(msgs, reference[:, :k])
     assert np.array_equal(ok, chain.block.check_batch(reference[:, : k + r]))
@@ -531,17 +545,19 @@ def test_import_check_picks_numpys_fill_unless_the_fill_matches_it(monkeypatch):
 
 
 @pytest.mark.skipif(kernels.NORMALS != "c", reason="the compiled fill is not in use")
-def test_normals_hands_fills_below_256_values_to_numpy(monkeypatch):
-    for size in (1, 114, 255, 256, 457):
+def test_normals_draws_fills_of_192_values_and_more_through_the_compiled_fill(monkeypatch):
+    # transmit's 114-value bursts stay on numpy; run_bler's 228-value pieces reach C.
+    sizes = (1, 114, 191, 192, 228, 255, 256, 457)
+    for size in sizes:
         ours, numpys = np.random.default_rng(64), np.random.default_rng(64)
         drawn = kernels.normals(ours, np.empty(size)).tobytes()
         assert drawn == kernels.normals_np(numpys, np.empty(size)).tobytes()
         assert ours.bit_generator.state == numpys.bit_generator.state
-    sizes = []
-    monkeypatch.setattr(kernels, "_normals", lambda bitgen, n, out: sizes.append(n))
-    for size in (1, 114, 255, 256, 457):
+    drawn_by_c = []
+    monkeypatch.setattr(kernels, "_normals", lambda bitgen, n, out: drawn_by_c.append(n))
+    for size in sizes:
         kernels.normals(np.random.default_rng(64), np.empty(size))
-    assert sizes == [256, 457]
+    assert drawn_by_c == [192, 228, 255, 256, 457]
 
 
 # Prints the backend, test_single_block.backend_results() (argv[1] is the tests' directory)

@@ -7,7 +7,8 @@ malformed input below raises a ValueError, unless the function takes it
 and ``to_hex``).  NaN and infinite bits raise it too, with no warning first,
 which the suite's ``-W error`` setting would turn into the failure.
 A shape error names the block's own shape, and a function with a batch
-twin checks its scheme or mode once, in the twin.
+twin checks its scheme or mode once, at its own boundary, and then runs
+only the twin's body.
 """
 
 import hashlib
