@@ -28,9 +28,10 @@
  * a function attribute, not by a compiler flag, so the library loads on any
  * x86-64 CPU; hrcc_viterbi_lanes says whether this CPU runs it.
  *
- * The library also holds a chain's encoder, hrcc_encode, the channel,
- * hrcc_channel, and the channel's standard normal fill, hrcc_normals, each
- * bit-identical to the numpy stages it replaces; given a block code's table,
+ * The library also holds a chain's encoder, hrcc_encode, and the channel,
+ * hrcc_channel, which draws its own standard normals and applies them in one
+ * call; each is bit-identical to the numpy stages it replaces, and the channel
+ * leaves the generator as numpy's fill would.  Given a block code's table,
  * hrcc_viterbi also checks each decoded word.
  */
 
@@ -279,50 +280,6 @@ int hrcc_viterbi(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width,
     return flagged ? HRCC_NOT_FINITE : HRCC_OK;
 }
 
-/* Two doubles, one SSE2 register on any x86-64 CPU; each lane runs the scalar
- * operations in their order, and IEEE division is correctly rounded, so a lane
- * gets the scalar code's double. */
-typedef double double2 __attribute__((vector_size(16)));
-
-/* kernels.channel_np's numpy passes, in their order, on normals z and bits b. */
-static inline double2 channel2(double2 z, double2 b, double sigma, double power)
-{
-    double2 v = z * sigma;
-    v += 1.0 - 2.0 * b;
-    v *= 2.0;
-    return v / power;
-}
-
-/* kernels.channel_np's numpy passes, in their order, in one loop: column j of out,
- * (nframes, width) standard normals, gets bit j of its row and the normal drawn at
- * column columns[j], read from a copy of the row; two columns per division, and the
- * last one of an odd width alone.  Returns HRCC_NOT_BINARY, HRCC_NO_MEMORY or
- * HRCC_OK.  No branch on a bit: random bits mispredict. */
-int hrcc_channel(double *out, ptrdiff_t nframes, ptrdiff_t width, const uint8_t *bits,
-                 const int32_t *columns, double sigma, double power)
-{
-    double *normals = malloc(width * sizeof(double));
-    if (normals == NULL)
-        return nframes && width ? HRCC_NO_MEMORY : HRCC_OK;
-    unsigned seen = 0;
-    for (ptrdiff_t f = 0; f < nframes; f++, out += width, bits += width) {
-        memcpy(normals, out, width * sizeof(double));
-        ptrdiff_t j = 0;
-        for (; j + 2 <= width; j += 2) {
-            seen |= bits[j] | bits[j + 1];
-            const double2 v = channel2((double2){normals[columns[j]], normals[columns[j + 1]]},
-                                       (double2){bits[j], bits[j + 1]}, sigma, power);
-            memcpy(out + j, &v, sizeof v);
-        }
-        if (j < width) {
-            seen |= bits[j];
-            out[j] = channel2((double2){normals[columns[j]]}, (double2){bits[j]}, sigma, power)[0];
-        }
-    }
-    free(normals);
-    return seen > 1 ? HRCC_NOT_BINARY : HRCC_OK;
-}
-
 /* hrcc_encode with a constant n_out: nsteps inputs (the message, its parity first
  * bit highest, then zeros: the tail) shift through the register window, and each
  * step writes its outputs through the source map, a deleted one into a dummy byte. */
@@ -369,7 +326,7 @@ int hrcc_encode(const uint8_t *msgs, ptrdiff_t nframes, ptrdiff_t k,
     return seen > 1 ? HRCC_NOT_BINARY : HRCC_OK;
 }
 
-/* hrcc_normals is numpy's standard normal fill (random_standard_normal in
+/* normal() is numpy's standard normal draw (random_standard_normal in
  * numpy/random/src/distributions/distributions.c, the Marsaglia-Tsang
  * ziggurat, J. Stat. Softw. 5(8), 2000) with its 256-strip tables, which are
  * copied bit for bit from numpy 2.4.6's libnpyrandom.a.  numpy's random module
@@ -693,11 +650,50 @@ static inline double normal(const bitgen_t *g)
     }
 }
 
-/* bitgen: a numpy bitgen_t, whose lock the caller holds; out: n doubles, the
- * next n standard normals of numpy's Generator.standard_normal. */
-void hrcc_normals(void *bitgen, ptrdiff_t n, double *out)
+/* Two doubles, one SSE2 register on any x86-64 CPU; each lane runs the scalar
+ * operations in their order, and IEEE division is correctly rounded, so a lane
+ * gets the scalar code's double. */
+typedef double double2 __attribute__((vector_size(16)));
+
+/* kernels.channel_np's numpy passes, in their order, on normals z and bits b. */
+static inline double2 channel2(double2 z, double2 b, double sigma, double power)
+{
+    double2 v = z * sigma;
+    v += 1.0 - 2.0 * b;
+    v *= 2.0;
+    return v / power;
+}
+
+/* kernels.channel_np in one loop: bitgen, a numpy bitgen_t whose lock the caller
+ * holds, draws each row's width standard normals in order, as numpy's fill would,
+ * into one scratch row; then column j of out, (nframes, width), gets bit j of its
+ * row and the normal drawn at column columns[j], by numpy's passes in their order,
+ * two columns per division and the last one of an odd width alone.  Returns
+ * HRCC_NOT_BINARY, HRCC_NO_MEMORY or HRCC_OK.  No branch on a bit: random bits
+ * mispredict. */
+int hrcc_channel(void *bitgen, double *out, ptrdiff_t nframes, ptrdiff_t width,
+                 const uint8_t *bits, const int32_t *columns, double sigma, double power)
 {
     const bitgen_t g = *(const bitgen_t *)bitgen;
-    for (ptrdiff_t i = 0; i < n; i++)
-        out[i] = normal(&g);
+    double *normals = malloc(width * sizeof(double));
+    if (normals == NULL)
+        return nframes && width ? HRCC_NO_MEMORY : HRCC_OK;
+    unsigned seen = 0;
+    for (ptrdiff_t f = 0; f < nframes; f++, out += width, bits += width) {
+        for (ptrdiff_t j = 0; j < width; j++)
+            normals[j] = normal(&g);
+        ptrdiff_t j = 0;
+        for (; j + 2 <= width; j += 2) {
+            seen |= bits[j] | bits[j + 1];
+            const double2 v = channel2((double2){normals[columns[j]], normals[columns[j + 1]]},
+                                       (double2){bits[j], bits[j + 1]}, sigma, power);
+            memcpy(out + j, &v, sizeof v);
+        }
+        if (j < width) {
+            seen |= bits[j];
+            out[j] = channel2((double2){normals[columns[j]]}, (double2){bits[j]}, sigma, power)[0];
+        }
+    }
+    free(normals);
+    return seen > 1 ? HRCC_NOT_BINARY : HRCC_OK;
 }

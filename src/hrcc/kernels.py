@@ -1,4 +1,4 @@
-"""Hot inner loops: a chain's encoder and decoder, the channel and its noise, Viterbi decoding.
+"""Hot inner loops: a chain's encoder and decoder, the channel with its noise, Viterbi decoding.
 
 Each loop has a numpy kernel, the reference and the fallback, and a compiled one in the plain
 C file ``_viterbi.c`` next to this module.  On first import the system ``cc`` compiles it with
@@ -18,28 +18,29 @@ or the load fails, the numpy kernels run.  ``BACKEND`` says which: ``"c"`` or ``
   through the same map in one ``hrcc_viterbi`` call, which runs the LFSR over each decoded
   word too: its remainder is zero exactly when its parity matches.  The numpy references are
   ``BlockCode``'s parity and check, ``conv_encode_batch_np`` and ``viterbi_batch_np``.
-* ``hrcc_channel`` (``channel_c``; ``channel_np``; ``channel`` is the one that runs) adds
-  each bit, in coded order, to a normal read through a noise map, with ``channel_np``'s
-  operations in their order.  ``hrcc_normals`` (``normals_c``) draws the normals by numpy's
-  own ziggurat through the generator's ``bitgen_t``, with a branch-free sign: the doubles of
-  ``Generator.standard_normal`` (``normals_np``), and the same state after.  ``normals`` uses
-  it from 192 values up, only if that held on a fixed seed at import (``NORMALS`` says which).
+* ``hrcc_channel`` (``channel_c``; ``channel_np``) draws each row's normals by numpy's own
+  ziggurat through the generator's ``bitgen_t``, with a branch-free sign, and adds each bit, in
+  coded order, to a normal read through a noise map, with ``channel_np``'s operations in their
+  order: ``channel_np``'s doubles, which it draws by ``Generator.standard_normal``, and the
+  same generator state after.  ``channel``, the one that runs, is ``channel_c`` only if that
+  held on a fixed seed at import (``NORMALS`` says which).
 
 A source map folds depuncturing into the decoder: entry c is the column of the soft batch
 that holds mother-code bit c, or -1 where puncturing deleted it, which reads as the erasure
 +0.0; without a map the columns are read in order.  Constant tables are ``frozen``.
 
-Each check runs once.  The public kernels check what they are handed before any pointer
-reaches C: the batch shape (``bits.rows``), map bounds, buffer shape, dtype and layout, sigma
-(``check_sigma``) and soft values (``bits.finite``).  ``ChainKernel.encode`` and ``decode``
-take rows whose shape ``schemes`` checked, as a batch or as one block, and leave the values
-to C: ``hrcc_encode`` and ``hrcc_channel`` return ``HRCC_NOT_BINARY`` for a bit above 1 (other
-dtypes are cast and checked by ``bits.binary_uint8``), and ``hrcc_viterbi`` ``HRCC_NOT_FINITE``
-for a frame whose final path metric is not finite.  Branch outputs are +-1 and a chain's map
-reads every coded column, so a NaN or infinity flags its frame; only then is the batch scanned
-(``bits.finite``), which passes finite values whose metrics overflowed.  The numpy backend
-scans first.  These statuses, with ``HRCC_OK`` and ``HRCC_NO_MEMORY``, are ``_viterbi.c``'s,
-mirrored here; only a nonzero one costs a Python call, ``_raise_status``.
+Each check runs once.  The public kernels check what they are handed before any pointer reaches
+C: the batch shape (``bits.rows``), map bounds, buffer shape, dtype and layout, sigma
+(``check_sigma``), the channel's generator and soft values (``bits.finite``).
+``ChainKernel.encode`` and ``decode`` take rows whose shape ``schemes`` checked, as a batch or
+as one block, and leave the values to C: ``hrcc_encode`` and ``hrcc_channel`` return
+``HRCC_NOT_BINARY`` for a bit above 1 (other dtypes are cast and checked by
+``bits.binary_uint8``), and ``hrcc_viterbi`` ``HRCC_NOT_FINITE`` for a frame whose final path
+metric is not finite.  Branch outputs are +-1 and a chain's map reads every coded column, so a
+NaN or infinity flags its frame; only then is the batch scanned (``bits.finite``), which passes
+finite values whose metrics overflowed.  The numpy backend scans first.  These statuses, with
+``HRCC_OK`` and ``HRCC_NO_MEMORY``, are ``_viterbi.c``'s, mirrored here; only a nonzero one
+costs a Python call, ``_raise_status``.
 
 Trellis state packs the last four encoder inputs with the newest bit in
 bit 3: state s at time t is x[t-1]<<3 | x[t-2]<<2 | x[t-3]<<1 | x[t-4],
@@ -188,8 +189,8 @@ def _build(source: bytes, target: Path) -> None:
 
 
 def _load_c_library():
-    """(decoder, channel, encoder, normals, lanes): the library's functions, bound, built if
-    needed; on failure, five Nones."""
+    """(decoder, channel, encoder, lanes): the library's functions, bound, built if needed;
+    on failure, four Nones."""
     try:
         source = _C_SOURCE.read_bytes()
         digest = hashlib.sha256(source + " ".join(_C_FLAGS + _C_LIBS).encode()).hexdigest()
@@ -197,20 +198,17 @@ def _load_c_library():
         if not target.exists():
             _build(source, target)
         lib = ctypes.CDLL(str(target))
-        functions = (lib.hrcc_viterbi, lib.hrcc_channel, lib.hrcc_encode, lib.hrcc_normals,
-                     lib.hrcc_viterbi_lanes)
+        functions = (lib.hrcc_viterbi, lib.hrcc_channel, lib.hrcc_encode, lib.hrcc_viterbi_lanes)
     except (OSError, AttributeError):  # no cc, failed build or load, missing symbol
-        return None, None, None, None, None
+        return None, None, None, None
     ptr, size, c_int = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int
     for function, (restype, *argtypes) in zip(functions, (  # each: the result, the arguments
         # soft, nframes, in_width, source, width (map entries), n_out, sym, bits, table, n, ok
         (c_int, ptr, size, size, ptr, size, c_int, ptr, ptr, ptr, size, ptr),
-        # out, nframes, width, bits, columns, sigma, power
-        (c_int, ptr, size, size, ptr, ptr, ctypes.c_double, ctypes.c_double),
+        # bitgen, out, nframes, width, bits, columns, sigma, power
+        (c_int, ptr, ptr, size, size, ptr, ptr, ctypes.c_double, ctypes.c_double),
         # msgs, nframes, k, table, outputs, n_out, source, map entries, width, out
         (c_int, ptr, size, size, ptr, ptr, c_int, ptr, size, size, ptr),
-        # bitgen, n, out
-        (None, ptr, size, ptr),
         (c_int,),
     )):
         function.restype, function.argtypes = restype, argtypes
@@ -288,27 +286,35 @@ def check_sigma(sigma, width: int):
     return sigma
 
 
-def _channel_operands(out, bits, sigma, columns) -> tuple[np.ndarray, np.ndarray, int]:
+def _channel_operands(rng, out, bits, sigma, columns) -> tuple[np.ndarray, np.ndarray, int]:
     """(bits as C-ordered uint8, pinned noise map, its address), checked against ``out``,
-    and ``sigma`` by :func:`check_sigma` at their width."""
+    ``sigma`` by :func:`check_sigma` at their width, and ``rng``, all before anything is drawn."""
+    check_type(rng, np.random.Generator, "rng")  # a seed would fail deep in the draw
     bits = _bit_rows(bits)
     width = bits.shape[-1]
     check_sigma(sigma, width)
     columns, at = _checked_map(columns, width, 0)
-    if not (bits.ndim == 2 and out.shape == bits.shape and columns.size == width
+    is_array = isinstance(out, np.ndarray)
+    if not (is_array and bits.ndim == 2 and out.shape == bits.shape and columns.size == width
             and out.dtype == np.float64 and out.flags.c_contiguous and out.flags.writeable):
+        got = f"{out.shape} {out.dtype}" if is_array else type(out).__name__
         raise ValueError(f"the channel fills a writable C-ordered float64 (frames, {width}) buffer "
-                         f"from (frames, {width}) bits, not {out.shape} {out.dtype}")
+                         f"from (frames, {width}) bits, not {got}")
     return bits, columns, at
 
 
-def channel_np(out: np.ndarray, bits, sigma: float, columns=None) -> np.ndarray:
-    """Turn the standard normals z in ``out`` into 2y/sigma^2 for y = sigma*z + 1-2b; returns it.
+def channel_np(rng: np.random.Generator, out: np.ndarray, bits, sigma: float,
+               columns=None) -> np.ndarray:
+    """Fill ``out`` with 2y/sigma^2 for y = sigma*z + 1-2b, z ``rng``'s next standard normals,
+    drawn into ``out`` in row-major order by numpy's own fill; returns it.
 
     Column j of ``out`` gets bit j of its row of ``bits`` (0/1, else ValueError) and
-    the normal drawn at column ``columns[j]``, a column of ``out``, or at j without a map.
+    the normal drawn at column ``columns[j]`` of its row, or at j without a map.  The values
+    are those of ``2 * ((1-2b) + rng.normal(0, sigma)) / sigma**2``: ``normal`` returns
+    0.0 + sigma*z, which differs from sigma*z only in the sign of a zero, lost once +-1 is added.
     """
-    bits, columns, _ = _channel_operands(out, bits, sigma, columns)
+    bits, columns, _ = _channel_operands(rng, out, bits, sigma, columns)
+    rng.standard_normal(out=out)
     out[...] = np.take(out, columns, axis=1)
     out *= sigma
     out += antipodal(binary_uint8(bits))
@@ -317,12 +323,7 @@ def channel_np(out: np.ndarray, bits, sigma: float, columns=None) -> np.ndarray:
     return out
 
 
-def normals_np(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with ``rng``'s next standard normals, by numpy's own fill; returns it."""
-    return rng.standard_normal(out=out)
-
-
-_decoder, _channel, _encoder, _normals, _lanes = _load_c_library()
+_decoder, _channel, _encoder, _lanes = _load_c_library()
 BACKEND = "numpy" if _decoder is None else "c"
 LANES = _lanes() if _lanes else 0
 
@@ -362,52 +363,37 @@ def viterbi_batch_c(soft: np.ndarray, syms: np.ndarray, source=None, chain=None)
     return bits
 
 
-def normals_c(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """``normals_np`` in compiled C (``hrcc_normals``): the same doubles, and ``rng`` left in
-    the same state, for any numpy BitGenerator.
-
-    ``out`` must be a writable C-ordered float64 array, else ValueError."""
-    if not (isinstance(out, np.ndarray) and out.dtype == np.float64
-            and out.flags.c_contiguous and out.flags.writeable):
-        raise ValueError("the normal fill writes a writable C-ordered float64 array")
+def channel_c(rng: np.random.Generator, out: np.ndarray, bits, sigma: float,
+              columns=None) -> np.ndarray:
+    """``channel_np`` in one compiled call (``hrcc_channel``), which draws the normals too: the
+    same doubles, and ``rng`` left in the same state, for any numpy BitGenerator."""
+    bits, columns, columns_at = _channel_operands(rng, out, bits, sigma, columns)
     bitgen = rng.bit_generator
     with bitgen.lock:  # as numpy's own fill holds it
-        _normals(bitgen.ctypes.bit_generator.value, out.size, _address(out))
+        # columns stays referenced here, so its address stays valid.
+        status = _channel(bitgen.ctypes.bit_generator.value, _address(out), *out.shape,
+                          _address(bits), columns_at, sigma, sigma * sigma)
+    if status:
+        _raise_status(status)
     return out
 
 
-def _checked_fill(fill):
-    """``fill`` if it draws ``normals_np``'s doubles and leaves the same generator state
-    on a fixed seed, else ``normals_np``.
+def _checked_channel(candidate):
+    """``candidate`` if it gives ``channel_np``'s doubles and leaves the same generator state
+    on a fixed seed, else ``channel_np``.
 
     2**16 normals reach the tail beyond the ziggurat's last strip about 20 times.  They
     are drawn in pieces of 64 KB: a 512 KB buffer, once freed, raised the process's peak
     RSS by about 0.4 MB."""
     ours, numpys = np.random.default_rng(2000), np.random.default_rng(2000)
-    drawn, expect = np.empty(1 << 13), np.empty(1 << 13)
+    drawn, expect = np.empty((16, 512)), np.empty((16, 512))
+    bits = np.random.default_rng(2001).integers(0, 2, drawn.shape, np.uint8)
+    columns = np.arange(512)[::-1]  # so that each row is read through a map
     for _ in range(8):
-        if fill(ours, drawn).tobytes() != normals_np(numpys, expect).tobytes():
-            return normals_np
-    return fill if ours.bit_generator.state == numpys.bit_generator.state else normals_np
-
-
-def normals(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill the array ``out`` with ``rng``'s next standard normals; returns it.
-
-    Through the fill that passed the import check, ``normals_c`` where ``NORMALS`` is ``"c"``,
-    but below 192 values through ``normals_np``, whose call costs less (1.63 against 1.72 µs
-    for 114 values, 2.40 against 2.00 µs for 192).  Both give the same doubles and state."""
-    return (_fill if out.size >= 192 else normals_np)(rng, out)
-
-
-def channel_c(out: np.ndarray, bits, sigma: float, columns=None) -> np.ndarray:
-    """``channel_np`` in one compiled loop (``hrcc_channel``); the same doubles."""
-    bits, columns, columns_at = _channel_operands(out, bits, sigma, columns)
-    # columns stays referenced here, so its address stays valid.
-    if status := _channel(_address(out), *out.shape, _address(bits), columns_at, sigma,
-                          sigma * sigma):
-        _raise_status(status)
-    return out
+        if (candidate(ours, drawn, bits, 0.8, columns).tobytes()
+                != channel_np(numpys, expect, bits, 0.8, columns).tobytes()):
+            return channel_np
+    return candidate if ours.bit_generator.state == numpys.bit_generator.state else channel_np
 
 
 class ChainKernel:
@@ -469,10 +455,9 @@ class ChainKernel:
 
 
 if _decoder is None:
-    viterbi_batch_c = channel_c = normals_c = ChainKernel = None
+    viterbi_batch_c = channel_c = ChainKernel = None
 
 conv_encode_batch = conv_encode_batch_np
 viterbi_batch = viterbi_batch_c or viterbi_batch_np
-channel = channel_c or channel_np
-_fill = _checked_fill(normals_c) if normals_c else normals_np
-NORMALS = "c" if _fill is normals_c else "numpy"
+channel = _checked_channel(channel_c) if channel_c else channel_np
+NORMALS = "c" if channel is channel_c else "numpy"

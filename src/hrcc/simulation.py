@@ -22,6 +22,7 @@ from decoding frames past the one that meets its error quota.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,9 +47,12 @@ def check_seed(seed: int) -> int:
 def noise_sigma(ebno_db: float, info_rate: Fraction | float) -> float:
     """Noise standard deviation for unit-energy antipodal symbols.
 
-    ValueError unless Eb/N0 is finite, the rate in (0, 1] and sigma a positive float.
+    TypeError unless both are real numbers; ValueError unless Eb/N0 is finite, the rate
+    in (0, 1] and sigma a positive float.
     """
-    rate = float(info_rate)
+    # float() alone would take the rate "0.5", and a float32 point would run in float32.
+    ebno_db = float(check_type(ebno_db, numbers.Real, "ebno_db"))
+    rate = float(check_type(info_rate, numbers.Real, "info_rate"))
     if math.isfinite(ebno_db) and 0.0 < rate <= 1.0:
         try:
             return 1.0 / math.sqrt(2.0 * rate * 10.0 ** (ebno_db / 10.0))
@@ -71,32 +75,16 @@ def _channel_in_range(ebno_db: float, info_rate: Fraction, width: int) -> bool:
     return True
 
 
-def _awgn(bits: np.ndarray, sigma: float, rng: np.random.Generator, out: np.ndarray,
-          columns=None) -> np.ndarray:
-    """Fill ``out`` with 2y/sigma^2 for y = (1-2b) + n; returns it.
-
-    ``bits`` and ``out`` hold a row per frame.  Column j of ``out`` carries bit
-    j and the normal drawn at column ``columns[j]`` of its row, or at j without a map.
-
-    Same values as ``2.0 * ((1 - 2b) + rng.normal(0.0, sigma)) / sigma**2``:
-    ``normal`` draws the same standard normals z and returns 0.0 + sigma*z,
-    which differs from sigma*z only in the sign of a zero, and that sign is
-    lost once +-1 is added.
-    """
-    kernels.normals(rng, out)
-    return kernels.channel(out, bits, sigma, columns)
-
-
 def transmit(bits, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """One block over the channel: y = (1-2b) + n, returned as 2y/sigma^2.
 
     Like :func:`run_bler`, it takes only a sigma that ``kernels.check_sigma`` takes at
-    the block's length, and checks it before ``rng`` draws.
+    the block's length; ``kernels.channel`` checks it and ``rng`` before ``rng`` draws.
     """
-    check_type(rng, np.random.Generator, "rng")  # a seed would fail deep in the draw
+    # Its values are checked here, before anything is drawn.  The copy is writable, whose
+    # address costs less to take than a read-only block's (a Burst payload).
     arr = as_bit_array(bits)
-    kernels.check_sigma(sigma, arr.size)
-    return _awgn(arr[np.newaxis], sigma, rng, np.empty((1, arr.size)))[0]
+    return kernels.channel(rng, np.empty((1, arr.size)), arr[np.newaxis], sigma)[0]
 
 
 @dataclass(frozen=True)
@@ -139,9 +127,11 @@ def _point_rng(seed: int, scheme: SchemeId, ebno_db: float) -> np.random.Generat
 
 
 def _checked_points(scheme_list, ebno_points) -> list[float]:
-    """``ebno_points`` as floats, -0.0 as 0.0; ValueError naming the first scheme a point fails."""
+    """``ebno_points``, each a real number, as floats, -0.0 as 0.0; ValueError naming the first
+    scheme a point fails."""
     check_collection(ebno_points, "ebno_points")  # "24" would be the points 2 and 4
-    points = [float(p) + 0.0 for p in ebno_points]  # so equal points share one stream and one row
+    # float() alone would take "3" and b"3"; -0.0 + 0.0 is 0.0, so equal points share a stream.
+    points = [float(check_type(p, numbers.Real, "each Eb/N0 point")) + 0.0 for p in ebno_points]
     for scheme in scheme_list:
         check_type(scheme, SchemeId, "scheme")
         rate, width = schemes.info_rate(scheme), schemes.coded_bits(scheme)
@@ -202,7 +192,7 @@ def run_bler(
                 stop = min(chunk, start + piece)
                 sent = msgs[start:stop]
                 coded = schemes.encode_blocks(scheme, sent)
-                soft = _awgn(coded, sigma, rng, channel[start:stop], columns)
+                soft = kernels.channel(rng, channel[start:stop], coded, sigma, columns)
                 decoded, ok = schemes.decode_blocks(scheme, soft)
                 wrong = decoded != sent
                 err_flags = wrong.any(axis=1)

@@ -48,7 +48,7 @@ def test_compiled_kernel_is_active():
     # Otherwise every comparison below would check numpy against itself.
     assert kernels.BACKEND == hrcc.BACKEND == "c"
     assert kernels.viterbi_batch is kernels.viterbi_batch_c
-    assert kernels.NORMALS == "c"
+    assert kernels.channel is kernels.channel_c and kernels.NORMALS == "c"
     assert kernels.LANES == (4 if _cpu_has_avx2() else 1)
 
 
@@ -66,8 +66,7 @@ def test_kernel_source_builds_without_warnings_and_exports_one_decoder(tmp_path)
             ["nm", "-D", "--defined-only", str(library)], capture_output=True, text=True, check=True
         )
         defined = {line.split()[-1] for line in listing.stdout.splitlines() if line.strip()}
-        assert defined == {"hrcc_viterbi", "hrcc_viterbi_lanes", "hrcc_channel", "hrcc_encode",
-                           "hrcc_normals"}
+        assert defined == {"hrcc_viterbi", "hrcc_viterbi_lanes", "hrcc_channel", "hrcc_encode"}
 
 
 def _argtype(param: str):
@@ -92,6 +91,8 @@ def test_bound_argument_lists_match_the_c_definitions():
                      [] if args.strip() == "void" else [_argtype(a) for a in args.split(",")])
               for result, name, args in definitions}
     assert params == {f.__name__: (f.restype, list(f.argtypes)) for f in functions}
+    # Definitions that span lines are read whole: the channel's first argument is its bitgen_t.
+    assert len(params) == 4 and params["hrcc_channel"][1][:2] == [ctypes.c_void_p] * 2
 
 
 def test_status_constants_match_the_c_definitions():
@@ -282,7 +283,8 @@ def test_frozen_maps_are_checked_like_any_other(bad):
             decode(np.zeros((2, 228)), syms, kernels.frozen(bad))
     for channel in filter(None, [kernels.channel_np, kernels.channel_c]):
         with pytest.raises(ValueError, match="source map"):
-            channel(np.zeros((2, 4)), np.ones((2, 4), dtype=np.uint8), 0.8, kernels.frozen(bad))
+            channel(np.random.default_rng(0), np.zeros((2, 4)), np.ones((2, 4), dtype=np.uint8),
+                    0.8, kernels.frozen(bad))
 
 
 def _old_channel(z, bits, sigma, columns):
@@ -301,18 +303,19 @@ def test_channel_backends_give_the_old_channels_doubles(scheme, nframes, sigma):
     assert kernels.check_sigma(sigma, 456) == sigma
     dest = None if scheme is None else destinations(_CHAINS[scheme].interleave)
     width = 456 if dest is None else dest.size
-    rng = np.random.default_rng(nframes)
-    bits = rng.integers(0, 2, size=(nframes, width), dtype=np.uint8)
-    z = rng.standard_normal((nframes, width))
+    bits = np.random.default_rng(nframes).integers(0, 2, size=(nframes, width), dtype=np.uint8)
+    numpys = np.random.default_rng(nframes + 1)
+    z = numpys.standard_normal((nframes, width))
     # The old channel sent coded bit k in burst column dest[k], through the
     # inverse map; its burst-order output read through dest is coded order.
     expect = _old_channel(z, bits, sigma, None if dest is None else np.argsort(dest))
     if dest is not None:
         expect = expect[:, dest]
     for channel in filter(None, [kernels.channel_np, kernels.channel_c]):
-        out = z.copy()
-        assert channel(out, bits, sigma, dest) is out
+        rng, out = np.random.default_rng(nframes + 1), np.empty((nframes, width))
+        assert channel(rng, out, bits, sigma, dest) is out
         assert out.tobytes() == expect.tobytes()
+        assert rng.bit_generator.state == numpys.bit_generator.state
 
 
 def test_channel_backends_read_the_noise_through_any_map():
@@ -322,10 +325,11 @@ def test_channel_backends_read_the_noise_through_any_map():
     for width in (12, 13):
         columns = rng.integers(0, width, size=width)
         bits = rng.integers(0, 2, size=(5, width), dtype=np.uint8)
-        z = rng.standard_normal((5, width))
+        z = np.random.default_rng(width).standard_normal((5, width))
         expect = _old_channel(z[:, columns], bits, 0.8, None)
         for channel in filter(None, [kernels.channel_np, kernels.channel_c]):
-            assert channel(z.copy(), bits, 0.8, columns).tobytes() == expect.tobytes()
+            out = channel(np.random.default_rng(width), np.empty((5, width)), bits, 0.8, columns)
+            assert out.tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("bad", [[0, 1, -1, 3], [0, 1, 4, 2], [[0, 1], [2, 3]], [0.0, 1.0, 2, 3]])
@@ -333,12 +337,13 @@ def test_channel_rejects_maps_that_are_not_columns_of_the_bits(monkeypatch, bad)
     calls = []
     monkeypatch.setattr(kernels, "_channel", lambda *args: calls.append(args))
     for channel in filter(None, [kernels.channel_np, kernels.channel_c]):
-        out = np.zeros((2, 4))
+        rng, out = np.random.default_rng(0), np.zeros((2, 4))
+        state = rng.bit_generator.state
         with pytest.raises(ValueError, match="source map"):
-            channel(out, np.ones((2, 4), dtype=np.uint8), 0.8, np.array(bad))
+            channel(rng, out, np.ones((2, 4), dtype=np.uint8), 0.8, np.array(bad))
         with pytest.raises(ValueError, match="the channel fills"):  # one entry per column
-            channel(out, np.ones((2, 4), dtype=np.uint8), 0.8, np.arange(3))
-        assert not out.any()
+            channel(rng, out, np.ones((2, 4), dtype=np.uint8), 0.8, np.arange(3))
+        assert not out.any() and rng.bit_generator.state == state
     assert not calls  # rejected before C was called
 
 
@@ -346,7 +351,8 @@ def test_channel_rejects_maps_that_are_not_columns_of_the_bits(monkeypatch, bad)
 def test_compiled_channel_reports_a_failed_allocation(monkeypatch):
     monkeypatch.setattr(kernels, "_channel", lambda *args: kernels.HRCC_NO_MEMORY)
     with pytest.raises(MemoryError, match="no memory"):
-        kernels.channel_c(np.zeros((2, 4)), np.ones((2, 4), dtype=np.uint8), 0.8)
+        kernels.channel_c(np.random.default_rng(0), np.zeros((2, 4)),
+                          np.ones((2, 4), dtype=np.uint8), 0.8)
 
 
 @pytest.mark.parametrize("bad", [np.uint8(2), np.uint8(255), 0.5, 3.0])
@@ -358,7 +364,7 @@ def test_channel_backends_reject_bits_that_are_not_zero_or_one(scheme, bad):
     bits[2, width - 1] = bad
     for channel in filter(None, [kernels.channel_np, kernels.channel_c]):
         with pytest.raises(ValueError, match="only contain 0 and 1"):
-            channel(np.zeros((3, width)), bits, 0.8, columns)
+            channel(np.random.default_rng(0), np.zeros((3, width)), bits, 0.8, columns)
 
 
 @pytest.mark.parametrize("code, width", [(CONV_RATE_12, 9), (CONV_RATE_13, 10), (CONV_RATE_13, 8)])
@@ -430,13 +436,33 @@ def _read_only(arr):
     (np.zeros((4, 2)).T, np.ones((2, 4), dtype=np.uint8)),  # not C-ordered
     (_read_only(np.zeros((2, 4))), np.ones((2, 4), dtype=np.uint8)),
     (np.zeros(4), np.ones(4, dtype=np.uint8)),  # not a batch
+    ([[0.0] * 4] * 2, np.ones((2, 4), dtype=np.uint8)),  # not an array: raised AttributeError
 ])
 def test_channel_rejects_buffers_that_do_not_fit_the_bits(monkeypatch, out, bits):
     calls = []
     monkeypatch.setattr(kernels, "_channel", lambda *args: calls.append(args))
     for channel in filter(None, [kernels.channel_np, kernels.channel_c]):
+        rng = np.random.default_rng(63)
+        state = rng.bit_generator.state
         with pytest.raises(ValueError, match="the channel fills"):
-            channel(out, bits, 0.8)
+            channel(rng, out, bits, 0.8)
+        assert rng.bit_generator.state == state  # nothing drawn
+    assert not calls
+
+
+@pytest.mark.parametrize("bad", [3, None, np.random.PCG64(3), np.random.RandomState(3)])
+def test_channel_takes_only_a_generator(monkeypatch, bad):
+    # A seed where the Generator belongs failed deep in the draw; a bare BitGenerator
+    # is refused before it draws.
+    calls = []
+    monkeypatch.setattr(kernels, "_channel", lambda *args: calls.append(args))
+    for channel in filter(None, [kernels.channel_np, kernels.channel_c]):
+        out = np.zeros((2, 4))
+        with pytest.raises(TypeError, match="rng must be a Generator, got"):
+            channel(bad, out, np.ones((2, 4), dtype=np.uint8), 0.8)
+        assert not out.any()
+    if isinstance(bad, np.random.PCG64):
+        assert bad.state == np.random.PCG64(3).state
     assert not calls
 
 
@@ -447,11 +473,12 @@ def test_channel_rejects_a_sigma_that_is_not_finite_and_positive(monkeypatch, si
     calls = []
     monkeypatch.setattr(kernels, "_channel", lambda *args: calls.append(args))
     for channel in filter(None, [kernels.channel_np, kernels.channel_c]):
-        out = np.ones((2, 456))
+        rng, out = np.random.default_rng(0), np.ones((2, 456))
+        state = rng.bit_generator.state
         with pytest.raises(ValueError, match=r"sigma must be finite and positive, sigma\^2 finite "
                                              r"and nonzero and 2/sigma\^2 x 456 finite"):
-            channel(out, np.ones((2, 456), dtype=np.uint8), sigma)
-        assert (out == 1.0).all()
+            channel(rng, out, np.ones((2, 456), dtype=np.uint8), sigma)
+        assert (out == 1.0).all() and rng.bit_generator.state == state
     assert not calls
 
 
@@ -486,78 +513,56 @@ def test_compiled_decoder_hands_a_chain_batch_to_its_kernel():
 
 
 BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
-needs_normals_c = pytest.mark.skipif(kernels.normals_c is None, reason="no compiled kernel")
+needs_channel_c = pytest.mark.skipif(kernels.channel_c is None, reason="no compiled kernel")
 
 
-@needs_normals_c
+@needs_channel_c
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
-@pytest.mark.parametrize("shape", [0, 1, 114, 1_000_003, (512, 456)])
-def test_compiled_normals_are_numpys_and_leave_the_generator_in_step(bit_generator, shape):
+@pytest.mark.parametrize("shape", [(0, 114), (1, 0), (1, 1), (1, 114), (512, 456), (1, 1_000_003)])
+def test_compiled_channel_is_numpys_and_leaves_the_generator_in_step(bit_generator, shape):
+    # The compiled channel draws its normals itself, row by row; the doubles and the
+    # generator's next draws are those of numpy's own fill in channel_np.
     ours, numpys = (np.random.Generator(bit_generator(61)) for _ in range(2))
+    bits = np.random.default_rng(60).integers(0, 2, shape, np.uint8)
+    columns = np.arange(shape[1])[::-1]
     out = np.empty(shape)
-    assert kernels.normals_c(ours, out) is out
-    assert out.tobytes() == kernels.normals_np(numpys, np.empty(shape)).tobytes()
+    assert kernels.channel_c(ours, out, bits, 0.8, columns) is out
+    expect = kernels.channel_np(numpys, np.empty(shape), bits, 0.8, columns)
+    assert out.tobytes() == expect.tobytes()
     assert ours.integers(0, 2**62, 3).tolist() == numpys.integers(0, 2**62, 3).tolist()
     assert ours.random() == numpys.random()
     assert ours.standard_normal(5).tobytes() == numpys.standard_normal(5).tobytes()
 
 
-@needs_normals_c
-def test_compiled_normals_run_the_slow_paths():
+@needs_channel_c
+def test_compiled_channel_runs_the_slow_paths():
     # The fast path takes one 64-bit draw per value; the tail beyond r and the
     # wedge test take more, so the state runs ahead of n raw draws.
     rng, raw = np.random.Generator(np.random.PCG64(62)), np.random.PCG64(62)
-    out = kernels.normals_c(rng, np.empty(1_000_003))
+    out = kernels.channel_c(rng, np.empty((1, 1_000_003)), np.zeros((1, 1_000_003), np.uint8), 1.0)
     raw.random_raw(out.size)
-    assert np.abs(out).max() > 3.6541528853610087963519472518  # the tail's start, r
+    assert (out / 2.0 - 1.0).max() > 3.6541528853610087963519472518  # the tail's start, r
     assert rng.bit_generator.state != raw.state
 
 
-@needs_normals_c
-@pytest.mark.parametrize("out", [
-    _read_only(np.zeros(8)), np.zeros(16)[::2], np.zeros(8, dtype=np.float32),
-    np.zeros((4, 2)).T, [0.0] * 8,
-])
-def test_compiled_normals_reject_buffers_they_cannot_fill(out):
-    rng = np.random.default_rng(63)
-    state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="writable C-ordered float64"):
-        kernels.normals_c(rng, out)
-    assert rng.bit_generator.state == state
+def _flipped(rng, out, bits, sigma, columns=None):  # one value off
+    kernels.channel_np(rng, out, bits, sigma, columns)[-1, -1] *= -1.0
+    return out
 
 
-def test_import_check_picks_numpys_fill_unless_the_fill_matches_it(monkeypatch):
-    def flipped(rng, out):  # one value off
-        kernels.normals_np(rng, out)[-1] *= -1.0
-        return out
-
-    def ahead(rng, out):  # the right values, the generator one draw ahead
-        kernels.normals_np(rng, out)
-        rng.bit_generator.random_raw()
-        return out
-
-    for fill in (flipped, ahead):
-        assert kernels._checked_fill(fill) is kernels.normals_np
-    if kernels.normals_c is not None:
-        assert kernels._checked_fill(kernels.normals_c) is kernels.normals_c
-        monkeypatch.setattr(kernels, "_normals", lambda *args: None)  # a fill that draws nothing
-        assert kernels._checked_fill(kernels.normals_c) is kernels.normals_np
+def _ahead(rng, out, bits, sigma, columns=None):  # the right values, the generator a draw ahead
+    kernels.channel_np(rng, out, bits, sigma, columns)
+    rng.bit_generator.random_raw()
+    return out
 
 
-@pytest.mark.skipif(kernels.NORMALS != "c", reason="the compiled fill is not in use")
-def test_normals_draws_fills_of_192_values_and_more_through_the_compiled_fill(monkeypatch):
-    # transmit's 114-value bursts stay on numpy; run_bler's 228-value pieces reach C.
-    sizes = (1, 114, 191, 192, 228, 255, 256, 457)
-    for size in sizes:
-        ours, numpys = np.random.default_rng(64), np.random.default_rng(64)
-        drawn = kernels.normals(ours, np.empty(size)).tobytes()
-        assert drawn == kernels.normals_np(numpys, np.empty(size)).tobytes()
-        assert ours.bit_generator.state == numpys.bit_generator.state
-    drawn_by_c = []
-    monkeypatch.setattr(kernels, "_normals", lambda bitgen, n, out: drawn_by_c.append(n))
-    for size in sizes:
-        kernels.normals(np.random.default_rng(64), np.empty(size))
-    assert drawn_by_c == [192, 228, 255, 256, 457]
+def test_import_check_picks_numpys_channel_unless_the_channel_matches_it(monkeypatch):
+    for candidate in (_flipped, _ahead):
+        assert kernels._checked_channel(candidate) is kernels.channel_np
+    if kernels.channel_c is not None:
+        assert kernels._checked_channel(kernels.channel_c) is kernels.channel_c
+        monkeypatch.setattr(kernels, "_channel", lambda *args: 0)  # a channel that draws nothing
+        assert kernels._checked_channel(kernels.channel_c) is kernels.channel_np
 
 
 # Prints the backend, test_single_block.backend_results() (argv[1] is the tests' directory)

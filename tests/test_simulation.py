@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -120,6 +121,19 @@ def test_noise_sigma_takes_rate_one():
     assert noise_sigma(0.0, 1) == pytest.approx(math.sqrt(0.5))
 
 
+@pytest.mark.parametrize("ebno, rate, name", [(3.0, "0.5", "info_rate"), ("3", 0.5, "ebno_db"),
+                                               (3.0, None, "info_rate"), (3 + 0j, 0.5, "ebno_db")])
+def test_noise_sigma_takes_only_real_numbers(ebno, rate, name):
+    # The rate "0.5" passed float() and gave 0.708; the point "3" raised
+    # "must be real number, not str", which names no argument.
+    bad = rate if name == "info_rate" else ebno
+    with pytest.raises(TypeError, match=re.escape(f"{name} must be a Real, got {bad!r}")):
+        noise_sigma(ebno, rate)
+    assert noise_sigma(3, Fraction(1, 2)) == noise_sigma(3.0, 0.5)
+    # A float32 point is its float, not computed in float32 (that gave 0.70794577).
+    assert noise_sigma(np.float32(3.0), np.float64(0.5)) == noise_sigma(3.0, 0.5)
+
+
 @pytest.mark.parametrize("ebno", [math.inf, -math.inf, math.nan])
 def test_run_bler_rejects_non_finite_ebno(ebno):
     with pytest.raises(ValueError, match="finite"):
@@ -212,7 +226,7 @@ def test_run_bler_matches_the_whole_chunk_oracle(scheme):
     assert stops == {"quota", "floor"}
 
 
-def _reference_channel(bits, sigma, rng, out, columns=None):
+def _reference_channel(rng, out, bits, sigma, columns=None):
     # The channel as first written: fresh arrays and Generator.normal, the
     # noise drawn in burst order and read back through the map in coded order.
     noise = rng.normal(0.0, sigma, size=bits.shape)
@@ -241,7 +255,7 @@ def test_in_place_channel_matches_the_reference_expression(monkeypatch):
     # is reached inside the short chunk, at 6 dB it is not reached.
     assert 512 < reports[0].frames < 700 and reports[0].frame_errors == 110
     assert reports[1].frames == 700 and reports[1].frame_errors < 110
-    monkeypatch.setattr(simulation, "_awgn", _reference_channel)
+    monkeypatch.setattr(kernels, "channel", _reference_channel)
     ref_reports, ref_softs = run()
     assert reports == ref_reports
     # 3 dB: pieces of 110, 395 and 7 rows fill the first chunk and 46, 6
@@ -251,8 +265,30 @@ def test_in_place_channel_matches_the_reference_expression(monkeypatch):
 
     bits = np.random.default_rng(4).integers(0, 2, size=114, dtype=np.uint8)
     got = transmit(bits, 0.7, np.random.default_rng(5))
-    expect = _reference_channel(bits, 0.7, np.random.default_rng(5), None)
+    expect = _reference_channel(np.random.default_rng(5), None, bits, 0.7)
     assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.skipif(kernels.channel is not kernels.channel_c, reason="no compiled channel")
+def test_each_transmission_draws_its_noise_in_its_one_compiled_call(monkeypatch):
+    # No separate fill: the generator has not moved when the channel's one C call starts,
+    # whatever the size, and each run_bler piece is one such call.
+    rng, calls, pieces = np.random.default_rng(0), [], []
+    start = rng.bit_generator.state
+    compiled, decode = kernels._channel, schemes.decode_blocks
+
+    def channel(*args):
+        calls.append((args[2:4], rng.bit_generator.state == start))
+        return compiled(*args)
+
+    monkeypatch.setattr(kernels, "_channel", channel)
+    monkeypatch.setattr(schemes, "decode_blocks",
+                        lambda scheme, soft: pieces.append(soft.shape) or decode(scheme, soft))
+    transmit(np.zeros(114, np.uint8), 0.8, rng)
+    assert calls == [((1, 114), True)] and rng.bit_generator.state != start
+    calls.clear()
+    run_bler(SchemeId.M2_REDUCED, [3.0], min_frames=700, min_errors=110, seed=31)
+    assert [shape for shape, _ in calls] == pieces and len(pieces) == 6
 
 
 def test_run_bler_report_invariants():
@@ -328,6 +364,27 @@ def test_sweep_checks_every_point_before_any_runs(monkeypatch):
     with pytest.raises(TypeError, match="ebno_points must be a collection, not one int: 5"):
         run_bler(SchemeId.M2_REDUCED, 5, 10)
     assert not decoded
+
+
+@pytest.mark.parametrize("bad", ["3", b"3", None, 3 + 0j])
+def test_points_that_are_not_real_numbers_are_rejected_before_any_point_runs(monkeypatch, bad):
+    # "3" and b"3" passed float() and ran as 3 dB; None and 3+0j raised float()'s
+    # TypeError, which names no argument.
+    decoded = []
+    monkeypatch.setattr(schemes, "decode_blocks", lambda *args, **kwargs: decoded.append(args))
+    message = re.escape(f"each Eb/N0 point must be a Real, got {bad!r}")
+    with pytest.raises(TypeError, match=message):
+        run_bler(SchemeId.M2_REDUCED, [4.0, bad], 10, 5, 1)
+    with pytest.raises(TypeError, match=message):
+        sweep([SchemeId.M2_REDUCED], [4.0, bad], 10, 5, 1)
+    assert not decoded
+
+
+def test_points_may_be_any_real_number():
+    # A bool stays its integer; numpy floats and fractions are real numbers too.
+    want = run_bler(SchemeId.M2_REDUCED, [1.0, 3.0, 2.5], 10, 5, 1)
+    assert run_bler(SchemeId.M2_REDUCED, [True, np.float32(3.0), Fraction(5, 2)], 10, 5, 1) == want
+    assert sweep([SchemeId.M2_REDUCED], [True, np.int64(3), np.float64(2.5)], 10, 5, 1) == want
 
 
 def test_points_and_schemes_may_come_from_an_iterator_read_once():
