@@ -326,8 +326,8 @@ int hrcc_encode(const uint8_t *msgs, ptrdiff_t nframes, ptrdiff_t k,
     return seen > 1 ? HRCC_NOT_BINARY : HRCC_OK;
 }
 
-/* normal() is numpy's standard normal draw (random_standard_normal in
- * numpy/random/src/distributions/distributions.c, the Marsaglia-Tsang
+/* draw_row() and tail() are numpy's standard normal draw (random_standard_normal
+ * in numpy/random/src/distributions/distributions.c, the Marsaglia-Tsang
  * ziggurat, J. Stat. Softw. 5(8), 2000) with its 256-strip tables, which are
  * copied bit for bit from numpy 2.4.6's libnpyrandom.a.  numpy's random module
  * is dual-licensed under the University of Illinois/NCSA licence and the
@@ -618,13 +618,33 @@ typedef struct {
     uint64_t (*next_raw)(void *state);
 } bitgen_t;
 
-/* One standard normal, by numpy's steps in numpy's order, so that the
- * generator advances as under numpy's fill.  The one change: numpy negates x
- * on bit 8 of the draw with a branch, which a random bit mispredicts half the
- * time; here that bit is XORed into x's sign bit, the same negation. */
-static inline double normal(const bitgen_t *g)
+/* The tail beyond r, for a draw r of strip 0 that failed the fast test: numpy's
+ * loop over pairs of doubles; 1 - U avoids log(0). */
+static double tail(const bitgen_t *g, uint64_t rabs)
 {
     for (;;) {
+        const double xx = -ZIGGURAT_NOR_INV_R * log1p(-g->next_double(g->state));
+        const double yy = -log1p(-g->next_double(g->state));
+        if (yy + yy > xx * xx)
+            return (rabs >> 8) & 0x1 ? -(ZIGGURAT_NOR_R + xx) : ZIGGURAT_NOR_R + xx;
+    }
+}
+
+/* A row of width standard normals, by numpy's steps in numpy's order, so that
+ * the generator advances as under numpy's fill.  Each pass of the loop is one
+ * try of numpy's: a 64-bit draw, whose low byte picks a strip and whose value
+ * x is kept if it passes the fast test, else the tail's value (strip 0) or, if
+ * the wedge test with the next double accepts it, x.  Two changes, neither to a
+ * value or a draw:
+ * - numpy negates x on bit 8 of the draw with a branch, which a random bit
+ *   mispredicts half the time; here that bit is XORed into x's sign bit.
+ * - numpy branches on the wedge test, which waits on exp() and mispredicts
+ *   about half the time; here x is stored either way and the count of normals
+ *   grows by the test's outcome.  A try that the wedge rejects has taken its
+ *   two draws, and the next try draws afresh, as numpy's loop does. */
+static void draw_row(const bitgen_t *g, double *normals, ptrdiff_t width)
+{
+    for (ptrdiff_t n = 0; n < width;) {
         uint64_t r = g->next_uint64(g->state);
         const int idx = r & 0xff;
         r >>= 8;
@@ -634,20 +654,29 @@ static inline double normal(const bitgen_t *g)
         memcpy(&x_bits, &x, sizeof x);
         x_bits ^= r << 63;
         memcpy(&x, &x_bits, sizeof x);
+        normals[n] = x;
         if (rabs < ki_double[idx])
-            return x; /* 99.3% of the time */
-        if (idx == 0) {
-            for (;;) { /* the tail beyond r; 1 - U avoids log(0) */
-                const double xx = -ZIGGURAT_NOR_INV_R * log1p(-g->next_double(g->state));
-                const double yy = -log1p(-g->next_double(g->state));
-                if (yy + yy > xx * xx)
-                    return (rabs >> 8) & 0x1 ? -(ZIGGURAT_NOR_R + xx) : ZIGGURAT_NOR_R + xx;
-            }
-        }
-        if ((fi_double[idx - 1] - fi_double[idx]) * g->next_double(g->state) + fi_double[idx]
-            < exp(-0.5 * x * x))
-            return x;
+            n++; /* 98.5% of tries */
+        else if (idx == 0)
+            normals[n++] = tail(g, rabs);
+        else
+            n += (fi_double[idx - 1] - fi_double[idx]) * g->next_double(g->state) + fi_double[idx]
+                 < exp(-0.5 * x * x);
     }
+}
+
+/* 1 if each of the n bytes at bits is 0 or 1, read eight at a time. */
+static int binary(const uint8_t *bits, ptrdiff_t n)
+{
+    uint64_t seen = 0;
+    ptrdiff_t i = 0;
+    for (uint64_t w; i + 8 <= n; i += 8) {
+        memcpy(&w, bits + i, sizeof w);
+        seen |= w;
+    }
+    for (; i < n; i++)
+        seen |= bits[i];
+    return (seen & 0xfefefefefefefefe) == 0;
 }
 
 /* Two doubles, one SSE2 register on any x86-64 CPU; each lane runs the scalar
@@ -669,31 +698,28 @@ static inline double2 channel2(double2 z, double2 b, double sigma, double power)
  * into one scratch row; then column j of out, (nframes, width), gets bit j of its
  * row and the normal drawn at column columns[j], by numpy's passes in their order,
  * two columns per division and the last one of an odd width alone.  Returns
- * HRCC_NOT_BINARY, HRCC_NO_MEMORY or HRCC_OK.  No branch on a bit: random bits
- * mispredict. */
+ * HRCC_NOT_BINARY, before anything is drawn, if a bit is not 0 or 1, else
+ * HRCC_NO_MEMORY or HRCC_OK.  No branch on a bit: random bits mispredict. */
 int hrcc_channel(void *bitgen, double *out, ptrdiff_t nframes, ptrdiff_t width,
                  const uint8_t *bits, const int32_t *columns, double sigma, double power)
 {
+    if (!binary(bits, nframes * width))
+        return HRCC_NOT_BINARY;
     const bitgen_t g = *(const bitgen_t *)bitgen;
     double *normals = malloc(width * sizeof(double));
     if (normals == NULL)
         return nframes && width ? HRCC_NO_MEMORY : HRCC_OK;
-    unsigned seen = 0;
     for (ptrdiff_t f = 0; f < nframes; f++, out += width, bits += width) {
-        for (ptrdiff_t j = 0; j < width; j++)
-            normals[j] = normal(&g);
+        draw_row(&g, normals, width);
         ptrdiff_t j = 0;
         for (; j + 2 <= width; j += 2) {
-            seen |= bits[j] | bits[j + 1];
             const double2 v = channel2((double2){normals[columns[j]], normals[columns[j + 1]]},
                                        (double2){bits[j], bits[j + 1]}, sigma, power);
             memcpy(out + j, &v, sizeof v);
         }
-        if (j < width) {
-            seen |= bits[j];
+        if (j < width)
             out[j] = channel2((double2){normals[columns[j]]}, (double2){bits[j]}, sigma, power)[0];
-        }
     }
     free(normals);
-    return seen > 1 ? HRCC_NOT_BINARY : HRCC_OK;
+    return HRCC_OK;
 }

@@ -19,11 +19,11 @@ or the load fails, the numpy kernels run.  ``BACKEND`` says which: ``"c"`` or ``
   word too: its remainder is zero exactly when its parity matches.  The numpy references are
   ``BlockCode``'s parity and check, ``conv_encode_batch_np`` and ``viterbi_batch_np``.
 * ``hrcc_channel`` (``channel_c``; ``channel_np``) draws each row's normals by numpy's own
-  ziggurat through the generator's ``bitgen_t``, with a branch-free sign, and adds each bit, in
-  coded order, to a normal read through a noise map, with ``channel_np``'s operations in their
-  order: ``channel_np``'s doubles, which it draws by ``Generator.standard_normal``, and the
-  same generator state after.  ``channel``, the one that runs, is ``channel_c`` only if that
-  held on a fixed seed at import (``NORMALS`` says which).
+  ziggurat through the generator's ``bitgen_t``, with no branch on the sign or on the wedge
+  test's outcome, and adds each bit, in coded order, to a normal read through a noise map, with
+  ``channel_np``'s operations in their order: ``channel_np``'s doubles, which it draws by
+  ``Generator.standard_normal``, and the same generator state after.  ``channel``, the one that
+  runs, is ``channel_c`` only if that held on fixed seeds at import (``NORMALS`` says which).
 
 A source map folds depuncturing into the decoder: entry c is the column of the soft batch
 that holds mother-code bit c, or -1 where puncturing deleted it, which reads as the erasure
@@ -33,8 +33,8 @@ Each check runs once.  The public kernels check what they are handed before any 
 C: the batch shape (``bits.rows``), map bounds, buffer shape, dtype and layout, sigma
 (``check_sigma``), the channel's generator and soft values (``bits.finite``).
 ``ChainKernel.encode`` and ``decode`` take rows whose shape ``schemes`` checked, as a batch or
-as one block, and leave the values to C: ``hrcc_encode`` and ``hrcc_channel`` return
-``HRCC_NOT_BINARY`` for a bit above 1 (other dtypes are cast and checked by
+as one block, and leave the values to C: ``hrcc_encode`` and ``hrcc_channel`` (before it
+draws) return ``HRCC_NOT_BINARY`` for a bit above 1 (other dtypes are cast and checked by
 ``bits.binary_uint8``), and ``hrcc_viterbi`` ``HRCC_NOT_FINITE`` for a frame whose final path
 metric is not finite.  Branch outputs are +-1 and a chain's map reads every coded column, so a
 NaN or infinity flags its frame; only then is the batch scanned (``bits.finite``), which passes
@@ -266,7 +266,7 @@ def _butterfly_syms(syms) -> tuple[np.ndarray, int]:
 
 
 def _bit_rows(bits) -> np.ndarray:
-    """``bits`` as C-ordered uint8; the kernels check uint8 values as they read them."""
+    """``bits`` as C-ordered uint8; the kernels check uint8 values themselves."""
     bits = np.asarray(bits)
     return np.ascontiguousarray(bits if bits.dtype == np.uint8 else binary_uint8(bits))  # >= 1-D
 
@@ -314,10 +314,11 @@ def channel_np(rng: np.random.Generator, out: np.ndarray, bits, sigma: float,
     0.0 + sigma*z, which differs from sigma*z only in the sign of a zero, lost once +-1 is added.
     """
     bits, columns, _ = _channel_operands(rng, out, bits, sigma, columns)
+    bits = binary_uint8(bits)  # before the draw, so that a refused call leaves rng unmoved
     rng.standard_normal(out=out)
     out[...] = np.take(out, columns, axis=1)
     out *= sigma
-    out += antipodal(binary_uint8(bits))
+    out += antipodal(bits)
     out *= 2.0
     out /= sigma * sigma
     return out
@@ -379,21 +380,26 @@ def channel_c(rng: np.random.Generator, out: np.ndarray, bits, sigma: float,
 
 
 def _checked_channel(candidate):
-    """``candidate`` if it gives ``channel_np``'s doubles and leaves the same generator state
-    on a fixed seed, else ``channel_np``.
+    """``candidate`` if it gives ``channel_np``'s doubles and leaves the generator in step (the
+    same next raw words) on fixed seeds of PCG64 and MT19937, else ``channel_np``.
 
-    2**16 normals reach the tail beyond the ziggurat's last strip about 20 times.  They
-    are drawn in pieces of 64 KB: a 512 KB buffer, once freed, raised the process's peak
-    RSS by about 0.4 MB."""
-    ours, numpys = np.random.default_rng(2000), np.random.default_rng(2000)
+    PCG64, ``default_rng``'s type, draws 2**16 normals, which reach the tail beyond the
+    ziggurat's last strip about 20 times.  MT19937 builds each double from two 32-bit draws,
+    where PCG64 takes one 64-bit word, so it draws 4,096 more, about 60 of them through a
+    wedge or tail test.  The pieces take 64 KB: a 512 KB buffer, once freed, raised the
+    process's peak RSS by about 0.4 MB."""
     drawn, expect = np.empty((16, 512)), np.empty((16, 512))
     bits = np.random.default_rng(2001).integers(0, 2, drawn.shape, np.uint8)
     columns = np.arange(512)[::-1]  # so that each row is read through a map
-    for _ in range(8):
-        if (candidate(ours, drawn, bits, 0.8, columns).tobytes()
-                != channel_np(numpys, expect, bits, 0.8, columns).tobytes()):
+    for kind, pieces, rows in ((np.random.PCG64, 8, 16), (np.random.MT19937, 1, 8)):
+        ours, numpys = (np.random.Generator(kind(2000)) for _ in range(2))
+        for _ in range(pieces):
+            if (candidate(ours, drawn[:rows], bits[:rows], 0.8, columns).tobytes()
+                    != channel_np(numpys, expect[:rows], bits[:rows], 0.8, columns).tobytes()):
+                return channel_np
+        if ours.bit_generator.random_raw(2).tolist() != numpys.bit_generator.random_raw(2).tolist():
             return channel_np
-    return candidate if ours.bit_generator.state == numpys.bit_generator.state else channel_np
+    return candidate
 
 
 class ChainKernel:

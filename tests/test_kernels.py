@@ -363,8 +363,11 @@ def test_channel_backends_reject_bits_that_are_not_zero_or_one(scheme, bad):
     bits = np.zeros((3, width), dtype=np.asarray(bad).dtype)
     bits[2, width - 1] = bad
     for channel in filter(None, [kernels.channel_np, kernels.channel_c]):
+        rng, out = np.random.default_rng(0), np.zeros((3, width))
+        state = rng.bit_generator.state
         with pytest.raises(ValueError, match="only contain 0 and 1"):
-            channel(np.random.default_rng(0), np.zeros((3, width)), bits, 0.8, columns)
+            channel(rng, out, bits, 0.8, columns)
+        assert rng.bit_generator.state == state and not out.any()  # refused before the draw
 
 
 @pytest.mark.parametrize("code, width", [(CONV_RATE_12, 9), (CONV_RATE_13, 10), (CONV_RATE_13, 8)])
@@ -512,7 +515,8 @@ def test_compiled_decoder_hands_a_chain_batch_to_its_kernel():
             kernels.viterbi_batch_c(soft, syms, source, chain=chain.kernel)
 
 
-BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox,
+                  np.random.SFC64]
 needs_channel_c = pytest.mark.skipif(kernels.channel_c is None, reason="no compiled kernel")
 
 
@@ -532,6 +536,24 @@ def test_compiled_channel_is_numpys_and_leaves_the_generator_in_step(bit_generat
     assert ours.integers(0, 2**62, 3).tolist() == numpys.integers(0, 2**62, 3).tolist()
     assert ours.random() == numpys.random()
     assert ours.standard_normal(5).tobytes() == numpys.standard_normal(5).tobytes()
+
+
+@needs_channel_c
+@pytest.mark.parametrize("width", [*range(1, 10), 114, 228, 456])
+def test_compiled_channel_matches_numpy_where_rows_end_in_a_rejection(width):
+    # A row's last normal may take a wedge test, a rejected try or the tail, as about 1.5%
+    # of row ends do here (over 7 per width even at 456).  The row must end with numpy's
+    # value and leave the generator where numpy's fill of the whole batch leaves it.
+    rows = max(1, 4096 // width)
+    bits = np.random.default_rng(width).integers(0, 2, (rows, width), np.uint8)
+    for bit_generator in BIT_GENERATORS:
+        for seed in range(12):
+            ours, numpys = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+            out = kernels.channel_c(ours, np.empty((rows, width)), bits, 0.8)
+            expect = kernels.channel_np(numpys, np.empty((rows, width)), bits, 0.8)
+            assert out.tobytes() == expect.tobytes(), (bit_generator, seed)
+            ahead = ours.bit_generator.random_raw(2), numpys.bit_generator.random_raw(2)
+            assert ahead[0].tolist() == ahead[1].tolist()
 
 
 @needs_channel_c
@@ -556,8 +578,14 @@ def _ahead(rng, out, bits, sigma, columns=None):  # the right values, the genera
     return out
 
 
+def _flipped_on_mt19937(rng, out, bits, sigma, columns=None):  # right for every other type
+    if isinstance(rng.bit_generator, np.random.MT19937):
+        return _flipped(rng, out, bits, sigma, columns)
+    return kernels.channel_np(rng, out, bits, sigma, columns)
+
+
 def test_import_check_picks_numpys_channel_unless_the_channel_matches_it(monkeypatch):
-    for candidate in (_flipped, _ahead):
+    for candidate in (_flipped, _ahead, _flipped_on_mt19937):
         assert kernels._checked_channel(candidate) is kernels.channel_np
     if kernels.channel_c is not None:
         assert kernels._checked_channel(kernels.channel_c) is kernels.channel_c
