@@ -5,9 +5,10 @@ transmission order (index 0 is transmitted first).  Soft values are
 float64 arrays with the convention positive == bit 0 more likely and
 0.0 == erasure; :func:`antipodal` is the one map from bits to soft values.
 The array rules are stated here, once each: :func:`rows` for the shape of a batch,
-:func:`one_row` for one block's, :func:`binary_uint8` for bits and :func:`finite` for soft
-values.  A public function applies each once, at its boundary, and hands what it returns to
-bodies that do not check again.  Nothing here mutates its inputs.
+:func:`one_row` for one block's, :func:`binary_uint8` for bits, :func:`real_float64` for what a
+soft value is and how it becomes float64, and :func:`finite` for soft values.  A public function
+applies each once, at its boundary, and hands what it returns to bodies that do not check again.
+Nothing here mutates its inputs.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import numpy as np
 
 BURST_PAYLOAD_BITS = 114
 NOT_BINARY = "bit block may only contain 0 and 1"  # the compiled kernels' status code too
+
+_FLOAT64 = np.dtype(np.float64)  # the instance, which numpy takes faster than the type
 
 # The soft value of each bit value: +1 for 0, -1 for 1.
 _ANTIPODAL = np.array([1.0, -1.0])
@@ -80,6 +83,15 @@ def binary_uint8(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def real_float64(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as a C-ordered float64 array, itself if it already is one; TypeError naming its
+    dtype unless it is bool, integer or float, so str, bytes, complex and objects (a
+    ``Fraction``, None) are refused, not parsed, truncated or cast."""
+    if arr.dtype.kind not in "biuf":
+        raise TypeError(f"soft values must have a bool, integer or float dtype; got {arr.dtype}")
+    return np.ascontiguousarray(arr, _FLOAT64)
+
+
 def finite(values: np.ndarray) -> np.ndarray:
     """``values`` itself; ValueError unless every soft value is finite."""
     if not np.isfinite(values).all():
@@ -127,7 +139,7 @@ def as_bit_array(bits, length: int | None = None) -> np.ndarray:
 
 def as_soft_array(values, length: int | None = None) -> np.ndarray:
     """One block of finite soft values, ``length`` of them (None: any), as a fresh float64 array."""
-    return finite(_one_block(np.array(values, np.float64), length, "expected"))
+    return finite(real_float64(_one_block(np.asarray(values), length, "expected")).copy())
 
 
 def to_hex(bits) -> str:

@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import kernels
-from .bits import antipodal, binary_uint8, check_int, check_type, one_row, rows
+from .bits import antipodal, binary_uint8, check_int, check_type, one_row, real_float64, rows
 
 CONSTRAINT_LENGTH = 5
 TAIL_BITS = 4  # zero flushing bits that return the encoder to state 0
@@ -240,7 +240,7 @@ def puncture_batch(pattern: PuncturePattern, bits: np.ndarray) -> np.ndarray:
 
 def depuncture_batch(pattern: PuncturePattern, softs: np.ndarray) -> np.ndarray:
     """(frames, output_len) -> (frames, input_len), deleted bits as erasures (0.0)."""
-    softs = rows(softs, pattern.output_len, "the pattern depunctures")
+    softs = real_float64(rows(softs, pattern.output_len, "the pattern depunctures"))
     out = np.zeros((softs.shape[0], pattern.input_len), dtype=np.float64)
     out[:, pattern.kept_indices] = softs
     return out

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernels
 from .bits import (BURST_PAYLOAD_BITS, Burst, antipodal, as_soft_array, binary_uint8, check_type,
-                   finite, one_row, rows)
+                   finite, one_row, real_float64, rows)
 
 
 class InterleaveMode(Enum):
@@ -39,6 +39,7 @@ def _destinations(mode: InterleaveMode) -> np.ndarray:
 _DEST = {mode: kernels.frozen(_destinations(mode)) for mode in InterleaveMode}
 # The inverse permutation: stream column j carries coded bit _SOURCE[mode][j].
 _SOURCE = {mode: kernels.frozen(np.argsort(dest)) for mode, dest in _DEST.items()}
+_NO_VALUES = kernels.frozen(np.empty((1, 0)))
 
 
 def destinations(mode: InterleaveMode) -> np.ndarray:
@@ -56,8 +57,8 @@ def interleave(mode: InterleaveMode, block) -> list[np.ndarray]:
 def deinterleave(mode: InterleaveMode, subs) -> np.ndarray:
     """Exact inverse of :func:`interleave` on soft values: ``deinterleave_batch`` on one row."""
     width = check_type(mode, InterleaveMode, "mode").block_bits
-    stream = np.concatenate([one_row(sub, BURST_PAYLOAD_BITS, "each sub-block is") for sub in subs],
-                            axis=1, dtype=np.float64)
+    subs = [real_float64(one_row(sub, BURST_PAYLOAD_BITS, "each sub-block is")) for sub in subs]
+    stream = np.concatenate(subs or [_NO_VALUES], axis=1)  # no sub-blocks join to an empty block
     stream = finite(one_row(stream[0], width, f"{mode.value} permutes"))
     return stream.take(_DEST[mode], axis=1)[0]
 

@@ -4,9 +4,10 @@ Each loop has a numpy kernel, the reference and the fallback, and a compiled one
 C file ``_viterbi.c`` next to this module.  On first import the system ``cc`` compiles it with
 ``-O2 -ffp-contract=off -fPIC -shared``, linked with ``-lm``, into
 ``${XDG_CACHE_HOME:-~/.cache}/hrcc/_viterbi-<sha256 of source and flags>.so`` (written to a
-temporary file, then renamed into place; kernels built from other sources or flags are then
-deleted), and later imports load it through ``ctypes``.  If there is no compiler, or the build
-or the load fails, the numpy kernels run.  ``BACKEND`` says which: ``"c"`` or ``"numpy"``.
+temporary file, then renamed into place; kernels built from other sources or flags stay, so
+checkouts of different sources that share a cache each keep theirs), and later imports load it
+through ``ctypes``.  If there is no compiler, or the build or the load fails, the numpy kernels
+run.  ``BACKEND`` says which: ``"c"`` or ``"numpy"``.
 
 * ``hrcc_viterbi`` (``viterbi_batch_c``; ``viterbi_batch_np``) is the one decoder.  Where the
   CPU has AVX2 it decodes whole groups of four frames one per lane, and every other frame on
@@ -31,16 +32,19 @@ that holds mother-code bit c, or -1 where puncturing deleted it, which reads as 
 
 Each check runs once.  The public kernels check what they are handed before any pointer reaches
 C: the batch shape (``bits.rows``), map bounds, buffer shape, dtype and layout, sigma
-(``check_sigma``), the channel's generator and soft values (``bits.finite``).
-``ChainKernel.encode`` and ``decode`` take rows whose shape ``schemes`` checked, as a batch or
-as one block, and leave the values to C: ``hrcc_encode`` and ``hrcc_channel`` (before it
-draws) return ``HRCC_NOT_BINARY`` for a bit above 1 (other dtypes are cast and checked by
-``bits.binary_uint8``), and ``hrcc_viterbi`` ``HRCC_NOT_FINITE`` for a frame whose final path
-metric is not finite.  Branch outputs are +-1 and a chain's map reads every coded column, so a
-NaN or infinity flags its frame; only then is the batch scanned (``bits.finite``), which passes
-finite values whose metrics overflowed.  The numpy backend scans first.  These statuses, with
-``HRCC_OK`` and ``HRCC_NO_MEMORY``, are ``_viterbi.c``'s, mirrored here; only a nonzero one
-costs a Python call, ``_raise_status``.
+(``check_sigma``, whose float the channel uses), the channel's generator, and soft values,
+which ``bits.real_float64`` makes float64 after the shape rule (refusing str, bytes, complex
+and object values) and ``bits.finite`` scans.  ``ChainKernel.encode`` and ``decode`` take rows
+whose shape ``schemes`` checked, as a batch or as one block; ``decode`` makes them float64 by
+``bits.real_float64`` too, and both leave the values to C: ``hrcc_encode`` and
+``hrcc_channel`` (before it draws) return ``HRCC_NOT_BINARY`` for a bit above 1 (other dtypes
+are cast and checked by ``bits.binary_uint8``), and ``hrcc_viterbi`` ``HRCC_NOT_FINITE`` for a
+frame whose final path metric is not finite.  Branch outputs are +-1 and a chain's map reads
+every coded column, so a NaN or infinity flags its frame; only then is the batch scanned
+(``bits.finite``), which passes finite values whose metrics overflowed.  The numpy backend
+scans first.  These statuses, with ``HRCC_OK`` and ``HRCC_NO_MEMORY``, are ``_viterbi.c``'s,
+mirrored here, as ``NEG_METRIC`` is; only a nonzero status costs a Python call,
+``_raise_status``.
 
 Trellis state packs the last four encoder inputs with the newest bit in
 bit 3: state s at time t is x[t-1]<<3 | x[t-2]<<2 | x[t-3]<<1 | x[t-4],
@@ -51,7 +55,6 @@ possible predecessors are (ns&7)<<1 and ((ns&7)<<1)|1.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import hashlib
 import math
@@ -62,7 +65,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bits import NOT_BINARY, antipodal, binary_uint8, check_type, finite, rows
+from .bits import NOT_BINARY, antipodal, binary_uint8, check_type, finite, real_float64, rows
 
 # Stand-in for -inf that survives repeated branch-metric additions without
 # overflow; real metrics stay many orders of magnitude above it.
@@ -148,7 +151,7 @@ def viterbi_batch_np(soft: np.ndarray, syms: np.ndarray, source=None) -> np.ndar
 
 def _soft_rows(soft) -> np.ndarray:
     """A decoder's soft batch as C-ordered float64 rows; ValueError unless all finite."""
-    return finite(np.ascontiguousarray(rows(soft, None, "the Viterbi decoder reads"), np.float64))
+    return finite(real_float64(rows(soft, None, "the Viterbi decoder reads")))
 
 
 def _steps(width: int, n_out: int) -> int:
@@ -181,11 +184,6 @@ def _build(source: bytes, target: Path) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    # Kernels built from earlier sources or flags are never loaded again.
-    for stale in target.parent.glob("_viterbi-*.so"):
-        if stale != target:
-            with contextlib.suppress(OSError):
-                stale.unlink()
 
 
 def _load_c_library():
@@ -256,7 +254,7 @@ def _identity_map(width: int) -> tuple[np.ndarray, int]:
 
 def _butterfly_syms(syms) -> tuple[np.ndarray, int]:
     """The (8, n_out) outputs of a branch table's branches from state 2i under input 0, pinned."""
-    syms = np.asarray(syms, np.float64)
+    syms = real_float64(np.asarray(syms))
     if syms.shape[-1] not in (2, 3):
         raise ValueError(f"the compiled kernel decodes rates 1/2 and 1/3, not 1/{syms.shape[-1]}")
     syms = syms.reshape(16, 2, -1)
@@ -271,28 +269,38 @@ def _bit_rows(bits) -> np.ndarray:
     return np.ascontiguousarray(bits if bits.dtype == np.uint8 else binary_uint8(bits))  # >= 1-D
 
 
-def check_sigma(sigma, width: int):
-    """``sigma`` if it is a real number > 0 with sigma^2 finite and nonzero and 2/sigma^2 x
-    ``width`` finite, the one noise-level rule; else a TypeError or ValueError naming sigma.
+def check_sigma(sigma, width: int) -> float:
+    """``sigma`` as a float if it is a real number > 0 with sigma^2 finite and nonzero and
+    2/sigma^2 x ``width`` finite, the one noise-level rule; else a TypeError or ValueError
+    naming sigma.  The channel computes with that float, so a float32, a ``Fraction`` or an
+    int gives the doubles of its float.
 
     The receiver scales each value by 2/sigma^2 and the decoder sums a block's ``width`` values:
     a smaller sigma overflows the path metrics, a larger one sigma^2 (erasing every value)."""
-    if not isinstance(sigma, float):  # isinstance on numbers.Real alone takes about 1 us
+    value = sigma
+    # isinstance on numbers.Real alone takes about 1 us; numpy's float64, a float too, is
+    # converted, as its product warns on overflow.
+    if type(sigma) is not float:
         check_type(sigma, numbers.Real, "sigma")
-    power = sigma * sigma  # 0.0 if it underflows, so it is tested before the division
-    if not (sigma > 0.0 and 0.0 < power < math.inf and math.isfinite(2.0 / power * width)):
+        try:
+            value = float(sigma)
+        except OverflowError:  # an int beyond the floats, which the range test refuses
+            value = math.inf
+    power = value * value  # 0.0 if it underflows, so it is tested before the division
+    if not (value > 0.0 and 0.0 < power < math.inf and math.isfinite(2.0 / power * width)):
         raise ValueError(f"sigma must be finite and positive, sigma^2 finite and nonzero and "
                          f"2/sigma^2 x {width} finite; got {sigma!r}")
-    return sigma
+    return value
 
 
-def _channel_operands(rng, out, bits, sigma, columns) -> tuple[np.ndarray, np.ndarray, int]:
-    """(bits as C-ordered uint8, pinned noise map, its address), checked against ``out``,
-    ``sigma`` by :func:`check_sigma` at their width, and ``rng``, all before anything is drawn."""
+def _channel_operands(rng, out, bits, sigma,
+                      columns) -> tuple[np.ndarray, float, np.ndarray, int]:
+    """(bits as C-ordered uint8, ``sigma`` as :func:`check_sigma`'s float at their width, pinned
+    noise map, its address), checked against ``out`` and ``rng``, all before anything is drawn."""
     check_type(rng, np.random.Generator, "rng")  # a seed would fail deep in the draw
     bits = _bit_rows(bits)
     width = bits.shape[-1]
-    check_sigma(sigma, width)
+    sigma = check_sigma(sigma, width)
     columns, at = _checked_map(columns, width, 0)
     is_array = isinstance(out, np.ndarray)
     if not (is_array and bits.ndim == 2 and out.shape == bits.shape and columns.size == width
@@ -300,7 +308,7 @@ def _channel_operands(rng, out, bits, sigma, columns) -> tuple[np.ndarray, np.nd
         got = f"{out.shape} {out.dtype}" if is_array else type(out).__name__
         raise ValueError(f"the channel fills a writable C-ordered float64 (frames, {width}) buffer "
                          f"from (frames, {width}) bits, not {got}")
-    return bits, columns, at
+    return bits, sigma, columns, at
 
 
 def channel_np(rng: np.random.Generator, out: np.ndarray, bits, sigma: float,
@@ -313,7 +321,7 @@ def channel_np(rng: np.random.Generator, out: np.ndarray, bits, sigma: float,
     are those of ``2 * ((1-2b) + rng.normal(0, sigma)) / sigma**2``: ``normal`` returns
     0.0 + sigma*z, which differs from sigma*z only in the sign of a zero, lost once +-1 is added.
     """
-    bits, columns, _ = _channel_operands(rng, out, bits, sigma, columns)
+    bits, sigma, columns, _ = _channel_operands(rng, out, bits, sigma, columns)
     bits = binary_uint8(bits)  # before the draw, so that a refused call leaves rng unmoved
     rng.standard_normal(out=out)
     out[...] = np.take(out, columns, axis=1)
@@ -368,7 +376,7 @@ def channel_c(rng: np.random.Generator, out: np.ndarray, bits, sigma: float,
               columns=None) -> np.ndarray:
     """``channel_np`` in one compiled call (``hrcc_channel``), which draws the normals too: the
     same doubles, and ``rng`` left in the same state, for any numpy BitGenerator."""
-    bits, columns, columns_at = _channel_operands(rng, out, bits, sigma, columns)
+    bits, sigma, columns, columns_at = _channel_operands(rng, out, bits, sigma, columns)
     bitgen = rng.bit_generator
     with bitgen.lock:  # as numpy's own fill holds it
         # columns stays referenced here, so its address stays valid.
@@ -446,9 +454,10 @@ class ChainKernel:
     def decode(self, softs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(frames, width) soft rows -> ((frames, k) messages, ``BlockCode.check_batch`` of each
         decoded k + r bits), in one ``hrcc_viterbi`` call; ValueError for a flagged NaN or inf."""
-        soft = np.ascontiguousarray(softs, np.float64)
+        soft = np.asarray(softs)
         if soft.shape[1:] != (self.width,):  # what C reads must be there
             raise ValueError(f"a chain kernel decodes rows of {self.width}, not {soft.shape}")
+        soft = real_float64(soft)
         nframes, nsteps = soft.shape[0], self._mother // self.n_out
         out = np.empty(nframes * (nsteps + 1), np.uint8)  # the bits, then each frame's ok
         at = _address(out)

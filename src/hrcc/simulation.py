@@ -98,6 +98,7 @@ class BlerReport:
 
     def __post_init__(self):
         check_type(self.scheme, SchemeId, "scheme")
+        check_type(self.ebno_db, numbers.Real, "ebno_db")
         frames = check_int(self.frames, "frames", 1)
         errors = check_int(self.frame_errors, "frame_errors", 0, frames + 1)
         check_int(self.bit_errors, "bit_errors", 0)

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,6 +146,56 @@ def test_encoders_take_only_0_and_1(name, bad):
     entry, width = BATCH_ENTRY_POINTS[name]
     with pytest.raises(ValueError, match="only contain 0 and 1"):
         entry(np.pad(bad, ((0, 0), (0, (width or 5) - 5))))
+
+
+_M2_KERNEL = schemes._CHAINS[SchemeId.M2_REDUCED].kernel  # None without the C backend
+
+# Every soft entry point, as a function of one array, and the shape of soft values it takes.
+SOFT_ENTRY_POINTS = {
+    "schemes.decode_blocks": (lambda a: schemes.decode_blocks(SchemeId.M2_REDUCED, a), (2, 228)),
+    "schemes.decode_block": (lambda a: schemes.decode_block(SchemeId.M2_REDUCED, a), (228,)),
+    "coding.viterbi_decode": (lambda a: coding.viterbi_decode(CONV_RATE_12, a), (20,)),
+    "coding.viterbi_decode_batch": (lambda a: coding.viterbi_decode_batch(CONV_RATE_12, a),
+                                    (2, 20)),
+    "coding.depuncture_batch": (lambda a: coding.depuncture_batch(PUNCTURE_P12, a), (2, 228)),
+    "kernels.viterbi_batch_np": (lambda a: kernels.viterbi_batch_np(a, _SYMS), (2, 20)),
+    "kernels.viterbi_batch_c": (lambda a: kernels.viterbi_batch_c(a, _SYMS), (2, 20)),
+    "kernels.ChainKernel.decode": (lambda a: _M2_KERNEL.decode(a), (2, 228)),
+    "interleaving.deinterleave": (  # its two sub-blocks are the array's rows
+        lambda a: interleaving.deinterleave(InterleaveMode.MOD2, a), (2, 114)),
+    "interleaving.demap_burst": (interleaving.demap_burst, (114,)),
+    "bits.as_soft_array": (as_soft_array, (5,)),
+}
+TAKEN_DTYPES = ["bool", "int8", "int64", "uint8", "float16", "float32", "float64"]
+REFUSED_VALUES = {"str": "1", "bytes": b"1", "complex": 1 + 1j, "Fraction": Fraction(1, 2),
+                  "None": None}
+
+
+def _arrays(result) -> list[np.ndarray]:
+    if isinstance(result, schemes.DecodeOutcome):
+        return [result.message, np.asarray(result.ok)]
+    return list(result) if isinstance(result, tuple) else [result]
+
+
+@pytest.mark.parametrize("dtype", TAKEN_DTYPES + list(REFUSED_VALUES))
+@pytest.mark.parametrize("name", SOFT_ENTRY_POINTS)
+def test_soft_entry_points_take_only_real_dtypes(name, dtype):
+    # Each used to parse "1", cast b"1" and Fraction(1, 2), drop an imaginary part or fail
+    # inside numpy, each differently.
+    entry, shape = SOFT_ENTRY_POINTS[name]
+    if _M2_KERNEL is None and name in ("kernels.viterbi_batch_c", "kernels.ChainKernel.decode"):
+        pytest.skip("no compiled kernel")
+    if dtype in REFUSED_VALUES:
+        with pytest.raises(ValueError):  # the shape rule runs first
+            entry(np.full(shape + (1,), REFUSED_VALUES[dtype]))
+        with pytest.raises(TypeError, match=re.escape(
+                f"soft values must have a bool, integer or float dtype; "
+                f"got {np.asarray(REFUSED_VALUES[dtype]).dtype}")):
+            entry(np.full(shape, REFUSED_VALUES[dtype]))
+        return
+    soft = np.random.default_rng(31).integers(-3, 4, shape).astype(dtype)  # uint8 wraps
+    got, expect = _arrays(entry(soft)), _arrays(entry(soft.astype(np.float64)))
+    assert [(a.dtype, a.tolist()) for a in got] == [(a.dtype, a.tolist()) for a in expect]
 
 
 def test_burst_requires_114_bits():

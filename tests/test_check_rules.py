@@ -7,9 +7,11 @@ raised its own TypeError or called ``operator.index`` itself would state a
 second rule, which could drift from the first.  The array rules are
 ``bits.rows`` for the shape of a batch and of a single block,
 ``binary_uint8`` for bits (the compiled kernels report a bad bit by a
-status code, which they raise with ``bits.NOT_BINARY``) and ``finite``
-for soft values; their messages appear in no other module.  The tests
-parse ``src/hrcc/*.py`` with ``ast`` and run none of it.
+status code, which they raise with ``bits.NOT_BINARY``), ``real_float64``
+for what a soft value is and how it becomes float64, and ``finite`` for
+soft values; their messages appear in no other module, and no other
+module converts an input to float64 itself.  The tests parse
+``src/hrcc/*.py`` with ``ast`` and run none of it.
 """
 
 import ast
@@ -41,9 +43,11 @@ def test_only_bits_raises_type_errors_and_calls_operator_index():
     assert {what for module, _, what in found} == {"raise TypeError", "operator.index"}
 
 
-# The messages of the array rules: bits, soft values, a batch's shape and a single block's.
-ARRAY_MESSAGES = ("bit block may only contain 0 and 1", "soft values must be finite",
-                  "one row per frame; got shape", "one 1-D block of")
+# The messages of the array rules: bits, soft dtypes, soft values, a batch's shape and a single
+# block's.
+ARRAY_MESSAGES = ("bit block may only contain 0 and 1",
+                  "soft values must have a bool, integer or float dtype; got ",
+                  "soft values must be finite", "one row per frame; got shape", "one 1-D block of")
 
 
 def _array_messages(path: Path) -> set[tuple[str, int, str]]:
@@ -58,3 +62,31 @@ def test_only_bits_states_the_array_rules():
     found = set().union(*(_array_messages(path) for path in sorted(SRC.glob("*.py"))))
     assert {rule for rule in found if rule[0] != "bits"} == set()
     assert {message for _, _, message in found} == set(ARRAY_MESSAGES)  # not vacuous
+
+
+CONVERSIONS = {"asarray", "array", "ascontiguousarray", "concatenate"}
+
+
+def _names_float64(arg: ast.expr) -> bool:
+    """Whether ``arg`` names float64: ``np.float64``, ``"float64"``, a constant such as
+    ``_FLOAT64``, or the builtin ``float``."""
+    return ("float64" in ast.unparse(arg).lower()
+            or (isinstance(arg, ast.Name) and arg.id == "float"))
+
+
+def _float64_conversions(path: Path) -> set[tuple[str, int, str]]:
+    """(module, line, function) for each call in ``path`` of a numpy conversion that is handed
+    float64, as an argument or as ``dtype=``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in CONVERSIONS
+                and any(map(_names_float64, [*node.args, *(k.value for k in node.keywords)]))):
+            found.add((path.stem, node.lineno, node.func.attr))
+    return found
+
+
+def test_only_bits_converts_an_input_to_float64():
+    found = set().union(*(_float64_conversions(path) for path in sorted(SRC.glob("*.py"))))
+    assert {rule for rule in found if rule[0] != "bits"} == set()
+    assert {module for module, _, _ in found} == {"bits"}  # not vacuous

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,13 @@ def test_status_constants_match_the_c_definitions():
     assert sorted(name for name, _ in statuses) == [
         "HRCC_NOT_BINARY", "HRCC_NOT_FINITE", "HRCC_NO_MEMORY", "HRCC_OK"]
     assert len({value for _, value in statuses}) == len(statuses)  # one meaning per value
+
+
+def test_neg_metric_matches_the_c_definition():
+    # Both decoders start every state but 0 at NEG_METRIC, so their ties and overflows agree
+    # only while the two values do.
+    defined = re.findall(r"^#define NEG_METRIC \((\S+)\)$", kernels._C_SOURCE.read_text(), re.M)
+    assert [float(value) for value in defined] == [kernels.NEG_METRIC]
 
 
 @pytest.mark.parametrize("code", CODES)
@@ -469,10 +477,14 @@ def test_channel_takes_only_a_generator(monkeypatch, bad):
     assert not calls
 
 
-@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, 0.0, -0.8, 1e-200, 1e200, 1e-154])
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, 0.0, -0.8, 1e-200, 1e200, 1e-154,
+                                   pytest.param(np.float64(1e200), id="float64 1e200"),
+                                   pytest.param(10**400, id="10**400")])
 def test_channel_rejects_a_sigma_that_is_not_finite_and_positive(monkeypatch, sigma):
     # A NaN sigma gave all-NaN soft values; at 1e-200 and 1e200 sigma^2 is 0 or infinite;
     # at 1e-154 sigma^2 is subnormal and 2/sigma^2 overflows: the soft values were +-inf.
+    # numpy's float64 warned of the overflow first, and an int beyond the floats raised
+    # OverflowError, neither naming sigma.
     calls = []
     monkeypatch.setattr(kernels, "_channel", lambda *args: calls.append(args))
     for channel in filter(None, [kernels.channel_np, kernels.channel_c]):
@@ -483,6 +495,18 @@ def test_channel_rejects_a_sigma_that_is_not_finite_and_positive(monkeypatch, si
             channel(rng, out, np.ones((2, 456), dtype=np.uint8), sigma)
         assert (out == 1.0).all() and rng.bit_generator.state == state
     assert not calls
+
+
+@pytest.mark.parametrize("sigma", [np.float32(0.8), Fraction(4, 5)], ids=["float32", "Fraction"])
+def test_channel_backends_compute_with_the_float_of_sigma(sigma):
+    # sigma^2 of a float32 was rounded in float32, and a Fraction was computed in rationals
+    # (or refused by ctypes): both gave other doubles than their float.
+    bits = np.random.default_rng(64).integers(0, 2, (3, 456), dtype=np.uint8)
+    for channel in filter(None, [kernels.channel_np, kernels.channel_c]):
+        got, expect = np.empty((3, 456)), np.empty((3, 456))
+        channel(np.random.default_rng(65), got, bits, sigma)
+        channel(np.random.default_rng(65), expect, bits, float(sigma))
+        assert got.tobytes() == expect.tobytes()
 
 
 @pytest.mark.skipif(kernels.viterbi_batch_c is None, reason="no compiled kernel")
@@ -662,17 +686,19 @@ def test_cold_cache_builds_the_kernel_once(tmp_path):
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
-def test_build_deletes_kernels_of_other_sources(tmp_path):
+def test_build_leaves_kernels_of_other_sources_in_place(tmp_path):
+    # Checkouts of two sources that share one cache would otherwise delete each other's
+    # library and rebuild it at every alternate import.
     cache = tmp_path / "cache"
     (cache / "hrcc").mkdir(parents=True)
-    stale = cache / "hrcc" / "_viterbi-0000.so"
-    stale.write_bytes(b"built from an older source")
+    other = cache / "hrcc" / "_viterbi-0000.so"
+    other.write_bytes(b"built from another source")
     partial = cache / "hrcc" / "_viterbi-1111-abcd.tmp"
     partial.write_bytes(b"")
     backend, _, _ = _sweep_in_fresh_interpreter(cache, os.environ["PATH"])
     assert backend == "c"
-    assert not stale.exists() and partial.exists()
-    assert len(list((cache / "hrcc").glob("_viterbi-*.so"))) == 1
+    assert other.read_bytes() == b"built from another source" and partial.exists()
+    assert len(list((cache / "hrcc").glob("_viterbi-*.so"))) == 2
 
 
 def _ubsan_runtime() -> bool:

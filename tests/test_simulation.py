@@ -317,10 +317,11 @@ _REPORT = dict(scheme=SchemeId.STANDARD_456, ebno_db=2.0, frames=10, frame_error
     ("bit_errors", -1, ValueError, "bit_errors must be at least 0, got -1"),
     ("frames", 10.0, TypeError, "frames must be an integer, got 10.0"),
     ("scheme", "standard", TypeError, "scheme must be a SchemeId, got 'standard'"),
+    ("ebno_db", "x", TypeError, "ebno_db must be a Real, got 'x'"),
 ])
 def test_bler_report_checks_its_fields(field, bad, error, message):
     # frames=0 constructed, then .bler, .ci95_halfwidth and the CSV divided by zero;
-    # 11 errors in 10 frames reported a BLER of 1.1; "standard" failed in the CSV.
+    # 11 errors in 10 frames reported a BLER of 1.1; "standard" and "x" failed in the CSV.
     with pytest.raises(error, match=re.escape(message)):
         BlerReport(**{**_REPORT, field: bad})
 
