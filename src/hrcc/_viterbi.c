@@ -28,11 +28,11 @@
  * a function attribute, not by a compiler flag, so the library loads on any
  * x86-64 CPU; hrcc_viterbi_lanes says whether this CPU runs it.
  *
- * The library also holds a chain's encoder, hrcc_encode, and the channel,
+ * The library also holds a chain's encoder, hrcc_encode, the channel,
  * hrcc_channel, which draws its own standard normals and applies them in one
- * call; each is bit-identical to the numpy stages it replaces, and the channel
- * leaves the generator as numpy's fill would.  Given a block code's table,
- * hrcc_viterbi also checks each decoded word.
+ * call, and the message draw, hrcc_bits; each is bit-identical to the numpy
+ * stages it replaces, and both draws leave the generator as numpy's would.
+ * Given a block code's table, hrcc_viterbi also checks each decoded word.
  */
 
 #include <math.h>
@@ -722,4 +722,27 @@ int hrcc_channel(void *bitgen, double *out, ptrdiff_t nframes, ptrdiff_t width,
     }
     free(normals);
     return HRCC_OK;
+}
+
+/* numpy's Generator.integers(0, 2, n, np.uint8) (random_bounded_uint8_fill in
+ * distributions.c) into out, through bitgen, a numpy bitgen_t whose lock the
+ * caller holds.  For a range of two values, Lemire's method on buffered bytes
+ * never rejects (its threshold, (255 - 1) % 2, is 0), so each bit is bit 7 of
+ * one byte of successive next_uint32 draws, low byte first.  A call starts
+ * with an empty buffer, so a partial last word's unused bytes are dropped, as
+ * numpy drops them; a generator's own pending 32-bit half stays its own. */
+void hrcc_bits(void *bitgen, uint8_t *out, ptrdiff_t n)
+{
+    const bitgen_t g = *(const bitgen_t *)bitgen;
+    ptrdiff_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const uint32_t w = g.next_uint32(g.state) >> 7 & 0x01010101u;
+        out[i] = (uint8_t)w;
+        out[i + 1] = (uint8_t)(w >> 8);
+        out[i + 2] = (uint8_t)(w >> 16);
+        out[i + 3] = (uint8_t)(w >> 24);
+    }
+    if (i < n)
+        for (uint32_t w = g.next_uint32(g.state) >> 7; i < n; i++, w >>= 8)
+            out[i] = w & 1;
 }

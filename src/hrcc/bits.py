@@ -4,16 +4,18 @@ Hard bits travel as one-dimensional numpy uint8 arrays of 0/1 values in
 transmission order (index 0 is transmitted first).  Soft values are
 float64 arrays with the convention positive == bit 0 more likely and
 0.0 == erasure; :func:`antipodal` is the one map from bits to soft values.
-The array rules are stated here, once each: :func:`rows` for the shape of a batch,
-:func:`one_row` for one block's, :func:`binary_uint8` for bits, :func:`real_float64` for what a
-soft value is and how it becomes float64, and :func:`finite` for soft values.  A public function
-applies each once, at its boundary, and hands what it returns to bodies that do not check again.
-Nothing here mutates its inputs.
+The argument checks (:func:`check_type`, :func:`check_int`, :func:`check_collection`) name the
+argument and show its value by :func:`shown`.  The array rules are stated here, once each:
+:func:`rows` for the shape of a batch, :func:`one_row` for one block's, :func:`binary_uint8` for
+bits, :func:`real_float64` for what a soft value is and how it becomes float64, and
+:func:`finite` for soft values.  A public function applies each once, at its boundary, and hands
+what it returns to bodies that do not check again.  Nothing here mutates its inputs.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,6 +35,17 @@ class HexFormatError(ValueError):
     """Raised when a "LEN:HEX" string cannot be parsed back into bits."""
 
 
+def shown(value) -> str:
+    """``repr(value)`` for an argument's message, or, where Python's limit on the digits of an
+    int's text refuses it (an int of more digits, or a value holding one), its type and that limit,
+    so that the message still names the argument."""
+    try:
+        return repr(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        return f"<{type(value).__name__} beyond the {limit}-digit limit of int to str>"
+
+
 def check_type(value, kinds, name: str):
     """``value`` if it is an instance of ``kinds``, a type or a tuple of types; else a
     TypeError that names ``name`` and the types it accepts."""
@@ -41,7 +54,7 @@ def check_type(value, kinds, name: str):
     names = [kind.__name__ for kind in (kinds if isinstance(kinds, tuple) else (kinds,))]
     accepted = " or ".join("None" if n == "NoneType" else ("an " if n[0] in "AEIOUaeiou" else "a ")
                            + n for n in names)
-    raise TypeError(f"{name} must be {accepted}, got {value!r}")
+    raise TypeError(f"{name} must be {accepted}, got {shown(value)}")
 
 
 def check_int(value, name: str, low: int, high: int | None = None) -> int:
@@ -50,10 +63,11 @@ def check_int(value, name: str, low: int, high: int | None = None) -> int:
     try:
         number = operator.index(value)
     except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+        raise TypeError(f"{name} must be an integer, got {shown(value)}") from None
     if number < low or (high is not None and number >= high):
-        bound = f"be at least {low}" if high is None else f"lie in [{low}, {high})"
-        raise ValueError(f"{name} must {bound}, got {value!r}")
+        bound = (f"be at least {shown(low)}" if high is None
+                 else f"lie in [{shown(low)}, {shown(high)})")
+        raise ValueError(f"{name} must {bound}, got {shown(value)}")
     return number
 
 
@@ -61,7 +75,8 @@ def check_collection(value, name: str):
     """``value`` if it is iterable and not one ``str`` or ``bytes``, which iterates as its
     characters; else a TypeError that names ``name``."""
     if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
-        raise TypeError(f"{name} must be a collection, not one {type(value).__name__}: {value!r}")
+        raise TypeError(f"{name} must be a collection, not one {type(value).__name__}: "
+                        f"{shown(value)}")
     return value
 
 

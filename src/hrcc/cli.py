@@ -136,10 +136,10 @@ def _cmd_roundtrip(args) -> int:
     mode = interleave_mode(scheme)
     kbits = message_bits(scheme)
     errors = 0
-    # Batches of at most one simulation chunk bound the memory per batch.
+    # Batches of at most one simulation chunk, drawn into one buffer, bound the memory.
+    batch = np.empty((min(simulation._CHUNK_FRAMES, args.frames), kbits), np.uint8)
     for done in range(0, args.frames, simulation._CHUNK_FRAMES):
-        msgs = rng.integers(0, 2, size=(min(simulation._CHUNK_FRAMES, args.frames - done), kbits),
-                            dtype=np.uint8)
+        msgs = kernels.draw_bits(rng, batch[: args.frames - done])
         stream = antipodal(interleaving.interleave_batch(mode, encode_blocks(scheme, msgs)))
         decoded, ok = decode_blocks(scheme, interleaving.deinterleave_batch(mode, stream))
         errors += int((~ok | (decoded != msgs).any(axis=1)).sum())
@@ -273,6 +273,7 @@ def _cmd_info(args) -> int:
     print(f"backend={kernels.BACKEND}")
     print(f"c_path={paths[kernels.LANES]}")
     print(f"normals={kernels.NORMALS}")
+    print(f"bits={kernels.BITS}")
     print(f"numpy={np.__version__}")
     print(f"cpus={os.cpu_count()}")
     return 0

@@ -64,15 +64,18 @@ def deinterleave(mode: InterleaveMode, subs) -> np.ndarray:
 
 
 def interleave_batch(mode: InterleaveMode, blocks: np.ndarray) -> np.ndarray:
-    """(frames, block_bits) -> same shape, C-ordered, columns in burst-payload order."""
+    """(frames, block_bits) 0/1 bits -> uint8, same shape, C-ordered, columns in burst-payload
+    order."""
     width = check_type(mode, InterleaveMode, "mode").block_bits
-    return rows(blocks, width, f"{mode.value} permutes").take(_SOURCE[mode], axis=1)
+    return binary_uint8(rows(blocks, width, f"{mode.value} permutes")).take(_SOURCE[mode], axis=1)
 
 
 def deinterleave_batch(mode: InterleaveMode, streams: np.ndarray) -> np.ndarray:
-    """Exact inverse of :func:`interleave_batch`; the result is C-ordered."""
+    """Exact inverse of :func:`interleave_batch` on finite soft values; the result is C-ordered
+    float64."""
     width = check_type(mode, InterleaveMode, "mode").block_bits
-    return rows(streams, width, f"{mode.value} permutes").take(_DEST[mode], axis=1)
+    streams = finite(real_float64(rows(streams, width, f"{mode.value} permutes")))
+    return streams.take(_DEST[mode], axis=1)
 
 
 def map_to_burst(sub) -> Burst:

@@ -1,4 +1,5 @@
-"""Hot inner loops: a chain's encoder and decoder, the channel with its noise, Viterbi decoding.
+"""Hot inner loops: the message draw, a chain's encoder and decoder, the channel with its noise,
+Viterbi decoding.
 
 Each loop has a numpy kernel, the reference and the fallback, and a compiled one in the plain
 C file ``_viterbi.c`` next to this module.  On first import the system ``cc`` compiles it with
@@ -25,6 +26,11 @@ run.  ``BACKEND`` says which: ``"c"`` or ``"numpy"``.
   ``channel_np``'s operations in their order: ``channel_np``'s doubles, which it draws by
   ``Generator.standard_normal``, and the same generator state after.  ``channel``, the one that
   runs, is ``channel_c`` only if that held on fixed seeds at import (``NORMALS`` says which).
+* ``hrcc_bits`` (``draw_bits_c``; ``draw_bits_np``) draws message bits through the same
+  ``bitgen_t``: bit 7 of each byte of successive ``next_uint32`` draws, low byte first, which is
+  what ``Generator.integers(0, 2, shape, np.uint8)`` returns, and the same generator state after.
+  ``draw_bits`` is ``draw_bits_c`` only if that held on fixed seeds at import (``BITS`` says
+  which).  ``_checked`` is the one import check of both draws.
 
 A source map folds depuncturing into the decoder: entry c is the column of the soft batch
 that holds mother-code bit c, or -1 where puncturing deleted it, which reads as the erasure
@@ -32,7 +38,7 @@ that holds mother-code bit c, or -1 where puncturing deleted it, which reads as 
 
 Each check runs once.  The public kernels check what they are handed before any pointer reaches
 C: the batch shape (``bits.rows``), map bounds, buffer shape, dtype and layout, sigma
-(``check_sigma``, whose float the channel uses), the channel's generator, and soft values,
+(``check_sigma``, whose float the channel uses), each draw's generator, and soft values,
 which ``bits.real_float64`` makes float64 after the shape rule (refusing str, bytes, complex
 and object values) and ``bits.finite`` scans.  ``ChainKernel.encode`` and ``decode`` take rows
 whose shape ``schemes`` checked, as a batch or as one block; ``decode`` makes them float64 by
@@ -65,7 +71,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bits import NOT_BINARY, antipodal, binary_uint8, check_type, finite, real_float64, rows
+from .bits import (NOT_BINARY, antipodal, binary_uint8, check_type, finite, real_float64, rows,
+                   shown)
 
 # Stand-in for -inf that survives repeated branch-metric additions without
 # overflow; real metrics stay many orders of magnitude above it.
@@ -187,8 +194,8 @@ def _build(source: bytes, target: Path) -> None:
 
 
 def _load_c_library():
-    """(decoder, channel, encoder, lanes): the library's functions, bound, built if needed;
-    on failure, four Nones."""
+    """(decoder, channel, encoder, bits, lanes): the library's functions, bound, built if needed;
+    on failure, five Nones."""
     try:
         source = _C_SOURCE.read_bytes()
         digest = hashlib.sha256(source + " ".join(_C_FLAGS + _C_LIBS).encode()).hexdigest()
@@ -196,9 +203,10 @@ def _load_c_library():
         if not target.exists():
             _build(source, target)
         lib = ctypes.CDLL(str(target))
-        functions = (lib.hrcc_viterbi, lib.hrcc_channel, lib.hrcc_encode, lib.hrcc_viterbi_lanes)
+        functions = (lib.hrcc_viterbi, lib.hrcc_channel, lib.hrcc_encode, lib.hrcc_bits,
+                     lib.hrcc_viterbi_lanes)
     except (OSError, AttributeError):  # no cc, failed build or load, missing symbol
-        return None, None, None, None
+        return None, None, None, None, None
     ptr, size, c_int = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int
     for function, (restype, *argtypes) in zip(functions, (  # each: the result, the arguments
         # soft, nframes, in_width, source, width (map entries), n_out, sym, bits, table, n, ok
@@ -207,6 +215,8 @@ def _load_c_library():
         (c_int, ptr, ptr, size, size, ptr, ptr, ctypes.c_double, ctypes.c_double),
         # msgs, nframes, k, table, outputs, n_out, source, map entries, width, out
         (c_int, ptr, size, size, ptr, ptr, c_int, ptr, size, size, ptr),
+        # bitgen, out, n
+        (None, ptr, ptr, size),
         (c_int,),
     )):
         function.restype, function.argtypes = restype, argtypes
@@ -289,7 +299,7 @@ def check_sigma(sigma, width: int) -> float:
     power = value * value  # 0.0 if it underflows, so it is tested before the division
     if not (value > 0.0 and 0.0 < power < math.inf and math.isfinite(2.0 / power * width)):
         raise ValueError(f"sigma must be finite and positive, sigma^2 finite and nonzero and "
-                         f"2/sigma^2 x {width} finite; got {sigma!r}")
+                         f"2/sigma^2 x {width} finite; got {shown(sigma)}")
     return value
 
 
@@ -332,7 +342,24 @@ def channel_np(rng: np.random.Generator, out: np.ndarray, bits, sigma: float,
     return out
 
 
-_decoder, _channel, _encoder, _lanes = _load_c_library()
+def _check_draw(rng, out) -> None:
+    """Check a message draw's generator and buffer, before anything is drawn."""
+    check_type(rng, np.random.Generator, "rng")
+    is_array = isinstance(out, np.ndarray)
+    if not (is_array and out.dtype == np.uint8 and out.flags.c_contiguous and out.flags.writeable):
+        got = f"{out.shape} {out.dtype}" if is_array else type(out).__name__
+        raise ValueError(f"the message draw fills a writable C-ordered uint8 array, not {got}")
+
+
+def draw_bits_np(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with ``rng.integers(0, 2, out.shape, np.uint8)``: ``rng``'s next 0/1 bits in
+    row-major order; returns it."""
+    _check_draw(rng, out)
+    out[...] = rng.integers(0, 2, out.shape, np.uint8)
+    return out
+
+
+_decoder, _channel, _encoder, _bits, _lanes = _load_c_library()
 BACKEND = "numpy" if _decoder is None else "c"
 LANES = _lanes() if _lanes else 0
 
@@ -387,27 +414,57 @@ def channel_c(rng: np.random.Generator, out: np.ndarray, bits, sigma: float,
     return out
 
 
-def _checked_channel(candidate):
-    """``candidate`` if it gives ``channel_np``'s doubles and leaves the generator in step (the
-    same next raw words) on fixed seeds of PCG64 and MT19937, else ``channel_np``.
+def draw_bits_c(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """``draw_bits_np`` in one compiled call (``hrcc_bits``): the same bytes, and ``rng`` left in
+    the same state, for any numpy BitGenerator."""
+    _check_draw(rng, out)
+    bitgen = rng.bit_generator
+    with bitgen.lock:  # as numpy's own draw holds it
+        _bits(bitgen.ctypes.bit_generator.value, _address(out), out.size)
+    return out
 
-    PCG64, ``default_rng``'s type, draws 2**16 normals, which reach the tail beyond the
-    ziggurat's last strip about 20 times.  MT19937 builds each double from two 32-bit draws,
-    where PCG64 takes one 64-bit word, so it draws 4,096 more, about 60 of them through a
-    wedge or tail test.  The pieces take 64 KB: a 512 KB buffer, once freed, raised the
-    process's peak RSS by about 0.4 MB."""
-    drawn, expect = np.empty((16, 512)), np.empty((16, 512))
-    bits = np.random.default_rng(2001).integers(0, 2, drawn.shape, np.uint8)
-    columns = np.arange(512)[::-1]  # so that each row is read through a map
-    for kind, pieces, rows in ((np.random.PCG64, 8, 16), (np.random.MT19937, 1, 8)):
+
+def _checked(candidate, reference, calls):
+    """``candidate`` if it gives ``reference``'s bytes and leaves the generator in step (the same
+    next raw words) on fixed seeds, else ``reference``: the import check of each compiled draw.
+    ``calls`` pairs each BitGenerator type with the calls made in turn on a generator of it, each
+    a function of a draw and the generator that returns the array the draw filled."""
+    for kind, pieces in calls:
         ours, numpys = (np.random.Generator(kind(2000)) for _ in range(2))
-        for _ in range(pieces):
-            if (candidate(ours, drawn[:rows], bits[:rows], 0.8, columns).tobytes()
-                    != channel_np(numpys, expect[:rows], bits[:rows], 0.8, columns).tobytes()):
-                return channel_np
+        for call in pieces:
+            # The bytes are copied before the reference overwrites the shared buffer.
+            if call(candidate, ours).tobytes() != call(reference, numpys).tobytes():
+                return reference
         if ours.bit_generator.random_raw(2).tolist() != numpys.bit_generator.random_raw(2).tolist():
-            return channel_np
+            return reference
     return candidate
+
+
+def _channel_calls():
+    """The channel's import check.  PCG64, ``default_rng``'s type, draws 2**16 normals, which
+    reach the tail beyond the ziggurat's last strip about 20 times.  MT19937 builds each double
+    from two 32-bit draws, where PCG64 takes one 64-bit word, so it draws 4,096 more, about 60 of
+    them through a wedge or tail test.  The pieces share 64 KB: a 512 KB buffer, once freed,
+    raised the process's peak RSS by about 0.4 MB."""
+    out = np.empty((16, 512))
+    bits = np.random.default_rng(2001).integers(0, 2, out.shape, np.uint8)
+    columns = np.arange(512)[::-1]  # so that each row is read through a map
+
+    def rows(n):
+        return lambda channel, rng: channel(rng, out[:n], bits[:n], 0.8, columns)
+    return (np.random.PCG64, [rows(16)] * 8), (np.random.MT19937, [rows(8)])
+
+
+def _bits_calls():
+    """The message draw's import check: 1, 183, 5,760 and 7 bits take 1, 46, 1,440 and 2
+    ``next_uint32`` draws, so PCG64's pending 32-bit half is set by the first call and read by
+    the next, and three calls end in a partial word.  MT19937 draws 32 bits natively."""
+    out = np.empty(5760, np.uint8)
+
+    def bits(n):
+        return lambda draw, rng: draw(rng, out[:n])
+    pcg64, mt19937 = [bits(1), bits(183), bits(5760), bits(7)], [bits(183), bits(7)]
+    return (np.random.PCG64, pcg64), (np.random.MT19937, mt19937)
 
 
 class ChainKernel:
@@ -470,9 +527,11 @@ class ChainKernel:
 
 
 if _decoder is None:
-    viterbi_batch_c = channel_c = ChainKernel = None
+    viterbi_batch_c = channel_c = draw_bits_c = ChainKernel = None
 
 conv_encode_batch = conv_encode_batch_np
 viterbi_batch = viterbi_batch_c or viterbi_batch_np
-channel = _checked_channel(channel_c) if channel_c else channel_np
+channel = _checked(channel_c, channel_np, _channel_calls()) if channel_c else channel_np
 NORMALS = "c" if channel is channel_c else "numpy"
+draw_bits = _checked(draw_bits_c, draw_bits_np, _bits_calls()) if draw_bits_c else draw_bits_np
+BITS = "c" if draw_bits is draw_bits_c else "numpy"

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import coding, kernels
-from .bits import check_type, one_row, rows
+from .bits import check_type, one_row, rows, shown
 from .coding import (
     CONV_RATE_12,
     CONV_RATE_13,
@@ -48,7 +48,7 @@ def scheme_from_name(name: str) -> SchemeId:
         return SchemeId(name)
     except ValueError:
         known = ", ".join(s.value for s in SchemeId)
-        raise ValueError(f"unknown scheme {name!r}; known schemes: {known}") from None
+        raise ValueError(f"unknown scheme {shown(name)}; known schemes: {known}") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,10 +11,12 @@ each (scheme, Eb/N0 point) owns a private generator derived from the
 master seed, frames are consumed in a fixed chunked order, and the early
 stop is evaluated as if frames were processed one at a time.
 
-A point draws the messages of a chunk of up to 512 frames in one call,
-then sends and decodes the chunk in row pieces, drawing each piece's
-noise as it goes.  A chunk's messages precede all of its noise in the
-stream and piecewise normal draws continue one sequence, so the
+A point draws the messages of a chunk of up to 512 frames in one
+``kernels.draw_bits`` call, into one message buffer per ``run_bler`` call
+(the bits of ``Generator.integers(0, 2, shape, np.uint8)``, on either
+backend), then sends and decodes the chunk in row pieces, drawing each
+piece's noise as it goes.  A chunk's messages precede all of its noise in
+the stream and piecewise normal draws continue one sequence, so the
 reports do not depend on the piece sizes; the pieces only keep a point
 from decoding frames past the one that meets its error quota.
 """
@@ -29,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import interleaving, kernels, schemes
-from .bits import as_bit_array, check_collection, check_int, check_type
+from .bits import as_bit_array, check_collection, check_int, check_type, shown
 from .schemes import SchemeId
 
 DEFAULT_SEED = 12345
@@ -58,7 +60,7 @@ def noise_sigma(ebno_db: float, info_rate: Fraction | float) -> float:
             return 1.0 / math.sqrt(2.0 * rate * 10.0 ** (ebno_db / 10.0))
         except (OverflowError, ZeroDivisionError):
             pass
-    raise ValueError(f"no noise level at {ebno_db} dB and rate {info_rate}: Eb/N0 must be "
+    raise ValueError(f"no noise level at {ebno_db} dB and rate {shown(info_rate)}: Eb/N0 must be "
                      "finite, the rate in (0, 1] and sigma a positive float")
 
 
@@ -168,8 +170,10 @@ def run_bler(
     rate = schemes.info_rate(scheme)
     # Coded bit k meets the normal drawn at its burst position.
     columns = interleaving.destinations(schemes.interleave_mode(scheme))
-    # One channel buffer for every chunk: each is decoded before the next overwrites it.
-    channel = np.empty((min(_CHUNK_FRAMES, min_frames), nbits))
+    # One message and one channel buffer for every chunk: each is decoded before the next
+    # overwrites them.
+    rows = min(_CHUNK_FRAMES, min_frames)
+    msgs, channel = np.empty((rows, kbits), np.uint8), np.empty((rows, nbits))
     reports = []
     for ebno_db in points:
         sigma = noise_sigma(ebno_db, rate)
@@ -177,7 +181,7 @@ def run_bler(
         frames = errors = bit_errors = undetected = 0
         while frames < min_frames and errors < min_errors:
             chunk = min(_CHUNK_FRAMES, min_frames - frames)
-            msgs = rng.integers(0, 2, size=(chunk, kbits), dtype=np.uint8)
+            kernels.draw_bits(rng, msgs[:chunk])
             start = 0
             while start < chunk and errors < min_errors:
                 # Decode no further than the quota can need: at least the

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hrcc import coding, interleaving, kernels, schemes
+from hrcc import coding, interleaving, kernels, schemes, simulation
 from hrcc.bits import (
     Burst,
     HexFormatError,
@@ -15,6 +15,7 @@ from hrcc.bits import (
     check_int,
     check_type,
     from_hex,
+    shown,
     to_hex,
 )
 from hrcc.coding import CONV_RATE_12, PUNCTURE_P12, _sym_table, _tap_table
@@ -140,7 +141,8 @@ def test_batch_entry_points_take_one_row_per_frame(name):
 @pytest.mark.parametrize("bad", [[[2, 0, 0, 0, 0]], [[0.7, 1.2, 0, 0, 0]], [[-1, 0, 0, 0, 0]]])
 @pytest.mark.parametrize("name", ["coding.conv_encode_batch", "kernels.conv_encode_batch_np",
                                   "coding.FIRE_CODE.parity_batch",
-                                  "coding.PARITY20_CODE.check_batch", "schemes.encode_blocks"])
+                                  "coding.PARITY20_CODE.check_batch", "schemes.encode_blocks",
+                                  "interleaving.interleave_batch"])
 def test_encoders_take_only_0_and_1(name, bad):
     # Unchecked, the kernel encoded 2s as 2s and truncated 0.7 and 1.2 to bits.
     entry, width = BATCH_ENTRY_POINTS[name]
@@ -161,6 +163,8 @@ SOFT_ENTRY_POINTS = {
     "kernels.viterbi_batch_np": (lambda a: kernels.viterbi_batch_np(a, _SYMS), (2, 20)),
     "kernels.viterbi_batch_c": (lambda a: kernels.viterbi_batch_c(a, _SYMS), (2, 20)),
     "kernels.ChainKernel.decode": (lambda a: _M2_KERNEL.decode(a), (2, 228)),
+    "interleaving.deinterleave_batch": (
+        lambda a: interleaving.deinterleave_batch(InterleaveMode.MOD2, a), (2, 228)),
     "interleaving.deinterleave": (  # its two sub-blocks are the array's rows
         lambda a: interleaving.deinterleave(InterleaveMode.MOD2, a), (2, 114)),
     "interleaving.demap_burst": (interleaving.demap_burst, (114,)),
@@ -256,6 +260,47 @@ def test_check_int_bounds_are_low_inclusive_high_exclusive_none_unbounded(value,
 def test_check_type_names_the_argument_and_what_it_accepts(value, kinds, message):
     with pytest.raises(TypeError, match=re.escape(message)):
         check_type(value, kinds, "mode")
+
+
+BIG = 10**5000  # beyond Python's 4,300-digit limit of int to str
+LIMIT = "beyond the 4300-digit limit of int to str>"
+
+
+def test_shown_is_repr_within_the_digit_limit_and_type_and_limit_beyond_it():
+    assert shown(10**4299) == repr(10**4299) and shown("std4") == "'std4'"
+    assert shown(BIG) == f"<int {LIMIT}" and shown(-BIG) == f"<int {LIMIT}"
+    assert shown(Fraction(BIG, 3)) == f"<Fraction {LIMIT}"
+    assert shown([BIG]) == f"<list {LIMIT}"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: check_int(BIG, "seed", 0, 2**64), ValueError,
+     f"seed must lie in [0, {2**64}), got <int {LIMIT}"),
+    (lambda: check_int(-1, "frame_errors", 0, BIG), ValueError,
+     f"frame_errors must lie in [0, <int {LIMIT}), got -1"),
+    (lambda: check_int(-BIG, "frames", 1), ValueError,
+     f"frames must be at least 1, got <int {LIMIT}"),
+    (lambda: check_int(Fraction(BIG, 3), "frames", 1), TypeError,
+     f"frames must be an integer, got <Fraction {LIMIT}"),
+    (lambda: check_type(BIG, InterleaveMode, "mode"), TypeError,
+     f"mode must be an InterleaveMode, got <int {LIMIT}"),
+    (lambda: check_collection(BIG, "codes"), TypeError,
+     f"codes must be a collection, not one int: <int {LIMIT}"),
+    (lambda: kernels.check_sigma(BIG, 456), ValueError, f"x 456 finite; got <int {LIMIT}"),
+    (lambda: simulation.check_seed(BIG), ValueError, f"seed must lie in [0, {2**64}), got <int"),
+    (lambda: simulation.BlerReport(SchemeId.STANDARD_456, 1.0, BIG, -1, 0, 0), ValueError,
+     f"frame_errors must lie in [0, <int {LIMIT}), got -1"),
+    (lambda: simulation.BlerReport(SchemeId.STANDARD_456, 1.0, -BIG, 0, 0, 0), ValueError,
+     f"frames must be at least 1, got <int {LIMIT}"),
+    (lambda: schemes.scheme_from_name(BIG), ValueError, f"unknown scheme <int {LIMIT}"),
+], ids=["check_int value", "check_int bound", "check_int low", "check_int type", "check_type",
+        "check_collection", "check_sigma", "check_seed", "BlerReport bound", "BlerReport frames",
+        "scheme_from_name"])
+def test_check_helpers_name_an_argument_beyond_the_digit_limit(call, error, message):
+    # Each raised Python's own "Exceeds the limit (4300 digits)" ValueError, which names no
+    # argument.
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_check_type_returns_its_value():

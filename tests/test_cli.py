@@ -72,6 +72,7 @@ def test_info_command(capsys):
         "backend": kernels.BACKEND,
         "c_path": path,
         "normals": kernels.NORMALS,
+        "bits": kernels.BITS,
         "numpy": np.__version__,
         "cpus": str(os.cpu_count()),
     }
@@ -83,7 +84,7 @@ def test_info_says_numpy_fills_the_normals_without_a_compiler(tmp_path):
                PYTHONPATH=os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", "from hrcc.cli import main; main(['info'])"],
                             capture_output=True, text=True, env=env, check=True)
-    assert "backend=numpy\nc_path=none\nnormals=numpy\n" in result.stdout
+    assert "backend=numpy\nc_path=none\nnormals=numpy\nbits=numpy\n" in result.stdout
 
 
 def test_capacity_command(capsys):

@@ -124,6 +124,28 @@ def test_batch_permutations_are_c_ordered_and_follow_the_definition(mode):
             permute(mode, np.zeros(mode.block_bits))
 
 
+@pytest.mark.parametrize("mode", list(InterleaveMode))
+def test_batch_twins_apply_their_single_block_value_rules(mode):
+    # interleave_batch permuted 7s and deinterleave_batch strings and NaNs, which their
+    # single-block twins refuse.
+    width = mode.block_bits
+    for bad in (7, -1, 0.5):
+        with pytest.raises(ValueError, match="only contain 0 and 1"):
+            interleave_batch(mode, np.full((2, width), bad))
+        with pytest.raises(ValueError, match="only contain 0 and 1"):
+            interleave(mode, np.full(width, bad))
+    assert interleave_batch(mode, np.ones((2, width), bool)).dtype == np.uint8
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="soft values must be finite"):
+            deinterleave_batch(mode, np.full((2, width), bad))
+        with pytest.raises(ValueError, match="soft values must be finite"):
+            deinterleave(mode, list(np.full((mode.burst_count, 114), bad)))
+    for bad in ("1", b"1", 1 + 1j):
+        with pytest.raises(TypeError, match="soft values must have a bool, integer or float"):
+            deinterleave_batch(mode, np.full((2, width), bad))
+    assert deinterleave_batch(mode, np.ones((2, width), np.int8)).dtype == np.float64
+
+
 def test_map_to_burst_and_demap():
     rng = np.random.default_rng(33)
     sub = rng.integers(0, 2, size=114, dtype=np.uint8)

@@ -50,6 +50,7 @@ def test_compiled_kernel_is_active():
     assert kernels.BACKEND == hrcc.BACKEND == "c"
     assert kernels.viterbi_batch is kernels.viterbi_batch_c
     assert kernels.channel is kernels.channel_c and kernels.NORMALS == "c"
+    assert kernels.draw_bits is kernels.draw_bits_c and kernels.BITS == "c"
     assert kernels.LANES == (4 if _cpu_has_avx2() else 1)
 
 
@@ -67,7 +68,8 @@ def test_kernel_source_builds_without_warnings_and_exports_one_decoder(tmp_path)
             ["nm", "-D", "--defined-only", str(library)], capture_output=True, text=True, check=True
         )
         defined = {line.split()[-1] for line in listing.stdout.splitlines() if line.strip()}
-        assert defined == {"hrcc_viterbi", "hrcc_viterbi_lanes", "hrcc_channel", "hrcc_encode"}
+        assert defined == {"hrcc_viterbi", "hrcc_viterbi_lanes", "hrcc_channel", "hrcc_encode",
+                           "hrcc_bits"}
 
 
 def _argtype(param: str):
@@ -93,7 +95,8 @@ def test_bound_argument_lists_match_the_c_definitions():
               for result, name, args in definitions}
     assert params == {f.__name__: (f.restype, list(f.argtypes)) for f in functions}
     # Definitions that span lines are read whole: the channel's first argument is its bitgen_t.
-    assert len(params) == 4 and params["hrcc_channel"][1][:2] == [ctypes.c_void_p] * 2
+    assert len(params) == 5 and params["hrcc_channel"][1][:2] == [ctypes.c_void_p] * 2
+    assert params["hrcc_bits"] == (None, [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t])
 
 
 def test_status_constants_match_the_c_definitions():
@@ -608,13 +611,126 @@ def _flipped_on_mt19937(rng, out, bits, sigma, columns=None):  # right for every
     return kernels.channel_np(rng, out, bits, sigma, columns)
 
 
+def _checked_channel(candidate):
+    return kernels._checked(candidate, kernels.channel_np, kernels._channel_calls())
+
+
 def test_import_check_picks_numpys_channel_unless_the_channel_matches_it(monkeypatch):
     for candidate in (_flipped, _ahead, _flipped_on_mt19937):
-        assert kernels._checked_channel(candidate) is kernels.channel_np
+        assert _checked_channel(candidate) is kernels.channel_np
     if kernels.channel_c is not None:
-        assert kernels._checked_channel(kernels.channel_c) is kernels.channel_c
+        assert _checked_channel(kernels.channel_c) is kernels.channel_c
         monkeypatch.setattr(kernels, "_channel", lambda *args: 0)  # a channel that draws nothing
-        assert kernels._checked_channel(kernels.channel_c) is kernels.channel_np
+        assert _checked_channel(kernels.channel_c) is kernels.channel_np
+
+
+# --- the message draw -------------------------------------------------------
+
+needs_draw_bits_c = pytest.mark.skipif(kernels.draw_bits_c is None, reason="no compiled kernel")
+BIT_SHAPES = [(0,), (1,), (7,), (3, 90), (512, 90), (512, 184)]
+
+
+@needs_draw_bits_c
+@pytest.mark.parametrize("pending", [False, True], ids=["no pending half", "a pending half"])
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+def test_compiled_draw_is_numpys_in_bytes_and_generator_state(bit_generator, pending):
+    # Each call is numpy's: the same bytes, and after it the same state, whose has_uint32 and
+    # uinteger hold a 64-bit generator's pending 32-bit half; a partial word's unused bytes
+    # are dropped, and the pending half stays the generator's own.
+    ours, numpys = (np.random.Generator(bit_generator(64)) for _ in range(2))
+    if pending:
+        for rng in (ours, numpys):
+            rng.integers(0, 2**32, dtype=np.uint32)  # one next_uint32
+        assert ours.bit_generator.state.get("has_uint32", 1) == 1
+    for shape in BIT_SHAPES + BIT_SHAPES[::-1]:  # consecutive calls, odd counts among them
+        out = np.empty(shape, np.uint8)
+        assert kernels.draw_bits_c(ours, out) is out
+        assert out.tobytes() == numpys.integers(0, 2, shape, np.uint8).tobytes()
+        assert repr(ours.bit_generator.state) == repr(numpys.bit_generator.state)
+
+
+@needs_draw_bits_c
+def test_compiled_draw_fills_a_c_ordered_view_in_place():
+    # run_bler draws each chunk into the leading rows of one buffer.
+    buffer = np.full((4, 90), 7, np.uint8)
+    kernels.draw_bits_c(np.random.default_rng(66), buffer[:3])
+    expect = np.random.default_rng(66).integers(0, 2, (3, 90), np.uint8)
+    assert buffer[:3].tobytes() == expect.tobytes()
+    assert (buffer[3] == 7).all()
+
+
+@pytest.mark.parametrize("out", [
+    np.zeros((2, 4)), np.zeros((2, 4), np.int8), np.zeros((2, 4), bool),  # not uint8
+    np.zeros((4, 2), np.uint8).T,  # not C-ordered
+    np.zeros((2, 8), np.uint8)[:, ::2],  # strided rows
+    _read_only(np.zeros((2, 4), np.uint8)),
+    [[0] * 4] * 2,  # not an array
+], ids=["float64", "int8", "bool", "transposed", "strided", "read-only", "list"])
+def test_draw_rejects_buffers_it_cannot_fill(monkeypatch, out):
+    calls = []
+    monkeypatch.setattr(kernels, "_bits", lambda *args: calls.append(args))
+    for draw in filter(None, [kernels.draw_bits_np, kernels.draw_bits_c]):
+        rng = np.random.default_rng(67)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="the message draw fills a writable C-ordered uint8 "):
+            draw(rng, out)
+        assert rng.bit_generator.state == state  # nothing drawn
+        assert not np.asarray(out).any()
+    assert not calls
+
+
+@pytest.mark.parametrize("bad", [3, None, np.random.PCG64(3), np.random.RandomState(3)])
+def test_draw_takes_only_a_generator(monkeypatch, bad):
+    calls = []
+    monkeypatch.setattr(kernels, "_bits", lambda *args: calls.append(args))
+    for draw in filter(None, [kernels.draw_bits_np, kernels.draw_bits_c]):
+        out = np.zeros((2, 4), np.uint8)
+        with pytest.raises(TypeError, match="rng must be a Generator, got"):
+            draw(bad, out)
+        assert not out.any()
+    if isinstance(bad, np.random.PCG64):
+        assert bad.state == np.random.PCG64(3).state
+    assert not calls
+
+
+def _draw_flipped(rng, out):  # one bit off
+    kernels.draw_bits_np(rng, out).reshape(-1)[-1:] ^= 1
+    return out
+
+
+def _draw_ahead(rng, out):  # the right bits, the generator a draw ahead
+    kernels.draw_bits_np(rng, out)
+    rng.bit_generator.random_raw()
+    return out
+
+
+def _draw_dropping_the_pending_half(rng, out):  # the right bits, then the pending half lost
+    kernels.draw_bits_np(rng, out)
+    state = rng.bit_generator.state
+    if state.get("has_uint32"):
+        rng.bit_generator.state = {**state, "has_uint32": 0, "uinteger": 0}
+    return out
+
+
+def _draw_flipped_on_mt19937(rng, out):  # right for every other type
+    if isinstance(rng.bit_generator, np.random.MT19937):
+        return _draw_flipped(rng, out)
+    return kernels.draw_bits_np(rng, out)
+
+
+def _checked_draw(candidate):
+    return kernels._checked(candidate, kernels.draw_bits_np, kernels._bits_calls())
+
+
+def test_import_check_picks_numpys_draw_unless_the_draw_matches_it(monkeypatch):
+    for candidate in (_draw_flipped, _draw_ahead, _draw_dropping_the_pending_half,
+                      _draw_flipped_on_mt19937):
+        assert _checked_draw(candidate) is kernels.draw_bits_np
+    assert _checked_draw(kernels.draw_bits_np) is kernels.draw_bits_np
+    if kernels.draw_bits_c is not None:
+        assert _checked_draw(kernels.draw_bits_c) is kernels.draw_bits_c
+        monkeypatch.setattr(kernels, "_bits", lambda *args: None)  # a draw that draws nothing
+        assert _checked_draw(kernels.draw_bits_c) is kernels.draw_bits_np
 
 
 # Prints the backend, test_single_block.backend_results() (argv[1] is the tests' directory)
@@ -631,7 +747,8 @@ _SWEEP_SCRIPT = (
     "    blocks = test_single_block.backend_results()\n"
     "reports = sweep([SchemeId.STANDARD_456, SchemeId.M2_REDUCED], [3.0],"
     " min_frames=300, min_errors=60, seed=778)\n"
-    "sys.stdout.write(kernels.BACKEND + '\\n' + json.dumps(blocks) + '\\n'"
+    "sys.stdout.write(' '.join((kernels.BACKEND, kernels.NORMALS, kernels.BITS)) + '\\n'"
+    " + json.dumps(blocks) + '\\n'"
     " + reports_to_csv(reports))\n"
 )
 
@@ -649,8 +766,8 @@ def _fresh_interpreter(script: str, cache: Path, path: str, *args: str):
 def _sweep_in_fresh_interpreter(cache: Path, path: str):
     result = _fresh_interpreter(_SWEEP_SCRIPT, cache, path, str(Path(__file__).parent))
     assert result.returncode == 0, result.stderr
-    backend, blocks, csv = result.stdout.split("\n", 2)
-    return backend, json.loads(blocks), csv
+    backends, blocks, csv = result.stdout.split("\n", 2)
+    return backends, json.loads(blocks), csv
 
 
 def _sweep_here():
@@ -664,8 +781,8 @@ def test_without_a_compiler_falls_back_to_numpy(tmp_path):
     cache = tmp_path / "cache"
     no_cc = tmp_path / "bin"
     no_cc.mkdir()
-    backend, blocks, csv = _sweep_in_fresh_interpreter(cache, str(no_cc))
-    assert backend == "numpy"
+    backends, blocks, csv = _sweep_in_fresh_interpreter(cache, str(no_cc))
+    assert backends == "numpy numpy numpy"  # the decoder, the normals and the message draw
     assert csv == _sweep_here()
     # The single-block path too: a 20-exchange transcript, the exception type of each
     # malformed block, and no rejected transmit that drew from its generator.
@@ -677,8 +794,8 @@ def test_without_a_compiler_falls_back_to_numpy(tmp_path):
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 def test_cold_cache_builds_the_kernel_once(tmp_path):
     cache = tmp_path / "cache"
-    backend, blocks, csv = _sweep_in_fresh_interpreter(cache, os.environ["PATH"])
-    assert backend == "c"
+    backends, blocks, csv = _sweep_in_fresh_interpreter(cache, os.environ["PATH"])
+    assert backends == "c c c"
     assert csv == _sweep_here()
     assert blocks == test_single_block.backend_results()
     built = sorted(p.name for p in (cache / "hrcc").iterdir())
@@ -695,8 +812,8 @@ def test_build_leaves_kernels_of_other_sources_in_place(tmp_path):
     other.write_bytes(b"built from another source")
     partial = cache / "hrcc" / "_viterbi-1111-abcd.tmp"
     partial.write_bytes(b"")
-    backend, _, _ = _sweep_in_fresh_interpreter(cache, os.environ["PATH"])
-    assert backend == "c"
+    backends, _, _ = _sweep_in_fresh_interpreter(cache, os.environ["PATH"])
+    assert backends == "c c c"
     assert other.read_bytes() == b"built from another source" and partial.exists()
     assert len(list((cache / "hrcc").glob("_viterbi-*.so"))) == 2
 
@@ -708,16 +825,23 @@ def _ubsan_runtime() -> bool:
     return os.path.isabs(found.stdout.strip())  # else cc echoes the bare name
 
 
-# Decodes the rows saved in argv[2] through the library at argv[1], into argv[3].
+SANITIZED_DRAWS = ("PCG64", "MT19937")
+# Decodes the rows saved in argv[2] through the library at argv[1], into argv[3], and draws
+# message bits through it.
 _SANITIZED_DECODE_SCRIPT = (
     "import ctypes, sys\n"
     "import numpy as np\n"
     "from hrcc import kernels\n"
     "from hrcc.schemes import _CHAINS, SchemeId\n"
-    "decoder = ctypes.CDLL(sys.argv[1]).hrcc_viterbi\n"
-    "decoder.restype, decoder.argtypes = kernels._decoder.restype, kernels._decoder.argtypes\n"
-    "kernels._decoder = decoder\n"
+    "library = ctypes.CDLL(sys.argv[1])\n"
+    "for name, bound in (('_decoder', kernels._decoder), ('_bits', kernels._bits)):\n"
+    "    function = getattr(library, bound.__name__)\n"
+    "    function.restype, function.argtypes = bound.restype, bound.argtypes\n"
+    "    setattr(kernels, name, function)\n"
     "inputs, out = np.load(sys.argv[2]), {}\n"
+    f"for kind in {SANITIZED_DRAWS!r}:\n"
+    "    out[kind + ':draw'] = kernels.draw_bits_c(\n"
+    "        np.random.Generator(getattr(np.random, kind)(68)), np.empty((3, 91), np.uint8))\n"
     "for name in inputs.files:\n"
     "    chain = _CHAINS[SchemeId(name.split(':')[0])]\n"
     "    out[name + ':bits'] = kernels.viterbi_batch_c(inputs[name], chain.code.branches,\n"
@@ -730,7 +854,8 @@ _SANITIZED_DECODE_SCRIPT = (
 @pytest.mark.skipif(not _ubsan_runtime(), reason="no C compiler with a UBSan runtime")
 def test_kernel_built_with_ubsan_decodes_every_chain_cleanly(tmp_path):
     # Undefined behaviour in the decoder, such as a lane's state indexed out
-    # of bounds in the AVX2 traceback, stops the sanitized build's process.
+    # of bounds in the AVX2 traceback, or in the message draw stops the sanitized
+    # build's process.
     library = tmp_path / "viterbi-ubsan.so"
     build = subprocess.run(
         ["cc", *kernels._C_FLAGS, "-fsanitize=undefined,bounds", "-fno-sanitize-recover=all",
@@ -753,3 +878,6 @@ def test_kernel_built_with_ubsan_decodes_every_chain_cleanly(tmp_path):
         assert np.array_equal(decoded[name + ":bits"], reference)
         assert np.array_equal(decoded[name + ":msgs"], reference[:, :k])
         assert np.array_equal(decoded[name + ":ok"], chain.block.check_batch(reference[:, : k + r]))
+    for kind in SANITIZED_DRAWS:  # 273 bits: a partial last word
+        expect = np.random.Generator(getattr(np.random, kind)(68)).integers(0, 2, (3, 91), np.uint8)
+        assert decoded[kind + ":draw"].tobytes() == expect.tobytes()

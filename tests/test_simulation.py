@@ -291,6 +291,21 @@ def test_each_transmission_draws_its_noise_in_its_one_compiled_call(monkeypatch)
     assert [shape for shape, _ in calls] == pieces and len(pieces) == 6
 
 
+def test_each_chunk_draws_its_messages_in_one_call_into_one_buffer(monkeypatch):
+    # A 700-frame floor is a 512-frame chunk and a short one, both drawn into the leading rows
+    # of one buffer, which each piece's encoder reads.
+    draws, sent = [], []
+    draw, encode = kernels.draw_bits, schemes.encode_blocks
+    monkeypatch.setattr(kernels, "draw_bits", lambda rng, out: draws.append(out) or draw(rng, out))
+    monkeypatch.setattr(schemes, "encode_blocks",
+                        lambda scheme, msgs: sent.append(msgs) or encode(scheme, msgs))
+    reports = run_bler(SchemeId.M2_REDUCED, [3.0, 6.0], min_frames=700, min_errors=110, seed=31)
+    assert [out.shape for out in draws] == [(512, 90), (188, 90)] * 2
+    assert len({out.__array_interface__["data"][0] for out in draws}) == 1
+    assert all(np.shares_memory(msgs, draws[0].base) for msgs in sent)
+    assert reports == run_bler_whole_chunks(SchemeId.M2_REDUCED, [3.0, 6.0], 700, 110, 31)
+
+
 def test_run_bler_report_invariants():
     reports = run_bler(
         SchemeId.M2_REDUCED, [1.0, 3.0, 5.0], min_frames=300, min_errors=40, seed=6
@@ -450,6 +465,7 @@ def test_sweep_csv_identical_across_backends(monkeypatch):
     monkeypatch.setattr(schemes, "_CHAINS", numpy_chains)
     monkeypatch.setattr(kernels, "viterbi_batch", kernels.viterbi_batch_np)
     monkeypatch.setattr(kernels, "channel", kernels.channel_np)
+    monkeypatch.setattr(kernels, "draw_bits", kernels.draw_bits_np)
     assert run() == active
 
 
