@@ -51,6 +51,31 @@
 /* The statuses of hrcc_viterbi, hrcc_channel and hrcc_encode; kernels.py mirrors them. */
 enum { HRCC_OK = 0, HRCC_NOT_BINARY = 1, HRCC_NOT_FINITE = 2, HRCC_NO_MEMORY = 3 };
 
+/* The operands of a code that stay the same from call to call, which kernels.py fills
+ * once per chain and once per call of a bare decode, and mirrors as _Code: one pointer
+ * crosses where seven arguments would, each of which ctypes converts on every call.
+ * source:  entries, n_out per trellis step, each -1 or a column of a width-value row;
+ *          the decoder reads its soft rows through it and the encoder writes its coded
+ *          rows through it, see hrcc_viterbi and hrcc_encode.
+ * n_out:   2 or 3, the code rate's denominator; kernels.py rejects any other.
+ * table:   NULL, or the block code's 256 remainders, see lfsr().
+ * sym:     (8, n_out) outputs of the branch from state 2i under input 0, for the decoder.
+ * outputs: 32 entries for the encoder: bit j of entry w is output j of the conv code when
+ *          the register window is w, bit i of w holding the input i steps back.
+ * k, n:    the message bits that the encoder reads, and the message and parity bits
+ *          that the decoder checks with table. */
+typedef struct {
+    const int32_t *source;
+    ptrdiff_t entries;
+    ptrdiff_t width;
+    int n_out;
+    const uint64_t *table;
+    const double *sym;
+    const uint8_t *outputs;
+    ptrdiff_t k;
+    ptrdiff_t n;
+} hrcc_code;
+
 /* The scalar body for one code rate; always inlined, so that each call
  * below compiles with a constant n_out and a fully unrolled butterfly loop.
  * back: one word of decision bits per step.  Returns 1 if a final metric is not finite. */
@@ -235,22 +260,24 @@ int hrcc_viterbi_lanes(void)
     return 1;
 }
 
-/* soft:   (nframes, in_width) row-major soft values, +1 meaning coded bit 0.
- * source: width entries, each -1 or a column of a soft row; see above.
- * n_out:  2 or 3, the code rate's denominator; kernels.py rejects any other.
- * sym:    (8, n_out) outputs of the branch from state 2i under input 0.
- * bits:   (nframes, width / n_out) decoded inputs, tail included.
- * table:  NULL, or the block code's 256 remainders, see lfsr(); then ok[f] = 1 if
- *         lfsr() of the first n bits of row f is 0, which, as every generator has
- *         a constant term, holds exactly when that word's parity matches.
+/* soft:   (nframes, code->width) row-major soft values, +1 meaning coded bit 0, read
+ *         through code->source; see above.
+ * bits:   (nframes, code->entries / code->n_out) decoded inputs, tail included.
+ * ok:     with code->table, ok[f] = 1 if lfsr() of the first code->n bits of row f is 0,
+ *         which, as every generator has a constant term, holds exactly when that word's
+ *         parity matches; unused without it.
  * Returns HRCC_NO_MEMORY, else HRCC_NOT_FINITE if a frame's final path metric is not
  * finite (a value that the map reads is not, or the sums overflowed), else HRCC_OK.
  */
-int hrcc_viterbi(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width,
-                 const int32_t *source, ptrdiff_t width, int n_out, const double *sym,
-                 uint8_t *bits, const uint64_t *table, ptrdiff_t n, uint8_t *ok)
+int hrcc_viterbi(const hrcc_code *code, const double *soft, ptrdiff_t nframes, uint8_t *bits,
+                 uint8_t *ok)
 {
-    const ptrdiff_t nsteps = width / n_out;
+    const ptrdiff_t in_width = code->width, n = code->n;
+    const int32_t *source = code->source;
+    const int n_out = code->n_out;
+    const double *sym = code->sym;
+    const uint64_t *table = code->table;
+    const ptrdiff_t nsteps = code->entries / n_out;
     if (nframes == 0 || nsteps == 0)
         return HRCC_OK;
     /* back: NSTATES bytes per step for the AVX2 body, or one word per step
@@ -309,20 +336,17 @@ encode1(const uint8_t *restrict msgs, ptrdiff_t nframes, ptrdiff_t k, ptrdiff_t 
     return seen;
 }
 
-/* msgs:    (nframes, k) row-major message bits.
- * table:   the block code's 256 remainders, see lfsr().
- * outputs: 32 entries, bit j of entry w is output j of the conv code when the
- *          register window is w, bit i of w holding the input i steps back.
- * source:  entries (n_out per step, message, parity and tail) each -1 or a
- *          column of out, as in hrcc_viterbi; out: (nframes, width) coded bits.
+/* msgs: (nframes, code->k) row-major message bits; code->table gives their parity, and
+ * each step's outputs go through code->source: out is (nframes, code->width) coded bits.
  * Returns HRCC_NOT_BINARY if a message value is not 0 or 1, else HRCC_OK. */
-int hrcc_encode(const uint8_t *msgs, ptrdiff_t nframes, ptrdiff_t k,
-                const uint64_t *table, const uint8_t *outputs, int n_out,
-                const int32_t *source, ptrdiff_t entries, ptrdiff_t width, uint8_t *out)
+int hrcc_encode(const hrcc_code *code, const uint8_t *msgs, ptrdiff_t nframes, uint8_t *out)
 {
-    unsigned seen = n_out == 2
-        ? encode1(msgs, nframes, k, entries / 2, table, outputs, 2, source, width, out)
-        : encode1(msgs, nframes, k, entries / 3, table, outputs, 3, source, width, out);
+    const ptrdiff_t k = code->k, entries = code->entries, width = code->width;
+    unsigned seen = code->n_out == 2
+        ? encode1(msgs, nframes, k, entries / 2, code->table, code->outputs, 2, code->source,
+                  width, out)
+        : encode1(msgs, nframes, k, entries / 3, code->table, code->outputs, 3, code->source,
+                  width, out);
     return seen > 1 ? HRCC_NOT_BINARY : HRCC_OK;
 }
 
@@ -701,8 +725,9 @@ static inline double2 channel2(double2 z, double2 b, double sigma, double power)
  * HRCC_NOT_BINARY, before anything is drawn, if a bit is not 0 or 1, else
  * HRCC_NO_MEMORY or HRCC_OK.  No branch on a bit: random bits mispredict. */
 int hrcc_channel(void *bitgen, double *out, ptrdiff_t nframes, ptrdiff_t width,
-                 const uint8_t *bits, const int32_t *columns, double sigma, double power)
+                 const uint8_t *bits, const int32_t *columns, double sigma)
 {
+    const double power = sigma * sigma; /* kernels.channel_np's sigma * sigma */
     if (!binary(bits, nframes * width))
         return HRCC_NOT_BINARY;
     const bitgen_t g = *(const bitgen_t *)bitgen;

@@ -24,7 +24,8 @@ import numpy as np
 BURST_PAYLOAD_BITS = 114
 NOT_BINARY = "bit block may only contain 0 and 1"  # the compiled kernels' status code too
 
-_FLOAT64 = np.dtype(np.float64)  # the instance, which numpy takes faster than the type
+# The instances, which numpy takes faster than the types.
+_FLOAT64, _UINT8 = np.dtype(np.float64), np.dtype(np.uint8)
 
 # The soft value of each bit value: +1 for 0, -1 for 1.
 _ANTIPODAL = np.array([1.0, -1.0])
@@ -87,12 +88,12 @@ def binary_uint8(arr: np.ndarray) -> np.ndarray:
     1s); any other dtype is cast and compared with the original, which catches 2, -1, 0.5 and
     256 alike, and NaN and infinities without the warning that their cast raises.
     """
-    if arr.dtype == np.uint8:
+    if arr.dtype == _UINT8:
         if arr.tobytes().translate(None, b"\0\1") if arr.size < 2048 else int(arr.max()) > 1:
             raise ValueError(NOT_BINARY)
         return arr
     with np.errstate(invalid="ignore"):
-        out = arr.astype(np.uint8)
+        out = arr.astype(_UINT8)
     if out.size and (int(out.max()) > 1 or not np.array_equal(out, arr)):
         raise ValueError(NOT_BINARY)
     return out
@@ -108,8 +109,13 @@ def real_float64(arr: np.ndarray) -> np.ndarray:
 
 
 def finite(values: np.ndarray) -> np.ndarray:
-    """``values`` itself; ValueError unless every soft value is finite."""
-    if not np.isfinite(values).all():
+    """``values`` itself; ValueError unless every soft value is finite.
+
+    One ``isfinite`` pass, then, below 2048 values, a search of its bytes for a 0, which costs
+    less than the reduction that ``all`` runs at that size.
+    """
+    isfinite = np.isfinite(values)
+    if b"\0" in isfinite.tobytes() if isfinite.size < 2048 else not isfinite.all():
         raise ValueError("soft values must be finite")
     return values
 
@@ -139,7 +145,7 @@ def rows(values, width: int | None, what: str) -> np.ndarray:
 
 def antipodal(bits) -> np.ndarray:
     """uint8 0/1 bits as noiseless soft values: +1.0 for bit 0, -1.0 for bit 1."""
-    return _ANTIPODAL[bits]
+    return _ANTIPODAL.take(bits)
 
 
 def bit_block(bits, length: int | None = None) -> np.ndarray:
@@ -213,7 +219,7 @@ class SubAllocation(Enum):
         return (0, 2) if self is SubAllocation.EVEN else (1, 3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Burst:
     """Normal-burst payload: 114 coded bits plus the two stealing flags."""
 
@@ -221,12 +227,16 @@ class Burst:
     hl: int = 1
     hu: int = 1
 
-    def __post_init__(self):
-        payload = as_bit_array(self.payload, BURST_PAYLOAD_BITS)
-        payload.flags.writeable = False
+    def __init__(self, payload, hl: int = 1, hu: int = 1):
+        # Each field is set once, where a frozen dataclass's own __init__ and a __post_init__
+        # set the payload twice.  The payload is a copy over bytes, which nothing can write to:
+        # cheaper than a copy made read-only.
+        payload = np.frombuffer(bit_block(payload, BURST_PAYLOAD_BITS).tobytes(), _UINT8)
+        check_int(hl, "hl", 0, 2)
+        check_int(hu, "hu", 0, 2)
         object.__setattr__(self, "payload", payload)
-        check_int(self.hl, "hl", 0, 2)
-        check_int(self.hu, "hu", 0, 2)
+        object.__setattr__(self, "hl", hl)
+        object.__setattr__(self, "hu", hu)
 
     def __eq__(self, other):
         if not isinstance(other, Burst):

@@ -18,6 +18,8 @@ from .bits import (BURST_PAYLOAD_BITS, Burst, antipodal, as_soft_array, binary_u
 
 
 class InterleaveMode(Enum):
+    __hash__ = object.__hash__  # identity, as schemes.SchemeId hashes: Enum's hashes in Python
+
     STD4 = "std4"
     MOD2 = "mod2"
 
@@ -39,6 +41,9 @@ def _destinations(mode: InterleaveMode) -> np.ndarray:
 _DEST = {mode: kernels.frozen(_destinations(mode)) for mode in InterleaveMode}
 # The inverse permutation: stream column j carries coded bit _SOURCE[mode][j].
 _SOURCE = {mode: kernels.frozen(np.argsort(dest)) for mode, dest in _DEST.items()}
+# The same, one row per burst, and each mode's shape-error prefix: Enum.value costs a property call.
+_BURSTS = {mode: source.reshape(-1, BURST_PAYLOAD_BITS) for mode, source in _SOURCE.items()}
+_PERMUTES = {mode: f"{mode.value} permutes" for mode in InterleaveMode}
 _NO_VALUES = kernels.frozen(np.empty((1, 0)))
 
 
@@ -48,34 +53,36 @@ def destinations(mode: InterleaveMode) -> np.ndarray:
 
 
 def interleave(mode: InterleaveMode, block) -> list[np.ndarray]:
-    """Permute a coded block into 2 or 4 sub-blocks of 114 bits: ``interleave_batch`` on one row."""
-    width = check_type(mode, InterleaveMode, "mode").block_bits
-    block = binary_uint8(one_row(block, width, f"{mode.value} permutes"))
-    return list(block.take(_SOURCE[mode], axis=1).reshape(mode.burst_count, BURST_PAYLOAD_BITS))
+    """Permute a coded block into 2 or 4 sub-blocks of 114 bits: ``interleave_batch`` on one row.
+
+    The sub-blocks are the rows of one fresh array, so writing to one changes no other."""
+    bursts = _BURSTS[check_type(mode, InterleaveMode, "mode")]
+    return list(binary_uint8(one_row(block, bursts.size, _PERMUTES[mode])).take(bursts))
 
 
 def deinterleave(mode: InterleaveMode, subs) -> np.ndarray:
-    """Exact inverse of :func:`interleave` on soft values: ``deinterleave_batch`` on one row."""
-    width = check_type(mode, InterleaveMode, "mode").block_bits
+    """Exact inverse of :func:`interleave` on soft values: ``deinterleave_batch`` on one row.
+
+    Each sub-block is checked once as a block, and the joined row, whose length must be the
+    mode's, once for finite values; one ``take`` from it makes the fresh result."""
+    dest = _DEST[check_type(mode, InterleaveMode, "mode")]
     subs = [real_float64(one_row(sub, BURST_PAYLOAD_BITS, "each sub-block is")) for sub in subs]
-    stream = np.concatenate(subs or [_NO_VALUES], axis=1)  # no sub-blocks join to an empty block
-    stream = finite(one_row(stream[0], width, f"{mode.value} permutes"))
-    return stream.take(_DEST[mode], axis=1)[0]
+    stream = np.concatenate(subs or [_NO_VALUES], axis=1)  # no sub-blocks join to an empty row
+    return finite(one_row(stream[0], dest.size, _PERMUTES[mode])).take(dest)
 
 
 def interleave_batch(mode: InterleaveMode, blocks: np.ndarray) -> np.ndarray:
     """(frames, block_bits) 0/1 bits -> uint8, same shape, C-ordered, columns in burst-payload
     order."""
-    width = check_type(mode, InterleaveMode, "mode").block_bits
-    return binary_uint8(rows(blocks, width, f"{mode.value} permutes")).take(_SOURCE[mode], axis=1)
+    source = _SOURCE[check_type(mode, InterleaveMode, "mode")]
+    return binary_uint8(rows(blocks, source.size, _PERMUTES[mode])).take(source, axis=1)
 
 
 def deinterleave_batch(mode: InterleaveMode, streams: np.ndarray) -> np.ndarray:
     """Exact inverse of :func:`interleave_batch` on finite soft values; the result is C-ordered
     float64."""
-    width = check_type(mode, InterleaveMode, "mode").block_bits
-    streams = finite(real_float64(rows(streams, width, f"{mode.value} permutes")))
-    return streams.take(_DEST[mode], axis=1)
+    dest = _DEST[check_type(mode, InterleaveMode, "mode")]
+    return finite(real_float64(rows(streams, dest.size, _PERMUTES[mode]))).take(dest, axis=1)
 
 
 def map_to_burst(sub) -> Burst:

@@ -36,6 +36,11 @@ A source map folds depuncturing into the decoder: entry c is the column of the s
 that holds mother-code bit c, or -1 where puncturing deleted it, which reads as the erasure
 +0.0; without a map the columns are read in order.  Constant tables are ``frozen``.
 
+Each call crosses into C once, and ctypes converts each argument of a crossing on every call:
+a code's constant operands (its tables, widths and rate) cross as one ``hrcc_code`` pointer
+(``_Code``), filled once per ``ChainKernel``; a short array that C reads crosses as a
+``bytes`` copy (``_readable``), and a buffer that C writes by its address (``_address``).
+
 Each check runs once.  The public kernels check what they are handed before any pointer reaches
 C: the batch shape (``bits.rows``), map bounds, buffer shape, dtype and layout, sigma
 (``check_sigma``, whose float the channel uses), each draw's generator, and soft values,
@@ -78,6 +83,8 @@ from .bits import (NOT_BINARY, antipodal, binary_uint8, check_type, finite, real
 # overflow; real metrics stay many orders of magnitude above it.
 NEG_METRIC = -1.0e30
 
+# The instances, which numpy takes faster than the types.
+_FLOAT64, _UINT8, _BOOL = np.dtype(np.float64), np.dtype(np.uint8), np.dtype(np.bool_)
 _C_SOURCE = Path(__file__).with_name("_viterbi.c")
 _C_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _C_LIBS = ("-lm",)  # after the source, which calls exp and log1p
@@ -209,18 +216,30 @@ def _load_c_library():
         return None, None, None, None, None
     ptr, size, c_int = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int
     for function, (restype, *argtypes) in zip(functions, (  # each: the result, the arguments
-        # soft, nframes, in_width, source, width (map entries), n_out, sym, bits, table, n, ok
-        (c_int, ptr, size, size, ptr, size, c_int, ptr, ptr, ptr, size, ptr),
-        # bitgen, out, nframes, width, bits, columns, sigma, power
-        (c_int, ptr, ptr, size, size, ptr, ptr, ctypes.c_double, ctypes.c_double),
-        # msgs, nframes, k, table, outputs, n_out, source, map entries, width, out
-        (c_int, ptr, size, size, ptr, ptr, c_int, ptr, size, size, ptr),
+        # code, soft, nframes, bits, ok
+        (c_int, ptr, ptr, size, ptr, ptr),
+        # bitgen, out, nframes, width, bits, columns, sigma
+        (c_int, ptr, ptr, size, size, ptr, ptr, ctypes.c_double),
+        # code, msgs, nframes, out
+        (c_int, ptr, ptr, size, ptr),
         # bitgen, out, n
         (None, ptr, ptr, size),
         (c_int,),
     )):
         function.restype, function.argtypes = restype, argtypes
     return functions
+
+
+class _Code(ctypes.Structure):
+    """``_viterbi.c``'s ``hrcc_code``, field by field: the operands of a code that stay the same
+    from call to call.  A decode or an encode passes its address, one argument where there would
+    be seven, each of which ctypes converts on every call at about the cost of a call that takes
+    no argument."""
+
+    _fields_ = [("source", ctypes.c_void_p), ("entries", ctypes.c_ssize_t),
+                ("width", ctypes.c_ssize_t), ("n_out", ctypes.c_int),
+                ("table", ctypes.c_void_p), ("sym", ctypes.c_void_p),
+                ("outputs", ctypes.c_void_p), ("k", ctypes.c_ssize_t), ("n", ctypes.c_ssize_t)]
 
 
 def _pinned(table: np.ndarray) -> tuple[np.ndarray, int]:
@@ -236,6 +255,14 @@ def _address(arr: np.ndarray) -> int:
         return ctypes.addressof(ctypes.c_char.from_buffer(arr))
     except (TypeError, ValueError):  # read-only, empty or not C-ordered: the protocol refuses
         return arr.ctypes.data
+
+
+def _readable(arr: np.ndarray):
+    """A pointer for C to read a C-ordered array through: below 4 KB, which a block of 456 soft
+    values fits, a ``bytes`` copy, which ctypes takes at an int's cost and which costs less than
+    any address lookup, most of all a read-only array's (``ndarray.ctypes``); else the array's
+    address."""
+    return arr.tobytes() if arr.nbytes < 4096 else _address(arr)
 
 
 def frozen(values, dtype=None) -> np.ndarray:
@@ -276,7 +303,7 @@ def _butterfly_syms(syms) -> tuple[np.ndarray, int]:
 def _bit_rows(bits) -> np.ndarray:
     """``bits`` as C-ordered uint8; the kernels check uint8 values themselves."""
     bits = np.asarray(bits)
-    return np.ascontiguousarray(bits if bits.dtype == np.uint8 else binary_uint8(bits))  # >= 1-D
+    return np.ascontiguousarray(bits if bits.dtype == _UINT8 else binary_uint8(bits))  # >= 1-D
 
 
 def check_sigma(sigma, width: int) -> float:
@@ -314,7 +341,7 @@ def _channel_operands(rng, out, bits, sigma,
     columns, at = _checked_map(columns, width, 0)
     is_array = isinstance(out, np.ndarray)
     if not (is_array and bits.ndim == 2 and out.shape == bits.shape and columns.size == width
-            and out.dtype == np.float64 and out.flags.c_contiguous and out.flags.writeable):
+            and out.dtype == _FLOAT64 and (flags := out.flags).c_contiguous and flags.writeable):
         got = f"{out.shape} {out.dtype}" if is_array else type(out).__name__
         raise ValueError(f"the channel fills a writable C-ordered float64 (frames, {width}) buffer "
                          f"from (frames, {width}) bits, not {got}")
@@ -393,8 +420,8 @@ def viterbi_batch_c(soft: np.ndarray, syms: np.ndarray, source=None, chain=None)
     n_out = sym.shape[1]
     bits = np.empty((nframes, _steps(source.size, n_out)), dtype=np.uint8)
     # source and sym stay referenced here, so their addresses stay valid.
-    if status := _decoder(_address(soft), nframes, in_width, source_at, source.size, n_out,
-                          sym_at, _address(bits), None, 0, None):
+    code = _Code(source_at, source.size, in_width, n_out, None, sym_at)
+    if status := _decoder(ctypes.addressof(code), _readable(soft), nframes, _address(bits), None):
         _raise_status(status, soft)
     return bits
 
@@ -407,8 +434,8 @@ def channel_c(rng: np.random.Generator, out: np.ndarray, bits, sigma: float,
     bitgen = rng.bit_generator
     with bitgen.lock:  # as numpy's own fill holds it
         # columns stays referenced here, so its address stays valid.
-        status = _channel(bitgen.ctypes.bit_generator.value, _address(out), *out.shape,
-                          _address(bits), columns_at, sigma, sigma * sigma)
+        status = _channel(bitgen.ctypes.bit_generator, _address(out), *out.shape,
+                          _readable(bits), columns_at, sigma)
     if status:
         _raise_status(status)
     return out
@@ -483,18 +510,21 @@ class ChainKernel:
         remainders, outputs, source = (frozen(table, dtype) for table, dtype in (
             (block.remainders, np.uint64), (code.outputs, np.uint8), (source, np.int32)))
         self.width = int(np.count_nonzero(source >= 0))
-        self._mother = (self.k + self.r + 4) * self.n_out  # the 4 zero tail bits included
+        self._steps = self.k + self.r + 4  # trellis steps: the 4 zero tail bits included
         # hrcc_encode writes each column of its uncleared output through the map, so once each.
         if (self.n_out not in (2, 3)
-                or (remainders.size, outputs.size, source.size) != (256, 32, self._mother)
+                or (remainders.size, outputs.size, source.size)
+                != (256, 32, self._steps * self.n_out)
                 or not np.array_equal(np.sort(source[source >= 0]), np.arange(self.width))):
             raise ValueError("a chain kernel takes rate 1/2 or 1/3, 256 remainders, 32 outputs "
                              "and a source map that holds each coded column once")
         # Kept referenced here, so that their addresses stay valid.
         self._tables = [*map(_pinned, (remainders, outputs, source)),
                         _butterfly_syms(self.branches)]
-        self._table_at, self._outputs_at, self._source_at, self._branches_at = (
-            at for _, at in self._tables)
+        table_at, outputs_at, source_at, branches_at = (at for _, at in self._tables)
+        self._code = _Code(source_at, source.size, self.width, self.n_out, table_at,
+                           branches_at, outputs_at, self.k, self.k + self.r)
+        self._code_at = ctypes.addressof(self._code)
 
     def encode(self, msgs: np.ndarray) -> np.ndarray:
         """(frames, k) message rows -> (frames, width) coded blocks, in one ``hrcc_encode`` call."""
@@ -502,9 +532,7 @@ class ChainKernel:
         if msgs.shape[1:] != (self.k,):  # what C reads must be there
             raise ValueError(f"a chain kernel encodes rows of {self.k}, not {msgs.shape}")
         out = np.empty((msgs.shape[0], self.width), np.uint8)
-        if status := _encoder(_address(msgs), msgs.shape[0], self.k, self._table_at,
-                              self._outputs_at, self.n_out, self._source_at, self._mother,
-                              self.width, _address(out)):
+        if status := _encoder(self._code_at, _readable(msgs), msgs.shape[0], _address(out)):
             _raise_status(status)
         return out
 
@@ -515,15 +543,15 @@ class ChainKernel:
         if soft.shape[1:] != (self.width,):  # what C reads must be there
             raise ValueError(f"a chain kernel decodes rows of {self.width}, not {soft.shape}")
         soft = real_float64(soft)
-        nframes, nsteps = soft.shape[0], self._mother // self.n_out
-        out = np.empty(nframes * (nsteps + 1), np.uint8)  # the bits, then each frame's ok
+        nframes, nsteps = soft.shape[0], self._steps
+        bits = nframes * nsteps
+        out = np.empty(bits + nframes, np.uint8)  # the bits, then each frame's ok
         at = _address(out)
-        if status := _decoder(_address(soft), nframes, self.width, self._source_at, self._mother,
-                              self.n_out, self._branches_at, at, self._table_at, self.k + self.r,
-                              at + nframes * nsteps):
+        if status := _decoder(self._code_at, _readable(soft), nframes, at, at + bits):
             _raise_status(status, soft)
-        bits = out[: nframes * nsteps].reshape(nframes, nsteps)
-        return bits[:, : self.k], out[nframes * nsteps :].view(np.bool_)
+        # Two views of out, each made in one call: the first k bits of each row, and the flags.
+        return (np.ndarray((nframes, self.k), _UINT8, out, 0, (nsteps, 1)),
+                np.ndarray(nframes, _BOOL, out, bits))
 
 
 if _decoder is None:

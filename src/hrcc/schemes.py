@@ -36,6 +36,10 @@ from .interleaving import InterleaveMode
 class SchemeId(Enum):
     """The five chains; values double as the CLI-stable names."""
 
+    # Members are singletons that compare by identity, so they hash by it too: Enum's own
+    # __hash__ hashes the name in Python, on every dict lookup keyed by a scheme.
+    __hash__ = object.__hash__
+
     STANDARD_456 = "standard"
     M1_CS23_P13 = "m1-cs23-p13"
     M1_CS12_P12 = "m1-cs12-p12"
@@ -101,6 +105,11 @@ _CHAINS: dict[SchemeId, _Chain] = {
 }
 
 
+# Each scheme's shape-error prefixes, made once: Enum.value costs a property call.
+_ENCODES = {scheme: f"{scheme.value} encodes" for scheme in SchemeId}
+_DECODES = {scheme: f"{scheme.value} decodes" for scheme in SchemeId}
+
+
 def _chain(scheme: SchemeId) -> _Chain:
     """The scheme's chain; TypeError for anything but a ``SchemeId``, its name included."""
     return _CHAINS[check_type(scheme, SchemeId, "scheme")]
@@ -140,26 +149,26 @@ class DecodeOutcome:
 def encode_blocks(scheme: SchemeId, msgs: np.ndarray) -> np.ndarray:
     """Encode a (frames, message_bits) batch of 0/1 values to (frames, coded_bits)."""
     chain = _chain(scheme)
-    return _encode(chain, rows(msgs, chain.block.k, f"{scheme.value} encodes"))
+    return _encode(chain, rows(msgs, chain.block.k, _ENCODES[scheme]))
 
 
 def decode_blocks(scheme: SchemeId, softs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decode a (frames, coded_bits) soft batch in coded order to (messages, check_ok)."""
     chain = _chain(scheme)
-    return _decode(chain, rows(softs, chain.coded_bits, f"{scheme.value} decodes"))
+    return _decode(chain, rows(softs, chain.coded_bits, _DECODES[scheme]))
 
 
 def encode_block(scheme: SchemeId, msg) -> np.ndarray:
     """Encode one message, ``encode_blocks`` on it as one row: 456 bits (standard) or 228."""
     chain = _chain(scheme)
-    return _encode(chain, one_row(msg, chain.block.k, f"{scheme.value} encodes"))[0]
+    return _encode(chain, one_row(msg, chain.block.k, _ENCODES[scheme]))[0]
 
 
 def decode_block(scheme: SchemeId, soft) -> DecodeOutcome:
     """Decode one soft block in coded order, ``decode_blocks`` on it as one row."""
     chain = _chain(scheme)
-    msgs, ok = _decode(chain, one_row(soft, chain.coded_bits, f"{scheme.value} decodes"))
-    return DecodeOutcome(message=msgs[0], ok=bool(ok[0]))
+    msgs, ok = _decode(chain, one_row(soft, chain.coded_bits, _DECODES[scheme]))
+    return DecodeOutcome(msgs[0], bool(ok[0]))
 
 
 def _encode(chain: _Chain, msgs: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import interleaving, kernels, schemes
-from .bits import as_bit_array, check_collection, check_int, check_type, shown
+from .bits import check_collection, check_int, check_type, one_row, shown
 from .schemes import SchemeId
 
 DEFAULT_SEED = 12345
@@ -46,15 +46,24 @@ def check_seed(seed: int) -> int:
     return check_int(seed, "seed", 0, 2**64)
 
 
+def _float(value, name: str) -> float:
+    """``value`` as a float; TypeError naming ``name`` unless it is a real number, ValueError for
+    one beyond the floats, such as an int of 309 digits, whose float() raises OverflowError."""
+    # float() alone would take "0.5", and a float32 point would run in float32.
+    number = check_type(value, numbers.Real, name)
+    try:
+        return float(number)
+    except OverflowError:
+        raise ValueError(f"{name} must lie within the float range, got {shown(value)}") from None
+
+
 def noise_sigma(ebno_db: float, info_rate: Fraction | float) -> float:
     """Noise standard deviation for unit-energy antipodal symbols.
 
-    TypeError unless both are real numbers; ValueError unless Eb/N0 is finite, the rate
-    in (0, 1] and sigma a positive float.
+    TypeError unless both are real numbers; ValueError unless both lie within the float range,
+    Eb/N0 is finite, the rate in (0, 1] and sigma a positive float.
     """
-    # float() alone would take the rate "0.5", and a float32 point would run in float32.
-    ebno_db = float(check_type(ebno_db, numbers.Real, "ebno_db"))
-    rate = float(check_type(info_rate, numbers.Real, "info_rate"))
+    ebno_db, rate = _float(ebno_db, "ebno_db"), _float(info_rate, "info_rate")
     if math.isfinite(ebno_db) and 0.0 < rate <= 1.0:
         try:
             return 1.0 / math.sqrt(2.0 * rate * 10.0 ** (ebno_db / 10.0))
@@ -83,10 +92,9 @@ def transmit(bits, sigma: float, rng: np.random.Generator) -> np.ndarray:
     Like :func:`run_bler`, it takes only a sigma that ``kernels.check_sigma`` takes at
     the block's length; ``kernels.channel`` checks it and ``rng`` before ``rng`` draws.
     """
-    # Its values are checked here, before anything is drawn.  The copy is writable, whose
-    # address costs less to take than a read-only block's (a Burst payload).
-    arr = as_bit_array(bits)
-    return kernels.channel(rng, np.empty((1, arr.size)), arr[np.newaxis], sigma)[0]
+    # The block's shape is checked here and its values by the channel, before it draws.
+    row = one_row(bits, None, "expected")
+    return kernels.channel(rng, np.empty(row.shape), row, sigma)[0]
 
 
 @dataclass(frozen=True)
@@ -100,7 +108,8 @@ class BlerReport:
 
     def __post_init__(self):
         check_type(self.scheme, SchemeId, "scheme")
-        check_type(self.ebno_db, numbers.Real, "ebno_db")
+        if not math.isfinite(_float(self.ebno_db, "ebno_db")):  # the CSV would read nan or inf
+            raise ValueError(f"ebno_db must be finite, got {shown(self.ebno_db)}")
         frames = check_int(self.frames, "frames", 1)
         errors = check_int(self.frame_errors, "frame_errors", 0, frames + 1)
         check_int(self.bit_errors, "bit_errors", 0)
@@ -133,8 +142,8 @@ def _checked_points(scheme_list, ebno_points) -> list[float]:
     """``ebno_points``, each a real number, as floats, -0.0 as 0.0; ValueError naming the first
     scheme a point fails."""
     check_collection(ebno_points, "ebno_points")  # "24" would be the points 2 and 4
-    # float() alone would take "3" and b"3"; -0.0 + 0.0 is 0.0, so equal points share a stream.
-    points = [float(check_type(p, numbers.Real, "each Eb/N0 point")) + 0.0 for p in ebno_points]
+    # -0.0 + 0.0 is 0.0, so equal points share a stream.
+    points = [_float(p, "each Eb/N0 point") + 0.0 for p in ebno_points]
     for scheme in scheme_list:
         check_type(scheme, SchemeId, "scheme")
         rate, width = schemes.info_rate(scheme), schemes.coded_bits(scheme)

@@ -99,6 +99,18 @@ def test_bound_argument_lists_match_the_c_definitions():
     assert params["hrcc_bits"] == (None, [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t])
 
 
+def test_code_struct_matches_the_c_definition():
+    # hrcc_viterbi and hrcc_encode read a code's constant operands through one hrcc_code
+    # pointer, which kernels._Code lays out by its own field list: a missing, extra,
+    # misordered or mistyped field is undefined behaviour, not an error, so each field's
+    # name and kind are compared, position by position.
+    body = re.search(r"^typedef struct \{([^}]*)\} hrcc_code;", kernels._C_SOURCE.read_text(),
+                     re.M).group(1)
+    fields = [(decl.split()[-1].lstrip("*"), _argtype(decl)) for decl in body.split(";")
+              if decl.strip()]
+    assert len(fields) == 9 and fields == list(kernels._Code._fields_)
+
+
 def test_status_constants_match_the_c_definitions():
     # kernels turns each status of hrcc_viterbi, hrcc_channel and hrcc_encode into its
     # exception by name, so a renumbered or added status in C must fail here, not raise

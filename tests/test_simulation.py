@@ -492,3 +492,42 @@ def test_csv_shape_and_determinism():
         )
     )
     assert again == text
+
+
+# ints beyond the floats, with ids: pytest cannot print an int of more than 4,300 digits
+BEYOND_THE_FLOATS = [pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400"),
+                     pytest.param(10**5000, id="10**5000")]
+
+
+@pytest.mark.parametrize("ebno", [*BEYOND_THE_FLOATS, math.nan, math.inf, -math.inf])
+def test_bler_report_refuses_an_ebno_db_the_csv_cannot_write(ebno):
+    # 10**400 constructed and then failed in reports_to_csv with an OverflowError naming
+    # nothing; NaN and the infinities were written as nan, inf and -inf.
+    with pytest.raises(ValueError, match="^ebno_db must "):
+        BlerReport(**{**_REPORT, "ebno_db": ebno})
+
+
+@pytest.mark.parametrize("ebno, rate, name", [
+    pytest.param(10**5000, 0.5, "ebno_db", id="ebno_db 10**5000"),
+    pytest.param(10**400, 0.5, "ebno_db", id="ebno_db 10**400"),
+    pytest.param(1.0, 10**5000, "info_rate", id="info_rate 10**5000"),
+    pytest.param(1.0, Fraction(10**400), "info_rate", id="info_rate Fraction(10**400)"),
+])
+def test_noise_sigma_names_an_argument_beyond_the_float_range(ebno, rate, name):
+    # Each raised OverflowError: int too large to convert to float.
+    with pytest.raises(ValueError, match=f"^{name} must lie within the float range, got "):
+        noise_sigma(ebno, rate)
+
+
+@pytest.mark.parametrize("measure", [
+    lambda points: run_bler(SchemeId.STANDARD_456, points, min_frames=10),
+    lambda points: sweep([SchemeId.M2_REDUCED, SchemeId.STANDARD_456], points, min_frames=10),
+], ids=["run_bler", "sweep"])
+@pytest.mark.parametrize("big", BEYOND_THE_FLOATS)
+def test_points_beyond_the_float_range_are_refused_before_any_point_runs(monkeypatch, measure,
+                                                                        big):
+    encoded = []
+    monkeypatch.setattr(schemes, "encode_blocks", lambda *args: encoded.append(args))
+    with pytest.raises(ValueError, match="^each Eb/N0 point must lie within the float range"):
+        measure([4.0, big])
+    assert not encoded
