@@ -18,15 +18,19 @@
  * erasure (+0.0).  This folds depuncturing into the decoder's own reads.
  * kernels.py checks the map's bounds before it calls in.
  *
- * hrcc_viterbi decides which body decodes which frame.  Where the CPU has
- * AVX2, whole groups of four frames run on the AVX2 body, one frame per lane
- * of a vector, with the same operations in the same order per lane as the
- * scalar body: its select, MAXPD with the odd candidate first, picks what the
- * scalar > picks, ties and signed zeros included.  The four lanes are traced
- * back side by side.  Every other frame, the one to three left over or every
- * frame on other CPUs, runs on the scalar body.  The AVX2 body is compiled by
- * a function attribute, not by a compiler flag, so the library loads on any
- * x86-64 CPU; hrcc_viterbi_lanes says whether this CPU runs it.
+ * hrcc_viterbi decides which body decodes which frame.  One vector body runs a
+ * group of frames one per lane, with the same operations in the same order per
+ * lane as the scalar body: its select, MAXPD with the odd candidate first, picks
+ * what the scalar > picks, ties and signed zeros included.  The lanes of a group
+ * are traced back side by side.  Its text is written once and expanded at two
+ * widths: eight lanes for AVX-512F and DQ, four for AVX2.  Where the CPU has
+ * AVX-512F and DQ, every whole group of eight frames runs on the eight-lane
+ * body; then, where it has AVX2, a whole group of four left over runs on the
+ * four-lane body; every other frame, the one to three left over or every frame
+ * on other CPUs, runs on the scalar body, so a single block always does.  The
+ * vector bodies are compiled by a function attribute, not by a compiler flag,
+ * so the library loads on any x86-64 CPU; hrcc_viterbi_lanes says how wide a
+ * group this CPU runs.
  *
  * The library also holds a chain's encoder, hrcc_encode, the channel,
  * hrcc_channel, which draws its own standard normals and applies them in one
@@ -46,7 +50,7 @@
 
 #define NSTATES 16
 #define NEG_METRIC (-1.0e30)
-#define LANES 4
+#define WIDEST 8 /* lanes of the widest body, which the scratch buffer fits */
 
 /* The statuses of hrcc_viterbi, hrcc_channel and hrcc_encode; kernels.py mirrors them. */
 enum { HRCC_OK = 0, HRCC_NOT_BINARY = 1, HRCC_NOT_FINITE = 2, HRCC_NO_MEMORY = 3 };
@@ -133,97 +137,116 @@ decode1(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t
 
 #ifdef __x86_64__
 
-/* The four-lane body for nframes, a multiple of four.  lanes: 4 * nsteps * n_out doubles of
- * scratch that hold a group's soft values, column-major with the four frames interleaved.
- * back: one byte per (step, state), bit l for lane l, which the traceback reads for all four
- * lanes at each step.  Returns 1 if a final metric is not finite. */
-static inline __attribute__((always_inline, target("avx2"))) int
-decode4(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t *source,
-        ptrdiff_t nsteps, const int n_out, const double *sym, double *lanes, uint8_t *back,
-        uint8_t *bits)
-{
-    /* Branch outputs broadcast once; held in locals, they need no reload
-     * after each byte stored to back, which may alias sym. */
-    __m256d out[NSTATES / 2][n_out];
-    for (int i = 0; i < NSTATES / 2; i++)
-        for (int j = 0; j < n_out; j++)
-            out[i][j] = _mm256_set1_pd(sym[i * n_out + j]);
+/* Each vector width's primitives, named by its lane count L, for the one body below: the
+ * vector type; PD_L(op), the _pd intrinsic of op (set1, loadu, storeu, add, sub, mul and max);
+ * GT_L, greater-than as a bitmask, bit l for lane l; NAN_L, nonzero if a lane is NaN; and
+ * COLUMN_L, column s of the rows row[0] to row[L - 1], one per lane.  Eight lanes compile for
+ * AVX-512DQ too, whose KMOVB stores a bitmask straight from its mask register, where AVX-512F
+ * alone moves it through a general register first: 6-9% of a 512-frame decode. */
+#define VEC_4 __m256d
+#define PD_4(op) _mm256_##op##_pd
+#define GT_4(a, b) _mm256_movemask_pd(_mm256_cmp_pd(a, b, _CMP_GT_OQ))
+#define NAN_4(v) _mm256_movemask_pd(_mm256_cmp_pd(v, v, _CMP_UNORD_Q))
+#define COLUMN_4(row, s) _mm256_set_pd(row[3][s], row[2][s], row[1][s], row[0][s])
 
-    int flagged = 0;
-    for (ptrdiff_t first = 0; first < nframes; first += LANES) {
-        const double *row[LANES];
-        for (int l = 0; l < LANES; l++)
-            row[l] = soft + (first + l) * in_width;
-        for (ptrdiff_t c = 0; c < nsteps * n_out; c++) {
-            const int32_t s = source[c];
-            const __m256d v = s < 0 ? _mm256_setzero_pd()
-                                    : _mm256_set_pd(row[3][s], row[2][s], row[1][s], row[0][s]);
-            _mm256_storeu_pd(lanes + LANES * c, v);
-        }
+#define VEC_8 __m512d
+#define PD_8(op) _mm512_##op##_pd
+#define GT_8(a, b) _mm512_cmp_pd_mask(a, b, _CMP_GT_OQ)
+#define NAN_8(v) _mm512_cmp_pd_mask(v, v, _CMP_UNORD_Q)
+#define COLUMN_8(row, s) _mm512_set_pd(row[7][s], row[6][s], row[5][s], row[4][s], \
+                                       row[3][s], row[2][s], row[1][s], row[0][s])
 
-        __m256d metrics[2][NSTATES];
-        __m256d *pm = metrics[0], *next = metrics[1];
-        pm[0] = _mm256_setzero_pd();
-        for (int s = 1; s < NSTATES; s++)
-            pm[s] = _mm256_set1_pd(NEG_METRIC);
-
-        for (ptrdiff_t t = 0; t < nsteps; t++) {
-            const double *seg = lanes + LANES * n_out * t;
-            uint8_t *decisions = back + NSTATES * t;
-            _Pragma("GCC unroll 8")
-            for (int i = 0; i < NSTATES / 2; i++) {
-                __m256d m = _mm256_mul_pd(_mm256_loadu_pd(seg), out[i][0]);
-                for (int j = 1; j < n_out; j++)
-                    m = _mm256_add_pd(
-                        m, _mm256_mul_pd(_mm256_loadu_pd(seg + LANES * j), out[i][j]));
-                const __m256d even = pm[2 * i], odd = pm[2 * i + 1];
-                const __m256d c0 = _mm256_add_pd(even, m), c1 = _mm256_sub_pd(odd, m);
-                const __m256d d0 = _mm256_sub_pd(even, m), d1 = _mm256_add_pd(odd, m);
-                /* Ordered greater-than: false on ties, like c1 > c0 above.  MAXPD
-                 * returns its first operand only when it is strictly greater, else its
-                 * second, ties and +-0 alike, so it keeps what the scalar body keeps.
-                 * A NaN reaches it only from a value that is not finite: a flagged frame. */
-                const __m256d pick_c = _mm256_cmp_pd(c1, c0, _CMP_GT_OQ);
-                const __m256d pick_d = _mm256_cmp_pd(d1, d0, _CMP_GT_OQ);
-                next[i] = _mm256_max_pd(c1, c0);
-                next[i + 8] = _mm256_max_pd(d1, d0);
-                decisions[i] = (uint8_t)_mm256_movemask_pd(pick_c);
-                decisions[i + 8] = (uint8_t)_mm256_movemask_pd(pick_d);
-            }
-            __m256d *swap = pm;
-            pm = next;
-            next = swap;
-        }
-        const __m256d zero = _mm256_sub_pd(pm[0], pm[0]); /* NaN where pm[0] is not finite */
-        flagged |= _mm256_movemask_pd(_mm256_cmp_pd(zero, zero, _CMP_UNORD_Q)) != 0;
-
-        /* The four lanes step back together, so that their chains of
-         * dependent loads overlap. */
-        uint8_t *decoded = bits + first * nsteps;
-        unsigned state[LANES] = {0};
-        for (ptrdiff_t t = nsteps - 1; t >= 0; t--) {
-            const uint8_t *decisions = back + NSTATES * t;
-            _Pragma("GCC unroll 4")
-            for (int l = 0; l < LANES; l++) {
-                decoded[l * nsteps + t] = (uint8_t)(state[l] >> 3);
-                state[l] = ((state[l] & 7) << 1) | ((decisions[state[l]] >> l) & 1);
-            }
-        }
-    }
-    return flagged;
+/* The vector body, written once and expanded for each width by DECODE_GROUPS(L, isa):
+ * decode##L decodes nframes, a multiple of L, one frame per lane, with the width's intrinsics
+ * compiled by target(isa).  lanes: L * nsteps * n_out doubles of scratch that hold a group's
+ * soft values, column-major with the L frames interleaved.  back: one byte per (step, state),
+ * bit l for lane l, which the traceback reads for all L lanes at each step.  decode_groups##L
+ * calls it with a constant n_out for each code rate, apart from hrcc_viterbi, which must not
+ * be compiled for isa.  Each returns 1 if a final metric is not finite. */
+#define DECODE_GROUPS(L, isa)                                                                   \
+static inline __attribute__((always_inline, target(isa))) int                                   \
+decode##L(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t *source,     \
+          ptrdiff_t nsteps, const int n_out, const double *sym, double *lanes, uint8_t *back,   \
+          uint8_t *bits)                                                                        \
+{                                                                                               \
+    /* Branch outputs broadcast once; held in locals, they need no reload                       \
+     * after each byte stored to back, which may alias sym. */                                  \
+    VEC_##L out[NSTATES / 2][n_out];                                                            \
+    for (int i = 0; i < NSTATES / 2; i++)                                                       \
+        for (int j = 0; j < n_out; j++)                                                         \
+            out[i][j] = PD_##L(set1)(sym[i * n_out + j]);                                       \
+                                                                                                \
+    int flagged = 0;                                                                            \
+    for (ptrdiff_t first = 0; first < nframes; first += L) {                                    \
+        const double *row[L];                                                                   \
+        for (int l = 0; l < L; l++)                                                             \
+            row[l] = soft + (first + l) * in_width;                                             \
+        for (ptrdiff_t c = 0; c < nsteps * n_out; c++) {                                        \
+            const int32_t s = source[c];                                                        \
+            PD_##L(storeu)(lanes + L * c, s < 0 ? PD_##L(set1)(0.0) : COLUMN_##L(row, s));      \
+        }                                                                                       \
+                                                                                                \
+        VEC_##L metrics[2][NSTATES];                                                            \
+        VEC_##L *pm = metrics[0], *next = metrics[1];                                           \
+        pm[0] = PD_##L(set1)(0.0);                                                              \
+        for (int s = 1; s < NSTATES; s++)                                                       \
+            pm[s] = PD_##L(set1)(NEG_METRIC);                                                   \
+                                                                                                \
+        for (ptrdiff_t t = 0; t < nsteps; t++) {                                                \
+            const double *seg = lanes + L * n_out * t;                                          \
+            uint8_t *decisions = back + NSTATES * t;                                            \
+            _Pragma("GCC unroll 8")                                                             \
+            for (int i = 0; i < NSTATES / 2; i++) {                                             \
+                VEC_##L m = PD_##L(mul)(PD_##L(loadu)(seg), out[i][0]);                         \
+                for (int j = 1; j < n_out; j++)                                                 \
+                    m = PD_##L(add)(m, PD_##L(mul)(PD_##L(loadu)(seg + L * j), out[i][j]));     \
+                const VEC_##L even = pm[2 * i], odd = pm[2 * i + 1];                            \
+                const VEC_##L c0 = PD_##L(add)(even, m), c1 = PD_##L(sub)(odd, m);              \
+                const VEC_##L d0 = PD_##L(sub)(even, m), d1 = PD_##L(add)(odd, m);              \
+                /* Ordered greater-than: false on ties, like c1 > c0 in decode1.  MAXPD         \
+                 * returns its first operand only when it is strictly greater, else its         \
+                 * second, ties and +-0 alike, so it keeps what the scalar body keeps.  A       \
+                 * NaN reaches it only from a value that is not finite: a flagged frame. */     \
+                next[i] = PD_##L(max)(c1, c0);                                                  \
+                next[i + 8] = PD_##L(max)(d1, d0);                                              \
+                decisions[i] = (uint8_t)GT_##L(c1, c0);                                         \
+                decisions[i + 8] = (uint8_t)GT_##L(d1, d0);                                     \
+            }                                                                                   \
+            VEC_##L *swap = pm;                                                                 \
+            pm = next;                                                                          \
+            next = swap;                                                                        \
+        }                                                                                       \
+        const VEC_##L zero = PD_##L(sub)(pm[0], pm[0]); /* NaN where pm[0] is not finite */     \
+        flagged |= NAN_##L(zero) != 0;                                                          \
+                                                                                                \
+        /* The L lanes step back together, so that their chains of                              \
+         * dependent loads overlap. */                                                          \
+        uint8_t *decoded = bits + first * nsteps;                                               \
+        unsigned state[L] = {0};                                                                \
+        for (ptrdiff_t t = nsteps - 1; t >= 0; t--) {                                           \
+            const uint8_t *decisions = back + NSTATES * t;                                      \
+            _Pragma("GCC unroll 8")                                                             \
+            for (int l = 0; l < L; l++) {                                                       \
+                decoded[l * nsteps + t] = (uint8_t)(state[l] >> 3);                             \
+                state[l] = ((state[l] & 7) << 1) | ((decisions[state[l]] >> l) & 1);            \
+            }                                                                                   \
+        }                                                                                       \
+    }                                                                                           \
+    return flagged;                                                                             \
+}                                                                                               \
+                                                                                                \
+static __attribute__((target(isa))) int                                                         \
+decode_groups##L(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width,                     \
+                 const int32_t *source, ptrdiff_t nsteps, int n_out, const double *sym,         \
+                 double *lanes, uint8_t *back, uint8_t *bits)                                   \
+{                                                                                               \
+    return n_out == 2                                                                           \
+        ? decode##L(soft, nframes, in_width, source, nsteps, 2, sym, lanes, back, bits)         \
+        : decode##L(soft, nframes, in_width, source, nsteps, 3, sym, lanes, back, bits);        \
 }
 
-/* decode4 with a constant n_out for each code rate; separate from
- * hrcc_viterbi, which must not be compiled for AVX2. */
-static __attribute__((target("avx2"))) int
-decode_groups(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t *source,
-              ptrdiff_t nsteps, int n_out, const double *sym, double *lanes, uint8_t *back,
-              uint8_t *bits)
-{
-    return n_out == 2
-        ? decode4(soft, nframes, in_width, source, nsteps, 2, sym, lanes, back, bits)
-        : decode4(soft, nframes, in_width, source, nsteps, 3, sym, lanes, back, bits);
-}
+DECODE_GROUPS(4, "avx2")
+DECODE_GROUPS(8, "avx512f,avx512dq")
 
 #endif
 
@@ -249,13 +272,15 @@ static inline uint64_t lfsr(const uint8_t *restrict row, ptrdiff_t n,
     return rem;
 }
 
-/* Frames decoded at once by the fastest body this CPU runs. */
+/* Frames decoded at once by the widest body this CPU runs. */
 int hrcc_viterbi_lanes(void)
 {
 #ifdef __x86_64__
     __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq"))
+        return 8;
     if (__builtin_cpu_supports("avx2"))
-        return LANES;
+        return 4;
 #endif
     return 1;
 }
@@ -280,27 +305,36 @@ int hrcc_viterbi(const hrcc_code *code, const double *soft, ptrdiff_t nframes, u
     const ptrdiff_t nsteps = code->entries / n_out;
     if (nframes == 0 || nsteps == 0)
         return HRCC_OK;
-    /* back: NSTATES bytes per step for the AVX2 body, or one word per step
-     * for the scalar body; lanes follows it. */
-    uint8_t *back = malloc(NSTATES * nsteps + LANES * nsteps * n_out * sizeof(double));
-    if (back == NULL)
+    /* lanes, then back: NSTATES bytes per step for a vector body, or one word per step
+     * for the scalar body.  Both start on a 64-byte line, so that no vector load splits one. */
+    const size_t lane_bytes = WIDEST * nsteps * n_out * sizeof(double);
+    double *lanes = aligned_alloc(64, lane_bytes + (NSTATES * nsteps + 63) / 64 * 64);
+    if (lanes == NULL)
         return HRCC_NO_MEMORY;
-    ptrdiff_t grouped = 0;
+    uint8_t *back = (uint8_t *)lanes + lane_bytes;
+    ptrdiff_t done = 0; /* frames decoded, from the first */
     int flagged = 0;
 #ifdef __x86_64__
-    if (hrcc_viterbi_lanes() == LANES) {
-        grouped = nframes - nframes % LANES;
-        flagged = decode_groups(soft, grouped, in_width, source, nsteps, n_out, sym,
-                                (double *)(back + NSTATES * nsteps), back, bits);
+    const int widest = hrcc_viterbi_lanes();
+    if (widest == 8) {
+        done = nframes - nframes % 8;
+        flagged = decode_groups8(soft, done, in_width, source, nsteps, n_out, sym, lanes, back,
+                                 bits);
+    }
+    if (widest >= 4) {
+        const ptrdiff_t group = (nframes - done) / 4 * 4;
+        flagged |= decode_groups4(soft + done * in_width, group, in_width, source, nsteps, n_out,
+                                  sym, lanes, back, bits + done * nsteps);
+        done += group;
     }
 #endif
-    const double *rest = soft + grouped * in_width;
-    const ptrdiff_t left = nframes - grouped;
-    uint8_t *rest_bits = bits + grouped * nsteps;
+    const double *rest = soft + done * in_width;
+    const ptrdiff_t left = nframes - done;
+    uint8_t *rest_bits = bits + done * nsteps;
     flagged |= n_out == 2
         ? decode1(rest, left, in_width, source, nsteps, 2, sym, (uint16_t *)back, rest_bits)
         : decode1(rest, left, in_width, source, nsteps, 3, sym, (uint16_t *)back, rest_bits);
-    free(back);
+    free(lanes);
     if (table != NULL)
         for (ptrdiff_t f = 0; f < nframes; f++)
             ok[f] = lfsr(bits + f * nsteps, n, table) == 0;

@@ -153,11 +153,6 @@ def bit_block(bits, length: int | None = None) -> np.ndarray:
     return binary_uint8(_one_block(np.asarray(bits), length, "expected"))
 
 
-def as_bit_array(bits, length: int | None = None) -> np.ndarray:
-    """:func:`bit_block` as a fresh array, which the caller may keep."""
-    return bit_block(bits, length).copy()
-
-
 def as_soft_array(values, length: int | None = None) -> np.ndarray:
     """One block of finite soft values, ``length`` of them (None: any), as a fresh float64 array."""
     return finite(real_float64(_one_block(np.asarray(values), length, "expected")).copy())

@@ -268,7 +268,7 @@ def _cmd_imsi(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    paths = {4: "avx2 (4 lanes)", 1: "scalar (1 lane)", 0: "none"}
+    paths = {8: "avx512 (8 lanes)", 4: "avx2 (4 lanes)", 1: "scalar (1 lane)", 0: "none"}
     print(f"version={__version__}")
     print(f"backend={kernels.BACKEND}")
     print(f"c_path={paths[kernels.LANES]}")

@@ -9,8 +9,8 @@ from hrcc.bits import (
     Burst,
     HexFormatError,
     SubAllocation,
-    as_bit_array,
     as_soft_array,
+    bit_block,
     check_collection,
     check_int,
     check_type,
@@ -68,18 +68,18 @@ def test_hex_roundtrip_against_reference(length):
         assert from_hex_ref(text) == bits.tolist()
 
 
-def test_as_bit_array_validation():
+def test_bit_block_validation():
     with pytest.raises(ValueError):
-        as_bit_array([0, 1, 2])
+        bit_block([0, 1, 2])
     with pytest.raises(ValueError):
-        as_bit_array([0, -1])
+        bit_block([0, -1])
     with pytest.raises(ValueError):
-        as_bit_array([])
+        bit_block([])
     with pytest.raises(ValueError):
-        as_bit_array([[0, 1]])
+        bit_block([[0, 1]])
     with pytest.raises(ValueError):
-        as_bit_array([0, 1, 1], length=4)
-    out = as_bit_array([0, 1, 1.0])
+        bit_block([0, 1, 1], length=4)
+    out = bit_block([0, 1, 1.0])
     assert out.dtype == np.uint8
 
 
@@ -94,9 +94,8 @@ def test_as_soft_array_validation():
 
 
 def test_single_block_helpers_return_fresh_arrays():
-    # Burst freezes the array as_bit_array returns; the caller's must stay writable.
+    # Burst keeps a read-only copy of its payload; the caller's must stay writable.
     bits, soft = np.zeros(114, np.uint8), np.ones(114)
-    assert not np.shares_memory(as_bit_array(bits), bits)
     assert not np.shares_memory(as_soft_array(soft), soft)
     Burst(bits)
     assert bits.flags.writeable

@@ -66,7 +66,8 @@ def test_info_command(capsys):
     code, out, err = run_cli(capsys, "info")
     assert code == 0 and not err
     fields = dict(line.split("=", 1) for line in out.strip().split("\n"))
-    path = {4: "avx2 (4 lanes)", 1: "scalar (1 lane)", 0: "none"}[kernels.LANES]
+    path = {8: "avx512 (8 lanes)", 4: "avx2 (4 lanes)", 1: "scalar (1 lane)",
+            0: "none"}[kernels.LANES]
     assert fields == {
         "version": hrcc.__version__,
         "backend": kernels.BACKEND,

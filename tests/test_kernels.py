@@ -36,12 +36,14 @@ def _assert_kernels_agree(soft, code):
     return active
 
 
-def _cpu_has_avx2() -> bool:
+def _cpu_flags() -> set[str]:
+    """The CPU's feature flags as /proc/cpuinfo lists them; empty where it cannot be read."""
     try:
         with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
-            return any(line.startswith("flags") and " avx2" in line for line in fh)
+            return next((set(line.split(":", 1)[1].split()) for line in fh
+                         if line.startswith("flags")), set())
     except OSError:
-        return False
+        return set()
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
@@ -51,7 +53,9 @@ def test_compiled_kernel_is_active():
     assert kernels.viterbi_batch is kernels.viterbi_batch_c
     assert kernels.channel is kernels.channel_c and kernels.NORMALS == "c"
     assert kernels.draw_bits is kernels.draw_bits_c and kernels.BITS == "c"
-    assert kernels.LANES == (4 if _cpu_has_avx2() else 1)
+    flags = _cpu_flags()
+    eight = {"avx512f", "avx512dq"} <= flags
+    assert kernels.LANES == (8 if eight else 4 if "avx2" in flags else 1)
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
@@ -169,25 +173,34 @@ def test_strided_input_agrees():
     _assert_kernels_agree(wide[::3, : STEPS * 2].astype(np.float32), CONV_RATE_12)
 
 
-def _decode_in_threes(rows, syms, source=None):
-    """Decode ``rows`` in calls of at most three frames each."""
-    return np.concatenate(
-        [kernels.viterbi_batch(rows[i : i + 3], syms, source) for i in range(0, len(rows), 3)]
-    )
+def _decode_in_calls_of(most):
+    """A decode of ``rows`` in calls of at most ``most`` frames each."""
+    def decode(rows, syms, source=None):
+        return np.concatenate([kernels.viterbi_batch(rows[i : i + most], syms, source)
+                               for i in range(0, len(rows), most)])
+    return decode
 
 
-@pytest.fixture(params=["avx2", "scalar"])
+@pytest.fixture(params=["avx512", "avx2", "scalar"])
 def entry(request):
     """Each body of the compiled decoder, reached through ``kernels.viterbi_batch``.
 
-    ``avx2`` decodes the batch in one call: whole groups of four frames run on
-    the AVX2 body where the CPU has it, and the remainder on the scalar body.
+    ``avx512`` decodes the batch in one call: every whole group of eight frames
+    runs on the eight-lane body, then a whole group of four left over on the
+    four-lane body and the one to three frames after it on the scalar body.  It
+    runs only where the CPU has AVX-512F and DQ.  ``avx2`` decodes it in calls
+    of at most seven frames, so that a call of four to seven frames runs its
+    first four on the four-lane body wherever the CPU has AVX2, AVX-512 or not.
     ``scalar`` decodes it in calls of at most three frames, which are all
     remainder, so every frame runs on the scalar body on any CPU.
     """
     if kernels.viterbi_batch_c is None:
         pytest.skip("no compiled kernel")
-    return kernels.viterbi_batch if request.param == "avx2" else _decode_in_threes
+    if request.param == "avx512":
+        if not {"avx512f", "avx512dq"} <= _cpu_flags():
+            pytest.skip("no AVX-512F and DQ: the eight-lane body does not run on this CPU")
+        return kernels.viterbi_batch
+    return _decode_in_calls_of(7 if request.param == "avx2" else 3)
 
 
 def _chain_case(scheme, rows):
@@ -203,10 +216,10 @@ def _chain_case(scheme, rows):
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
-@pytest.mark.parametrize("nframes", [1, 2, 3, 4, 5, 6, 7, 513, 515])
+@pytest.mark.parametrize("nframes", [1, 2, 3, 4, 5, 6, 7, 15, 513, 515, 519])
 def test_entry_points_read_every_chains_map(entry, scheme, nframes):
-    # Whole groups of four followed by a remainder of every size, through the
-    # identity map (standard, m2-reduced) and the three puncturing maps.
+    # Whole groups of eight and of four followed by a remainder of every size,
+    # through the identity map (standard, m2-reduced) and the three puncturing maps.
     rng = np.random.default_rng([28, nframes])
     rows = rng.normal(0.0, 2.0, size=(nframes, _CHAINS[scheme].coded_bits))
     source, syms, reference = _chain_case(scheme, rows)
@@ -230,12 +243,14 @@ def test_entry_points_on_erasure_and_tie_rows(entry, scheme):
     assert not decoded[::5].any()
 
 
-LANE_COUNTS = [*range(1, 10), 512]  # whole groups of four plus every leftover count
+LANE_COUNTS = [*range(1, 18), 512]  # groups of eight, of four and every leftover count
+GROUP = max(kernels.LANES, 1)  # the frames of the widest group that this CPU runs
 
 
 def _lane_rows(width, nframes, seed):
-    """``nframes`` soft rows, each group of four holding one row of each kind below, the
-    kinds turned by one lane per group, so that each lane meets every kind."""
+    """``nframes`` soft rows of the eight kinds below.  Lane l of group g, row
+    g * ``GROUP`` + l, takes kind (l + g) % 8: a group holds each kind at most once, so its
+    rows decode to words of their own, and each lane meets every kind in eight groups."""
     rng = np.random.default_rng(seed)
 
     def signed_zeros():  # ties between +0.0 and -0.0, then a path of its own
@@ -243,13 +258,33 @@ def _lane_rows(width, nframes, seed):
         row[: width // 2] = np.copysign(0.0, rng.normal(size=width // 2))
         return row
 
+    def erased_tail():  # a path of its own, then erasures to the end
+        row = rng.normal(0.0, 2.0, width)
+        row[width // 2 :] = 0.0
+        return row
+
+    def tied_head():  # ties at every step, then a path of its own
+        row = rng.normal(0.0, 2.0, width)
+        row[: width // 2] = rng.integers(-1, 2, width // 2)
+        return row
+
+    def every_third_erased():
+        row = rng.normal(0.0, 2.0, width)
+        row[::3] = 0.0
+        return row
+
     kinds = [
         lambda: np.zeros(width),  # all erasures
         lambda: rng.integers(-1, 2, width).astype(np.float64),  # ties at every step
         signed_zeros,
         lambda: rng.normal(0.0, 2.0, width),
+        erased_tail,
+        lambda: rng.choice([-1.0, 1.0], width),  # hard decisions
+        tied_head,
+        every_third_erased,
     ]
-    return np.array([kinds[(f + f // 4) % 4]() for f in range(nframes)])
+    assert GROUP <= len(kinds)
+    return np.array([kinds[(f % GROUP + f // GROUP) % len(kinds)]() for f in range(nframes)])
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
@@ -262,8 +297,8 @@ def test_entry_points_trace_every_lane_back_on_its_own(entry, scheme):
         rows = _lane_rows(chain.coded_bits, nframes, [32, nframes])
         decoded = entry(rows, syms, chain.source)
         assert np.array_equal(decoded, kernels.viterbi_batch_np(rows, syms, chain.source))
-        for first in range(0, nframes, 4):
-            group = decoded[first : first + 4]
+        for first in range(0, nframes, GROUP):
+            group = decoded[first : first + GROUP]
             assert len({row.tobytes() for row in group}) == len(group)
 
 

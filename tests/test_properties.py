@@ -124,8 +124,9 @@ def test_lapdm_codec_round_trips(payload, address, control):
 @SOME
 @given(code=st.sampled_from([CONV_RATE_12, CONV_RATE_13]), data=st.data())
 def test_compiled_kernel_equals_the_numpy_kernel(code, data):
-    # Up to nine frames: two AVX2 groups and every remainder, on ties and
-    # erasures, read in order or through a map with deleted columns.
+    # Up to 17 frames: two eight-lane groups, a four-lane group and every
+    # remainder, on ties and erasures, read in order or through a map with
+    # deleted columns.
     syms = _sym_table(code.generators)
     width = code.n_out * data.draw(st.integers(1, 40), label="steps")
     in_width = data.draw(st.none() | st.integers(1, 60), label="mapped row width")
@@ -134,7 +135,7 @@ def test_compiled_kernel_equals_the_numpy_kernel(code, data):
         source = data.draw(
             hnp.arrays(np.int32, width, elements=st.integers(-1, in_width - 1)), label="map"
         )
-    shape = (data.draw(st.integers(1, 9), label="frames"), in_width or width)
+    shape = (data.draw(st.integers(1, 17), label="frames"), in_width or width)
     soft = data.draw(hnp.arrays(np.float64, shape, elements=SOFT), label="soft")
     expect = kernels.viterbi_batch_np(soft, syms, source)
     assert np.array_equal(kernels.viterbi_batch_c(soft, syms, source), expect)
@@ -144,12 +145,12 @@ def test_compiled_kernel_equals_the_numpy_kernel(code, data):
 @SOME
 @given(scheme=SCHEMES, data=st.data())
 def test_compiled_chain_equals_the_numpy_chain(scheme, data):
-    # Up to nine frames through the compiled encoder, against BlockCode's BLAS
+    # Up to 17 frames through the compiled encoder, against BlockCode's BLAS
     # parity, conv_encode_batch_np and the paper's puncture steps; then the
     # noiseless encodings of the same words, with and without flipped bits,
     # through the compiled decoder and its check, against BlockCode's BLAS check.
     chain = _CHAINS[scheme]
-    frames = data.draw(st.integers(0, 9), label="frames")
+    frames = data.draw(st.integers(0, 17), label="frames")
     msgs = data.draw(hnp.arrays(np.uint8, (frames, chain.block.k), elements=BITS), label="msgs")
     words = np.concatenate([msgs, chain.block.parity_batch(msgs)], axis=1)
     flips = data.draw(hnp.arrays(np.uint8, words.shape, elements=st.sampled_from([0, 0, 0, 1])),

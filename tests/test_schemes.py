@@ -357,8 +357,9 @@ def _check_cases(block, seed):
 @pytest.mark.parametrize("scheme", list(SchemeId))
 def test_compiled_check_equals_the_blas_check(scheme):
     # Noiseless soft values of every case decode to the case itself, so the
-    # decoder's check sees each flip; batches of 1 to 7 frames check their
-    # leftover frames on the scalar body, 513 frames mostly in AVX2 groups.
+    # decoder's check sees each flip; batches of 1 to 17 frames check their
+    # groups of eight and of four on the vector bodies and their leftover
+    # frames on the scalar body, 513 frames mostly in the widest groups.
     chain = _CHAINS[scheme]
     if chain.kernel is None:
         pytest.skip("no compiled kernel")
@@ -366,7 +367,7 @@ def test_compiled_check_equals_the_blas_check(scheme):
     expect = chain.block.check_batch(words)
     assert expect[:6].all() and not expect[6:-2].any() and expect[-2:].all()
     soft = _perfect_soft(_coded_words(scheme, words))
-    for n in range(1, 8):
+    for n in range(1, 18):
         pieces = [decode_blocks(scheme, soft[i : i + n]) for i in range(0, len(soft), n)]
         assert np.array_equal(np.concatenate([msgs for msgs, _ in pieces]),
                               words[:, : chain.block.k])
