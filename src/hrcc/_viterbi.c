@@ -142,7 +142,8 @@ decode1(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t
  * GT_L, greater-than as a bitmask, bit l for lane l; NAN_L, nonzero if a lane is NaN; and
  * COLUMN_L, column s of the rows row[0] to row[L - 1], one per lane.  Eight lanes compile for
  * AVX-512DQ too, whose KMOVB stores a bitmask straight from its mask register, where AVX-512F
- * alone moves it through a general register first: 6-9% of a 512-frame decode. */
+ * alone moves it through a general register first: 7.6-10.4% of the best of six 512-frame
+ * decodes on a C harness, 1-2% of their medians. */
 #define VEC_4 __m256d
 #define PD_4(op) _mm256_##op##_pd
 #define GT_4(a, b) _mm256_movemask_pd(_mm256_cmp_pd(a, b, _CMP_GT_OQ))

@@ -181,26 +181,28 @@ def _decode_in_calls_of(most):
     return decode
 
 
-@pytest.fixture(params=["avx512", "avx2", "scalar"])
+@pytest.fixture(params=["avx2", "avx512", "four-lane", "scalar"])
 def entry(request):
     """Each body of the compiled decoder, reached through ``kernels.viterbi_batch``.
 
-    ``avx512`` decodes the batch in one call: every whole group of eight frames
-    runs on the eight-lane body, then a whole group of four left over on the
-    four-lane body and the one to three frames after it on the scalar body.  It
-    runs only where the CPU has AVX-512F and DQ.  ``avx2`` decodes it in calls
-    of at most seven frames, so that a call of four to seven frames runs its
-    first four on the four-lane body wherever the CPU has AVX2, AVX-512 or not.
-    ``scalar`` decodes it in calls of at most three frames, which are all
+    ``avx2`` decodes the batch in one call, on any CPU: every whole group runs
+    on the widest body the CPU has (groups of eight on AVX-512, then a group of
+    four left over; groups of four on AVX2 alone) and the remainder on the
+    scalar body.  ``avx512`` decodes it in calls of at most eight frames, so a
+    call of eight runs one group on the eight-lane body and nothing else; it
+    runs only where the CPU has AVX-512F and DQ.  ``four-lane`` decodes it in
+    calls of at most seven frames, so that a call of four to seven frames runs
+    its first four on the four-lane body wherever the CPU has AVX2, AVX-512 or
+    not.  ``scalar`` decodes it in calls of at most three frames, which are all
     remainder, so every frame runs on the scalar body on any CPU.
     """
     if kernels.viterbi_batch_c is None:
         pytest.skip("no compiled kernel")
-    if request.param == "avx512":
-        if not {"avx512f", "avx512dq"} <= _cpu_flags():
-            pytest.skip("no AVX-512F and DQ: the eight-lane body does not run on this CPU")
+    if request.param == "avx2":
         return kernels.viterbi_batch
-    return _decode_in_calls_of(7 if request.param == "avx2" else 3)
+    if request.param == "avx512" and not {"avx512f", "avx512dq"} <= _cpu_flags():
+        pytest.skip("no AVX-512F and DQ: the eight-lane body does not run on this CPU")
+    return _decode_in_calls_of({"avx512": 8, "four-lane": 7, "scalar": 3}[request.param])
 
 
 def _chain_case(scheme, rows):
