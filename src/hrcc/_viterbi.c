@@ -18,19 +18,19 @@
  * erasure (+0.0).  This folds depuncturing into the decoder's own reads.
  * kernels.py checks the map's bounds before it calls in.
  *
- * hrcc_viterbi decides which body decodes which frame.  One vector body runs a
- * group of frames one per lane, with the same operations in the same order per
- * lane as the scalar body: its select, MAXPD with the odd candidate first, picks
- * what the scalar > picks, ties and signed zeros included.  The lanes of a group
- * are traced back side by side.  Its text is written once and expanded at two
- * widths: eight lanes for AVX-512F and DQ, four for AVX2.  Where the CPU has
- * AVX-512F and DQ, every whole group of eight frames runs on the eight-lane
- * body; then, where it has AVX2, a whole group of four left over runs on the
- * four-lane body; every other frame, the one to three left over or every frame
- * on other CPUs, runs on the scalar body, so a single block always does.  The
- * vector bodies are compiled by a function attribute, not by a compiler flag,
- * so the library loads on any x86-64 CPU; hrcc_viterbi_lanes says how wide a
- * group this CPU runs.
+ * One body decodes a group of frames one per lane, with the same operations in
+ * the same order in every lane: its select, a max with the odd candidate first,
+ * picks what numpy's > picks, ties and signed zeros included.  The lanes of a
+ * group are traced back side by side.  Its text is written once and expanded at
+ * three widths: eight lanes for AVX-512F and DQ, four for AVX2 and one lane of
+ * plain double arithmetic.  hrcc_viterbi decides which width decodes which
+ * frame: where the CPU has AVX-512F and DQ, every whole group of eight frames
+ * runs on eight lanes; then, where it has AVX2, a whole group of four left over
+ * runs on four; every other frame, the one to three left over or every frame on
+ * other CPUs, runs on one lane, so a single block always does.  The vector
+ * widths are compiled by a function attribute, not by a compiler flag, so the
+ * library loads on any x86-64 CPU; hrcc_viterbi_lanes says how wide a group
+ * this CPU runs.
  *
  * The library also holds a chain's encoder, hrcc_encode, the channel,
  * hrcc_channel, which draws its own standard normals and applies them in one
@@ -50,7 +50,7 @@
 
 #define NSTATES 16
 #define NEG_METRIC (-1.0e30)
-#define WIDEST 8 /* lanes of the widest body, which the scratch buffer fits */
+#define WIDEST 8 /* lanes at the widest width, which the scratch buffer fits */
 
 /* The statuses of hrcc_viterbi, hrcc_channel and hrcc_encode; kernels.py mirrors them. */
 enum { HRCC_OK = 0, HRCC_NOT_BINARY = 1, HRCC_NOT_FINITE = 2, HRCC_NO_MEMORY = 3 };
@@ -80,92 +80,34 @@ typedef struct {
     ptrdiff_t n;
 } hrcc_code;
 
-/* The scalar body for one code rate; always inlined, so that each call
- * below compiles with a constant n_out and a fully unrolled butterfly loop.
- * back: one word of decision bits per step.  Returns 1 if a final metric is not finite. */
-static inline __attribute__((always_inline)) int
-decode1(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t *source,
-        ptrdiff_t nsteps, const int n_out, const double *sym, uint16_t *back, uint8_t *bits)
-{
-    int flagged = 0;
-    for (ptrdiff_t f = 0; f < nframes; f++) {
-        const double *row = soft + f * in_width;
-        double metrics[2][NSTATES];
-        double *pm = metrics[0], *next = metrics[1];
+/* Each width's primitives, named by its lane count L, for the one body below: the vector
+ * type; PD_L(op), op on it (set1, loadu, storeu, add, sub, mul and max); GT_L, greater-than as
+ * a bitmask, bit l for lane l; NAN_L, nonzero if a lane is NaN; and COLUMN_L, column s of the
+ * rows row[0] to row[L - 1], one per lane.  One lane is plain double arithmetic, its max
+ * MAXPD's rule: the first operand only when it is strictly greater, else the second. */
+#define VEC_1 double
+#define PD_1(op) PD1_##op
+#define PD1_set1(v) (v)
+#define PD1_loadu(p) (*(p))
+#define PD1_storeu(p, v) (*(p) = (v))
+#define PD1_add(a, b) ((a) + (b))
+#define PD1_sub(a, b) ((a) - (b))
+#define PD1_mul(a, b) ((a) * (b))
+#define PD1_max(a, b) ((a) > (b) ? (a) : (b))
+#define GT_1(a, b) ((a) > (b))
+#define NAN_1(v) isnan(v)
+#define COLUMN_1(row, s) row[0][s]
 
-        pm[0] = 0.0;
-        for (int s = 1; s < NSTATES; s++)
-            pm[s] = NEG_METRIC;
-
-        for (ptrdiff_t t = 0; t < nsteps; t++) {
-            const int32_t *src = source + t * n_out;
-            double seg[n_out];
-            for (int j = 0; j < n_out; j++)
-                seg[j] = src[j] < 0 ? 0.0 : row[src[j]];
-            unsigned decisions = 0;
-            _Pragma("GCC unroll 8")
-            for (int i = 0; i < NSTATES / 2; i++) {
-                const double *out = sym + i * n_out;
-                double m = seg[0] * out[0];
-                for (int j = 1; j < n_out; j++)
-                    m = m + seg[j] * out[j];
-                const double even = pm[2 * i], odd = pm[2 * i + 1];
-                /* Ties keep the even predecessor, as in the numpy kernel. */
-                const double c0 = even + m, c1 = odd - m;
-                const double d0 = even - m, d1 = odd + m;
-                const unsigned pick_c = c1 > c0, pick_d = d1 > d0;
-                next[i] = pick_c ? c1 : c0;
-                next[i + 8] = pick_d ? d1 : d0;
-                decisions |= pick_c << i | pick_d << (i + 8);
-            }
-            back[t] = (uint16_t)decisions;
-            double *swap = pm;
-            pm = next;
-            next = swap;
-        }
-        flagged |= !isfinite(pm[0]);
-
-        uint8_t *decoded = bits + f * nsteps;
-        unsigned state = 0;
-        for (ptrdiff_t t = nsteps - 1; t >= 0; t--) {
-            decoded[t] = (uint8_t)(state >> 3);
-            state = ((state & 7) << 1) | ((back[t] >> state) & 1);
-        }
-    }
-    return flagged;
-}
-
-#ifdef __x86_64__
-
-/* Each vector width's primitives, named by its lane count L, for the one body below: the
- * vector type; PD_L(op), the _pd intrinsic of op (set1, loadu, storeu, add, sub, mul and max);
- * GT_L, greater-than as a bitmask, bit l for lane l; NAN_L, nonzero if a lane is NaN; and
- * COLUMN_L, column s of the rows row[0] to row[L - 1], one per lane.  Eight lanes compile for
- * AVX-512DQ too, whose KMOVB stores a bitmask straight from its mask register, where AVX-512F
- * alone moves it through a general register first: 7.6-10.4% of the best of six 512-frame
- * decodes on a C harness, 1-2% of their medians. */
-#define VEC_4 __m256d
-#define PD_4(op) _mm256_##op##_pd
-#define GT_4(a, b) _mm256_movemask_pd(_mm256_cmp_pd(a, b, _CMP_GT_OQ))
-#define NAN_4(v) _mm256_movemask_pd(_mm256_cmp_pd(v, v, _CMP_UNORD_Q))
-#define COLUMN_4(row, s) _mm256_set_pd(row[3][s], row[2][s], row[1][s], row[0][s])
-
-#define VEC_8 __m512d
-#define PD_8(op) _mm512_##op##_pd
-#define GT_8(a, b) _mm512_cmp_pd_mask(a, b, _CMP_GT_OQ)
-#define NAN_8(v) _mm512_cmp_pd_mask(v, v, _CMP_UNORD_Q)
-#define COLUMN_8(row, s) _mm512_set_pd(row[7][s], row[6][s], row[5][s], row[4][s], \
-                                       row[3][s], row[2][s], row[1][s], row[0][s])
-
-/* The vector body, written once and expanded for each width by DECODE_GROUPS(L, isa):
- * decode##L decodes nframes, a multiple of L, one frame per lane, with the width's intrinsics
- * compiled by target(isa).  lanes: L * nsteps * n_out doubles of scratch that hold a group's
- * soft values, column-major with the L frames interleaved.  back: one byte per (step, state),
- * bit l for lane l, which the traceback reads for all L lanes at each step.  decode_groups##L
- * calls it with a constant n_out for each code rate, apart from hrcc_viterbi, which must not
- * be compiled for isa.  Each returns 1 if a final metric is not finite. */
-#define DECODE_GROUPS(L, isa)                                                                   \
-static inline __attribute__((always_inline, target(isa))) int                                   \
+/* The body, written once and expanded for each width by DECODE_GROUPS(L, attr): decode##L
+ * decodes nframes, a multiple of L, one frame per lane, with the width's primitives compiled
+ * under the function attribute attr (empty for one lane).  lanes: L * nsteps * n_out doubles
+ * of scratch that hold a group's soft values, column-major with the L frames interleaved.
+ * back: one byte per (step, state), bit l for lane l, which the traceback reads for all L
+ * lanes at each step.  decode_groups##L calls it with a constant n_out for each code rate,
+ * apart from hrcc_viterbi, which must not be compiled under attr.  Each returns 1 if a final
+ * metric is not finite. */
+#define DECODE_GROUPS(L, attr)                                                                  \
+static inline __attribute__((always_inline, attr)) int                                          \
 decode##L(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32_t *source,     \
           ptrdiff_t nsteps, const int n_out, const double *sym, double *lanes, uint8_t *back,   \
           uint8_t *bits)                                                                        \
@@ -204,10 +146,11 @@ decode##L(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32
                 const VEC_##L even = pm[2 * i], odd = pm[2 * i + 1];                            \
                 const VEC_##L c0 = PD_##L(add)(even, m), c1 = PD_##L(sub)(odd, m);              \
                 const VEC_##L d0 = PD_##L(sub)(even, m), d1 = PD_##L(add)(odd, m);              \
-                /* Ordered greater-than: false on ties, like c1 > c0 in decode1.  MAXPD         \
-                 * returns its first operand only when it is strictly greater, else its         \
-                 * second, ties and +-0 alike, so it keeps what the scalar body keeps.  A       \
-                 * NaN reaches it only from a value that is not finite: a flagged frame. */     \
+                /* Ordered greater-than: false on ties, so ties keep the even predecessor,      \
+                 * as in the numpy kernel.  max keeps c1 only when it is strictly greater,      \
+                 * else c0, ties, +-0 and NaN alike: what numpy's where(c1 > c0, c1, c0)        \
+                 * keeps.  A NaN comes only from a value that is not finite or from sums        \
+                 * that overflowed, and it flags its frame. */                                  \
                 next[i] = PD_##L(max)(c1, c0);                                                  \
                 next[i + 8] = PD_##L(max)(d1, d0);                                              \
                 decisions[i] = (uint8_t)GT_##L(c1, c0);                                         \
@@ -236,7 +179,7 @@ decode##L(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32
     return flagged;                                                                             \
 }                                                                                               \
                                                                                                 \
-static __attribute__((target(isa))) int                                                         \
+static __attribute__((attr)) int                                                                \
 decode_groups##L(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width,                     \
                  const int32_t *source, ptrdiff_t nsteps, int n_out, const double *sym,         \
                  double *lanes, uint8_t *back, uint8_t *bits)                                   \
@@ -246,8 +189,28 @@ decode_groups##L(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width,     
         : decode##L(soft, nframes, in_width, source, nsteps, 3, sym, lanes, back, bits);        \
 }
 
-DECODE_GROUPS(4, "avx2")
-DECODE_GROUPS(8, "avx512f,avx512dq")
+DECODE_GROUPS(1, )
+
+#ifdef __x86_64__
+
+#define VEC_4 __m256d
+#define PD_4(op) _mm256_##op##_pd
+#define GT_4(a, b) _mm256_movemask_pd(_mm256_cmp_pd(a, b, _CMP_GT_OQ))
+#define NAN_4(v) _mm256_movemask_pd(_mm256_cmp_pd(v, v, _CMP_UNORD_Q))
+#define COLUMN_4(row, s) _mm256_set_pd(row[3][s], row[2][s], row[1][s], row[0][s])
+
+/* Eight lanes compile for AVX-512DQ too, whose KMOVB stores a bitmask straight from its mask
+ * register, where AVX-512F alone moves it through a general register first: 7.6-10.4% of the
+ * best of six 512-frame decodes on a C harness, 1-2% of their medians. */
+#define VEC_8 __m512d
+#define PD_8(op) _mm512_##op##_pd
+#define GT_8(a, b) _mm512_cmp_pd_mask(a, b, _CMP_GT_OQ)
+#define NAN_8(v) _mm512_cmp_pd_mask(v, v, _CMP_UNORD_Q)
+#define COLUMN_8(row, s) _mm512_set_pd(row[7][s], row[6][s], row[5][s], row[4][s], \
+                                       row[3][s], row[2][s], row[1][s], row[0][s])
+
+DECODE_GROUPS(4, target("avx2"))
+DECODE_GROUPS(8, target("avx512f,avx512dq"))
 
 #endif
 
@@ -306,8 +269,8 @@ int hrcc_viterbi(const hrcc_code *code, const double *soft, ptrdiff_t nframes, u
     const ptrdiff_t nsteps = code->entries / n_out;
     if (nframes == 0 || nsteps == 0)
         return HRCC_OK;
-    /* lanes, then back: NSTATES bytes per step for a vector body, or one word per step
-     * for the scalar body.  Both start on a 64-byte line, so that no vector load splits one. */
+    /* lanes, then back, NSTATES bytes per step at every width; both start on a 64-byte
+     * line, so that no vector load splits one. */
     const size_t lane_bytes = WIDEST * nsteps * n_out * sizeof(double);
     double *lanes = aligned_alloc(64, lane_bytes + (NSTATES * nsteps + 63) / 64 * 64);
     if (lanes == NULL)
@@ -329,12 +292,8 @@ int hrcc_viterbi(const hrcc_code *code, const double *soft, ptrdiff_t nframes, u
         done += group;
     }
 #endif
-    const double *rest = soft + done * in_width;
-    const ptrdiff_t left = nframes - done;
-    uint8_t *rest_bits = bits + done * nsteps;
-    flagged |= n_out == 2
-        ? decode1(rest, left, in_width, source, nsteps, 2, sym, (uint16_t *)back, rest_bits)
-        : decode1(rest, left, in_width, source, nsteps, 3, sym, (uint16_t *)back, rest_bits);
+    flagged |= decode_groups1(soft + done * in_width, nframes - done, in_width, source, nsteps,
+                              n_out, sym, lanes, back, bits + done * nsteps);
     free(lanes);
     if (table != NULL)
         for (ptrdiff_t f = 0; f < nframes; f++)

@@ -10,12 +10,12 @@ checkouts of different sources that share a cache each keep theirs), and later i
 through ``ctypes``.  If there is no compiler, or the build or the load fails, the numpy kernels
 run.  ``BACKEND`` says which: ``"c"`` or ``"numpy"``.
 
-* ``hrcc_viterbi`` (``viterbi_batch_c``; ``viterbi_batch_np``) is the one decoder.  One vector
-  body, expanded at two widths, decodes a group of frames one per lane: where the CPU has
-  AVX-512F and DQ, every whole group of eight; where it has AVX2, a whole group of four left
-  over (or, without AVX-512, every whole group of four); the scalar body decodes every other
-  frame, so a single block always.  ``LANES``, the widest group, is 8, 4, 1 (scalar C) or 0
-  (numpy).  ``_viterbi.c`` sets out how every decoder gives numpy's bits, ties included.
+* ``hrcc_viterbi`` (``viterbi_batch_c``; ``viterbi_batch_np``) is the one decoder.  One body,
+  expanded at three widths, decodes a group of frames one per lane: where the CPU has AVX-512F
+  and DQ, every whole group of eight; where it has AVX2, a whole group of four left over (or,
+  without AVX-512, every whole group of four); one lane of plain C decodes every other frame,
+  so a single block always.  ``LANES``, the widest group, is 8, 4, 1 (one lane, scalar C) or 0
+  (numpy).  ``_viterbi.c`` sets out how every width gives numpy's bits, ties included.
 * ``hrcc_encode``, with one chain's tables from ``ChainKernel``, encodes a batch in one pass:
   the block parity by a byte-table LFSR, the tail, the conv code by a 32-entry table of
   register windows and the puncture through the chain's source map.  ``ChainKernel`` decodes

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -183,18 +184,18 @@ def _decode_in_calls_of(most):
 
 @pytest.fixture(params=["avx2", "avx512", "four-lane", "scalar"])
 def entry(request):
-    """Each body of the compiled decoder, reached through ``kernels.viterbi_batch``.
+    """Each width of the compiled decoder's one body, reached through ``kernels.viterbi_batch``.
 
     ``avx2`` decodes the batch in one call, on any CPU: every whole group runs
-    on the widest body the CPU has (groups of eight on AVX-512, then a group of
-    four left over; groups of four on AVX2 alone) and the remainder on the
-    scalar body.  ``avx512`` decodes it in calls of at most eight frames, so a
-    call of eight runs one group on the eight-lane body and nothing else; it
-    runs only where the CPU has AVX-512F and DQ.  ``four-lane`` decodes it in
-    calls of at most seven frames, so that a call of four to seven frames runs
-    its first four on the four-lane body wherever the CPU has AVX2, AVX-512 or
-    not.  ``scalar`` decodes it in calls of at most three frames, which are all
-    remainder, so every frame runs on the scalar body on any CPU.
+    at the widest width the CPU has (groups of eight on AVX-512, then a group of
+    four left over; groups of four on AVX2 alone) and the remainder on one
+    lane.  ``avx512`` decodes it in calls of at most eight frames, so a call of
+    eight runs one group on eight lanes and nothing else; it runs only where
+    the CPU has AVX-512F and DQ.  ``four-lane`` decodes it in calls of at most
+    seven frames, so that a call of four to seven frames runs its first four on
+    four lanes wherever the CPU has AVX2, AVX-512 or not.  ``scalar`` decodes it
+    in calls of at most three frames, which are all remainder, so every frame
+    runs on the one-lane width, plain scalar C, on any CPU.
     """
     if kernels.viterbi_batch_c is None:
         pytest.skip("no compiled kernel")
@@ -217,16 +218,25 @@ def _chain_case(scheme, rows):
     return chain.source, syms, kernels.viterbi_batch_np(mother, syms)
 
 
+@lru_cache(maxsize=None)
+def _map_case(scheme, nframes):
+    """(rows, source map, branch table, reference) of one chain and frame count, made once
+    for every entry.  The numpy kernel must give the reference through the chain's map too:
+    a failed check caches nothing, so it fails each entry's case again."""
+    rng = np.random.default_rng([28, nframes])
+    rows = rng.normal(0.0, 2.0, size=(nframes, _CHAINS[scheme].coded_bits))
+    source, syms, reference = _chain_case(scheme, rows)
+    assert np.array_equal(kernels.viterbi_batch_np(rows, syms, source), reference)
+    return rows, source, syms, reference
+
+
 @pytest.mark.parametrize("scheme", list(SchemeId))
 @pytest.mark.parametrize("nframes", [1, 2, 3, 4, 5, 6, 7, 15, 513, 515, 519])
 def test_entry_points_read_every_chains_map(entry, scheme, nframes):
     # Whole groups of eight and of four followed by a remainder of every size,
     # through the identity map (standard, m2-reduced) and the three puncturing maps.
-    rng = np.random.default_rng([28, nframes])
-    rows = rng.normal(0.0, 2.0, size=(nframes, _CHAINS[scheme].coded_bits))
-    source, syms, reference = _chain_case(scheme, rows)
+    rows, source, syms, reference = _map_case(scheme, nframes)
     assert np.array_equal(entry(rows, syms, source), reference)
-    assert np.array_equal(kernels.viterbi_batch_np(rows, syms, source), reference)
     if not _CHAINS[scheme].punctures:
         assert np.array_equal(entry(rows, syms), reference)
 
@@ -289,17 +299,28 @@ def _lane_rows(width, nframes, seed):
     return np.array([kinds[(f % GROUP + f // GROUP) % len(kinds)]() for f in range(nframes)])
 
 
+@lru_cache(maxsize=None)
+def _lane_cases(scheme):
+    """(branch table, [(rows, numpy decode through the chain's map)] for each of LANE_COUNTS)
+    of one chain, made once for every entry."""
+    chain = _CHAINS[scheme]
+    syms = _sym_table(chain.code.generators)
+    cases = []
+    for nframes in LANE_COUNTS:
+        rows = _lane_rows(chain.coded_bits, nframes, [32, nframes])
+        cases.append((rows, kernels.viterbi_batch_np(rows, syms, chain.source)))
+    return syms, cases
+
+
 @pytest.mark.parametrize("scheme", list(SchemeId))
 def test_entry_points_trace_every_lane_back_on_its_own(entry, scheme):
     # The rows of a group decode to different words, so a traceback that
     # shared one lane's state, or read another lane's decision bits, fails.
-    chain = _CHAINS[scheme]
-    syms = _sym_table(chain.code.generators)
-    for nframes in LANE_COUNTS:
-        rows = _lane_rows(chain.coded_bits, nframes, [32, nframes])
-        decoded = entry(rows, syms, chain.source)
-        assert np.array_equal(decoded, kernels.viterbi_batch_np(rows, syms, chain.source))
-        for first in range(0, nframes, GROUP):
+    syms, cases = _lane_cases(scheme)
+    for rows, reference in cases:
+        decoded = entry(rows, syms, _CHAINS[scheme].source)
+        assert np.array_equal(decoded, reference)
+        for first in range(0, len(rows), GROUP):
             group = decoded[first : first + GROUP]
             assert len({row.tobytes() for row in group}) == len(group)
 

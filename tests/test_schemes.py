@@ -358,8 +358,8 @@ def _check_cases(block, seed):
 def test_compiled_check_equals_the_blas_check(scheme):
     # Noiseless soft values of every case decode to the case itself, so the
     # decoder's check sees each flip; batches of 1 to 17 frames check their
-    # groups of eight and of four on the vector bodies and their leftover
-    # frames on the scalar body, 513 frames mostly in the widest groups.
+    # groups of eight and of four at the vector widths and their leftover
+    # frames on one lane, 513 frames mostly in the widest groups.
     chain = _CHAINS[scheme]
     if chain.kernel is None:
         pytest.skip("no compiled kernel")
