@@ -21,7 +21,9 @@
  * One body decodes a group of frames one per lane, with the same operations in
  * the same order in every lane: its select, a max with the odd candidate first,
  * picks what numpy's > picks, ties and signed zeros included.  The lanes of a
- * group are traced back side by side.  Its text is written once and expanded at
+ * group are traced back side by side: at the vector widths every lane's state
+ * sits in one 128-bit register, and one byte shuffle per step reads each lane's
+ * decision byte.  Its text is written once and expanded at
  * three widths: eight lanes for AVX-512F and DQ, four for AVX2 and one lane of
  * plain double arithmetic.  hrcc_viterbi decides which width decodes which
  * frame: where the CPU has AVX-512F and DQ, every whole group of eight frames
@@ -32,11 +34,12 @@
  * library loads on any x86-64 CPU; hrcc_viterbi_lanes says how wide a group
  * this CPU runs.
  *
- * The library also holds a chain's encoder, hrcc_encode, the channel,
- * hrcc_channel, which draws its own standard normals and applies them in one
- * call, and the message draw, hrcc_bits; each is bit-identical to the numpy
- * stages it replaces, and both draws leave the generator as numpy's would.
- * Given a block code's table, hrcc_viterbi also checks each decoded word.
+ * The library also holds a chain's encoder, hrcc_encode, which takes 8 trellis
+ * steps per lookup of a 4096-entry table, the channel, hrcc_channel, which draws
+ * its own standard normals and applies them in one call, and the message draw,
+ * hrcc_bits; each is bit-identical to the numpy stages it replaces, and both
+ * draws leave the generator as numpy's would.  Given a block code's table,
+ * hrcc_viterbi also checks each decoded word.
  */
 
 #include <math.h>
@@ -58,16 +61,19 @@ enum { HRCC_OK = 0, HRCC_NOT_BINARY = 1, HRCC_NOT_FINITE = 2, HRCC_NO_MEMORY = 3
 /* The operands of a code that stay the same from call to call, which kernels.py fills
  * once per chain and once per call of a bare decode, and mirrors as _Code: one pointer
  * crosses where seven arguments would, each of which ctypes converts on every call.
- * source:  entries, n_out per trellis step, each -1 or a column of a width-value row;
- *          the decoder reads its soft rows through it and the encoder writes its coded
- *          rows through it, see hrcc_viterbi and hrcc_encode.
- * n_out:   2 or 3, the code rate's denominator; kernels.py rejects any other.
- * table:   NULL, or the block code's 256 remainders, see lfsr().
- * sym:     (8, n_out) outputs of the branch from state 2i under input 0, for the decoder.
- * outputs: 32 entries for the encoder: bit j of entry w is output j of the conv code when
- *          the register window is w, bit i of w holding the input i steps back.
- * k, n:    the message bits that the encoder reads, and the message and parity bits
- *          that the decoder checks with table. */
+ * source:      entries, n_out per trellis step, each -1 or a column of a width-value row;
+ *              the decoder reads its soft rows through it, see hrcc_viterbi.
+ * n_out:       2 or 3, the code rate's denominator; kernels.py rejects any other.
+ * table:       NULL, or the block code's 256 remainders, see lfsr().
+ * sym:         (8, n_out) outputs of the branch from state 2i under input 0, for the decoder.
+ * eight_steps: 4096 entries for the encoder, one per 8 trellis steps: entry h << 8 | x holds
+ *              the 8 * n_out mother-code bits, step by step in column order from bit 0, of the
+ *              8 steps that shift the inputs x, first in bit 7, into a register whose last 4
+ *              inputs were h, newest in bit 0.
+ * columns:     NULL where source is the identity, else width entries, the inverse of source:
+ *              the mother-code column of each coded column, which the encoder gathers.
+ * k, n:        the message bits that the encoder reads, and the message and parity bits
+ *              that the decoder checks with table. */
 typedef struct {
     const int32_t *source;
     ptrdiff_t entries;
@@ -75,16 +81,22 @@ typedef struct {
     int n_out;
     const uint64_t *table;
     const double *sym;
-    const uint8_t *outputs;
+    const uint32_t *eight_steps;
+    const int32_t *columns;
     ptrdiff_t k;
     ptrdiff_t n;
 } hrcc_code;
 
 /* Each width's primitives, named by its lane count L, for the one body below: the vector
  * type; PD_L(op), op on it (set1, loadu, storeu, add, sub, mul and max); GT_L, greater-than as
- * a bitmask, bit l for lane l; NAN_L, nonzero if a lane is NaN; and COLUMN_L, column s of the
- * rows row[0] to row[L - 1], one per lane.  One lane is plain double arithmetic, its max
- * MAXPD's rule: the first operand only when it is strictly greater, else the second. */
+ * a bitmask, bit l for lane l; NAN_L, nonzero if a lane is NaN; COLUMN_L, column s of the rows
+ * row[0] to row[L - 1], one per lane; and, for the traceback, STATE_L, the type that holds every
+ * lane's state, BACK_L(state, decisions), the states one step back, EMIT_L(at, state), each
+ * lane's decoded bit, state >> 3, as the L bytes at at, and ROWS_L(decoded, steps, nsteps), the
+ * rows of L frames, one per lane, from the nsteps * L bytes that EMIT_L wrote.  One lane is
+ * plain double arithmetic, its max MAXPD's rule: the first operand only when it is strictly
+ * greater, else the second; its traceback is one scalar step that writes its bit straight into
+ * the frame's row, so ROWS_1 has nothing to do. */
 #define VEC_1 double
 #define PD_1(op) PD1_##op
 #define PD1_set1(v) (v)
@@ -97,11 +109,16 @@ typedef struct {
 #define GT_1(a, b) ((a) > (b))
 #define NAN_1(v) isnan(v)
 #define COLUMN_1(row, s) row[0][s]
+#define STATE_1 unsigned
+#define BACK_1(state, decisions) (((state) & 7) << 1 | ((decisions)[state] & 1))
+#define EMIT_1(at, state) (*(at) = (uint8_t)((state) >> 3))
+#define ROWS_1(decoded, steps, nsteps) ((void)0)
 
 /* The body, written once and expanded for each width by DECODE_GROUPS(L, attr): decode##L
  * decodes nframes, a multiple of L, one frame per lane, with the width's primitives compiled
  * under the function attribute attr (empty for one lane).  lanes: L * nsteps * n_out doubles
- * of scratch that hold a group's soft values, column-major with the L frames interleaved.
+ * of scratch that hold a group's soft values, column-major with the L frames interleaved,
+ * and then, once the add-compare-select is done, the traceback's L bytes per step.
  * back: one byte per (step, state), bit l for lane l, which the traceback reads for all L
  * lanes at each step.  decode_groups##L calls it with a constant n_out for each code rate,
  * apart from hrcc_viterbi, which must not be compiled under attr.  Each returns 1 if a final
@@ -163,18 +180,17 @@ decode##L(const double *soft, ptrdiff_t nframes, ptrdiff_t in_width, const int32
         const VEC_##L zero = PD_##L(sub)(pm[0], pm[0]); /* NaN where pm[0] is not finite */     \
         flagged |= NAN_##L(zero) != 0;                                                          \
                                                                                                 \
-        /* The L lanes step back together, so that their chains of                              \
-         * dependent loads overlap. */                                                          \
+        /* The L lanes step back together, every lane's state in one STATE_L; one               \
+         * lane writes its row directly, and L lanes write their bytes to the free              \
+         * lane buffer, which ROWS_L turns into rows. */                                        \
         uint8_t *decoded = bits + first * nsteps;                                               \
-        unsigned state[L] = {0};                                                                \
+        uint8_t *steps = L == 1 ? decoded : (uint8_t *)lanes;                                   \
+        STATE_##L state = {0};                                                                  \
         for (ptrdiff_t t = nsteps - 1; t >= 0; t--) {                                           \
-            const uint8_t *decisions = back + NSTATES * t;                                      \
-            _Pragma("GCC unroll 8")                                                             \
-            for (int l = 0; l < L; l++) {                                                       \
-                decoded[l * nsteps + t] = (uint8_t)(state[l] >> 3);                             \
-                state[l] = ((state[l] & 7) << 1) | ((decisions[state[l]] >> l) & 1);            \
-            }                                                                                   \
+            EMIT_##L(steps + L * t, state);                                                     \
+            state = BACK_##L(state, back + NSTATES * t);                                        \
         }                                                                                       \
+        ROWS_##L(decoded, steps, nsteps);                                                       \
     }                                                                                           \
     return flagged;                                                                             \
 }                                                                                               \
@@ -193,11 +209,84 @@ DECODE_GROUPS(1, )
 
 #ifdef __x86_64__
 
+/* The vector widths' traceback holds every lane's state in one 128-bit register, lane l's in
+ * byte l.  Each lane's state one step back: one byte shuffle gives each lane the decision byte
+ * of its state, whose own bit, l for lane l, it shifts in. */
+static inline __attribute__((always_inline, target("avx2"))) __m128i
+back_step(__m128i state, const uint8_t *decisions)
+{
+    const __m128i lane_bits = _mm_setr_epi8(1, 2, 4, 8, 16, 32, 64, -128, 0, 0, 0, 0, 0, 0, 0, 0);
+    const __m128i chosen = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)decisions), state);
+    const __m128i bit = _mm_min_epu8(_mm_and_si128(chosen, lane_bits), _mm_set1_epi8(1));
+    const __m128i low = _mm_and_si128(state, _mm_set1_epi8(7));
+    return _mm_or_si128(_mm_add_epi8(low, low), bit);
+}
+
+/* Each lane's decoded bit, state >> 3, as the L bytes at at, for L = 4 or 8 lanes. */
+static inline __attribute__((always_inline, target("avx2"))) void
+emit(uint8_t *at, __m128i state, const int L)
+{
+    const __m128i bits = _mm_and_si128(_mm_srli_epi16(state, 3), _mm_set1_epi8(1));
+    if (L == 8) {
+        _mm_storel_epi64((__m128i *)at, bits);
+    } else {
+        const int32_t four = _mm_cvtsi128_si32(bits);
+        memcpy(at, &four, sizeof four);
+    }
+}
+
+/* The rows of L = 4 or 8 lanes, lane l's at decoded + l * nsteps, from the bytes that emit
+ * wrote, L per step: 8 steps at a time, where byte shuffles and unpacks gather each lane's 8
+ * bytes, two lanes to a register, then the steps left over one by one. */
+static inline __attribute__((always_inline, target("avx2"))) void
+lane_rows(uint8_t *decoded, const uint8_t *steps, ptrdiff_t nsteps, const int L)
+{
+    ptrdiff_t t = 0;
+    for (; t + 8 <= nsteps; t += 8) {
+        const __m128i *at = (const __m128i *)(steps + L * t);
+        __m128i pairs[4]; /* lanes 2i and 2i + 1 */
+        if (L == 4) { /* each 16 bytes to four lanes' four steps */
+            const __m128i fours = _mm_setr_epi8(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11,
+                                                15);
+            const __m128i a = _mm_shuffle_epi8(_mm_loadu_si128(at), fours);
+            const __m128i b = _mm_shuffle_epi8(_mm_loadu_si128(at + 1), fours);
+            pairs[0] = _mm_unpacklo_epi32(a, b);
+            pairs[1] = _mm_unpackhi_epi32(a, b);
+        } else { /* each 16 bytes to eight lanes' two steps, then four, then eight */
+            const __m128i twos = _mm_setr_epi8(0, 8, 1, 9, 2, 10, 3, 11, 4, 12, 5, 13, 6, 14, 7,
+                                               15);
+            __m128i x[4];
+            for (int i = 0; i < 4; i++)
+                x[i] = _mm_shuffle_epi8(_mm_loadu_si128(at + i), twos);
+            for (int h = 0; h < 2; h++) { /* lanes 4h to 4h + 3 */
+                const __m128i head = h ? _mm_unpackhi_epi16(x[0], x[1])
+                                       : _mm_unpacklo_epi16(x[0], x[1]);
+                const __m128i tail = h ? _mm_unpackhi_epi16(x[2], x[3])
+                                       : _mm_unpacklo_epi16(x[2], x[3]);
+                pairs[2 * h] = _mm_unpacklo_epi32(head, tail);
+                pairs[2 * h + 1] = _mm_unpackhi_epi32(head, tail);
+            }
+        }
+        for (int i = 0; i < L / 2; i++) {
+            uint8_t *lane = decoded + 2 * i * nsteps + t;
+            _mm_storel_epi64((__m128i *)lane, pairs[i]);
+            _mm_storel_epi64((__m128i *)(lane + nsteps), _mm_unpackhi_epi64(pairs[i], pairs[i]));
+        }
+    }
+    for (; t < nsteps; t++)
+        for (int l = 0; l < L; l++)
+            decoded[l * nsteps + t] = steps[L * t + l];
+}
+
 #define VEC_4 __m256d
 #define PD_4(op) _mm256_##op##_pd
 #define GT_4(a, b) _mm256_movemask_pd(_mm256_cmp_pd(a, b, _CMP_GT_OQ))
 #define NAN_4(v) _mm256_movemask_pd(_mm256_cmp_pd(v, v, _CMP_UNORD_Q))
 #define COLUMN_4(row, s) _mm256_set_pd(row[3][s], row[2][s], row[1][s], row[0][s])
+#define STATE_4 __m128i
+#define BACK_4 back_step
+#define EMIT_4(at, state) emit(at, state, 4)
+#define ROWS_4(decoded, steps, nsteps) lane_rows(decoded, steps, nsteps, 4)
 
 /* Eight lanes compile for AVX-512DQ too, whose KMOVB stores a bitmask straight from its mask
  * register, where AVX-512F alone moves it through a general register first: 7.6-10.4% of the
@@ -208,6 +297,10 @@ DECODE_GROUPS(1, )
 #define NAN_8(v) _mm512_cmp_pd_mask(v, v, _CMP_UNORD_Q)
 #define COLUMN_8(row, s) _mm512_set_pd(row[7][s], row[6][s], row[5][s], row[4][s], \
                                        row[3][s], row[2][s], row[1][s], row[0][s])
+#define STATE_8 __m128i
+#define BACK_8 back_step
+#define EMIT_8(at, state) emit(at, state, 8)
+#define ROWS_8(decoded, steps, nsteps) lane_rows(decoded, steps, nsteps, 8)
 
 DECODE_GROUPS(4, target("avx2"))
 DECODE_GROUPS(8, target("avx512f,avx512dq"))
@@ -301,47 +394,116 @@ int hrcc_viterbi(const hrcc_code *code, const double *soft, ptrdiff_t nframes, u
     return flagged ? HRCC_NOT_FINITE : HRCC_OK;
 }
 
-/* hrcc_encode with a constant n_out: nsteps inputs (the message, its parity first
- * bit highest, then zeros: the tail) shift through the register window, and each
- * step writes its outputs through the source map, a deleted one into a dummy byte. */
-static inline __attribute__((always_inline)) unsigned
-encode1(const uint8_t *restrict msgs, ptrdiff_t nframes, ptrdiff_t k, ptrdiff_t nsteps,
-        const uint64_t *restrict table, const uint8_t *restrict outputs, const int n_out,
-        const int32_t *restrict source, ptrdiff_t width, uint8_t *restrict out)
+/* 8 bytes as a little-endian word, and back, on either byte order. */
+static inline uint64_t load8(const uint8_t *p)
 {
-    unsigned seen = 0;
-    uint8_t deleted;
+    uint64_t w;
+    memcpy(&w, p, sizeof w);
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    w = __builtin_bswap64(w);
+#endif
+    return w;
+}
+
+static inline void store8(uint8_t *p, uint64_t w)
+{
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    w = __builtin_bswap64(w);
+#endif
+    memcpy(p, &w, sizeof w);
+}
+
+/* The bytes of w, each 0 or 1, as the bits of one byte, byte 0 in bit 7: the multiplier's
+ * term 2^(9m) moves byte 7 - m to bit 63 - (7 - m), and no other term reaches the top byte
+ * or carries into it. */
+static inline unsigned pack8(uint64_t w)
+{
+    return (unsigned)(w * 0x8040201008040201u >> 56);
+}
+
+/* The 8 bits of x as 8 bytes of 0 or 1, bit b in byte b: x copied to every byte, bit b of
+ * byte b kept, and a nonzero byte carried into its own bit 7. */
+static inline uint64_t expand8(unsigned x)
+{
+    const uint64_t kept = x * 0x0101010101010101u & 0x8040201008040201u;
+    return (kept + 0x7f7f7f7f7f7f7f7fu) >> 7 & 0x0101010101010101u;
+}
+
+/* The next 8 inputs x, first in bit 7, shifted into the 12-input window, whose entry of
+ * eight_steps expands to the 8 * n_out bytes of the mother-code row at at; returns the end. */
+static inline __attribute__((always_inline)) uint8_t *
+shift8(const uint32_t *restrict table, unsigned *window, unsigned x, const int n_out,
+       uint8_t *restrict at)
+{
+    *window = (*window << 8 | x) & 4095;
+    const uint32_t bits = table[*window];
+    for (int j = 0; j < n_out; j++)
+        store8(at + 8 * j, expand8(bits >> 8 * j & 255));
+    return at + 8 * n_out;
+}
+
+/* hrcc_encode with a constant n_out: the nsteps inputs (the message, its parity first bit
+ * highest, then zeros: the tail) go through the register 8 at a time, and each group's
+ * mother-code bits expand into the row mother, whose last group may run past entries; the
+ * row is then copied to out, or gathered through columns where a puncture deleted some of
+ * it. */
+static inline __attribute__((always_inline)) uint64_t
+encode_rows(const hrcc_code *code, const uint8_t *restrict msgs, ptrdiff_t nframes,
+            const int n_out, uint8_t *restrict mother, uint8_t *restrict out)
+{
+    const ptrdiff_t k = code->k, width = code->width, entries = code->entries;
+    const ptrdiff_t nsteps = entries / n_out;
+    const uint32_t *restrict table = code->eight_steps;
+    const int32_t *restrict columns = code->columns;
+    uint64_t seen = 0;
     for (ptrdiff_t f = 0; f < nframes; f++, msgs += k, out += width) {
-        uint64_t parity = lfsr(msgs, k, table);
+        uint64_t parity = lfsr(msgs, k, code->table);
         unsigned window = 0;
-        for (ptrdiff_t t = 0; t < nsteps; t++) {
-            unsigned bit = (unsigned)(parity >> 63);
-            if (t < k)
-                seen |= bit = msgs[t]; /* a value above 1 fails the call */
-            else
-                parity <<= 1;
-            window = (window << 1 | bit) & 31;
-            const int32_t *src = source + t * n_out;
-            _Pragma("GCC unroll 3")
-            for (int j = 0; j < n_out; j++)
-                *(src[j] < 0 ? &deleted : out + src[j]) = outputs[window] >> j & 1;
+        uint8_t *at = mother;
+        ptrdiff_t t = 0;
+        for (; t + 8 <= k; t += 8) {
+            const uint64_t w = load8(msgs + t);
+            seen |= w; /* a value above 1 fails the call */
+            at = shift8(table, &window, pack8(w), n_out, at);
         }
+        /* The message's last k % 8 inputs lead the parity into the next group. */
+        const int lead = (int)(k - t);
+        unsigned x = 0;
+        for (; t < k; t++) {
+            seen |= msgs[t];
+            x = x << 1 | (msgs[t] & 1);
+        }
+        x = x << (8 - lead) | (unsigned)(parity >> (56 + lead));
+        parity <<= 8 - lead;
+        for (t -= lead; t < nsteps; t += 8) {
+            at = shift8(table, &window, x, n_out, at);
+            x = (unsigned)(parity >> 56);
+            parity <<= 8;
+        }
+        if (columns == NULL)
+            memcpy(out, mother, entries);
+        else
+            for (ptrdiff_t c = 0; c < width; c++)
+                out[c] = mother[columns[c]];
     }
     return seen;
 }
 
 /* msgs: (nframes, code->k) row-major message bits; code->table gives their parity, and
- * each step's outputs go through code->source: out is (nframes, code->width) coded bits.
- * Returns HRCC_NOT_BINARY if a message value is not 0 or 1, else HRCC_OK. */
+ * code->eight_steps the mother-code rows, which code->columns punctures: out is (nframes,
+ * code->width) coded bits.  Returns HRCC_NOT_BINARY if a message value is not 0 or 1, else
+ * HRCC_NO_MEMORY or HRCC_OK. */
 int hrcc_encode(const hrcc_code *code, const uint8_t *msgs, ptrdiff_t nframes, uint8_t *out)
 {
-    const ptrdiff_t k = code->k, entries = code->entries, width = code->width;
-    unsigned seen = code->n_out == 2
-        ? encode1(msgs, nframes, k, entries / 2, code->table, code->outputs, 2, code->source,
-                  width, out)
-        : encode1(msgs, nframes, k, entries / 3, code->table, code->outputs, 3, code->source,
-                  width, out);
-    return seen > 1 ? HRCC_NOT_BINARY : HRCC_OK;
+    const int n_out = code->n_out;
+    /* A mother-code row, whole groups of 8 steps long. */
+    uint8_t *mother = malloc((code->entries / n_out + 7) / 8 * 8 * n_out);
+    if (mother == NULL)
+        return HRCC_NO_MEMORY;
+    const uint64_t seen = n_out == 2 ? encode_rows(code, msgs, nframes, 2, mother, out)
+                                     : encode_rows(code, msgs, nframes, 3, mother, out);
+    free(mother);
+    return seen & 0xfefefefefefefefe ? HRCC_NOT_BINARY : HRCC_OK;
 }
 
 /* draw_row() and tail() are numpy's standard normal draw (random_standard_normal

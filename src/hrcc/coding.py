@@ -124,7 +124,10 @@ parity20_encode, parity20_check = PARITY20_CODE.encode, PARITY20_CODE.check
 
 @dataclass(frozen=True)
 class ConvCode:
-    """Tail-flushed feedforward convolutional code with 16 trellis states."""
+    """Tail-flushed feedforward convolutional code with 16 trellis states.
+
+    Its tables are built once each, vectorised: ``branches``, the decoders' branch outputs,
+    and ``eight_steps``, the compiled encoder's outputs of 8 trellis steps per entry."""
 
     generators: tuple[int, ...]
 
@@ -145,11 +148,23 @@ class ConvCode:
         return len(self.generators)
 
     @cached_property
-    def outputs(self) -> np.ndarray:
-        """32 uint8: bit j of entry w is output j for the register window w (bit i: x[t-i])."""
-        return kernels.frozen([sum((bin(w & g).count("1") & 1) << j
-                                   for j, g in enumerate(self.generators)) for w in range(32)],
-                              np.uint8)
+    def eight_steps(self) -> np.ndarray:
+        """The compiled encoder's table: 4096 read-only uint32, one per 12 inputs in time order,
+        from bit 11 to bit 0.  Index ``h << 8 | x`` is 8 steps that shift the inputs ``x``,
+        first in bit 7, into a register whose last 4 inputs were ``h``, newest in bit 0; bit
+        ``i * n_out + j`` of its entry is output j of step i, so the entry holds the 8 * n_out
+        mother-code bits of those steps in column order."""
+        # Each index's register window at each step, bit m holding x[t-m], as D^m's
+        # coefficient sits at bit m of a generator; 2 bytes a window keep the import's peak
+        # memory flat.
+        windows = np.arange(4096, dtype=np.uint16)[:, None] >> np.arange(7, -1, -1,
+                                                                          dtype=np.uint16) & 31
+        parity = np.array([bin(w).count("1") & 1 for w in range(32)], np.uint8)
+        outputs = parity[windows[:, :, None] & np.array(self.generators, np.uint16)]
+        # Bit c of an entry is column c: packed little-endian, 4 bytes an entry.
+        packed = np.packbits(outputs.reshape(4096, -1), axis=1, bitorder="little")
+        return kernels.frozen(np.pad(packed, ((0, 0), (0, 4 - packed.shape[1]))).view("<u4")[:, 0],
+                              np.uint32)
 
     @cached_property
     def branches(self) -> np.ndarray:

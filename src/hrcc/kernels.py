@@ -14,14 +14,18 @@ run.  ``BACKEND`` says which: ``"c"`` or ``"numpy"``.
   expanded at three widths, decodes a group of frames one per lane: where the CPU has AVX-512F
   and DQ, every whole group of eight; where it has AVX2, a whole group of four left over (or,
   without AVX-512, every whole group of four); one lane of plain C decodes every other frame,
-  so a single block always.  ``LANES``, the widest group, is 8, 4, 1 (one lane, scalar C) or 0
+  so a single block always.  The vector widths trace every lane back in one 128-bit register,
+  one byte shuffle per step.  ``LANES``, the widest group, is 8, 4, 1 (one lane, scalar C) or 0
   (numpy).  ``_viterbi.c`` sets out how every width gives numpy's bits, ties included.
 * ``hrcc_encode``, with one chain's tables from ``ChainKernel``, encodes a batch in one pass:
-  the block parity by a byte-table LFSR, the tail, the conv code by a 32-entry table of
-  register windows and the puncture through the chain's source map.  ``ChainKernel`` decodes
-  through the same map in one ``hrcc_viterbi`` call, which runs the LFSR over each decoded
-  word too: its remainder is zero exactly when its parity matches.  The numpy references are
-  ``BlockCode``'s parity and check, ``conv_encode_batch_np`` and ``viterbi_batch_np``.
+  the block parity by a byte-table LFSR, the tail, and the conv code 8 trellis steps per lookup
+  of ``ConvCode.eight_steps`` (4096 entries, one per 12-input window): the message is packed 8
+  bits at a time, and each lookup's bits expand 8 at a time into the bytes of a mother-code
+  row, which is copied out where nothing is punctured and else gathered through the inverse of
+  the chain's source map.  ``ChainKernel`` decodes through that map in one ``hrcc_viterbi``
+  call, which runs the LFSR over each decoded word too: its remainder is zero exactly when its
+  parity matches.  The numpy references are ``BlockCode``'s parity and check,
+  ``conv_encode_batch_np`` and ``viterbi_batch_np``.
 * ``hrcc_channel`` (``channel_c``; ``channel_np``) draws each row's normals by numpy's own
   ziggurat through the generator's ``bitgen_t``, with no branch on the sign or on the wedge
   test's outcome, and adds each bit, in coded order, to a normal read through a noise map, with
@@ -241,7 +245,8 @@ class _Code(ctypes.Structure):
     _fields_ = [("source", ctypes.c_void_p), ("entries", ctypes.c_ssize_t),
                 ("width", ctypes.c_ssize_t), ("n_out", ctypes.c_int),
                 ("table", ctypes.c_void_p), ("sym", ctypes.c_void_p),
-                ("outputs", ctypes.c_void_p), ("k", ctypes.c_ssize_t), ("n", ctypes.c_ssize_t)]
+                ("eight_steps", ctypes.c_void_p), ("columns", ctypes.c_void_p),
+                ("k", ctypes.c_ssize_t), ("n", ctypes.c_ssize_t)]
 
 
 def _pinned(table: np.ndarray) -> tuple[np.ndarray, int]:
@@ -500,32 +505,41 @@ class ChainKernel:
     """One chain's compiled encoder and decoder, their tables pinned and checked once.
 
     ``block`` and ``code`` are the chain's ``BlockCode`` and ``ConvCode``, whose ``remainders``,
-    ``outputs`` and ``branches`` tables the C reads; ``source`` maps each mother-code column,
-    the 4 tail bits' included, to its column of the coded block, or -1, for the encoder to
-    write and the decoder to read through; ``width``, the coded block's, is the number of
-    columns it keeps.  Both take rows whose shape the caller checked; C checks the values.
+    ``eight_steps`` and ``branches`` tables the C reads; ``source`` maps each mother-code column,
+    the 4 tail bits' included, to its column of the coded block, or -1, for the decoder to read
+    through; the encoder copies its mother-code rows out where ``source`` is the identity and
+    else gathers each coded column through the map's inverse, made here; ``width``, the coded
+    block's, is the number of columns it keeps.  Both take rows whose shape the caller checked;
+    C checks the values.
     """
 
     def __init__(self, block, code, source):
         self.k, self.r, self.n_out = block.k, block.r, code.n_out
         self.branches = code.branches
-        remainders, outputs, source = (frozen(table, dtype) for table, dtype in (
-            (block.remainders, np.uint64), (code.outputs, np.uint8), (source, np.int32)))
-        self.width = int(np.count_nonzero(source >= 0))
+        remainders, eight_steps, source = (frozen(table, dtype) for table, dtype in (
+            (block.remainders, np.uint64), (code.eight_steps, np.uint32), (source, np.int32)))
+        kept = np.flatnonzero(source >= 0)
+        self.width = kept.size
         self._steps = self.k + self.r + 4  # trellis steps: the 4 zero tail bits included
-        # hrcc_encode writes each column of its uncleared output through the map, so once each.
+        # hrcc_encode gathers each column of its uncleared output through the inverse map.
         if (self.n_out not in (2, 3)
-                or (remainders.size, outputs.size, source.size)
-                != (256, 32, self._steps * self.n_out)
-                or not np.array_equal(np.sort(source[source >= 0]), np.arange(self.width))):
-            raise ValueError("a chain kernel takes rate 1/2 or 1/3, 256 remainders, 32 outputs "
-                             "and a source map that holds each coded column once")
+                or (remainders.size, eight_steps.size, source.size)
+                != (256, 4096, self._steps * self.n_out)
+                or not np.array_equal(np.sort(source[kept]), np.arange(self.width))):
+            raise ValueError("a chain kernel takes rate 1/2 or 1/3, 256 remainders, 4096 "
+                             "eight-step entries and a source map that holds each coded column "
+                             "once")
+        columns = None, None  # the inverse map and its address; none for the identity
+        if not np.array_equal(source, np.arange(source.size)):
+            inverse = np.empty(self.width, np.int32)
+            inverse[source[kept]] = kept
+            columns = _pinned(inverse)
         # Kept referenced here, so that their addresses stay valid.
-        self._tables = [*map(_pinned, (remainders, outputs, source)),
-                        _butterfly_syms(self.branches)]
-        table_at, outputs_at, source_at, branches_at = (at for _, at in self._tables)
-        self._code = _Code(source_at, source.size, self.width, self.n_out, table_at,
-                           branches_at, outputs_at, self.k, self.k + self.r)
+        self._tables = [*map(_pinned, (remainders, eight_steps, source)),
+                        _butterfly_syms(self.branches), columns]
+        table_at, steps_at, source_at, branches_at, columns_at = (at for _, at in self._tables)
+        self._code = _Code(source_at, source.size, self.width, self.n_out, table_at, branches_at,
+                           steps_at, columns_at, self.k, self.k + self.r)
         self._code_at = ctypes.addressof(self._code)
 
     def encode(self, msgs: np.ndarray) -> np.ndarray:

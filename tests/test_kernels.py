@@ -15,7 +15,8 @@ import pytest
 
 import hrcc
 from hrcc import kernels
-from hrcc.coding import CONV_RATE_12, CONV_RATE_13, _sym_table
+from hrcc.coding import (CONV_RATE_12, CONV_RATE_13, FIRE_POLY, PARITY20_POLY, BlockCode,
+                         _sym_table, conv_encode_batch)
 from hrcc.interleaving import destinations
 from hrcc.schemes import _CHAINS, SchemeId, decode_block, decode_blocks
 from hrcc.simulation import reports_to_csv, sweep
@@ -113,7 +114,7 @@ def test_code_struct_matches_the_c_definition():
                      re.M).group(1)
     fields = [(decl.split()[-1].lstrip("*"), _argtype(decl)) for decl in body.split(";")
               if decl.strip()]
-    assert len(fields) == 9 and fields == list(kernels._Code._fields_)
+    assert len(fields) == 10 and fields == list(kernels._Code._fields_)
 
 
 def test_status_constants_match_the_c_definitions():
@@ -323,6 +324,18 @@ def test_entry_points_trace_every_lane_back_on_its_own(entry, scheme):
         for first in range(0, len(rows), GROUP):
             group = decoded[first : first + GROUP]
             assert len({row.tobytes() for row in group}) == len(group)
+
+
+@pytest.mark.parametrize("code", CODES)
+def test_entry_points_trace_back_every_step_count(entry, code):
+    # The vector widths write each lane's row back eight steps at a time, then the steps
+    # left over one by one: 1 to 17 steps leave every remainder, on whole groups of eight
+    # and of four frames.
+    for nsteps in range(1, 18):
+        for nframes in (8, 12, 16):
+            rows = _lane_rows(nsteps * code.n_out, nframes, [34, nsteps, nframes])
+            reference = kernels.viterbi_batch_np(rows, code.branches)
+            assert np.array_equal(entry(rows, code.branches), reference), (nsteps, nframes)
 
 
 def test_entry_points_take_strided_and_float32_input(entry):
@@ -888,6 +901,48 @@ def test_build_leaves_kernels_of_other_sources_in_place(tmp_path):
     assert len(list((cache / "hrcc").glob("_viterbi-*.so"))) == 2
 
 
+def _numpy_chain(block, code, source, msgs):
+    """The numpy stages of a chain's encoder: the block parity, the 4 zero tail bits, the
+    conv code and the map's kept columns, in order."""
+    tail = np.zeros((len(msgs), 4), np.uint8)
+    words = np.concatenate([msgs, block.parity_batch(msgs), tail], axis=1)
+    return np.compress(source >= 0, conv_encode_batch(code, words), axis=1)
+
+
+# Generators of degree 1, 3, 7, 20, 40 and 64: parity bits that end inside the first group
+# of eight steps after the message, or several groups later.
+ENCODER_GENERATORS = [0b11, 0b1011, 0b10001001, PARITY20_POLY, FIRE_POLY, 1 << 64 | 0b11011]
+
+
+@pytest.mark.parametrize("k", range(1, 18))
+def test_chain_encoder_matches_the_numpy_stages_at_every_bit_alignment(k):
+    # The encoder reads whole words of eight message bits, then the last k % 8 bits lead
+    # the parity into the next group of eight steps; a chain's step count, k + r + 4, may end
+    # anywhere in a group.  Each code is encoded through the identity map and a punctured one.
+    if kernels.ChainKernel is None:
+        pytest.skip("no compiled kernel")
+    rng = np.random.default_rng([35, k])
+    for generator in ENCODER_GENERATORS:
+        block = BlockCode(k, generator)
+        for code in CODES:
+            entries = (k + block.r + 4) * code.n_out
+            punctured = np.full(entries, -1, np.int32)
+            kept = np.flatnonzero(rng.random(entries) < 0.6)
+            punctured[kept] = np.arange(kept.size)
+            for source in (np.arange(entries, dtype=np.int32), punctured):
+                kernel = kernels.ChainKernel(block, code, source)
+                for nframes in (0, 1, 17):
+                    msgs = rng.integers(0, 2, (nframes, k), np.uint8)
+                    msgs[:1] = 1
+                    assert np.array_equal(kernel.encode(msgs),
+                                          _numpy_chain(block, code, source, msgs))
+                for column in {0, k - 1}:  # in a whole word and among the last k % 8 bits
+                    bad = np.zeros((2, k), np.uint8)
+                    bad[1, column] = 2
+                    with pytest.raises(ValueError, match="only contain 0 and 1"):
+                        kernel.encode(bad)
+
+
 def _ubsan_runtime() -> bool:
     if shutil.which("cc") is None:
         return False
@@ -896,15 +951,16 @@ def _ubsan_runtime() -> bool:
 
 
 SANITIZED_DRAWS = ("PCG64", "MT19937")
-# Decodes the rows saved in argv[2] through the library at argv[1], into argv[3], and draws
-# message bits through it.
+# Decodes the soft rows and encodes the messages saved in argv[2] through the library at
+# argv[1], into argv[3], and draws message bits through it.
 _SANITIZED_DECODE_SCRIPT = (
     "import ctypes, sys\n"
     "import numpy as np\n"
     "from hrcc import kernels\n"
     "from hrcc.schemes import _CHAINS, SchemeId\n"
     "library = ctypes.CDLL(sys.argv[1])\n"
-    "for name, bound in (('_decoder', kernels._decoder), ('_bits', kernels._bits)):\n"
+    "for name, bound in (('_decoder', kernels._decoder), ('_encoder', kernels._encoder),\n"
+    "                    ('_bits', kernels._bits)):\n"
     "    function = getattr(library, bound.__name__)\n"
     "    function.restype, function.argtypes = bound.restype, bound.argtypes\n"
     "    setattr(kernels, name, function)\n"
@@ -914,6 +970,9 @@ _SANITIZED_DECODE_SCRIPT = (
     "        np.random.Generator(getattr(np.random, kind)(68)), np.empty((3, 91), np.uint8))\n"
     "for name in inputs.files:\n"
     "    chain = _CHAINS[SchemeId(name.split(':')[0])]\n"
+    "    if name.endswith(':msgs'):\n"
+    "        out[name + ':coded'] = chain.kernel.encode(inputs[name])\n"
+    "        continue\n"
     "    out[name + ':bits'] = kernels.viterbi_batch_c(inputs[name], chain.code.branches,\n"
     "                                                  chain.source)\n"
     "    out[name + ':msgs'], out[name + ':ok'] = chain.kernel.decode(inputs[name])\n"
@@ -924,7 +983,8 @@ _SANITIZED_DECODE_SCRIPT = (
 @pytest.mark.skipif(not _ubsan_runtime(), reason="no C compiler with a UBSan runtime")
 def test_kernel_built_with_ubsan_decodes_every_chain_cleanly(tmp_path):
     # Undefined behaviour in the decoder, such as a lane's state indexed out
-    # of bounds in the AVX2 traceback, or in the message draw stops the sanitized
+    # of bounds in the AVX2 traceback, in the encoder, such as an eight-step
+    # index out of its table, or in the message draw stops the sanitized
     # build's process.
     library = tmp_path / "viterbi-ubsan.so"
     build = subprocess.run(
@@ -936,6 +996,11 @@ def test_kernel_built_with_ubsan_decodes_every_chain_cleanly(tmp_path):
     assert b"__ubsan_handle_" in library.read_bytes()
     inputs = {f"{scheme.value}:{n}": _lane_rows(_CHAINS[scheme].coded_bits, n, [33, n])
               for scheme in SchemeId for n in LANE_COUNTS}
+    for scheme in SchemeId:
+        for n in LANE_COUNTS:
+            msgs = np.random.default_rng([36, n]).integers(0, 2, (n, _CHAINS[scheme].block.k))
+            msgs[0] = 1
+            inputs[f"{scheme.value}:{n}:msgs"] = msgs.astype(np.uint8)
     np.savez(tmp_path / "in.npz", **inputs)
     result = _fresh_interpreter(_SANITIZED_DECODE_SCRIPT, tmp_path / "cache", os.environ["PATH"],
                                 str(library), str(tmp_path / "in.npz"), str(tmp_path / "out.npz"))
@@ -943,6 +1008,10 @@ def test_kernel_built_with_ubsan_decodes_every_chain_cleanly(tmp_path):
     decoded = np.load(tmp_path / "out.npz")
     for name, rows in inputs.items():
         chain = _CHAINS[SchemeId(name.split(":")[0])]
+        if name.endswith(":msgs"):
+            coded = _numpy_chain(chain.block, chain.code, chain.source, rows)
+            assert np.array_equal(decoded[name + ":coded"], coded)
+            continue
         k, r = chain.block.k, chain.block.r
         reference = kernels.viterbi_batch_np(rows, chain.code.branches, chain.source)
         assert np.array_equal(decoded[name + ":bits"], reference)

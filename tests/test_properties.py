@@ -22,6 +22,7 @@ from hrcc.coding import (
     CONV_RATE_12,
     CONV_RATE_13,
     TAIL_BITS,
+    ConvCode,
     _sym_table,
     _tap_table,
 )
@@ -189,6 +190,32 @@ def test_sym_table_equals_the_loop_definition(generators):
     table = _sym_table(generators)
     assert table.dtype == np.float64 and not table.flags.writeable
     assert np.array_equal(table, _sym_table_loop(generators))
+
+
+def _eight_steps_loop(generators):
+    """The encoder's eight-step table one output bit at a time: entry v's 12 inputs in time
+    order from bit 11, and the register window of step i the 5 of them that end at bit 7 - i."""
+    taps = _tap_table(generators).tolist()
+    table = []
+    for v in range(4096):
+        entry = 0
+        for i in range(8):
+            window = [(v >> (7 - i + lag)) & 1 for lag in range(CONSTRAINT_LENGTH)]
+            for j, tap in enumerate(taps):
+                bit = 0
+                for lag in range(CONSTRAINT_LENGTH):
+                    bit ^= tap[lag] & window[lag]
+                entry |= bit << (i * len(taps) + j)
+        table.append(entry)
+    return table
+
+
+@pytest.mark.parametrize("generators", [CONV_RATE_12.generators, CONV_RATE_13.generators,
+                                        (0b10001, 0b11111), (0b11111, 0b10101, 0b10001)])
+def test_eight_step_table_equals_the_loop_definition(generators):
+    table = ConvCode(generators).eight_steps
+    assert table.dtype == np.uint32 and table.shape == (4096,) and not table.flags.writeable
+    assert table.tolist() == _eight_steps_loop(generators)
 
 
 def test_a_failing_property_reports_its_example_under_the_suites_warning_filters(tmp_path):
