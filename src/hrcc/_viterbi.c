@@ -35,11 +35,14 @@
  * this CPU runs.
  *
  * The library also holds a chain's encoder, hrcc_encode, which takes 8 trellis
- * steps per lookup of a 4096-entry table, the channel, hrcc_channel, which draws
- * its own standard normals and applies them in one call, and the message draw,
- * hrcc_bits; each is bit-identical to the numpy stages it replaces, and both
- * draws leave the generator as numpy's would.  Given a block code's table,
- * hrcc_viterbi also checks each decoded word.
+ * steps per lookup of a 4096-entry table of the bits that the chain keeps of
+ * them and writes those straight into the coded row, the channel, hrcc_channel,
+ * which draws its own standard normals and applies them in one call, the message
+ * draw, hrcc_bits, and each frame's bit-error count, hrcc_errors; each is
+ * bit-identical to the numpy stages it replaces, and both draws leave the
+ * generator as numpy's would.  Given a block code's table, hrcc_viterbi also
+ * checks each decoded word.  The block code's LFSR, which gives the encoder's
+ * parity and the decoder's check, runs eight frames side by side.
  */
 
 #include <math.h>
@@ -66,12 +69,14 @@ enum { HRCC_OK = 0, HRCC_NOT_BINARY = 1, HRCC_NOT_FINITE = 2, HRCC_NO_MEMORY = 3
  * n_out:       2 or 3, the code rate's denominator; kernels.py rejects any other.
  * table:       NULL, or the block code's 256 remainders, see lfsr().
  * sym:         (8, n_out) outputs of the branch from state 2i under input 0, for the decoder.
- * eight_steps: 4096 entries for the encoder, one per 8 trellis steps: entry h << 8 | x holds
- *              the 8 * n_out mother-code bits, step by step in column order from bit 0, of the
- *              8 steps that shift the inputs x, first in bit 7, into a register whose last 4
- *              inputs were h, newest in bit 0.
- * columns:     NULL where source is the identity, else width entries, the inverse of source:
- *              the mother-code column of each coded column, which the encoder gathers.
+ * kept:        the encoder's kept-bit tables, 4096 entries each.  In the table of a group of 8
+ *              trellis steps, entry h << 8 | x holds the bits of those steps' mother-code columns
+ *              that source keeps, in column order from bit 0, where the steps shift the inputs
+ *              x, first in bit 7, into a register whose last 4 inputs were h, newest in bit 0.
+ *              source keeps columns in order, so these are the coded row's next bits.  A group
+ *              whose columns are all kept reads ConvCode.eight_steps itself.
+ * groups:      two entries per group of 8 steps, the last group's steps past entries included:
+ *              the offset of its table in kept, and how many of its columns source keeps.
  * k, n:        the message bits that the encoder reads, and the message and parity bits
  *              that the decoder checks with table. */
 typedef struct {
@@ -81,8 +86,8 @@ typedef struct {
     int n_out;
     const uint64_t *table;
     const double *sym;
-    const uint32_t *eight_steps;
-    const int32_t *columns;
+    const uint32_t *kept;
+    const int32_t *groups;
     ptrdiff_t k;
     ptrdiff_t n;
 } hrcc_code;
@@ -307,26 +312,77 @@ DECODE_GROUPS(8, target("avx512f,avx512dq"))
 
 #endif
 
-/* The remainder of row(D) * D^r modulo the block code's generator, for n bits
- * read first bit highest, at the top of a uint64: one lookup per byte of bits in
- * table[v], the remainder of v(D) * D^r stored the same way.  The n % 8 leading
- * bits make a first byte as if led by zeros, which change no remainder. */
-static inline uint64_t lfsr(const uint8_t *restrict row, ptrdiff_t n,
-                            const uint64_t *restrict table)
+/* 8 bytes as a little-endian word, and back, on either byte order. */
+static inline uint64_t load8(const uint8_t *p)
 {
-    unsigned byte = 0;
-    ptrdiff_t i = 0;
-    for (; i < n % 8; i++)
-        byte = byte << 1 | row[i];
-    uint64_t rem = table[byte & 255];
-    for (; i < n; i += 8) {
-        byte = 0;
-        _Pragma("GCC unroll 8")
-        for (int j = 0; j < 8; j++)
-            byte |= (unsigned)row[i + j] << (7 - j);
-        rem = rem << 8 ^ table[(rem >> 56 ^ byte) & 255];
+    uint64_t w;
+    memcpy(&w, p, sizeof w);
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    w = __builtin_bswap64(w);
+#endif
+    return w;
+}
+
+static inline void store8(uint8_t *p, uint64_t w)
+{
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    w = __builtin_bswap64(w);
+#endif
+    memcpy(p, &w, sizeof w);
+}
+
+/* The bytes of w, each 0 or 1, as the bits of one byte, byte 0 in bit 7: the multiplier's
+ * term 2^(9m) moves byte 7 - m to bit 63 - (7 - m), and no other term reaches the top byte
+ * or carries into it. */
+static inline unsigned pack8(uint64_t w)
+{
+    return (unsigned)(w * 0x8040201008040201u >> 56);
+}
+
+/* The 8 bits of x as 8 bytes of 0 or 1, bit b in byte b: x copied to every byte, bit b of
+ * byte b kept, and a nonzero byte carried into its own bit 7. */
+static inline uint64_t expand8(unsigned x)
+{
+    const uint64_t kept = x * 0x0101010101010101u & 0x8040201008040201u;
+    return (kept + 0x7f7f7f7f7f7f7f7fu) >> 7 & 0x0101010101010101u;
+}
+
+/* The remainders of L rows, row l at rows + l * stride, for L = 1 or 8: rem[l] is row l(D) * D^r
+ * modulo the block code's generator, for its n bits read first bit highest, at the top of a
+ * uint64.  One lookup per byte of bits in table[v], the remainder of v(D) * D^r stored the same
+ * way; each byte is 8 bits packed by pack8, so every bit must be 0 or 1.  The n % 8 leading bits
+ * make a first byte as if led by zeros, which change no remainder.  Eight rows run eight
+ * independent chains of lookups side by side, so that each hides the others' latency. */
+static inline __attribute__((always_inline)) void
+lfsr(const uint8_t *restrict rows, ptrdiff_t stride, ptrdiff_t n, const uint64_t *restrict table,
+     const int L, uint64_t *restrict rem)
+{
+    const ptrdiff_t lead = n % 8;
+    for (int l = 0; l < L; l++) {
+        unsigned byte = 0;
+        for (ptrdiff_t i = 0; i < lead; i++)
+            byte = byte << 1 | rows[l * stride + i];
+        rem[l] = table[byte & 255];
     }
-    return rem;
+    for (ptrdiff_t i = lead; i < n; i += 8) {
+        _Pragma("GCC unroll 8")
+        for (int l = 0; l < L; l++)
+            rem[l] = rem[l] << 8 ^ table[(rem[l] >> 56 ^ pack8(load8(rows + l * stride + i))) & 255];
+    }
+}
+
+/* lfsr() of the next rows of a batch, of which left remain: eight where at least eight do,
+ * else one, so that a single block keeps the one-row loop.  Returns how many. */
+static inline __attribute__((always_inline)) int
+remainders(const uint8_t *rows, ptrdiff_t stride, ptrdiff_t left, ptrdiff_t n,
+           const uint64_t *table, uint64_t rem[8])
+{
+    if (left >= 8) {
+        lfsr(rows, stride, n, table, 8, rem);
+        return 8;
+    }
+    lfsr(rows, stride, n, table, 1, rem);
+    return 1;
 }
 
 /* Frames decoded at once by the widest body this CPU runs. */
@@ -389,120 +445,105 @@ int hrcc_viterbi(const hrcc_code *code, const double *soft, ptrdiff_t nframes, u
                               n_out, sym, lanes, back, bits + done * nsteps);
     free(lanes);
     if (table != NULL)
-        for (ptrdiff_t f = 0; f < nframes; f++)
-            ok[f] = lfsr(bits + f * nsteps, n, table) == 0;
+        for (ptrdiff_t f = 0; f < nframes;) {
+            uint64_t rem[8];
+            const int rows = remainders(bits + f * nsteps, nsteps, nframes - f, n, table, rem);
+            for (int l = 0; l < rows; l++, f++)
+                ok[f] = rem[l] == 0;
+        }
     return flagged ? HRCC_NOT_FINITE : HRCC_OK;
 }
 
-/* 8 bytes as a little-endian word, and back, on either byte order. */
-static inline uint64_t load8(const uint8_t *p)
+/* counts[f]: how many of the k bytes of row f of decoded, at decoded + f * decoded_stride, differ
+ * from those of row f of sent, at sent + f * sent_stride; 8 bytes at a time, each byte that differs
+ * setting its bit 7. */
+void hrcc_errors(const uint8_t *decoded, ptrdiff_t decoded_stride, const uint8_t *sent,
+                 ptrdiff_t sent_stride, ptrdiff_t nframes, ptrdiff_t k, ptrdiff_t *counts)
 {
-    uint64_t w;
-    memcpy(&w, p, sizeof w);
-#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-    w = __builtin_bswap64(w);
-#endif
-    return w;
+    const uint64_t low = 0x7f7f7f7f7f7f7f7fu;
+    for (ptrdiff_t f = 0; f < nframes; f++, decoded += decoded_stride, sent += sent_stride) {
+        ptrdiff_t count = 0, i = 0;
+        for (; i + 8 <= k; i += 8) {
+            const uint64_t x = load8(decoded + i) ^ load8(sent + i);
+            const uint64_t high = (((x & low) + low) | x) & ~low;
+            count += (ptrdiff_t)((high >> 7) * 0x0101010101010101u >> 56);
+        }
+        for (; i < k; i++)
+            count += decoded[i] != sent[i];
+        counts[f] = count;
+    }
 }
 
-static inline void store8(uint8_t *p, uint64_t w)
-{
-#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-    w = __builtin_bswap64(w);
-#endif
-    memcpy(p, &w, sizeof w);
-}
-
-/* The bytes of w, each 0 or 1, as the bits of one byte, byte 0 in bit 7: the multiplier's
- * term 2^(9m) moves byte 7 - m to bit 63 - (7 - m), and no other term reaches the top byte
- * or carries into it. */
-static inline unsigned pack8(uint64_t w)
-{
-    return (unsigned)(w * 0x8040201008040201u >> 56);
-}
-
-/* The 8 bits of x as 8 bytes of 0 or 1, bit b in byte b: x copied to every byte, bit b of
- * byte b kept, and a nonzero byte carried into its own bit 7. */
-static inline uint64_t expand8(unsigned x)
-{
-    const uint64_t kept = x * 0x0101010101010101u & 0x8040201008040201u;
-    return (kept + 0x7f7f7f7f7f7f7f7fu) >> 7 & 0x0101010101010101u;
-}
-
-/* The next 8 inputs x, first in bit 7, shifted into the 12-input window, whose entry of
- * eight_steps expands to the 8 * n_out bytes of the mother-code row at at; returns the end. */
+/* The next 8 inputs x, first in bit 7, shifted into the 12-input window; its entry in the table
+ * of group, the next group of 8 steps, holds that group's kept bits, which are written straight
+ * into the coded row at at as bytes of 0 or 1, 8 at a time.  The last 8 may run up to 8 bytes
+ * past the group's count, where the next group, the next row or the output's 8 spare bytes
+ * go.  Returns the end of the group's bits. */
 static inline __attribute__((always_inline)) uint8_t *
-shift8(const uint32_t *restrict table, unsigned *window, unsigned x, const int n_out,
-       uint8_t *restrict at)
+shift8(const uint32_t *restrict kept, const int32_t *group, unsigned *window, unsigned x,
+       uint8_t *at)
 {
     *window = (*window << 8 | x) & 4095;
-    const uint32_t bits = table[*window];
-    for (int j = 0; j < n_out; j++)
-        store8(at + 8 * j, expand8(bits >> 8 * j & 255));
-    return at + 8 * n_out;
+    const uint32_t bits = kept[group[0] + *window];
+    const int count = group[1];
+    store8(at, expand8(bits & 255));
+    if (count > 8) {
+        store8(at + 8, expand8(bits >> 8 & 255));
+        if (count > 16)
+            store8(at + 16, expand8(bits >> 16 & 255));
+    }
+    return at + count;
 }
 
-/* hrcc_encode with a constant n_out: the nsteps inputs (the message, its parity first bit
- * highest, then zeros: the tail) go through the register 8 at a time, and each group's
- * mother-code bits expand into the row mother, whose last group may run past entries; the
- * row is then copied to out, or gathered through columns where a puncture deleted some of
- * it. */
+/* One message row of k bits, its parity first bit highest and then zeros, the tail, through the
+ * register 8 inputs at a time into the coded row at at, nsteps inputs in all; returns the OR of
+ * the message's words. */
 static inline __attribute__((always_inline)) uint64_t
-encode_rows(const hrcc_code *code, const uint8_t *restrict msgs, ptrdiff_t nframes,
-            const int n_out, uint8_t *restrict mother, uint8_t *restrict out)
+encode_row(const uint32_t *restrict kept, const int32_t *group, const uint8_t *msg, ptrdiff_t k,
+           ptrdiff_t nsteps, uint64_t parity, uint8_t *at)
 {
-    const ptrdiff_t k = code->k, width = code->width, entries = code->entries;
-    const ptrdiff_t nsteps = entries / n_out;
-    const uint32_t *restrict table = code->eight_steps;
-    const int32_t *restrict columns = code->columns;
+    unsigned window = 0;
     uint64_t seen = 0;
-    for (ptrdiff_t f = 0; f < nframes; f++, msgs += k, out += width) {
-        uint64_t parity = lfsr(msgs, k, code->table);
-        unsigned window = 0;
-        uint8_t *at = mother;
-        ptrdiff_t t = 0;
-        for (; t + 8 <= k; t += 8) {
-            const uint64_t w = load8(msgs + t);
-            seen |= w; /* a value above 1 fails the call */
-            at = shift8(table, &window, pack8(w), n_out, at);
-        }
-        /* The message's last k % 8 inputs lead the parity into the next group. */
-        const int lead = (int)(k - t);
-        unsigned x = 0;
-        for (; t < k; t++) {
-            seen |= msgs[t];
-            x = x << 1 | (msgs[t] & 1);
-        }
-        x = x << (8 - lead) | (unsigned)(parity >> (56 + lead));
-        parity <<= 8 - lead;
-        for (t -= lead; t < nsteps; t += 8) {
-            at = shift8(table, &window, x, n_out, at);
-            x = (unsigned)(parity >> 56);
-            parity <<= 8;
-        }
-        if (columns == NULL)
-            memcpy(out, mother, entries);
-        else
-            for (ptrdiff_t c = 0; c < width; c++)
-                out[c] = mother[columns[c]];
+    ptrdiff_t t = 0;
+    for (; t + 8 <= k; t += 8, group += 2) {
+        const uint64_t w = load8(msg + t);
+        seen |= w; /* a value above 1 fails the call */
+        at = shift8(kept, group, &window, pack8(w), at);
+    }
+    /* The message's last k % 8 inputs lead the parity into the next group. */
+    const int lead = (int)(k - t);
+    unsigned x = 0;
+    for (; t < k; t++) {
+        seen |= msg[t];
+        x = x << 1 | (msg[t] & 1);
+    }
+    x = x << (8 - lead) | (unsigned)(parity >> (56 + lead));
+    parity <<= 8 - lead;
+    for (t -= lead; t < nsteps; t += 8, group += 2) {
+        at = shift8(kept, group, &window, x, at);
+        x = (unsigned)(parity >> 56);
+        parity <<= 8;
     }
     return seen;
 }
 
-/* msgs: (nframes, code->k) row-major message bits; code->table gives their parity, and
- * code->eight_steps the mother-code rows, which code->columns punctures: out is (nframes,
- * code->width) coded bits.  Returns HRCC_NOT_BINARY if a message value is not 0 or 1, else
- * HRCC_NO_MEMORY or HRCC_OK. */
+/* msgs: (nframes, code->k) row-major message bits; code->table gives their parity, eight rows
+ * at a time where eight are left, and code->kept each group's kept bits: out is (nframes,
+ * code->width) coded bits, followed by 8 spare bytes that the last row may write.  Returns
+ * HRCC_NOT_BINARY if a message value is not 0 or 1, else HRCC_OK. */
 int hrcc_encode(const hrcc_code *code, const uint8_t *msgs, ptrdiff_t nframes, uint8_t *out)
 {
-    const int n_out = code->n_out;
-    /* A mother-code row, whole groups of 8 steps long. */
-    uint8_t *mother = malloc((code->entries / n_out + 7) / 8 * 8 * n_out);
-    if (mother == NULL)
-        return HRCC_NO_MEMORY;
-    const uint64_t seen = n_out == 2 ? encode_rows(code, msgs, nframes, 2, mother, out)
-                                     : encode_rows(code, msgs, nframes, 3, mother, out);
-    free(mother);
+    const ptrdiff_t k = code->k, width = code->width, nsteps = code->entries / code->n_out;
+    const uint32_t *kept = code->kept;
+    const int32_t *groups = code->groups;
+    const uint64_t *table = code->table;
+    uint64_t seen = 0;
+    for (ptrdiff_t f = 0; f < nframes;) {
+        uint64_t parity[8];
+        const int rows = remainders(msgs + f * k, k, nframes - f, k, table, parity);
+        for (int l = 0; l < rows; l++, f++)
+            seen |= encode_row(kept, groups, msgs + f * k, k, nsteps, parity[l], out + f * width);
+    }
     return seen & 0xfefefefefefefefe ? HRCC_NOT_BINARY : HRCC_OK;
 }
 

@@ -127,7 +127,8 @@ class ConvCode:
     """Tail-flushed feedforward convolutional code with 16 trellis states.
 
     Its tables are built once each, vectorised: ``branches``, the decoders' branch outputs,
-    and ``eight_steps``, the compiled encoder's outputs of 8 trellis steps per entry."""
+    and ``eight_steps``, the outputs of 8 trellis steps per entry, from which the compiled
+    encoder's kept-bit tables are made."""
 
     generators: tuple[int, ...]
 
@@ -149,8 +150,9 @@ class ConvCode:
 
     @cached_property
     def eight_steps(self) -> np.ndarray:
-        """The compiled encoder's table: 4096 read-only uint32, one per 12 inputs in time order,
-        from bit 11 to bit 0.  Index ``h << 8 | x`` is 8 steps that shift the inputs ``x``,
+        """The compiled encoder's table, read as is where a chain keeps every column and else
+        through kept-bit tables made from it: 4096 read-only uint32, one per 12 inputs in time
+        order, from bit 11 to bit 0.  Index ``h << 8 | x`` is 8 steps that shift the inputs ``x``,
         first in bit 7, into a register whose last 4 inputs were ``h``, newest in bit 0; bit
         ``i * n_out + j`` of its entry is output j of step i, so the entry holds the 8 * n_out
         mother-code bits of those steps in column order."""

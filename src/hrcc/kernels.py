@@ -19,13 +19,17 @@ run.  ``BACKEND`` says which: ``"c"`` or ``"numpy"``.
   (numpy).  ``_viterbi.c`` sets out how every width gives numpy's bits, ties included.
 * ``hrcc_encode``, with one chain's tables from ``ChainKernel``, encodes a batch in one pass:
   the block parity by a byte-table LFSR, the tail, and the conv code 8 trellis steps per lookup
-  of ``ConvCode.eight_steps`` (4096 entries, one per 12-input window): the message is packed 8
-  bits at a time, and each lookup's bits expand 8 at a time into the bytes of a mother-code
-  row, which is copied out where nothing is punctured and else gathered through the inverse of
-  the chain's source map.  ``ChainKernel`` decodes through that map in one ``hrcc_viterbi``
-  call, which runs the LFSR over each decoded word too: its remainder is zero exactly when its
-  parity matches.  The numpy references are ``BlockCode``'s parity and check,
-  ``conv_encode_batch_np`` and ``viterbi_batch_np``.
+  of a kept-bit table (4096 entries, one per 12-input window: the bits of ``ConvCode.eight_steps``
+  that the chain's source map keeps of that group of 8 steps, ``eight_steps`` itself where it
+  keeps them all): the message is packed 8 bits at a time, and each lookup's kept bits expand 8
+  at a time straight into the bytes of the coded row.  ``ChainKernel`` decodes through that
+  map in one ``hrcc_viterbi`` call, which runs the LFSR over each decoded word too: its
+  remainder is zero exactly when its parity matches.  The LFSR runs eight frames side by side
+  where eight are left, so that their table lookups overlap.  The numpy references are
+  ``BlockCode``'s parity and check, ``conv_encode_batch_np`` and ``viterbi_batch_np``.
+* ``hrcc_errors`` (``bit_errors_c``; ``bit_errors_np``) counts each frame's bit errors, the
+  columns where its decoded row differs from its sent row, 8 bytes at a time, reading the
+  decoder's (frames, k) view of its output where it lies; ``bit_errors`` is the one that runs.
 * ``hrcc_channel`` (``channel_c``; ``channel_np``) draws each row's normals by numpy's own
   ziggurat through the generator's ``bitgen_t``, with no branch on the sign or on the wedge
   test's outcome, and adds each bit, in coded order, to a normal read through a noise map, with
@@ -59,9 +63,11 @@ are cast and checked by ``bits.binary_uint8``), and ``hrcc_viterbi`` ``HRCC_NOT_
 frame whose final path metric is not finite.  Branch outputs are +-1 and a chain's map reads
 every coded column, so a NaN or infinity flags its frame; only then is the batch scanned
 (``bits.finite``), which passes finite values whose metrics overflowed.  The numpy backend
-scans first.  These statuses, with ``HRCC_OK`` and ``HRCC_NO_MEMORY``, are ``_viterbi.c``'s,
-mirrored here, as ``NEG_METRIC`` is; only a nonzero status costs a Python call,
-``_raise_status``.
+scans first.  These statuses, with ``HRCC_OK`` and ``HRCC_NO_MEMORY`` (which only the decoder's
+and the channel's scratch buffers can return: the encoder allocates nothing), are
+``_viterbi.c``'s, mirrored here, as ``NEG_METRIC`` is; only a nonzero status costs a Python
+call, ``_raise_status``.  ``bit_errors`` checks its two arrays' shapes and dtype, and C counts
+any bytes.
 
 Trellis state packs the last four encoder inputs with the newest bit in
 bit 3: state s at time t is x[t-1]<<3 | x[t-2]<<2 | x[t-3]<<1 | x[t-4],
@@ -207,8 +213,8 @@ def _build(source: bytes, target: Path) -> None:
 
 
 def _load_c_library():
-    """(decoder, channel, encoder, bits, lanes): the library's functions, bound, built if needed;
-    on failure, five Nones."""
+    """(decoder, channel, encoder, bits, lanes, errors): the library's functions, bound, built if
+    needed; on failure, six Nones."""
     try:
         source = _C_SOURCE.read_bytes()
         digest = hashlib.sha256(source + " ".join(_C_FLAGS + _C_LIBS).encode()).hexdigest()
@@ -217,9 +223,9 @@ def _load_c_library():
             _build(source, target)
         lib = ctypes.CDLL(str(target))
         functions = (lib.hrcc_viterbi, lib.hrcc_channel, lib.hrcc_encode, lib.hrcc_bits,
-                     lib.hrcc_viterbi_lanes)
+                     lib.hrcc_viterbi_lanes, lib.hrcc_errors)
     except (OSError, AttributeError):  # no cc, failed build or load, missing symbol
-        return None, None, None, None, None
+        return (None,) * 6
     ptr, size, c_int = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int
     for function, (restype, *argtypes) in zip(functions, (  # each: the result, the arguments
         # code, soft, nframes, bits, ok
@@ -231,6 +237,8 @@ def _load_c_library():
         # bitgen, out, n
         (None, ptr, ptr, size),
         (c_int,),
+        # decoded, decoded_stride, sent, sent_stride, nframes, k, counts
+        (None, ptr, size, ptr, size, size, size, ptr),
     )):
         function.restype, function.argtypes = restype, argtypes
     return functions
@@ -245,7 +253,7 @@ class _Code(ctypes.Structure):
     _fields_ = [("source", ctypes.c_void_p), ("entries", ctypes.c_ssize_t),
                 ("width", ctypes.c_ssize_t), ("n_out", ctypes.c_int),
                 ("table", ctypes.c_void_p), ("sym", ctypes.c_void_p),
-                ("eight_steps", ctypes.c_void_p), ("columns", ctypes.c_void_p),
+                ("kept", ctypes.c_void_p), ("groups", ctypes.c_void_p),
                 ("k", ctypes.c_ssize_t), ("n", ctypes.c_ssize_t)]
 
 
@@ -393,7 +401,24 @@ def draw_bits_np(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return out
 
 
-_decoder, _channel, _encoder, _bits, _lanes = _load_c_library()
+def _check_error_rows(decoded, sent) -> None:
+    """Check an error count's operands, two 2-D uint8 arrays of one shape."""
+    if not (isinstance(decoded, np.ndarray) and isinstance(sent, np.ndarray) and decoded.ndim == 2
+            and decoded.shape == sent.shape and decoded.dtype == sent.dtype == _UINT8):
+        got = " and ".join(f"{a.shape} {a.dtype}" if isinstance(a, np.ndarray) else type(a).__name__
+                           for a in (decoded, sent))
+        raise ValueError(f"the error count compares two uint8 (frames, k) arrays of one shape, "
+                         f"not {got}")
+
+
+def bit_errors_np(decoded: np.ndarray, sent: np.ndarray) -> np.ndarray:
+    """Each frame's bit errors: for (frames, k) uint8 rows ``decoded`` and ``sent`` of one shape,
+    the count of the columns where a row of one differs from its row of the other, as intp."""
+    _check_error_rows(decoded, sent)
+    return np.count_nonzero(decoded != sent, axis=1)
+
+
+_decoder, _channel, _encoder, _bits, _lanes, _errors = _load_c_library()
 BACKEND = "numpy" if _decoder is None else "c"
 LANES = _lanes() if _lanes else 0
 
@@ -458,6 +483,21 @@ def draw_bits_c(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def bit_errors_c(decoded: np.ndarray, sent: np.ndarray) -> np.ndarray:
+    """``bit_errors_np`` in one compiled call (``hrcc_errors``), 8 bytes at a time: the same counts.
+    Rows are read where they lie, at any stride, as the decoder's (frames, k) view of its
+    (frames, steps) output, if each row's bytes are adjacent, else from a copy."""
+    _check_error_rows(decoded, sent)
+    if decoded.strides[1] != 1:
+        decoded = np.ascontiguousarray(decoded)
+    if sent.strides[1] != 1:
+        sent = np.ascontiguousarray(sent)
+    counts = np.empty(len(decoded), np.intp)
+    _errors(_address(decoded), decoded.strides[0], _address(sent), sent.strides[0], *decoded.shape,
+            _address(counts))
+    return counts
+
+
 def _checked(candidate, reference, calls):
     """``candidate`` if it gives ``reference``'s bytes and leaves the generator in step (the same
     next raw words) on fixed seeds, else ``reference``: the import check of each compiled draw.
@@ -501,16 +541,51 @@ def _bits_calls():
     return (np.random.PCG64, pcg64), (np.random.MT19937, mt19937)
 
 
+def _kept_bit_tables(eight_steps: np.ndarray, source: np.ndarray,
+                     n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """A chain encoder's kept-bit tables, read-only and end to end, and, for each group of 8
+    trellis steps, the offset of its table and how many of its columns ``source`` keeps: the
+    ``kept`` and ``groups`` of ``_viterbi.c``'s ``hrcc_code``.
+
+    There is one table per distinct keep mask of a whole group: entry i holds the bits of
+    ``eight_steps[i]`` that the mask keeps, in column order from bit 0.  A mask that keeps every
+    column reads ``eight_steps`` itself.  The last group, if the map ends inside it, reads a whole
+    group's table whose mask starts with its own, since its count stops at the map's end, and
+    else a table of its own."""
+    span = 8 * n_out
+    whole, present = divmod(source.size, span)
+    keep = np.zeros(((whole + (present > 0)), span), np.int64)
+    keep.reshape(-1)[: source.size] = source >= 0
+    masks = keep @ (1 << np.arange(span))  # each group's keep mask, column c in bit c
+    unique, groups = np.unique(masks[:whole], return_inverse=True)
+    if present:
+        fits = np.flatnonzero((unique & ((1 << present) - 1)) == masks[-1])
+        if not fits.size:
+            unique, fits = np.append(unique, masks[-1]), [unique.size]
+        groups = np.append(groups, fits[0])
+    if unique.tolist() == [(1 << span) - 1]:
+        tables = eight_steps
+    else:  # bit c of each entry is column c; kept bits weigh 1, 2, 4, ... in column order
+        kept = unique[:, None] >> np.arange(span) & 1
+        weights = np.where(kept, 2.0 ** (np.cumsum(kept, axis=1) - 1), 0.0).astype(np.float32)
+        bits = np.unpackbits(eight_steps.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4),
+                             axis=1, count=span, bitorder="little")
+        # Every sum is an integer below 2**24, exact in float32 in any order.
+        tables = frozen((bits @ weights.T).T, np.uint32).reshape(-1)
+    return tables, frozen(np.stack([groups * eight_steps.size, keep.sum(axis=1)], axis=1), np.int32)
+
+
 class ChainKernel:
     """One chain's compiled encoder and decoder, their tables pinned and checked once.
 
-    ``block`` and ``code`` are the chain's ``BlockCode`` and ``ConvCode``, whose ``remainders``,
-    ``eight_steps`` and ``branches`` tables the C reads; ``source`` maps each mother-code column,
-    the 4 tail bits' included, to its column of the coded block, or -1, for the decoder to read
-    through; the encoder copies its mother-code rows out where ``source`` is the identity and
-    else gathers each coded column through the map's inverse, made here; ``width``, the coded
-    block's, is the number of columns it keeps.  Both take rows whose shape the caller checked;
-    C checks the values.
+    ``block`` and ``code`` are the chain's ``BlockCode`` and ``ConvCode``, whose ``remainders``
+    and ``branches`` tables the C reads, with the kept-bit tables made from ``eight_steps``;
+    ``source`` maps each mother-code column, the 4 tail bits' included, to its column of the
+    coded block, or -1, keeping columns in order, for the decoder to read through; the encoder
+    writes each group of 8 trellis steps' kept bits straight into the coded row from that
+    group's kept-bit table (``_kept_bit_tables``), and ``width``, the coded block's, is the
+    number of columns the map keeps.  Both take rows whose shape the caller checked; C checks
+    the values.
     """
 
     def __init__(self, block, code, source):
@@ -521,25 +596,21 @@ class ChainKernel:
         kept = np.flatnonzero(source >= 0)
         self.width = kept.size
         self._steps = self.k + self.r + 4  # trellis steps: the 4 zero tail bits included
-        # hrcc_encode gathers each column of its uncleared output through the inverse map.
+        # hrcc_encode writes each coded column, in order, into its uncleared output.
         if (self.n_out not in (2, 3)
                 or (remainders.size, eight_steps.size, source.size)
                 != (256, 4096, self._steps * self.n_out)
-                or not np.array_equal(np.sort(source[kept]), np.arange(self.width))):
+                or not np.array_equal(source[kept], np.arange(self.width))):
             raise ValueError("a chain kernel takes rate 1/2 or 1/3, 256 remainders, 4096 "
                              "eight-step entries and a source map that holds each coded column "
-                             "once")
-        columns = None, None  # the inverse map and its address; none for the identity
-        if not np.array_equal(source, np.arange(source.size)):
-            inverse = np.empty(self.width, np.int32)
-            inverse[source[kept]] = kept
-            columns = _pinned(inverse)
+                             "once, in order")
         # Kept referenced here, so that their addresses stay valid.
-        self._tables = [*map(_pinned, (remainders, eight_steps, source)),
-                        _butterfly_syms(self.branches), columns]
-        table_at, steps_at, source_at, branches_at, columns_at = (at for _, at in self._tables)
+        self._tables = [*map(_pinned, (remainders, *_kept_bit_tables(eight_steps, source,
+                                                                     self.n_out), source)),
+                        _butterfly_syms(self.branches)]
+        table_at, kept_at, groups_at, source_at, branches_at = (at for _, at in self._tables)
         self._code = _Code(source_at, source.size, self.width, self.n_out, table_at, branches_at,
-                           steps_at, columns_at, self.k, self.k + self.r)
+                           kept_at, groups_at, self.k, self.k + self.r)
         self._code_at = ctypes.addressof(self._code)
 
     def encode(self, msgs: np.ndarray) -> np.ndarray:
@@ -547,10 +618,11 @@ class ChainKernel:
         msgs = _bit_rows(msgs)
         if msgs.shape[1:] != (self.k,):  # what C reads must be there
             raise ValueError(f"a chain kernel encodes rows of {self.k}, not {msgs.shape}")
-        out = np.empty((msgs.shape[0], self.width), np.uint8)
-        if status := _encoder(self._code_at, _readable(msgs), msgs.shape[0], _address(out)):
+        nframes = msgs.shape[0]
+        out = np.empty(nframes * self.width + 8, np.uint8)  # 8 spare bytes, which C may write
+        if status := _encoder(self._code_at, _readable(msgs), nframes, _address(out)):
             _raise_status(status)
-        return out
+        return np.ndarray((nframes, self.width), _UINT8, out)
 
     def decode(self, softs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(frames, width) soft rows -> ((frames, k) messages, ``BlockCode.check_batch`` of each
@@ -571,10 +643,11 @@ class ChainKernel:
 
 
 if _decoder is None:
-    viterbi_batch_c = channel_c = draw_bits_c = ChainKernel = None
+    viterbi_batch_c = channel_c = draw_bits_c = bit_errors_c = ChainKernel = None
 
 conv_encode_batch = conv_encode_batch_np
 viterbi_batch = viterbi_batch_c or viterbi_batch_np
+bit_errors = bit_errors_c or bit_errors_np
 channel = _checked(channel_c, channel_np, _channel_calls()) if channel_c else channel_np
 NORMALS = "c" if channel is channel_c else "numpy"
 draw_bits = _checked(draw_bits_c, draw_bits_np, _bits_calls()) if draw_bits_c else draw_bits_np

@@ -208,8 +208,8 @@ def run_bler(
                 coded = schemes.encode_blocks(scheme, sent)
                 soft = kernels.channel(rng, channel[start:stop], coded, sigma, columns)
                 decoded, ok = schemes.decode_blocks(scheme, soft)
-                wrong = decoded != sent
-                err_flags = wrong.any(axis=1)
+                counts = kernels.bit_errors(decoded, sent)  # each frame's bit errors
+                err_flags = counts.astype(bool)
                 # Honor the per-frame stopping rule even though frames are
                 # processed in pieces: truncate at the first triggering frame.
                 take = stop - start
@@ -218,7 +218,7 @@ def run_bler(
                     take = int(np.searchsorted(cum_err, need)) + 1
                 frames += take
                 errors += int(cum_err[take - 1])
-                bit_errors += int(wrong[:take].sum())
+                bit_errors += int(counts[:take].sum())
                 undetected += int((err_flags[:take] & ok[:take]).sum())
                 start = stop
         reports.append(

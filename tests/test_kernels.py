@@ -75,7 +75,7 @@ def test_kernel_source_builds_without_warnings_and_exports_one_decoder(tmp_path)
         )
         defined = {line.split()[-1] for line in listing.stdout.splitlines() if line.strip()}
         assert defined == {"hrcc_viterbi", "hrcc_viterbi_lanes", "hrcc_channel", "hrcc_encode",
-                           "hrcc_bits"}
+                           "hrcc_bits", "hrcc_errors"}
 
 
 def _argtype(param: str):
@@ -101,8 +101,10 @@ def test_bound_argument_lists_match_the_c_definitions():
               for result, name, args in definitions}
     assert params == {f.__name__: (f.restype, list(f.argtypes)) for f in functions}
     # Definitions that span lines are read whole: the channel's first argument is its bitgen_t.
-    assert len(params) == 5 and params["hrcc_channel"][1][:2] == [ctypes.c_void_p] * 2
+    assert len(params) == 6 and params["hrcc_channel"][1][:2] == [ctypes.c_void_p] * 2
     assert params["hrcc_bits"] == (None, [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t])
+    assert params["hrcc_errors"] == (None, [ctypes.c_void_p, ctypes.c_ssize_t] * 2
+                                     + [ctypes.c_ssize_t] * 2 + [ctypes.c_void_p])
 
 
 def test_code_struct_matches_the_c_definition():
@@ -943,6 +945,94 @@ def test_chain_encoder_matches_the_numpy_stages_at_every_bit_alignment(k):
                         kernel.encode(bad)
 
 
+def _random_maps(rng, entries):
+    """Punctured source maps of ``entries`` mother-code columns that keep about 60% and 5% of
+    them, in order: a map of many keep masks, and one with groups of 8 steps that keep
+    nothing."""
+    for share in (0.6, 0.05):
+        source = np.full(entries, -1, np.int32)
+        kept = np.flatnonzero(rng.random(entries) < share)
+        source[kept] = np.arange(kept.size)
+        yield source
+
+
+@pytest.mark.parametrize("code", CODES)
+@pytest.mark.parametrize("generator", [FIRE_POLY, PARITY20_POLY])
+def test_chain_encoder_reads_a_table_per_group_mask_and_writes_only_its_spare_bytes(code,
+                                                                                   generator):
+    # Each distinct keep mask of a whole group of 8 steps gets its own kept-bit table; the last
+    # group ends inside the map.  The encoder writes each group's kept bits 8 bytes at a time,
+    # so up to 8 bytes past a row's end, and never past the 8 spare bytes after the last row.
+    if kernels.ChainKernel is None:
+        pytest.skip("no compiled kernel")
+    rng = np.random.default_rng([39, generator, code.n_out])
+    block = BlockCode(90 if generator == PARITY20_POLY else 184, generator)
+    entries = (block.k + block.r + 4) * code.n_out
+    for source in _random_maps(rng, entries):
+        kernel = kernels.ChainKernel(block, code, source)
+        tables = kernel._tables[1][0].size // 4096
+        assert 1 < tables <= -(-entries // (8 * code.n_out))
+        for nframes in (1, 9, 17):
+            msgs = rng.integers(0, 2, (nframes, block.k), np.uint8)
+            expect = _numpy_chain(block, code, source, msgs)
+            assert np.array_equal(kernel.encode(msgs), expect)
+            guarded = np.full(nframes * kernel.width + 8 + 64, 0xA5, np.uint8)
+            assert kernels._encoder(kernel._code_at, msgs.tobytes(), nframes,
+                                    guarded.ctypes.data) == kernels.HRCC_OK
+            assert np.array_equal(guarded[: expect.size].reshape(expect.shape), expect)
+            assert (guarded[expect.size + 8 :] == 0xA5).all()
+
+
+def test_chain_tables_are_one_per_paper_chain_and_eight_steps_where_nothing_is_punctured():
+    if kernels.ChainKernel is None:
+        pytest.skip("no compiled kernel")
+    for scheme, chain in _CHAINS.items():
+        (kept, _), (groups, _) = chain.kernel._tables[1:3]
+        assert kept.size == 4096 and not groups[:, 0].any()
+        assert groups[:, 1].sum() == chain.coded_bits
+        if chain.coded_bits == chain.source.size:
+            assert np.array_equal(kept, chain.code.eight_steps)
+
+
+ERROR_COUNT_WIDTHS = [*range(1, 18), 90, 184]  # every tail of a word of 8, and both messages
+
+
+@pytest.mark.parametrize("k", ERROR_COUNT_WIDTHS)
+def test_error_count_backends_agree_on_strided_rows_and_any_bytes(k):
+    # The decoder's messages are a (frames, k) view of rows of k + r + 4 bits; a count is the
+    # number of bytes that differ, whatever their values, so a byte of 3 against 0 counts once.
+    if kernels.bit_errors_c is None:
+        pytest.skip("no compiled kernel")
+    rng = np.random.default_rng([40, k])
+    steps = k + 7
+    for nframes in (0, 1, 9, 17):
+        out = rng.integers(0, 2, nframes * steps + nframes, np.uint8)
+        decoded = np.ndarray((nframes, k), np.uint8, out, 0, (steps, 1))
+        sent = rng.integers(0, 2, (nframes, k), np.uint8)
+        sent[::3] = decoded[::3]
+        wide = rng.integers(0, 256, (nframes, k), np.uint8)
+        wide[::4] = 3 * decoded[::4]
+        for rows in ((decoded, sent), (decoded, wide), (wide, wide[::-1]), (sent[:, ::-1], decoded),
+                     (np.asfortranarray(wide), sent)):
+            expect = [int(np.count_nonzero(a != b)) for a, b in zip(*rows)]
+            for count in (kernels.bit_errors_c, kernels.bit_errors_np):
+                got = count(*rows)
+                assert got.dtype == np.intp and got.shape == (nframes,)
+                assert got.tolist() == expect
+
+
+@pytest.mark.parametrize("count", ["bit_errors_c", "bit_errors_np"])
+def test_error_count_takes_only_two_uint8_arrays_of_one_shape(count):
+    count = getattr(kernels, count)
+    if count is None:
+        pytest.skip("no compiled kernel")
+    rows = np.zeros((3, 5), np.uint8)
+    for bad in (rows[:2], rows[:, :4], rows.astype(bool), rows[0], rows.tolist()):
+        for pair in ((bad, rows), (rows, bad)):
+            with pytest.raises(ValueError, match="error count compares two uint8"):
+                count(*pair)
+
+
 def _ubsan_runtime() -> bool:
     if shutil.which("cc") is None:
         return False
@@ -960,7 +1050,7 @@ _SANITIZED_DECODE_SCRIPT = (
     "from hrcc.schemes import _CHAINS, SchemeId\n"
     "library = ctypes.CDLL(sys.argv[1])\n"
     "for name, bound in (('_decoder', kernels._decoder), ('_encoder', kernels._encoder),\n"
-    "                    ('_bits', kernels._bits)):\n"
+    "                    ('_bits', kernels._bits), ('_errors', kernels._errors)):\n"
     "    function = getattr(library, bound.__name__)\n"
     "    function.restype, function.argtypes = bound.restype, bound.argtypes\n"
     "    setattr(kernels, name, function)\n"
@@ -976,6 +1066,8 @@ _SANITIZED_DECODE_SCRIPT = (
     "    out[name + ':bits'] = kernels.viterbi_batch_c(inputs[name], chain.code.branches,\n"
     "                                                  chain.source)\n"
     "    out[name + ':msgs'], out[name + ':ok'] = chain.kernel.decode(inputs[name])\n"
+    "    sent = np.ascontiguousarray(out[name + ':msgs'][::-1])\n"
+    "    out[name + ':errors'] = kernels.bit_errors_c(chain.kernel.decode(inputs[name])[0], sent)\n"
     "np.savez(sys.argv[3], **out)\n"
 )
 
@@ -984,8 +1076,8 @@ _SANITIZED_DECODE_SCRIPT = (
 def test_kernel_built_with_ubsan_decodes_every_chain_cleanly(tmp_path):
     # Undefined behaviour in the decoder, such as a lane's state indexed out
     # of bounds in the AVX2 traceback, in the encoder, such as an eight-step
-    # index out of its table, or in the message draw stops the sanitized
-    # build's process.
+    # index out of its table, in the error count, which reads the decoder's
+    # strided rows, or in the message draw stops the sanitized build's process.
     library = tmp_path / "viterbi-ubsan.so"
     build = subprocess.run(
         ["cc", *kernels._C_FLAGS, "-fsanitize=undefined,bounds", "-fno-sanitize-recover=all",
@@ -1017,6 +1109,8 @@ def test_kernel_built_with_ubsan_decodes_every_chain_cleanly(tmp_path):
         assert np.array_equal(decoded[name + ":bits"], reference)
         assert np.array_equal(decoded[name + ":msgs"], reference[:, :k])
         assert np.array_equal(decoded[name + ":ok"], chain.block.check_batch(reference[:, : k + r]))
+        errors = np.count_nonzero(reference[:, :k] != reference[::-1, :k], axis=1)
+        assert np.array_equal(decoded[name + ":errors"], errors)
     for kind in SANITIZED_DRAWS:  # 273 bits: a partial last word
         expect = np.random.Generator(getattr(np.random, kind)(68)).integers(0, 2, (3, 91), np.uint8)
         assert decoded[kind + ":draw"].tobytes() == expect.tobytes()

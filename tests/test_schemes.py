@@ -354,6 +354,29 @@ def _check_cases(block, seed):
     return np.vstack([words, flips, np.zeros((2, n), dtype=np.uint8)])
 
 
+# Batches that end in the one-row loop of the block code's LFSR, or run it eight rows abreast
+# and then one by one: every count below two groups of eight, and a chunk plus 1 to 7.
+EIGHT_ABREAST_COUNTS = [*range(18), *range(513, 520)]
+
+
+@pytest.mark.parametrize("nframes", EIGHT_ABREAST_COUNTS)
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_parity_and_word_check_of_whole_batches_match_the_blas_stages(scheme, nframes):
+    # Random words, half of them given their true parity: the decoder's check must flag each
+    # row both ways, and the encoder's parity must be the BLAS parity, in every row of a batch.
+    chain = _CHAINS[scheme]
+    rng = np.random.default_rng([38, nframes])
+    block = chain.block
+    words = rng.integers(0, 2, (nframes, block.k + block.r), np.uint8)
+    words[::2, block.k :] = block.parity_batch(words[::2, : block.k])
+    expect = block.check_batch(words)
+    assert expect[::2].all() and not expect[1::2].any()
+    msgs, ok = decode_blocks(scheme, _perfect_soft(_coded_words(scheme, words)))
+    assert np.array_equal(msgs, words[:, : block.k]) and np.array_equal(ok, expect)
+    coded = encode_blocks(scheme, words[:, : block.k])
+    assert np.array_equal(coded, _numpy_chain(scheme, words[:, : block.k]))
+
+
 @pytest.mark.parametrize("scheme", list(SchemeId))
 def test_compiled_check_equals_the_blas_check(scheme):
     # Noiseless soft values of every case decode to the case itself, so the
@@ -431,15 +454,16 @@ def test_numpy_chains_give_the_compiled_chains_bits(monkeypatch):
 
 @pytest.mark.parametrize("scheme", [SchemeId.STANDARD_456, SchemeId.M1_CS12_P12])
 def test_chain_kernel_takes_only_a_map_onto_every_coded_column(scheme):
-    # hrcc_encode writes through the map into (frames, width) rows it does not clear.
+    # hrcc_encode writes each kept column, in order, into (frames, width) rows it does not clear.
     if kernels.ChainKernel is None:
         pytest.skip("no compiled kernel")
     chain = _CHAINS[scheme]
     good = chain.source
-    missing, repeated = good.copy(), good.copy()
+    missing, repeated, swapped = good.copy(), good.copy(), good.copy()
     missing[np.flatnonzero(good >= 0)[7]] = -1
     repeated[np.flatnonzero(good >= 0)[7]] = good[np.flatnonzero(good >= 0)[8]]
-    for bad in (missing, repeated, good[:-2], np.append(good, -1)):
+    swapped[np.flatnonzero(good >= 0)[7:9]] = good[np.flatnonzero(good >= 0)[8:6:-1]]
+    for bad in (missing, repeated, swapped, good[:-2], np.append(good, -1)):
         with pytest.raises(ValueError, match="each coded column once"):
             kernels.ChainKernel(chain.block, chain.code, bad)
     assert kernels.ChainKernel(chain.block, chain.code, good).width == chain.coded_bits
