@@ -131,7 +131,7 @@ def _one_block(arr: np.ndarray, width: int | None, what: str) -> np.ndarray:
 def one_row(block, width: int | None, what: str) -> np.ndarray:
     """One block of ``width`` values (None: any) as a batch of one row, for its batch twin's
     body; else ValueError naming the block's own shape."""
-    return _one_block(np.asarray(block), width, what)[np.newaxis]
+    return _one_block(np.asarray(block), width, what)[None]  # None: np.newaxis, one lookup less
 
 
 def rows(values, width: int | None, what: str) -> np.ndarray:
@@ -206,6 +206,8 @@ def from_hex(text: str) -> np.ndarray:
 class SubAllocation(Enum):
     """Which half of a four-burst control frame a half-rate user owns."""
 
+    __hash__ = object.__hash__  # identity, as schemes.SchemeId hashes: Enum's hashes in Python
+
     EVEN = "even"  # bursts 0 and 2
     ODD = "odd"  # bursts 1 and 3
 
@@ -223,15 +225,13 @@ class Burst:
     hu: int = 1
 
     def __init__(self, payload, hl: int = 1, hu: int = 1):
-        # Each field is set once, where a frozen dataclass's own __init__ and a __post_init__
-        # set the payload twice.  The payload is a copy over bytes, which nothing can write to:
-        # cheaper than a copy made read-only.
-        payload = np.frombuffer(bit_block(payload, BURST_PAYLOAD_BITS).tobytes(), _UINT8)
-        check_int(hl, "hl", 0, 2)
-        check_int(hu, "hu", 0, 2)
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "hl", hl)
-        object.__setattr__(self, "hu", hu)
+        # Each field is set once, straight into the instance's dict, where a frozen dataclass's
+        # own __init__ sets each through object.__setattr__ and a __post_init__ sets the payload
+        # twice.  The payload is a copy over bytes, which nothing can write to: cheaper than a
+        # copy made read-only.  A flag is the int that check_int returns, so True is stored as 1.
+        fields = self.__dict__
+        fields["payload"] = np.frombuffer(bit_block(payload, BURST_PAYLOAD_BITS).tobytes(), _UINT8)
+        fields["hl"], fields["hu"] = check_int(hl, "hl", 0, 2), check_int(hu, "hu", 0, 2)
 
     def __eq__(self, other):
         if not isinstance(other, Burst):

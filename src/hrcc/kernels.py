@@ -52,7 +52,8 @@ a code's constant operands (its tables, widths and rate) cross as one ``hrcc_cod
 ``bytes`` copy (``_readable``), and a buffer that C writes by its address (``_address``).
 
 Each check runs once.  The public kernels check what they are handed before any pointer reaches
-C: the batch shape (``bits.rows``), map bounds, buffer shape, dtype and layout, sigma
+C: the batch shape (``bits.rows``), map bounds, a buffer's shape, dtype and layout (``channel``
+fills one it makes itself for ``out`` None, which needs no check), sigma
 (``check_sigma``, whose float the channel uses), each draw's generator, and soft values,
 which ``bits.real_float64`` makes float64 after the shape rule (refusing str, bytes, complex
 and object values) and ``bits.finite`` scans.  ``ChainKernel.encode`` and ``decode`` take rows
@@ -346,34 +347,40 @@ def check_sigma(sigma, width: int) -> float:
 
 
 def _channel_operands(rng, out, bits, sigma,
-                      columns) -> tuple[np.ndarray, float, np.ndarray, int]:
-    """(bits as C-ordered uint8, ``sigma`` as :func:`check_sigma`'s float at their width, pinned
-    noise map, its address), checked against ``out`` and ``rng``, all before anything is drawn."""
+                      columns) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, int]:
+    """(``out``, or a fresh buffer for ``out`` None, bits as C-ordered uint8, ``sigma`` as
+    :func:`check_sigma`'s float at their width, pinned noise map, its address), checked against
+    ``rng``, all before anything is drawn."""
     check_type(rng, np.random.Generator, "rng")  # a seed would fail deep in the draw
     bits = _bit_rows(bits)
     width = bits.shape[-1]
     sigma = check_sigma(sigma, width)
     columns, at = _checked_map(columns, width, 0)
-    is_array = isinstance(out, np.ndarray)
-    if not (is_array and bits.ndim == 2 and out.shape == bits.shape and columns.size == width
-            and out.dtype == _FLOAT64 and (flags := out.flags).c_contiguous and flags.writeable):
-        got = f"{out.shape} {out.dtype}" if is_array else type(out).__name__
-        raise ValueError(f"the channel fills a writable C-ordered float64 (frames, {width}) buffer "
-                         f"from (frames, {width}) bits, not {got}")
-    return bits, sigma, columns, at
+    if out is None:  # a buffer made here, of the bits' shape, needs no check of its own
+        if bits.ndim == 2 and columns.size == width:
+            return np.empty(bits.shape), bits, sigma, columns, at
+    elif (isinstance(out, np.ndarray) and bits.ndim == 2 and out.shape == bits.shape
+          and columns.size == width and out.dtype == _FLOAT64 and (flags := out.flags).c_contiguous
+          and flags.writeable):
+        return out, bits, sigma, columns, at
+    got = f"{out.shape} {out.dtype}" if isinstance(out, np.ndarray) else type(out).__name__
+    raise ValueError(f"the channel fills a writable C-ordered float64 (frames, {width}) buffer, "
+                     f"or one it makes for None, from (frames, {width}) bits; got {got} and bits "
+                     f"of shape {bits.shape}")
 
 
-def channel_np(rng: np.random.Generator, out: np.ndarray, bits, sigma: float,
+def channel_np(rng: np.random.Generator, out: np.ndarray | None, bits, sigma: float,
                columns=None) -> np.ndarray:
     """Fill ``out`` with 2y/sigma^2 for y = sigma*z + 1-2b, z ``rng``'s next standard normals,
-    drawn into ``out`` in row-major order by numpy's own fill; returns it.
+    drawn into ``out`` in row-major order by numpy's own fill; returns it.  For ``out`` None it
+    fills a fresh float64 buffer of the bits' shape.
 
     Column j of ``out`` gets bit j of its row of ``bits`` (0/1, else ValueError) and
     the normal drawn at column ``columns[j]`` of its row, or at j without a map.  The values
     are those of ``2 * ((1-2b) + rng.normal(0, sigma)) / sigma**2``: ``normal`` returns
     0.0 + sigma*z, which differs from sigma*z only in the sign of a zero, lost once +-1 is added.
     """
-    bits, sigma, columns, _ = _channel_operands(rng, out, bits, sigma, columns)
+    out, bits, sigma, columns, _ = _channel_operands(rng, out, bits, sigma, columns)
     bits = binary_uint8(bits)  # before the draw, so that a refused call leaves rng unmoved
     rng.standard_normal(out=out)
     out[...] = np.take(out, columns, axis=1)
@@ -458,16 +465,19 @@ def viterbi_batch_c(soft: np.ndarray, syms: np.ndarray, source=None, chain=None)
     return bits
 
 
-def channel_c(rng: np.random.Generator, out: np.ndarray, bits, sigma: float,
+def channel_c(rng: np.random.Generator, out: np.ndarray | None, bits, sigma: float,
               columns=None) -> np.ndarray:
     """``channel_np`` in one compiled call (``hrcc_channel``), which draws the normals too: the
     same doubles, and ``rng`` left in the same state, for any numpy BitGenerator."""
-    bits, sigma, columns, columns_at = _channel_operands(rng, out, bits, sigma, columns)
+    out, bits, sigma, columns, columns_at = _channel_operands(rng, out, bits, sigma, columns)
     bitgen = rng.bit_generator
-    with bitgen.lock:  # as numpy's own fill holds it
-        # columns stays referenced here, so its address stays valid.
+    lock = bitgen.lock  # held as numpy's own fill holds it, without a with statement's two calls
+    lock.acquire()
+    try:  # columns stays referenced here, so its address stays valid.
         status = _channel(bitgen.ctypes.bit_generator, _address(out), *out.shape,
                           _readable(bits), columns_at, sigma)
+    finally:
+        lock.release()
     if status:
         _raise_status(status)
     return out
@@ -619,9 +629,11 @@ class ChainKernel:
         if msgs.shape[1:] != (self.k,):  # what C reads must be there
             raise ValueError(f"a chain kernel encodes rows of {self.k}, not {msgs.shape}")
         nframes = msgs.shape[0]
-        out = np.empty(nframes * self.width + 8, np.uint8)  # 8 spare bytes, which C may write
+        out = np.empty(nframes * self.width + 8, _UINT8)  # 8 spare bytes, which C may write
         if status := _encoder(self._code_at, _readable(msgs), nframes, _address(out)):
             _raise_status(status)
+        if nframes == 1:  # a slice, which costs half of the ndarray constructor
+            return out[None, : self.width]
         return np.ndarray((nframes, self.width), _UINT8, out)
 
     def decode(self, softs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -633,12 +645,14 @@ class ChainKernel:
         soft = real_float64(soft)
         nframes, nsteps = soft.shape[0], self._steps
         bits = nframes * nsteps
-        out = np.empty(bits + nframes, np.uint8)  # the bits, then each frame's ok
+        out = np.empty(bits + nframes, _UINT8)  # the bits, then each frame's ok
         at = _address(out)
         if status := _decoder(self._code_at, _readable(soft), nframes, at, at + bits):
             _raise_status(status, soft)
-        # Two views of out, each made in one call: the first k bits of each row, and the flags.
-        return (np.ndarray((nframes, self.k), _UINT8, out, 0, (nsteps, 1)),
+        # Two views of out: the first k bits of each row, one row's by a slice, which costs half
+        # of the ndarray constructor, and the flags.
+        return (out[None, : self.k] if nframes == 1
+                else np.ndarray((nframes, self.k), _UINT8, out, 0, (nsteps, 1)),
                 np.ndarray(nframes, _BOOL, out, bits))
 
 

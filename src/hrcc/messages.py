@@ -25,6 +25,18 @@ LAPDM_INFO_OCTETS = 8
 LAPDM_FILL_OCTET = 0x2B
 LAPDM_FRAME_BITS = 90  # 11 octets + 2 filler bits
 
+_LAPDM_FILL = bytes([LAPDM_FILL_OCTET]) * LAPDM_INFO_OCTETS
+_UINT8 = np.dtype(np.uint8)  # the instance, which numpy takes faster than the type
+
+
+def _built(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with ``fields``, which are in range by
+    construction, set straight into its dict: its ``__init__`` would set each through
+    ``object.__setattr__``, and a ``__post_init__`` check each again."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
+
 
 @dataclass(frozen=True)
 class Imsi:
@@ -51,12 +63,8 @@ def parse_imsi(digits: str, mnc_len: int) -> Imsi:
             f"MSIN would be {len(msin)} digits, allowed range is "
             f"{MSIN_MIN_DIGITS}-{MSIN_MAX_DIGITS}"
         )
-    return Imsi(
-        digits=digits,
-        mcc=digits[:MCC_DIGITS],
-        mnc=digits[MCC_DIGITS : MCC_DIGITS + mnc_len],
-        msin=msin,
-    )
+    return _built(Imsi, digits=digits, mcc=digits[:MCC_DIGITS],
+                  mnc=digits[MCC_DIGITS : MCC_DIGITS + mnc_len], msin=msin)
 
 
 def is_halfrate_capable(imsi: Imsi, m2m_mncs) -> bool:
@@ -66,6 +74,10 @@ def is_halfrate_capable(imsi: Imsi, m2m_mncs) -> bool:
     for code in codes:
         check_type(code, str, "each network code in m2m_mncs")  # 170 would never match "170"
     return imsi.mnc in codes
+
+
+# Each integer field of a ChannelAssignment and its bound; the channel type is a 5-bit field.
+_ASSIGNMENT_FIELDS = (("channel_type", 32), ("timeslot", 8), ("training_seq", 8), ("arfcn", 1024))
 
 
 @dataclass(frozen=True)
@@ -79,20 +91,15 @@ class ChannelAssignment:
     suballoc: SubAllocation
 
     def __post_init__(self):
-        # A TypeError here, not in the encoder's shifts, for a float.
-        check_int(self.channel_type, "channel_type", 0, 32)  # a 5-bit field
-        check_int(self.timeslot, "timeslot", 0, 8)
-        check_int(self.training_seq, "training_seq", 0, 8)
-        check_int(self.arfcn, "arfcn", 0, 1024)
+        # A TypeError here, not in the encoder's shifts, for a float.  A numpy integer or a bool
+        # is stored as the int that check_int returns, as the shifts need (31 << 3 wraps in
+        # int8); an int is left as it is.
+        for name, high in _ASSIGNMENT_FIELDS:
+            value = getattr(self, name)
+            number = check_int(value, name, 0, high)
+            if type(value) is not int:
+                object.__setattr__(self, name, number)
         check_type(self.suballoc, SubAllocation, "suballoc")
-
-
-def _octets_to_bits(octets: bytes) -> np.ndarray:
-    return np.unpackbits(np.frombuffer(octets, dtype=np.uint8))
-
-
-def _bits_to_octets(bits: np.ndarray) -> bytes:
-    return bytes(np.packbits(bits))
 
 
 def encode_immediate_assignment(a: ChannelAssignment) -> np.ndarray:
@@ -121,13 +128,12 @@ def encode_immediate_assignment(a: ChannelAssignment) -> np.ndarray:
             a.arfcn & 0xFF,
         ]
     )
-    return _octets_to_bits(octets)
+    return np.unpackbits(np.frombuffer(octets, _UINT8))
 
 
 def decode_immediate_assignment(block) -> ChannelAssignment:
     """Exact inverse of :func:`encode_immediate_assignment`."""
-    bits = bit_block(block, ASSIGNMENT_BITS)
-    octets = _bits_to_octets(bits)
+    octets = np.packbits(bit_block(block, ASSIGNMENT_BITS)).tobytes()
     if octets[0] != ASSIGNMENT_MESSAGE_TYPE:
         raise ValueError(
             f"not an assignment image: message type 0x{octets[0]:02X}"
@@ -137,7 +143,8 @@ def decode_immediate_assignment(block) -> ChannelAssignment:
         raise ValueError("hopping assignments (H=1) are not supported")
     if (octet3 >> 2) & 1:
         raise ValueError("reserved spare bit 3 must be zero")
-    return ChannelAssignment(
+    return _built(
+        ChannelAssignment,
         channel_type=octets[1] >> 3,
         timeslot=octets[1] & 0b111,
         training_seq=octet3 >> 5,
@@ -157,20 +164,20 @@ def encode_lapdm_tailored(payload: bytes, address: int, control: int) -> np.ndar
     if len(payload) > LAPDM_INFO_OCTETS:
         raise ValueError(f"payload is limited to {LAPDM_INFO_OCTETS} octets")
     address, control = check_int(address, "address", 0, 256), check_int(control, "control", 0, 256)
-    info = payload + bytes([LAPDM_FILL_OCTET]) * (LAPDM_INFO_OCTETS - len(payload))
-    octets = bytes([address, control, len(payload)]) + info
-    return np.concatenate([_octets_to_bits(octets), np.zeros(2, dtype=np.uint8)])
+    octets = bytes((address, control, len(payload))) + payload + _LAPDM_FILL[len(payload):]
+    # The two filler bits are the zeros that unpackbits adds past the octets' 88 bits.
+    return np.unpackbits(np.frombuffer(octets, _UINT8), count=LAPDM_FRAME_BITS)
 
 
 def decode_lapdm_tailored(block) -> tuple[bytes, int, int]:
     """Inverse of :func:`encode_lapdm_tailored`: (payload, address, control)."""
-    octets = _bits_to_octets(bit_block(block, LAPDM_FRAME_BITS))  # the filler bits zero-padded
+    octets = np.packbits(bit_block(block, LAPDM_FRAME_BITS)).tobytes()  # filler bits zero-padded
     if octets[-1]:
         raise ValueError("filler bits must be zero")
     address, control, length = octets[0], octets[1], octets[2]
     if length > LAPDM_INFO_OCTETS:
         raise ValueError(f"length indicator {length} exceeds {LAPDM_INFO_OCTETS}")
     info = octets[3:-1]
-    if info[length:] != bytes([LAPDM_FILL_OCTET]) * (LAPDM_INFO_OCTETS - length):
+    if info[length:] != _LAPDM_FILL[length:]:
         raise ValueError("unused info octets must carry the 0x2B fill pattern")
-    return bytes(info[:length]), address, control
+    return info[:length], address, control

@@ -25,6 +25,8 @@ GROUP_FRAMES = 4
 
 
 class ChannelConfig(Enum):
+    __hash__ = object.__hash__  # identity, as schemes.SchemeId hashes: Enum's hashes in Python
+
     SDCCH8 = "sdcch8"
     SDCCH4 = "sdcch4"
 
@@ -34,11 +36,15 @@ class ChannelConfig(Enum):
 
 
 class FrameMode(Enum):
+    __hash__ = object.__hash__
+
     STANDARD = "standard"
     MODIFIED = "modified"
 
 
 class ChannelKind(Enum):
+    __hash__ = object.__hash__
+
     SDCCH = "sdcch"
     SACCH = "sacch"
 
@@ -121,15 +127,19 @@ def bursts_for(cfg: MultiframeConfig, chan: LogicalChannelId) -> list[tuple[int,
     channel sees the ``burst_positions`` of its sub-allocation.
     """
     check_type(chan, LogicalChannelId, "chan").validate(cfg)
-    return list(_bursts(cfg, chan))
+    # Keyed on the fields, which hash and compare in C, not on the dataclasses, whose __hash__
+    # and __eq__ run in Python.
+    return list(_bursts(cfg.config, cfg.mode, chan.kind, chan.subchannel, chan.suballoc))
 
 
 @lru_cache(maxsize=None)
-def _bursts(cfg: MultiframeConfig, chan: LogicalChannelId) -> tuple[tuple[int, int], ...]:
+def _bursts(config: ChannelConfig, mode: FrameMode, kind: ChannelKind, subchannel: int,
+            suballoc: SubAllocation | None) -> tuple[tuple[int, int], ...]:
+    chan = LogicalChannelId(kind, subchannel, suballoc)
     return tuple(
         (slot.multiframe_parity * FRAMES_PER_MULTIFRAME + slot.frame_number,
          slot.frame_number % GROUP_FRAMES)
-        for slot in _layout(cfg)
+        for slot in _layout(MultiframeConfig(config, mode))
         if slot.owner == chan
     )
 

@@ -168,7 +168,12 @@ def decode_block(scheme: SchemeId, soft) -> DecodeOutcome:
     """Decode one soft block in coded order, ``decode_blocks`` on it as one row."""
     chain = _chain(scheme)
     msgs, ok = _decode(chain, one_row(soft, chain.coded_bits, _DECODES[scheme]))
-    return DecodeOutcome(msgs[0], bool(ok[0]))
+    # The fields go straight into the instance's dict, where the frozen dataclass's __init__
+    # would set each through object.__setattr__.
+    outcome = object.__new__(DecodeOutcome)
+    fields = outcome.__dict__
+    fields["message"], fields["ok"] = msgs[0], ok.item()
+    return outcome
 
 
 def _encode(chain: _Chain, msgs: np.ndarray) -> np.ndarray:

@@ -92,9 +92,9 @@ def transmit(bits, sigma: float, rng: np.random.Generator) -> np.ndarray:
     Like :func:`run_bler`, it takes only a sigma that ``kernels.check_sigma`` takes at
     the block's length; ``kernels.channel`` checks it and ``rng`` before ``rng`` draws.
     """
-    # The block's shape is checked here and its values by the channel, before it draws.
-    row = one_row(bits, None, "expected")
-    return kernels.channel(rng, np.empty(row.shape), row, sigma)[0]
+    # The block's shape is checked here and its values by the channel, before it draws into
+    # the row that it makes for no buffer.
+    return kernels.channel(rng, None, one_row(bits, None, "expected"), sigma)[0]
 
 
 @dataclass(frozen=True)

@@ -535,6 +535,7 @@ def _read_only(arr):
     (np.zeros((4, 2)).T, np.ones((2, 4), dtype=np.uint8)),  # not C-ordered
     (_read_only(np.zeros((2, 4))), np.ones((2, 4), dtype=np.uint8)),
     (np.zeros(4), np.ones(4, dtype=np.uint8)),  # not a batch
+    (None, np.ones(4, dtype=np.uint8)),  # no buffer, and bits that are not a batch
     ([[0.0] * 4] * 2, np.ones((2, 4), dtype=np.uint8)),  # not an array: raised AttributeError
 ])
 def test_channel_rejects_buffers_that_do_not_fit_the_bits(monkeypatch, out, bits):
@@ -547,6 +548,23 @@ def test_channel_rejects_buffers_that_do_not_fit_the_bits(monkeypatch, out, bits
             channel(rng, out, bits, 0.8)
         assert rng.bit_generator.state == state  # nothing drawn
     assert not calls
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+@pytest.mark.parametrize("columns", [None, np.arange(114)[::-1]], ids=["no map", "reversed"])
+def test_channel_makes_the_buffer_it_is_not_handed(bit_generator, columns):
+    # transmit hands no buffer, so that the channel need not check one that it made itself.
+    bits = np.random.default_rng(66).integers(0, 2, (3, 114), np.uint8)
+    for channel in filter(None, [kernels.channel_np, kernels.channel_c]):
+        made, handed = (np.random.Generator(bit_generator(67)) for _ in range(2))
+        out = np.empty((3, 114))
+        got = channel(made, None, bits, 0.8, columns)
+        assert channel(handed, out, bits, 0.8, columns) is out
+        assert (got.shape, got.dtype, got.flags.c_contiguous, got.flags.writeable) == (
+            (3, 114), np.float64, True, True)
+        assert got.tobytes() == out.tobytes()
+        ahead = made.bit_generator.random_raw(4), handed.bit_generator.random_raw(4)
+        assert ahead[0].tolist() == ahead[1].tolist()  # the generators left in step
 
 
 @pytest.mark.parametrize("bad", [3, None, np.random.PCG64(3), np.random.RandomState(3)])

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from hrcc.bits import SubAllocation
+from hrcc.bits import Burst, SubAllocation
 from hrcc.messages import (
     ChannelAssignment,
     decode_immediate_assignment,
@@ -180,6 +180,24 @@ def test_integer_fields_take_a_bool_as_its_integer():
     cfg = MultiframeConfig(ChannelConfig.SDCCH8, FrameMode.STANDARD)
     assert (bursts_for(cfg, LogicalChannelId(ChannelKind.SDCCH, True))
             == bursts_for(cfg, LogicalChannelId(ChannelKind.SDCCH, 1)) != [])
+
+
+ASSIGNMENT_FIELDS = ("channel_type", "timeslot", "training_seq", "arfcn")
+
+
+@pytest.mark.parametrize("kind", [np.int8, np.int16, np.uint8, np.int64, bool])
+def test_integer_fields_are_stored_as_the_int_they_stand_for(kind):
+    # A numpy integer was stored as given: np.int8(31) constructed, and then 31 << 3 wrapped
+    # in int8 and encoding raised "bytes must be in range(0, 256)".  Each field of a kind too
+    # narrow for its value (1023 in int8 or uint8) stays a Python int.
+    values = (1, 1, 1, 1) if kind is bool else (31, 7, 7, 1023)
+    fields = [kind(v) if kind is bool or v <= np.iinfo(kind).max else v for v in values]
+    assignment = ChannelAssignment(*fields, SubAllocation.ODD)
+    assert np.array_equal(encode_immediate_assignment(assignment),
+                          encode_immediate_assignment(ChannelAssignment(*values, SubAllocation.ODD)))
+    assert [type(getattr(assignment, name)) for name in ASSIGNMENT_FIELDS] == [int] * 4
+    burst = Burst(np.zeros(114, np.uint8), kind(1), kind(0))
+    assert (burst.hl, burst.hu) == (1, 0) and type(burst.hl) is type(burst.hu) is int
 
 
 def test_assignment_decode_errors():

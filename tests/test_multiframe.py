@@ -1,9 +1,14 @@
+import enum
+import importlib
+import inspect
 import itertools
+import pkgutil
 import re
 
 import numpy as np
 import pytest
 
+import hrcc
 from hrcc.bits import SubAllocation
 from hrcc.multiframe import (
     ChannelConfig,
@@ -173,3 +178,31 @@ def test_callers_get_their_own_lists():
     bursts.append((0, 0))
     assert build_layout(cfg) == expected_layout
     assert bursts_for(cfg, chan) == expected_bursts
+
+
+def _hrcc_enums() -> list[type[enum.Enum]]:
+    """Every Enum subclass defined in an hrcc module."""
+    modules = [importlib.import_module(f"hrcc.{info.name}")
+               for info in pkgutil.iter_modules(hrcc.__path__)]
+    return [cls for module in modules for _, cls in inspect.getmembers(module, inspect.isclass)
+            if issubclass(cls, enum.Enum) and cls.__module__ == module.__name__]
+
+
+def test_every_hrcc_enum_hashes_by_identity():
+    # Enum's own __hash__ hashes the member's name in Python, on every dict and cache lookup.
+    enums = _hrcc_enums()
+    assert {cls.__name__ for cls in enums} >= {"SchemeId", "InterleaveMode", "SubAllocation",
+                                               "ChannelConfig", "FrameMode", "ChannelKind"}
+    assert [cls for cls in enums if cls.__hash__ is not object.__hash__] == []
+
+
+@pytest.mark.parametrize("mode", list(FrameMode))
+def test_equal_channels_built_apart_get_equal_bursts(mode):
+    for config in ChannelConfig:
+        cfg = MultiframeConfig(config, mode)
+        for chan in _all_channels(cfg):
+            twin_cfg = MultiframeConfig(ChannelConfig(config.value), FrameMode(mode.value))
+            twin = LogicalChannelId(ChannelKind(chan.kind.value), np.int64(chan.subchannel),
+                                    chan.suballoc)
+            assert twin_cfg is not cfg and twin is not chan
+            assert bursts_for(twin_cfg, twin) == bursts_for(cfg, chan) != []
