@@ -69,14 +69,13 @@ enum { HRCC_OK = 0, HRCC_NOT_BINARY = 1, HRCC_NOT_FINITE = 2, HRCC_NO_MEMORY = 3
  * n_out:       2 or 3, the code rate's denominator; kernels.py rejects any other.
  * table:       NULL, or the block code's 256 remainders, see lfsr().
  * sym:         (8, n_out) outputs of the branch from state 2i under input 0, for the decoder.
- * kept:        the encoder's kept-bit tables, 4096 entries each.  In the table of a group of 8
- *              trellis steps, entry h << 8 | x holds the bits of those steps' mother-code columns
- *              that source keeps, in column order from bit 0, where the steps shift the inputs
- *              x, first in bit 7, into a register whose last 4 inputs were h, newest in bit 0.
- *              source keeps columns in order, so these are the coded row's next bits.  A group
- *              whose columns are all kept reads ConvCode.eight_steps itself.
- * groups:      two entries per group of 8 steps, the last group's steps past entries included:
- *              the offset of its table in kept, and how many of its columns source keeps.
+ * kept:        the encoder's kept-bit table, 4096 entries.  source keeps the same columns in
+ *              every group of 8 trellis steps, and entry h << 8 | x holds the bits of a group's
+ *              mother-code columns that it keeps, in column order from bit 0, where the steps
+ *              shift the inputs x, first in bit 7, into a register whose last 4 inputs were h,
+ *              newest in bit 0.  source keeps columns in order, so these are the coded row's next
+ *              bits.  Where it keeps them all, the entries are ConvCode.eight_steps' own.
+ * count:       how many columns source keeps of each group of 8 steps.
  * k, n:        the message bits that the encoder reads, and the message and parity bits
  *              that the decoder checks with table. */
 typedef struct {
@@ -87,7 +86,7 @@ typedef struct {
     const uint64_t *table;
     const double *sym;
     const uint32_t *kept;
-    const int32_t *groups;
+    int count;
     ptrdiff_t k;
     ptrdiff_t n;
 } hrcc_code;
@@ -474,18 +473,16 @@ void hrcc_errors(const uint8_t *decoded, ptrdiff_t decoded_stride, const uint8_t
     }
 }
 
-/* The next 8 inputs x, first in bit 7, shifted into the 12-input window; its entry in the table
- * of group, the next group of 8 steps, holds that group's kept bits, which are written straight
- * into the coded row at at as bytes of 0 or 1, 8 at a time.  The last 8 may run up to 8 bytes
- * past the group's count, where the next group, the next row or the output's 8 spare bytes
- * go.  Returns the end of the group's bits. */
+/* The next 8 inputs x, first in bit 7, shifted into the 12-input window; its entry in kept holds
+ * the group's count kept bits, which are written straight into the coded row at at as bytes of 0
+ * or 1, 8 at a time.  The last 8 may run up to 8 bytes past the group's count, and the last
+ * group's stores up to 24 past the row's end, where the next group, the next row or the output's
+ * 24 spare bytes go.  Returns the end of the group's bits. */
 static inline __attribute__((always_inline)) uint8_t *
-shift8(const uint32_t *restrict kept, const int32_t *group, unsigned *window, unsigned x,
-       uint8_t *at)
+shift8(const uint32_t *restrict kept, int count, unsigned *window, unsigned x, uint8_t *at)
 {
     *window = (*window << 8 | x) & 4095;
-    const uint32_t bits = kept[group[0] + *window];
-    const int count = group[1];
+    const uint32_t bits = kept[*window];
     store8(at, expand8(bits & 255));
     if (count > 8) {
         store8(at + 8, expand8(bits >> 8 & 255));
@@ -499,16 +496,16 @@ shift8(const uint32_t *restrict kept, const int32_t *group, unsigned *window, un
  * register 8 inputs at a time into the coded row at at, nsteps inputs in all; returns the OR of
  * the message's words. */
 static inline __attribute__((always_inline)) uint64_t
-encode_row(const uint32_t *restrict kept, const int32_t *group, const uint8_t *msg, ptrdiff_t k,
+encode_row(const uint32_t *restrict kept, int count, const uint8_t *msg, ptrdiff_t k,
            ptrdiff_t nsteps, uint64_t parity, uint8_t *at)
 {
     unsigned window = 0;
     uint64_t seen = 0;
     ptrdiff_t t = 0;
-    for (; t + 8 <= k; t += 8, group += 2) {
+    for (; t + 8 <= k; t += 8) {
         const uint64_t w = load8(msg + t);
         seen |= w; /* a value above 1 fails the call */
-        at = shift8(kept, group, &window, pack8(w), at);
+        at = shift8(kept, count, &window, pack8(w), at);
     }
     /* The message's last k % 8 inputs lead the parity into the next group. */
     const int lead = (int)(k - t);
@@ -519,8 +516,8 @@ encode_row(const uint32_t *restrict kept, const int32_t *group, const uint8_t *m
     }
     x = x << (8 - lead) | (unsigned)(parity >> (56 + lead));
     parity <<= 8 - lead;
-    for (t -= lead; t < nsteps; t += 8, group += 2) {
-        at = shift8(kept, group, &window, x, at);
+    for (t -= lead; t < nsteps; t += 8) {
+        at = shift8(kept, count, &window, x, at);
         x = (unsigned)(parity >> 56);
         parity <<= 8;
     }
@@ -529,20 +526,20 @@ encode_row(const uint32_t *restrict kept, const int32_t *group, const uint8_t *m
 
 /* msgs: (nframes, code->k) row-major message bits; code->table gives their parity, eight rows
  * at a time where eight are left, and code->kept each group's kept bits: out is (nframes,
- * code->width) coded bits, followed by 8 spare bytes that the last row may write.  Returns
+ * code->width) coded bits, followed by 24 spare bytes that the last row may write.  Returns
  * HRCC_NOT_BINARY if a message value is not 0 or 1, else HRCC_OK. */
 int hrcc_encode(const hrcc_code *code, const uint8_t *msgs, ptrdiff_t nframes, uint8_t *out)
 {
     const ptrdiff_t k = code->k, width = code->width, nsteps = code->entries / code->n_out;
     const uint32_t *kept = code->kept;
-    const int32_t *groups = code->groups;
+    const int count = code->count;
     const uint64_t *table = code->table;
     uint64_t seen = 0;
     for (ptrdiff_t f = 0; f < nframes;) {
         uint64_t parity[8];
         const int rows = remainders(msgs + f * k, k, nframes - f, k, table, parity);
         for (int l = 0; l < rows; l++, f++)
-            seen |= encode_row(kept, groups, msgs + f * k, k, nsteps, parity[l], out + f * width);
+            seen |= encode_row(kept, count, msgs + f * k, k, nsteps, parity[l], out + f * width);
     }
     return seen & 0xfefefefefefefefe ? HRCC_NOT_BINARY : HRCC_OK;
 }

@@ -7,9 +7,10 @@ float64 arrays with the convention positive == bit 0 more likely and
 The argument checks (:func:`check_type`, :func:`check_int`, :func:`check_collection`) name the
 argument and show its value by :func:`shown`.  The array rules are stated here, once each:
 :func:`rows` for the shape of a batch, :func:`one_row` for one block's, :func:`binary_uint8` for
-bits, :func:`real_float64` for what a soft value is and how it becomes float64, and
-:func:`finite` for soft values.  A public function applies each once, at its boundary, and hands
-what it returns to bodies that do not check again.  Nothing here mutates its inputs.
+bits, :func:`real_float64` for what a soft value is and how it becomes float64, :func:`finite`
+for soft values, and :func:`frozen` for a constant table.  A public function applies each once,
+at its boundary, and hands what it returns to bodies that do not check again.  Nothing here
+mutates its inputs.
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ NOT_BINARY = "bit block may only contain 0 and 1"  # the compiled kernels' statu
 
 # The instances, which numpy takes faster than the types.
 _FLOAT64, _UINT8 = np.dtype(np.float64), np.dtype(np.uint8)
-
-# The soft value of each bit value: +1 for 0, -1 for 1.
-_ANTIPODAL = np.array([1.0, -1.0])
-_ANTIPODAL.flags.writeable = False
 
 
 class HexFormatError(ValueError):
@@ -118,6 +115,17 @@ def finite(values: np.ndarray) -> np.ndarray:
     if b"\0" in isfinite.tobytes() if isfinite.size < 2048 else not isfinite.all():
         raise ValueError("soft values must be finite")
     return values
+
+
+def frozen(values, dtype=None) -> np.ndarray:
+    """A read-only copy of ``values`` over a ``bytes`` object, which nothing can write to, nor
+    make writable again."""
+    arr = np.ascontiguousarray(values, dtype)
+    return np.frombuffer(arr.tobytes(), arr.dtype).reshape(arr.shape)
+
+
+# The soft value of each bit value: +1 for 0, -1 for 1.
+_ANTIPODAL = frozen([1.0, -1.0])
 
 
 def _one_block(arr: np.ndarray, width: int | None, what: str) -> np.ndarray:

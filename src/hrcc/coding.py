@@ -20,7 +20,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import kernels
-from .bits import antipodal, binary_uint8, check_int, check_type, one_row, real_float64, rows
+from .bits import (antipodal, binary_uint8, check_int, check_type, frozen, one_row, real_float64,
+                   rows)
 
 CONSTRAINT_LENGTH = 5
 TAIL_BITS = 4  # zero flushing bits that return the encoder to state 0
@@ -61,7 +62,7 @@ class BlockCode:
     generator: int
 
     def __post_init__(self):
-        check_int(self.k, "k", 1)
+        object.__setattr__(self, "k", check_int(self.k, "k", 1))
         object.__setattr__(self, "generator", _generator(self.generator)[0])
         check_int(self.r, "the generator's degree", 1, 65)
 
@@ -72,8 +73,8 @@ class BlockCode:
     @cached_property
     def remainders(self) -> np.ndarray:
         """The compiled LFSR's table: entry v is v(D) * D^r mod g at the top of a uint64."""
-        return kernels.frozen([poly_remainder(v << self.r, self.generator) << 64 - self.r
-                               for v in range(256)], np.uint64)
+        return frozen([poly_remainder(v << self.r, self.generator) << 64 - self.r
+                       for v in range(256)], np.uint64)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -89,8 +90,7 @@ class BlockCode:
         for i in range(k):
             rem = poly_remainder(1 << (k - 1 - i + r), self.generator)
             matrix[i] = [(rem >> (r - 1 - j)) & 1 for j in range(r)]
-        matrix.flags.writeable = False
-        return matrix
+        return frozen(matrix)
 
     def _parity(self, msgs: np.ndarray) -> np.ndarray:
         counts = msgs.astype(np.float32) @ self.matrix
@@ -165,8 +165,8 @@ class ConvCode:
         outputs = parity[windows[:, :, None] & np.array(self.generators, np.uint16)]
         # Bit c of an entry is column c: packed little-endian, 4 bytes an entry.
         packed = np.packbits(outputs.reshape(4096, -1), axis=1, bitorder="little")
-        return kernels.frozen(np.pad(packed, ((0, 0), (0, 4 - packed.shape[1]))).view("<u4")[:, 0],
-                              np.uint32)
+        return frozen(np.pad(packed, ((0, 0), (0, 4 - packed.shape[1]))).view("<u4")[:, 0],
+                      np.uint32)
 
     @cached_property
     def branches(self) -> np.ndarray:
@@ -184,8 +184,7 @@ def _tap_table(generators: tuple[int, ...]) -> np.ndarray:
     for j, g in enumerate(generators):
         for k in range(CONSTRAINT_LENGTH):
             taps[j, k] = (g >> k) & 1
-    taps.flags.writeable = False
-    return taps
+    return frozen(taps)
 
 
 @lru_cache(maxsize=None)
@@ -194,7 +193,7 @@ def _sym_table(generators: tuple[int, ...]) -> np.ndarray:
     state, b = np.meshgrid(np.arange(16), (0, 1), indexing="ij")
     # The register window x[t], x[t-1], ..., x[t-4] of each (state, input).
     window = np.stack([b, state >> 3, state >> 2, state >> 1, state], axis=-1) & 1
-    return kernels.frozen(antipodal((window @ _tap_table(generators).T) & 1))
+    return frozen(antipodal((window @ _tap_table(generators).T) & 1))
 
 
 def conv_encode_batch(code: ConvCode, msgs: np.ndarray) -> np.ndarray:
@@ -224,8 +223,12 @@ class PuncturePattern:
     output_len: int
 
     def __post_init__(self):
+        # A list would construct, then fail to hash; an array would fail the 0/1 test's truth.
+        check_type(self.keep, tuple, "keep")
         if not self.keep or any(b not in (0, 1) for b in self.keep):
             raise ValueError("keep mask must be a nonempty 0/1 sequence")
+        for name in ("input_len", "output_len"):
+            object.__setattr__(self, name, check_int(getattr(self, name), name, 0))
         if self.kept_indices.size != self.output_len:
             raise ValueError(
                 f"mask keeps {self.kept_indices.size} of {self.input_len} bits, "
@@ -236,9 +239,7 @@ class PuncturePattern:
     def kept_indices(self) -> np.ndarray:
         """Read-only positions of the kept input bits, in increasing order."""
         mask = np.resize(np.asarray(self.keep, dtype=bool), self.input_len)
-        kept = np.flatnonzero(mask)
-        kept.flags.writeable = False
-        return kept
+        return frozen(np.flatnonzero(mask))
 
 
 # Mother-code puncturing realizing the 2/3 coding scheme, then the three

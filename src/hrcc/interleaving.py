@@ -12,9 +12,8 @@ from enum import Enum
 
 import numpy as np
 
-from . import kernels
 from .bits import (BURST_PAYLOAD_BITS, Burst, antipodal, as_soft_array, binary_uint8, check_type,
-                   finite, one_row, real_float64, rows)
+                   finite, frozen, one_row, real_float64, rows)
 
 
 class InterleaveMode(Enum):
@@ -38,13 +37,13 @@ def _destinations(mode: InterleaveMode) -> np.ndarray:
     return (k % b) * BURST_PAYLOAD_BITS + 2 * ((49 * k) % 57) + (k % (2 * b)) // b
 
 
-_DEST = {mode: kernels.frozen(_destinations(mode)) for mode in InterleaveMode}
+_DEST = {mode: frozen(_destinations(mode)) for mode in InterleaveMode}
 # The inverse permutation: stream column j carries coded bit _SOURCE[mode][j].
-_SOURCE = {mode: kernels.frozen(np.argsort(dest)) for mode, dest in _DEST.items()}
+_SOURCE = {mode: frozen(np.argsort(dest)) for mode, dest in _DEST.items()}
 # The same, one row per burst, and each mode's shape-error prefix: Enum.value costs a property call.
 _BURSTS = {mode: source.reshape(-1, BURST_PAYLOAD_BITS) for mode, source in _SOURCE.items()}
 _PERMUTES = {mode: f"{mode.value} permutes" for mode in InterleaveMode}
-_NO_VALUES = kernels.frozen(np.empty((1, 0)))
+_NO_VALUES = frozen(np.empty((1, 0)))
 
 
 def destinations(mode: InterleaveMode) -> np.ndarray:

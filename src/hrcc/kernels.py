@@ -19,14 +19,15 @@ run.  ``BACKEND`` says which: ``"c"`` or ``"numpy"``.
   (numpy).  ``_viterbi.c`` sets out how every width gives numpy's bits, ties included.
 * ``hrcc_encode``, with one chain's tables from ``ChainKernel``, encodes a batch in one pass:
   the block parity by a byte-table LFSR, the tail, and the conv code 8 trellis steps per lookup
-  of a kept-bit table (4096 entries, one per 12-input window: the bits of ``ConvCode.eight_steps``
-  that the chain's source map keeps of that group of 8 steps, ``eight_steps`` itself where it
-  keeps them all): the message is packed 8 bits at a time, and each lookup's kept bits expand 8
-  at a time straight into the bytes of the coded row.  ``ChainKernel`` decodes through that
-  map in one ``hrcc_viterbi`` call, which runs the LFSR over each decoded word too: its
-  remainder is zero exactly when its parity matches.  The LFSR runs eight frames side by side
-  where eight are left, so that their table lookups overlap.  The numpy references are
-  ``BlockCode``'s parity and check, ``conv_encode_batch_np`` and ``viterbi_batch_np``.
+  of the chain's one kept-bit table (4096 entries, one per 12-input window: the bits of
+  ``ConvCode.eight_steps`` that the chain's source map keeps, the same columns of every group of
+  8 steps, ``eight_steps``' own values where it keeps them all): the message is packed 8 bits at
+  a time, and each lookup's kept bits expand 8 at a time straight into the bytes of the coded
+  row.  ``ChainKernel`` decodes through that map in one ``hrcc_viterbi`` call, which runs the
+  LFSR over each decoded word too: its remainder is zero exactly when its parity matches.  The
+  LFSR runs eight frames side by side where eight are left, so that their table lookups overlap.
+  The numpy references are ``BlockCode``'s parity and check, ``conv_encode_batch_np`` and
+  ``viterbi_batch_np``.
 * ``hrcc_errors`` (``bit_errors_c``; ``bit_errors_np``) counts each frame's bit errors, the
   columns where its decoded row differs from its sent row, 8 bytes at a time, reading the
   decoder's (frames, k) view of its output where it lies; ``bit_errors`` is the one that runs.
@@ -44,7 +45,7 @@ run.  ``BACKEND`` says which: ``"c"`` or ``"numpy"``.
 
 A source map folds depuncturing into the decoder: entry c is the column of the soft batch
 that holds mother-code bit c, or -1 where puncturing deleted it, which reads as the erasure
-+0.0; without a map the columns are read in order.  Constant tables are ``frozen``.
++0.0; without a map the columns are read in order.  Constant tables are ``bits.frozen``.
 
 Each call crosses into C once, and ctypes converts each argument of a crossing on every call:
 a code's constant operands (its tables, widths and rate) cross as one ``hrcc_code`` pointer
@@ -89,8 +90,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bits import (NOT_BINARY, antipodal, binary_uint8, check_type, finite, real_float64, rows,
-                   shown)
+from .bits import (NOT_BINARY, antipodal, binary_uint8, check_type, finite, frozen, real_float64,
+                   rows, shown)
 
 # Stand-in for -inf that survives repeated branch-metric additions without
 # overflow; real metrics stay many orders of magnitude above it.
@@ -254,7 +255,7 @@ class _Code(ctypes.Structure):
     _fields_ = [("source", ctypes.c_void_p), ("entries", ctypes.c_ssize_t),
                 ("width", ctypes.c_ssize_t), ("n_out", ctypes.c_int),
                 ("table", ctypes.c_void_p), ("sym", ctypes.c_void_p),
-                ("kept", ctypes.c_void_p), ("groups", ctypes.c_void_p),
+                ("kept", ctypes.c_void_p), ("count", ctypes.c_int),
                 ("k", ctypes.c_ssize_t), ("n", ctypes.c_ssize_t)]
 
 
@@ -281,12 +282,6 @@ def _readable(arr: np.ndarray):
     return arr.tobytes() if arr.nbytes < 4096 else _address(arr)
 
 
-def frozen(values, dtype=None) -> np.ndarray:
-    """A read-only copy of ``values`` over a ``bytes`` object, which nothing can write to."""
-    arr = np.ascontiguousarray(values, dtype)
-    return np.frombuffer(arr.tobytes(), arr.dtype).reshape(arr.shape)
-
-
 def _checked_map(source, in_width: int, lowest: int = -1) -> tuple[np.ndarray, int]:
     """``source`` as a pinned int32 map whose entries are columns of a row, or ``lowest``;
     ``None`` is the pinned identity."""
@@ -302,7 +297,7 @@ def _checked_map(source, in_width: int, lowest: int = -1) -> tuple[np.ndarray, i
 
 @lru_cache(maxsize=8)
 def _identity_map(width: int) -> tuple[np.ndarray, int]:
-    return _pinned(np.arange(width, dtype=np.int32))
+    return _pinned(frozen(np.arange(width), np.int32))
 
 
 def _butterfly_syms(syms) -> tuple[np.ndarray, int]:
@@ -313,7 +308,7 @@ def _butterfly_syms(syms) -> tuple[np.ndarray, int]:
     syms = syms.reshape(16, 2, -1)
     if not (np.array_equal(syms[1::2], -syms[0::2]) and np.array_equal(syms[:, 1], -syms[:, 0])):
         raise ValueError("branch outputs lack the butterfly symmetry of D^0 and D^4 taps")
-    return _pinned(np.ascontiguousarray(syms[0::2, 0]))
+    return _pinned(frozen(syms[0::2, 0]))
 
 
 def _bit_rows(bits) -> np.ndarray:
@@ -551,51 +546,17 @@ def _bits_calls():
     return (np.random.PCG64, pcg64), (np.random.MT19937, mt19937)
 
 
-def _kept_bit_tables(eight_steps: np.ndarray, source: np.ndarray,
-                     n_out: int) -> tuple[np.ndarray, np.ndarray]:
-    """A chain encoder's kept-bit tables, read-only and end to end, and, for each group of 8
-    trellis steps, the offset of its table and how many of its columns ``source`` keeps: the
-    ``kept`` and ``groups`` of ``_viterbi.c``'s ``hrcc_code``.
-
-    There is one table per distinct keep mask of a whole group: entry i holds the bits of
-    ``eight_steps[i]`` that the mask keeps, in column order from bit 0.  A mask that keeps every
-    column reads ``eight_steps`` itself.  The last group, if the map ends inside it, reads a whole
-    group's table whose mask starts with its own, since its count stops at the map's end, and
-    else a table of its own."""
-    span = 8 * n_out
-    whole, present = divmod(source.size, span)
-    keep = np.zeros(((whole + (present > 0)), span), np.int64)
-    keep.reshape(-1)[: source.size] = source >= 0
-    masks = keep @ (1 << np.arange(span))  # each group's keep mask, column c in bit c
-    unique, groups = np.unique(masks[:whole], return_inverse=True)
-    if present:
-        fits = np.flatnonzero((unique & ((1 << present) - 1)) == masks[-1])
-        if not fits.size:
-            unique, fits = np.append(unique, masks[-1]), [unique.size]
-        groups = np.append(groups, fits[0])
-    if unique.tolist() == [(1 << span) - 1]:
-        tables = eight_steps
-    else:  # bit c of each entry is column c; kept bits weigh 1, 2, 4, ... in column order
-        kept = unique[:, None] >> np.arange(span) & 1
-        weights = np.where(kept, 2.0 ** (np.cumsum(kept, axis=1) - 1), 0.0).astype(np.float32)
-        bits = np.unpackbits(eight_steps.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4),
-                             axis=1, count=span, bitorder="little")
-        # Every sum is an integer below 2**24, exact in float32 in any order.
-        tables = frozen((bits @ weights.T).T, np.uint32).reshape(-1)
-    return tables, frozen(np.stack([groups * eight_steps.size, keep.sum(axis=1)], axis=1), np.int32)
-
-
 class ChainKernel:
     """One chain's compiled encoder and decoder, their tables pinned and checked once.
 
     ``block`` and ``code`` are the chain's ``BlockCode`` and ``ConvCode``, whose ``remainders``
-    and ``branches`` tables the C reads, with the kept-bit tables made from ``eight_steps``;
+    and ``branches`` tables the C reads, with the kept-bit table made from ``eight_steps``;
     ``source`` maps each mother-code column, the 4 tail bits' included, to its column of the
-    coded block, or -1, keeping columns in order, for the decoder to read through; the encoder
-    writes each group of 8 trellis steps' kept bits straight into the coded row from that
-    group's kept-bit table (``_kept_bit_tables``), and ``width``, the coded block's, is the
-    number of columns the map keeps.  Both take rows whose shape the caller checked; C checks
-    the values.
+    coded block, or -1, keeping columns in order and the same columns in every group of 8
+    trellis steps, the last group's up to the map's end, for the decoder to read through; the
+    encoder writes each group's kept bits straight into the coded row from the chain's one
+    kept-bit table, and ``width``, the coded block's, is the number of columns the map keeps.
+    Both take rows whose shape the caller checked; C checks the values.
     """
 
     def __init__(self, block, code, source):
@@ -606,21 +567,29 @@ class ChainKernel:
         kept = np.flatnonzero(source >= 0)
         self.width = kept.size
         self._steps = self.k + self.r + 4  # trellis steps: the 4 zero tail bits included
+        keep = source[: 8 * self.n_out] >= 0  # the first group's mask, which every group repeats
         # hrcc_encode writes each coded column, in order, into its uncleared output.
         if (self.n_out not in (2, 3)
                 or (remainders.size, eight_steps.size, source.size)
                 != (256, 4096, self._steps * self.n_out)
-                or not np.array_equal(source[kept], np.arange(self.width))):
+                or not np.array_equal(source[kept], np.arange(self.width))
+                or not np.array_equal(np.resize(keep, source.size), source >= 0)):
             raise ValueError("a chain kernel takes rate 1/2 or 1/3, 256 remainders, 4096 "
                              "eight-step entries and a source map that holds each coded column "
-                             "once, in order")
+                             "once, in order, and keeps the same columns in every group of 8 "
+                             "trellis steps")
+        # The kept-bit table: entry i holds the bits of eight_steps[i] that keep keeps, in column
+        # order from bit 0, so keeping every column gives eight_steps' own values.  Kept bits
+        # weigh 1, 2, 4, ..., and every sum is an integer below 2**24, exact in float32.
+        weights = np.where(keep, 2.0 ** (np.cumsum(keep) - 1), 0.0).astype(np.float32)
+        bits = np.unpackbits(eight_steps.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4),
+                             axis=1, count=keep.size, bitorder="little")
         # Kept referenced here, so that their addresses stay valid.
-        self._tables = [*map(_pinned, (remainders, *_kept_bit_tables(eight_steps, source,
-                                                                     self.n_out), source)),
+        self._tables = [*map(_pinned, (remainders, frozen(bits @ weights, np.uint32), source)),
                         _butterfly_syms(self.branches)]
-        table_at, kept_at, groups_at, source_at, branches_at = (at for _, at in self._tables)
+        table_at, kept_at, source_at, branches_at = (at for _, at in self._tables)
         self._code = _Code(source_at, source.size, self.width, self.n_out, table_at, branches_at,
-                           kept_at, groups_at, self.k, self.k + self.r)
+                           kept_at, int(keep.sum()), self.k, self.k + self.r)
         self._code_at = ctypes.addressof(self._code)
 
     def encode(self, msgs: np.ndarray) -> np.ndarray:
@@ -629,7 +598,8 @@ class ChainKernel:
         if msgs.shape[1:] != (self.k,):  # what C reads must be there
             raise ValueError(f"a chain kernel encodes rows of {self.k}, not {msgs.shape}")
         nframes = msgs.shape[0]
-        out = np.empty(nframes * self.width + 8, _UINT8)  # 8 spare bytes, which C may write
+        # 24 spare bytes: the last group's three 8-byte stores may run past the last row's end.
+        out = np.empty(nframes * self.width + 24, _UINT8)
         if status := _encoder(self._code_at, _readable(msgs), nframes, _address(out)):
             _raise_status(status)
         if nframes == 1:  # a slice, which costs half of the ndarray constructor

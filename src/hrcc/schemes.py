@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import coding, kernels
-from .bits import check_type, one_row, rows, shown
+from .bits import check_type, frozen, one_row, rows, shown
 from .coding import (
     CONV_RATE_12,
     CONV_RATE_13,
@@ -87,7 +87,7 @@ class _Chain:
         mode = next(m for m in InterleaveMode if m.block_bits == kept.size)
         source = np.full(mother, -1, dtype=np.int32)
         source[kept] = np.arange(kept.size)
-        source = kernels.frozen(source)
+        source = frozen(source)
         kernel = (kernels.ChainKernel(self.block, self.code, source)
                   if kernels.BACKEND == "c" else None)
         object.__setattr__(self, "coded_bits", kept.size)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hrcc import coding, interleaving, kernels, schemes, simulation
+from hrcc import bits, coding, interleaving, kernels, schemes, simulation
 from hrcc.bits import (
     Burst,
     HexFormatError,
@@ -330,6 +330,31 @@ def test_check_collection_refuses_a_value_that_does_not_iterate(value):
 def test_check_collection_leaves_an_iterator_unread():
     codes = (code for code in ["901", "902"])
     assert list(check_collection(codes, "codes")) == ["901", "902"]
+
+
+# Every constant table: a write to one would change every later parity, encode or decode.
+CONSTANT_TABLES = {
+    "BlockCode.matrix": lambda: coding.FIRE_CODE.matrix,
+    "BlockCode.remainders": lambda: coding.PARITY20_CODE.remainders,
+    "ConvCode.eight_steps": lambda: coding.CONV_RATE_13.eight_steps,
+    "ConvCode.branches": lambda: CONV_RATE_12.branches,
+    "coding._tap_table": lambda: _tap_table(CONV_RATE_12.generators),
+    "PuncturePattern.kept_indices": lambda: PUNCTURE_P12.kept_indices,
+    "bits._ANTIPODAL": lambda: bits._ANTIPODAL,
+    "kernels._identity_map": lambda: kernels._identity_map(228)[0],
+    "interleaving.destinations": lambda: interleaving.destinations(InterleaveMode.MOD2),
+    "_Chain.source": lambda: schemes._CHAINS[SchemeId.M1_CS13_P23].source,
+}
+
+
+@pytest.mark.parametrize("name", CONSTANT_TABLES)
+def test_constant_tables_cannot_be_made_writable(name):
+    # A table made read-only by its flag alone took ``flags.writeable = True`` back.
+    table = CONSTANT_TABLES[name]()
+    with pytest.raises(ValueError):
+        table.flags.writeable = True
+    with pytest.raises(ValueError):
+        table.reshape(-1)[0] = 0
 
 
 def test_burst_payload_immutable_and_equality():

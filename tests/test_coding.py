@@ -221,6 +221,23 @@ def test_numpy_integer_generators_are_kept_as_ints():
     assert poly_remainder(1 << 40, np.int64(11)) == poly_remainder(1 << 40, 11)
 
 
+@pytest.mark.parametrize("k", [np.int8(100), np.uint8(250), np.int16(300), np.int64(184), True])
+def test_numpy_integer_message_widths_are_kept_as_ints(k):
+    # A numpy k was stored raw: np.uint8(250) encoded 290-bit words, then check refused them
+    # as "one 1-D block of 34 values" (250 + 40 wrapped in uint8), and np.int8(100) read a
+    # width of -116.
+    code, plain = BlockCode(k, FIRE_CODE.generator), BlockCode(int(k), FIRE_CODE.generator)
+    assert type(code.k) is int and code.k == plain.k and code.k + code.r == plain.k + 40
+    msgs = np.random.default_rng(int(k)).integers(0, 2, (5, plain.k), dtype=np.uint8)
+    assert np.array_equal(code.matrix, plain.matrix)
+    assert np.array_equal(code.parity_batch(msgs), plain.parity_batch(msgs))
+    words = np.stack([code.encode(msg) for msg in msgs])
+    assert np.array_equal(words, np.stack([plain.encode(msg) for msg in msgs]))
+    assert code.check_batch(words).all() and all(code.check(word) for word in words)
+    words[:, -1] ^= 1
+    assert not code.check_batch(words).any() and not any(code.check(word) for word in words)
+
+
 @pytest.mark.parametrize("generator", [0b11, 0b1011, (1 << 64) | 0b11011])
 def test_block_codes_of_degree_1_to_64_give_the_long_division_parity(generator):
     code = BlockCode(13, generator)
@@ -305,6 +322,29 @@ def test_puncture_pattern_invariant():
         PuncturePattern((), 456, 228)
     with pytest.raises(ValueError):
         PuncturePattern((1, 2), 4, 2)
+
+
+@pytest.mark.parametrize("fields,error,message", [
+    (((1, 0), 4.0, 2), TypeError, "input_len must be an integer, got 4.0"),
+    (((1, 0), 4, "2"), TypeError, "output_len must be an integer, got '2'"),
+    (((1, 0), -4, 0), ValueError, "input_len must be at least 0, got -4"),
+    (((1, 0), 4, -2), ValueError, "output_len must be at least 0, got -2"),
+    ((np.array([1, 0]), 4, 2), TypeError, r"keep must be a tuple, got array\(\[1, 0\]\)"),
+    (([1, 0], 4, 2), TypeError, r"keep must be a tuple, got \[1, 0\]"),
+])
+def test_puncture_pattern_checks_its_fields_by_the_shared_rules(fields, error, message):
+    # Each raised numpy's own error: "'float' object is not iterable", "all elements of
+    # `new_shape` must be non-negative", "The truth value of an array ... is ambiguous".
+    with pytest.raises(error, match=message):
+        PuncturePattern(*fields)
+
+
+@pytest.mark.parametrize("kind", [np.int8, np.uint8, np.int16, np.int64])
+def test_puncture_pattern_lengths_are_kept_as_ints(kind):
+    pattern = PuncturePattern((1, 1, 0), kind(120), kind(80))
+    assert (pattern.input_len, pattern.output_len) == (120, 80)
+    assert type(pattern.input_len) is type(pattern.output_len) is int
+    assert np.array_equal(pattern.kept_indices, PuncturePattern((1, 1, 0), 120, 80).kept_indices)
 
 
 @pytest.mark.parametrize(

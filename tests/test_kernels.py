@@ -15,6 +15,7 @@ import pytest
 
 import hrcc
 from hrcc import kernels
+from hrcc.bits import frozen
 from hrcc.coding import (CONV_RATE_12, CONV_RATE_13, FIRE_POLY, PARITY20_POLY, BlockCode,
                          _sym_table, conv_encode_batch)
 from hrcc.interleaving import destinations
@@ -64,7 +65,7 @@ def test_compiled_kernel_is_active():
 def test_kernel_source_builds_without_warnings_and_exports_one_decoder(tmp_path):
     library = tmp_path / "viterbi.so"
     build = subprocess.run(
-        ["cc", *kernels._C_FLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(library),
+        ["cc", *kernels._C_FLAGS, "-Wall", "-Wextra", "-Wpedantic", "-Werror", "-o", str(library),
          str(kernels._C_SOURCE), *kernels._C_LIBS],
         capture_output=True, text=True,
     )
@@ -359,7 +360,7 @@ def test_out_of_range_source_maps_are_rejected(bad):
 
 
 def test_frozen_tables_cannot_be_written_and_views_of_them_are_read_as_views():
-    table = kernels.frozen(np.arange(228))
+    table = frozen(np.arange(228))
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table.flags.writeable = True
@@ -367,7 +368,7 @@ def test_frozen_tables_cannot_be_written_and_views_of_them_are_read_as_views():
     syms = _sym_table(CONV_RATE_12.generators)
     soft = np.random.default_rng(31).normal(0.0, 2.0, size=(3, 228))
     for decode in filter(None, [kernels.viterbi_batch_np, kernels.viterbi_batch_c]):
-        for view in (table, table[::-1], kernels.frozen(np.arange(456))[:228]):
+        for view in (table, table[::-1], frozen(np.arange(456))[:228]):
             assert np.array_equal(decode(soft, syms, view), decode(soft, syms, view.copy()))
 
 
@@ -376,11 +377,11 @@ def test_frozen_maps_are_checked_like_any_other(bad):
     syms = _sym_table(CONV_RATE_12.generators)
     for decode in filter(None, [kernels.viterbi_batch_np, kernels.viterbi_batch_c]):
         with pytest.raises(ValueError, match="source map"):
-            decode(np.zeros((2, 228)), syms, kernels.frozen(bad))
+            decode(np.zeros((2, 228)), syms, frozen(bad))
     for channel in filter(None, [kernels.channel_np, kernels.channel_c]):
         with pytest.raises(ValueError, match="source map"):
             channel(np.random.default_rng(0), np.zeros((2, 4)), np.ones((2, 4), dtype=np.uint8),
-                    0.8, kernels.frozen(bad))
+                    0.8, frozen(bad))
 
 
 def _old_channel(z, bits, sigma, columns):
@@ -934,11 +935,35 @@ def _numpy_chain(block, code, source, msgs):
 ENCODER_GENERATORS = [0b11, 0b1011, 0b10001001, PARITY20_POLY, FIRE_POLY, 1 << 64 | 0b11011]
 
 
+def _periodic_maps(rng, entries, n_out):
+    """Source maps of ``entries`` mother-code columns that keep the same columns, in order, of
+    every group of 8 trellis steps, the last group's up to the map's end: all of them, and random
+    masks that keep about 60% and 5% of a group's columns (at 5%, often none)."""
+    for share in (1.0, 0.6, 0.05):
+        keep = np.resize(rng.random(8 * n_out) < share, entries)
+        source = np.full(entries, -1, np.int32)
+        source[keep] = np.arange(np.count_nonzero(keep))
+        yield source
+
+
+def _assert_encodes_within_its_spare_bytes(kernel, block, code, source, msgs):
+    """The kernel's rows equal the numpy stages', and C, handed a guarded buffer, writes no byte
+    past the 24 spare bytes after the last row: the last group's three 8-byte stores."""
+    expect = _numpy_chain(block, code, source, msgs)
+    assert np.array_equal(kernel.encode(msgs), expect)
+    guarded = np.full(expect.size + 24 + 64, 0xA5, np.uint8)
+    assert kernels._encoder(kernel._code_at, msgs.tobytes(), len(msgs),
+                            guarded.ctypes.data) == kernels.HRCC_OK
+    assert np.array_equal(guarded[: expect.size].reshape(expect.shape), expect)
+    assert (guarded[expect.size + 24 :] == 0xA5).all()
+
+
 @pytest.mark.parametrize("k", range(1, 18))
 def test_chain_encoder_matches_the_numpy_stages_at_every_bit_alignment(k):
     # The encoder reads whole words of eight message bits, then the last k % 8 bits lead
     # the parity into the next group of eight steps; a chain's step count, k + r + 4, may end
-    # anywhere in a group.  Each code is encoded through the identity map and a punctured one.
+    # anywhere in a group.  Each code is encoded through periodic maps that keep every column,
+    # about 60% of a group's and about 5% of them.
     if kernels.ChainKernel is None:
         pytest.skip("no compiled kernel")
     rng = np.random.default_rng([35, k])
@@ -946,16 +971,12 @@ def test_chain_encoder_matches_the_numpy_stages_at_every_bit_alignment(k):
         block = BlockCode(k, generator)
         for code in CODES:
             entries = (k + block.r + 4) * code.n_out
-            punctured = np.full(entries, -1, np.int32)
-            kept = np.flatnonzero(rng.random(entries) < 0.6)
-            punctured[kept] = np.arange(kept.size)
-            for source in (np.arange(entries, dtype=np.int32), punctured):
+            for source in _periodic_maps(rng, entries, code.n_out):
                 kernel = kernels.ChainKernel(block, code, source)
-                for nframes in (0, 1, 17):
+                for nframes in (0, 1, 9, 17):
                     msgs = rng.integers(0, 2, (nframes, k), np.uint8)
                     msgs[:1] = 1
-                    assert np.array_equal(kernel.encode(msgs),
-                                          _numpy_chain(block, code, source, msgs))
+                    _assert_encodes_within_its_spare_bytes(kernel, block, code, source, msgs)
                 for column in {0, k - 1}:  # in a whole word and among the last k % 8 bits
                     bad = np.zeros((2, k), np.uint8)
                     bad[1, column] = 2
@@ -963,53 +984,48 @@ def test_chain_encoder_matches_the_numpy_stages_at_every_bit_alignment(k):
                         kernel.encode(bad)
 
 
-def _random_maps(rng, entries):
-    """Punctured source maps of ``entries`` mother-code columns that keep about 60% and 5% of
-    them, in order: a map of many keep masks, and one with groups of 8 steps that keep
-    nothing."""
-    for share in (0.6, 0.05):
-        source = np.full(entries, -1, np.int32)
-        kept = np.flatnonzero(rng.random(entries) < share)
-        source[kept] = np.arange(kept.size)
-        yield source
-
-
 @pytest.mark.parametrize("code", CODES)
 @pytest.mark.parametrize("generator", [FIRE_POLY, PARITY20_POLY])
-def test_chain_encoder_reads_a_table_per_group_mask_and_writes_only_its_spare_bytes(code,
-                                                                                   generator):
-    # Each distinct keep mask of a whole group of 8 steps gets its own kept-bit table; the last
+def test_chain_encoder_reads_its_periodic_table_and_writes_only_its_spare_bytes(code,
+                                                                               generator):
+    # One kept-bit table serves every group of 8 steps of the paper's message widths; the last
     # group ends inside the map.  The encoder writes each group's kept bits 8 bytes at a time,
-    # so up to 8 bytes past a row's end, and never past the 8 spare bytes after the last row.
+    # so up to 24 bytes past a row's end, and never past the 24 spare bytes after the last row.
     if kernels.ChainKernel is None:
         pytest.skip("no compiled kernel")
     rng = np.random.default_rng([39, generator, code.n_out])
     block = BlockCode(90 if generator == PARITY20_POLY else 184, generator)
     entries = (block.k + block.r + 4) * code.n_out
-    for source in _random_maps(rng, entries):
+    for source in _periodic_maps(rng, entries, code.n_out):
         kernel = kernels.ChainKernel(block, code, source)
-        tables = kernel._tables[1][0].size // 4096
-        assert 1 < tables <= -(-entries // (8 * code.n_out))
+        assert kernel._tables[1][0].size == 4096
         for nframes in (1, 9, 17):
             msgs = rng.integers(0, 2, (nframes, block.k), np.uint8)
-            expect = _numpy_chain(block, code, source, msgs)
-            assert np.array_equal(kernel.encode(msgs), expect)
-            guarded = np.full(nframes * kernel.width + 8 + 64, 0xA5, np.uint8)
-            assert kernels._encoder(kernel._code_at, msgs.tobytes(), nframes,
-                                    guarded.ctypes.data) == kernels.HRCC_OK
-            assert np.array_equal(guarded[: expect.size].reshape(expect.shape), expect)
-            assert (guarded[expect.size + 8 :] == 0xA5).all()
+            _assert_encodes_within_its_spare_bytes(kernel, block, code, source, msgs)
 
 
 def test_chain_tables_are_one_per_paper_chain_and_eight_steps_where_nothing_is_punctured():
     if kernels.ChainKernel is None:
         pytest.skip("no compiled kernel")
+    counts = {SchemeId.STANDARD_456: 16, SchemeId.M1_CS23_P13: 8, SchemeId.M1_CS12_P12: 8,
+              SchemeId.M1_CS13_P23: 8, SchemeId.M2_REDUCED: 16}
     for scheme, chain in _CHAINS.items():
-        (kept, _), (groups, _) = chain.kernel._tables[1:3]
-        assert kept.size == 4096 and not groups[:, 0].any()
-        assert groups[:, 1].sum() == chain.coded_bits
-        if chain.coded_bits == chain.source.size:
+        kept, _ = chain.kernel._tables[1]
+        assert kept.size == 4096 and kept.dtype == np.uint32
+        for table, _ in chain.kernel._tables:  # each read by C for the kernel's whole life
+            with pytest.raises(ValueError):
+                table.flags.writeable = True
+        assert chain.kernel._code.count == counts[scheme]
+        if scheme in (SchemeId.STANDARD_456, SchemeId.M2_REDUCED):
             assert np.array_equal(kept, chain.code.eight_steps)
+    # Maps that delete one column of the second group of 8 steps, or of the last, which ends
+    # inside the map.
+    chain = _CHAINS[SchemeId.STANDARD_456]
+    for column in (20, chain.source.size - 1):
+        source = chain.source.copy()
+        source[column], source[column + 1 :] = -1, source[column + 1 :] - 1
+        with pytest.raises(ValueError, match="the same columns in every group of 8 trellis steps"):
+            kernels.ChainKernel(chain.block, chain.code, source)
 
 
 ERROR_COUNT_WIDTHS = [*range(1, 18), 90, 184]  # every tail of a word of 8, and both messages
