@@ -384,11 +384,13 @@ remainders(const uint8_t *rows, ptrdiff_t stride, ptrdiff_t left, ptrdiff_t n,
     return 1;
 }
 
-/* Frames decoded at once by the widest body this CPU runs. */
+/* Frames decoded at once by the widest body this CPU runs.  It reads the CPU model without
+ * initialising it: libgcc's __cpu_indicator_init, linked into the library, fills the model from
+ * its .init_array when the library loads, and GCC asks for an explicit init only in code that
+ * runs before constructors; so no decode writes CPU state. */
 int hrcc_viterbi_lanes(void)
 {
 #ifdef __x86_64__
-    __builtin_cpu_init();
     if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq"))
         return 8;
     if (__builtin_cpu_supports("avx2"))

@@ -211,10 +211,16 @@ def from_hex(text: str) -> np.ndarray:
     return raw[:nbits].copy()
 
 
-class SubAllocation(Enum):
-    """Which half of a four-burst control frame a half-rate user owns."""
+class IdentityEnum(Enum):
+    """The base of every hrcc enum.  Members are singletons that compare by identity, so they
+    hash by it too: Enum's own ``__hash__`` hashes the name in Python, on every dict lookup keyed
+    by a member."""
 
-    __hash__ = object.__hash__  # identity, as schemes.SchemeId hashes: Enum's hashes in Python
+    __hash__ = object.__hash__
+
+
+class SubAllocation(IdentityEnum):
+    """Which half of a four-burst control frame a half-rate user owns."""
 
     EVEN = "even"  # bursts 0 and 2
     ODD = "odd"  # bursts 1 and 3

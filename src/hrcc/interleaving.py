@@ -8,17 +8,13 @@ bijections (the tests enumerate every position).
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
-from .bits import (BURST_PAYLOAD_BITS, Burst, antipodal, as_soft_array, binary_uint8, check_type,
-                   finite, frozen, one_row, real_float64, rows)
+from .bits import (BURST_PAYLOAD_BITS, Burst, IdentityEnum, antipodal, as_soft_array, binary_uint8,
+                   check_type, finite, frozen, one_row, real_float64, rows)
 
 
-class InterleaveMode(Enum):
-    __hash__ = object.__hash__  # identity, as schemes.SchemeId hashes: Enum's hashes in Python
-
+class InterleaveMode(IdentityEnum):
     STD4 = "std4"
     MOD2 = "mod2"
 

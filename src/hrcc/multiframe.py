@@ -15,18 +15,15 @@ channels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
-from .bits import SubAllocation, check_int, check_type
+from .bits import IdentityEnum, SubAllocation, check_int, check_type
 
 FRAMES_PER_MULTIFRAME = 51
 GROUP_FRAMES = 4
 
 
-class ChannelConfig(Enum):
-    __hash__ = object.__hash__  # identity, as schemes.SchemeId hashes: Enum's hashes in Python
-
+class ChannelConfig(IdentityEnum):
     SDCCH8 = "sdcch8"
     SDCCH4 = "sdcch4"
 
@@ -35,16 +32,12 @@ class ChannelConfig(Enum):
         return 8 if self is ChannelConfig.SDCCH8 else 4
 
 
-class FrameMode(Enum):
-    __hash__ = object.__hash__
-
+class FrameMode(IdentityEnum):
     STANDARD = "standard"
     MODIFIED = "modified"
 
 
-class ChannelKind(Enum):
-    __hash__ = object.__hash__
-
+class ChannelKind(IdentityEnum):
     SDCCH = "sdcch"
     SACCH = "sacch"
 

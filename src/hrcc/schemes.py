@@ -12,13 +12,12 @@ without it, the numpy stages, Viterbi kernel and ``BlockCode``'s check agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
 from . import coding, kernels
-from .bits import check_type, frozen, one_row, rows, shown
+from .bits import IdentityEnum, check_type, frozen, one_row, rows, shown
 from .coding import (
     CONV_RATE_12,
     CONV_RATE_13,
@@ -33,12 +32,8 @@ from .coding import (
 from .interleaving import InterleaveMode
 
 
-class SchemeId(Enum):
+class SchemeId(IdentityEnum):
     """The five chains; values double as the CLI-stable names."""
-
-    # Members are singletons that compare by identity, so they hash by it too: Enum's own
-    # __hash__ hashes the name in Python, on every dict lookup keyed by a scheme.
-    __hash__ = object.__hash__
 
     STANDARD_456 = "standard"
     M1_CS23_P13 = "m1-cs23-p13"

@@ -365,6 +365,9 @@ def test_burst_payload_immutable_and_equality():
     payload[0] = 1  # the burst keeps its own copy
     assert burst == Burst(payload=np.zeros(114, dtype=np.uint8))
     assert burst != Burst(payload=payload)
+    # Another type is left to its own __eq__, whose NotImplemented makes == compare identity.
+    assert burst.__eq__("x") is NotImplemented
+    assert (burst == "x") is False and (burst != "x") is True
 
 
 def test_suballocation_burst_positions():

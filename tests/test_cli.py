@@ -289,6 +289,71 @@ def test_config_value_of_the_wrong_type_exits_2_without_a_traceback(tmp_path, ca
     assert (code, out) == (0, "frames=10\nerrors=0\n")
 
 
+def test_config_file_skips_comments_and_blank_lines(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a short run\n\n  scheme = m2-reduced  \n   # frames=5\n\t\nframes=20\n")
+    code, out, err = run_cli(capsys, "--config-file", str(cfg), "roundtrip")
+    assert (code, out, err) == (0, "frames=20\nerrors=0\n", "")
+
+
+def test_config_file_line_without_a_value_or_a_missing_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scheme=m2-reduced\n# frames 20\nframes 20\n")
+    code, out, err = run_cli(capsys, "--config-file", str(cfg), "roundtrip")
+    assert (code, out, err) == (2, "", f"error: {cfg}:3: expected key=value\n")
+    missing = tmp_path / "missing.cfg"
+    code, out, err = run_cli(capsys, "--config-file", str(missing), "roundtrip")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read config file: ") and str(missing) in err
+
+
+@pytest.mark.parametrize("frames", ["0", "-1"])
+def test_roundtrip_of_no_frames_exits_2(capsys, frames):
+    code, out, err = run_cli(capsys, "roundtrip", "--scheme", "m2-reduced", "--frames", frames)
+    assert (code, out, err) == (2, "", "error: --frames must be at least 1\n")
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--scheme", ",", "no schemes given"),
+    ("--scheme", " , ", "no schemes given"),
+    ("--ebno", ",", "no Eb/N0 points given"),
+    ("--ebno", " ,, ", "no Eb/N0 points given"),
+])
+def test_bler_of_empty_lists_exits_2(capsys, option, value, message):
+    argv = {"--scheme": "m2-reduced", "--ebno": "20", option: value}
+    code, out, err = run_cli(capsys, "bler", *(a for pair in argv.items() for a in pair))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_bler_output_that_fails_to_write_exits_2(capsys):
+    # /dev/full opens, and every write to it fails with ENOSPC.
+    code, out, err = run_cli(capsys, "bler", "--scheme", "m2-reduced", "--ebno", "20",
+                             "--frames", "10", "--output", "/dev/full")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write CSV: ") and "Traceback" not in err
+
+
+ASSIGNMENT_FIELDS = {"channel_type": "9", "timeslot": "3", "training_seq": "5", "arfcn": "600",
+                     "suballoc": "odd"}
+
+
+@pytest.mark.parametrize("msg_type, fields, message", [
+    ("assignment", [*(f"{k}={v}" for k, v in ASSIGNMENT_FIELDS.items()), "arfcn600"],
+     "fields must be key=value, got 'arfcn600'"),
+    ("assignment", [f"{k}={v}" for k, v in ASSIGNMENT_FIELDS.items() if k != "arfcn"],
+     "missing field arfcn="),
+    ("assignment", [f"{k}={'six' if k == 'arfcn' else v}" for k, v in ASSIGNMENT_FIELDS.items()],
+     "field arfcn must be an integer, got 'six'"),
+    ("lapdm", ["address=3", "control=33", "payload=DEADBEEG"],
+     "field payload must be hex octets, got 'DEADBEEG'"),
+    ("lapdm", ["address=3", "payload=DEADBEEF"], "missing field control="),
+])
+def test_msg_encode_field_errors_exit_2(capsys, msg_type, fields, message):
+    code, out, err = run_cli(capsys, "msg", "encode", "--type", msg_type, "--fields", *fields)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("scheme=m2-reduced\nframe=20\n")

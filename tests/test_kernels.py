@@ -508,20 +508,26 @@ def test_chain_decoder_flags_a_value_that_is_not_finite_in_any_frame(scheme, bad
                 decode_block(scheme, rows[frame])
 
 
-@pytest.mark.parametrize("scheme", [SchemeId.STANDARD_456, SchemeId.M1_CS23_P13])
+@pytest.mark.parametrize("scheme", [SchemeId.STANDARD_456, SchemeId.M1_CS23_P13,
+                                    SchemeId.M1_CS13_P23])  # rate 1/2, and 1/3 in the last
 def test_chain_decoder_keeps_the_bits_of_finite_values_whose_metrics_overflow(scheme):
     # The path metrics of values near the float maximum overflow to infinity: the flag
-    # sends the batch to the scan, which passes it, and the bits are the numpy kernel's.
+    # sends the batch to the scan, which passes it, and the bits are the numpy kernel's,
+    # through the chain and through the bare compiled kernel, at either rate.
     # Neither backend warns: the numpy kernel lets such sums overflow, as C does.
     chain = _CHAINS[scheme]
-    soft = 1e308 * np.random.default_rng(42).choice([-1.0, 1.0], size=(6, chain.coded_bits))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        reference = kernels.viterbi_batch_np(soft, chain.code.branches, chain.source)
-        msgs, ok = decode_blocks(scheme, soft)
-    k, r = chain.block.k, chain.block.r
-    assert np.array_equal(msgs, reference[:, :k])
-    assert np.array_equal(ok, chain.block.check_batch(reference[:, : k + r]))
+    signs = np.random.default_rng(42).choice([-1.0, 1.0], size=(6, chain.coded_bits))
+    for soft in (1e308 * signs, 1.7e308 * signs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reference = kernels.viterbi_batch_np(soft, chain.code.branches, chain.source)
+            msgs, ok = decode_blocks(scheme, soft)
+            if kernels.viterbi_batch_c is not None:
+                bits = kernels.viterbi_batch_c(soft, chain.code.branches, chain.source)
+                assert np.array_equal(bits, reference)
+        k, r = chain.block.k, chain.block.r
+        assert np.array_equal(msgs, reference[:, :k])
+        assert np.array_equal(ok, chain.block.check_batch(reference[:, : k + r]))
 
 
 def _read_only(arr):
@@ -715,12 +721,19 @@ def _flipped_on_mt19937(rng, out, bits, sigma, columns=None):  # right for every
     return kernels.channel_np(rng, out, bits, sigma, columns)
 
 
+def _ahead_on_mt19937(rng, out, bits, sigma, columns=None):  # in step for every other type
+    kernels.channel_np(rng, out, bits, sigma, columns)
+    if isinstance(rng.bit_generator, np.random.MT19937):  # one call: only the state tells
+        rng.bit_generator.random_raw()
+    return out
+
+
 def _checked_channel(candidate):
     return kernels._checked(candidate, kernels.channel_np, kernels._channel_calls())
 
 
 def test_import_check_picks_numpys_channel_unless_the_channel_matches_it(monkeypatch):
-    for candidate in (_flipped, _ahead, _flipped_on_mt19937):
+    for candidate in (_flipped, _ahead, _flipped_on_mt19937, _ahead_on_mt19937):
         assert _checked_channel(candidate) is kernels.channel_np
     if kernels.channel_c is not None:
         assert _checked_channel(kernels.channel_c) is kernels.channel_c
@@ -857,11 +870,12 @@ _SWEEP_SCRIPT = (
 )
 
 
-def _fresh_interpreter(script: str, cache: Path, path: str, *args: str):
-    """``script`` run by a new interpreter with its own kernel cache and ``PATH``."""
+def _fresh_interpreter(script: str, cache: Path, path: str, *args: str, **env: str):
+    """``script`` run by a new interpreter with its own kernel cache and ``PATH``, and ``env``
+    added to the environment."""
     pkg_root = str(Path(hrcc.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, XDG_CACHE_HOME=str(cache), PATH=path, PYTHONPATH=pythonpath)
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache), PATH=path, PYTHONPATH=pythonpath, **env)
     return subprocess.run(
         [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env
     )
@@ -1028,6 +1042,19 @@ def test_chain_tables_are_one_per_paper_chain_and_eight_steps_where_nothing_is_p
             kernels.ChainKernel(chain.block, chain.code, source)
 
 
+def test_chain_kernel_refuses_rows_of_another_width():
+    # C reads each row's width from the chain, so a shorter row would read past the batch.
+    if kernels.ChainKernel is None:
+        pytest.skip("no compiled kernel")
+    kernel = _CHAINS[SchemeId.M2_REDUCED].kernel
+    for width in (kernel.k - 1, kernel.k + 1):
+        with pytest.raises(ValueError, match=f"encodes rows of {kernel.k}, not \\(2, {width}\\)"):
+            kernel.encode(np.zeros((2, width), np.uint8))
+    for width in (kernel.width - 1, kernel.width + 1):
+        with pytest.raises(ValueError, match=f"decodes rows of {kernel.width}, not \\(2, {width}\\)"):
+            kernel.decode(np.zeros((2, width)))
+
+
 ERROR_COUNT_WIDTHS = [*range(1, 18), 90, 184]  # every tail of a word of 8, and both messages
 
 
@@ -1067,24 +1094,36 @@ def test_error_count_takes_only_two_uint8_arrays_of_one_shape(count):
                 count(*pair)
 
 
-def _ubsan_runtime() -> bool:
+def _runtime(name: str) -> str | None:
+    """The path of the C compiler's runtime library ``name``, or None without one."""
     if shutil.which("cc") is None:
-        return False
-    found = subprocess.run(["cc", "-print-file-name=libubsan.so"], capture_output=True, text=True)
-    return os.path.isabs(found.stdout.strip())  # else cc echoes the bare name
+        return None
+    found = subprocess.run(["cc", f"-print-file-name={name}"], capture_output=True,
+                           text=True).stdout.strip()
+    return found if os.path.isabs(found) else None  # else cc echoes the bare name
 
 
 SANITIZED_DRAWS = ("PCG64", "MT19937")
-# Decodes the soft rows and encodes the messages saved in argv[2] through the library at
-# argv[1], into argv[3], and draws message bits through it.
-_SANITIZED_DECODE_SCRIPT = (
+# The chains' burst, block and coded widths, and an odd width, whose last column goes alone.
+SANITIZED_WIDTHS = (114, 228, 456, 115)
+# Rate 1/3, 89 + 20 parity + 4 tail = 113 trellis steps, one past a group of 8, and a map that
+# keeps all but the first step of each group: the last group keeps nothing of the row, yet writes
+# its 21 kept bits' three 8-byte stores, which end exactly where the 24 spare bytes do.
+SPARE_K = 89
+_SPARE_KEEP = np.resize(np.arange(24) >= 3, 3 * (SPARE_K + 20 + 4))
+SPARE_SOURCE = np.where(_SPARE_KEEP, np.cumsum(_SPARE_KEEP) - 1, -1)
+# Runs the library at argv[1] on the inputs saved in argv[2], into argv[3]: decodes and encodes
+# the chains' rows, encodes the spare-byte batch, draws message bits and runs the channel on the
+# saved bits, without and with the saved noise map, keeping each generator's next raw words.
+_SANITIZED_SCRIPT = (
     "import ctypes, sys\n"
     "import numpy as np\n"
     "from hrcc import kernels\n"
+    "from hrcc.coding import CONV_RATE_13, PARITY20_POLY, BlockCode\n"
     "from hrcc.schemes import _CHAINS, SchemeId\n"
     "library = ctypes.CDLL(sys.argv[1])\n"
-    "for name, bound in (('_decoder', kernels._decoder), ('_encoder', kernels._encoder),\n"
-    "                    ('_bits', kernels._bits), ('_errors', kernels._errors)):\n"
+    "for name in ('_decoder', '_channel', '_encoder', '_bits', '_errors'):\n"
+    "    bound = getattr(kernels, name)\n"
     "    function = getattr(library, bound.__name__)\n"
     "    function.restype, function.argtypes = bound.restype, bound.argtypes\n"
     "    setattr(kernels, name, function)\n"
@@ -1092,7 +1131,19 @@ _SANITIZED_DECODE_SCRIPT = (
     f"for kind in {SANITIZED_DRAWS!r}:\n"
     "    out[kind + ':draw'] = kernels.draw_bits_c(\n"
     "        np.random.Generator(getattr(np.random, kind)(68)), np.empty((3, 91), np.uint8))\n"
+    f"    for width in {SANITIZED_WIDTHS!r}:\n"
+    "        for name, columns in ((f'{kind}:{width}', None),\n"
+    "                              (f'{kind}:{width}:map', inputs[f'channel:{width}:map'])):\n"
+    "            rng = np.random.Generator(getattr(np.random, kind)(width))\n"
+    "            out[name + ':channel'] = kernels.channel_c(rng, None, inputs[f'channel:{width}'],\n"
+    "                                                       0.8, columns)\n"
+    "            out[name + ':next'] = rng.bit_generator.random_raw(2)\n"
+    f"spare = kernels.ChainKernel(BlockCode({SPARE_K}, PARITY20_POLY), CONV_RATE_13,\n"
+    "                            inputs['spare:source'])\n"
+    "out['spare:coded'] = spare.encode(inputs['spare:msgs'])\n"
     "for name in inputs.files:\n"
+    "    if name.startswith(('channel:', 'spare:')):\n"
+    "        continue\n"
     "    chain = _CHAINS[SchemeId(name.split(':')[0])]\n"
     "    if name.endswith(':msgs'):\n"
     "        out[name + ':coded'] = chain.kernel.encode(inputs[name])\n"
@@ -1106,45 +1157,244 @@ _SANITIZED_DECODE_SCRIPT = (
 )
 
 
-@pytest.mark.skipif(not _ubsan_runtime(), reason="no C compiler with a UBSan runtime")
+@lru_cache(maxsize=None)
+def _sanitized_cases() -> tuple[dict, dict]:
+    """(the script's inputs, every output it must give, by name: numpy's), made once."""
+    inputs, expect = {}, {}
+    for scheme in SchemeId:
+        chain = _CHAINS[scheme]
+        k, r = chain.block.k, chain.block.r
+        for n in LANE_COUNTS:
+            name = f"{scheme.value}:{n}"
+            inputs[name] = rows = _lane_rows(chain.coded_bits, n, [33, n])
+            reference = kernels.viterbi_batch_np(rows, chain.code.branches, chain.source)
+            expect[name + ":bits"], expect[name + ":msgs"] = reference, reference[:, :k]
+            expect[name + ":ok"] = chain.block.check_batch(reference[:, : k + r])
+            expect[name + ":errors"] = np.count_nonzero(reference[:, :k] != reference[::-1, :k],
+                                                        axis=1)
+            msgs = np.random.default_rng([36, n]).integers(0, 2, (n, k), np.uint8)
+            msgs[0] = 1
+            inputs[name + ":msgs"] = msgs
+            expect[name + ":msgs:coded"] = _numpy_chain(chain.block, chain.code, chain.source, msgs)
+    inputs["spare:source"] = SPARE_SOURCE
+    inputs["spare:msgs"] = msgs = np.random.default_rng(43).integers(0, 2, (9, SPARE_K), np.uint8)
+    expect["spare:coded"] = _numpy_chain(BlockCode(SPARE_K, PARITY20_POLY), CONV_RATE_13,
+                                         SPARE_SOURCE, msgs)
+    assert expect["spare:coded"].shape == (9, 294)
+    for width in SANITIZED_WIDTHS:  # over 4,096 normals a call: the tail comes about once in 3,300
+        rng = np.random.default_rng([41, width])
+        inputs[f"channel:{width}"] = rng.integers(0, 2, (4096 // width + 1, width), np.uint8)
+        inputs[f"channel:{width}:map"] = rng.integers(0, width, width)  # repeats and gaps
+    for kind in SANITIZED_DRAWS:
+        bit_generator = getattr(np.random, kind)
+        # 273 bits: a partial last word
+        expect[kind + ":draw"] = np.random.Generator(bit_generator(68)).integers(0, 2, (3, 91),
+                                                                                 np.uint8)
+        tails = 0
+        for width in SANITIZED_WIDTHS:
+            bits = inputs[f"channel:{width}"]
+            for name, columns in ((f"{kind}:{width}", None),
+                                  (f"{kind}:{width}:map", inputs[f"channel:{width}:map"])):
+                rng = np.random.Generator(bit_generator(width))
+                expect[name + ":channel"] = kernels.channel_np(rng, None, bits, 0.8, columns)
+                expect[name + ":next"] = rng.bit_generator.random_raw(2)
+                normals = (expect[name + ":channel"] * 0.8 * 0.8 / 2.0 - (1.0 - 2.0 * bits)) / 0.8
+                tails += int((np.abs(normals) > 3.6541528853610087963519472518).sum())
+        assert tails > 0  # a normal beyond r, which only the ziggurat's tail draws
+    return inputs, expect
+
+
+def _assert_sanitized_library_runs_cleanly(tmp_path, flags, symbol, **env):
+    """Build the kernel with the sanitizer ``flags``, which put ``symbol`` in the library, run
+    ``_SANITIZED_SCRIPT`` on it in a fresh interpreter with ``env`` added, and check that every
+    output has numpy's shape, dtype and bytes."""
+    library = tmp_path / "viterbi-sanitized.so"
+    build = subprocess.run(["cc", *kernels._C_FLAGS, *flags, "-o", str(library),
+                            str(kernels._C_SOURCE), *kernels._C_LIBS],
+                           capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr
+    assert symbol in library.read_bytes()
+    inputs, expect = _sanitized_cases()
+    np.savez(tmp_path / "in.npz", **inputs)
+    result = _fresh_interpreter(_SANITIZED_SCRIPT, tmp_path / "cache", os.environ["PATH"],
+                                str(library), str(tmp_path / "in.npz"), str(tmp_path / "out.npz"),
+                                **env)
+    assert result.returncode == 0, result.stderr
+    got = np.load(tmp_path / "out.npz")
+    assert sorted(got.files) == sorted(expect)
+    for name, want in expect.items():
+        assert (got[name].shape, got[name].dtype, got[name].tobytes()) == (
+            want.shape, want.dtype, want.tobytes()), name
+
+
+@pytest.mark.skipif(_runtime("libubsan.so") is None, reason="no C compiler with a UBSan runtime")
 def test_kernel_built_with_ubsan_decodes_every_chain_cleanly(tmp_path):
     # Undefined behaviour in the decoder, such as a lane's state indexed out
     # of bounds in the AVX2 traceback, in the encoder, such as an eight-step
     # index out of its table, in the error count, which reads the decoder's
-    # strided rows, or in the message draw stops the sanitized build's process.
-    library = tmp_path / "viterbi-ubsan.so"
+    # strided rows, in the channel, which gathers its malloc'd normals through
+    # the noise map, or in the message draw stops the sanitized build's process.
+    _assert_sanitized_library_runs_cleanly(
+        tmp_path, ["-fsanitize=undefined,bounds", "-fno-sanitize-recover=all"], b"__ubsan_handle_")
+
+
+@pytest.mark.skipif(_runtime("libasan.so") is None, reason="no C compiler with an ASan runtime")
+def test_kernel_built_with_asan_reads_and_writes_only_its_buffers(tmp_path):
+    # The interpreter loads the ASan runtime first, so each buffer that numpy or C allocates is
+    # guarded: a read or write past one, such as an encoder store past the 24 spare bytes or the
+    # channel's last column of an odd width stored as two, stops the process.  The leak check is
+    # off: the interpreter keeps memory to its exit.
+    _assert_sanitized_library_runs_cleanly(
+        tmp_path, ["-fsanitize=address", "-fno-omit-frame-pointer"], b"__asan_report_",
+        LD_PRELOAD=_runtime("libasan.so"), ASAN_OPTIONS="detect_leaks=0")
+
+
+# Runs every entry of the library, included whole, on two threads at once, each with its own
+# buffers and its own generator behind a bitgen_t, and exits 1 unless both threads' outputs agree.
+# argv: the directory of the chain's tables and inputs, then its entries, width, n_out, count, k,
+# n and nframes.  Writes the first thread's outputs, one block, to out.bin in the directory: the
+# channel's doubles, the error counts, the coded rows and their 24 spare bytes, the decoded bits,
+# the checks and the message draw.
+_TSAN_HARNESS = r"""
+#include <pthread.h>
+#include <stdio.h>
+#include "_viterbi.c"
+
+enum { DRAWS = 1001 };
+static hrcc_code code;
+static const uint8_t *msgs;
+static const double *soft;
+static int32_t *columns;
+static ptrdiff_t nframes, nsteps;
+
+typedef struct {
+    uint64_t state; /* splitmix64's */
+    bitgen_t bitgen;
+    double *out; /* bytes of the outputs, in the order above */
+    int status;
+} work;
+
+static uint64_t next_uint64(void *state)
+{
+    uint64_t z = *(uint64_t *)state += 0x9e3779b97f4a7c15u;
+    z = (z ^ z >> 30) * 0xbf58476d1ce4e5b9u;
+    z = (z ^ z >> 27) * 0x94d049bb133111ebu;
+    return z ^ z >> 31;
+}
+static uint32_t next_uint32(void *state) { return (uint32_t)(next_uint64(state) >> 32); }
+static double next_double(void *state) { return (double)(next_uint64(state) >> 11) * 0x1.0p-53; }
+
+static void *load(const char *dir, const char *name, size_t size)
+{
+    char path[4096];
+    snprintf(path, sizeof path, "%s/%s", dir, name);
+    FILE *file = fopen(path, "rb");
+    void *data = malloc(size);
+    if (file == NULL || data == NULL || fread(data, 1, size, file) != size)
+        exit(2);
+    fclose(file);
+    return data;
+}
+
+static void *run(void *arg)
+{
+    work *w = arg;
+    ptrdiff_t *errors = (ptrdiff_t *)(w->out + nframes * code.width);
+    uint8_t *coded = (uint8_t *)(errors + nframes), *bits = coded + nframes * code.width + 24;
+    uint8_t *ok = bits + nframes * nsteps;
+    w->status = hrcc_encode(&code, msgs, nframes, coded)
+                | hrcc_viterbi(&code, soft, nframes, bits, ok)
+                | hrcc_channel(&w->bitgen, w->out, nframes, code.width, coded, columns, 0.8);
+    hrcc_errors(bits, nsteps, msgs, code.k, nframes, code.k, errors);
+    hrcc_bits(&w->bitgen, ok + nframes, DRAWS);
+    return NULL;
+}
+
+int main(int argc, char **argv)
+{
+    if (argc != 9)
+        return 2;
+    const char *dir = argv[1];
+    code.entries = atol(argv[2]);
+    code.width = atol(argv[3]);
+    code.n_out = atoi(argv[4]);
+    code.count = atoi(argv[5]);
+    code.k = atol(argv[6]);
+    code.n = atol(argv[7]);
+    nframes = atol(argv[8]);
+    nsteps = code.entries / code.n_out;
+    code.source = load(dir, "source", code.entries * sizeof(int32_t));
+    code.table = load(dir, "remainders", 256 * sizeof(uint64_t));
+    code.kept = load(dir, "kept", 4096 * sizeof(uint32_t));
+    code.sym = load(dir, "sym", 8 * code.n_out * sizeof(double));
+    msgs = load(dir, "msgs", nframes * code.k);
+    soft = load(dir, "soft", nframes * code.width * sizeof(double));
+    columns = malloc(code.width * sizeof(int32_t));
+    for (ptrdiff_t j = 0; j < code.width; j++)
+        columns[j] = (int32_t)(code.width - 1 - j);
+    const size_t bytes = nframes * (code.width * sizeof(double) + sizeof(ptrdiff_t) + code.width
+                                    + nsteps + 1) + 24 + DRAWS;
+    work w[2];
+    pthread_t threads[2];
+    for (int t = 0; t < 2; t++) {
+        w[t] = (work){70, {&w[t].state, next_uint64, next_uint32, next_double, next_uint64},
+                      calloc(bytes, 1), -1};
+        if (w[t].out == NULL || pthread_create(&threads[t], NULL, run, &w[t]))
+            return 2;
+    }
+    for (int t = 0; t < 2; t++)
+        pthread_join(threads[t], NULL);
+    if (w[0].status != HRCC_OK || w[1].status != HRCC_OK || memcmp(w[0].out, w[1].out, bytes))
+        return 1;
+    char path[4096];
+    snprintf(path, sizeof path, "%s/out.bin", dir);
+    FILE *out = fopen(path, "wb");
+    return out == NULL || fwrite(w[0].out, 1, bytes, out) != bytes || fclose(out) ? 2 : 0;
+}
+"""
+
+
+@pytest.mark.skipif(_runtime("libtsan.so") is None, reason="no C compiler with a TSan runtime")
+def test_kernel_built_with_tsan_runs_every_entry_on_two_threads_without_a_race(tmp_path):
+    # Workers that each call the kernels with their own buffers and generators must share no
+    # state: a static scratch buffer, or one written on every call, races.  The runtime cannot be
+    # loaded into the interpreter, so a C harness calls every entry on two threads.
+    harness = tmp_path / "harness"
+    (tmp_path / "harness.c").write_text(_TSAN_HARNESS)
     build = subprocess.run(
-        ["cc", *kernels._C_FLAGS, "-fsanitize=undefined,bounds", "-fno-sanitize-recover=all",
-         "-o", str(library), str(kernels._C_SOURCE), *kernels._C_LIBS],
+        ["cc", *(f for f in kernels._C_FLAGS if f not in ("-fPIC", "-shared")), "-g",
+         "-fsanitize=thread", f"-I{kernels._C_SOURCE.parent}", "-o", str(harness),
+         str(tmp_path / "harness.c"), *kernels._C_LIBS, "-pthread"],
         capture_output=True, text=True,
     )
     assert build.returncode == 0, build.stderr
-    assert b"__ubsan_handle_" in library.read_bytes()
-    inputs = {f"{scheme.value}:{n}": _lane_rows(_CHAINS[scheme].coded_bits, n, [33, n])
-              for scheme in SchemeId for n in LANE_COUNTS}
-    for scheme in SchemeId:
-        for n in LANE_COUNTS:
-            msgs = np.random.default_rng([36, n]).integers(0, 2, (n, _CHAINS[scheme].block.k))
-            msgs[0] = 1
-            inputs[f"{scheme.value}:{n}:msgs"] = msgs.astype(np.uint8)
-    np.savez(tmp_path / "in.npz", **inputs)
-    result = _fresh_interpreter(_SANITIZED_DECODE_SCRIPT, tmp_path / "cache", os.environ["PATH"],
-                                str(library), str(tmp_path / "in.npz"), str(tmp_path / "out.npz"))
+    chain = _CHAINS[SchemeId.M1_CS23_P13]  # punctured: the map deletes columns
+    kernel, nframes, k = chain.kernel, 13, chain.block.k  # a group of 8, one of 4 and one frame
+    remainders, kept, source, sym = (table for table, _ in kernel._tables)
+    msgs = np.random.default_rng(71).integers(0, 2, (nframes, k), np.uint8)
+    soft = _lane_rows(kernel.width, nframes, 72)
+    for name, table in (("source", source), ("remainders", remainders), ("kept", kept),
+                        ("sym", sym), ("msgs", msgs), ("soft", soft)):
+        table.tofile(tmp_path / name)
+    fields = kernel._code
+    result = subprocess.run(
+        [str(harness), str(tmp_path), *map(str, (fields.entries, fields.width, fields.n_out,
+                                                 fields.count, fields.k, fields.n, nframes))],
+        capture_output=True, text=True, env=dict(os.environ, TSAN_OPTIONS="halt_on_error=1"),
+    )
     assert result.returncode == 0, result.stderr
-    decoded = np.load(tmp_path / "out.npz")
-    for name, rows in inputs.items():
-        chain = _CHAINS[SchemeId(name.split(":")[0])]
-        if name.endswith(":msgs"):
-            coded = _numpy_chain(chain.block, chain.code, chain.source, rows)
-            assert np.array_equal(decoded[name + ":coded"], coded)
-            continue
-        k, r = chain.block.k, chain.block.r
-        reference = kernels.viterbi_batch_np(rows, chain.code.branches, chain.source)
-        assert np.array_equal(decoded[name + ":bits"], reference)
-        assert np.array_equal(decoded[name + ":msgs"], reference[:, :k])
-        assert np.array_equal(decoded[name + ":ok"], chain.block.check_batch(reference[:, : k + r]))
-        errors = np.count_nonzero(reference[:, :k] != reference[::-1, :k], axis=1)
-        assert np.array_equal(decoded[name + ":errors"], errors)
-    for kind in SANITIZED_DRAWS:  # 273 bits: a partial last word
-        expect = np.random.Generator(getattr(np.random, kind)(68)).integers(0, 2, (3, 91), np.uint8)
-        assert decoded[kind + ":draw"].tobytes() == expect.tobytes()
+    out = np.fromfile(tmp_path / "out.bin", np.uint8)
+    width, steps = kernel.width, source.size // chain.code.n_out
+    channel, errors, coded, bits, ok, draws = np.split(out, np.cumsum(
+        [nframes * width * 8, nframes * 8, nframes * width + 24, nframes * steps, nframes]))
+    assert np.array_equal(coded[:-24].reshape(nframes, width), kernel.encode(msgs))
+    reference = kernels.viterbi_batch_np(soft, chain.code.branches, chain.source)
+    assert np.array_equal(bits.reshape(nframes, steps), reference)
+    assert np.array_equal(ok, chain.block.check_batch(reference[:, : k + chain.block.r]))
+    assert np.array_equal(errors.view(np.intp), np.count_nonzero(reference[:, :k] != msgs, axis=1))
+    # The harness's generator is not numpy's: the normals that the channel added to the coded
+    # bits must still look standard, and the draw's bits fair.
+    normals = (channel.view(np.float64).reshape(nframes, width) * 0.8 * 0.8 / 2.0
+               - (1.0 - 2.0 * kernel.encode(msgs))) / 0.8
+    assert abs(normals.mean()) < 0.1 and 0.9 < normals.std() < 1.1
+    assert set(draws.tolist()) == {0, 1} and 400 < draws.sum() < 600

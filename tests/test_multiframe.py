@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hrcc
-from hrcc.bits import SubAllocation
+from hrcc.bits import IdentityEnum, SubAllocation
 from hrcc.multiframe import (
     ChannelConfig,
     ChannelKind,
@@ -194,6 +194,11 @@ def test_every_hrcc_enum_hashes_by_identity():
     assert {cls.__name__ for cls in enums} >= {"SchemeId", "InterleaveMode", "SubAllocation",
                                                "ChannelConfig", "FrameMode", "ChannelKind"}
     assert [cls for cls in enums if cls.__hash__ is not object.__hash__] == []
+
+
+def test_every_hrcc_enum_derives_from_the_one_identity_base():
+    # One base restates Enum's hash; an enum that derives from Enum directly would hash names.
+    assert [cls for cls in _hrcc_enums() if not issubclass(cls, IdentityEnum)] == []
 
 
 @pytest.mark.parametrize("mode", list(FrameMode))
